@@ -80,8 +80,8 @@ def run_once(benchmark, workers):
 
     Injects the suite-wide ``workers`` knob into any experiment whose
     signature accepts it (explicit ``workers=`` in the call wins), and
-    records simulation throughput in ``benchmark.extra_info`` so
-    ``tools/bench_report.py`` can consume every benchmark uniformly:
+    records simulation throughput in ``benchmark.extra_info``
+    uniformly for every benchmark:
 
     * ``events_processed`` — kernel events run in this process during
       the benchmark (with ``workers`` > 1 the sweep points execute in

@@ -2,15 +2,14 @@
 
 Times a full simulation over :class:`repro.topology.tree.TopologyTree`
 shapes that bracket the structures the scenario families use: a deep
-fan-out-1 chain (the old ``ProxyChain`` shape), a shallow wide tree
+fan-out-1 chain, a shallow wide tree
 (one shield level fanning out to many edges), and a deep fanning tree
 (the ``cdn_tree`` family's shape).  Every node polls its upstream on a
 fixed TTR, so event volume scales with node count — the per-node
 dispatch overhead of the tree layer is what a regression here catches.
 
-``run_once`` records ``events_per_sec`` in ``extra_info``, so each
-shape contributes a throughput point to the ``BENCH_<ts>.json``
-trajectory emitted by ``tools/bench_report.py``.
+``run_once`` records ``events_per_sec`` in ``extra_info`` for each
+shape.
 """
 
 from __future__ import annotations

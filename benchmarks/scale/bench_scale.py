@@ -19,8 +19,8 @@ request goes through the ordinary client path
 (:meth:`~repro.proxy.proxy.ProxyCache.handle_client_request`), so
 misses trigger real upstream fetch chains.
 
-``pytest benchmarks/scale`` records the million-client run as a
-trajectory point (it is deliberately *not* in the ``--smoke`` subset);
+``pytest benchmarks/scale`` runs the million-client point under
+pytest-benchmark;
 ``python benchmarks/scale/bench_scale.py --clients 10000 --verify``
 is the CI smoke, asserting sharded rows equal the serial run's.
 """

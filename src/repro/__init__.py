@@ -94,7 +94,7 @@ from repro.metrics import (
     value_fidelity,
 )
 from repro.metrics import temporal_fidelity_from_snapshots
-from repro.proxy import Client, ObjectCache, ProxyCache, ProxyChain
+from repro.proxy import Client, ObjectCache, ProxyCache
 from repro.server import OriginServer, UpdateFeeder, feed_traces
 from repro.sim import EventLog, Kernel
 from repro.topology import TopologyNode, TopologyTree, TreeLevel, uniform_levels
@@ -181,7 +181,6 @@ __all__ = [
     "Client",
     "ObjectCache",
     "ProxyCache",
-    "ProxyChain",
     "OriginServer",
     "UpdateFeeder",
     "feed_traces",

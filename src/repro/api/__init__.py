@@ -13,9 +13,7 @@ engine, the sweep executor, and external callers:
   consistency-policy, scenario, workload-source, and eviction-policy
   lookups share (re-exported here for compatibility);
 * :mod:`repro.api.runs` — the canonical run functions
-  (``run_individual``, the mutual-consistency runs, ``run_many``);
-  :mod:`repro.experiments.runner` keeps them alive as deprecation
-  shims.
+  (``run_individual``, the mutual-consistency runs, ``run_many``).
 
 Quickstart (see ``docs/API_GUIDE.md`` for the full guide)::
 
@@ -49,7 +47,6 @@ from repro.api.config import (
     TopologyConfig,
     WorkloadConfig,
 )
-from repro.api.deprecation import ReproDeprecationWarning
 from repro.core.registry import Registry, RegistryError
 from repro.api.results import ResultRow, ResultSchemaError, ResultSet
 from repro.api.runs import (
@@ -78,7 +75,6 @@ __all__ = [
     "PolicyConfig",
     "Registry",
     "RegistryError",
-    "ReproDeprecationWarning",
     "RESULT_COLUMNS",
     "ResultRow",
     "ResultSchemaError",

@@ -2,9 +2,7 @@
 
 This module is the façade's execution layer: it owns stack assembly
 (kernel, origin server, trace feeders, network, proxy) and the
-domain-level run functions every experiment uses.  The old
-:mod:`repro.experiments.runner` module still exposes all of these as
-thin deprecation shims.
+domain-level run functions every experiment uses.
 
 All paper experiments use a synchronous network (fixed zero latency, as
 the paper holds latency fixed and out of scope) and the history-capable

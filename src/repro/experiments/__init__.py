@@ -18,9 +18,8 @@ listable, overridable, and runnable by name via
 ``python -m repro scenarios run <name>``.
 """
 
-# Canonical homes moved to the repro.api façade; re-exported here so
-# `from repro.experiments import run_individual` stays warning-free.
-# (repro.experiments.runner remains as a deprecation shim module.)
+# Canonical homes are in the repro.api façade; re-exported here so
+# `from repro.experiments import run_individual` keeps working.
 from repro.api.runs import (
     RunResult,
     run_individual,

@@ -5,6 +5,11 @@ message model mirrors HTTP/1.1 where the paper depends on it: methods,
 status codes (200/304/404), case-insensitive headers, ``Last-Modified``
 and ``If-Modified-Since`` semantics, and the Section 5.1 extension
 headers.
+
+A message's typed fields are its only state.  ``headers`` is a view
+rendered from them on demand (for ``repr`` and for inspecting the
+Section 5.1 wire format); nothing on the poll path builds or parses a
+header string.
 """
 
 from __future__ import annotations
@@ -47,20 +52,6 @@ class Headers:
             for name, value in initial.items():
                 self.set(name, value)
 
-    @classmethod
-    def _presanitized(cls, entries: Dict[str, str]) -> "Headers":
-        """Wrap a dict whose keys are already lower-case, without copying.
-
-        Internal fast path for the per-poll message factories
-        (:func:`conditional_get`,
-        :func:`repro.httpsim.semantics.evaluate_conditional_get`), which
-        only use the module's lower-case header-name constants.  The
-        caller must hand over ownership of ``entries``.
-        """
-        headers = cls.__new__(cls)
-        headers._entries = entries
-        return headers
-
     def set(self, name: str, value: str) -> None:
         if not name:
             raise ValueError("header name must be non-empty")
@@ -90,82 +81,70 @@ class Headers:
         return f"Headers({self._entries})"
 
 
-#: Sentinel marking a typed accessor as not-yet-parsed.
-_UNSET = object()
-
-
 class Request:
     """A simulated HTTP request from proxy (or client) to a server.
 
-    The headers are authoritative — a request hand-built from strings
-    behaves identically to one built by :func:`conditional_get` — but
-    the typed accessors memoize their parse (and the message factories
-    pre-fill them), so the per-poll hot path never re-parses a header
-    it already has in typed form.  Consequently ``headers`` must be
-    treated as immutable once a typed accessor has been read — and on
-    factory-built messages (:func:`conditional_get`,
-    :func:`repro.httpsim.semantics.evaluate_conditional_get`) from
-    construction, since the factory pre-fills the accessors.  To vary a
-    message, build a new one (see
-    ``repro.server.origin._without_history_request``).
+    Attributes:
+        if_modified_since: The ``If-Modified-Since`` timestamp, if any.
+        wants_history: Whether the request asks for the Section 5.1
+            modification-history extension.
+        consistency_delta: The Δ tolerance declared by the requester
+            (Section 5.1), if any.
+        mutual_consistency_delta: The δ tolerance declared by the
+            requester (Section 5.1), if any.
+        issued_at: Simulation time the request was sent.
     """
 
-    __slots__ = ("method", "object_id", "headers", "issued_at", "_ims", "_wants_history")
+    __slots__ = (
+        "method",
+        "object_id",
+        "if_modified_since",
+        "wants_history",
+        "consistency_delta",
+        "mutual_consistency_delta",
+        "issued_at",
+    )
 
     def __init__(
         self,
         method: Method,
         object_id: ObjectId,
-        headers: Optional[Headers] = None,
+        *,
+        if_modified_since: Optional[Seconds] = None,
+        wants_history: bool = False,
+        consistency_delta: Optional[float] = None,
+        mutual_consistency_delta: Optional[float] = None,
         issued_at: Seconds = 0.0,
     ) -> None:
         self.method = method
         self.object_id = object_id
-        self.headers = headers if headers is not None else Headers()
+        self.if_modified_since = if_modified_since
+        self.wants_history = wants_history
+        self.consistency_delta = consistency_delta
+        self.mutual_consistency_delta = mutual_consistency_delta
         self.issued_at = issued_at
-        self._ims = _UNSET
-        self._wants_history = _UNSET
 
     @property
-    def if_modified_since(self) -> Optional[Seconds]:
-        """Parsed ``If-Modified-Since`` timestamp, if present."""
-        ims = self._ims
-        if ims is _UNSET:
-            raw = self.headers.get(h.IF_MODIFIED_SINCE)
-            ims = h.parse_time(raw) if raw is not None else None
-            self._ims = ims
-        return ims
-
-    @property
-    def wants_history(self) -> bool:
-        """True if the request asks for the modification-history extension."""
-        wants = self._wants_history
-        if wants is _UNSET:
-            raw = self.headers.get(h.WANT_HISTORY, "")
-            wants = raw.lower() in ("1", "true", "yes")
-            self._wants_history = wants
-        return wants
-
-    @property
-    def consistency_delta(self) -> Optional[float]:
-        """The Δ tolerance declared by the requester (Section 5.1)."""
-        raw = self.headers.get(h.CONSISTENCY_DELTA)
-        return float(raw) if raw is not None else None
-
-    @property
-    def mutual_consistency_delta(self) -> Optional[float]:
-        """The δ tolerance declared by the requester (Section 5.1)."""
-        raw = self.headers.get(h.MUTUAL_CONSISTENCY_DELTA)
-        return float(raw) if raw is not None else None
+    def headers(self) -> Headers:
+        """The request's header lines, rendered from the typed fields."""
+        rendered = Headers()
+        if self.if_modified_since is not None:
+            rendered.set(h.IF_MODIFIED_SINCE, h.format_time(self.if_modified_since))
+        if self.wants_history:
+            rendered.set(h.WANT_HISTORY, "1")
+        if self.consistency_delta is not None:
+            rendered.set(h.CONSISTENCY_DELTA, repr(self.consistency_delta))
+        if self.mutual_consistency_delta is not None:
+            rendered.set(
+                h.MUTUAL_CONSISTENCY_DELTA, repr(self.mutual_consistency_delta)
+            )
+        return rendered
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Request):
             return NotImplemented
-        return (
-            self.method == other.method
-            and self.object_id == other.object_id
-            and self.headers == other.headers
-            and self.issued_at == other.issued_at
+        return all(
+            getattr(self, name) == getattr(other, name) for name in self.__slots__
         )
 
     def __repr__(self) -> str:
@@ -178,80 +157,62 @@ class Request:
 class Response:
     """A simulated HTTP response.
 
-    As with :class:`Request`, the headers are authoritative and the
-    typed accessors (``last_modified``, ``version``, ...) memoize their
-    parse.  :func:`repro.httpsim.semantics.evaluate_conditional_get`
-    pre-fills them with the server-side values it serialised, so the
-    proxy's poll-completion path reads plain attributes instead of
-    re-parsing header strings.  The same immutability rule applies: do
-    not mutate ``headers`` on a factory-built response (or after a
-    typed accessor read on a hand-built one); build a new message
-    instead.
+    Attributes:
+        last_modified: The object's latest modification time
+            (``Last-Modified``); ``None`` on a 404.
+        version: The object's version number (``x-version``).
+        value: The object's value, for valued objects (``x-value``).
+        modification_history: The Section 5.1 history extension — the
+            modification times the requester has not seen — or ``None``
+            when the response does not carry it.
+        served_at: Server time the response was generated (``Date``).
     """
 
     __slots__ = (
         "status",
         "object_id",
-        "headers",
+        "last_modified",
+        "version",
+        "value",
+        "modification_history",
         "served_at",
-        "_last_modified",
-        "_version",
-        "_value",
-        "_history",
     )
 
     def __init__(
         self,
         status: Status,
         object_id: ObjectId,
-        headers: Optional[Headers] = None,
+        *,
+        last_modified: Optional[Seconds] = None,
+        version: Optional[int] = None,
+        value: Optional[float] = None,
+        modification_history: Optional[List[Seconds]] = None,
         served_at: Seconds = 0.0,
     ) -> None:
         self.status = status
         self.object_id = object_id
-        self.headers = headers if headers is not None else Headers()
+        self.last_modified = last_modified
+        self.version = version
+        self.value = value
+        self.modification_history = modification_history
         self.served_at = served_at
-        self._last_modified = _UNSET
-        self._version = _UNSET
-        self._value = _UNSET
-        self._history = _UNSET
 
     @property
-    def last_modified(self) -> Optional[Seconds]:
-        parsed = self._last_modified
-        if parsed is _UNSET:
-            raw = self.headers.get(h.LAST_MODIFIED)
-            parsed = h.parse_time(raw) if raw is not None else None
-            self._last_modified = parsed
-        return parsed
-
-    @property
-    def version(self) -> Optional[int]:
-        parsed = self._version
-        if parsed is _UNSET:
-            raw = self.headers.get(h.VERSION)
-            parsed = int(raw) if raw is not None else None
-            self._version = parsed
-        return parsed
-
-    @property
-    def value(self) -> Optional[float]:
-        parsed = self._value
-        if parsed is _UNSET:
-            raw = self.headers.get(h.VALUE)
-            parsed = float(raw) if raw is not None else None
-            self._value = parsed
-        return parsed
-
-    @property
-    def modification_history(self) -> Optional[List[Seconds]]:
-        """Parsed history extension header, or None if absent."""
-        parsed = self._history
-        if parsed is _UNSET:
-            raw = self.headers.get(h.MODIFICATION_HISTORY)
-            parsed = h.parse_history(raw) if raw is not None else None
-            self._history = parsed
-        return parsed
+    def headers(self) -> Headers:
+        """The response's header lines, rendered from the typed fields."""
+        rendered = Headers()
+        rendered.set(h.DATE, h.format_time(self.served_at))
+        if self.last_modified is not None:
+            rendered.set(h.LAST_MODIFIED, h.format_time(self.last_modified))
+        if self.version is not None:
+            rendered.set(h.VERSION, str(self.version))
+        if self.value is not None:
+            rendered.set(h.VALUE, repr(self.value))
+        if self.modification_history is not None:
+            rendered.set(
+                h.MODIFICATION_HISTORY, h.format_history(self.modification_history)
+            )
+        return rendered
 
     def require_ok_or_not_modified(self) -> "Response":
         """Assert the response is 200 or 304 (the poll-path statuses)."""
@@ -265,11 +226,8 @@ class Response:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Response):
             return NotImplemented
-        return (
-            self.status == other.status
-            and self.object_id == other.object_id
-            and self.headers == other.headers
-            and self.served_at == other.served_at
+        return all(
+            getattr(self, name) == getattr(other, name) for name in self.__slots__
         )
 
     def __repr__(self) -> str:
@@ -289,24 +247,12 @@ def conditional_get(
     issued_at: Seconds = 0.0,
 ) -> Request:
     """Build an ``If-Modified-Since`` GET as a proxy poll would issue."""
-    entries: Dict[str, str] = {}
-    if if_modified_since is not None:
-        entries[h.IF_MODIFIED_SINCE] = h.format_time(if_modified_since)
-    if want_history:
-        entries[h.WANT_HISTORY] = "1"
-    if consistency_delta is not None:
-        entries[h.CONSISTENCY_DELTA] = repr(consistency_delta)
-    if mutual_consistency_delta is not None:
-        entries[h.MUTUAL_CONSISTENCY_DELTA] = repr(mutual_consistency_delta)
-    hdrs = Headers._presanitized(entries)
-    request = Request(
-        method=Method.GET,
-        object_id=object_id,
-        headers=hdrs,
+    return Request(
+        Method.GET,
+        object_id,
+        if_modified_since=if_modified_since,
+        wants_history=want_history,
+        consistency_delta=consistency_delta,
+        mutual_consistency_delta=mutual_consistency_delta,
         issued_at=issued_at,
     )
-    # Pre-fill the typed accessors with the values just serialised (the
-    # header round-trip is exact, so this is purely a parse saved).
-    request._ims = if_modified_since
-    request._wants_history = bool(want_history)
-    return request

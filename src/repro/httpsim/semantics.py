@@ -12,14 +12,14 @@ and property-tested in isolation.
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import List, Optional, Protocol, Sequence
+from typing import List, Optional, Protocol, Sequence, runtime_checkable
 
 from repro.core.types import Seconds
-from repro.httpsim import headers as h
-from repro.httpsim.messages import Headers, Request, Response, Status
+from repro.httpsim.messages import Request, Response, Status
 
 
-class RequestTarget(Protocol):
+@runtime_checkable
+class Upstream(Protocol):
     """Anything a proxy can poll: an origin server or an upstream proxy.
 
     Both :class:`repro.server.origin.OriginServer` and
@@ -32,7 +32,7 @@ class RequestTarget(Protocol):
 
     def handle_request(self, request: Request, now: Seconds) -> Response:
         """Answer a simulated HTTP request at time ``now``."""
-        ...
+        ...  # pragma: no cover - protocol definition
 
 #: Cap on how many modification times the history header carries.  The
 #: paper proposes "a modification history of arbitrary length"; a cap
@@ -48,8 +48,7 @@ def evaluate_conditional_get(
     last_modified: Optional[Seconds],
     version: Optional[int],
     value: Optional[float],
-    history_times: Sequence[Seconds],
-    wants_history: Optional[bool] = None,
+    history_times: Optional[Sequence[Seconds]],
 ) -> Response:
     """Answer a conditional GET given the object's server-side state.
 
@@ -60,76 +59,46 @@ def evaluate_conditional_get(
             if the object has never been modified (unborn → 404).
         version: Current version number (paired with ``last_modified``).
         value: Current value for valued objects, else ``None``.
-        history_times: All modification times up to ``now`` (ascending).
-            Used to populate the history extension header.
-        wants_history: Pre-parsed ``request.wants_history``, when the
-            caller has already computed it (avoids re-parsing the header
-            on the per-poll hot path); ``None`` reads it from the
-            request.
+        history_times: All modification times up to ``now`` (ascending),
+            used to populate the history extension when the request asks
+            for it.  ``None`` means the server does not implement the
+            extension: a plain HTTP/1.1 server ignores unknown headers,
+            so the response simply lacks history.
 
     Returns:
         A 404, 304, or 200 response per HTTP/1.1 semantics.
     """
     if last_modified is None or version is None:
-        response = Response(
-            status=Status.NOT_FOUND,
-            object_id=request.object_id,
-            headers=Headers._presanitized({h.DATE: h.format_time(now)}),
-            served_at=now,
-        )
-        response._last_modified = None
-        response._version = None
-        response._value = None
-        response._history = None
-        return response
+        return Response(Status.NOT_FOUND, request.object_id, served_at=now)
 
-    if wants_history is None:
-        wants_history = request.wants_history
     ims = request.if_modified_since
-    entries = {h.DATE: h.format_time(now)}
+    history = history_times if request.wants_history else None
 
     if ims is not None and last_modified <= ims:
         # Unchanged since the caller's timestamp → 304.  Per RFC 2616 a
         # 304 must not carry entity headers, but Last-Modified is
         # permitted and useful; we include it plus the version so the
         # proxy can re-validate bookkeeping.
-        entries[h.LAST_MODIFIED] = h.format_time(last_modified)
-        entries[h.VERSION] = str(version)
-        if wants_history:
-            entries[h.MODIFICATION_HISTORY] = ""
-        response = Response(
-            status=Status.NOT_MODIFIED,
-            object_id=request.object_id,
-            headers=Headers._presanitized(entries),
+        return Response(
+            Status.NOT_MODIFIED,
+            request.object_id,
+            last_modified=last_modified,
+            version=version,
+            modification_history=[] if history is not None else None,
             served_at=now,
         )
-        # Pre-fill the typed accessors with the values just serialised
-        # (the header round-trip is exact — repr/float and str/int).
-        response._last_modified = last_modified
-        response._version = version
-        response._value = None
-        response._history = [] if wants_history else None
-        return response
 
-    entries[h.LAST_MODIFIED] = h.format_time(last_modified)
-    entries[h.VERSION] = str(version)
-    if value is not None:
-        entries[h.VALUE] = repr(value)
-    unseen: Optional[List[Seconds]] = None
-    if wants_history:
-        unseen = _history_since(history_times, ims)
-        entries[h.MODIFICATION_HISTORY] = h.format_history(unseen)
-    response = Response(
-        status=Status.OK,
-        object_id=request.object_id,
-        headers=Headers._presanitized(entries),
+    return Response(
+        Status.OK,
+        request.object_id,
+        last_modified=last_modified,
+        version=version,
+        value=value,
+        modification_history=(
+            _history_since(history, ims) if history is not None else None
+        ),
         served_at=now,
     )
-    response._last_modified = last_modified
-    response._version = version
-    response._value = value
-    response._history = unseen
-    return response
 
 
 def _history_since(

@@ -9,8 +9,7 @@ real invariants before code runs:
   attribute creation escaping slots, no exception-swallowing control
   flow;
 * **RL3xx façade hygiene** — ``to_dict``/``from_dict`` pairing on
-  config classes, scenario/smoke-config pairing, no imports from
-  deprecated shims.
+  config classes, scenario/smoke-config pairing.
 
 Programmatic use mirrors the CLI::
 

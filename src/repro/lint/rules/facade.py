@@ -1,8 +1,8 @@
 """RL3xx — façade-hygiene rules.
 
-The public surface (``repro.api``, the scenario catalogue, the
-deprecation shims) has structural invariants that review keeps
-re-checking by hand; these rules check them mechanically:
+The public surface (``repro.api``, the scenario catalogue) has
+structural invariants that review keeps re-checking by hand; these
+rules check them mechanically:
 
 * RL301 — a ``*Config`` class that defines one of ``to_dict`` /
   ``from_dict`` must pair the other (directly or through a base class
@@ -10,10 +10,7 @@ re-checking by hand; these rules check them mechanically:
 * RL302 — every ``@scenario(name=...)`` registration must name a tiny
   smoke configuration in ``TINY_CONFIGS`` (the golden suite and
   ``tools/update_goldens.py`` both key off it; a missing entry only
-  explodes at test-collection time otherwise);
-* RL303 — no imports from deprecated shim modules inside ``src/``:
-  in-repo code must stay on the replacement APIs, the shims exist for
-  downstream users only.
+  explodes at test-collection time otherwise).
 """
 
 from __future__ import annotations
@@ -24,7 +21,7 @@ from typing import Dict, Iterator, List, Optional, Set, Tuple
 from repro.lint.context import FileContext
 from repro.lint.diagnostics import Diagnostic
 from repro.lint.engine import register_rule
-from repro.lint.rules.base import LintRule, base_name, dotted_name
+from repro.lint.rules.base import LintRule, base_name
 
 _PAIRED_METHODS = ("to_dict", "from_dict")
 
@@ -188,90 +185,3 @@ class ScenarioSmokeRule(LintRule):
                     ),
                 )
 
-
-#: Modules that exist only as deprecation shims; in-repo code imports
-#: the replacement instead.  Keep in sync with docs/ARCHITECTURE.md.
-DEPRECATED_MODULES: Dict[str, str] = {
-    "repro.experiments.runner": "repro.api (runs moved to repro.api.runs)",
-    "repro.api.registries": "repro.core.registry",
-    "repro.proxy.hierarchy": "repro.topology (build a fan-out-1 tree)",
-}
-
-#: Deprecated names inside otherwise-live modules.
-DEPRECATED_NAMES: Dict[str, Dict[str, str]] = {
-    "repro.scenarios.registry": {
-        "get_scenario": "SCENARIOS.get",
-        "scenario_names": "SCENARIOS.names",
-        "list_scenarios": "SCENARIOS.values",
-    },
-}
-
-
-@register_rule
-class DeprecatedImportRule(LintRule):
-    """RL303: no imports from deprecated shim modules in src/."""
-
-    code = "RL303"
-    name = "deprecated-shim-import"
-    description = (
-        "In-repo code must not import deprecation shims "
-        "(repro.experiments.runner, repro.api.registries, "
-        "repro.proxy.hierarchy, or the deprecated scenario-registry "
-        "lookups); use the replacement the shim's warning names."
-    )
-
-    def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
-        if ctx.module in DEPRECATED_MODULES:
-            return  # the shim itself may reference its own machinery
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    replacement = self._module_replacement(alias.name)
-                    if replacement is not None:
-                        yield self.diagnostic(
-                            ctx.path,
-                            node,
-                            f"import of deprecated shim {alias.name}; "
-                            f"use {replacement}",
-                        )
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                yield from self._check_import_from(ctx, node)
-
-    @staticmethod
-    def _module_replacement(module: str) -> Optional[str]:
-        for shim, replacement in DEPRECATED_MODULES.items():
-            if module == shim or module.startswith(shim + "."):
-                return replacement
-        return None
-
-    def _check_import_from(
-        self, ctx: FileContext, node: ast.ImportFrom
-    ) -> Iterator[Diagnostic]:
-        module = node.module or ""
-        replacement = self._module_replacement(module)
-        if replacement is not None:
-            yield self.diagnostic(
-                ctx.path,
-                node,
-                f"import from deprecated shim {module}; use {replacement}",
-            )
-            return
-        for alias in node.names:
-            joined = f"{module}.{alias.name}" if module else alias.name
-            joined_replacement = self._module_replacement(joined)
-            if joined_replacement is not None:
-                yield self.diagnostic(
-                    ctx.path,
-                    node,
-                    f"import of deprecated shim {joined}; "
-                    f"use {joined_replacement}",
-                )
-                continue
-            deprecated_here = DEPRECATED_NAMES.get(module, {})
-            if alias.name in deprecated_here:
-                yield self.diagnostic(
-                    ctx.path,
-                    node,
-                    f"import of deprecated {module}.{alias.name}; "
-                    f"use {deprecated_here[alias.name]}",
-                )

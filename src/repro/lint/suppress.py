@@ -9,7 +9,7 @@ reviewers; the parser only reads the code list):
 
 * file-level — anywhere in the file, conventionally near the top::
 
-      # repro-lint: disable-file=RL201 (deprecation shim; never on the hot path)
+      # repro-lint: disable-file=RL201 (built once per run; never on the hot path)
 
 ``disable=all`` suppresses every rule at that granularity.  Diagnostics
 anchor to the *first* line of their statement, so for a multi-line call

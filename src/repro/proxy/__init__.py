@@ -9,10 +9,6 @@ from repro.proxy.eviction import (
     build_eviction_policy,
     register_eviction_policy,
 )
-from repro.proxy.hierarchy import (  # repro-lint: disable=RL303 (back-compat re-export of the shim's own surface)
-    LevelPolicyFactory,
-    ProxyChain,
-)
 from repro.proxy.proxy import ProxyCache
 from repro.proxy.refresher import Refresher
 from repro.proxy.ttl_registry import TTLClassRegistry
@@ -29,8 +25,6 @@ __all__ = [
     "ClientRequestRecord",
     "CacheEntry",
     "FetchRecord",
-    "LevelPolicyFactory",
-    "ProxyChain",
     "ProxyCache",
     "Refresher",
     "TTLClassRegistry",

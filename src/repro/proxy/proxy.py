@@ -22,7 +22,7 @@ from repro.core.events import PollEvent, PollReason
 from repro.core.types import ObjectId, ObjectSnapshot, PollOutcome, Seconds
 from repro.httpsim.messages import Request, Response, Status, conditional_get
 from repro.httpsim.network import Network
-from repro.httpsim.semantics import RequestTarget, evaluate_conditional_get
+from repro.httpsim.semantics import Upstream, evaluate_conditional_get
 from repro.proxy.cache import ObjectCache
 from repro.proxy.entry import CacheEntry
 from repro.proxy.refresher import Refresher
@@ -95,7 +95,7 @@ class ProxyCache:
         #: scheduled poll (True) or is an additional poll on top of the
         #: unchanged schedule (False, the paper's semantics).
         self.triggered_polls_reschedule = triggered_polls_reschedule
-        self._servers: Dict[ObjectId, RequestTarget] = {}
+        self._servers: Dict[ObjectId, Upstream] = {}
         self._refreshers: Dict[ObjectId, Refresher] = {}
         self._observers: List[PollObserver] = []
         self.counters = Counter()
@@ -143,7 +143,7 @@ class ProxyCache:
     def register_object(
         self,
         object_id: ObjectId,
-        server: RequestTarget,
+        server: Upstream,
         policy: RefreshPolicy,
         *,
         initial_fetch: bool = True,
@@ -156,7 +156,7 @@ class ProxyCache:
 
         ``server`` may be an origin server or another :class:`ProxyCache`
         (a hierarchy's parent) — anything satisfying
-        :class:`~repro.httpsim.semantics.RequestTarget`.
+        :class:`~repro.httpsim.semantics.Upstream`.
         """
         if object_id in self._refreshers:
             raise CacheConfigurationError(
@@ -173,7 +173,7 @@ class ProxyCache:
     def register_with_factory(
         self,
         object_id: ObjectId,
-        server: RequestTarget,
+        server: Upstream,
         factory: PolicyFactory,
         **kwargs: Any,
     ) -> Refresher:
@@ -217,7 +217,7 @@ class ProxyCache:
     def registered_objects(self) -> List[ObjectId]:
         return list(self._refreshers)
 
-    def server_for(self, object_id: ObjectId) -> RequestTarget:
+    def server_for(self, object_id: ObjectId) -> Upstream:
         """The upstream this object's polls go to (origin or parent proxy)."""
         server = self._servers.get(object_id)
         if server is None:
@@ -251,7 +251,7 @@ class ProxyCache:
             raise UnknownObjectError(str(object_id), where=server.name)
         return entry.snapshot
 
-    def bind_server(self, object_id: ObjectId, server: RequestTarget) -> None:
+    def bind_server(self, object_id: ObjectId, server: Upstream) -> None:
         """Associate an object with an upstream without registering a policy.
 
         Used by workload-only scenarios (pure hit/miss studies).
@@ -265,17 +265,32 @@ class ProxyCache:
         """Answer a conditional GET from this proxy's cache.
 
         Makes the proxy usable as the upstream of another proxy (it
-        satisfies :class:`~repro.httpsim.semantics.RequestTarget`): a
+        satisfies :class:`~repro.httpsim.semantics.Upstream`): a
         child's poll is served from whatever this proxy currently
         caches, *without* contacting the origin — the child's freshness
-        is bounded by this proxy's own consistency policy.  The history
-        extension is served from the modification times this proxy has
-        itself observed, so intermediate updates this proxy missed stay
+        is bounded by this proxy's own consistency policy.  Only a miss
+        (a bounded cache evicted the object) fetches through, and only
+        over a synchronous upstream link.  The history extension is
+        served from the modification times this proxy has itself
+        observed, so intermediate updates this proxy missed stay
         invisible downstream (the fidelity a real hierarchy provides).
         """
         self.counters.increment("downstream_requests")
-        entry = self._cache.get(request.object_id, touch=False)
+        object_id = request.object_id
+        entry = self._cache.get(object_id, touch=False)
         snapshot = entry.snapshot if entry is not None else None
+        if (
+            snapshot is None
+            and object_id in self._servers
+            and self._network.synchronous
+        ):
+            # A bounded cache evicted the object (or never held it):
+            # fetch through, as a client miss would.  Over a latent link
+            # the answer cannot arrive within this call, so the 404
+            # below stands.
+            self._issue_poll(object_id, PollReason.CACHE_MISS)
+            entry = self._cache.get(object_id, touch=False)
+            snapshot = entry.snapshot if entry is not None else None
         if entry is None or snapshot is None:
             self.counters.increment("downstream_404")
             return evaluate_conditional_get(
@@ -286,18 +301,15 @@ class ProxyCache:
                 value=None,
                 history_times=(),
             )
-        wants_history = request.wants_history
-        history = (
-            entry.known_modification_times() if wants_history else ()
-        )
         return evaluate_conditional_get(
             request,
             now=now,
             last_modified=snapshot.last_modified,
             version=snapshot.version,
             value=snapshot.value,
-            history_times=history,
-            wants_history=wants_history,
+            history_times=(
+                entry.known_modification_times() if request.wants_history else ()
+            ),
         )
 
     # ------------------------------------------------------------------

@@ -24,15 +24,12 @@ from repro.scenarios.engine import (
     render_scenario,
     run_scenario,
 )
-from repro.scenarios.registry import (  # repro-lint: disable=RL303 (back-compat re-export of the deprecated lookups)
+from repro.scenarios.registry import (
     SCENARIOS,
     Scenario,
     UnknownScenarioError,
-    get_scenario,
-    list_scenarios,
     register_scenario,
     scenario,
-    scenario_names,
 )
 from repro.scenarios.spec import (
     ScenarioSpec,
@@ -49,12 +46,9 @@ __all__ = [
     "ScenarioSpecError",
     "UnknownScenarioError",
     "describe_scenario",
-    "get_scenario",
-    "list_scenarios",
     "parse_param_overrides",
     "register_scenario",
     "render_scenario",
     "run_scenario",
     "scenario",
-    "scenario_names",
 ]

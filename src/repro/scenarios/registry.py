@@ -30,17 +30,14 @@ for :mod:`repro.experiments.sweep` row builders).
 Lookup goes through :data:`SCENARIOS`, a
 :class:`repro.core.registry.Registry` shared with the consistency and
 workload-source registries (``SCENARIOS.get(name)``,
-``SCENARIOS.names()``).  The historical module-level lookup functions
-(``get_scenario`` / ``scenario_names`` / ``list_scenarios``) remain as
-deprecation shims.
+``SCENARIOS.names()``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
-from repro.api.deprecation import warn_deprecated
 from repro.core.registry import Registry
 from repro.core.errors import ReproError
 from repro.scenarios.spec import AxisValue, ScenarioSpec
@@ -150,34 +147,3 @@ def register_scenario(entry: Scenario) -> None:
     """Add a scenario to the registry (duplicate names are an error)."""
     SCENARIOS.register(entry.spec.name, entry)
 
-
-# ----------------------------------------------------------------------
-# Deprecated lookup shims (use the SCENARIOS registry object instead)
-# ----------------------------------------------------------------------
-
-
-def get_scenario(name: str) -> Scenario:
-    """Deprecated alias of ``SCENARIOS.get(name)``."""
-    warn_deprecated(
-        "repro.scenarios.registry.get_scenario",
-        "repro.scenarios.registry.SCENARIOS.get",
-    )
-    return SCENARIOS.get(name)
-
-
-def scenario_names() -> List[str]:
-    """Deprecated alias of ``SCENARIOS.names()``."""
-    warn_deprecated(
-        "repro.scenarios.registry.scenario_names",
-        "repro.scenarios.registry.SCENARIOS.names",
-    )
-    return SCENARIOS.names()
-
-
-def list_scenarios() -> List[Scenario]:
-    """Deprecated alias of ``SCENARIOS.values()``."""
-    warn_deprecated(
-        "repro.scenarios.registry.list_scenarios",
-        "repro.scenarios.registry.SCENARIOS.values",
-    )
-    return SCENARIOS.values()

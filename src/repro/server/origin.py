@@ -137,20 +137,15 @@ class OriginServer:
                 value=None,
                 history_times=(),
             )
-        asked_history = request.wants_history
-        wants_history = asked_history and self.supports_history
-        if asked_history and not self.supports_history:
-            # Strip the extension ask: a plain HTTP/1.1 server ignores
-            # unknown headers, so the response simply lacks history.
-            request = _without_history_request(request)
         response = evaluate_conditional_get(
             request,
             now=now,
             last_modified=obj.last_modified,
             version=obj.current_version,
             value=obj.current_value,
-            history_times=obj.modification_times_view() if wants_history else (),
-            wants_history=wants_history,
+            history_times=(
+                obj.modification_times_view() if self.supports_history else None
+            ),
         )
         self.counters.increment(_RESPONSE_COUNTER_NAMES[response.status])
         return response
@@ -160,18 +155,3 @@ class OriginServer:
             f"OriginServer({self.name!r}, objects={len(self._objects)}, "
             f"history={self.supports_history})"
         )
-
-
-def _without_history_request(request: Request) -> Request:
-    """Copy a request with the history-extension ask removed."""
-    from repro.httpsim import headers as h
-
-    headers = request.headers.copy()
-    if h.WANT_HISTORY in headers:
-        headers.set(h.WANT_HISTORY, "0")
-    return Request(
-        method=request.method,
-        object_id=request.object_id,
-        headers=headers,
-        issued_at=request.issued_at,
-    )

@@ -1,7 +1,6 @@
 """Discrete-event simulation kernel and supporting utilities."""
 
 from repro.sim.kernel import EventHandle, Kernel
-from repro.sim.process import Process, spawn
 from repro.sim.stats import (
     Counter,
     Histogram,
@@ -15,8 +14,6 @@ from repro.sim.tracing import EventLog
 __all__ = [
     "EventHandle",
     "Kernel",
-    "Process",
-    "spawn",
     "Counter",
     "Histogram",
     "SummarySnapshot",

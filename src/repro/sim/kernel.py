@@ -35,8 +35,7 @@ in ``tests/test_scheduler_equivalence.py``.
 
 The kernel is deliberately small — no coroutines, no channels — because
 the paper's simulation only needs timers (TTR expirations and trace
-updates).  The :mod:`repro.sim.process` module layers a lightweight
-process abstraction on top for components that prefer that style.
+updates).
 """
 
 from __future__ import annotations

@@ -25,8 +25,7 @@ The layers above construct through this package:
 :func:`repro.api.runs.build_stack` builds its single proxy as a
 one-node tree, :func:`repro.api.builder.run_simulation` maps every
 ``TopologyConfig`` kind (``single`` / ``hierarchy`` / ``tree``) onto a
-:class:`TopologyTree`, and :class:`repro.proxy.hierarchy.ProxyChain`
-survives as a deprecation shim over a fan-out-1 tree.
+:class:`TopologyTree`.
 """
 
 from repro.topology.protocols import PushCallback, PushSource, Upstream

@@ -10,8 +10,7 @@ per-link latency model.
 Refresh policies are deliberately *not* part of the level spec: the
 structure of a tree and the policies run over it vary independently
 (the same CDN shape is swept over many Δ values), so policies arrive at
-registration time via a :data:`LevelPolicyFactory` — exactly the
-contract the old :class:`repro.proxy.hierarchy.ProxyChain` used.
+registration time via a :data:`LevelPolicyFactory`.
 
 **Staleness composes additively.**  If level i guarantees its copy is
 at most Δᵢ behind its upstream, the edge copy is at most ``Σ Δᵢ``

@@ -4,9 +4,10 @@ Two capabilities define what a node can do for the nodes below it:
 
 * :class:`Upstream` — it answers conditional GETs.  Both
   :class:`repro.server.origin.OriginServer` and
-  :class:`repro.proxy.proxy.ProxyCache` satisfy this (the same shape as
-  :class:`repro.httpsim.semantics.RequestTarget`), which is what lets a
-  child poll its parent exactly as it would poll an origin.
+  :class:`repro.proxy.proxy.ProxyCache` satisfy this, which is what lets
+  a child poll its parent exactly as it would poll an origin.  Defined
+  in :mod:`repro.httpsim.semantics` (the proxy layer needs it too) and
+  re-exported here.
 * :class:`PushSource` — it pushes update notifications at subscribers.
   :class:`repro.topology.push.PushFanout` and its bindings (including
   :class:`repro.consistency.invalidation.PushChannel`) satisfy this.
@@ -21,22 +22,11 @@ from __future__ import annotations
 from typing import Callable, Protocol, runtime_checkable
 
 from repro.core.types import ObjectId, Seconds
-from repro.httpsim.messages import Request, Response
+from repro.httpsim.semantics import Upstream as Upstream
 
 #: Called when an update notification reaches a subscriber:
 #: ``(object_id, update_time)``.
 PushCallback = Callable[[ObjectId, Seconds], None]
-
-
-@runtime_checkable
-class Upstream(Protocol):
-    """Anything a node can poll: an origin server or an upstream proxy."""
-
-    name: str
-
-    def handle_request(self, request: Request, now: Seconds) -> Response:
-        """Answer a simulated HTTP request at time ``now``."""
-        ...  # pragma: no cover - protocol definition
 
 
 @runtime_checkable

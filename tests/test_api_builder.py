@@ -273,53 +273,6 @@ class TestRunSimulationTree:
         assert run_simulation(config).results.to_json() == first
         assert run_simulation(config.with_seed(9)).results.to_json() != first
 
-    def test_depth_n_tree_chain_reproduces_proxy_chain_rows(self):
-        """A fan-out-1 tree config matches the deprecated ProxyChain."""
-        from repro.api.deprecation import ReproDeprecationWarning
-        from repro.consistency.base import FixedTTRPolicy
-        from repro.proxy.hierarchy import ProxyChain
-        from repro.server.updates import feed_traces
-        from repro.server.origin import OriginServer
-        from repro.sim.kernel import Kernel
-
-        depth = 3
-        config = (
-            _tiny_builder()
-            .topology("tree", levels=[{"fan_out": 1}] * depth)
-            .build()
-        )
-        outcome = run_simulation(config)
-        (trace,) = resolve_workload(config.workload, config.seed)
-
-        kernel = Kernel()
-        origin = OriginServer()
-        feed_traces(kernel, origin, [trace])
-        with pytest.warns(ReproDeprecationWarning):
-            chain = ProxyChain(kernel, origin, depth=depth)
-        chain.register_object(
-            trace.object_id, lambda _level, _oid: FixedTTRPolicy(ttr=600.0)
-        )
-        kernel.run(until=trace.end_time)
-
-        tree_polls = [row["polls"] for row in outcome.results.to_records()]
-        chain_polls = chain.polls_per_level(trace.object_id)
-        assert tree_polls == chain_polls
-        assert (
-            outcome.tree.origin_request_count()
-            == chain.origin_request_count()
-        )
-        tree_log = [
-            (record.time, record.snapshot.version, record.modified)
-            for node in outcome.tree.nodes
-            for record in node.proxy.entry_for(trace.object_id).fetch_log
-        ]
-        chain_log = [
-            (record.time, record.snapshot.version, record.modified)
-            for proxy in chain.proxies
-            for record in proxy.entry_for(trace.object_id).fetch_log
-        ]
-        assert tree_log == chain_log
-
     def test_push_level_with_policy_rejected_at_config_time(self):
         with pytest.raises(SimulationConfigError, match="push"):
             _tiny_builder().topology(

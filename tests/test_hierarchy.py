@@ -1,9 +1,7 @@
 """Tests for hierarchical caching (ProxyCache as an upstream) on chains.
 
-Chains are fan-out-1 :class:`~repro.topology.tree.TopologyTree` shapes;
-the deprecated :class:`~repro.proxy.hierarchy.ProxyChain` shim over the
-same layer is pinned in ``TestProxyChainShim`` (warning + byte-equal
-behaviour).  Wider trees, push levels, and hybrids are covered by
+Chains are fan-out-1 :class:`~repro.topology.tree.TopologyTree` shapes.
+Wider trees, push levels, and hybrids are covered by
 ``tests/test_topology_tree.py``.
 """
 
@@ -11,16 +9,12 @@ from __future__ import annotations
 
 import random
 
-import pytest
-
-from repro.api.deprecation import ReproDeprecationWarning
 from repro.consistency.base import FixedTTRPolicy
 from repro.consistency.limd import LimdPolicy
 from repro.core.types import ObjectId, TTRBounds
 from repro.httpsim.messages import Status, conditional_get
 from repro.httpsim.network import Network
 from repro.metrics.fidelity import temporal_fidelity
-from repro.proxy.hierarchy import ProxyChain
 from repro.proxy.proxy import ProxyCache
 from repro.server.origin import OriginServer
 from repro.server.updates import UpdateFeeder, feed_traces
@@ -252,75 +246,3 @@ class TestHierarchyFailureRecovery:
         for node in tree.nodes:
             assert node.proxy.entry_for(X).populated
 
-
-class TestProxyChainShim:
-    """The deprecated ProxyChain: warns, and matches the tree exactly."""
-
-    def _run_chain(self, depth):
-        kernel = Kernel()
-        origin = OriginServer()
-        origin.create_object(X, created_at=0.0)
-        with pytest.warns(ReproDeprecationWarning, match="ProxyChain"):
-            chain = ProxyChain(kernel, origin, depth=depth)
-        chain.register_object(
-            X, lambda level, _oid: FixedTTRPolicy(ttr=10.0 + 5.0 * level)
-        )
-        kernel.schedule_at(13.0, lambda k: origin.apply_update(X, 13.0))
-        kernel.run(until=300.0)
-        return chain
-
-    def _run_tree(self, depth):
-        kernel = Kernel()
-        origin = OriginServer()
-        origin.create_object(X, created_at=0.0)
-        tree = TopologyTree(kernel, origin, uniform_levels(depth))
-        tree.register_object(
-            X, lambda level, _oid: FixedTTRPolicy(ttr=10.0 + 5.0 * level)
-        )
-        kernel.schedule_at(13.0, lambda k: origin.apply_update(X, 13.0))
-        kernel.run(until=300.0)
-        return tree
-
-    def test_construction_warns(self):
-        kernel = Kernel()
-        with pytest.warns(ReproDeprecationWarning, match="TopologyTree"):
-            ProxyChain(kernel, OriginServer(), depth=1)
-
-    def test_depth_validated(self):
-        kernel = Kernel()
-        with pytest.warns(ReproDeprecationWarning):
-            with pytest.raises(ValueError):
-                ProxyChain(kernel, OriginServer(), depth=0)
-
-    def test_chain_api_preserved(self):
-        chain = self._run_chain(depth=3)
-        assert chain.depth == 3
-        assert chain.root is chain.proxies[0]
-        assert chain.edge is chain.proxies[2]
-        assert [p.name for p in chain.proxies] == [
-            "proxy-L0",
-            "proxy-L1",
-            "proxy-L2",
-        ]
-        assert chain.upstream_of(1) is chain.proxies[0]
-        assert chain.tree.depth == 3
-
-    def test_chain_rows_match_tree_exactly(self):
-        """The shim reproduces a fan-out-1 tree poll-for-poll."""
-        for depth in (1, 2, 4):
-            chain = self._run_chain(depth)
-            tree = self._run_tree(depth)
-            assert chain.polls_per_level() == tree.polls_per_level()
-            assert chain.polls_per_level(X) == tree.polls_per_level(X)
-            assert chain.origin_request_count() == tree.origin_request_count()
-            chain_log = [
-                (record.time, record.snapshot.version, record.modified)
-                for proxy in chain.proxies
-                for record in proxy.entry_for(X).fetch_log
-            ]
-            tree_log = [
-                (record.time, record.snapshot.version, record.modified)
-                for node in tree.nodes
-                for record in node.proxy.entry_for(X).fetch_log
-            ]
-            assert chain_log == tree_log

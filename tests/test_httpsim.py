@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.errors import ProtocolError
 from repro.core.types import ObjectId
@@ -12,6 +14,7 @@ from repro.httpsim import headers as h
 from repro.httpsim.messages import (
     Headers,
     Method,
+    Request,
     Response,
     Status,
     conditional_get,
@@ -81,6 +84,100 @@ class TestConditionalGetBuilder:
         assert request.if_modified_since is None
         assert not request.wants_history
         assert request.consistency_delta is None
+
+
+_times = st.floats(min_value=0.0, max_value=1e9, allow_nan=False, width=64)
+_tolerances = st.floats(min_value=0.0, max_value=1e6, allow_nan=False, width=64)
+_values = st.floats(allow_nan=False, allow_infinity=False, width=64)
+
+
+def _parsed(headers, name, parse):
+    raw = headers.get(name)
+    return parse(raw) if raw is not None else None
+
+
+class TestRenderedHeaders:
+    """``headers`` is a faithful, re-parseable view of the typed fields."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        ims=st.none() | _times,
+        wants_history=st.booleans(),
+        delta=st.none() | _tolerances,
+        mutual_delta=st.none() | _tolerances,
+        issued_at=_times,
+    )
+    def test_request_round_trip(
+        self, ims, wants_history, delta, mutual_delta, issued_at
+    ):
+        request = Request(
+            Method.GET,
+            ObjectId("x"),
+            if_modified_since=ims,
+            wants_history=wants_history,
+            consistency_delta=delta,
+            mutual_consistency_delta=mutual_delta,
+            issued_at=issued_at,
+        )
+        headers = request.headers
+        assert _parsed(headers, h.IF_MODIFIED_SINCE, h.parse_time) == ims
+        assert headers.get(h.WANT_HISTORY) == ("1" if wants_history else None)
+        assert _parsed(headers, h.CONSISTENCY_DELTA, float) == delta
+        assert _parsed(headers, h.MUTUAL_CONSISTENCY_DELTA, float) == mutual_delta
+        absent = [ims, delta, mutual_delta].count(None) + (not wants_history)
+        assert len(headers) == 4 - absent
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        status=st.sampled_from(Status),
+        last_modified=st.none() | _times,
+        version=st.none() | st.integers(min_value=0, max_value=2**40),
+        value=st.none() | _values,
+        history=st.none() | st.lists(_times, max_size=8),
+        served_at=_times,
+    )
+    def test_response_round_trip(
+        self, status, last_modified, version, value, history, served_at
+    ):
+        response = Response(
+            status,
+            ObjectId("x"),
+            last_modified=last_modified,
+            version=version,
+            value=value,
+            modification_history=history,
+            served_at=served_at,
+        )
+        headers = response.headers
+        assert _parsed(headers, h.DATE, h.parse_time) == served_at
+        assert _parsed(headers, h.LAST_MODIFIED, h.parse_time) == last_modified
+        assert _parsed(headers, h.VERSION, int) == version
+        assert _parsed(headers, h.VALUE, float) == value
+        assert _parsed(headers, h.MODIFICATION_HISTORY, h.parse_history) == history
+        order = (h.DATE, h.LAST_MODIFIED, h.VERSION, h.VALUE, h.MODIFICATION_HISTORY)
+        names = [name for name, _ in headers]
+        assert names == [name for name in order if name in headers]
+        absent = [last_modified, version, value, history].count(None)
+        assert len(headers) == len(order) - absent
+
+    def test_headers_are_a_view_not_state(self):
+        response = Response(Status.OK, ObjectId("x"), version=1, served_at=2.0)
+        response.headers.set(h.VERSION, "99")
+        assert response.version == 1
+        assert response.headers.get(h.VERSION) == "1"
+        response.version = 7
+        assert response.headers.get(h.VERSION) == "7"
+        assert "'x-version': '7'" in repr(response)
+
+    def test_equality_follows_the_typed_fields(self):
+        first = conditional_get(ObjectId("x"), if_modified_since=1.0)
+        assert first == conditional_get(ObjectId("x"), if_modified_since=1.0)
+        assert first != conditional_get(ObjectId("x"), if_modified_since=2.0)
+        assert first != conditional_get(ObjectId("x"), want_history=True)
+        ok = Response(Status.OK, ObjectId("x"), version=1)
+        assert ok == Response(Status.OK, ObjectId("x"), version=1)
+        assert ok != Response(Status.OK, ObjectId("x"), version=2)
+        assert ok != Response(Status.OK, ObjectId("x"), version=1, served_at=1.0)
 
 
 class TestConditionalGetSemantics:
@@ -153,6 +250,17 @@ class TestConditionalGetSemantics:
         response = self._evaluate(ims=50.0, want_history=True)
         assert response.status is Status.NOT_MODIFIED
         assert response.modification_history == []
+
+    def test_server_without_the_extension_omits_history(self):
+        # history_times=None: a plain HTTP/1.1 server ignores the ask.
+        modified = self._evaluate(ims=10.0, history=None, want_history=True)
+        assert modified.status is Status.OK
+        assert modified.modification_history is None
+        assert h.MODIFICATION_HISTORY not in modified.headers
+        unchanged = self._evaluate(ims=50.0, history=None, want_history=True)
+        assert unchanged.status is Status.NOT_MODIFIED
+        assert unchanged.modification_history is None
+        assert unchanged.last_modified == 50.0
 
     def test_require_ok_or_not_modified(self):
         ok = self._evaluate(ims=None)

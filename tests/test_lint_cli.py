@@ -94,7 +94,7 @@ class TestReportsAndCatalog(unittest.TestCase):
             status = main(["--list-rules"])
         self.assertEqual(status, 0)
         output = buffer.getvalue()
-        for code in ("RL101", "RL104", "RL201", "RL203", "RL301", "RL303"):
+        for code in ("RL101", "RL104", "RL201", "RL203", "RL301", "RL302"):
             self.assertIn(code, output)
 
 

@@ -25,7 +25,6 @@ RULE_CASES = (
     ("RL202", "rl202/proxy", 1),
     ("RL203", "rl203/sim", 1),
     ("RL301", "rl301", 1),
-    ("RL303", "rl303", 2),
 )
 
 

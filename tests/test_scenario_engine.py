@@ -92,7 +92,7 @@ class TestRegistry:
             SCENARIOS.get("no_such_scenario")
 
     def test_duplicate_registration_rejected(self):
-        from repro.api.registries import RegistryError
+        from repro.core.registry import RegistryError
 
         register_scenario(_toy_scenario("_toy_dup"))
         try:

@@ -1,4 +1,4 @@
-"""Unit tests for the process abstraction and the event log."""
+"""Unit tests for the event log."""
 
 from __future__ import annotations
 
@@ -11,87 +11,7 @@ from repro.core.events import (
     UpdateAppliedEvent,
 )
 from repro.core.types import ObjectId
-from repro.sim.process import spawn
 from repro.sim.tracing import EventLog
-
-
-class TestProcess:
-    def test_process_steps_at_yielded_delays(self, kernel):
-        seen = []
-
-        def body():
-            seen.append(kernel.now())
-            yield 2.0
-            seen.append(kernel.now())
-            yield 3.0
-            seen.append(kernel.now())
-
-        spawn(kernel, body())
-        kernel.run()
-        assert seen == [0.0, 2.0, 5.0]
-
-    def test_process_finishes_when_generator_ends(self, kernel):
-        def body():
-            yield 1.0
-
-        process = spawn(kernel, body())
-        kernel.run()
-        assert process.finished
-
-    def test_stop_terminates_before_next_step(self, kernel):
-        seen = []
-
-        def body():
-            seen.append("a")
-            yield 5.0
-            seen.append("b")
-
-        process = spawn(kernel, body())
-        kernel.schedule_at(1.0, lambda k: process.stop())
-        kernel.run()
-        assert seen == ["a"]
-        assert process.finished
-
-    def test_negative_delay_raises(self, kernel):
-        def body():
-            yield -1.0
-
-        spawn(kernel, body())
-        with pytest.raises(ValueError):
-            kernel.run()
-
-    def test_zero_delay_steps_at_same_time(self, kernel):
-        seen = []
-
-        def body():
-            seen.append(kernel.now())
-            yield 0.0
-            seen.append(kernel.now())
-
-        spawn(kernel, body())
-        kernel.run()
-        assert seen == [0.0, 0.0]
-
-    def test_two_processes_interleave(self, kernel):
-        seen = []
-
-        def make(tag, delay):
-            def body():
-                for _ in range(2):
-                    yield delay
-                    seen.append((tag, kernel.now()))
-
-            return body()
-
-        spawn(kernel, make("slow", 3.0))
-        spawn(kernel, make("fast", 1.0))
-        kernel.run()
-        assert seen == [
-            ("fast", 1.0),
-            ("fast", 2.0),
-            ("slow", 3.0),
-            ("slow", 6.0),
-        ]
 
 
 class TestEventLog:

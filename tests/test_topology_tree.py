@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
+from repro.api import LevelConfig, SimulationBuilder, run_simulation
 from repro.consistency.base import FixedTTRPolicy, PassivePolicy
 from repro.core.types import ObjectId
 from repro.httpsim.network import LatencyModel
@@ -243,6 +246,45 @@ class TestPullTrees:
             ]
 
         assert fetch_log() == fetch_log()
+
+
+class TestBoundedTrees:
+    def test_parent_eviction_is_fetched_through_not_404(self):
+        # Regression: a parent that had evicted an object answered its
+        # child's conditional GET with 404 and the child's poll raised
+        # ProtocolError.  A miss on a synchronous link now fetches
+        # through, like a client miss.
+        objects = [f"obj{i}" for i in range(64)]
+        horizon = 3600.0
+        config = (
+            SimulationBuilder()
+            .workload("poisson", *objects, rate_per_hour=4.0, hours=1.0)
+            .policy("static_ttl", ttl=600.0)
+            .topology("tree", levels=[LevelConfig(fan_out=2), LevelConfig(fan_out=4)])
+            .cache(8, eviction="lru")
+            .seed(0)
+            .horizon(horizon)
+            .build()
+        )
+
+        def attach_clients(tree):
+            rng = random.Random(0)
+            edges = tree.edge_nodes
+            for _ in range(20_000):
+                request = edges[rng.randrange(len(edges))].proxy.handle_client_request
+                object_id = ObjectId(rng.choice(objects))
+                tree.kernel.schedule_at(
+                    rng.uniform(0.0, horizon),
+                    lambda k, request=request, object_id=object_id: request(object_id),
+                )
+
+        outcome = run_simulation(config, instrument=attach_clients)
+        tree = outcome.tree
+        assert tree is not None
+        parents = [node.proxy for node in tree.nodes_at(0)]
+        assert sum(p.cache.eviction_count for p in parents) > 0
+        assert sum(p.counters.get("polls_cache_miss") for p in parents) > 0
+        assert sum(p.counters.get("downstream_404") for p in parents) == 0
 
 
 class TestPushTrees:
