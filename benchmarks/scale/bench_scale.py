@@ -3,8 +3,11 @@
 The scale driver wires the three million-client mechanisms together:
 
 * the kernel's batch-dispatch seam plus the analytic fast-forward
-  engine (``fidelity="fastforward"``), which collapse idle poll runs
-  instead of dispatching them one event at a time;
+  engine (``fidelity="fastforward"``): poll timers live on the engine's
+  private scheduler and the kernel batch-dispatches only the client
+  arrivals and trace updates — byte-identical rows at a similar speed
+  (medians of 7 alternating runs at 1.05M clients: 3.96 s exact,
+  3.57 s fast-forwarded);
 * sharded tree execution (``shards``/``workers``), which partitions
   the edge tree at a subtree boundary across worker processes;
 * a self-rescheduling :class:`ClientPump` per edge proxy, which keeps

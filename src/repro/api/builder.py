@@ -899,9 +899,11 @@ class SimulationBuilder:
     def fidelity(self, mode: str) -> "SimulationBuilder":
         """Select the execution fidelity (``exact`` or ``fastforward``).
 
-        ``fastforward`` advances analytically through event-free
-        intervals; observable histories stay byte-identical to
-        ``exact`` (see :mod:`repro.sim.fastforward`).
+        ``fastforward`` keeps poll timers on a private scheduler and
+        batch-dispatches only external events; observable histories
+        stay byte-identical to ``exact`` up to the dispatched-event
+        count and coincident-timestamp tie order (see
+        :mod:`repro.sim.fastforward`).
         """
         self._config = replace(self._config, fidelity=mode)
         return self

@@ -42,8 +42,9 @@ C = TypeVar("C", bound="_ConfigBase")
 TOPOLOGY_KINDS = ("single", "hierarchy", "tree")
 
 #: Execution fidelities: ``exact`` dispatches every timer event;
-#: ``fastforward`` advances analytically through event-free intervals
-#: (:mod:`repro.sim.fastforward`) with byte-identical result rows.
+#: ``fastforward`` keeps poll timers on the analytic engine's private
+#: scheduler (:mod:`repro.sim.fastforward`) and dispatches only external
+#: events, with byte-identical result rows.
 FIDELITY_MODES = ("exact", "fastforward")
 
 
@@ -703,10 +704,14 @@ class SimulationConfig(_ConfigBase):
         log_events: Whether to record the event log (costly; off by
             default).
         fidelity: ``"exact"`` (default) dispatches every timer event
-            through the kernel; ``"fastforward"`` advances analytically
-            through event-free intervals — same result rows, far fewer
-            dispatched events.  Fast-forward requires zero-latency
-            links.
+            through the kernel; ``"fastforward"`` keeps poll timers on
+            a private scheduler, issues each poll through the ordinary
+            poll path after an analytic clock advance, and
+            batch-dispatches only external events — same result rows
+            at a similar speed (see :mod:`repro.sim.fastforward` for
+            the two documented divergences: dispatched-event count and
+            coincident-timestamp tie order).  Fast-forward requires
+            zero-latency links.
         shards: Worker-process partitions for ``tree`` topologies
             (``1`` = unsharded).  The tree is split at a subtree
             boundary level and shards merge deterministically — rows

@@ -12,7 +12,7 @@ Experiments that are not value sweeps but still consist of several
 independent simulations (figure 8's two approaches, the ablation
 configuration grids, the topology comparison) parallelise through
 :func:`run_many`, the same executor seam
-:func:`repro.experiments.sweep.run_sweep` uses: hand it zero-argument
+:func:`repro.scenarios.engine.run_scenario` uses: hand it zero-argument
 picklable run-specs (``functools.partial`` over module-level functions)
 and it returns their results in input order, serially or across a
 process pool.

@@ -61,19 +61,6 @@ class RefreshPolicy(abc.ABC):
     def current_ttr(self) -> Seconds:
         """The most recently computed TTR."""
 
-    def idle_fixed_ttr(self) -> Optional[Seconds]:
-        """The constant TTR this policy returns while polls find no update.
-
-        The analytic fast-forward engine (:mod:`repro.sim.fastforward`)
-        may collapse a run of idle 304 polls into closed-form
-        bookkeeping only when the policy declares its idle behaviour
-        constant and stateless — i.e. ``next_ttr`` of an unmodified
-        outcome always returns this value and mutates nothing.  The
-        default ``None`` opts out (adaptive policies must be fed every
-        outcome).
-        """
-        return None
-
     def judge_violation(self, outcome: PollOutcome) -> ViolationJudgement:
         """The policy's own (possibly imperfect) violation assessment.
 
@@ -130,9 +117,6 @@ class FixedTTRPolicy(RefreshPolicy):
         return self.ttr
 
     def next_ttr(self, outcome: PollOutcome) -> Seconds:
-        return self.ttr
-
-    def idle_fixed_ttr(self) -> Optional[Seconds]:
         return self.ttr
 
     @property

@@ -57,9 +57,6 @@ class StaticTTLPolicy(RefreshPolicy):
     def next_ttr(self, outcome: PollOutcome) -> Seconds:
         return self._ttl
 
-    def idle_fixed_ttr(self) -> Seconds:
-        return self._ttl
-
     @property
     def current_ttr(self) -> Seconds:
         return self._ttl

@@ -35,7 +35,6 @@ from repro.experiments.sweep import (
     SweepExecutor,
     SweepResult,
     executor_for,
-    run_sweep,
 )
 from repro.experiments.workloads import (
     DEFAULT_SEED,
@@ -58,7 +57,6 @@ __all__ = [
     "ParallelExecutor",
     "executor_for",
     "SweepResult",
-    "run_sweep",
     "DEFAULT_SEED",
     "news_trace",
     "news_traces",

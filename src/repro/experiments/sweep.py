@@ -1,10 +1,11 @@
-"""Parameter sweep driver with pluggable serial/parallel execution.
+"""Sweep rows and the pluggable serial/parallel executors that produce them.
 
 Every figure in the paper's evaluation is a sweep over a tolerance
 (Δ or δ): run the simulation once per value, extract metric columns,
-collect rows.  :class:`Sweep` semantics are standardised here and every
-row stays a plain dict so rendering, assertions and regression checks
-remain trivial.
+collect rows.  :class:`SweepResult` is the analysis view over those
+rows (every row stays a plain dict so rendering, assertions and
+regression checks remain trivial); the sweep itself is driven by
+:func:`repro.scenarios.engine.run_scenario`.
 
 Execution is delegated to a :class:`SweepExecutor`:
 
@@ -14,12 +15,11 @@ Execution is delegated to a :class:`SweepExecutor`:
   :class:`concurrent.futures.ProcessPoolExecutor`.  Sweep points are
   independent simulations, so this scales figure reproduction across
   cores.  Results are collected **in submission order** regardless of
-  completion order, and each point derives its own RNG seed from the
-  root seed via :func:`repro.core.rng.derive_seed`, so serial and
-  parallel runs of the same sweep produce row-for-row identical output.
+  completion order, so serial and parallel runs of the same sweep
+  produce row-for-row identical output.
 
 For the parallel path every sweep point must be a *picklable run-spec*:
-the row builder has to be a module-level function (or a
+the point function has to be a module-level function (or a
 :func:`functools.partial` over one) whose bound arguments pickle —
 materialise traces once up front and bind them with ``partial`` rather
 than capturing them in a closure.  Policy *factories* are closures and
@@ -32,29 +32,15 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import (
-    Callable,
-    Dict,
-    Iterable,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    TypeVar,
-)
+from typing import Callable, Dict, List, Optional, Sequence, TypeVar
 
 from repro.core.errors import ExperimentError
-from repro.core.rng import RngRegistry, derive_seed
-
-#: One sweep point: maps the swept value to a row of metric columns.
-#: Builders that opt into per-point RNG (``run_sweep(..., seed=...)``)
-#: must additionally accept an ``rng`` keyword argument.
-RowBuilder = Callable[[float], Mapping[str, object]]
 
 #: Generic task/result types of the executor seam: ``map`` preserves the
 #: relationship between what goes in and what comes out, so callers
-#: (``run_sweep`` over :class:`PointTask`, :func:`repro.api.run_many`
-#: over builder-produced run-specs) type-check end to end.
+#: (:func:`repro.scenarios.engine.run_scenario` over axis values,
+#: :func:`repro.api.run_many` over builder-produced run-specs)
+#: type-check end to end.
 T = TypeVar("T")
 R = TypeVar("R")
 
@@ -88,49 +74,6 @@ class SweepResult:
         raise ExperimentError(
             f"no row with {self.parameter} == {value} in sweep"
         )
-
-
-@dataclass(frozen=True)
-class PointTask:
-    """A picklable run-spec for one sweep point.
-
-    Everything a worker process needs to produce one result row: the
-    row builder (a picklable callable), the swept value, the reserved
-    base columns, and — when the sweep was given a root ``seed`` — the
-    per-point seed derived from it.
-    """
-
-    build_row: RowBuilder
-    parameter: str
-    index: int
-    value: float
-    extra_columns: Optional[Mapping[str, object]] = None
-    point_seed: Optional[int] = None
-
-
-def execute_point(task: PointTask) -> Dict[str, object]:
-    """Run one sweep point and assemble its row.
-
-    Module-level so that :class:`ParallelExecutor` workers can unpickle
-    and invoke it; the serial path uses the same function so both
-    executors share row-assembly semantics exactly.
-    """
-    row: Dict[str, object] = {task.parameter: task.value}
-    if task.extra_columns:
-        row.update(task.extra_columns)
-    if task.point_seed is not None:
-        produced = task.build_row(
-            task.value, rng=RngRegistry(task.point_seed)
-        )
-    else:
-        produced = task.build_row(task.value)
-    overlap = set(produced) & set(row)
-    if overlap:
-        raise ExperimentError(
-            f"row builder produced reserved column(s): {sorted(overlap)}"
-        )
-    row.update(produced)
-    return row
 
 
 class SweepExecutor:
@@ -191,45 +134,3 @@ def executor_for(
     if workers is None or workers == 1:
         return SerialExecutor()
     return ParallelExecutor(workers)
-
-
-def run_sweep(
-    parameter: str,
-    values: Iterable[float],
-    build_row: RowBuilder,
-    *,
-    extra_columns: Optional[Mapping[str, object]] = None,
-    workers: Optional[int] = None,
-    executor: Optional[SweepExecutor] = None,
-    seed: Optional[int] = None,
-) -> SweepResult:
-    """Run ``build_row`` for each swept value and collect ordered rows.
-
-    The swept value is stored in each row under ``parameter``; any
-    ``extra_columns`` (fixed experiment configuration worth recording)
-    are merged into every row.
-
-    ``workers`` > 1 (or an explicit ``executor``) runs points
-    concurrently in worker processes; ``build_row`` must then be
-    picklable.  When ``seed`` is given, each point receives an
-    ``rng=RngRegistry(...)`` keyword whose root is derived from
-    ``seed`` and the point's position — identical no matter which
-    worker (or how many) runs the point.
-    """
-    tasks = [
-        PointTask(
-            build_row=build_row,
-            parameter=parameter,
-            index=index,
-            value=value,
-            extra_columns=extra_columns,
-            point_seed=(
-                derive_seed(seed, f"{parameter}[{index}]")
-                if seed is not None
-                else None
-            ),
-        )
-        for index, value in enumerate(values)
-    ]
-    rows = executor_for(workers, executor).map(execute_point, tasks)
-    return SweepResult(parameter=parameter, rows=rows)

@@ -93,19 +93,6 @@ class Network:
     def requests_sent(self) -> int:
         return self._requests_sent
 
-    def record_synthetic_exchanges(self, count: int) -> None:
-        """Account for round trips completed analytically.
-
-        The fast-forward engine (:mod:`repro.sim.fastforward`) collapses
-        runs of idle 304 polls into closed-form bookkeeping; those polls
-        never pass through :meth:`exchange_sync`, so their request count
-        is applied here to keep ``requests_sent`` identical to a
-        step-by-step run.
-        """
-        if count < 0:
-            raise ValueError(f"count must be >= 0, got {count}")
-        self._requests_sent += count
-
     def exchange_sync(self, request: Request, handler: ServerHandler) -> Response:
         """Run a zero-latency round trip inline and return the response.
 

@@ -15,10 +15,8 @@ experiments actually make:
   :func:`repro.analysis.timeseries.bin_count`, and convertible to the
   same :class:`~repro.analysis.timeseries.Series`.
 
-Quantiles come from either the reservoir (exact over the retained
-sample) or :class:`repro.sim.stats.Histogram` fixed bins, depending on
-whether memory or resolution matters more; see
-``docs/ARCHITECTURE.md`` ("Performance").
+Quantiles come from the reservoir (exact over the retained sample);
+see ``docs/ARCHITECTURE.md`` ("Performance").
 """
 
 from __future__ import annotations

@@ -120,16 +120,6 @@ class ProxyCache:
     def want_history(self) -> bool:
         return self._want_history
 
-    @property
-    def observer_count(self) -> int:
-        """Attached poll observers (coordinators, installers, probes)."""
-        return len(self._observers)
-
-    @property
-    def event_logging(self) -> bool:
-        """Whether completed polls are recorded to an event log."""
-        return self._event_log is not None
-
     def add_observer(self, observer: PollObserver) -> None:
         """Attach a poll observer (e.g. a mutual-consistency coordinator)."""
         self._observers.append(observer)
@@ -216,13 +206,6 @@ class ProxyCache:
 
     def registered_objects(self) -> List[ObjectId]:
         return list(self._refreshers)
-
-    def server_for(self, object_id: ObjectId) -> Upstream:
-        """The upstream this object's polls go to (origin or parent proxy)."""
-        server = self._servers.get(object_id)
-        if server is None:
-            raise UnknownObjectError(str(object_id), where="proxy server bindings")
-        return server
 
     # ------------------------------------------------------------------
     # Client-facing request path

@@ -190,25 +190,6 @@ class Refresher:
         self._ff_next_poll = None
         self._issue_poll(self._object_id, PollReason.TTR_EXPIRED)
 
-    def apply_idle_polls(
-        self, last_poll_time: Seconds, next_poll_time: Seconds
-    ) -> None:
-        """Bookkeeping for a bulk run of idle (304) polls.
-
-        The engine's closed-form tier records the polls' cache/counter
-        effects itself; this applies what :meth:`on_poll_complete` would
-        have left behind after the final poll of the run.  Only legal
-        while detached and for policies whose idle TTR is constant
-        (``policy.idle_fixed_ttr()``), so skipping the per-poll
-        ``next_ttr`` calls cannot change policy state.
-        """
-        if not self._detached:
-            raise SimulationError(
-                f"apply_idle_polls on attached refresher for {self._object_id!r}"
-            )
-        self._last_poll_time = last_poll_time
-        self._arm_at(next_poll_time)
-
     # ------------------------------------------------------------------
     # Coordinator-facing state
     # ------------------------------------------------------------------

@@ -1,13 +1,7 @@
 """Discrete-event simulation kernel and supporting utilities."""
 
 from repro.sim.kernel import EventHandle, Kernel
-from repro.sim.stats import (
-    Counter,
-    Histogram,
-    SummarySnapshot,
-    SummaryStats,
-    TimeWeightedValue,
-)
+from repro.sim.stats import Counter, SummarySnapshot, SummaryStats
 from repro.sim.timers import PeriodicTimer, RestartableTimer
 from repro.sim.tracing import EventLog
 
@@ -15,10 +9,8 @@ __all__ = [
     "EventHandle",
     "Kernel",
     "Counter",
-    "Histogram",
     "SummarySnapshot",
     "SummaryStats",
-    "TimeWeightedValue",
     "PeriodicTimer",
     "RestartableTimer",
     "EventLog",

@@ -20,16 +20,9 @@ the refresher's next instant is known exactly, so there is nothing to
   kernel's earliest pending event (:meth:`~repro.sim.kernel.Kernel.
   peek_next_time`).  Runs of external events dispatch through the
   batch-dispatch seam (:meth:`~repro.sim.kernel.Kernel.run_batch`) in
-  one call; isolated polls advance the clock analytically
-  (:meth:`~repro.sim.kernel.Kernel.advance_clock`) and issue through
+  one call; each queued poll advances the clock analytically
+  (:meth:`~repro.sim.kernel.Kernel.advance_clock`) and issues through
   the proxy's ordinary poll path — the same code a timer callback runs.
-* When an idle run is provably closed-form — a constant-TTR policy
-  (``policy.idle_fixed_ttr()``), origin-attached, origin unchanged
-  since the cached snapshot, no observers, no event log, and no other
-  poll or event due inside the window — the whole run of 304 polls
-  collapses into bulk bookkeeping: ``n`` cache fetch records, counter
-  adds, and one re-arm, skipping request/response construction
-  entirely.
 
 Observable histories are identical to the step-by-step kernel: per-poll
 fetch logs (times, versions, reasons), proxy/origin/network counters,
@@ -51,12 +44,10 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from repro.core.errors import SimulationError, UnknownObjectError
-from repro.core.events import PollReason
+from repro.core.errors import SimulationError
 from repro.core.types import Seconds
 from repro.proxy.proxy import ProxyCache
 from repro.proxy.refresher import Refresher
-from repro.server.origin import OriginServer
 from repro.sim.kernel import Kernel, Scheduler, make_scheduler
 
 
@@ -76,11 +67,6 @@ class _PollEntry:
     def __init__(self, refresher: Refresher) -> None:
         self.refresher = refresher
         self.cancelled = False
-
-#: Counter name for TTR-expiry polls (mirrors the proxy's per-reason
-#: poll counters without reaching into its private name table).
-_TTR_COUNTER = f"polls_{PollReason.TTR_EXPIRED.value}"
-_304_COUNTER = "responses_304"
 
 
 class FastForwardEngine:
@@ -112,12 +98,20 @@ class FastForwardEngine:
         "_free",
         "_sequence",
         "_refreshers",
-        "_proxy_of",
         "_closed",
-        "bulk_polls",
     )
 
     def __init__(self, kernel: Kernel, proxies: Sequence[ProxyCache]) -> None:
+        # Validate every link before detaching anything: a failed
+        # construction has no engine to close(), so refreshers detached
+        # ahead of the raise would never poll again.
+        for proxy in proxies:
+            if not proxy.network.synchronous:
+                raise SimulationError(
+                    f"fast-forward requires synchronous links; proxy "
+                    f"{proxy.name!r} polls over latency "
+                    f"{proxy.network.latency.one_way}"
+                )
         self._kernel = kernel
         self._free: List[_PollEntry] = []
         self._scheduler: Scheduler[_PollEntry] = make_scheduler(
@@ -127,22 +121,12 @@ class FastForwardEngine:
         self._current: Dict[Refresher, _PollEntry] = {}
         self._sequence = 0
         self._refreshers: List[Refresher] = []
-        self._proxy_of: Dict[Refresher, ProxyCache] = {}
         self._closed = False
-        #: Idle polls collapsed by the closed-form tier (introspection).
-        self.bulk_polls = 0
         for proxy in proxies:
-            if not proxy.network.synchronous:
-                raise SimulationError(
-                    f"fast-forward requires synchronous links; proxy "
-                    f"{proxy.name!r} polls over latency "
-                    f"{proxy.network.latency.one_way}"
-                )
             for object_id in proxy.registered_objects():
                 refresher = proxy.refresher_for(object_id)
                 when = refresher.detach_timer(self._on_reschedule)
                 self._refreshers.append(refresher)
-                self._proxy_of[refresher] = proxy
                 if when is not None:
                     self._push(when, refresher)
 
@@ -215,98 +199,10 @@ class FastForwardEngine:
             # before the poll re-arms (the re-arm reuses the carrier).
             del self._current[refresher]
             self._free.append(carrier)
-            head = scheduler.peek()
-            # Bulk may cover polls up to the horizon inclusively, but
-            # must stop strictly BEFORE the next external event or the
-            # next queued poll: a poll exactly at the external event's
-            # instant fires after it in the step kernel (pre-scheduled
-            # events carry lower sequence numbers) and may observe the
-            # update it delivers.
-            before = t_ext
-            if head is not None and (before is None or head[0] < before):
-                before = head[0]
-            if not self._try_bulk(refresher, time, until, before):
-                kernel.advance_clock(time)
-                refresher.fire_expired()
+            kernel.advance_clock(time)
+            refresher.fire_expired()
         if kernel.now() < until:
             kernel.advance_clock(until)
-
-    def _try_bulk(
-        self,
-        refresher: Refresher,
-        time: Seconds,
-        until: Seconds,
-        before: Optional[Seconds],
-    ) -> bool:
-        """Collapse a run of idle polls in ``[time, until]``.
-
-        ``before`` is an *exclusive* cap — the next external event or
-        queued poll; a poll exactly at that instant must go through the
-        ordinary path so it observes whatever fires there first.
-        Returns True when the run was applied analytically.  Legal only
-        when every poll in the window is provably an unchanged-origin
-        304 with a constant re-arm: the effects then commute with any
-        other node's polls inside the window, so order need not be
-        preserved poll by poll.
-        """
-        if refresher.stopped:
-            return False
-
-        def fits(when: Seconds) -> bool:
-            return when <= until and (before is None or when < before)
-
-        ttr = refresher.policy.idle_fixed_ttr()
-        # At least two polls must fit for bulk to beat the plain path.
-        if ttr is None or not fits(time + ttr):
-            return False
-        proxy = self._proxy_of[refresher]
-        if proxy.observer_count or proxy.event_logging:
-            return False
-        if proxy.cache.capacity is not None:
-            # Bounded caches touch eviction bookkeeping on every poll's
-            # lookup; collapsing polls would change victim selection.
-            return False
-        object_id = refresher.object_id
-        server = proxy.server_for(object_id)
-        if not isinstance(server, OriginServer):
-            # A parent proxy's cache can change from its own polls
-            # inside the window; only origin state is pinned by t_ext.
-            return False
-        entry = proxy.entry_or_none(object_id)
-        snapshot = entry.snapshot if entry is not None else None
-        if entry is None or snapshot is None:
-            return False
-        try:
-            obj = server.get_object(object_id)
-        except UnknownObjectError:
-            return False
-        if obj.current_version != snapshot.version:
-            # The next poll would fetch (200) — run it step by step.
-            return False
-        # Every poll in the window is a 304 of `snapshot`.  Times
-        # iterate as t += ttr (not time + k*ttr): the step-by-step
-        # kernel re-arms at now + ttr each poll, and float addition must
-        # accumulate identically for byte-identical fetch logs.
-        polls = 0
-        t = time
-        while True:
-            entry.record_fetch(
-                t, snapshot, modified=False, reason=PollReason.TTR_EXPIRED
-            )
-            polls += 1
-            nxt = t + ttr
-            if not fits(nxt):
-                break
-            t = nxt
-        self._kernel.advance_clock(t)
-        proxy.counters.increment("polls", polls)
-        proxy.counters.increment(_TTR_COUNTER, polls)
-        proxy.network.record_synthetic_exchanges(polls)
-        server.counters.increment("requests", polls)
-        server.counters.increment(_304_COUNTER, polls)
-        refresher.apply_idle_polls(t, t + ttr)
-        self.bulk_polls += polls
-        return True
 
     # ------------------------------------------------------------------
     # Teardown
@@ -322,6 +218,5 @@ class FastForwardEngine:
     def __repr__(self) -> str:
         return (
             f"FastForwardEngine(refreshers={len(self._refreshers)}, "
-            f"queued={self._scheduler.pending_count()}, "
-            f"bulk_polls={self.bulk_polls})"
+            f"queued={self._scheduler.pending_count()})"
         )

@@ -1,13 +1,14 @@
 """Statistics primitives for simulation components.
 
-Three workhorses:
+Two workhorses:
 
 * :class:`Counter` — monotone named counters (polls, violations, hits).
-* :class:`TimeWeightedValue` — integrates a piecewise-constant signal
-  over time; used for Eq. 14 fidelity (total out-of-sync time is the
-  integral of an indicator signal).
 * :class:`SummaryStats` — streaming min/max/mean/variance via Welford's
-  algorithm, for TTR distributions and poll-interval summaries.
+  algorithm, for the trace characterisation tables (update gaps,
+  value changes).
+
+Eq. 14 fidelity (total out-of-sync time) is computed in
+:mod:`repro.metrics.fidelity`, not here.
 """
 
 from __future__ import annotations
@@ -15,8 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Dict, Iterator, Optional
-
-from repro.core.types import Seconds
 
 
 class Counter:
@@ -51,60 +50,6 @@ class Counter:
 
     def __repr__(self) -> str:
         return f"Counter({self._counts})"
-
-
-class TimeWeightedValue:
-    """Integrates a piecewise-constant signal over simulation time.
-
-    The signal starts at ``initial`` at time ``start``.  Each call to
-    :meth:`set` records the area under the old value and switches to the
-    new one.  :meth:`integral` and :meth:`mean` close the current segment
-    at the query time without mutating state.
-    """
-
-    __slots__ = ("_segment_start", "_value", "_area", "_origin")
-
-    def __init__(self, start: Seconds = 0.0, initial: float = 0.0) -> None:
-        self._segment_start: Seconds = start
-        self._value: float = initial
-        self._area: float = 0.0
-        self._origin: Seconds = start
-
-    @property
-    def value(self) -> float:
-        """The current signal value."""
-        return self._value
-
-    def set(self, now: Seconds, value: float) -> None:
-        """Switch the signal to ``value`` at time ``now``."""
-        if now < self._segment_start:
-            raise ValueError(
-                f"time went backwards: {now} < {self._segment_start}"
-            )
-        self._area += self._value * (now - self._segment_start)
-        self._segment_start = now
-        self._value = value
-
-    def integral(self, now: Seconds) -> float:
-        """Area under the signal from the origin to ``now``."""
-        if now < self._segment_start:
-            raise ValueError(
-                f"query time {now} precedes segment start {self._segment_start}"
-            )
-        return self._area + self._value * (now - self._segment_start)
-
-    def mean(self, now: Seconds) -> float:
-        """Time-weighted mean of the signal from the origin to ``now``."""
-        duration = now - self._origin
-        if duration <= 0:
-            return self._value
-        return self.integral(now) / duration
-
-    def __repr__(self) -> str:
-        return (
-            f"TimeWeightedValue(value={self._value}, "
-            f"since={self._segment_start}, area={self._area})"
-        )
 
 
 @dataclass(slots=True)
@@ -194,78 +139,4 @@ class SummaryStats:
         return (
             f"SummaryStats(n={self._count}, mean={self._mean:.4g}, "
             f"min={self._min:.4g}, max={self._max:.4g})"
-        )
-
-
-class Histogram:
-    """A fixed-bin histogram over [low, high).
-
-    Out-of-range observations are clamped into the first/last bin and
-    counted separately so callers can detect poorly chosen ranges.
-    """
-
-    __slots__ = (
-        "_low",
-        "_high",
-        "_bins",
-        "_width",
-        "_counts",
-        "_underflow",
-        "_overflow",
-        "_total",
-    )
-
-    def __init__(self, low: float, high: float, bins: int) -> None:
-        if bins <= 0:
-            raise ValueError(f"bins must be positive, got {bins}")
-        if high <= low:
-            raise ValueError(f"high ({high}) must exceed low ({low})")
-        self._low = low
-        self._high = high
-        self._bins = bins
-        self._width = (high - low) / bins
-        self._counts = [0] * bins
-        self._underflow = 0
-        self._overflow = 0
-        self._total = 0
-
-    def observe(self, x: float) -> None:
-        """Record one observation, clamping out-of-range values."""
-        self._total += 1
-        if x < self._low:
-            self._underflow += 1
-            self._counts[0] += 1
-            return
-        if x >= self._high:
-            self._overflow += 1
-            self._counts[-1] += 1
-            return
-        index = int((x - self._low) / self._width)
-        index = min(index, self._bins - 1)
-        self._counts[index] += 1
-
-    @property
-    def counts(self) -> list[int]:
-        return list(self._counts)
-
-    @property
-    def total(self) -> int:
-        return self._total
-
-    @property
-    def underflow(self) -> int:
-        return self._underflow
-
-    @property
-    def overflow(self) -> int:
-        return self._overflow
-
-    def bin_edges(self) -> list[float]:
-        """Return the bins' left edges plus the final right edge."""
-        return [self._low + i * self._width for i in range(self._bins + 1)]
-
-    def __repr__(self) -> str:
-        return (
-            f"Histogram([{self._low}, {self._high}), bins={self._bins}, "
-            f"total={self._total})"
         )

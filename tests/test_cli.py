@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -81,20 +84,39 @@ class TestMain:
         assert "origin_requests" in out
 
 
+REPO_ROOT = Path(__file__).resolve().parent.parent
+
+
+def _load_tool(name):
+    """Import ``tools/<name>.py`` (tools/ is not a package)."""
+    spec = importlib.util.spec_from_file_location(
+        name, REPO_ROOT / "tools" / f"{name}.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 class TestApiReference:
     def test_api_md_is_in_sync_with_docstrings(self):
         """docs/API.md must match what tools/gen_api_md.py generates."""
-        import importlib.util
-        from pathlib import Path
-
-        root = Path(__file__).resolve().parent.parent
-        spec = importlib.util.spec_from_file_location(
-            "gen_api_md", root / "tools" / "gen_api_md.py"
-        )
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        expected = module.generate()
-        actual = (root / "docs" / "API.md").read_text()
+        expected = _load_tool("gen_api_md").generate()
+        actual = (REPO_ROOT / "docs" / "API.md").read_text()
         assert actual == expected, (
             "docs/API.md is stale; run `python tools/gen_api_md.py`"
         )
+
+
+class TestLocTool:
+    def test_counts_lines_and_code_per_package(self, tmp_path):
+        """tools/loc.py: comments, blanks and docstrings are not code."""
+        module = _load_tool("loc")
+        (tmp_path / "pkg").mkdir()
+        (tmp_path / "top.py").write_text('"""Doc."""\n\nX = 1  # note\n')
+        (tmp_path / "pkg" / "mod.py").write_text(
+            'def f():\n    """Two\n    lines."""\n    # comment\n'
+            '    return (\n        1\n    )\n'
+        )
+        totals = module.count_tree(tmp_path)
+        assert totals == {"(root)": [1, 3, 1], "pkg": [1, 7, 4]}
+        assert "| **total** | 2 | 10 | 5 |" in module.render(totals)

@@ -15,7 +15,7 @@ from repro.experiments.render import (
     render_series_block,
     render_table,
 )
-from repro.experiments.sweep import run_sweep
+from repro.experiments.sweep import SweepResult
 from repro.experiments.workloads import (
     DEFAULT_SEED,
     news_trace,
@@ -27,27 +27,19 @@ from repro.experiments.workloads import (
 
 class TestSweep:
     def test_rows_carry_parameter_and_builder_columns(self):
-        result = run_sweep("x", [1.0, 2.0], lambda x: {"square": x * x})
+        result = SweepResult(
+            "x", [{"x": 1.0, "square": 1.0}, {"x": 2.0, "square": 4.0}]
+        )
         assert result.values() == [1.0, 2.0]
         assert result.column("square") == [1.0, 4.0]
 
-    def test_extra_columns_merged(self):
-        result = run_sweep(
-            "x", [1.0], lambda x: {"y": 2.0}, extra_columns={"trace": "cnn"}
-        )
-        assert result.rows[0]["trace"] == "cnn"
-
-    def test_builder_cannot_override_parameter(self):
-        with pytest.raises(ExperimentError, match="reserved"):
-            run_sweep("x", [1.0], lambda x: {"x": 99.0})
-
     def test_missing_column_raises(self):
-        result = run_sweep("x", [1.0], lambda x: {"y": 1.0})
+        result = SweepResult("x", [{"x": 1.0, "y": 1.0}])
         with pytest.raises(ExperimentError, match="missing"):
             result.column("z")
 
     def test_row_for_matches_value(self):
-        result = run_sweep("x", [1.0, 2.0], lambda x: {"y": x})
+        result = SweepResult("x", [{"x": 1.0, "y": 1.0}, {"x": 2.0, "y": 2.0}])
         assert result.row_for(2.0)["y"] == 2.0
         with pytest.raises(ExperimentError):
             result.row_for(3.0)

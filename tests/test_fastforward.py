@@ -17,10 +17,14 @@ from hypothesis import strategies as st
 
 from repro.api.builder import SimulationBuilder, run_simulation
 from repro.api.config import LevelConfig, SimulationConfigError
-from repro.api.runs import build_stack
+from repro.api.runs import build_core, build_stack
 from repro.consistency.ttl import StaticTTLPolicy
+from repro.core.errors import SimulationError
 from repro.core.types import ObjectId
+from repro.httpsim.network import LatencyModel
 from repro.sim.fastforward import FastForwardEngine
+from repro.topology.levels import TreeLevel
+from repro.topology.tree import TopologyTree
 from repro.traces.model import UpdateRecord, UpdateTrace
 
 
@@ -107,8 +111,8 @@ class TestEquivalenceProperty:
     )
     @settings(max_examples=15, deadline=None)
     def test_limd_adaptive_policy(self, delta, seed, rate):
-        # Adaptive TTRs disable the bulk tier; every poll goes through
-        # the step-equivalent single-poll path and must still match.
+        # Adaptive TTRs feed every outcome back into the next poll
+        # instant, so the engine's queue is re-keyed on every poll.
         exact, fast = _outcome_pair(
             policy="limd",
             policy_params={"delta": delta, "ttr_max": 1800.0},
@@ -136,21 +140,8 @@ class TestEngineDirect:
         )
         return kernel, server, proxy, trace
 
-    def test_idle_run_collapses_into_bulk_polls(self):
-        kernel, _server, proxy, _trace = self._stack()
-        engine = FastForwardEngine(kernel, [proxy])
-        try:
-            engine.run(7200.0)
-        finally:
-            engine.close()
-        # 7200 / 250 -> polls at 250, 500, ... 7000, plus registration.
-        assert engine.bulk_polls > 20
-        assert kernel.now() == 7200.0
-        entry = proxy.entry_for(ObjectId("obj"))
-        assert entry.poll_count == 1 + 28
-
-    def test_matches_exact_stack_with_updates(self):
-        updates = (100.0, 1900.0, 1950.0, 5000.0)
+    def _run_both_and_compare(self, updates):
+        """Run one stack exactly and one fast-forwarded; return the latter."""
         kernel_a, server_a, proxy_a, _trace = self._stack(updates)
         kernel_a.run(until=7200.0)
 
@@ -169,6 +160,21 @@ class TestEngineDirect:
         assert (
             proxy_a.network.requests_sent == proxy_b.network.requests_sent
         )
+        assert kernel_a.now() == kernel_b.now() == 7200.0
+        return server_b, proxy_b
+
+    def test_matches_exact_stack_on_idle_origin(self):
+        # Single object, static TTL, origin never updates: every poll
+        # after registration is an unmodified 304.
+        server, proxy = self._run_both_and_compare(())
+        # 7200 / 250 -> polls at 250, 500, ... 7000, plus registration.
+        assert proxy.entry_for(ObjectId("obj")).poll_count == 1 + 28
+        assert proxy.network.requests_sent == 1 + 28
+        assert server.counters.get("requests") == 1 + 28
+        assert server.counters.get("responses_304") == 28
+
+    def test_matches_exact_stack_with_updates(self):
+        self._run_both_and_compare((100.0, 1900.0, 1950.0, 5000.0))
 
     def test_close_reattaches_and_stepping_continues(self):
         updates = (300.0, 4000.0)
@@ -188,18 +194,38 @@ class TestEngineDirect:
         assert tuple(entry_a.fetch_log) == tuple(entry_b.fetch_log)
 
     def test_latent_link_is_rejected(self):
-        from repro.httpsim.network import LatencyModel
-
         records = []
         trace = UpdateTrace(ObjectId("obj"), records, end_time=1000.0)
         kernel, server, proxy, _log = build_stack(
             [trace], latency=LatencyModel(one_way=0.5)
         )
         proxy.register_object(trace.object_id, server, StaticTTLPolicy(100.0))
-        from repro.core.errors import SimulationError
-
         with pytest.raises(SimulationError):
             FastForwardEngine(kernel, [proxy])
+
+    def test_rejected_construction_detaches_nothing(self):
+        # A (1, 2) tree whose child link is latent: the engine must
+        # refuse it without first taking the root's refreshers off
+        # their kernel timers (nothing could ever reattach them).
+        object_id = ObjectId("obj")
+        trace = UpdateTrace(object_id, [], end_time=1000.0)
+        kernel, server, _log = build_core([trace])
+        tree = TopologyTree(
+            kernel,
+            server,
+            (
+                TreeLevel(fan_out=1),
+                TreeLevel(fan_out=2, latency=LatencyModel(one_way=0.5)),
+            ),
+        )
+        tree.register_object(object_id, lambda _level, _oid: StaticTTLPolicy(60.0))
+        root = tree.root.proxy
+        with pytest.raises(SimulationError):
+            FastForwardEngine(kernel, [node.proxy for node in tree.nodes])
+        assert not root.refresher_for(object_id).detached
+        kernel.run(until=600.0)
+        # Registration plus the 60 s polls at 60, 120, ... 600.
+        assert root.counters.get("polls") == 1 + 10
 
 
 class TestConfigSurface:

@@ -19,7 +19,7 @@ from repro.core.types import ObjectId, ObjectSnapshot, PollOutcome, TTRBounds
 from repro.metrics.fidelity import temporal_fidelity, value_fidelity
 from repro.metrics.mutual import interval_gap
 from repro.sim.kernel import Kernel
-from repro.sim.stats import SummaryStats, TimeWeightedValue
+from repro.sim.stats import SummaryStats
 from repro.traces.model import trace_from_ticks, trace_from_times
 
 # ----------------------------------------------------------------------
@@ -260,30 +260,3 @@ class TestStatsProperties:
         assert stats.maximum == max(data)
         naive_mean = sum(data) / len(data)
         assert math.isclose(stats.mean, naive_mean, rel_tol=1e-9, abs_tol=1e-6)
-
-    @given(
-        st.lists(
-            st.tuples(
-                st.floats(min_value=0.0, max_value=1e4, allow_nan=False),
-                st.floats(min_value=-100.0, max_value=100.0, allow_nan=False),
-            ),
-            min_size=1,
-            max_size=50,
-        )
-    )
-    @settings(max_examples=100)
-    def test_time_weighted_integral_matches_bruteforce(self, changes):
-        changes = sorted(changes, key=lambda c: c[0])
-        signal = TimeWeightedValue(start=0.0, initial=0.0)
-        for when, value in changes:
-            signal.set(when, value)
-        horizon = changes[-1][0] + 10.0
-        # Brute force: integrate the step function.
-        knots = [(0.0, 0.0)] + changes
-        expected = 0.0
-        for (t0, v0), (t1, _v1) in zip(knots, knots[1:]):
-            expected += v0 * (t1 - t0)
-        expected += knots[-1][1] * (horizon - knots[-1][0])
-        assert math.isclose(
-            signal.integral(horizon), expected, rel_tol=1e-9, abs_tol=1e-6
-        )

@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from repro.sim.stats import Counter, Histogram, SummaryStats, TimeWeightedValue
+from repro.sim.stats import Counter, SummaryStats
 
 
 class TestCounter:
@@ -35,37 +35,6 @@ class TestCounter:
         counter.increment("b")
         assert sorted(counter) == ["a", "b"]
         assert len(counter) == 2
-
-
-class TestTimeWeightedValue:
-    def test_constant_signal_integral(self):
-        signal = TimeWeightedValue(start=0.0, initial=2.0)
-        assert signal.integral(10.0) == pytest.approx(20.0)
-
-    def test_step_changes_accumulate_area(self):
-        signal = TimeWeightedValue(start=0.0, initial=0.0)
-        signal.set(5.0, 1.0)   # 0 for [0,5)
-        signal.set(8.0, 0.0)   # 1 for [5,8)
-        assert signal.integral(10.0) == pytest.approx(3.0)
-
-    def test_mean_is_time_weighted(self):
-        signal = TimeWeightedValue(start=0.0, initial=4.0)
-        signal.set(5.0, 0.0)
-        assert signal.mean(10.0) == pytest.approx(2.0)
-
-    def test_query_does_not_mutate(self):
-        signal = TimeWeightedValue(start=0.0, initial=1.0)
-        assert signal.integral(4.0) == pytest.approx(4.0)
-        assert signal.integral(4.0) == pytest.approx(4.0)
-        signal.set(10.0, 0.0)
-        assert signal.integral(10.0) == pytest.approx(10.0)
-
-    def test_time_going_backwards_rejected(self):
-        signal = TimeWeightedValue(start=5.0)
-        with pytest.raises(ValueError):
-            signal.set(4.0, 1.0)
-        with pytest.raises(ValueError):
-            signal.integral(4.0)
 
 
 class TestSummaryStats:
@@ -114,40 +83,3 @@ class TestSummaryStats:
         snap = stats.snapshot()
         stats.observe(100.0)
         assert snap.maximum == 1.0
-
-
-class TestHistogram:
-    def test_observations_land_in_correct_bins(self):
-        hist = Histogram(0.0, 10.0, bins=5)
-        for x in (0.5, 2.5, 4.5, 6.5, 8.5):
-            hist.observe(x)
-        assert hist.counts == [1, 1, 1, 1, 1]
-
-    def test_underflow_and_overflow_clamped(self):
-        hist = Histogram(0.0, 10.0, bins=2)
-        hist.observe(-5.0)
-        hist.observe(15.0)
-        assert hist.counts == [1, 1]
-        assert hist.underflow == 1
-        assert hist.overflow == 1
-        assert hist.total == 2
-
-    def test_boundary_value_goes_to_upper_bin(self):
-        hist = Histogram(0.0, 10.0, bins=2)
-        hist.observe(5.0)
-        assert hist.counts == [0, 1]
-
-    def test_high_edge_counts_as_overflow(self):
-        hist = Histogram(0.0, 10.0, bins=2)
-        hist.observe(10.0)
-        assert hist.overflow == 1
-
-    def test_bin_edges(self):
-        hist = Histogram(0.0, 10.0, bins=4)
-        assert hist.bin_edges() == [0.0, 2.5, 5.0, 7.5, 10.0]
-
-    def test_invalid_configuration_rejected(self):
-        with pytest.raises(ValueError):
-            Histogram(0.0, 10.0, bins=0)
-        with pytest.raises(ValueError):
-            Histogram(10.0, 0.0, bins=2)

@@ -1,42 +1,55 @@
-"""Tests for the sweep execution engine: serial/parallel parity and ordering.
+"""Tests for the sweep executors: serial/parallel parity and ordering.
 
 The contract under test (see :mod:`repro.experiments.sweep`):
 
-* ``run_sweep(..., workers=N)`` produces rows **identical** to the
-  serial run — same values, same order — because points are independent,
-  seeded per point, and collected in submission order;
+* ``executor_for(N).map`` — and therefore ``run_scenario(...,
+  workers=N)`` — produces rows **identical** to the serial run — same
+  values, same order — because points are independent, seeded per
+  point, and collected in submission order;
 * executors return results in input order even when later items finish
   first;
-* the per-point RNG derived from a root seed is stable no matter which
+* a per-point RNG derived from the root seed is stable no matter which
   executor (or worker) runs the point.
 """
 
 from __future__ import annotations
 
-import pickle
 import time
 
 import pytest
 
-from repro.core.errors import ExperimentError
-from repro.experiments import figure3, figure5
 from repro.api.runs import run_many
-from repro.experiments.sweep import (
-    ParallelExecutor,
-    PointTask,
-    SerialExecutor,
-    executor_for,
-    execute_point,
-    run_sweep,
-)
+from repro.core.rng import RngRegistry, derive_seed
+from repro.experiments import figure3, figure5
+from repro.experiments.sweep import ParallelExecutor, SerialExecutor, executor_for
+from repro.scenarios.engine import run_scenario
+from repro.scenarios.registry import Scenario
+from repro.scenarios.spec import ScenarioSpec
 
 
-def _square_row(value, rng=None):
-    """Module-level row builder (picklable for the parallel path)."""
-    row = {"square": value * value}
-    if rng is not None:
-        row["draw"] = rng.stream("noise").random()
-    return row
+def _square_row(value):
+    """Module-level point function (picklable for the parallel path)."""
+    return {"x": value, "square": value * value}
+
+
+def _seed_context(params, seed):
+    return {"seed": seed}
+
+
+def _drawing_point(value, *, seed):
+    """A point that derives its own RNG stream from the root seed."""
+    rng = RngRegistry(derive_seed(seed, f"x[{value}]"))
+    return {"draw": rng.stream("noise").random()}
+
+
+def _drawing_scenario(values):
+    return Scenario(
+        spec=ScenarioSpec(
+            name="_drawing", description="seeded draws", axis="x", values=values
+        ),
+        point=_drawing_point,
+        prepare=_seed_context,
+    )
 
 
 def _slow_then_fast(item):
@@ -90,10 +103,10 @@ class TestOrdering:
 class TestDeterminism:
     def test_serial_and_parallel_rows_identical_synthetic(self):
         values = [1.0, 2.0, 3.0, 4.0]
-        serial = run_sweep("x", values, _square_row)
-        parallel = run_sweep("x", values, _square_row, workers=4)
-        assert serial.rows == parallel.rows
-        assert parallel.values() == values
+        serial = executor_for(None).map(_square_row, values)
+        parallel = executor_for(4).map(_square_row, values)
+        assert serial == parallel
+        assert [row["x"] for row in parallel] == values
 
     def test_serial_and_parallel_rows_identical_figure3(self):
         serial = figure3.run(deltas_min=(2, 30))
@@ -106,47 +119,16 @@ class TestDeterminism:
         assert serial.rows == parallel.rows
 
     def test_per_point_rng_is_seed_stable_across_executors(self):
-        values = [1.0, 2.0, 3.0]
-        serial = run_sweep("x", values, _square_row, seed=7)
-        parallel = run_sweep("x", values, _square_row, seed=7, workers=3)
+        entry = _drawing_scenario((1.0, 2.0, 3.0))
+        serial = run_scenario(entry, seed=7)
+        parallel = run_scenario(entry, seed=7, workers=3)
         assert serial.rows == parallel.rows
         # Each point gets an independent stream: draws differ by point.
-        draws = serial.column("draw")
+        draws = serial.sweep.column("draw")
         assert len(set(draws)) == len(draws)
 
     def test_different_root_seeds_change_point_draws(self):
-        values = [1.0]
-        a = run_sweep("x", values, _square_row, seed=1)
-        b = run_sweep("x", values, _square_row, seed=2)
+        entry = _drawing_scenario((1.0,))
+        a = run_scenario(entry, seed=1)
+        b = run_scenario(entry, seed=2)
         assert a.rows[0]["draw"] != b.rows[0]["draw"]
-
-
-class TestRunSpec:
-    def test_point_task_is_picklable(self):
-        task = PointTask(
-            build_row=_square_row,
-            parameter="x",
-            index=0,
-            value=3.0,
-            extra_columns={"fixed": "yes"},
-        )
-        clone = pickle.loads(pickle.dumps(task))
-        assert execute_point(clone) == {
-            "x": 3.0,
-            "fixed": "yes",
-            "square": 9.0,
-        }
-
-    def test_reserved_columns_rejected_in_parallel_too(self):
-        with pytest.raises(ExperimentError, match="reserved"):
-            run_sweep("square", [2.0], _square_row, workers=2)
-
-    def test_extra_columns_merged_in_parallel(self):
-        result = run_sweep(
-            "x",
-            [1.0, 2.0],
-            _square_row,
-            extra_columns={"trace": "cnn"},
-            workers=2,
-        )
-        assert [row["trace"] for row in result.rows] == ["cnn", "cnn"]
