@@ -30,6 +30,11 @@ class PollReason(enum.Enum):
     #: server-based extension; see repro.consistency.invalidation).
     PUSH = "push"
 
+    def __init__(self, value: str) -> None:
+        #: The proxy counter that tallies polls issued for this reason; a
+        #: plain attribute, so the per-poll bump hashes no enum member.
+        self.counter_name = f"polls_{value}"
+
 
 class ViolationKind(enum.Enum):
     """Which consistency guarantee was violated."""

@@ -17,7 +17,6 @@ from __future__ import annotations
 import enum
 from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
-from repro.core.errors import ProtocolError
 from repro.core.types import ObjectId, Seconds
 from repro.httpsim import headers as h
 
@@ -213,15 +212,6 @@ class Response:
                 h.MODIFICATION_HISTORY, h.format_history(self.modification_history)
             )
         return rendered
-
-    def require_ok_or_not_modified(self) -> "Response":
-        """Assert the response is 200 or 304 (the poll-path statuses)."""
-        if self.status not in (Status.OK, Status.NOT_MODIFIED):
-            raise ProtocolError(
-                f"poll of {self.object_id!r} returned unexpected status "
-                f"{int(self.status)}"
-            )
-        return self
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Response):

@@ -68,6 +68,12 @@ class Network:
     round trip inline and invokes the callback before returning — the
     mode all paper experiments use.  With nonzero latency, delivery is
     scheduled on the kernel.
+
+    Attributes:
+        synchronous: Cached latency-model check, so per-poll callers can
+            branch on a plain attribute (the LatencyModel is immutable).
+        requests_sent: Requests put on this link; a proxy that polls a
+            synchronous link's upstream directly counts them here.
     """
 
     def __init__(
@@ -80,29 +86,12 @@ class Network:
         self._kernel = kernel
         self._latency = latency
         self._rng = rng
-        self._requests_sent = 0
-        #: Cached latency-model check so per-poll callers can branch on a
-        #: plain attribute (the LatencyModel is immutable).
+        self.requests_sent = 0
         self.synchronous: bool = latency.is_synchronous
 
     @property
     def latency(self) -> LatencyModel:
         return self._latency
-
-    @property
-    def requests_sent(self) -> int:
-        return self._requests_sent
-
-    def exchange_sync(self, request: Request, handler: ServerHandler) -> Response:
-        """Run a zero-latency round trip inline and return the response.
-
-        Hot-path variant of :meth:`exchange` for synchronous networks:
-        the caller consumes the response directly instead of paying for
-        a per-poll continuation closure.  Only valid when
-        :attr:`synchronous` is true.
-        """
-        self._requests_sent += 1
-        return handler(request, self._kernel.now())
 
     def exchange(
         self,
@@ -112,10 +101,10 @@ class Network:
     ) -> None:
         """Send ``request`` to ``handler``; deliver the response to
         ``callback`` after the modelled round trip."""
+        self.requests_sent += 1
         if self.synchronous:
-            callback(self.exchange_sync(request, handler))
+            callback(handler(request, self._kernel.now()))
             return
-        self._requests_sent += 1
 
         forward = self._latency.sample_one_way(self._rng)
 

@@ -163,12 +163,12 @@ class ObjectCache:
         happen, so unbounded caches (the paper's configuration, and the
         per-poll hot path) skip it entirely.
         """
-        entry = self._entries.get(object_id)
-        if entry is None:
+        entries = self._entries
+        if object_id not in entries:
             return None
         if touch and self._policy is not None:
             self._policy.record_access(object_id)
-        return entry
+        return entries[object_id]
 
     def put(self, entry: CacheEntry) -> Optional[CacheEntry]:
         """Insert an entry, evicting if over capacity.
@@ -203,10 +203,14 @@ class ObjectCache:
 
     def get_or_create(self, object_id: ObjectId) -> CacheEntry:
         """Return the entry for ``object_id``, creating it if absent."""
-        entry = self.get(object_id)
-        if entry is None:
+        try:
+            entry = self._entries[object_id]
+        except KeyError:
             entry = CacheEntry(object_id)
             self.put(entry)
+            return entry
+        if self._policy is not None:
+            self._policy.record_access(object_id)
         return entry
 
     def remove(self, object_id: ObjectId) -> Optional[CacheEntry]:

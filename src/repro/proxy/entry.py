@@ -63,33 +63,32 @@ class FetchRecord:
 
 
 class CacheEntry:
-    """The proxy's cached state for one object."""
+    """The proxy's cached state for one object.
 
-    __slots__ = ("_object_id", "_snapshot", "_fetch_log", "_hits", "_seen_mod_times")
+    Attributes:
+        snapshot: The cached object state (None before the first fetch).
+        modification_times: Distinct, ascending server modification
+            times observed so far — the live list a parent proxy reads
+            per request to serve the Section 5.1 history header.  Only
+            :meth:`record_fetch` writes either attribute.
+    """
+
+    __slots__ = ("_object_id", "snapshot", "_fetch_log", "_hits", "modification_times")
 
     def __init__(self, object_id: ObjectId) -> None:
         self._object_id = object_id
-        self._snapshot: Optional[ObjectSnapshot] = None
+        self.snapshot: Optional[ObjectSnapshot] = None
         self._fetch_log: List[FetchRecord] = []
         self._hits = 0
-        # Distinct, ascending server modification times observed so far,
-        # maintained incrementally (O(1) per fetch) so serving the
-        # Section 5.1 history header to a downstream proxy needs no
-        # fetch-log scan.
-        self._seen_mod_times: List[Seconds] = []
+        self.modification_times: List[Seconds] = []
 
     @property
     def object_id(self) -> ObjectId:
         return self._object_id
 
     @property
-    def snapshot(self) -> Optional[ObjectSnapshot]:
-        """The currently cached object state (None before first fetch)."""
-        return self._snapshot
-
-    @property
     def populated(self) -> bool:
-        return self._snapshot is not None
+        return self.snapshot is not None
 
     @property
     def fetch_log(self) -> Sequence[FetchRecord]:
@@ -114,9 +113,9 @@ class CacheEntry:
     def cached_version_origin(self) -> Optional[Seconds]:
         """When the cached version was created at the server
         (its Last-Modified) — the t₁/t₂ of the paper's Eq. 4."""
-        if self._snapshot is None:
+        if self.snapshot is None:
             return None
-        return self._snapshot.last_modified
+        return self.snapshot.last_modified
 
     def known_modification_times(self) -> List[Seconds]:
         """Distinct server modification times this proxy has observed.
@@ -127,28 +126,26 @@ class CacheEntry:
         that fell between its polls are invisible, exactly the
         degradation a real cache hierarchy exhibits.
         """
-        return list(self._seen_mod_times)
+        return list(self.modification_times)
 
     def record_fetch(
         self,
         time: Seconds,
         snapshot: ObjectSnapshot,
-        *,
         modified: bool,
         reason: PollReason,
     ) -> FetchRecord:
         """Record a completed poll and update the cached snapshot."""
-        if self._fetch_log and time < self._fetch_log[-1].time:
+        log = self._fetch_log
+        if log and time < log[-1].time:
             raise ValueError(
                 f"fetch at t={time} precedes previous fetch at "
-                f"t={self._fetch_log[-1].time} for {self._object_id!r}"
+                f"t={log[-1].time} for {self._object_id!r}"
             )
-        record = FetchRecord(
-            time=time, snapshot=snapshot, modified=modified, reason=reason
-        )
-        self._fetch_log.append(record)
-        self._snapshot = snapshot
-        seen = self._seen_mod_times
+        record = FetchRecord(time, snapshot, modified, reason)
+        log.append(record)
+        self.snapshot = snapshot
+        seen = self.modification_times
         when = snapshot.last_modified
         if not seen or when > seen[-1]:
             seen.append(when)
@@ -158,7 +155,7 @@ class CacheEntry:
         self._hits += 1
 
     def __repr__(self) -> str:
-        version = self._snapshot.version if self._snapshot else None
+        version = self.snapshot.version if self.snapshot else None
         return (
             f"CacheEntry({self._object_id!r}, version={version}, "
             f"polls={len(self._fetch_log)}, hits={self._hits})"

@@ -17,10 +17,10 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional
 
 from repro.consistency.base import PolicyFactory, PollObserver, RefreshPolicy
-from repro.core.errors import CacheConfigurationError, UnknownObjectError
+from repro.core.errors import CacheConfigurationError, ProtocolError, UnknownObjectError
 from repro.core.events import PollEvent, PollReason
 from repro.core.types import ObjectId, ObjectSnapshot, PollOutcome, Seconds
-from repro.httpsim.messages import Request, Response, Status, conditional_get
+from repro.httpsim.messages import Method, Request, Response, Status
 from repro.httpsim.network import Network
 from repro.httpsim.semantics import Upstream, evaluate_conditional_get
 from repro.proxy.cache import ObjectCache
@@ -29,12 +29,6 @@ from repro.proxy.refresher import Refresher
 from repro.sim.kernel import Kernel
 from repro.sim.stats import Counter
 from repro.sim.tracing import EventLog
-
-#: Per-reason poll counter names, precomputed so the per-poll hot path
-#: does no f-string formatting.
-_POLL_COUNTER_NAMES: Dict[PollReason, str] = {
-    reason: f"polls_{reason.value}" for reason in PollReason
-}
 
 
 class ProxyCache:
@@ -219,12 +213,13 @@ class ProxyCache:
         cache.
         """
         entry = self._cache.get(object_id)
-        if entry is not None and entry.populated:
-            entry.record_hit()
-            self.counters.increment("client_hits")
-            assert entry.snapshot is not None
-            return entry.snapshot
-        self.counters.increment("client_misses")
+        if entry is not None:
+            snapshot = entry.snapshot
+            if snapshot is not None:
+                entry.record_hit()
+                self.counters.counts["client_hits"] += 1
+                return snapshot
+        self.counters.counts["client_misses"] += 1
         server = self._servers.get(object_id)
         if server is None:
             raise UnknownObjectError(str(object_id), where="proxy server bindings")
@@ -258,7 +253,7 @@ class ProxyCache:
         observed, so intermediate updates this proxy missed stay
         invisible downstream (the fidelity a real hierarchy provides).
         """
-        self.counters.increment("downstream_requests")
+        self.counters.counts["downstream_requests"] += 1
         object_id = request.object_id
         entry = self._cache.get(object_id, touch=False)
         snapshot = entry.snapshot if entry is not None else None
@@ -290,9 +285,8 @@ class ProxyCache:
             last_modified=snapshot.last_modified,
             version=snapshot.version,
             value=snapshot.value,
-            history_times=(
-                entry.known_modification_times() if request.wants_history else ()
-            ),
+            # Read, never kept: a 200's history is a fresh slice of it.
+            history_times=entry.modification_times,
         )
 
     # ------------------------------------------------------------------
@@ -342,28 +336,30 @@ class ProxyCache:
             raise UnknownObjectError(str(object_id), where="proxy server bindings")
         entry = self._cache.get_or_create(object_id)
         now = self._kernel.now()
-        ims = (
-            entry.snapshot.last_modified if entry.snapshot is not None else None
-        )
-        request = conditional_get(
+        cached = entry.snapshot
+        request = Request(
+            Method.GET,
             object_id,
-            if_modified_since=ims,
-            want_history=self._want_history,
+            if_modified_since=cached.last_modified if cached is not None else None,
+            wants_history=self._want_history,
             issued_at=now,
         )
-        self.counters.increment("polls")
-        self.counters.increment(_POLL_COUNTER_NAMES[reason])
+        counts = self.counters.counts
+        counts["polls"] += 1
+        counts[reason.counter_name] += 1
 
         network = self._network
         if network.synchronous:
-            # Zero-latency fast path: consume the response inline rather
-            # than allocating a continuation closure per poll.
-            response = network.exchange_sync(request, server.handle_request)
-            self._complete_poll(object_id, entry, reason, response)
+            # No round trip to model (Section 6.1.1): ask the upstream
+            # directly; the answer is consumed at the same instant.
+            network.requests_sent += 1
+            self._complete_poll(
+                object_id, entry, reason, server.handle_request(request, now), now
+            )
             return
 
         def on_response(response: Response) -> None:
-            self._complete_poll(object_id, entry, reason, response)
+            self._complete_poll(object_id, entry, reason, response, self._kernel.now())
 
         network.exchange(request, server.handle_request, on_response)
 
@@ -373,15 +369,15 @@ class ProxyCache:
         entry: CacheEntry,
         reason: PollReason,
         response: Response,
+        now: Seconds,
     ) -> None:
-        now = self._kernel.now()
-        response.require_ok_or_not_modified()
-        modified = response.status is Status.OK
+        status = response.status
+        cached = entry.snapshot
+        modified = status is Status.OK
         if modified:
-            assert response.version is not None
-            assert response.last_modified is not None
-            cached = entry.snapshot
-            if cached is not None and response.version < cached.version:
+            version, last_modified = response.version, response.last_modified
+            assert version is not None and last_modified is not None
+            if cached is not None and version < cached.version:
                 # With jittered latency, two in-flight polls can complete
                 # out of order: a response generated before a server
                 # update can arrive after one generated afterwards.
@@ -395,17 +391,17 @@ class ProxyCache:
                 snapshot = cached
             else:
                 snapshot = ObjectSnapshot(
-                    object_id=object_id,
-                    version=response.version,
-                    last_modified=response.last_modified,
-                    value=response.value,
+                    object_id, version, last_modified, response.value
                 )
+        elif status is not Status.NOT_MODIFIED:
+            raise ProtocolError(
+                f"poll of {object_id!r} returned unexpected status {int(status)}"
+            )
+        elif cached is None:
+            # A 304 for an empty cache entry is a protocol anomaly —
+            # we never send IMS without a cached copy.
+            raise UnknownObjectError(str(object_id), where="proxy cache (304)")
         else:
-            cached = entry.snapshot
-            if cached is None:
-                # A 304 for an empty cache entry is a protocol anomaly —
-                # we never send IMS without a cached copy.
-                raise UnknownObjectError(str(object_id), where="proxy cache (304)")
             snapshot = cached
 
         history = response.modification_history
@@ -416,15 +412,9 @@ class ProxyCache:
             if history:
                 first_unseen = history[0]
 
-        entry.record_fetch(now, snapshot, modified=modified, reason=reason)
+        entry.record_fetch(now, snapshot, modified, reason)
         refresher = self._refreshers.get(object_id)
-        outcome = PollOutcome(
-            poll_time=now,
-            modified=modified,
-            snapshot=snapshot,
-            first_unseen_update=first_unseen,
-            updates_since_last_poll=updates_since,
-        )
+        outcome = PollOutcome(now, modified, snapshot, first_unseen, updates_since)
         event_log = self._event_log
         # The pre-poll TTR is only needed for the event log; skip the
         # policy property access on unlogged (hot-path) runs.
@@ -454,7 +444,7 @@ class ProxyCache:
                 )
             )
         if modified:
-            self.counters.increment("polls_modified")
+            self.counters.counts["polls_modified"] += 1
         if self._observers:
             for observer in tuple(self._observers):
                 observer.on_poll_complete(object_id, outcome)

@@ -1,11 +1,12 @@
 """The TTR-driven refresh scheduler.
 
-One :class:`Refresher` per registered object: it owns the object's
-refresh timer, asks the policy for the next TTR after every poll, and
-exposes the next/previous poll instants that the mutual-consistency
-coordinators consult (Section 3.2: "an additional poll is triggered for
-an object only if its next/previous poll instant is more than δ time
-units away").
+One :class:`Refresher` per registered object: it *is* the object's
+refresh timer (the kernel dispatches a TTR expiry straight to it), asks
+the policy for the next TTR after every poll, and exposes the
+next/previous poll instants that the mutual-consistency coordinators
+consult (Section 3.2: "an additional poll is triggered for an object
+only if its next/previous poll instant is more than δ time units
+away").
 
 Fast-forward mode: the analytic engine in :mod:`repro.sim.fastforward`
 detaches the refresher from its kernel timer (:meth:`detach_timer`).
@@ -19,7 +20,7 @@ next/previous instants) is identical in both modes.
 
 from __future__ import annotations
 
-import math
+from math import inf
 from typing import Callable, Optional
 
 from repro.consistency.base import RefreshPolicy
@@ -27,7 +28,7 @@ from repro.core.errors import SimulationError
 from repro.core.events import PollReason
 from repro.core.types import ObjectId, PollOutcome, Seconds
 from repro.sim.kernel import Kernel
-from repro.sim.timers import RestartableTimer
+from repro.sim.timers import OneShotTimer
 
 #: Issues a poll; invoked by the refresher when the TTR expires or a
 #: coordinator forces an early refresh.  The proxy wires this to its
@@ -40,15 +41,13 @@ PollIssuer = Callable[[ObjectId, PollReason], None]
 RescheduleHook = Callable[["Refresher", Optional[Seconds]], None]
 
 
-class Refresher:
+class Refresher(OneShotTimer):
     """Drives periodic refreshes for one cached object."""
 
     __slots__ = (
-        "_kernel",
         "_object_id",
         "_policy",
         "_issue_poll",
-        "_timer",
         "_last_poll_time",
         "_stopped",
         "_detached",
@@ -63,13 +62,10 @@ class Refresher:
         policy: RefreshPolicy,
         issue_poll: PollIssuer,
     ) -> None:
-        self._kernel = kernel
+        super().__init__(kernel, f"refresh.{object_id}")
         self._object_id = object_id
         self._policy = policy
         self._issue_poll = issue_poll
-        self._timer = RestartableTimer(
-            kernel, self._on_timer, label=f"refresh.{object_id}"
-        )
         self._last_poll_time: Optional[Seconds] = None
         self._stopped = False
         self._detached = False
@@ -77,25 +73,27 @@ class Refresher:
         self._ff_hook: Optional[RescheduleHook] = None
 
     # ------------------------------------------------------------------
-    # Arming (timer-backed, or arithmetic while detached)
+    # Arming (a kernel event, or arithmetic while detached)
     # ------------------------------------------------------------------
-    def _arm_at(self, when: Seconds) -> None:
-        if self._detached:
-            self._ff_next_poll = when
-            hook = self._ff_hook
-            assert hook is not None
-            hook(self, when)
-        else:
-            self._timer.arm_at(when)
+    def _ff_arm(self, when: Optional[Seconds]) -> None:
+        """Detached re-arm at ``when`` (``None`` disarms): no kernel event."""
+        self._ff_next_poll = when
+        hook = self._ff_hook
+        assert hook is not None
+        hook(self, when)
 
-    def _disarm(self) -> None:
+    def disarm(self) -> None:
+        """Cancel the pending refresh, attached or detached."""
         if self._detached:
-            self._ff_next_poll = None
-            hook = self._ff_hook
-            assert hook is not None
-            hook(self, None)
+            self._ff_arm(None)
         else:
-            self._timer.disarm()
+            super().disarm()
+
+    def _bad_ttr(self, ttr: Seconds) -> SimulationError:
+        return SimulationError(
+            f"policy {self._policy.name!r} returned TTR {ttr!r} for "
+            f"{self._object_id!r}; a TTR must be > 0 (inf leaves it unarmed)"
+        )
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -105,16 +103,23 @@ class Refresher:
 
         A policy returning an infinite TTR (e.g. ``PassivePolicy``)
         leaves the timer unarmed — refreshes then only happen when a
-        coordinator calls :meth:`poll_now`.
+        coordinator calls :meth:`poll_now`.  Any other TTR not > 0 (NaN
+        included) raises: it would stall this object's polling or the kernel.
         """
         ttr = self._policy.first_ttr()
-        if math.isfinite(ttr):
-            self._arm_at(self._kernel.now() + ttr)
+        if 0.0 < ttr < inf:
+            when = self._kernel.now() + ttr
+            if self._detached:
+                self._ff_arm(when)
+            else:
+                self.arm_at(when)
+        elif ttr != inf:
+            raise self._bad_ttr(ttr)
 
     def stop(self) -> None:
         """Permanently stop refreshing this object."""
         self._stopped = True
-        self._disarm()
+        self.disarm()
 
     def recover(self) -> None:
         """Proxy-failure recovery: reset the policy and restart polling.
@@ -126,10 +131,8 @@ class Refresher:
         if self._stopped:
             return
         self._policy.reset()
-        self._disarm()
-        ttr = self._policy.first_ttr()
-        if math.isfinite(ttr):
-            self._arm_at(self._kernel.now() + ttr)
+        self.disarm()
+        self.start()
 
     @property
     def stopped(self) -> bool:
@@ -155,8 +158,8 @@ class Refresher:
             raise SimulationError(
                 f"refresher for {self._object_id!r} is already detached"
             )
-        when = self._timer.next_fire_time
-        self._timer.disarm()
+        when = self.next_fire_time
+        self.disarm()
         self._detached = True
         self._ff_hook = on_reschedule
         self._ff_next_poll = when
@@ -171,7 +174,7 @@ class Refresher:
         self._ff_hook = None
         self._ff_next_poll = None
         if when is not None and not self._stopped:
-            self._timer.arm_at(when)
+            self.arm_at(when)
 
     def fire_expired(self) -> None:
         """Deliver the TTR expiry the detached timer would have fired.
@@ -206,7 +209,7 @@ class Refresher:
         """Absolute time of the next scheduled poll (None if unarmed)."""
         if self._detached:
             return self._ff_next_poll
-        return self._timer.next_fire_time
+        return self.next_fire_time
 
     @property
     def last_poll_time(self) -> Optional[Seconds]:
@@ -241,7 +244,7 @@ class Refresher:
         if self._stopped:
             return
         if reschedule:
-            self._disarm()
+            self.disarm()
         self._issue_poll(self._object_id, reason)
 
     def on_triggered_poll(self, outcome: PollOutcome) -> None:
@@ -254,16 +257,25 @@ class Refresher:
         self._last_poll_time = outcome.poll_time
 
     def on_poll_complete(self, outcome: PollOutcome) -> None:
-        """Feed a poll outcome to the policy and re-arm the timer."""
-        self._last_poll_time = outcome.poll_time
+        """Feed a poll outcome to the policy and re-arm ``next_ttr`` later
+        (a TTR that is not positive raises, as in :meth:`start`)."""
+        now = outcome.poll_time
+        self._last_poll_time = now
         ttr = self._policy.next_ttr(outcome)
-        if not self._stopped and math.isfinite(ttr):
-            self._arm_at(self._kernel.now() + ttr)
+        if 0.0 < ttr < inf:
+            if self._stopped:
+                return
+            # As in start(), inline: a shared helper is a frame per poll.
+            if self._detached:
+                self._ff_arm(now + ttr)
+            else:
+                self.arm_at(now + ttr)
+        elif ttr != inf:
+            raise self._bad_ttr(ttr)
 
-    def _on_timer(self, _now: Seconds) -> None:
-        if self._stopped:
-            return
-        self._issue_poll(self._object_id, PollReason.TTR_EXPIRED)
+    def _fire(self, kernel: Kernel) -> None:
+        if not self._stopped:
+            self._issue_poll(self._object_id, PollReason.TTR_EXPIRED)
 
     def __repr__(self) -> str:
         return (

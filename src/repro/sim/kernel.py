@@ -26,10 +26,11 @@ times):
 * :meth:`Kernel._drain` binds hot attributes to locals; cancelled
   events are skipped lazily when popped.
 
-The scheduler seam has two implementations: :class:`HeapScheduler`
-(the reference ``heapq`` priority queue, kept for differential testing)
-and the default :class:`repro.sim.wheel.TimerWheelScheduler` (an
-amortized O(1) calendar queue).  Both dispatch in bit-identical
+The scheduler seam has two implementations: the default
+:class:`HeapScheduler` (C ``heapq``, which has won every measurement on
+this tree) and :class:`repro.sim.wheel.TimerWheelScheduler` (a
+pure-Python calendar queue, still selectable because the frozen
+host-time benchmark compares the two).  Both dispatch in bit-identical
 ``(time, sequence)`` order — pinned by the hypothesis equivalence suite
 in ``tests/test_scheduler_equivalence.py``.
 
@@ -110,11 +111,11 @@ class Scheduler(Protocol[_ItemT]):
 
 
 class HeapScheduler(Generic[_ItemT]):
-    """The reference scheduler: a binary heap of entry tuples.
+    """The default scheduler: a binary heap of entry tuples.
 
-    O(log n) push/pop via :mod:`heapq`.  Kept as the behavioral oracle
-    for the timer wheel (``Kernel(scheduler="heap")``) and for
-    differential tests; the wheel must match it byte for byte.
+    O(log n) push/pop via :mod:`heapq`.  Also the behavioral oracle for
+    the timer wheel in differential tests; the wheel must match it byte
+    for byte.
     """
 
     __slots__ = ("_heap", "_reclaim")
@@ -279,9 +280,9 @@ class Kernel:
 
     Args:
         start_time: Initial clock value.
-        scheduler: ``"wheel"`` (default — the O(1) calendar queue in
-            :mod:`repro.sim.wheel`) or ``"heap"`` (the reference binary
-            heap).  Dispatch order is identical; the knob exists for
+        scheduler: ``"heap"`` (default — the ``heapq`` binary heap) or
+            ``"wheel"`` (the calendar queue in :mod:`repro.sim.wheel`).
+            Dispatch order is identical; the knob exists for
             differential testing and benchmarking.
 
     Example:
@@ -305,7 +306,7 @@ class Kernel:
     )
 
     def __init__(
-        self, start_time: Seconds = 0.0, *, scheduler: str = "wheel"
+        self, start_time: Seconds = 0.0, *, scheduler: str = "heap"
     ) -> None:
         if start_time < 0:
             raise ValueError(f"start_time must be >= 0, got {start_time}")

@@ -14,42 +14,49 @@ Eq. 14 fidelity (total out-of-sync time) is computed in
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, Iterator, Optional
+from typing import DefaultDict, Dict, Iterator, Optional
 
 
 class Counter:
-    """A set of named monotone counters."""
+    """A set of named monotone counters.
 
-    __slots__ = ("_counts",)
+    Attributes:
+        counts: The live mapping.  Per-event callers bump it in place
+            (``counts[name] += 1``, from zero) so counting costs no
+            call; :meth:`increment` is the checked entry point.
+    """
+
+    __slots__ = ("counts",)
 
     def __init__(self) -> None:
-        self._counts: Dict[str, int] = {}
+        self.counts: DefaultDict[str, int] = defaultdict(int)
 
     def increment(self, name: str, by: int = 1) -> int:
         """Increase counter ``name`` by ``by`` (must be >= 0)."""
         if by < 0:
             raise ValueError(f"cannot increment by negative amount {by}")
-        new = self._counts.get(name, 0) + by
-        self._counts[name] = new
+        counts = self.counts
+        new = counts[name] = counts[name] + by
         return new
 
     def get(self, name: str) -> int:
         """Return the current value of ``name`` (0 if never incremented)."""
-        return self._counts.get(name, 0)
+        return self.counts.get(name, 0)
 
     def as_dict(self) -> Dict[str, int]:
         """Return a copy of all counters."""
-        return dict(self._counts)
+        return dict(self.counts)
 
     def __iter__(self) -> Iterator[str]:
-        return iter(self._counts)
+        return iter(self.counts)
 
     def __len__(self) -> int:
-        return len(self._counts)
+        return len(self.counts)
 
     def __repr__(self) -> str:
-        return f"Counter({self._counts})"
+        return f"Counter({dict(self.counts)})"
 
 
 @dataclass(slots=True)

@@ -1,11 +1,12 @@
 """Timer helpers built on the kernel.
 
-The proxy refreshers are driven by *rescheduleable* one-shot timers: a
-TTR expires, the policy computes the next TTR, and the timer is re-armed.
-``RestartableTimer`` encapsulates that pattern; ``PeriodicTimer`` covers
+The proxy refreshers are *rescheduleable* one-shot timers: a TTR
+expires, the policy computes the next TTR, and the timer is re-armed.
+``OneShotTimer`` holds that pattern's bookkeeping, ``RestartableTimer``
+delivers its expiries to a callback, and ``PeriodicTimer`` covers
 fixed-interval polling (the paper's baseline approach).
 
-Both timers ride the kernel's allocation-free scheduling path
+All of them ride the kernel's allocation-free scheduling path
 (:meth:`~repro.sim.kernel.Kernel.schedule_raw`): instead of taking an
 :class:`~repro.sim.kernel.EventHandle` per arm, a timer holds the bare
 pooled event record plus the generation it was issued under, and
@@ -26,19 +27,18 @@ from repro.sim.kernel import Kernel, _Event
 TimerCallback = Callable[[Seconds], None]
 
 
-class RestartableTimer:
-    """A one-shot timer that can be re-armed or rescheduled.
+class OneShotTimer:
+    """The re-armable pending-event bookkeeping under every timer.
 
-    Used by the refresh scheduler: each poll computes a new TTR and the
-    timer is re-armed for ``now + ttr``.  Mutual-consistency triggered
-    polls may also *pull in* the timer to an earlier instant.
+    Holds at most one kernel event and arms, moves and cancels it.  A
+    subclass supplies :meth:`_fire`, which the kernel calls on expiry —
+    the proxy's ``Refresher`` polls from it, one frame below the kernel.
     """
 
-    __slots__ = ("_kernel", "_callback", "_label", "_event", "_generation")
+    __slots__ = ("_kernel", "_label", "_event", "_generation")
 
-    def __init__(self, kernel: Kernel, callback: TimerCallback, *, label: str = "") -> None:
+    def __init__(self, kernel: Kernel, label: str = "") -> None:
         self._kernel = kernel
-        self._callback = callback
         self._label = label
         self._event: Optional[_Event] = None
         self._generation = 0
@@ -46,13 +46,7 @@ class RestartableTimer:
     @property
     def armed(self) -> bool:
         """True if the timer is currently waiting to fire."""
-        event = self._event
-        return (
-            event is not None
-            and event.generation == self._generation
-            and not event.fired
-            and not event.cancelled
-        )
+        return self.next_fire_time is not None
 
     @property
     def next_fire_time(self) -> Optional[Seconds]:
@@ -110,17 +104,36 @@ class RestartableTimer:
             self._event = None
 
     def _fire(self, kernel: Kernel) -> None:
-        self._event = None
-        self._callback(kernel.now())
+        """The expiry hook: what the kernel calls when the timer fires."""
+        raise NotImplementedError
 
     def __repr__(self) -> str:
         return (
-            f"RestartableTimer(label={self._label!r}, armed={self.armed}, "
+            f"{type(self).__name__}(label={self._label!r}, "
             f"next={self.next_fire_time})"
         )
 
 
-class PeriodicTimer:
+class RestartableTimer(OneShotTimer):
+    """A one-shot timer that can be re-armed or rescheduled.
+
+    Each firing hands the fire time to ``callback``, which typically
+    computes the next interval and re-arms.  Mutual-consistency
+    coordinators may also *pull in* the timer to an earlier instant.
+    """
+
+    __slots__ = ("_callback",)
+
+    def __init__(self, kernel: Kernel, callback: TimerCallback, *, label: str = "") -> None:
+        super().__init__(kernel, label)
+        self._callback = callback
+
+    def _fire(self, kernel: Kernel) -> None:
+        self._event = None
+        self._callback(kernel.now())
+
+
+class PeriodicTimer(OneShotTimer):
     """A fixed-interval repeating timer (the paper's baseline poller).
 
     Fires first at ``start + period`` (or at ``start`` when
@@ -128,17 +141,7 @@ class PeriodicTimer:
     stopped or until ``stop_after`` is reached.
     """
 
-    __slots__ = (
-        "_kernel",
-        "_period",
-        "_callback",
-        "_stop_after",
-        "_label",
-        "_event",
-        "_generation",
-        "_fire_count",
-        "_stopped",
-    )
+    __slots__ = ("_period", "_callback", "_stop_after", "_fire_count", "_stopped")
 
     def __init__(
         self,
@@ -156,17 +159,13 @@ class PeriodicTimer:
             raise SimulationError(
                 f"stop_after={stop_after} precedes current time {kernel.now()}"
             )
-        self._kernel = kernel
+        super().__init__(kernel, label)
         self._period = period
         self._callback = callback
         self._stop_after = stop_after
-        self._label = label
-        self._event: Optional[_Event] = None
-        self._generation = 0
         self._fire_count = 0
         self._stopped = False
-        first = kernel.now() if fire_immediately else kernel.now() + period
-        self._schedule(first)
+        self._schedule(kernel.now() if fire_immediately else kernel.now() + period)
 
     @property
     def period(self) -> Seconds:
@@ -183,23 +182,11 @@ class PeriodicTimer:
     def stop(self) -> None:
         """Stop the timer permanently."""
         self._stopped = True
-        event = self._event
-        if event is not None:
-            if (
-                event.generation == self._generation
-                and not event.fired
-                and not event.cancelled
-            ):
-                event.cancelled = True
-            self._event = None
+        self.disarm()
 
     def _schedule(self, when: Seconds) -> None:
-        if self._stop_after is not None and when > self._stop_after:
-            self._event = None
-            return
-        event = self._kernel.schedule_raw(when, self._fire, self._label)
-        self._event = event
-        self._generation = event.generation
+        if self._stop_after is None or when <= self._stop_after:
+            self.arm_at(when)
 
     def _fire(self, kernel: Kernel) -> None:
         self._event = None

@@ -1,4 +1,4 @@
-"""Calendar-queue timer wheel: the kernel's default scheduler.
+"""Calendar-queue timer wheel: the kernel's alternative scheduler.
 
 A single-level timer wheel with a sorted spill for far-future events.
 Time is divided into fixed-width slots (``slot = int(time * scale)``

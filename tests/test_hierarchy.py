@@ -75,6 +75,31 @@ class TestProxyHandleRequest:
         assert 45.0 in history
         assert history[-1] == 80.0
 
+    def test_served_history_does_not_alias_the_entry(self):
+        """The entry's modification-time list is read uncopied per
+        request; what a response carries must still be its own list."""
+        kernel, server, proxy = _single_proxy_stack()
+        proxy.register_object(X, server, FixedTTRPolicy(ttr=50.0))
+        kernel.schedule_at(45.0, lambda k: server.apply_update(X, 45.0))
+        kernel.run(until=100.0)
+        entry = proxy.entry_for(X)
+        known = entry.known_modification_times()
+        assert known == [0.0, 45.0]
+        modified = proxy.handle_request(
+            conditional_get(X, want_history=True), now=100.0
+        )
+        assert modified.status is Status.OK
+        assert modified.modification_history == known
+        modified.modification_history.append(999.0)
+        unchanged = proxy.handle_request(
+            conditional_get(X, if_modified_since=45.0, want_history=True),
+            now=100.0,
+        )
+        assert unchanged.status is Status.NOT_MODIFIED
+        unchanged.modification_history.append(999.0)
+        entry.known_modification_times().append(999.0)
+        assert entry.known_modification_times() == known
+
     def test_downstream_counters_tracked(self):
         _kernel, server, proxy = _single_proxy_stack()
         proxy.register_object(X, server, FixedTTRPolicy(ttr=100.0))

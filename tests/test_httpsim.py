@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.errors import ProtocolError
 from repro.core.types import ObjectId
 from repro.httpsim import headers as h
 from repro.httpsim.messages import (
@@ -261,13 +260,6 @@ class TestConditionalGetSemantics:
         assert unchanged.status is Status.NOT_MODIFIED
         assert unchanged.modification_history is None
         assert unchanged.last_modified == 50.0
-
-    def test_require_ok_or_not_modified(self):
-        ok = self._evaluate(ims=None)
-        assert ok.require_ok_or_not_modified() is ok
-        missing = self._evaluate(last_modified=None, version=None)
-        with pytest.raises(ProtocolError):
-            missing.require_ok_or_not_modified()
 
 
 class TestLatencyModel:

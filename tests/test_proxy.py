@@ -2,19 +2,28 @@
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 
-from repro.consistency.base import FixedTTRPolicy, PassivePolicy
-from repro.core.errors import CacheConfigurationError, UnknownObjectError
+from repro.consistency.base import FixedTTRPolicy, PassivePolicy, RefreshPolicy
+from repro.core.errors import (
+    CacheConfigurationError,
+    ProtocolError,
+    SimulationError,
+    UnknownObjectError,
+)
 from repro.core.events import PollEvent, PollReason
-from repro.core.types import ObjectId
+from repro.core.types import ObjectId, ObjectSnapshot, PollOutcome
 from repro.httpsim.network import LatencyModel, Network
 from repro.proxy.cache import ObjectCache
 from repro.proxy.client import Client
 from repro.proxy.entry import CacheEntry
 from repro.proxy.proxy import ProxyCache
+from repro.proxy.refresher import Refresher
 from repro.server.origin import OriginServer
 from repro.server.updates import UpdateFeeder
+from repro.sim.fastforward import FastForwardEngine
 from repro.sim.kernel import Kernel
 from repro.sim.tracing import EventLog
 from repro.traces.model import trace_from_times
@@ -36,8 +45,6 @@ def build_stack(*, want_history=True, triggered_reschedule=False):
 
 class TestCacheEntry:
     def test_record_fetch_updates_snapshot(self):
-        from repro.core.types import ObjectSnapshot
-
         entry = CacheEntry(ObjectId("x"))
         assert not entry.populated
         snap = ObjectSnapshot(ObjectId("x"), version=1, last_modified=5.0)
@@ -49,8 +56,6 @@ class TestCacheEntry:
         assert entry.cached_version_origin == 5.0
 
     def test_fetches_must_be_time_ordered(self):
-        from repro.core.types import ObjectSnapshot
-
         entry = CacheEntry(ObjectId("x"))
         snap = ObjectSnapshot(ObjectId("x"), version=1, last_modified=5.0)
         entry.record_fetch(10.0, snap, modified=True, reason=PollReason.INITIAL_FETCH)
@@ -58,8 +63,6 @@ class TestCacheEntry:
             entry.record_fetch(9.0, snap, modified=False, reason=PollReason.TTR_EXPIRED)
 
     def test_known_modification_times_dedupes_304_revalidations(self):
-        from repro.core.types import ObjectSnapshot
-
         entry = CacheEntry(ObjectId("x"))
         v1 = ObjectSnapshot(ObjectId("x"), version=1, last_modified=5.0)
         v2 = ObjectSnapshot(ObjectId("x"), version=2, last_modified=30.0)
@@ -203,6 +206,11 @@ class TestProxyPolling:
         kernel.run(until=100.0)
         assert proxy.entry_for(ObjectId("x")).poll_count == 1  # initial only
 
+    def test_poll_answered_404_is_a_protocol_error(self):
+        kernel, server, proxy, _ = build_stack()
+        with pytest.raises(ProtocolError, match="unexpected status 404"):
+            proxy.register_object(ObjectId("x"), server, FixedTTRPolicy(ttr=10.0))
+
     def test_deregister_unknown_rejected(self):
         kernel, server, proxy, _ = build_stack()
         with pytest.raises(UnknownObjectError):
@@ -225,6 +233,129 @@ class TestProxyPolling:
         assert events[0].reason is PollReason.INITIAL_FETCH
         assert events[1].reason is PollReason.TTR_EXPIRED
         assert events[1].ttr_after == 10.0
+
+
+class _ScriptedPolicy(RefreshPolicy):
+    """``first_ttr`` is ``first``; ``next_ttr`` answers the initial fetch
+    with ``first`` too, and every later poll with ``later``."""
+
+    name = "scripted"
+
+    def __init__(self, first, later):
+        self.first = first
+        self._later = later
+        self._current = first
+
+    def first_ttr(self):
+        return self.first
+
+    def next_ttr(self, outcome):
+        ttr, self._current = self._current, self._later
+        return ttr
+
+    @property
+    def current_ttr(self):
+        return self._current
+
+
+class TestInvalidTTR:
+    """A TTR that is not > 0 fails fast instead of silently stopping the
+    object's polling (NaN) or livelocking the kernel at one instant (0)."""
+
+    BAD = [float("nan"), 0.0, -5.0, float("-inf")]
+
+    @pytest.mark.parametrize("ttr", BAD)
+    def test_bad_first_ttr_rejected_at_registration(self, ttr):
+        kernel, server, proxy, _ = build_stack()
+        server.create_object(ObjectId("x"))
+        with pytest.raises(SimulationError) as raised:
+            proxy.register_object(
+                ObjectId("x"), server, _ScriptedPolicy(ttr, 10.0)
+            )
+        message = str(raised.value)
+        assert "'x'" in message and "'scripted'" in message
+        assert repr(ttr) in message
+
+    @pytest.mark.parametrize("ttr", BAD)
+    def test_bad_next_ttr_rejected_at_the_poll(self, ttr):
+        kernel, server, proxy, _ = build_stack()
+        server.create_object(ObjectId("x"))
+        proxy.register_object(ObjectId("x"), server, _ScriptedPolicy(10.0, ttr))
+        with pytest.raises(SimulationError, match="'scripted'"):
+            kernel.run(until=100.0, max_events=1000)
+        assert kernel.now() == 10.0
+        assert proxy.counters.get("polls") == 2
+
+    @pytest.mark.parametrize("ttr", BAD)
+    def test_bad_next_ttr_rejected_while_detached(self, ttr):
+        kernel, server, proxy, _ = build_stack()
+        server.create_object(ObjectId("x"))
+        proxy.register_object(ObjectId("x"), server, _ScriptedPolicy(10.0, ttr))
+        engine = FastForwardEngine(kernel, [proxy])
+        try:
+            with pytest.raises(SimulationError, match="'scripted'"):
+                engine.run(100.0)
+        finally:
+            engine.close()
+        assert proxy.counters.get("polls") == 2
+
+    def test_bad_first_ttr_rejected_on_recovery(self):
+        kernel, server, proxy, _ = build_stack()
+        server.create_object(ObjectId("x"))
+        policy = _ScriptedPolicy(10.0, 10.0)
+        proxy.register_object(ObjectId("x"), server, policy)
+        policy.first = 0.0
+        with pytest.raises(SimulationError):
+            proxy.recover_from_failure()
+
+    def test_infinite_ttr_still_means_unarmed(self):
+        kernel, server, proxy, _ = build_stack()
+        server.create_object(ObjectId("x"))
+        refresher = proxy.register_object(
+            ObjectId("x"), server, _ScriptedPolicy(10.0, float("inf"))
+        )
+        kernel.run(until=100.0)
+        assert proxy.counters.get("polls") == 2
+        assert refresher.next_poll_time is None
+
+
+class TestRefresherIsItsOwnTimer:
+    """One frame per layer: kernel -> Refresher -> issuer on expiry, and
+    on_poll_complete -> arm_at -> schedule_raw on the re-arm."""
+
+    def test_expiry_and_rearm_frame_chains(self):
+        chains = []
+
+        def callers(depth):
+            frame = sys._getframe(2)
+            names = []
+            for _ in range(depth):
+                names.append(frame.f_code.co_name)
+                frame = frame.f_back
+            return names
+
+        class SpyKernel(Kernel):
+            __slots__ = ()
+
+            def schedule_raw(self, when, callback, label=""):
+                chains.append(("arm", callers(2)))
+                return super().schedule_raw(when, callback, label)
+
+        def issue(object_id, reason):
+            chains.append((reason, callers(2)))
+
+        kernel = SpyKernel()
+        refresher = Refresher(kernel, ObjectId("x"), FixedTTRPolicy(ttr=10.0), issue)
+        refresher.start()
+        kernel.run(until=10.0)
+        snapshot = ObjectSnapshot(ObjectId("x"), version=0, last_modified=0.0)
+        refresher.on_poll_complete(PollOutcome(10.0, False, snapshot))
+        assert chains == [
+            ("arm", ["arm_at", "start"]),
+            (PollReason.TTR_EXPIRED, ["_fire", "_drain"]),
+            ("arm", ["arm_at", "on_poll_complete"]),
+        ]
+        assert refresher.next_poll_time == 20.0
 
 
 class TestTriggeredPolls:

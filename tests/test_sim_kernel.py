@@ -175,6 +175,12 @@ class TestIntrospection:
         with pytest.raises(ValueError):
             Kernel(start_time=-1.0)
 
+    def test_heap_is_the_default_scheduler_and_wheel_stays_selectable(self):
+        assert Kernel().scheduler_kind == "heap"
+        assert Kernel(scheduler="wheel").scheduler_kind == "wheel"
+        with pytest.raises(ValueError, match="unknown scheduler"):
+            Kernel(scheduler="calendar")
+
     def test_step_returns_false_on_empty_queue(self, kernel):
         assert kernel.step() is False
 

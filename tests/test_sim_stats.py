@@ -36,6 +36,21 @@ class TestCounter:
         assert sorted(counter) == ["a", "b"]
         assert len(counter) == 2
 
+    def test_in_place_bumps_read_like_increments(self):
+        counter = Counter()
+        counter.counts["polls"] += 1
+        counter.counts["polls"] += 1
+        counter.increment("hits")
+        assert counter.get("polls") == 2
+        assert counter.as_dict() == {"polls": 2, "hits": 1}
+        assert type(counter.as_dict()) is dict
+        assert repr(counter) == "Counter({'polls': 2, 'hits': 1})"
+
+    def test_reading_a_missing_name_does_not_create_it(self):
+        counter = Counter()
+        assert counter.get("never") == 0
+        assert len(counter) == 0 and counter.as_dict() == {}
+
 
 class TestSummaryStats:
     def test_mean_min_max(self):

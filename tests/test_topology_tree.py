@@ -467,3 +467,88 @@ class TestOriginUpdateListeners:
         origin.remove_update_listener(listener)  # idempotent
         origin.apply_update(X, 3.0)
         assert seen == []
+
+
+class TestPollCounts:
+    """The per-poll counts are bumped in place, off any call path; they
+    must read exactly as when ``Counter.increment`` kept them."""
+
+    #: ``counters.as_dict()`` of a (1, 2, 2) tree as PR 13 produced it,
+    #: per link latency: the nodes that serve children, then the edges.
+    FROZEN = {
+        0.0: (
+            {
+                "polls": 93,
+                "polls_initial_fetch": 3,
+                "polls_modified": 34,
+                "downstream_requests": 186,
+                "polls_ttr_expired": 90,
+            },
+            {
+                "polls": 93,
+                "polls_initial_fetch": 3,
+                "polls_modified": 34,
+                "polls_ttr_expired": 90,
+            },
+        ),
+        0.05: (
+            {
+                "polls": 90,
+                "polls_initial_fetch": 3,
+                "polls_modified": 32,
+                "downstream_requests": 180,
+                "polls_ttr_expired": 87,
+            },
+            {
+                "polls": 90,
+                "polls_initial_fetch": 3,
+                "polls_modified": 32,
+                "polls_ttr_expired": 87,
+            },
+        ),
+    }
+
+    def _run(self, one_way_latency_s):
+        return (
+            SimulationBuilder()
+            .workload("poisson", "a", "b", "c", rate_per_hour=60.0, hours=0.25)
+            .policy("static_ttl", ttl=30.0)
+            .topology("tree", levels=[LevelConfig(fan_out=f) for f in (1, 2, 2)])
+            .network(one_way_latency_s)
+            .seed(11)
+            .horizon(900.0)
+            .run()
+        )
+
+    @pytest.mark.parametrize("one_way_latency_s", [0.0, 0.05])
+    def test_counts_match_the_frozen_values(self, one_way_latency_s):
+        outcome = self._run(one_way_latency_s)
+        inner, edge = self.FROZEN[one_way_latency_s]
+        edges = outcome.tree.edge_nodes
+        for node in outcome.tree.nodes:
+            expected = edge if node in edges else inner
+            assert node.proxy.counters.as_dict() == expected
+            assert list(node.proxy.counters) == list(expected)
+
+    def test_synchronous_polls_equal_requests_on_the_links(self):
+        proxies = [node.proxy for node in self._run(0.0).tree.nodes]
+        assert all(proxy.network.synchronous for proxy in proxies)
+        assert sum(proxy.counters.get("polls") for proxy in proxies) == sum(
+            proxy.network.requests_sent for proxy in proxies
+        )
+
+    def test_latent_polls_all_complete(self):
+        """A latent link finishes its polls through the same completion
+        step: every request sent is answered, recorded and re-armed."""
+        for node in self._run(0.05).tree.nodes:
+            proxy = node.proxy
+            assert not proxy.network.synchronous
+            polls = proxy.counters.get("polls")
+            assert proxy.network.requests_sent == polls
+            entries = [proxy.entry_for(o) for o in proxy.registered_objects()]
+            assert sum(entry.poll_count for entry in entries) == polls
+            assert all(
+                proxy.refresher_for(o).next_poll_time is not None
+                for o in proxy.registered_objects()
+            )
+
