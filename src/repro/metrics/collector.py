@@ -207,26 +207,27 @@ def collect_eviction_impact(
     refetches = 0
     violations = 0
     absent = 0.0
-    for window in proxy.cache.eviction_windows:
-        if window.object_id != trace.object_id:
-            continue
+    object_id = trace.object_id
+    for window in proxy.cache.windows_of(object_id):
         evictions += 1
-        if window.closed:
+        close = window.refetched_at
+        if close is None:
+            close = end
+        else:
             refetches += 1
-        close = window.refetched_at if window.refetched_at is not None else end
-        absent += window.duration(end)
+        absent += max(0.0, close - window.evicted_at)
         if delta is None:
             continue
         # The bound is voided iff some update inside the window was
         # still unserved more than Δ after it happened: the first
         # chance to serve it is the refetch (or never, for open
-        # windows — scored at the horizon).
-        for update in trace.updates_in(window.evicted_at, close):
-            if close - update.time > delta:
-                violations += 1
-                break
+        # windows — scored at the horizon).  Updates are time-ordered,
+        # so the earliest one in the window waited longest and decides.
+        first = trace.next_after(window.evicted_at)
+        if first is not None and first.time <= close and close - first.time > delta:
+            violations += 1
     return EvictionImpact(
-        object_id=trace.object_id,
+        object_id=object_id,
         evictions=evictions,
         refetches_after_evict=refetches,
         staleness_violations=violations,

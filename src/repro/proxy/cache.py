@@ -14,7 +14,8 @@ the ``capacity_edge`` scenarios measure.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from collections import defaultdict
+from typing import Callable, DefaultDict, Dict, Iterator, List, Optional, Tuple
 
 from repro.core.errors import CacheConfigurationError
 from repro.core.types import ObjectId, Seconds
@@ -79,7 +80,7 @@ class ObjectCache:
         "_evictions",
         "_refetches_after_evict",
         "_windows",
-        "_open_windows",
+        "_windows_by_object",
         "_clock",
     )
 
@@ -104,8 +105,13 @@ class ObjectCache:
         self._refetches_after_evict = 0
         #: All eviction windows ever opened, in eviction order.
         self._windows: List[EvictionWindow] = []
-        #: The open window per currently-evicted object.
-        self._open_windows: Dict[ObjectId, EvictionWindow] = {}
+        #: The same windows per object, each list in eviction order; an
+        #: object's open window, if any, is the last of its list.  Only
+        #: ``put`` indexes it (readers use ``get``/``in``), so a key is
+        #: present iff the object was evicted and no list is empty.
+        self._windows_by_object: DefaultDict[ObjectId, List[EvictionWindow]] = (
+            defaultdict(list)
+        )
         #: Simulation clock; bound by the owning proxy so windows carry
         #: simulation timestamps (defaults to a constant 0.0 clock for
         #: standalone use, where windows only convey ordering).
@@ -145,7 +151,11 @@ class ObjectCache:
 
     def was_evicted(self, object_id: ObjectId) -> bool:
         """Whether the object was ever evicted from this cache."""
-        return any(window.object_id == object_id for window in self._windows)
+        return object_id in self._windows_by_object
+
+    def windows_of(self, object_id: ObjectId) -> Tuple[EvictionWindow, ...]:
+        """One object's absence spans, in eviction order."""
+        return tuple(self._windows_by_object.get(object_id, ()))
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -184,9 +194,9 @@ class ObjectCache:
                 policy.record_access(object_id)
             return None
         self._entries[object_id] = entry
-        open_window = self._open_windows.pop(object_id, None)
-        if open_window is not None:
-            open_window.refetched_at = self._clock()
+        windows = self._windows_by_object.get(object_id)
+        if windows is not None and windows[-1].refetched_at is None:
+            windows[-1].refetched_at = self._clock()
             self._refetches_after_evict += 1
         if policy is None:
             return None
@@ -197,7 +207,7 @@ class ObjectCache:
         victim = self._entries.pop(victim_id)
         window = EvictionWindow(victim_id, self._clock())
         self._windows.append(window)
-        self._open_windows[victim_id] = window
+        self._windows_by_object[victim_id].append(window)
         self._evictions += 1
         return victim
 

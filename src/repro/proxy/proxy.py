@@ -223,8 +223,7 @@ class ProxyCache:
         server = self._servers.get(object_id)
         if server is None:
             raise UnknownObjectError(str(object_id), where="proxy server bindings")
-        self._issue_poll(object_id, PollReason.CACHE_MISS)
-        entry = self.entry_for(object_id)
+        entry = self._issue_poll(object_id, PollReason.CACHE_MISS)
         if entry.snapshot is None:
             raise UnknownObjectError(str(object_id), where=server.name)
         return entry.snapshot
@@ -330,7 +329,8 @@ class ProxyCache:
     # ------------------------------------------------------------------
     # Internal poll machinery
     # ------------------------------------------------------------------
-    def _issue_poll(self, object_id: ObjectId, reason: PollReason) -> None:
+    def _issue_poll(self, object_id: ObjectId, reason: PollReason) -> CacheEntry:
+        """Poll the upstream; returns the entry the answer lands in."""
         server = self._servers.get(object_id)
         if server is None:
             raise UnknownObjectError(str(object_id), where="proxy server bindings")
@@ -356,12 +356,13 @@ class ProxyCache:
             self._complete_poll(
                 object_id, entry, reason, server.handle_request(request, now), now
             )
-            return
+            return entry
 
         def on_response(response: Response) -> None:
             self._complete_poll(object_id, entry, reason, response, self._kernel.now())
 
         network.exchange(request, server.handle_request, on_response)
+        return entry
 
     def _complete_poll(
         self,

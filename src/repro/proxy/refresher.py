@@ -32,8 +32,8 @@ from repro.sim.timers import OneShotTimer
 
 #: Issues a poll; invoked by the refresher when the TTR expires or a
 #: coordinator forces an early refresh.  The proxy wires this to its
-#: internal poll path.
-PollIssuer = Callable[[ObjectId, PollReason], None]
+#: internal poll path; the refresher ignores what it returns.
+PollIssuer = Callable[[ObjectId, PollReason], object]
 
 #: Fast-forward hook: called with (refresher, next poll time) whenever a
 #: detached refresher re-arms — or with ``None`` when it disarms — so

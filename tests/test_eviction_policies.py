@@ -13,7 +13,12 @@ Hypothesis sections cover the eviction × consistency bridge: an
 evict→refetch cycle must reset the poll history (the refetched entry
 starts with an empty fetch log) and :func:`collect_eviction_impact`
 must flag exactly the absence windows whose origin updates went
-unserved for longer than Δ.  The TTL-class registry's ops-table lookup
+unserved for longer than Δ.  Random put/get/get_or_create/remove
+programs pin the per-object window index against the flat
+``eviction_windows`` view, the collector is compared field-for-field
+with the flat-scan implementation it replaced (kept here as the
+oracle), and a structural pin keeps row scoring off the flat view.  The
+TTL-class registry's ops-table lookup
 contract (declared TTL for known classes, default for unknown/empty,
 never a KeyError) is pinned the same way.
 """
@@ -30,12 +35,22 @@ from hypothesis import strategies as st
 from repro.core.errors import CacheConfigurationError
 from repro.core.events import PollReason
 from repro.core.types import ObjectId, ObjectSnapshot, Seconds
-from repro.metrics.collector import collect_eviction_impact
+from repro.httpsim.network import Network
+from repro.metrics.collector import (
+    OBJECT_ROW_COLUMNS,
+    EvictionImpact,
+    append_object_rows,
+    collect_eviction_impact,
+)
 from repro.proxy.cache import ObjectCache
 from repro.proxy.entry import CacheEntry
 from repro.proxy.eviction import EVICTION_POLICIES, build_eviction_policy
+from repro.proxy.proxy import ProxyCache
 from repro.proxy.ttl_registry import TTLClassRegistry
-from repro.traces.model import trace_from_times
+from repro.server.origin import OriginServer
+from repro.server.updates import feed_traces
+from repro.sim.kernel import Kernel
+from repro.traces.model import UpdateTrace, trace_from_times
 
 POLICIES = ("lru", "lfu", "tinylfu", "clockpro")
 
@@ -362,6 +377,207 @@ class TestEvictRefetchProperties:
         assert impact.absent_time == pytest.approx(horizon_gap)
         expected = horizon - update_time > delta
         assert impact.staleness_violations == (1 if expected else 0)
+
+
+_KEYS = [ObjectId(f"k{i}") for i in range(6)]
+
+#: A cache program: (operation, key index, clock advance) steps.  Zero
+#: advances are common on purpose — same-instant evictions are where a
+#: per-object order could silently diverge from eviction order.
+_programs = st.lists(
+    st.tuples(
+        st.sampled_from(("put", "get", "get_or_create", "remove")),
+        st.integers(min_value=0, max_value=len(_KEYS) - 1),
+        st.sampled_from((0.0, 0.0, 0.25, 1.0, 7.5)),
+    ),
+    max_size=120,
+)
+
+
+def _run_program(policy: str, capacity: int, program) -> ObjectCache:
+    cache = ObjectCache(capacity=capacity, eviction=policy)
+    clock = _ManualClock()
+    cache.bind_clock(clock)
+    for operation, index, advance in program:
+        clock.now += advance
+        key = _KEYS[index]
+        if operation == "put":
+            cache.put(CacheEntry(key))
+        elif operation == "get":
+            cache.get(key)
+        elif operation == "get_or_create":
+            cache.get_or_create(key)
+        else:
+            cache.remove(key)
+    return cache
+
+
+def _flat_scan_impact(
+    cache: ObjectCache,
+    trace: UpdateTrace,
+    delta: Optional[Seconds],
+    horizon: Optional[Seconds],
+) -> EvictionImpact:
+    """The collector as it was before the per-object index: the oracle.
+
+    Filters the flat eviction-order view per object and decides a
+    violation by looping over ``updates_in`` — quadratic over a run,
+    which is why it lives only here.
+    """
+    end = horizon if horizon is not None else trace.end_time
+    evictions = refetches = violations = 0
+    absent = 0.0
+    for window in cache.eviction_windows:
+        if window.object_id != trace.object_id:
+            continue
+        evictions += 1
+        if window.closed:
+            refetches += 1
+        close = window.refetched_at if window.refetched_at is not None else end
+        absent += window.duration(end)
+        if delta is None:
+            continue
+        for update in trace.updates_in(window.evicted_at, close):
+            if close - update.time > delta:
+                violations += 1
+                break
+    return EvictionImpact(
+        object_id=trace.object_id,
+        evictions=evictions,
+        refetches_after_evict=refetches,
+        staleness_violations=violations,
+        absent_time=absent,
+    )
+
+
+class TestWindowIndexProperties:
+    """Hypothesis: the per-object window index vs the flat view."""
+
+    @given(
+        policy=st.sampled_from(POLICIES),
+        capacity=st.integers(min_value=1, max_value=4),
+        program=_programs,
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_index_agrees_with_flat_view(self, policy, capacity, program):
+        cache = _run_program(policy, capacity, program)
+        flat = cache.eviction_windows
+        indexed = 0
+        for key in _KEYS:
+            windows = cache.windows_of(key)
+            assert windows == tuple(w for w in flat if w.object_id == key)
+            assert cache.was_evicted(key) == bool(windows)
+            # At most one open window, and only ever the newest: an
+            # object must re-enter the cache before it can leave again.
+            assert all(window.closed for window in windows[:-1])
+            if windows and not windows[-1].closed:
+                assert key not in cache
+            indexed += len(windows)
+        assert indexed == cache.eviction_count == len(flat)
+        closed = sum(1 for window in flat if window.closed)
+        assert cache.refetch_after_evict_count == closed
+
+    @given(
+        policy=st.sampled_from(POLICIES),
+        capacity=st.integers(min_value=1, max_value=4),
+        program=_programs,
+        delta=st.sampled_from((None, 0.0, 0.25, 5.0, 1e6)),
+        horizon=st.one_of(st.none(), st.floats(min_value=0.0, max_value=400.0)),
+        data=st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_collector_equals_flat_scan_oracle(
+        self, policy, capacity, program, delta, horizon, data
+    ):
+        """Field-for-field, ``absent_time`` bit-for-bit (same sum order).
+
+        Updates are drawn from instants at and around the window edges,
+        so both ends of ``(evicted, refetched]`` and "unserved for
+        exactly Δ" occur; the horizon may fall before an open window's
+        eviction (the clipped span is then zero).
+        """
+        cache = _run_program(policy, capacity, program)
+        holder = _CacheHolder(cache)
+        for key in _KEYS:
+            candidates = sorted(
+                {
+                    max(0.0, edge + offset)
+                    for window in cache.windows_of(key)
+                    for edge in (window.evicted_at, window.refetched_at)
+                    if edge is not None
+                    for offset in (-5.0, -0.25, 0.0, 0.25)
+                }
+                | {0.0, 100.0}
+            )
+            times = data.draw(
+                st.lists(st.sampled_from(candidates), unique=True).map(sorted)
+            )
+            trace = trace_from_times(key, times, end_time=500.0)
+            impact = collect_eviction_impact(
+                holder, trace, delta, horizon=horizon  # type: ignore[arg-type]
+            )
+            assert impact == _flat_scan_impact(cache, trace, delta, horizon)
+
+
+class TestScoringNeverScansTheFlatView:
+    """Structural pin: row scoring reads windows per object only."""
+
+    def test_append_object_rows_does_not_touch_eviction_windows(
+        self, monkeypatch
+    ):
+        kernel = Kernel()
+        origin = OriginServer()
+        objects = [ObjectId(f"obj{i}") for i in range(16)]
+        traces = [
+            trace_from_times(
+                object_id,
+                [10.0 * step + index for step in range(1, 40)],
+                end_time=500.0,
+            )
+            for index, object_id in enumerate(objects)
+        ]
+        feed_traces(kernel, origin, traces)
+        proxy = ProxyCache(
+            kernel, Network(kernel), cache=ObjectCache(capacity=4, eviction="lru")
+        )
+        rng = random.Random(3)
+        for object_id in objects:
+            proxy.bind_server(object_id, origin)
+        for step in range(600):
+            # Round-robin first so every object is fetched at least once.
+            object_id = objects[step] if step < 16 else rng.choice(objects)
+            kernel.schedule_at(
+                0.5 + 0.75 * step,
+                lambda _k, object_id=object_id: proxy.handle_client_request(
+                    object_id
+                ),
+            )
+        kernel.run(until=500.0)
+        assert proxy.cache.eviction_count > 300
+
+        def scan_forbidden(_self):
+            raise AssertionError("scoring scanned the flat eviction_windows view")
+
+        monkeypatch.setattr(
+            ObjectCache, "eviction_windows", property(scan_forbidden)
+        )
+        rows: List[dict] = []
+        append_object_rows(
+            lambda *cells: rows.append(dict(zip(OBJECT_ROW_COLUMNS, cells))),
+            "edge",
+            proxy,
+            traces,
+            30.0,
+            horizon=500.0,
+        )
+        assert len(rows) == len(traces)
+
+        def total(column: str) -> int:
+            return sum(row[column] for row in rows)
+
+        assert total("evictions") == proxy.cache.eviction_count
+        assert total("refetch_after_evict") == proxy.cache.refetch_after_evict_count
+        assert total("staleness_violations") > 0
 
 
 _labels = st.text(
