@@ -8,16 +8,14 @@ degrades (weakly) as triggering is suppressed.
 
 from __future__ import annotations
 
-from repro.experiments.ablations import (
-    ablate_heuristic_threshold,
-    render_ablation,
-)
+from repro.scenarios.engine import render_scenario, run_scenario
 
 
 def test_ablation_heuristic_threshold(run_once):
-    rows = run_once(ablate_heuristic_threshold)
+    result = run_once(run_scenario, "ablation_heuristic_threshold")
+    rows = result.rows
     print()
-    print(render_ablation(rows, "Ablation: heuristic rate-ratio threshold"))
+    print(render_scenario(result))
 
     extras = [row["extra_polls"] for row in rows]
     suppressed = [row["suppressed_slower"] for row in rows]

@@ -12,13 +12,14 @@ at Δ = 5 min.  Expected shape:
 
 from __future__ import annotations
 
-from repro.experiments.ablations import ablate_history, render_ablation
+from repro.scenarios.engine import render_scenario, run_scenario
 
 
 def test_ablation_detection_modes(run_once):
-    rows = run_once(ablate_history)
+    result = run_once(run_scenario, "ablation_history")
+    rows = result.rows
     print()
-    print(render_ablation(rows, "Ablation: violation detection modes"))
+    print(render_scenario(result))
 
     by_mode = {row["detection"]: row for row in rows}
     history = by_mode["history"]

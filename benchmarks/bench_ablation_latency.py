@@ -8,13 +8,14 @@ staleness floor rises and fidelity falls as L approaches Δ.
 
 from __future__ import annotations
 
-from repro.experiments.ablations import ablate_latency, render_ablation
+from repro.scenarios.engine import render_scenario, run_scenario
 
 
 def test_ablation_latency(run_once):
-    rows = run_once(ablate_latency)
+    result = run_once(run_scenario, "ablation_latency")
+    rows = result.rows
     print()
-    print(render_ablation(rows, "Network-latency sensitivity (Δ = 10 min)"))
+    print(render_scenario(result))
 
     zero = rows[0]
     worst = rows[-1]

@@ -10,13 +10,14 @@ violation."  This bench quantifies both knobs on the CNN/FN workload at
 
 from __future__ import annotations
 
-from repro.experiments.ablations import ablate_limd_parameters, render_ablation
+from repro.scenarios.engine import render_scenario, run_scenario
 
 
 def test_ablation_limd_parameters(run_once):
-    rows = run_once(ablate_limd_parameters)
+    result = run_once(run_scenario, "ablation_limd_parameters")
+    rows = result.rows
     print()
-    print(render_ablation(rows, "LIMD l/m tuning (§3.1)"))
+    print(render_scenario(result))
     by_tuning = {row["tuning"]: row for row in rows}
 
     conservative = by_tuning["conservative"]

@@ -8,13 +8,14 @@ split is visibly asymmetric in the right direction.
 
 from __future__ import annotations
 
-from repro.experiments.ablations import ablate_partition, render_ablation
+from repro.scenarios.engine import render_scenario, run_scenario
 
 
 def test_ablation_partition_split(run_once):
-    rows = run_once(ablate_partition)
+    result = run_once(run_scenario, "ablation_partition")
+    rows = result.rows
     print()
-    print(render_ablation(rows, "Ablation: static vs dynamic delta split"))
+    print(render_scenario(result))
 
     by_split = {row["split"]: row for row in rows}
     static = by_split["static"]

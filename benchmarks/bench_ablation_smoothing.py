@@ -11,13 +11,14 @@ as α grows.
 
 from __future__ import annotations
 
-from repro.experiments.ablations import ablate_smoothing, render_ablation
+from repro.scenarios.engine import render_scenario, run_scenario
 
 
 def test_ablation_alpha(run_once):
-    rows = run_once(ablate_smoothing)
+    result = run_once(run_scenario, "ablation_smoothing")
+    rows = result.rows
     print()
-    print(render_ablation(rows, "Ablation: Eq. 10 alpha sweep"))
+    print(render_scenario(result))
 
     polls = [row["polls"] for row in rows]
     fidelity = [row["fidelity"] for row in rows]

@@ -10,16 +10,14 @@ total polls because triggered polls absorb scheduled ones.
 
 from __future__ import annotations
 
-from repro.experiments.ablations import (
-    ablate_trigger_semantics,
-    render_ablation,
-)
+from repro.scenarios.engine import render_scenario, run_scenario
 
 
 def test_ablation_trigger_semantics(run_once):
-    rows = run_once(ablate_trigger_semantics)
+    result = run_once(run_scenario, "ablation_trigger_semantics")
+    rows = result.rows
     print()
-    print(render_ablation(rows, "Ablation: trigger semantics"))
+    print(render_scenario(result))
 
     by_mode = {row["semantics"]: row for row in rows}
     additional = by_mode["additional"]

@@ -9,13 +9,14 @@ everything converges to the baseline as δ loosens.
 
 from __future__ import annotations
 
-from repro.experiments.group_mt import render, run
+from repro.scenarios.engine import render_scenario, run_scenario
 
 
 def test_extension_group_mt(run_once):
-    rows = run_once(run)
+    result = run_once(run_scenario, "group_mt")
+    rows = result.rows
     print()
-    print(render(rows))
+    print(render_scenario(result))
 
     for row in rows:
         # (1) Triggered polls never lose to the baseline on fidelity.

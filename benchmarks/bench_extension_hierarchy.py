@@ -21,13 +21,14 @@ would overestimate hierarchy freshness.
 
 from __future__ import annotations
 
-from repro.experiments.hierarchy import DEFAULT_EDGE_COUNT, render, run
+from repro.scenarios.engine import render_scenario, run_scenario
 
 
 def test_extension_hierarchy(run_once):
-    rows = run_once(run)
+    result = run_once(run_scenario, "hierarchy")
+    rows = result.rows
     print()
-    print(render(rows, edge_count=DEFAULT_EDGE_COUNT))
+    print(render_scenario(result))
     flat, hierarchy = rows
 
     # (1) The hierarchy shields the origin: origin load drops by roughly

@@ -11,13 +11,13 @@ Paper shape (Figures 3(a)-(c)):
 
 from __future__ import annotations
 
-from repro.experiments import figure3
+from repro.scenarios.engine import render_scenario, run_scenario
 
 
 def test_figure3_limd_vs_baseline(run_once):
-    result = run_once(figure3.run)
+    result = run_once(run_scenario, "figure3")
     print()
-    print(figure3.render(result))
+    print(render_scenario(result))
 
     smallest = result.rows[0]
     largest = result.rows[-1]

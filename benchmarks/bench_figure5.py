@@ -10,13 +10,13 @@ Paper shape (CNN/FN + NYT/AP pair, Δ = 10 min):
 
 from __future__ import annotations
 
-from repro.experiments import figure5
+from repro.scenarios.engine import render_scenario, run_scenario
 
 
 def test_figure5_mutual_temporal(run_once):
-    result = run_once(figure5.run)
+    result = run_once(run_scenario, "figure5")
     print()
-    print(figure5.render(result))
+    print(render_scenario(result))
 
     for row in result.rows:
         # (1) Poll ordering: adding mutual support costs polls.
@@ -58,12 +58,13 @@ def test_figure5_disparate_rate_pair(run_once):
     grid and checks the same orderings.
     """
     result = run_once(
-        figure5.run,
-        pair=("guardian", "cnn_fn"),
-        mutual_deltas_min=(1, 5, 15, 30),
+        run_scenario,
+        "figure5",
+        params={"pair": ("guardian", "cnn_fn")},
+        values=(1, 5, 15, 30),
     )
     print()
-    print(figure5.render(result))
+    print(render_scenario(result))
 
     for row in result.rows:
         # Triggered fidelity is 1 up to a horizon edge case: a trigger

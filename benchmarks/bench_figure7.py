@@ -10,13 +10,13 @@ Paper shape (AT&T + Yahoo pair, f = price difference):
 
 from __future__ import annotations
 
-from repro.experiments import figure7
+from repro.scenarios.engine import render_scenario, run_scenario
 
 
 def test_figure7_mutual_value(run_once):
-    result = run_once(figure7.run)
+    result = run_once(run_scenario, "figure7")
     print()
-    print(figure7.render(result))
+    print(render_scenario(result))
 
     rows = result.rows
     first, last = rows[0], rows[-1]

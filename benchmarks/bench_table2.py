@@ -12,12 +12,14 @@ from __future__ import annotations
 import pytest
 
 from repro.experiments import table2
+from repro.scenarios.engine import render_scenario, run_scenario
 
 
 def test_table2_regeneration(run_once):
-    rows = run_once(table2.run)
+    result = run_once(run_scenario, "table2")
+    rows = result.rows
     print()
-    print(table2.render())
+    print(render_scenario(result))
 
     by_key = {row["key"]: row for row in rows}
     assert set(by_key) == set(table2.PAPER_TABLE2)

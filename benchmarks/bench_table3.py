@@ -10,12 +10,14 @@ from __future__ import annotations
 import pytest
 
 from repro.experiments import table3
+from repro.scenarios.engine import render_scenario, run_scenario
 
 
 def test_table3_regeneration(run_once):
-    rows = run_once(table3.run)
+    result = run_once(run_scenario, "table3")
+    rows = result.rows
     print()
-    print(table3.render())
+    print(render_scenario(result))
 
     by_key = {row["key"]: row for row in rows}
     assert set(by_key) == set(table3.PAPER_TABLE3)

@@ -10,8 +10,8 @@ to the fast Guardian (one per 4.9 min).
 
 from __future__ import annotations
 
-from repro.experiments import figure3
 from repro.experiments.render import render_dict_rows
+from repro.scenarios.engine import run_scenario
 
 TRACE_KEYS = ("cnn_fn", "nyt_ap", "nyt_reuters", "guardian")
 DELTAS_MIN = (1, 10, 60)
@@ -20,8 +20,11 @@ DELTAS_MIN = (1, 10, 60)
 def _evaluate(*, workers=None):
     rows = []
     for key in TRACE_KEYS:
-        result = figure3.run(
-            trace_key=key, deltas_min=DELTAS_MIN, workers=workers
+        result = run_scenario(
+            "figure3",
+            params={"trace": key},
+            values=DELTAS_MIN,
+            workers=workers,
         )
         for row in result.rows:
             rows.append(

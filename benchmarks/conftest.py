@@ -7,27 +7,24 @@ roughly what factor, where the crossovers fall.  Absolute numbers differ
 from the paper (our substrate is a calibrated synthetic workload, not
 the authors' 2000-era traces); shapes are what reproduction means here.
 
-Benchmarks execute each experiment exactly once (``rounds=1``): the
-interesting measurement is the experiment output, and the wall-clock
-time recorded by pytest-benchmark documents the cost of regenerating it.
-
-Every entry point goes through :func:`run_once`, which forwards the
-suite-wide parallelism knob: ``pytest benchmarks/ --workers 4`` (or
-``REPRO_WORKERS=4``) makes each experiment fan its independent
-simulation points across that many worker processes.  Results are
-row-for-row identical to serial runs — the executor seam in
+Every entry point goes through :func:`run_once`, which calls it exactly
+once and forwards the suite-wide parallelism knob: ``pytest
+benchmarks/bench_*.py --workers 4`` makes each experiment fan its
+independent simulation points across that many worker processes.
+Results are row-for-row identical to serial runs — the executor seam in
 :mod:`repro.experiments.sweep` guarantees ordering and per-point
 seeding — so the shape assertions are parallelism-agnostic.
+
+Nothing here is timed: one run of one experiment swings ±30% between
+identical trees.  Host time is measured by ``python
+benchmarks/e2e/run.py`` (see ``BENCHMARK.json``).
 """
 
 from __future__ import annotations
 
 import inspect
-import os
 
 import pytest
-
-from repro.sim import kernel as _kernel_module
 
 
 def pytest_addoption(parser):
@@ -36,34 +33,18 @@ def pytest_addoption(parser):
         type=int,
         default=None,
         help=(
-            "fan each benchmark's independent simulation points across "
-            "N worker processes (default: serial; REPRO_WORKERS env var "
-            "is the fallback)"
+            "fan each regenerator's independent simulation points across "
+            "N worker processes (default: serial)"
         ),
     )
 
 
 @pytest.fixture
 def workers(request):
-    """The suite-wide worker count: --workers, else $REPRO_WORKERS, else None."""
-    value = None
-    try:
-        value = request.config.getoption("--workers")
-    except ValueError:
-        pass
-    if value is None:
-        env = os.environ.get("REPRO_WORKERS")
-        if env:
-            try:
-                value = int(env)
-            except ValueError:
-                raise pytest.UsageError(
-                    f"REPRO_WORKERS must be an integer, got {env!r}"
-                ) from None
+    """The suite-wide worker count: ``--workers``, else ``None`` (serial)."""
+    value = request.config.getoption("--workers")
     if value is not None and value < 1:
-        raise pytest.UsageError(
-            f"--workers/REPRO_WORKERS must be >= 1, got {value}"
-        )
+        raise pytest.UsageError(f"--workers must be >= 1, got {value}")
     return value
 
 
@@ -75,20 +56,11 @@ def _accepts_workers(func) -> bool:
 
 
 @pytest.fixture
-def run_once(benchmark, workers):
-    """Run a callable exactly once under pytest-benchmark timing.
+def run_once(workers):
+    """Call a regenerator once, forwarding the suite-wide ``workers`` knob.
 
-    Injects the suite-wide ``workers`` knob into any experiment whose
-    signature accepts it (explicit ``workers=`` in the call wins), and
-    records simulation throughput in ``benchmark.extra_info``
-    uniformly for every benchmark:
-
-    * ``events_processed`` — kernel events run in this process during
-      the benchmark (with ``workers`` > 1 the sweep points execute in
-      worker processes, so this counts only main-process events);
-    * ``events_per_sec`` — ``events_processed`` over the timed wall
-      clock (0.0 when nothing ran in-process);
-    * ``workers`` — the effective parallelism knob (1 = serial).
+    ``workers`` is injected into any callable whose signature accepts
+    it (an explicit ``workers=`` in the call wins).
     """
 
     def runner(func, *args, **kwargs):
@@ -98,20 +70,6 @@ def run_once(benchmark, workers):
             and _accepts_workers(func)
         ):
             kwargs["workers"] = workers
-        events_before = _kernel_module.total_events_processed()
-        result = benchmark.pedantic(
-            func, args=args, kwargs=kwargs, rounds=1, iterations=1
-        )
-        events = _kernel_module.total_events_processed() - events_before
-        elapsed = None
-        stats = getattr(benchmark, "stats", None)
-        if stats is not None:  # absent under --benchmark-disable
-            elapsed = stats.stats.total
-        benchmark.extra_info["events_processed"] = events
-        benchmark.extra_info["events_per_sec"] = (
-            events / elapsed if elapsed else 0.0
-        )
-        benchmark.extra_info["workers"] = workers if workers is not None else 1
-        return result
+        return func(*args, **kwargs)
 
     return runner

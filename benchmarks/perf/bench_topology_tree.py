@@ -1,15 +1,13 @@
-"""Microbenchmark — topology-tree event throughput vs depth × fan-out.
+"""Topology-tree smoke run vs depth × fan-out.
 
-Times a full simulation over :class:`repro.topology.tree.TopologyTree`
+Runs a full simulation over :class:`repro.topology.tree.TopologyTree`
 shapes that bracket the structures the scenario families use: a deep
 fan-out-1 chain, a shallow wide tree
 (one shield level fanning out to many edges), and a deep fanning tree
 (the ``cdn_tree`` family's shape).  Every node polls its upstream on a
-fixed TTR, so event volume scales with node count — the per-node
-dispatch overhead of the tree layer is what a regression here catches.
-
-``run_once`` records ``events_per_sec`` in ``extra_info`` for each
-shape.
+fixed TTR, so event volume scales with node count.  Nothing is timed
+here (``benchmarks/e2e`` measures the tree poll path); the assertions
+pin that every level of every shape polled.
 """
 
 from __future__ import annotations

@@ -74,7 +74,7 @@ from repro.proxy.cache import ObjectCache
 from repro.proxy.proxy import ProxyCache
 from repro.proxy.ttl_registry import TTLClassRegistry
 from repro.topology.levels import TopologyError, TreeLevel, warm_up_bound
-from repro.topology.tree import TopologyTree
+from repro.topology.tree import TopologyNode, TopologyTree
 from repro.traces.model import UpdateTrace
 
 #: The declared schema every simulation outcome reports, per (node,
@@ -381,7 +381,8 @@ def _keyed_tree_rows(
     traces: Sequence[UpdateTrace],
     delta: Optional[float],
     horizon: float,
-    owns: Optional["frozenset[Tuple[int, int]]"] = None,
+    owns: Optional["frozenset[Tuple[int, int]]"],
+    label: Callable[[TopologyNode], str],
 ) -> KeyedRows:
     """Result-row batches per tree node, keyed by ``(level, index)``.
 
@@ -403,7 +404,7 @@ def _keyed_tree_rows(
         # stale) state and are scored from the snapshots actually held.
         append_object_rows(
             batch.row_writer(OBJECT_ROW_COLUMNS),
-            node.name,
+            label(node),
             node.proxy,
             traces,
             delta,
@@ -414,6 +415,14 @@ def _keyed_tree_rows(
     return keyed
 
 
+def _historical_node_name(level: int, index: int) -> str:
+    return "proxy" if level == 0 else f"edge-{index}"
+
+
+def _historical_link_label(level: int, index: int) -> str:
+    return "network" if level == 0 else f"network.edge-{index}"
+
+
 def _run_tree(
     config: SimulationConfig,
     traces: Sequence[UpdateTrace],
@@ -422,7 +431,7 @@ def _run_tree(
     selection: Optional["ShardSelection"] = None,
     instrument: Optional[TreeInstrument] = None,
 ) -> Tuple[SimulationOutcome, KeyedRows]:
-    """The ``tree`` execution path: one TopologyTree, rows per node.
+    """The one assembly path: a TopologyTree, rows per node.
 
     Returns the outcome plus its rows keyed by ``(level, index)`` —
     the merge key sharded execution sorts on.  ``selection`` (sharded
@@ -431,7 +440,30 @@ def _run_tree(
     live tree after registration, before the clock starts.
     """
     default_latency = _latency_of(config.network)
+    kind = config.topology.kind
     level_configs: Sequence[LevelConfig] = config.topology.levels
+    naming: Dict[str, Callable[[int, int], str]] = {}
+    if kind != "tree":
+        # single and hierarchy are the two historical degenerate trees:
+        # one node, or one parent fanning out to edge_count edges, under
+        # their historical node names and RNG link labels.
+        level_configs = (LevelConfig(),) + (
+            (LevelConfig(fan_out=config.topology.edge_count),)
+            if kind == "hierarchy"
+            else ()
+        )
+        naming = {
+            "node_namer": _historical_node_name,
+            "link_labeler": _historical_link_label,
+        }
+
+    def label(node: TopologyNode) -> str:
+        # The hierarchy's root is *named* "proxy" (event logs, RNG
+        # labels) but has always *reported* as "parent".
+        if kind == "hierarchy" and node.level == 0:
+            return "parent"
+        return node.name
+
     levels = tuple(
         TreeLevel(
             fan_out=level.fan_out,
@@ -470,6 +502,7 @@ def _run_tree(
             event_log=event_log,
             link_rng=link_rng,
             cache_factory=_cache_factory(config.cache),
+            **naming,
         )
     except TopologyError as exc:
         raise SimulationConfigError(str(exc)) from None
@@ -494,7 +527,7 @@ def _run_tree(
 
     owns = selection.owns if selection is not None else None
     keyed = _keyed_tree_rows(
-        tree, traces, config.fidelity_delta_s, horizon, owns
+        tree, traces, config.fidelity_delta_s, horizon, owns, label
     )
     assembly = ColumnarBuilder(RESULT_COLUMNS)
     for _key, batch in keyed:
@@ -505,7 +538,7 @@ def _run_tree(
         for node in tree.nodes:
             append_group_rows(
                 write_group,
-                node.name,
+                label(node),
                 node.proxy,
                 group_registry,
                 traces_by_id,
@@ -525,7 +558,7 @@ def _run_tree(
         ),
         results=assembly.build(),
         edges=edges,
-        tree=tree,
+        tree=tree if kind == "tree" else None,
     )
     return outcome, keyed
 
@@ -536,9 +569,9 @@ def _run_tree_config(
     selection: Optional["ShardSelection"] = None,
     instrument: Optional[TreeInstrument] = None,
 ) -> Tuple[SimulationOutcome, KeyedRows]:
-    """Resolve and execute one ``tree`` config (sharding's entry point).
+    """Resolve and execute one unsharded config (sharding's entry point).
 
-    Identical to the ``tree`` branch of :func:`run_simulation`, but
+    What :func:`run_simulation` runs for ``shards == 1``; it also
     exposes the shard ``selection`` seam and returns the keyed rows a
     shard worker ships back for the deterministic merge.
     """
@@ -584,113 +617,8 @@ def run_simulation(
         from repro.topology.sharding import run_sharded
 
         return run_sharded(config, workers=workers, instrument=instrument)
-    if config.topology.kind == "tree":
-        outcome, _keyed = _run_tree_config(config, instrument=instrument)
-        return outcome
-    traces = resolve_workload(config.workload, config.seed)
-    policy_factory = _with_ttl_classes(
-        _policy_factory(config.policy), config.cache
-    )
-    latency = _latency_of(config.network)
-
-    def _link_rng(name: str) -> Optional[random.Random]:
-        # Jitter draws need a seeded stream per link; without jitter the
-        # latency model never consults the rng, so skip the allocation
-        # (and keep the zero-latency hot path byte-identical).
-        if config.network.jitter_s == 0:
-            return None
-        return random.Random(derive_seed(config.seed, name))
-
-    # single and hierarchy are the two historical degenerate trees:
-    # one node, or one parent fanning out to edge_count edges.  They
-    # build through the same topology layer as arbitrary trees, with
-    # their historical node names and RNG link labels preserved.
-    hierarchy = config.topology.kind == "hierarchy"
-    levels = (TreeLevel(fan_out=1, latency=latency),) + (
-        (TreeLevel(fan_out=config.topology.edge_count, latency=latency),)
-        if hierarchy
-        else ()
-    )
-    kernel, server, event_log = build_core(
-        traces,
-        supports_history=config.supports_history,
-        log_events=config.log_events,
-    )
-    tree = TopologyTree(
-        kernel,
-        server,
-        levels,
-        want_history=config.want_history,
-        event_log=event_log,
-        link_rng=_link_rng,
-        node_namer=lambda level, index: (
-            "proxy" if level == 0 else f"edge-{index}"
-        ),
-        link_labeler=lambda level, index: (
-            "network" if level == 0 else f"network.edge-{index}"
-        ),
-        cache_factory=_cache_factory(config.cache),
-    )
-    proxy = tree.root.proxy
-    group_registry = _resolve_groups(config, traces)
-    _attach_coordinators(
-        config, group_registry, [node.proxy for node in tree.nodes]
-    )
-    for trace in traces:
-        tree.register_object(
-            trace.object_id,
-            lambda _level, object_id: policy_factory(object_id),
-        )
-
-    horizon = _resolve_horizon(config, traces, levels)
-    _run_to_horizon(config, kernel, tree, horizon)
-
-    edges = [node.proxy for node in tree.edge_nodes] if hierarchy else []
-    delta = config.fidelity_delta_s
-    primary = "proxy" if not edges else "parent"
-    assembly = ColumnarBuilder(RESULT_COLUMNS)
-    write_object = assembly.row_writer(OBJECT_ROW_COLUMNS)
-    append_object_rows(write_object, primary, proxy, traces, delta, horizon=horizon)
-    for index, edge in enumerate(edges):
-        # Edge proxies refresh to *parent*-current state, which can
-        # itself be stale, so they are scored from the snapshots
-        # actually held.
-        append_object_rows(
-            write_object,
-            f"edge-{index}",
-            edge,
-            traces,
-            delta,
-            horizon=horizon,
-            snapshots=True,
-        )
-    if group_registry is not None:
-        write_group = assembly.row_writer(GROUP_ROW_COLUMNS)
-        traces_by_id = {trace.object_id: trace for trace in traces}
-        append_group_rows(
-            write_group, primary, proxy, group_registry, traces_by_id, horizon
-        )
-        for index, edge in enumerate(edges):
-            append_group_rows(
-                write_group,
-                f"edge-{index}",
-                edge,
-                group_registry,
-                traces_by_id,
-                horizon,
-            )
-    return SimulationOutcome(
-        config=config,
-        run=RunResult(
-            kernel=kernel,
-            server=server,
-            proxy=proxy,
-            traces={trace.object_id: trace for trace in traces},
-            event_log=event_log,
-        ),
-        results=assembly.build(),
-        edges=edges,
-    )
+    outcome, _keyed = _run_tree_config(config, instrument=instrument)
+    return outcome
 
 
 class SimulationBuilder:

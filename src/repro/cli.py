@@ -37,154 +37,115 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
-from repro.experiments import (
-    figure3,
-    figure4,
-    figure5,
-    figure6,
-    figure7,
-    figure8,
-    group_mt,
-    hierarchy,
-    table2,
-    table3,
-)
-from repro.experiments.ablations import (
-    ablate_heuristic_threshold,
-    ablate_history,
-    ablate_latency,
-    ablate_limd_parameters,
-    ablate_partition,
-    ablate_smoothing,
-    ablate_trigger_semantics,
-    render_ablation,
-)
+from repro.experiments import figure4, figure6, figure8, report
 from repro.experiments.workloads import DEFAULT_SEED
 
-#: A runner renders one experiment from the parsed CLI namespace.
-_Runner = Callable[[argparse.Namespace], str]
+_ABLATIONS = (
+    "ablation_history",
+    "ablation_heuristic_threshold",
+    "ablation_partition",
+    "ablation_smoothing",
+    "ablation_limd_parameters",
+    "ablation_latency",
+    "ablation_trigger_semantics",
+)
 
-#: Experiment name → (description, runner taking the parsed namespace).
-_EXPERIMENTS: Dict[str, Tuple[str, _Runner]] = {}
+#: Command → (description, target, {CLI flag: what it sets}).  A tuple
+#: target names the scenarios the command prints, one table each, and
+#: the flags set scenario parameters: ``repro figure3 --trace T`` is
+#: ``repro scenarios run figure3 --params trace=T``.  A module target
+#: is a time-series figure (its sparklines have no table form; flags
+#: become ``run`` keywords) or the report.
+_COMMANDS: Dict[str, Tuple[str, object, Dict[str, str]]] = {
+    "table2": ("Table 2: temporal workload characteristics", ("table2",), {}),
+    "table3": ("Table 3: value workload characteristics", ("table3",), {}),
+    "figure3": (
+        "Figure 3: LIMD vs baseline polls/fidelity vs delta",
+        ("figure3",),
+        {"trace": "trace"},
+    ),
+    "figure4": (
+        "Figure 4: LIMD adaptivity over time",
+        figure4,
+        {"trace": "trace_key"},
+    ),
+    "figure5": (
+        "Figure 5: mutual temporal approaches vs delta",
+        ("figure5",),
+        {"pair": "pair"},
+    ),
+    "figure6": (
+        "Figure 6: heuristic adaptivity over time",
+        figure6,
+        {"pair_fig6": "pair"},
+    ),
+    "figure7": ("Figure 7: mutual value approaches vs delta", ("figure7",), {}),
+    "figure8": (
+        "Figure 8: f at proxy vs server over time",
+        figure8,
+        {"workers": "workers"},
+    ),
+    "group_mt": (
+        "Extension: n-object mutual temporal consistency",
+        ("group_mt",),
+        {},
+    ),
+    "hierarchy": (
+        "Extension: flat vs hierarchical proxy topologies",
+        ("hierarchy",),
+        {"trace": "trace"},
+    ),
+    "ablations": ("All ablation studies", _ABLATIONS, {}),
+    "report": ("Full Markdown reproduction report", report, {}),
+}
 
 
-def _register(name: str, description: str) -> Callable[[_Runner], _Runner]:
-    def wrap(func: _Runner) -> _Runner:
-        _EXPERIMENTS[name] = (description, func)
-        return func
+def _render_command(args: argparse.Namespace) -> str:
+    """The output of one command of :data:`_COMMANDS`."""
+    from repro.scenarios import render_scenario, run_scenario
 
-    return wrap
-
-
-@_register("table2", "Table 2: temporal workload characteristics")
-def _run_table2(args: argparse.Namespace) -> str:
-    return table2.render(seed=args.seed, workers=args.workers)
-
-
-@_register("table3", "Table 3: value workload characteristics")
-def _run_table3(args: argparse.Namespace) -> str:
-    return table3.render(seed=args.seed, workers=args.workers)
-
-
-@_register("figure3", "Figure 3: LIMD vs baseline polls/fidelity vs delta")
-def _run_figure3(args: argparse.Namespace) -> str:
-    return figure3.render(
-        seed=args.seed, trace_key=args.trace, workers=args.workers
+    _, target, flags = _COMMANDS[args.experiment]
+    settings = {name: getattr(args, flag) for flag, name in flags.items()}
+    if target is report:
+        return report.generate(seed=args.seed, workers=args.workers)
+    if not isinstance(target, tuple):
+        return target.render(target.run(seed=args.seed, **settings))  # type: ignore[attr-defined]
+    return "\n\n".join(
+        render_scenario(
+            run_scenario(name, seed=args.seed, workers=args.workers, params=settings)
+        )
+        for name in target
     )
 
 
-@_register("figure4", "Figure 4: LIMD adaptivity over time")
-def _run_figure4(args: argparse.Namespace) -> str:
-    return figure4.render(
-        seed=args.seed, trace_key=args.trace, workers=args.workers
-    )
+def _print_or_explain(produce: Callable[[], str]) -> int:
+    """Print what ``produce`` returns, or why the configuration is bad.
 
+    Bad parameter *values* surface while running (unknown trace keys,
+    wrong-shaped pairs, non-positive durations) — they exit 2 with one
+    line, like unknown scenario or parameter names.
+    """
+    from repro.core.errors import ReproError
 
-@_register("figure5", "Figure 5: mutual temporal approaches vs delta")
-def _run_figure5(args: argparse.Namespace) -> str:
-    return figure5.render(
-        seed=args.seed, pair=tuple(args.pair), workers=args.workers
-    )
-
-
-@_register("figure6", "Figure 6: heuristic adaptivity over time")
-def _run_figure6(args: argparse.Namespace) -> str:
-    return figure6.render(
-        seed=args.seed, pair=tuple(args.pair_fig6), workers=args.workers
-    )
-
-
-@_register("figure7", "Figure 7: mutual value approaches vs delta")
-def _run_figure7(args: argparse.Namespace) -> str:
-    return figure7.render(seed=args.seed, workers=args.workers)
-
-
-@_register("figure8", "Figure 8: f at proxy vs server over time")
-def _run_figure8(args: argparse.Namespace) -> str:
-    return figure8.render(seed=args.seed, workers=args.workers)
-
-
-@_register("group_mt", "Extension: n-object mutual temporal consistency")
-def _run_group_mt(args: argparse.Namespace) -> str:
-    return group_mt.render(seed=args.seed, workers=args.workers)
-
-
-@_register("hierarchy", "Extension: flat vs hierarchical proxy topologies")
-def _run_hierarchy(args: argparse.Namespace) -> str:
-    return hierarchy.render(
-        seed=args.seed, trace_key=args.trace, workers=args.workers
-    )
-
-
-@_register("ablations", "All ablation studies")
-def _run_ablations(args: argparse.Namespace) -> str:
-    sections = [
-        render_ablation(
-            ablate_history(seed=args.seed, workers=args.workers),
-            "Ablation: violation detection modes",
-        ),
-        render_ablation(
-            ablate_heuristic_threshold(seed=args.seed, workers=args.workers),
-            "Ablation: heuristic rate-ratio threshold",
-        ),
-        render_ablation(
-            ablate_partition(seed=args.seed, workers=args.workers),
-            "Ablation: static vs dynamic delta split",
-        ),
-        render_ablation(
-            ablate_smoothing(seed=args.seed, workers=args.workers), "Ablation: Eq. 10 alpha sweep"
-        ),
-        render_ablation(
-            ablate_limd_parameters(seed=args.seed, workers=args.workers),
-            "Ablation: LIMD l/m tuning",
-        ),
-        render_ablation(
-            ablate_latency(seed=args.seed, workers=args.workers),
-            "Ablation: network-latency sensitivity",
-        ),
-        render_ablation(
-            ablate_trigger_semantics(seed=args.seed, workers=args.workers),
-            "Ablation: trigger semantics",
-        ),
-    ]
-    return "\n\n".join(sections)
-
-
-@_register("report", "Full Markdown reproduction report")
-def _run_report(args: argparse.Namespace) -> str:
-    from repro.experiments.report import generate
-
-    return generate(seed=args.seed, workers=args.workers)
+    try:
+        text = produce()
+    except (ReproError, KeyError, ValueError, TypeError) as exc:
+        # KeyError.__str__ would wrap the message in quotes; use the
+        # bare argument.
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else str(exc)
+        print(f"invalid scenario configuration: {message}", file=sys.stderr)
+        return 2
+    print(text)
+    return 0
 
 
 def _list_experiments() -> str:
-    width = max(len(name) for name in _EXPERIMENTS)
+    width = max(len(name) for name in _COMMANDS)
     lines = ["Available experiments:"]
-    for name in sorted(_EXPERIMENTS):
-        description, _ = _EXPERIMENTS[name]
-        lines.append(f"  {name.ljust(width)}  {description}")
+    for name in sorted(_COMMANDS):
+        lines.append(f"  {name.ljust(width)}  {_COMMANDS[name][0]}")
     lines.append(
         "\nDeclarative scenarios: `python -m repro scenarios list` "
         "(run any of them with `scenarios run <name>`)."
@@ -365,39 +326,23 @@ def _scenarios_main(argv: Sequence[str]) -> int:
         print(describe_scenario(args.name))
         return 0
 
-    from repro.core.errors import ReproError
-
-    try:
-        overrides = parse_param_overrides(args.params)
-        values: Optional[List[object]] = (
-            [_parse_axis_value(text) for text in args.values]
-            if args.values is not None
-            else None
-        )
+    def produce() -> str:
         result = run_scenario(
             args.name,
             seed=args.seed,
             workers=args.workers,
-            params=overrides,
-            values=values,  # type: ignore[arg-type]
+            params=parse_param_overrides(args.params),
+            values=(
+                [_parse_axis_value(text) for text in args.values]  # type: ignore[misc]
+                if args.values is not None
+                else None
+            ),
         )
-    except (ReproError, KeyError, ValueError, TypeError) as exc:
-        # Bad parameter *values* surface here (unknown trace keys,
-        # wrong-shaped pairs, non-positive durations) — same clean
-        # exit as unknown scenario/parameter names.  KeyError.__str__
-        # would wrap the message in quotes; use the bare argument.
-        message = (
-            exc.args[0]
-            if isinstance(exc, KeyError) and exc.args
-            else str(exc)
-        )
-        print(f"invalid scenario configuration: {message}", file=sys.stderr)
-        return 2
-    if args.json:
-        print(json.dumps(result.to_dict(), indent=2))
-    else:
-        print(render_scenario(result))
-    return 0
+        if args.json:
+            return json.dumps(result.to_dict(), indent=2)
+        return render_scenario(result)
+
+    return _print_or_explain(produce)
 
 
 def build_run_parser() -> argparse.ArgumentParser:
@@ -443,8 +388,9 @@ def _run_config_main(argv: Sequence[str]) -> int:
 
     args = build_run_parser().parse_args(argv)
     try:
-        text = open(args.config, encoding="utf-8").read()
-    except OSError as exc:
+        with open(args.config, encoding="utf-8") as handle:
+            text = handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"cannot read config: {exc}", file=sys.stderr)
         return 2
     try:
@@ -492,16 +438,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.experiment == "list":
         print(_list_experiments())
         return 0
-    entry = _EXPERIMENTS.get(args.experiment)
-    if entry is None:
+    if args.experiment not in _COMMANDS:
         print(
             f"unknown experiment {args.experiment!r}\n\n{_list_experiments()}",
             file=sys.stderr,
         )
         return 2
-    _description, runner = entry
-    print(runner(args))
-    return 0
+    return _print_or_explain(lambda: _render_command(args))
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

@@ -1,5 +1,5 @@
 """Experiment harness: one module per paper table/figure, plus shared
-runner/sweep/render infrastructure.
+workload/executor/render infrastructure.
 
 Modules:
     * :mod:`repro.experiments.table2` / :mod:`~repro.experiments.table3`
@@ -11,11 +11,14 @@ Modules:
     * :mod:`repro.experiments.figure7` — Mv approaches (δ sweep).
     * :mod:`repro.experiments.figure8` — f at proxy vs server over time.
     * :mod:`repro.experiments.ablations` — design-choice studies.
+    * :mod:`repro.experiments.group_mt` /
+      :mod:`~repro.experiments.hierarchy` — extensions.
 
-Every module's entry point is a thin spec over the declarative
-scenario engine (:mod:`repro.scenarios`): the same experiments are
-listable, overridable, and runnable by name via
-``python -m repro scenarios run <name>``.
+Each module *is* the definition of its artefact: it decorates its point
+function with :func:`repro.scenarios.registry.scenario`, and everything
+else — ``python -m repro figure3``, ``python -m repro scenarios run
+figure3``, the report, the regenerators under ``benchmarks/`` — runs it
+by name through :func:`repro.scenarios.engine.run_scenario`.
 """
 
 # Canonical homes are in the repro.api façade; re-exported here so
@@ -33,7 +36,6 @@ from repro.experiments.sweep import (
     ParallelExecutor,
     SerialExecutor,
     SweepExecutor,
-    SweepResult,
     executor_for,
 )
 from repro.experiments.workloads import (
@@ -56,7 +58,6 @@ __all__ = [
     "SerialExecutor",
     "ParallelExecutor",
     "executor_for",
-    "SweepResult",
     "DEFAULT_SEED",
     "news_trace",
     "news_traces",

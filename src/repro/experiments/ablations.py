@@ -2,33 +2,41 @@
 
 Each ablation isolates one mechanism and quantifies its effect:
 
-* :func:`ablate_history` — violation-detection modes (§5.1): the exact
+* ``ablation_history`` — violation-detection modes (§5.1): the exact
   history extension vs plain Last-Modified vs probabilistic inference.
-* :func:`ablate_heuristic_threshold` — the rate-ratio gate of the §3.2
+* ``ablation_heuristic_threshold`` — the rate-ratio gate of the §3.2
   heuristic, swept from permissive to strict.
-* :func:`ablate_partition` — static 50/50 δ split vs dynamic rate-based
-  re-apportioning (§4.2).
-* :func:`ablate_smoothing` — the α knob of Eq. 10 (conservatism vs
-  responsiveness for low-locality data).
-* :func:`ablate_trigger_semantics` — triggered polls as *additional*
+* ``ablation_trigger_semantics`` — triggered polls as *additional*
   polls (paper semantics) vs polls that *replace* the next scheduled
   refresh.
+* ``ablation_partition`` — static 50/50 δ split vs dynamic rate-based
+  re-apportioning (§4.2).
+* ``ablation_smoothing`` — the α knob of Eq. 10 (conservatism vs
+  responsiveness for low-locality data).
+* ``ablation_limd_parameters`` — LIMD's l (growth) and m (back-off)
+  knobs (§3.1).
+* ``ablation_latency`` — sensitivity of LIMD to network latency (the
+  paper's §6.1.1 assumption).
 
-Every ablation is registered as a scenario (``repro scenarios run
-ablation_*``) and its ``ablate_*`` entry point is a thin spec over
-:func:`repro.scenarios.engine.run_scenario`, so each configuration in
-a grid is an independent simulation executed through the same ordered
-serial/parallel executor seam the figure sweeps use (``workers`` > 1
-fans out over worker processes).  The per-configuration point
-functions are module level and take only picklable arguments (traces,
-parameter dataclasses) so they can cross the process boundary; policy
-factories are closures and are rebuilt inside the point.
+Each is a registered scenario (``repro scenarios run ablation_*``;
+``repro ablations`` prints all seven), so each configuration in a grid
+is an independent simulation executed through the ordered
+serial/parallel executor seam (``workers`` > 1 fans out over worker
+processes).  The point functions are module level and take only
+picklable arguments (traces, parameter dataclasses) so they can cross
+the process boundary; policy factories are closures and are rebuilt
+inside the point.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Mapping
 
+from repro.api.runs import (
+    run_individual,
+    run_mutual_temporal,
+    run_mutual_value_partitioned,
+)
 from repro.consistency.adaptive_value import AdaptiveValueParameters
 from repro.consistency.limd import LimdParameters, limd_policy_factory
 from repro.consistency.mutual_temporal import (
@@ -37,15 +45,9 @@ from repro.consistency.mutual_temporal import (
 )
 from repro.consistency.mutual_value import PartitionParameters
 from repro.core.types import MINUTE, Seconds, TTRBounds
-from repro.experiments.figure3 import PAPER_LIMD_PARAMETERS, TTR_MAX
 from repro.experiments.figure7 import VALUE_BOUNDS
-from repro.experiments.render import render_dict_rows
-from repro.api.runs import (
-    run_individual,
-    run_mutual_temporal,
-    run_mutual_value_partitioned,
-)
-from repro.experiments.workloads import DEFAULT_SEED
+from repro.experiments.paper import PAPER_LIMD_PARAMETERS, TTR_MAX
+from repro.experiments.workloads import news_trace, stock_trace
 from repro.groups.registry import GroupRegistry
 from repro.httpsim.network import LatencyModel, Network
 from repro.metrics.collector import (
@@ -54,7 +56,7 @@ from repro.metrics.collector import (
     collect_temporal,
 )
 from repro.proxy.proxy import ProxyCache
-from repro.scenarios.engine import run_scenario
+from repro.scenarios.registry import scenario
 from repro.server.origin import OriginServer
 from repro.server.updates import feed_traces
 from repro.sim.kernel import Kernel
@@ -63,7 +65,7 @@ from repro.traces.model import UpdateTrace
 
 DETECTION_MODES = ("history", "last_modified_only", "inferred")
 
-#: Named LIMD tunings swept by :func:`ablate_limd_parameters` (§3.1).
+#: Named LIMD tunings swept by ``ablation_limd_parameters`` (§3.1).
 LIMD_TUNINGS: Dict[str, LimdParameters] = {
     "conservative": LimdParameters(linear_increase=0.05, epsilon=0.02),
     "paper": PAPER_LIMD_PARAMETERS,
@@ -77,9 +79,76 @@ LIMD_TUNINGS: Dict[str, LimdParameters] = {
 }
 
 
+def _prepare_news_trace(params: Mapping[str, object], seed: int) -> Dict[str, object]:
+    return {
+        "trace": news_trace(str(params["trace"]), seed),
+        "delta": float(params["delta_s"]),  # type: ignore[arg-type]
+    }
+
+
+def _prepare_news_pair(params: Mapping[str, object], seed: int) -> Dict[str, object]:
+    key_a, key_b = params["pair"]  # type: ignore[misc]
+    return {
+        "trace_a": news_trace(str(key_a), seed),
+        "trace_b": news_trace(str(key_b), seed),
+        "delta": float(params["delta_s"]),  # type: ignore[arg-type]
+        "mutual_delta": float(params["mutual_delta_s"]),  # type: ignore[arg-type]
+    }
+
+
+def _prepare_stock_pair(params: Mapping[str, object], seed: int) -> Dict[str, object]:
+    key_a, key_b = params["pair"]  # type: ignore[misc]
+    context: Dict[str, object] = {
+        "trace_a": stock_trace(str(key_a), seed),
+        "trace_b": stock_trace(str(key_b), seed),
+        "mutual_delta": float(params["mutual_delta"]),  # type: ignore[arg-type]
+        "bounds": TTRBounds(
+            ttr_min=float(params["ttr_min"]),  # type: ignore[arg-type]
+            ttr_max=float(params["ttr_max"]),  # type: ignore[arg-type]
+        ),
+    }
+    if "reapportion_interval_s" in params:
+        context["reapportion_interval_s"] = float(
+            params["reapportion_interval_s"]  # type: ignore[arg-type]
+        )
+    return context
+
+
+_NEWS_PAIR_PARAMS = {
+    "pair": ("cnn_fn", "nyt_ap"),
+    "delta_s": 10 * MINUTE,
+    "mutual_delta_s": 2 * MINUTE,
+}
+
+_STOCK_PAIR_PARAMS = {
+    "pair": ("att", "yahoo"),
+    "mutual_delta": 0.6,
+    "ttr_min": VALUE_BOUNDS.ttr_min,
+    "ttr_max": VALUE_BOUNDS.ttr_max,
+}
+
+
+@scenario(
+    name="ablation_history",
+    description="Ablation: violation-detection modes (history vs inference)",
+    axis="detection",
+    values=DETECTION_MODES,
+    params={"trace": "guardian", "delta_s": 5 * MINUTE},
+    title="Ablation: violation detection modes",
+    tags=("ablation",),
+    prepare=_prepare_news_trace,
+)
 def _history_point(
     mode: str, *, trace: UpdateTrace, delta: Seconds
 ) -> Dict[str, object]:
+    """Compare violation-detection modes on a fast-changing trace.
+
+    The Guardian trace updates every ~4.9 min, so a 5-min bound makes
+    Figure 1(b)-style multi-update intervals common — exactly where the
+    modes differ.  Expected: history detects the most violations (and
+    therefore backs off hardest / keeps fidelity highest per poll);
+    last-modified-only detects the fewest.
+    """
     result = run_individual(
         [trace],
         limd_policy_factory(
@@ -101,29 +170,16 @@ def _history_point(
     }
 
 
-def ablate_history(
-    *,
-    trace_key: str = "guardian",
-    delta: Seconds = 5 * MINUTE,
-    seed: int = DEFAULT_SEED,
-    workers: Optional[int] = None,
-) -> List[Dict[str, object]]:
-    """Compare violation-detection modes on a fast-changing trace.
-
-    The Guardian trace updates every ~4.9 min, so a 5-min bound makes
-    Figure 1(b)-style multi-update intervals common — exactly where the
-    modes differ.  Expected: history detects the most violations (and
-    therefore backs off hardest / keeps fidelity highest per poll);
-    last-modified-only detects the fewest.
-    """
-    return run_scenario(
-        "ablation_history",
-        seed=seed,
-        workers=workers,
-        params={"trace": trace_key, "delta_s": delta},
-    ).rows
-
-
+@scenario(
+    name="ablation_heuristic_threshold",
+    description="Ablation: rate-ratio gate of the mutual heuristic",
+    axis="threshold",
+    values=(0.25, 0.5, 0.8, 1.0, 2.0),
+    params=_NEWS_PAIR_PARAMS,
+    title="Ablation: heuristic rate-ratio threshold",
+    tags=("ablation",),
+    prepare=_prepare_news_pair,
+)
 def _threshold_point(
     threshold: float,
     *,
@@ -132,6 +188,12 @@ def _threshold_point(
     delta: Seconds,
     mutual_delta: Seconds,
 ) -> Dict[str, object]:
+    """Sweep the §3.2 heuristic's rate-ratio gate.
+
+    Low thresholds trigger almost like the full triggered approach
+    (more polls, higher fidelity); high thresholds suppress almost
+    everything (fewer polls, lower fidelity).
+    """
     factory = limd_policy_factory(
         delta, ttr_max=TTR_MAX, parameters=PAPER_LIMD_PARAMETERS
     )
@@ -159,43 +221,91 @@ def _threshold_point(
     }
 
 
-def ablate_heuristic_threshold(
+@scenario(
+    name="ablation_trigger_semantics",
+    description="Ablation: triggered polls as additional vs replacing polls",
+    axis="semantics",
+    values=("additional", "replace"),
+    params=_NEWS_PAIR_PARAMS,
+    title="Ablation: trigger semantics",
+    tags=("ablation",),
+    prepare=_prepare_news_pair,
+)
+def _trigger_point(
+    semantics: str,
     *,
-    pair: Sequence[str] = ("cnn_fn", "nyt_ap"),
-    delta: Seconds = 10 * MINUTE,
-    mutual_delta: Seconds = 2 * MINUTE,
-    thresholds: Sequence[float] = (0.25, 0.5, 0.8, 1.0, 2.0),
-    seed: int = DEFAULT_SEED,
-    workers: Optional[int] = None,
-) -> List[Dict[str, object]]:
-    """Sweep the §3.2 heuristic's rate-ratio gate.
+    trace_a: UpdateTrace,
+    trace_b: UpdateTrace,
+    delta: Seconds,
+    mutual_delta: Seconds,
+) -> Dict[str, object]:
+    """Triggered polls as additional vs schedule-replacing polls.
 
-    Low thresholds trigger almost like the full triggered approach
-    (more polls, higher fidelity); high thresholds suppress almost
-    everything (fewer polls, lower fidelity).
+    The paper's accounting treats triggered polls as *extra* polls on
+    top of the unchanged LIMD schedule.  The alternative — letting a
+    triggered poll replace the next scheduled one — re-phases the LIMD
+    schedule toward the partner's update instants.
     """
-    return run_scenario(
-        "ablation_heuristic_threshold",
-        seed=seed,
-        workers=workers,
-        params={
-            "pair": list(pair),
-            "delta_s": delta,
-            "mutual_delta_s": mutual_delta,
-        },
-        values=tuple(thresholds),
-    ).rows
+    kernel = Kernel()
+    event_log = EventLog(enabled=False)
+    server = OriginServer(supports_history=True, event_log=event_log)
+    feed_traces(kernel, server, (trace_a, trace_b))
+    proxy = ProxyCache(
+        kernel,
+        Network(kernel, LatencyModel()),
+        want_history=True,
+        triggered_polls_reschedule=(semantics == "replace"),
+    )
+    groups = GroupRegistry()
+    groups.create_group(
+        "pair", (trace_a.object_id, trace_b.object_id), mutual_delta
+    )
+    coordinator = MutualTemporalCoordinator(
+        proxy, groups, mode=MutualTemporalMode.TRIGGERED
+    )
+    factory = limd_policy_factory(
+        delta, ttr_max=TTR_MAX, parameters=PAPER_LIMD_PARAMETERS
+    )
+    for trace in (trace_a, trace_b):
+        proxy.register_object(trace.object_id, server, factory(trace.object_id))
+    kernel.run(until=max(trace_a.end_time, trace_b.end_time))
+    synchrony = collect_mutual_synchrony(
+        proxy, trace_a.object_id, trace_b.object_id, mutual_delta
+    )
+    return {
+        "semantics": semantics,
+        "polls": synchrony.total_polls,
+        "extra_polls": coordinator.extra_polls,
+        "fidelity": synchrony.report.fidelity_by_violations,
+    }
 
 
+@scenario(
+    name="ablation_partition",
+    description="Ablation: static vs dynamic mutual-delta split",
+    axis="split",
+    values=("static", "dynamic"),
+    params={**_STOCK_PAIR_PARAMS, "reapportion_interval_s": 60.0},
+    title="Ablation: static vs dynamic delta split",
+    tags=("ablation",),
+    prepare=_prepare_stock_pair,
+)
 def _partition_point(
-    config: Tuple[str, Optional[float]],
+    split: str,
     *,
     trace_a: UpdateTrace,
     trace_b: UpdateTrace,
     mutual_delta: float,
     bounds: TTRBounds,
+    reapportion_interval_s: float,
 ) -> Dict[str, object]:
-    label, interval = config
+    """Static 50/50 δ split vs dynamic rate-based re-apportioning.
+
+    With one fast and one slow object, a static split wastes tolerance
+    on the slow object; dynamic apportioning shifts tolerance to the
+    slow side and tightens the fast side, improving fidelity per poll.
+    """
+    interval = None if split == "static" else reapportion_interval_s
     result = run_mutual_value_partitioned(
         trace_a,
         trace_b,
@@ -210,7 +320,7 @@ def _partition_point(
     assert coordinator is not None
     delta_a, delta_b = coordinator.current_split
     return {
-        "split": label,
+        "split": split,
         "polls": pair_report.total_polls,
         "fidelity": pair_report.report.fidelity_by_violations,
         "fidelity_time": pair_report.report.fidelity_by_time,
@@ -219,33 +329,16 @@ def _partition_point(
     }
 
 
-def ablate_partition(
-    *,
-    pair: Sequence[str] = ("att", "yahoo"),
-    mutual_delta: float = 0.6,
-    seed: int = DEFAULT_SEED,
-    bounds: TTRBounds = VALUE_BOUNDS,
-    workers: Optional[int] = None,
-) -> List[Dict[str, object]]:
-    """Static 50/50 δ split vs dynamic rate-based re-apportioning.
-
-    With one fast and one slow object, a static split wastes tolerance
-    on the slow object; dynamic apportioning shifts tolerance to the
-    slow side and tightens the fast side, improving fidelity per poll.
-    """
-    return run_scenario(
-        "ablation_partition",
-        seed=seed,
-        workers=workers,
-        params={
-            "pair": list(pair),
-            "mutual_delta": mutual_delta,
-            "ttr_min": bounds.ttr_min,
-            "ttr_max": bounds.ttr_max,
-        },
-    ).rows
-
-
+@scenario(
+    name="ablation_smoothing",
+    description="Ablation: Eq. 10 smoothing-alpha sweep",
+    axis="alpha",
+    values=(0.3, 0.5, 0.7, 0.9, 1.0),
+    params=_STOCK_PAIR_PARAMS,
+    title="Ablation: Eq. 10 alpha sweep",
+    tags=("ablation",),
+    prepare=_prepare_stock_pair,
+)
 def _smoothing_point(
     alpha: float,
     *,
@@ -254,6 +347,12 @@ def _smoothing_point(
     mutual_delta: float,
     bounds: TTRBounds,
 ) -> Dict[str, object]:
+    """Sweep Eq. 10's α on the partitioned Mv approach.
+
+    Small α biases toward the most conservative TTR observed (more
+    polls, higher fidelity) — the paper's prescription for data with
+    weak temporal locality.
+    """
     result = run_mutual_value_partitioned(
         trace_a,
         trace_b,
@@ -274,112 +373,28 @@ def _smoothing_point(
     }
 
 
-def ablate_smoothing(
-    *,
-    pair: Sequence[str] = ("att", "yahoo"),
-    mutual_delta: float = 0.6,
-    alphas: Sequence[float] = (0.3, 0.5, 0.7, 0.9, 1.0),
-    seed: int = DEFAULT_SEED,
-    bounds: TTRBounds = VALUE_BOUNDS,
-    workers: Optional[int] = None,
-) -> List[Dict[str, object]]:
-    """Sweep Eq. 10's α on the partitioned Mv approach.
-
-    Small α biases toward the most conservative TTR observed (more
-    polls, higher fidelity) — the paper's prescription for data with
-    weak temporal locality.
-    """
-    return run_scenario(
-        "ablation_smoothing",
-        seed=seed,
-        workers=workers,
-        params={
-            "pair": list(pair),
-            "mutual_delta": mutual_delta,
-            "ttr_min": bounds.ttr_min,
-            "ttr_max": bounds.ttr_max,
-        },
-        values=tuple(alphas),
-    ).rows
-
-
-def _trigger_point(
-    config: Tuple[str, bool],
-    *,
-    trace_a: UpdateTrace,
-    trace_b: UpdateTrace,
-    delta: Seconds,
-    mutual_delta: Seconds,
-) -> Dict[str, object]:
-    label, reschedule = config
-    kernel = Kernel()
-    event_log = EventLog(enabled=False)
-    server = OriginServer(supports_history=True, event_log=event_log)
-    feed_traces(kernel, server, (trace_a, trace_b))
-    proxy = ProxyCache(
-        kernel,
-        Network(kernel, LatencyModel()),
-        want_history=True,
-        triggered_polls_reschedule=reschedule,
-    )
-    groups = GroupRegistry()
-    groups.create_group(
-        "pair", (trace_a.object_id, trace_b.object_id), mutual_delta
-    )
-    coordinator = MutualTemporalCoordinator(
-        proxy, groups, mode=MutualTemporalMode.TRIGGERED
-    )
-    factory = limd_policy_factory(
-        delta, ttr_max=TTR_MAX, parameters=PAPER_LIMD_PARAMETERS
-    )
-    for trace in (trace_a, trace_b):
-        proxy.register_object(trace.object_id, server, factory(trace.object_id))
-    kernel.run(until=max(trace_a.end_time, trace_b.end_time))
-    synchrony = collect_mutual_synchrony(
-        proxy, trace_a.object_id, trace_b.object_id, mutual_delta
-    )
-    return {
-        "semantics": label,
-        "polls": synchrony.total_polls,
-        "extra_polls": coordinator.extra_polls,
-        "fidelity": synchrony.report.fidelity_by_violations,
-    }
-
-
-def ablate_trigger_semantics(
-    *,
-    pair: Sequence[str] = ("cnn_fn", "nyt_ap"),
-    delta: Seconds = 10 * MINUTE,
-    mutual_delta: Seconds = 2 * MINUTE,
-    seed: int = DEFAULT_SEED,
-    workers: Optional[int] = None,
-) -> List[Dict[str, object]]:
-    """Triggered polls as additional vs schedule-replacing polls.
-
-    The paper's accounting treats triggered polls as *extra* polls on
-    top of the unchanged LIMD schedule.  The alternative — letting a
-    triggered poll replace the next scheduled one — re-phases the LIMD
-    schedule toward the partner's update instants.
-    """
-    return run_scenario(
-        "ablation_trigger_semantics",
-        seed=seed,
-        workers=workers,
-        params={
-            "pair": list(pair),
-            "delta_s": delta,
-            "mutual_delta_s": mutual_delta,
-        },
-    ).rows
-
-
+@scenario(
+    name="ablation_limd_parameters",
+    description="Ablation: LIMD growth/back-off tunings",
+    axis="tuning",
+    values=tuple(LIMD_TUNINGS),
+    params={"trace": "cnn_fn", "delta_s": 10 * MINUTE},
+    title="Ablation: LIMD l/m tuning",
+    tags=("ablation",),
+    prepare=_prepare_news_trace,
+)
 def _limd_parameters_point(
-    config: Tuple[str, LimdParameters],
-    *,
-    trace: UpdateTrace,
-    delta: Seconds,
+    tuning: str, *, trace: UpdateTrace, delta: Seconds
 ) -> Dict[str, object]:
-    label, parameters = config
+    """Sweep LIMD's l (growth) and m (back-off) knobs (§3.1).
+
+    The paper calls the approach tunable: "optimistic" with a large
+    linear growth factor (fewer polls, aggressive TTR growth), or
+    "conservative" with a strong multiplicative back-off (more polls,
+    quicker recovery after violations).  Adaptive m is the paper's
+    evaluation setting (m = Δ / observed out-of-sync time).
+    """
+    parameters = LIMD_TUNINGS[tuning]
     result = run_individual(
         [trace],
         limd_policy_factory(delta, ttr_max=TTR_MAX, parameters=parameters),
@@ -387,7 +402,7 @@ def _limd_parameters_point(
     report = collect_temporal(result.proxy, trace, delta).report
     m = parameters.multiplicative_decrease
     return {
-        "tuning": label,
+        "tuning": tuning,
         "l": parameters.linear_increase,
         "m": "adaptive" if m is None else m,
         "polls": report.polls,
@@ -397,32 +412,28 @@ def _limd_parameters_point(
     }
 
 
-def ablate_limd_parameters(
-    *,
-    trace_key: str = "cnn_fn",
-    delta: Seconds = 10 * MINUTE,
-    seed: int = DEFAULT_SEED,
-    workers: Optional[int] = None,
-) -> List[Dict[str, object]]:
-    """Sweep LIMD's l (growth) and m (back-off) knobs (§3.1).
-
-    The paper calls the approach tunable: "optimistic" with a large
-    linear growth factor (fewer polls, aggressive TTR growth), or
-    "conservative" with a strong multiplicative back-off (more polls,
-    quicker recovery after violations).  Adaptive m is the paper's
-    evaluation setting (m = Δ / observed out-of-sync time).
-    """
-    return run_scenario(
-        "ablation_limd_parameters",
-        seed=seed,
-        workers=workers,
-        params={"trace": trace_key, "delta_s": delta},
-    ).rows
-
-
+@scenario(
+    name="ablation_latency",
+    description="Ablation: network-latency sensitivity of LIMD",
+    axis="one_way_latency_s",
+    values=(0.0, 30.0, 150.0, 300.0, 600.0),
+    params={"trace": "cnn_fn", "delta_s": 10 * MINUTE},
+    title="Ablation: network-latency sensitivity",
+    tags=("ablation",),
+    prepare=_prepare_news_trace,
+)
 def _latency_point(
     latency: Seconds, *, trace: UpdateTrace, delta: Seconds
 ) -> Dict[str, object]:
+    """Sensitivity of LIMD to network latency (the paper's §6.1.1 fix).
+
+    The paper fixes latency ("we are primarily interested in efficacy of
+    cache consistency mechanisms rather than network dynamics"); this
+    ablation quantifies what that assumption hides.  A poll's response
+    arrives one round trip after it was issued, so the effective poll
+    period stretches by 2·latency and the copy's staleness floor rises —
+    fidelity degrades as the one-way latency approaches Δ.
+    """
     result = run_individual(
         [trace],
         limd_policy_factory(
@@ -438,60 +449,3 @@ def _latency_point(
         "fidelity": report.fidelity_by_violations,
         "fidelity_time": report.fidelity_by_time,
     }
-
-
-def ablate_latency(
-    *,
-    trace_key: str = "cnn_fn",
-    delta: Seconds = 10 * MINUTE,
-    latencies: Sequence[Seconds] = (0.0, 30.0, 150.0, 300.0, 600.0),
-    seed: int = DEFAULT_SEED,
-    workers: Optional[int] = None,
-) -> List[Dict[str, object]]:
-    """Sensitivity of LIMD to network latency (the paper's §6.1.1 fix).
-
-    The paper fixes latency ("we are primarily interested in efficacy of
-    cache consistency mechanisms rather than network dynamics"); this
-    ablation quantifies what that assumption hides.  A poll's response
-    arrives one round trip after it was issued, so the effective poll
-    period stretches by 2·latency and the copy's staleness floor rises —
-    fidelity degrades as the one-way latency approaches Δ.
-    """
-    return run_scenario(
-        "ablation_latency",
-        seed=seed,
-        workers=workers,
-        params={"trace": trace_key, "delta_s": delta},
-        values=tuple(latencies),
-    ).rows
-
-
-def render_ablation(rows: List[Dict[str, object]], title: str) -> str:
-    """Render any ablation's rows as an ASCII table."""
-    return render_dict_rows(rows, title=title)
-
-
-if __name__ == "__main__":
-    print(render_ablation(ablate_history(), "Ablation: violation detection modes"))
-    print()
-    print(
-        render_ablation(
-            ablate_heuristic_threshold(), "Ablation: heuristic rate threshold"
-        )
-    )
-    print()
-    print(render_ablation(ablate_partition(), "Ablation: static vs dynamic split"))
-    print()
-    print(render_ablation(ablate_smoothing(), "Ablation: Eq. 10 alpha"))
-    print()
-    print(
-        render_ablation(
-            ablate_limd_parameters(), "Ablation: LIMD l/m tuning"
-        )
-    )
-    print()
-    print(
-        render_ablation(
-            ablate_trigger_semantics(), "Ablation: trigger semantics"
-        )
-    )

@@ -1,4 +1,4 @@
-"""Figure 3 — efficacy of the LIMD algorithm on the CNN/FN trace.
+"""Figure 3 — efficacy of the LIMD algorithm (CNN/FN trace by default).
 
 Sweeps the Δt-consistency constraint from 1 to 60 minutes and, for both
 LIMD (l = 0.2, ε = 0.02, adaptive m, TTR_max = 60 min) and the
@@ -15,108 +15,51 @@ fidelity → 1) once Δ exceeds the mean update interval.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Sequence
+from typing import Dict, Mapping, Sequence
 
-from repro.consistency.base import fixed_policy_factory
-from repro.consistency.limd import LimdParameters, limd_policy_factory
-from repro.core.types import MINUTE, Seconds
-from repro.experiments.render import render_dict_rows
-from repro.api.runs import run_individual
-from repro.experiments.sweep import SweepResult
-from repro.experiments.workloads import DEFAULT_SEED
-from repro.metrics.collector import collect_temporal
-from repro.scenarios.engine import run_scenario
+from repro.core.types import MINUTE
+from repro.experiments.paper import evaluate_delta
+from repro.experiments.workloads import news_trace
+from repro.scenarios.registry import scenario
 from repro.traces.model import UpdateTrace
 
 #: Δ values (minutes) swept by the paper's Figure 3.
 DEFAULT_DELTAS_MIN: Sequence[float] = (1, 2, 5, 10, 15, 20, 30, 40, 50, 60)
 
-#: The paper's LIMD configuration (Section 6.2.1).
-PAPER_LIMD_PARAMETERS = LimdParameters(linear_increase=0.2, epsilon=0.02)
 
-TTR_MAX: Seconds = 60 * MINUTE
-
-
-def evaluate_delta(
-    trace: UpdateTrace,
-    delta: Seconds,
-    *,
-    parameters: LimdParameters = PAPER_LIMD_PARAMETERS,
-    detection_mode: str = "history",
-) -> Dict[str, object]:
-    """One sweep point: run LIMD and the baseline at a given Δ."""
-    limd_run = run_individual(
-        [trace],
-        limd_policy_factory(
-            delta,
-            ttr_max=TTR_MAX,
-            parameters=parameters,
-            detection_mode=detection_mode,
-        ),
-    )
-    limd_report = collect_temporal(limd_run.proxy, trace, delta).report
-
-    baseline_run = run_individual([trace], fixed_policy_factory(delta))
-    baseline_report = collect_temporal(baseline_run.proxy, trace, delta).report
-
+def _prepare(params: Mapping[str, object], seed: int) -> Dict[str, object]:
     return {
-        "limd_polls": limd_report.polls,
-        "baseline_polls": baseline_report.polls,
-        "limd_fidelity_violations": limd_report.fidelity_by_violations,
-        "limd_fidelity_time": limd_report.fidelity_by_time,
-        "baseline_fidelity_violations": baseline_report.fidelity_by_violations,
-        "baseline_fidelity_time": baseline_report.fidelity_by_time,
-        "poll_ratio": (
-            baseline_report.polls / limd_report.polls
-            if limd_report.polls
-            else float("inf")
-        ),
+        "trace": news_trace(str(params["trace"]), seed),
+        "trace_key": str(params["trace"]),
+        "detection_mode": str(params["detection_mode"]),
     }
 
 
-def run(
-    *,
-    trace_key: str = "cnn_fn",
-    deltas_min: Sequence[float] = DEFAULT_DELTAS_MIN,
-    seed: int = DEFAULT_SEED,
-    detection_mode: str = "history",
-    workers: Optional[int] = None,
-) -> SweepResult:
-    """Run the full Figure 3 sweep (``workers`` > 1 runs points in parallel).
-
-    A thin spec over the scenario engine: identical to
-    ``repro scenarios run figure3`` with the same overrides.
-    """
-    return run_scenario(
-        "figure3",
-        seed=seed,
-        workers=workers,
-        params={"trace": trace_key, "detection_mode": detection_mode},
-        values=tuple(deltas_min),
-    ).sweep
-
-
-def render(result: Optional[SweepResult] = None, **kwargs: Any) -> str:
-    """Render the Figure 3 sweep as ASCII tables."""
-    if result is None:
-        result = run(**kwargs)
-    return render_dict_rows(
-        result.rows,
-        columns=[
-            "delta_min",
-            "limd_polls",
-            "baseline_polls",
-            "poll_ratio",
-            "limd_fidelity_violations",
-            "limd_fidelity_time",
-            "baseline_fidelity_violations",
-        ],
-        title=(
-            "Figure 3: LIMD vs baseline on the CNN/FN trace "
-            "(polls and fidelity vs delta)"
-        ),
+@scenario(
+    name="figure3",
+    description="Figure 3: LIMD vs poll-every-delta baseline (delta sweep)",
+    axis="delta_min",
+    values=DEFAULT_DELTAS_MIN,
+    params={"trace": "cnn_fn", "detection_mode": "history"},
+    columns=(
+        "delta_min",
+        "limd_polls",
+        "baseline_polls",
+        "poll_ratio",
+        "limd_fidelity_violations",
+        "limd_fidelity_time",
+        "baseline_fidelity_violations",
+    ),
+    title="Figure 3: LIMD vs baseline on {trace} (polls and fidelity vs delta)",
+    tags=("paper", "figure"),
+    prepare=_prepare,
+)
+def _point(
+    delta_min: float, *, trace: UpdateTrace, trace_key: str, detection_mode: str
+) -> Dict[str, object]:
+    """One sweep point: LIMD and the baseline at one Δ."""
+    row: Dict[str, object] = {"trace": trace_key}
+    row.update(
+        evaluate_delta(trace, delta_min * MINUTE, detection_mode=detection_mode)
     )
-
-
-if __name__ == "__main__":
-    print(render())
+    return row

@@ -9,21 +9,22 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Dict, Mapping
 
 from repro.analysis.timeseries import Series
+from repro.api.runs import RunResult, run_individual
 from repro.consistency.limd import limd_policy_factory
 from repro.core.events import PollEvent
 from repro.core.types import HOUR, MINUTE, Seconds
-from repro.experiments.figure3 import PAPER_LIMD_PARAMETERS, TTR_MAX
+from repro.experiments.paper import PAPER_LIMD_PARAMETERS, TTR_MAX
 from repro.experiments.render import render_series_block
 from repro.experiments.workloads import DEFAULT_SEED, news_trace
-from repro.api.runs import RunResult, run_individual
 from repro.metrics.series import (
     ttr_knots_from_proxy_events,
     ttr_series,
     update_frequency_series,
 )
+from repro.scenarios.registry import prepare_params_seed, scenario
 
 DELTA: Seconds = 10 * MINUTE
 UPDATE_BIN: Seconds = 2 * HOUR
@@ -32,11 +33,13 @@ TTR_BIN: Seconds = 15 * MINUTE
 
 @dataclass
 class Figure4Result:
-    """The two series of Figure 4 plus the raw run."""
+    """The two series of Figure 4 plus the raw run and what it ran on."""
 
     update_frequency: Series
     ttr: Series
     run: RunResult
+    trace_key: str
+    delta: Seconds
 
     @property
     def max_ttr_minutes(self) -> float:
@@ -54,14 +57,8 @@ def run(
     trace_key: str = "cnn_fn",
     delta: Seconds = DELTA,
     seed: int = DEFAULT_SEED,
-    workers: Optional[int] = None,
 ) -> Figure4Result:
-    """Run LIMD at Δ=10 min and extract both Figure 4 series.
-
-    ``workers`` is accepted for interface uniformity with the sweep
-    experiments but has no effect: Figure 4 is a single simulation run.
-    """
-    del workers
+    """Run LIMD at Δ=10 min and extract both Figure 4 series."""
     trace = news_trace(trace_key, seed)
     result = run_individual(
         [trace],
@@ -81,19 +78,26 @@ def run(
         initial=delta,
         label="TTR (s)",
     )
-    return Figure4Result(update_frequency=updates, ttr=ttr, run=result)
+    return Figure4Result(
+        update_frequency=updates,
+        ttr=ttr,
+        run=result,
+        trace_key=trace_key,
+        delta=delta,
+    )
 
 
-def render(result: Optional[Figure4Result] = None, **kwargs: Any) -> str:
+def render(result: Figure4Result) -> str:
     """Render both series as sparklines with their ranges."""
-    if result is None:
-        result = run(**kwargs)
     block = render_series_block(
         [result.update_frequency, result.ttr],
         title=(
-            "Figure 4: Adaptive behaviour of LIMD (CNN/FN, delta = 10 min).\n"
-            "TTR should climb toward TTR_max (3600 s) in quiet (night) bins\n"
-            "and fall back toward delta (600 s) when updates resume."
+            f"Figure 4: Adaptive behaviour of LIMD ({result.trace_key}, "
+            f"delta = {result.delta / MINUTE:g} min).\n"
+            f"TTR should climb toward TTR_max ({TTR_MAX:g} s) in quiet "
+            "(night) bins\n"
+            f"and fall back toward delta ({result.delta:g} s) when updates "
+            "resume."
         ),
     )
     summary = (
@@ -103,5 +107,25 @@ def render(result: Optional[Figure4Result] = None, **kwargs: Any) -> str:
     return block + summary
 
 
-if __name__ == "__main__":
-    print(render())
+
+@scenario(
+    name="figure4",
+    description="Figure 4: LIMD adaptivity over time (summary statistics)",
+    axis="delta_min",
+    values=(10.0,),
+    params={"trace": "cnn_fn"},
+    title="Figure 4: LIMD TTR adaptivity on {trace} (single run summary)",
+    tags=("paper", "figure", "timeseries"),
+    prepare=prepare_params_seed,
+)
+def _summary_point(
+    delta_min: float, *, params: Mapping[str, object], seed: int
+) -> Dict[str, object]:
+    """The series of one run reduced to a row (listable, golden-pinned)."""
+    result = run(trace_key=str(params["trace"]), delta=delta_min * MINUTE, seed=seed)
+    return {
+        "trace": params["trace"],
+        "polls": result.run.total_polls,
+        "ttr_min_min": result.min_ttr_minutes,
+        "ttr_max_min": result.max_ttr_minutes,
+    }

@@ -11,21 +11,19 @@ Compares the three Section 3.2 approaches on a pair of news traces
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Sequence
+from typing import Dict, Mapping, Sequence
 
+from repro.api.runs import run_mutual_temporal
 from repro.consistency.limd import limd_policy_factory
 from repro.consistency.mutual_temporal import MutualTemporalMode
 from repro.core.types import MINUTE, Seconds
-from repro.experiments.figure3 import PAPER_LIMD_PARAMETERS, TTR_MAX
-from repro.experiments.render import render_dict_rows
-from repro.api.runs import run_mutual_temporal
-from repro.experiments.sweep import SweepResult
-from repro.experiments.workloads import DEFAULT_SEED
+from repro.experiments.paper import PAPER_LIMD_PARAMETERS, TTR_MAX
+from repro.experiments.workloads import news_trace
 from repro.metrics.collector import (
     collect_mutual_synchrony,
     collect_mutual_temporal,
 )
-from repro.scenarios.engine import run_scenario
+from repro.scenarios.registry import scenario
 from repro.traces.model import UpdateTrace
 
 #: δ values (minutes) swept by the paper's Figure 5.
@@ -86,56 +84,61 @@ def evaluate_mutual_delta(
     return row
 
 
-def run(
+def _prepare(params: Mapping[str, object], seed: int) -> Dict[str, object]:
+    key_a, key_b = params["pair"]  # type: ignore[misc]
+    return {
+        "trace_a": news_trace(str(key_a), seed),
+        "trace_b": news_trace(str(key_b), seed),
+        "pair_label": f"{key_a}+{key_b}",
+        "delta": float(params["delta_s"]),  # type: ignore[arg-type]
+        "rate_ratio_threshold": float(params["rate_ratio_threshold"]),  # type: ignore[arg-type]
+    }
+
+
+@scenario(
+    name="figure5",
+    description="Figure 5: mutual temporal approaches (mutual-delta sweep)",
+    axis="mutual_delta_min",
+    values=DEFAULT_MUTUAL_DELTAS_MIN,
+    params={
+        "pair": ("cnn_fn", "nyt_ap"),
+        "delta_s": DELTA,
+        "rate_ratio_threshold": 0.8,
+    },
+    columns=(
+        "mutual_delta_min",
+        "baseline_polls",
+        "triggered_polls",
+        "heuristic_polls",
+        "heuristic_overhead",
+        "baseline_fidelity",
+        "triggered_fidelity",
+        "heuristic_fidelity",
+    ),
+    title=(
+        "Figure 5: Mutual temporal consistency "
+        "({pair}, delta = {delta_s:g} s)"
+    ),
+    tags=("paper", "figure"),
+    prepare=_prepare,
+)
+def _point(
+    mutual_delta_min: float,
     *,
-    pair: Sequence[str] = ("cnn_fn", "nyt_ap"),
-    mutual_deltas_min: Sequence[float] = DEFAULT_MUTUAL_DELTAS_MIN,
-    delta: Seconds = DELTA,
-    seed: int = DEFAULT_SEED,
-    rate_ratio_threshold: float = 0.8,
-    workers: Optional[int] = None,
-) -> SweepResult:
-    """Run the full Figure 5 sweep for one trace pair.
-
-    A thin spec over the scenario engine (``repro scenarios run
-    figure5``); ``workers`` > 1 runs the δ points concurrently in
-    worker processes with rows in δ order either way.
-    """
-    return run_scenario(
-        "figure5",
-        seed=seed,
-        workers=workers,
-        params={
-            "pair": list(pair),
-            "delta_s": delta,
-            "rate_ratio_threshold": rate_ratio_threshold,
-        },
-        values=tuple(mutual_deltas_min),
-    ).sweep
-
-
-def render(result: Optional[SweepResult] = None, **kwargs: Any) -> str:
-    """Render the Figure 5 sweep as an ASCII table."""
-    if result is None:
-        result = run(**kwargs)
-    pair = result.rows[0].get("pair", "?") if result.rows else "?"
-    return render_dict_rows(
-        result.rows,
-        columns=[
-            "mutual_delta_min",
-            "baseline_polls",
-            "triggered_polls",
-            "heuristic_polls",
-            "heuristic_overhead",
-            "baseline_fidelity",
-            "triggered_fidelity",
-            "heuristic_fidelity",
-        ],
-        title=(
-            f"Figure 5: Mutual temporal consistency ({pair}, delta = 10 min)"
-        ),
+    trace_a: UpdateTrace,
+    trace_b: UpdateTrace,
+    pair_label: str,
+    delta: float,
+    rate_ratio_threshold: float,
+) -> Dict[str, object]:
+    row: Dict[str, object] = {"pair": pair_label}
+    row.update(
+        evaluate_mutual_delta(
+            trace_a,
+            trace_b,
+            mutual_delta_min * MINUTE,
+            delta=delta,
+            rate_ratio_threshold=rate_ratio_threshold,
+        )
     )
-
-
-if __name__ == "__main__":
-    print(render())
+    return row

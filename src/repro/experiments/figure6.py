@@ -14,17 +14,18 @@ drop.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Optional, Sequence
+from typing import Dict, Mapping, Sequence
 
 from repro.analysis.timeseries import Series
+from repro.api.runs import RunResult, run_mutual_temporal
 from repro.consistency.limd import limd_policy_factory
 from repro.consistency.mutual_temporal import MutualTemporalMode, TriggerDecision
 from repro.core.types import HOUR, MINUTE, Seconds
-from repro.experiments.figure3 import PAPER_LIMD_PARAMETERS, TTR_MAX
+from repro.experiments.paper import PAPER_LIMD_PARAMETERS, TTR_MAX
 from repro.experiments.render import render_series_block
-from repro.api.runs import RunResult, run_mutual_temporal
 from repro.experiments.workloads import DEFAULT_SEED, news_trace
 from repro.metrics.series import extra_polls_series, update_ratio_series
+from repro.scenarios.registry import prepare_params_seed, scenario
 
 DELTA: Seconds = 10 * MINUTE
 MUTUAL_DELTA: Seconds = 5 * MINUTE
@@ -39,6 +40,7 @@ class Figure6Result:
     extra_polls: Series
     decisions: Sequence[TriggerDecision]
     run: RunResult
+    pair: Sequence[str]
 
     @property
     def total_extra_polls(self) -> int:
@@ -56,14 +58,8 @@ def run(
     mutual_delta: Seconds = MUTUAL_DELTA,
     seed: int = DEFAULT_SEED,
     rate_ratio_threshold: float = 0.8,
-    workers: Optional[int] = None,
 ) -> Figure6Result:
-    """Run the heuristic on the pair and extract both series.
-
-    ``workers`` is accepted for interface uniformity with the sweep
-    experiments but has no effect: Figure 6 is a single simulation run.
-    """
-    del workers
+    """Run the heuristic on the pair and extract both series."""
     key_a, key_b = pair
     trace_a = news_trace(key_a, seed)
     trace_b = news_trace(key_b, seed)
@@ -88,19 +84,21 @@ def run(
         decisions, start=start, end=end, bin_width=BIN, label="extra polls"
     )
     return Figure6Result(
-        rate_ratio=ratio, extra_polls=extra, decisions=decisions, run=result
+        rate_ratio=ratio,
+        extra_polls=extra,
+        decisions=decisions,
+        run=result,
+        pair=pair,
     )
 
 
-def render(result: Optional[Figure6Result] = None, **kwargs: Any) -> str:
+def render(result: Figure6Result) -> str:
     """Render the Figure 6 series as ASCII sparklines."""
-    if result is None:
-        result = run(**kwargs)
     block = render_series_block(
         [result.rate_ratio, result.extra_polls],
         title=(
             "Figure 6: Adaptive behaviour of the mutual-consistency "
-            "heuristic (NYT/AP + NYT/Reuters)"
+            f"heuristic ({'+'.join(result.pair)})"
         ),
     )
     summary = (
@@ -110,5 +108,39 @@ def render(result: Optional[Figure6Result] = None, **kwargs: Any) -> str:
     return block + summary
 
 
-if __name__ == "__main__":
-    print(render())
+
+@scenario(
+    name="figure6",
+    description="Figure 6: mutual-heuristic adaptivity (summary statistics)",
+    axis="mutual_delta_min",
+    values=(5.0,),
+    params={
+        "pair": ("nyt_ap", "nyt_reuters"),
+        "delta_min": 10.0,
+        "rate_ratio_threshold": 0.8,
+    },
+    title=(
+        "Figure 6: Mutual-heuristic adaptivity on {pair} "
+        "(single run summary)"
+    ),
+    tags=("paper", "figure", "timeseries"),
+    prepare=prepare_params_seed,
+)
+def _summary_point(
+    mutual_delta_min: float, *, params: Mapping[str, object], seed: int
+) -> Dict[str, object]:
+    """The series of one run reduced to a row (listable, golden-pinned)."""
+    pair = tuple(str(key) for key in params["pair"])  # type: ignore[union-attr]
+    result = run(
+        pair=pair,
+        delta=float(params["delta_min"]) * MINUTE,  # type: ignore[arg-type]
+        mutual_delta=mutual_delta_min * MINUTE,
+        seed=seed,
+        rate_ratio_threshold=float(params["rate_ratio_threshold"]),  # type: ignore[arg-type]
+    )
+    return {
+        "pair": "+".join(pair),
+        "extra_polls": result.total_extra_polls,
+        "suppressed_slower": result.total_suppressed_by_rate,
+        "total_polls": result.run.total_polls,
+    }

@@ -13,19 +13,17 @@ cost of more polls.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Sequence
+from typing import Dict, Mapping, Sequence
 
-from repro.consistency.mutual_value import difference
-from repro.core.types import TTRBounds
-from repro.experiments.render import render_dict_rows
 from repro.api.runs import (
     run_mutual_value_adaptive,
     run_mutual_value_partitioned,
 )
-from repro.experiments.sweep import SweepResult
-from repro.experiments.workloads import DEFAULT_SEED
+from repro.consistency.mutual_value import difference
+from repro.core.types import TTRBounds
+from repro.experiments.workloads import stock_trace
 from repro.metrics.collector import collect_mutual_value
-from repro.scenarios.engine import run_scenario
+from repro.scenarios.registry import scenario
 from repro.traces.model import UpdateTrace
 
 #: δ values (dollars) swept by the paper's Figure 7.
@@ -68,53 +66,53 @@ def evaluate_mutual_delta(
     return row
 
 
-def run(
-    *,
-    pair: Sequence[str] = ("att", "yahoo"),
-    mutual_deltas: Sequence[float] = DEFAULT_MUTUAL_DELTAS,
-    seed: int = DEFAULT_SEED,
-    bounds: TTRBounds = VALUE_BOUNDS,
-    workers: Optional[int] = None,
-) -> SweepResult:
-    """Run the full Figure 7 sweep (``workers`` > 1 runs points in parallel).
-
-    A thin spec over the scenario engine (``repro scenarios run
-    figure7``).
-    """
-    return run_scenario(
-        "figure7",
-        seed=seed,
-        workers=workers,
-        params={
-            "pair": list(pair),
-            "ttr_min": bounds.ttr_min,
-            "ttr_max": bounds.ttr_max,
-        },
-        values=tuple(mutual_deltas),
-    ).sweep
-
-
-def render(result: Optional[SweepResult] = None, **kwargs: Any) -> str:
-    """Render the Figure 7 sweep as an ASCII table."""
-    if result is None:
-        result = run(**kwargs)
-    return render_dict_rows(
-        result.rows,
-        columns=[
-            "mutual_delta",
-            "adaptive_polls",
-            "partitioned_polls",
-            "adaptive_fidelity",
-            "partitioned_fidelity",
-            "adaptive_fidelity_time",
-            "partitioned_fidelity_time",
-        ],
-        title=(
-            "Figure 7: Mutual value consistency on the AT&T + Yahoo pair "
-            "(polls and fidelity vs mutual delta, $)"
+def _prepare(params: Mapping[str, object], seed: int) -> Dict[str, object]:
+    key_a, key_b = params["pair"]  # type: ignore[misc]
+    return {
+        "trace_a": stock_trace(str(key_a), seed),
+        "trace_b": stock_trace(str(key_b), seed),
+        "pair_label": f"{key_a}+{key_b}",
+        "bounds": TTRBounds(
+            ttr_min=float(params["ttr_min"]),  # type: ignore[arg-type]
+            ttr_max=float(params["ttr_max"]),  # type: ignore[arg-type]
         ),
-    )
+    }
 
 
-if __name__ == "__main__":
-    print(render())
+@scenario(
+    name="figure7",
+    description="Figure 7: mutual value approaches (mutual-delta sweep, $)",
+    axis="mutual_delta",
+    values=DEFAULT_MUTUAL_DELTAS,
+    params={
+        "pair": ("att", "yahoo"),
+        "ttr_min": VALUE_BOUNDS.ttr_min,
+        "ttr_max": VALUE_BOUNDS.ttr_max,
+    },
+    columns=(
+        "mutual_delta",
+        "adaptive_polls",
+        "partitioned_polls",
+        "adaptive_fidelity",
+        "partitioned_fidelity",
+        "adaptive_fidelity_time",
+        "partitioned_fidelity_time",
+    ),
+    title=(
+        "Figure 7: Mutual value consistency on {pair} "
+        "(polls and fidelity vs mutual delta, $)"
+    ),
+    tags=("paper", "figure"),
+    prepare=_prepare,
+)
+def _point(
+    mutual_delta: float,
+    *,
+    trace_a: UpdateTrace,
+    trace_b: UpdateTrace,
+    pair_label: str,
+    bounds: TTRBounds,
+) -> Dict[str, object]:
+    row: Dict[str, object] = {"pair": pair_label}
+    row.update(evaluate_mutual_delta(trace_a, trace_b, mutual_delta, bounds=bounds))
+    return row

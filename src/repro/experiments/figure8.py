@@ -11,21 +11,23 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Optional, Sequence, Tuple
+from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
 
 from repro.analysis.timeseries import Series
-from repro.consistency.mutual_value import difference, paired_f_history
-from repro.core.types import Seconds, TTRBounds
-from repro.experiments.figure7 import VALUE_BOUNDS
-from repro.experiments.render import render_series_block
 from repro.api.runs import (
     RunResult,
     run_many,
     run_mutual_value_adaptive,
     run_mutual_value_partitioned,
 )
+from repro.consistency.mutual_value import difference, paired_f_history
+from repro.core.types import Seconds, TTRBounds
+from repro.experiments.figure7 import VALUE_BOUNDS
+from repro.experiments.render import render_series_block
 from repro.experiments.workloads import DEFAULT_SEED, stock_trace
 from repro.metrics.series import f_value_series, server_f_knots
+from repro.scenarios.registry import prepare_params_seed, scenario
+from repro.traces.model import UpdateTrace
 
 MUTUAL_DELTA = 0.6
 WINDOW: Tuple[Seconds, Seconds] = (2500.0, 5000.0)
@@ -44,6 +46,8 @@ class Figure8Result:
     server: Series
     adaptive_proxy: Series
     partitioned_proxy: Series
+    mutual_delta: float
+    window: Tuple[Seconds, Seconds]
     adaptive_run: Optional[RunResult] = None
     partitioned_run: Optional[RunResult] = None
 
@@ -150,20 +154,22 @@ def run(
         server=server_series,
         adaptive_proxy=adaptive_series,
         partitioned_proxy=partitioned_series,
+        mutual_delta=mutual_delta,
+        window=window,
         adaptive_run=adaptive,
         partitioned_run=partitioned,
     )
 
 
-def render(result: Optional[Figure8Result] = None, **kwargs: Any) -> str:
+def render(result: Figure8Result) -> str:
     """Render the three Figure 8 f series as ASCII sparklines."""
-    if result is None:
-        result = run(**kwargs)
+    start, end = result.window
     block = render_series_block(
         [result.server, result.adaptive_proxy, result.partitioned_proxy],
         title=(
             "Figure 8: f (stock-price difference, $) at proxy vs server, "
-            "delta = $0.6, window [2500 s, 5000 s]"
+            f"delta = ${result.mutual_delta:g}, "
+            f"window [{start:g} s, {end:g} s]"
         ),
     )
     summary = (
@@ -174,5 +180,28 @@ def render(result: Optional[Figure8Result] = None, **kwargs: Any) -> str:
     return block + summary
 
 
-if __name__ == "__main__":
-    print(render())
+
+@scenario(
+    name="figure8",
+    description="Figure 8: f at proxy vs server (tracking-error summary)",
+    axis="mutual_delta",
+    values=(MUTUAL_DELTA,),
+    params={"pair": ("att", "yahoo")},
+    title=(
+        "Figure 8: proxy-vs-server tracking error on {pair} "
+        "(single run summary)"
+    ),
+    tags=("paper", "figure", "timeseries"),
+    prepare=prepare_params_seed,
+)
+def _summary_point(
+    mutual_delta: float, *, params: Mapping[str, object], seed: int
+) -> Dict[str, object]:
+    """The series of one run reduced to a row (listable, golden-pinned)."""
+    pair = tuple(str(key) for key in params["pair"])  # type: ignore[union-attr]
+    result = run(pair=pair, mutual_delta=mutual_delta, seed=seed)
+    return {
+        "pair": "+".join(pair),
+        "adaptive_tracking_error": result.tracking_error("adaptive"),
+        "partitioned_tracking_error": result.tracking_error("partitioned"),
+    }

@@ -8,13 +8,13 @@ and the ground-truth n-object Mt fidelity (the Eq. 4 generalisation:
 the members' validity intervals must fit in a window of width δ —
 :func:`repro.metrics.group.group_temporal_fidelity`).
 
-Used by ``benchmarks/bench_extension_group_mt.py`` and the CLI
-(``python -m repro group_mt``).
+Registered as the ``group_mt`` scenario (``python -m repro group_mt``;
+``benchmarks/bench_extension_group_mt.py`` regenerates it).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Sequence, Tuple
 
 from repro.consistency.limd import limd_policy_factory
 from repro.consistency.mutual_temporal import (
@@ -22,16 +22,15 @@ from repro.consistency.mutual_temporal import (
     MutualTemporalMode,
 )
 from repro.core.types import MINUTE, ObjectId, Seconds
-from repro.experiments.figure3 import PAPER_LIMD_PARAMETERS, TTR_MAX
-from repro.experiments.render import render_dict_rows
-from repro.experiments.workloads import DEFAULT_SEED
-from repro.scenarios.engine import run_scenario
+from repro.experiments.paper import PAPER_LIMD_PARAMETERS, TTR_MAX
+from repro.experiments.workloads import news_trace
 from repro.groups.registry import GroupRegistry
 from repro.httpsim.network import Network
 from repro.metrics.collector import temporal_fetches_of
 from repro.metrics.fidelity import FidelityReport
 from repro.metrics.group import group_temporal_fidelity
 from repro.proxy.proxy import ProxyCache
+from repro.scenarios.registry import scenario
 from repro.server.origin import OriginServer
 from repro.server.updates import feed_traces
 from repro.sim.kernel import Kernel
@@ -71,10 +70,28 @@ def _run_mode(
     return proxy, coordinator, report
 
 
+def _prepare(params: Mapping[str, object], seed: int) -> Dict[str, object]:
+    trio = [str(key) for key in params["trio"]]  # type: ignore[union-attr]
+    return {"traces": [news_trace(key, seed) for key in trio]}
+
+
+@scenario(
+    name="group_mt",
+    description="Extension: n-object mutual temporal consistency",
+    axis="mutual_delta_min",
+    values=DEFAULT_MUTUAL_DELTAS,
+    params={"trio": DEFAULT_TRIO},
+    title=(
+        "Extension: n-object mutual temporal consistency "
+        "({trio}, delta = 10 min)"
+    ),
+    tags=("extension",),
+    prepare=_prepare,
+)
 def _sweep_point(
     delta_min: float, *, traces: Sequence[UpdateTrace]
 ) -> Dict[str, object]:
-    """Picklable run-spec: all three modes at one δ (needed by workers > 1)."""
+    """All three Section 3.2 modes at one δ."""
     mutual_delta = delta_min * MINUTE
     row: Dict[str, object] = {"mutual_delta_min": delta_min}
     for mode in (
@@ -89,48 +106,3 @@ def _sweep_point(
         if mode is not MutualTemporalMode.NONE:
             row[f"{label}_extra"] = coordinator.extra_polls
     return row
-
-
-def run(
-    *,
-    seed: int = DEFAULT_SEED,
-    trio: Sequence[str] = DEFAULT_TRIO,
-    mutual_deltas_min: Sequence[float] = DEFAULT_MUTUAL_DELTAS,
-    workers: Optional[int] = None,
-) -> List[Dict[str, object]]:
-    """Sweep δ for the three Section 3.2 modes over an n=3 group.
-
-    A thin spec over the scenario engine (``repro scenarios run
-    group_mt``); ``workers`` > 1 runs the δ points concurrently with
-    rows in δ order either way.
-    """
-    return run_scenario(
-        "group_mt",
-        seed=seed,
-        workers=workers,
-        params={"trio": list(trio)},
-        values=tuple(mutual_deltas_min),
-    ).rows
-
-
-def render(
-    rows: Optional[List[Dict[str, object]]] = None,
-    *,
-    seed: int = DEFAULT_SEED,
-    trio: Sequence[str] = DEFAULT_TRIO,
-    workers: Optional[int] = None,
-) -> str:
-    """Render the sweep as an ASCII table."""
-    if rows is None:
-        rows = run(seed=seed, trio=trio, workers=workers)
-    return render_dict_rows(
-        rows,
-        title=(
-            "Extension: n-object mutual temporal consistency "
-            f"({' + '.join(DEFAULT_TRIO)}, delta = 10 min)"
-        ),
-    )
-
-
-if __name__ == "__main__":
-    print(render())

@@ -5,22 +5,21 @@ work on hierarchical WAN caching (refs [10, 11]).  Compares N edge
 proxies polling the origin directly against the same N edges polling a
 shared parent proxy, everything under LIMD at the same per-level Δ.
 
-Used by ``benchmarks/bench_extension_hierarchy.py`` and by the CLI
-(``python -m repro hierarchy``).
+Registered as the ``hierarchy`` scenario (``python -m repro
+hierarchy``; ``benchmarks/bench_extension_hierarchy.py`` regenerates it).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Tuple
 
 from repro.consistency.limd import LimdPolicy
 from repro.core.types import MINUTE, Seconds, TTRBounds
-from repro.experiments.render import render_dict_rows
-from repro.experiments.workloads import DEFAULT_SEED
-from repro.scenarios.engine import run_scenario
+from repro.experiments.workloads import news_trace
 from repro.httpsim.network import Network
 from repro.metrics.collector import collect_snapshot_fidelity
 from repro.proxy.proxy import ProxyCache
+from repro.scenarios.registry import scenario
 from repro.server.origin import OriginServer
 from repro.server.updates import feed_traces
 from repro.sim.kernel import Kernel
@@ -84,10 +83,30 @@ def _mean(values: Iterable[float]) -> float:
     return sum(materialized) / len(materialized)
 
 
+def _prepare(params: Mapping[str, object], seed: int) -> Dict[str, object]:
+    return {
+        "trace": news_trace(str(params["trace"]), seed),
+        "edge_count": int(params["edge_count"]),  # type: ignore[arg-type]
+    }
+
+
+@scenario(
+    name="hierarchy",
+    description="Extension: flat vs hierarchical proxy topologies",
+    axis="topology",
+    values=("flat", "hierarchy"),
+    params={"trace": "cnn_fn", "edge_count": DEFAULT_EDGE_COUNT},
+    title=(
+        "Extension: flat vs hierarchical proxies "
+        "({trace}, {edge_count} edges, delta = 10 min/level)"
+    ),
+    tags=("extension",),
+    prepare=_prepare,
+)
 def _topology_row(
     topology: str, *, trace: UpdateTrace, edge_count: int
 ) -> Dict[str, object]:
-    """Picklable run-spec: one topology's row (needed by workers > 1)."""
+    """One topology's row."""
     if topology == "flat":
         origin, edges = _run_flat(trace, edge_count)
         parent_polls = None
@@ -106,53 +125,3 @@ def _topology_row(
             _edge_fidelity(trace, e, 2 * DELTA) for e in edges
         ),
     }
-
-
-def run(
-    *,
-    seed: int = DEFAULT_SEED,
-    trace_key: str = "cnn_fn",
-    edge_count: int = DEFAULT_EDGE_COUNT,
-    workers: Optional[int] = None,
-) -> List[Dict[str, object]]:
-    """Run both topologies and return the comparison rows.
-
-    A thin spec over the scenario engine (``repro scenarios run
-    hierarchy``); ``workers`` > 1 runs the two topologies in parallel
-    worker processes with rows staying in (flat, hierarchy) order.
-    """
-    return run_scenario(
-        "hierarchy",
-        seed=seed,
-        workers=workers,
-        params={"trace": trace_key, "edge_count": edge_count},
-    ).rows
-
-
-def render(
-    rows: Optional[List[Dict[str, object]]] = None,
-    *,
-    seed: int = DEFAULT_SEED,
-    trace_key: str = "cnn_fn",
-    edge_count: int = DEFAULT_EDGE_COUNT,
-    workers: Optional[int] = None,
-) -> str:
-    """Render the comparison as an ASCII table."""
-    if rows is None:
-        rows = run(
-            seed=seed,
-            trace_key=trace_key,
-            edge_count=edge_count,
-            workers=workers,
-        )
-    return render_dict_rows(
-        rows,
-        title=(
-            "Extension: flat vs hierarchical proxies "
-            f"({trace_key}, {edge_count} edges, delta = 10 min/level)"
-        ),
-    )
-
-
-if __name__ == "__main__":
-    print(render())

@@ -1,7 +1,7 @@
 """Regenerate every table and figure and emit a Markdown report.
 
-``python -m repro.experiments.report`` prints the full reproduction
-report (the body of EXPERIMENTS.md): each experiment's output plus the
+``python -m repro report`` prints the full reproduction report (the
+body of EXPERIMENTS.md): each experiment's output plus the
 paper-vs-measured comparison of the qualitative claims.
 """
 
@@ -10,28 +10,58 @@ from __future__ import annotations
 import io
 from typing import Optional, cast
 
-from repro.experiments import (
-    figure3,
-    figure4,
-    figure5,
-    figure6,
-    figure7,
-    figure8,
-    table2,
-    table3,
-)
-from repro.experiments.ablations import (
-    ablate_heuristic_threshold,
-    ablate_history,
-    ablate_latency,
-    ablate_limd_parameters,
-    ablate_partition,
-    ablate_smoothing,
-    ablate_trigger_semantics,
-    render_ablation,
-)
-from repro.experiments.sweep import SweepResult
+from repro.experiments import figure4, figure6, figure8
 from repro.experiments.workloads import DEFAULT_SEED
+from repro.scenarios.engine import ScenarioResult, render_scenario, run_scenario
+
+#: (scenario, section heading, notes) in report order.
+_ABLATIONS = (
+    (
+        "ablation_history",
+        "Detection modes (§5.1 extension)",
+        "The exact history mode detects the most violations and backs "
+        "off hardest; plain Last-Modified misses Figure 1(b) patterns "
+        "and under-polls at a visible fidelity cost.",
+    ),
+    (
+        "ablation_heuristic_threshold",
+        "Heuristic rate-ratio threshold",
+        "Stricter gates suppress more triggers and shed fidelity — "
+        "the knob spans the baseline↔triggered spectrum.",
+    ),
+    (
+        "ablation_partition",
+        "Static vs dynamic δ split",
+        "Dynamic apportioning shifts tolerance toward the slow "
+        "object (AT&T) and tightens the fast one (Yahoo).",
+    ),
+    (
+        "ablation_smoothing",
+        "Eq. 10 α sweep",
+        "Small α = conservative = more polls; the paper's remedy for "
+        "low-locality data.",
+    ),
+    (
+        "ablation_trigger_semantics",
+        "Trigger semantics (additional vs replace)",
+        "Both achieve operational fidelity 1; replacing scheduled "
+        "polls absorbs some poll budget.",
+    ),
+    (
+        "ablation_limd_parameters",
+        "LIMD l/m tuning (§3.1)",
+        "Large l (optimistic) sheds polls and fidelity; a strong "
+        "back-off (small fixed m) buys fidelity with polls — the "
+        "two tuning directions the paper describes.",
+    ),
+    (
+        "ablation_latency",
+        "Network-latency sensitivity (§6.1.1 assumption)",
+        "Latencies well below Δ are harmless (the paper's regime); "
+        "fidelity degrades as the one-way latency approaches Δ and "
+        "the round trip stretches the effective poll period.",
+    ),
+)
 
 
 def _section(out: io.StringIO, title: str, body: str, notes: str) -> None:
@@ -45,10 +75,14 @@ def generate(seed: int = DEFAULT_SEED, *, workers: Optional[int] = None) -> str:
     one experiment run concurrently; experiments still run in report
     order so the document is deterministic).
     """
+
+    def table(name: str) -> ScenarioResult:
+        return run_scenario(name, seed=seed, workers=workers)
+
     out = io.StringIO()
     out.write("# Reproduction report\n\n")
     out.write(
-        f"Generated by `python -m repro.experiments.report` "
+        f"Generated by `python -m repro report` "
         f"(seed {seed}).  Workloads are synthetic traces calibrated to "
         "the paper's Tables 2-3; absolute numbers therefore differ from "
         "the paper while the qualitative shapes are expected to hold.\n\n"
@@ -57,26 +91,25 @@ def generate(seed: int = DEFAULT_SEED, *, workers: Optional[int] = None) -> str:
     _section(
         out,
         "Table 2 — temporal workloads",
-        table2.render(seed, workers=workers),
+        render_scenario(table("table2")),
         "Paper: 113 / 233 / 133 / 902 updates at mean intervals of "
         "26 / 11.6 / 20.3 / 4.9 min.  Measured: update counts match "
         "exactly (calibrated); mean intervals match to ±5%.",
     )
-
     _section(
         out,
         "Table 3 — value workloads",
-        table3.render(seed, workers=workers),
+        render_scenario(table("table3")),
         "Paper: AT&T 653 ticks in [35.8, 36.5]; Yahoo 2204 ticks in "
         "[160.2, 171.2].  Measured: counts and ranges match exactly "
         "(calibrated).",
     )
 
-    fig3 = figure3.run(seed=seed, workers=workers)
+    fig3 = table("figure3")
     _section(
         out,
         "Figure 3 — LIMD vs baseline (CNN/FN)",
-        figure3.render(fig3),
+        render_scenario(fig3),
         _figure3_notes(fig3),
     )
 
@@ -91,11 +124,11 @@ def generate(seed: int = DEFAULT_SEED, *, workers: Optional[int] = None) -> str:
         "min — both extremes reached.",
     )
 
-    fig5 = figure5.run(seed=seed, workers=workers)
+    fig5 = table("figure5")
     _section(
         out,
         "Figure 5 — mutual temporal consistency",
-        figure5.render(fig5),
+        render_scenario(fig5),
         _figure5_notes(fig5),
     )
 
@@ -111,11 +144,11 @@ def generate(seed: int = DEFAULT_SEED, *, workers: Optional[int] = None) -> str:
         "as described.",
     )
 
-    fig7 = figure7.run(seed=seed, workers=workers)
+    fig7 = table("figure7")
     _section(
         out,
         "Figure 7 — mutual value consistency",
-        figure7.render(fig7),
+        render_scenario(fig7),
         _figure7_notes(fig7),
     )
 
@@ -132,59 +165,13 @@ def generate(seed: int = DEFAULT_SEED, *, workers: Optional[int] = None) -> str:
     )
 
     out.write("# Ablations\n\n")
-    for rows, title, notes in (
-        (
-            ablate_history(seed=seed, workers=workers),
-            "Detection modes (§5.1 extension)",
-            "The exact history mode detects the most violations and backs "
-            "off hardest; plain Last-Modified misses Figure 1(b) patterns "
-            "and under-polls at a visible fidelity cost.",
-        ),
-        (
-            ablate_heuristic_threshold(seed=seed, workers=workers),
-            "Heuristic rate-ratio threshold",
-            "Stricter gates suppress more triggers and shed fidelity — "
-            "the knob spans the baseline↔triggered spectrum.",
-        ),
-        (
-            ablate_partition(seed=seed, workers=workers),
-            "Static vs dynamic δ split",
-            "Dynamic apportioning shifts tolerance toward the slow "
-            "object (AT&T) and tightens the fast one (Yahoo).",
-        ),
-        (
-            ablate_smoothing(seed=seed, workers=workers),
-            "Eq. 10 α sweep",
-            "Small α = conservative = more polls; the paper's remedy for "
-            "low-locality data.",
-        ),
-        (
-            ablate_trigger_semantics(seed=seed, workers=workers),
-            "Trigger semantics (additional vs replace)",
-            "Both achieve operational fidelity 1; replacing scheduled "
-            "polls absorbs some poll budget.",
-        ),
-        (
-            ablate_limd_parameters(seed=seed, workers=workers),
-            "LIMD l/m tuning (§3.1)",
-            "Large l (optimistic) sheds polls and fidelity; a strong "
-            "back-off (small fixed m) buys fidelity with polls — the "
-            "two tuning directions the paper describes.",
-        ),
-        (
-            ablate_latency(seed=seed, workers=workers),
-            "Network-latency sensitivity (§6.1.1 assumption)",
-            "Latencies well below Δ are harmless (the paper's regime); "
-            "fidelity degrades as the one-way latency approaches Δ and "
-            "the round trip stretches the effective poll period.",
-        ),
-    ):
-        _section(out, title, render_ablation(rows, title), notes)
+    for name, title, notes in _ABLATIONS:
+        _section(out, title, render_scenario(table(name)), notes)
 
     return out.getvalue()
 
 
-def _figure3_notes(result: SweepResult) -> str:
+def _figure3_notes(result: ScenarioResult) -> str:
     tight = result.rows[0]
     loose = result.rows[-1]
     return (
@@ -198,7 +185,7 @@ def _figure3_notes(result: SweepResult) -> str:
     )
 
 
-def _figure5_notes(result: SweepResult) -> str:
+def _figure5_notes(result: ScenarioResult) -> str:
     tight = result.rows[0]
     overheads = [cast(float, row["heuristic_overhead"]) for row in result.rows]
     return (
@@ -211,7 +198,7 @@ def _figure5_notes(result: SweepResult) -> str:
     )
 
 
-def _figure7_notes(result: SweepResult) -> str:
+def _figure7_notes(result: ScenarioResult) -> str:
     mid = result.row_for(0.6)
     return (
         "Paper: both approaches poll less and achieve higher fidelity "
@@ -223,6 +210,3 @@ def _figure7_notes(result: SweepResult) -> str:
         "same ordering on both axes."
     )
 
-
-if __name__ == "__main__":
-    print(generate())

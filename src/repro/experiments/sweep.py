@@ -1,13 +1,11 @@
-"""Sweep rows and the pluggable serial/parallel executors that produce them.
+"""The pluggable serial/parallel executors that run sweep points.
 
 Every figure in the paper's evaluation is a sweep over a tolerance
 (Δ or δ): run the simulation once per value, extract metric columns,
-collect rows.  :class:`SweepResult` is the analysis view over those
-rows (every row stays a plain dict so rendering, assertions and
-regression checks remain trivial); the sweep itself is driven by
-:func:`repro.scenarios.engine.run_scenario`.
-
-Execution is delegated to a :class:`SweepExecutor`:
+collect rows.  The sweep is driven by
+:func:`repro.scenarios.engine.run_scenario` and its rows live on
+:class:`~repro.scenarios.engine.ScenarioResult`; execution is
+delegated to a :class:`SweepExecutor`:
 
 * :class:`SerialExecutor` runs points in-process, one after another —
   the default, and the reference behaviour.
@@ -31,10 +29,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, TypeVar
-
-from repro.core.errors import ExperimentError
+from typing import Callable, List, Optional, Sequence, TypeVar
 
 #: Generic task/result types of the executor seam: ``map`` preserves the
 #: relationship between what goes in and what comes out, so callers
@@ -43,37 +38,6 @@ from repro.core.errors import ExperimentError
 #: type-check end to end.
 T = TypeVar("T")
 R = TypeVar("R")
-
-
-@dataclass
-class SweepResult:
-    """The collected rows of a sweep, with helpers for analysis."""
-
-    parameter: str
-    rows: List[Dict[str, object]] = field(default_factory=list)
-
-    def column(self, name: str) -> List[object]:
-        """Extract one column across all rows (missing → raises)."""
-        try:
-            return [row[name] for row in self.rows]
-        except KeyError as exc:
-            raise ExperimentError(
-                f"column {exc.args[0]!r} missing from sweep rows; "
-                f"available: {sorted(self.rows[0]) if self.rows else []}"
-            ) from None
-
-    def values(self) -> List[float]:
-        """The swept parameter values."""
-        return [float(row[self.parameter]) for row in self.rows]  # type: ignore[arg-type]
-
-    def row_for(self, value: float, *, tolerance: float = 1e-9) -> Dict[str, object]:
-        """The row whose swept value matches ``value``."""
-        for row in self.rows:
-            if abs(float(row[self.parameter]) - value) <= tolerance:  # type: ignore[arg-type]
-                return row
-        raise ExperimentError(
-            f"no row with {self.parameter} == {value} in sweep"
-        )
 
 
 class SweepExecutor:

@@ -8,20 +8,33 @@ exactly and mean intervals match to the reported precision.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Mapping
 
 from repro.core.types import HOUR, MINUTE
-from repro.experiments.render import render_table
-from repro.experiments.workloads import DEFAULT_SEED
-from repro.scenarios.engine import run_scenario
+from repro.experiments.workloads import news_traces
+from repro.scenarios.registry import scenario
 from repro.traces.model import UpdateTrace
 from repro.traces.stats import summarize_temporal
 
 
-def _summary_row(item: Tuple[str, UpdateTrace]) -> Dict[str, object]:
-    """Picklable run-spec: characterise one trace (needed by workers > 1)."""
-    key, trace = item
-    summary = summarize_temporal(trace)
+def _prepare(params: Mapping[str, object], seed: int) -> Dict[str, object]:
+    del params
+    return {"traces": news_traces(seed)}
+
+
+@scenario(
+    name="table2",
+    description="Table 2: temporal workload characteristics",
+    axis="key",
+    values=("cnn_fn", "nyt_ap", "nyt_reuters", "guardian"),
+    columns=("trace", "key", "duration_h", "num_updates", "avg_update_interval_min"),
+    title="Table 2: Characteristics of Trace Workloads (Temporal Domain)",
+    tags=("paper", "table"),
+    prepare=_prepare,
+)
+def _summary_row(key: str, *, traces: Mapping[str, UpdateTrace]) -> Dict[str, object]:
+    """Characterise one trace."""
+    summary = summarize_temporal(traces[key])
     return {
         "trace": summary.name,
         "key": key,
@@ -33,37 +46,6 @@ def _summary_row(item: Tuple[str, UpdateTrace]) -> Dict[str, object]:
     }
 
 
-def run(
-    seed: int = DEFAULT_SEED, *, workers: Optional[int] = None
-) -> List[Dict[str, object]]:
-    """Build the Table 2 rows (``workers`` > 1 characterises in parallel).
-
-    A thin spec over the scenario engine (``repro scenarios run table2``).
-    """
-    return run_scenario("table2", seed=seed, workers=workers).rows
-
-
-def render(
-    seed: int = DEFAULT_SEED, *, workers: Optional[int] = None
-) -> str:
-    """Render Table 2 as ASCII."""
-    rows = run(seed, workers=workers)
-    return render_table(
-        ["Trace", "Duration (h)", "Num. Updates", "Avg. Update Interval (min)"],
-        [
-            [
-                row["trace"],
-                row["duration_h"],
-                row["num_updates"],
-                row["avg_update_interval_min"],
-            ]
-            for row in rows
-        ],
-        title="Table 2: Characteristics of Trace Workloads "
-        "(Temporal Domain, synthetic calibration)",
-    )
-
-
 #: The paper's reported values, for EXPERIMENTS.md comparison.
 PAPER_TABLE2 = {
     "cnn_fn": {"num_updates": 113, "avg_update_interval_min": 26.0},
@@ -72,6 +54,3 @@ PAPER_TABLE2 = {
     "guardian": {"num_updates": 902, "avg_update_interval_min": 4.9},
 }
 
-
-if __name__ == "__main__":
-    print(render())

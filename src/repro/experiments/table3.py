@@ -7,20 +7,33 @@ value ranges exactly by construction.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Mapping
 
 from repro.core.types import HOUR
-from repro.experiments.render import render_table
-from repro.experiments.workloads import DEFAULT_SEED
-from repro.scenarios.engine import run_scenario
+from repro.experiments.workloads import stock_traces
+from repro.scenarios.registry import scenario
 from repro.traces.model import UpdateTrace
 from repro.traces.stats import summarize_value
 
 
-def _summary_row(item: Tuple[str, UpdateTrace]) -> Dict[str, object]:
-    """Picklable run-spec: characterise one trace (needed by workers > 1)."""
-    key, trace = item
-    summary = summarize_value(trace)
+def _prepare(params: Mapping[str, object], seed: int) -> Dict[str, object]:
+    del params
+    return {"traces": stock_traces(seed)}
+
+
+@scenario(
+    name="table3",
+    description="Table 3: value workload characteristics",
+    axis="key",
+    values=("att", "yahoo"),
+    columns=("stock", "key", "duration_h", "num_updates", "min_value", "max_value"),
+    title="Table 3: Characteristics of Trace Workloads (Value Domain)",
+    tags=("paper", "table"),
+    prepare=_prepare,
+)
+def _summary_row(key: str, *, traces: Mapping[str, UpdateTrace]) -> Dict[str, object]:
+    """Characterise one trace."""
+    summary = summarize_value(traces[key])
     return {
         "stock": summary.name,
         "key": key,
@@ -31,44 +44,9 @@ def _summary_row(item: Tuple[str, UpdateTrace]) -> Dict[str, object]:
     }
 
 
-def run(
-    seed: int = DEFAULT_SEED, *, workers: Optional[int] = None
-) -> List[Dict[str, object]]:
-    """Build the Table 3 rows (``workers`` > 1 characterises in parallel).
-
-    A thin spec over the scenario engine (``repro scenarios run table3``).
-    """
-    return run_scenario("table3", seed=seed, workers=workers).rows
-
-
-def render(
-    seed: int = DEFAULT_SEED, *, workers: Optional[int] = None
-) -> str:
-    """Render Table 3 as ASCII."""
-    rows = run(seed, workers=workers)
-    return render_table(
-        ["Stock", "Duration (h)", "Num. of Updates", "Min Value", "Max Value"],
-        [
-            [
-                row["stock"],
-                row["duration_h"],
-                row["num_updates"],
-                row["min_value"],
-                row["max_value"],
-            ]
-            for row in rows
-        ],
-        title="Table 3: Characteristics of Trace Workloads "
-        "(Value Domain, synthetic calibration)",
-    )
-
-
 #: The paper's reported values, for EXPERIMENTS.md comparison.
 PAPER_TABLE3 = {
     "att": {"num_updates": 653, "min_value": 35.8, "max_value": 36.5},
     "yahoo": {"num_updates": 2204, "min_value": 160.2, "max_value": 171.2},
 }
 
-
-if __name__ == "__main__":
-    print(render())

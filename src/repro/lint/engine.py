@@ -2,9 +2,8 @@
 
 The engine walks the requested paths in sorted order, parses each
 ``.py`` file once, hands the :class:`~repro.lint.context.FileContext`
-to every in-scope rule, runs each rule's cross-file ``finalize`` pass,
-filters inline suppressions, and returns a deterministic, sorted
-finding list.  Baseline subtraction is the caller's concern
+to every in-scope rule, filters inline suppressions, and returns a
+deterministic, sorted finding list.  Baseline subtraction is the caller's concern
 (:mod:`repro.lint.cli`), so programmatic users always see the full
 picture.
 
@@ -35,8 +34,7 @@ def _load_rule_pack() -> None:
     load_all()
 
 
-#: Rule code → rule class.  Fresh instances are created per run so
-#: cross-file rules can accumulate state without leaking between runs.
+#: Rule code → rule class.  Fresh instances are created per run.
 LINT_RULES: Registry[Type[LintRule]] = Registry(
     "lint rule", loader=_load_rule_pack
 )
@@ -117,10 +115,6 @@ def lint_files(
                     suppressed += 1
                 else:
                     raw_findings.append(finding)
-    for rule in rules:
-        # Cross-file findings re-check suppressions against their own
-        # file, which the rule recorded alongside the location.
-        raw_findings.extend(rule.finalize())
     return LintRun(
         findings=tuple(sorted(raw_findings)),
         files_scanned=len(files),

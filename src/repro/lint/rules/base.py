@@ -3,10 +3,8 @@
 A rule is a class with a ``code`` (``RLxxx``), a human ``name``, a
 ``description`` for the catalogue, and an optional package ``scope``
 (directory names; empty means repo-wide).  The engine instantiates a
-fresh rule object per run, calls :meth:`LintRule.check` once per
-in-scope file, and :meth:`LintRule.finalize` once at the end — rules
-that need cross-file facts (the scenario/smoke pairing) accumulate
-them on ``self`` during ``check`` and emit during ``finalize``.
+fresh rule object per run and calls :meth:`LintRule.check` once per
+in-scope file.
 """
 
 from __future__ import annotations
@@ -33,10 +31,6 @@ class LintRule:
 
     def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
         """Per-file pass; yield diagnostics for ``ctx``."""
-        return iter(())
-
-    def finalize(self) -> Iterator[Diagnostic]:
-        """Cross-file pass, after every file has been checked."""
         return iter(())
 
     def diagnostic(

@@ -1,22 +1,21 @@
 """RL3xx — façade-hygiene rules.
 
-The public surface (``repro.api``, the scenario catalogue) has
-structural invariants that review keeps re-checking by hand; these
-rules check them mechanically:
+The public surface (``repro.api``) has a structural invariant that
+review keeps re-checking by hand; this rule checks it mechanically:
 
 * RL301 — a ``*Config`` class that defines one of ``to_dict`` /
   ``from_dict`` must pair the other (directly or through a base class
-  defined in the same file, like ``_ConfigBase``);
-* RL302 — every ``@scenario(name=...)`` registration must name a tiny
-  smoke configuration in ``TINY_CONFIGS`` (the golden suite and
-  ``tools/update_goldens.py`` both key off it; a missing entry only
-  explodes at test-collection time otherwise).
+  defined in the same file, like ``_ConfigBase``).
+
+(That every registered scenario has a ``TINY_CONFIGS`` smoke entry is
+asserted at run time by ``tests/test_scenario_goldens.py``, which sees
+every registration wherever its decorator lives.)
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, Optional, Set
 
 from repro.lint.context import FileContext
 from repro.lint.diagnostics import Diagnostic
@@ -94,94 +93,3 @@ class ConfigPairingRule(LintRule):
                 return None
             names.update(inherited)
         return names
-
-
-@register_rule
-class ScenarioSmokeRule(LintRule):
-    """RL302: every @scenario registration must name a smoke config."""
-
-    code = "RL302"
-    name = "scenario-smoke-config"
-    description = (
-        "Every @scenario(name=...) registration must have a matching "
-        "TINY_CONFIGS entry (repro.scenarios.smoke); the golden "
-        "regression suite and tools/update_goldens.py both require it."
-    )
-
-    def __init__(self) -> None:
-        #: (scenario name, path, line, col) per registration site.
-        self._registrations: List[Tuple[str, str, int, int]] = []
-        self._tiny_names: Set[str] = set()
-        self._saw_tiny_configs = False
-
-    def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                for decorator in node.decorator_list:
-                    self._note_registration(ctx, decorator)
-            elif isinstance(node, ast.Assign):
-                for target in node.targets:
-                    if (
-                        isinstance(target, ast.Name)
-                        and target.id == "TINY_CONFIGS"
-                    ):
-                        self._note_tiny_configs(node.value)
-            elif isinstance(node, ast.AnnAssign):
-                if (
-                    isinstance(node.target, ast.Name)
-                    and node.target.id == "TINY_CONFIGS"
-                    and node.value is not None
-                ):
-                    self._note_tiny_configs(node.value)
-        return iter(())
-
-    def _note_registration(self, ctx: FileContext, decorator: ast.expr) -> None:
-        if not isinstance(decorator, ast.Call):
-            return
-        name = base_name(decorator.func)
-        if name != "scenario":
-            return
-        for keyword in decorator.keywords:
-            if keyword.arg != "name":
-                continue
-            value = keyword.value
-            if isinstance(value, ast.Constant) and isinstance(value.value, str):
-                if ctx.suppressions.is_suppressed(self.code, decorator.lineno):
-                    return
-                self._registrations.append(
-                    (
-                        value.value,
-                        ctx.path,
-                        decorator.lineno,
-                        decorator.col_offset,
-                    )
-                )
-            return
-
-    def _note_tiny_configs(self, value: ast.expr) -> None:
-        if not isinstance(value, ast.Dict):
-            return
-        self._saw_tiny_configs = True
-        for key in value.keys:
-            if isinstance(key, ast.Constant) and isinstance(key.value, str):
-                self._tiny_names.add(key.value)
-
-    def finalize(self) -> Iterator[Diagnostic]:
-        if not self._saw_tiny_configs:
-            # The smoke module was outside the linted path set: there
-            # is nothing sound to compare registrations against.
-            return
-        for name, path, line, col in sorted(self._registrations):
-            if name not in self._tiny_names:
-                yield Diagnostic(
-                    path=path,
-                    line=line,
-                    col=col,
-                    code=self.code,
-                    message=(
-                        f"scenario {name!r} has no TINY_CONFIGS smoke "
-                        "entry; add one to repro.scenarios.smoke (and "
-                        "regenerate goldens)"
-                    ),
-                )
-

@@ -32,9 +32,9 @@ from repro.core.types import Seconds
 class StreamingMoments:
     """Count/sum/sum-of-squares accumulator with O(1) ingest.
 
-    The moment form (rather than Welford's recurrence, used by
-    :class:`repro.sim.stats.SummaryStats`) makes two-accumulator
-    :meth:`merge` exact, which parallel sweep collection needs.
+    The moment form (rather than Welford's recurrence) makes
+    two-accumulator :meth:`merge` exact, which parallel sweep
+    collection needs.
     Variance is computed as ``E[x²] − E[x]²`` with a non-negativity
     clamp for float cancellation.
     """

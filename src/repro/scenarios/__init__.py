@@ -9,10 +9,11 @@ extension, or new workload family — into data plus a point function:
   name-based lookup;
 * :mod:`repro.scenarios.engine` — :func:`run_scenario`, the generic
   driver over the parallel sweep executors;
-* :mod:`repro.scenarios.builtin` — every paper table/figure/ablation
-  as a thin spec;
-* :mod:`repro.scenarios.families` — flash crowds, diurnal cycles,
-  failure churn, heterogeneous mixes.
+* :mod:`repro.scenarios.families`, :mod:`~repro.scenarios.capacity`,
+  :mod:`~repro.scenarios.replay` — workload families beyond the paper.
+
+The paper's tables, figures and ablations register themselves from
+their own modules under :mod:`repro.experiments`.
 
 See ``docs/SCENARIOS.md`` for the authoring guide.
 """

@@ -31,7 +31,7 @@ from repro.api.builder import SimulationBuilder
 from repro.consistency.limd import limd_policy_factory
 from repro.core.rng import derive_seed
 from repro.core.types import HOUR, MINUTE
-from repro.experiments.figure3 import PAPER_LIMD_PARAMETERS, TTR_MAX
+from repro.experiments.paper import PAPER_LIMD_PARAMETERS, TTR_MAX
 from repro.metrics.collector import (
     collect_eviction_impact,
     collect_snapshot_fidelity,

@@ -26,7 +26,7 @@ from repro.api.results import ResultSet
 from repro.core.errors import ExperimentError
 from repro.core.rng import DEFAULT_SEED
 from repro.experiments.render import render_dict_rows
-from repro.experiments.sweep import SweepResult, executor_for
+from repro.experiments.sweep import executor_for
 from repro.scenarios.registry import SCENARIOS, PointFn, Scenario
 from repro.scenarios.spec import AxisValue, ScenarioSpec
 
@@ -39,10 +39,25 @@ class ScenarioResult:
     seed: int
     rows: List[Dict[str, object]]
 
-    @property
-    def sweep(self) -> SweepResult:
-        """The rows viewed as a :class:`SweepResult` over the axis."""
-        return SweepResult(parameter=self.spec.axis, rows=self.rows)
+    def column(self, name: str) -> List[object]:
+        """Extract one column across all rows (missing → raises)."""
+        try:
+            return [row[name] for row in self.rows]
+        except KeyError as exc:
+            raise ExperimentError(
+                f"column {exc.args[0]!r} missing from scenario rows; "
+                f"available: {sorted(self.rows[0]) if self.rows else []}"
+            ) from None
+
+    def row_for(self, value: float, *, tolerance: float = 1e-9) -> Dict[str, object]:
+        """The row whose (numeric) axis value matches ``value``."""
+        axis = self.spec.axis
+        for row in self.rows:
+            if abs(float(row[axis]) - value) <= tolerance:  # type: ignore[arg-type]
+                return row
+        raise ExperimentError(
+            f"no row with {axis} == {value} in scenario {self.spec.name!r}"
+        )
 
     @property
     def result_set(self) -> ResultSet:
@@ -143,7 +158,7 @@ def render_scenario(result: ScenarioResult) -> str:
     return render_dict_rows(
         result.rows,
         columns=list(spec.columns) if spec.columns else None,
-        title=spec.title or spec.name,
+        title=spec.heading,
     )
 
 

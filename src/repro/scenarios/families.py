@@ -33,7 +33,7 @@ from typing import Dict, Mapping
 from repro.consistency.limd import limd_policy_factory
 from repro.core.rng import RngRegistry, derive_seed
 from repro.core.types import DAY, HOUR, MINUTE
-from repro.experiments.figure3 import PAPER_LIMD_PARAMETERS, TTR_MAX, evaluate_delta
+from repro.experiments.paper import PAPER_LIMD_PARAMETERS, TTR_MAX, evaluate_delta
 from repro.api.runs import run_individual
 from repro.experiments.workloads import news_trace, stock_trace
 from repro.httpsim.network import Network

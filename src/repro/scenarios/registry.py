@@ -24,8 +24,8 @@ Registration is declarative::
     def _diurnal_point(amplitude, *, trace, delta):
         ...
 
-Point functions must be module-level (pickling requirement, exactly as
-for :mod:`repro.experiments.sweep` row builders).
+Point functions must be module-level (pickling requirement of
+:class:`repro.experiments.sweep.ParallelExecutor`).
 
 Lookup goes through :data:`SCENARIOS`, a
 :class:`repro.core.registry.Registry` shared with the consistency and
@@ -91,10 +91,22 @@ class Scenario:
 
 
 def _load_builtins() -> None:
-    """Import the modules whose import side-effect is registration."""
-    # Imported for their @scenario decorators; order matters only for
-    # listing aesthetics (builtin paper scenarios first).
-    import repro.scenarios.builtin  # noqa: F401
+    """Import the modules whose import side-effect is registration.
+
+    Each module decorates its own point functions with ``@scenario``;
+    nothing is read from them here.
+    """
+    import repro.experiments.ablations  # noqa: F401
+    import repro.experiments.figure3  # noqa: F401
+    import repro.experiments.figure4  # noqa: F401
+    import repro.experiments.figure5  # noqa: F401
+    import repro.experiments.figure6  # noqa: F401
+    import repro.experiments.figure7  # noqa: F401
+    import repro.experiments.figure8  # noqa: F401
+    import repro.experiments.group_mt  # noqa: F401
+    import repro.experiments.hierarchy  # noqa: F401
+    import repro.experiments.table2  # noqa: F401
+    import repro.experiments.table3  # noqa: F401
     import repro.scenarios.families  # noqa: F401
     import repro.scenarios.capacity  # noqa: F401
     import repro.scenarios.replay  # noqa: F401

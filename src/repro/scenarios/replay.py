@@ -32,7 +32,7 @@ from repro.consistency.limd import limd_policy_factory
 from repro.consistency.mutual_temporal import MutualTemporalCoordinator
 from repro.core.rng import RngRegistry, derive_seed
 from repro.core.types import HOUR, MINUTE, GroupId, ObjectId
-from repro.experiments.figure3 import PAPER_LIMD_PARAMETERS, TTR_MAX
+from repro.experiments.paper import PAPER_LIMD_PARAMETERS, TTR_MAX
 from repro.groups.registry import GroupRegistry
 from repro.metrics.collector import temporal_fetches_of
 from repro.metrics.group import group_temporal_fidelity

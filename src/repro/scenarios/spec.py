@@ -56,7 +56,9 @@ class ScenarioSpec:
             workload knobs, policy settings).  Everything here must be
             JSON-serializable and is overridable via ``--params``.
         columns: Metric columns to render, in order ('()' = all).
-        title: Heading used when rendering the result table.
+        title: Heading of the rendered result table.  ``{name}``
+            fields are filled from ``params`` (see :attr:`heading`), so
+            the heading names the trace or pair that actually ran.
         tags: Free-form labels (``paper``, ``ablation``, ``family``...).
     """
 
@@ -125,6 +127,26 @@ class ScenarioSpec:
                     f"{attribute} must contain only strings, got {items!r}"
                 )
             object.__setattr__(self, attribute, items)
+        try:
+            self.heading
+        except (LookupError, ValueError, TypeError, AttributeError) as exc:
+            raise ScenarioSpecError(
+                f"title {self.title!r} does not format with params "
+                f"{sorted(self.params)}: {exc!r}"
+            ) from None
+
+    @property
+    def heading(self) -> str:
+        """:attr:`title` (or the name) with ``{param}`` fields filled in.
+
+        Sequence params read as their items joined by ``+``, the way
+        rows label a trace pair (``cnn_fn+nyt_ap``).
+        """
+        fields = {
+            key: "+".join(map(str, value)) if isinstance(value, tuple) else value
+            for key, value in self.params.items()
+        }
+        return (self.title or self.name).format(**fields)
 
     # ------------------------------------------------------------------
     # Overrides

@@ -1,7 +1,7 @@
 """Discrete-event simulation kernel and supporting utilities."""
 
 from repro.sim.kernel import EventHandle, Kernel
-from repro.sim.stats import Counter, SummarySnapshot, SummaryStats
+from repro.sim.stats import Counter
 from repro.sim.timers import PeriodicTimer, RestartableTimer
 from repro.sim.tracing import EventLog
 
@@ -9,8 +9,6 @@ __all__ = [
     "EventHandle",
     "Kernel",
     "Counter",
-    "SummarySnapshot",
-    "SummaryStats",
     "PeriodicTimer",
     "RestartableTimer",
     "EventLog",

@@ -1,22 +1,16 @@
-"""Statistics primitives for simulation components.
+"""Statistics primitive for simulation components.
 
-Two workhorses:
+:class:`Counter` — monotone named counters (polls, violations, hits).
 
-* :class:`Counter` — monotone named counters (polls, violations, hits).
-* :class:`SummaryStats` — streaming min/max/mean/variance via Welford's
-  algorithm, for the trace characterisation tables (update gaps,
-  value changes).
-
-Eq. 14 fidelity (total out-of-sync time) is computed in
-:mod:`repro.metrics.fidelity`, not here.
+Streaming moments (mean/variance/min/max) live in
+:class:`repro.metrics.streaming.StreamingMoments`; Eq. 14 fidelity
+(total out-of-sync time) is computed in :mod:`repro.metrics.fidelity`.
 """
 
 from __future__ import annotations
 
-import math
 from collections import defaultdict
-from dataclasses import dataclass
-from typing import DefaultDict, Dict, Iterator, Optional
+from typing import DefaultDict, Dict, Iterator
 
 
 class Counter:
@@ -57,93 +51,3 @@ class Counter:
 
     def __repr__(self) -> str:
         return f"Counter({dict(self.counts)})"
-
-
-@dataclass(slots=True)
-class SummarySnapshot:
-    """An immutable snapshot of a :class:`SummaryStats`."""
-
-    count: int
-    mean: float
-    variance: float
-    minimum: float
-    maximum: float
-
-    @property
-    def stddev(self) -> float:
-        return math.sqrt(self.variance) if self.variance > 0 else 0.0
-
-
-class SummaryStats:
-    """Streaming summary statistics (Welford's online algorithm)."""
-
-    __slots__ = ("_count", "_mean", "_m2", "_min", "_max")
-
-    def __init__(self) -> None:
-        self._count = 0
-        self._mean = 0.0
-        self._m2 = 0.0
-        self._min: Optional[float] = None
-        self._max: Optional[float] = None
-
-    def observe(self, x: float) -> None:
-        """Record one observation."""
-        if not math.isfinite(x):
-            raise ValueError(f"observation must be finite, got {x}")
-        self._count += 1
-        delta = x - self._mean
-        self._mean += delta / self._count
-        self._m2 += delta * (x - self._mean)
-        self._min = x if self._min is None else min(self._min, x)
-        self._max = x if self._max is None else max(self._max, x)
-
-    @property
-    def count(self) -> int:
-        return self._count
-
-    @property
-    def mean(self) -> float:
-        return self._mean
-
-    @property
-    def variance(self) -> float:
-        """Population variance (0.0 when fewer than two observations)."""
-        if self._count < 2:
-            return 0.0
-        return self._m2 / self._count
-
-    @property
-    def stddev(self) -> float:
-        return math.sqrt(self.variance)
-
-    @property
-    def minimum(self) -> float:
-        if self._min is None:
-            raise ValueError("no observations recorded")
-        return self._min
-
-    @property
-    def maximum(self) -> float:
-        if self._max is None:
-            raise ValueError("no observations recorded")
-        return self._max
-
-    def snapshot(self) -> SummarySnapshot:
-        """Return an immutable copy of the current statistics."""
-        if self._count == 0:
-            return SummarySnapshot(0, 0.0, 0.0, math.nan, math.nan)
-        return SummarySnapshot(
-            count=self._count,
-            mean=self._mean,
-            variance=self.variance,
-            minimum=self.minimum,
-            maximum=self.maximum,
-        )
-
-    def __repr__(self) -> str:
-        if self._count == 0:
-            return "SummaryStats(empty)"
-        return (
-            f"SummaryStats(n={self._count}, mean={self._mean:.4g}, "
-            f"min={self._min:.4g}, max={self._max:.4g})"
-        )

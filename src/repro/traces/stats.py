@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.core.types import HOUR, MINUTE, Seconds
-from repro.sim.stats import SummaryStats
 from repro.traces.model import UpdateTrace
 
 
@@ -91,14 +90,6 @@ def inter_update_gaps(trace: UpdateTrace) -> List[Seconds]:
     return [b - a for a, b in zip(times, times[1:])]
 
 
-def gap_statistics(trace: UpdateTrace) -> SummaryStats:
-    """Summary statistics of inter-update gaps."""
-    stats = SummaryStats()
-    for gap in inter_update_gaps(trace):
-        stats.observe(gap)
-    return stats
-
-
 def updates_per_bin(
     trace: UpdateTrace, bin_width: Seconds, *, end: Optional[Seconds] = None
 ) -> List[int]:
@@ -129,15 +120,3 @@ def update_rate_per_bin(
 ) -> List[float]:
     """Update *rate* (updates per second) in each bin."""
     return [c / bin_width for c in updates_per_bin(trace, bin_width, end=end)]
-
-
-def value_change_statistics(trace: UpdateTrace) -> SummaryStats:
-    """Summary of absolute per-tick value changes (valued traces only)."""
-    if not trace.has_values:
-        raise ValueError("value_change_statistics needs a value-domain trace")
-    stats = SummaryStats()
-    records = trace.records
-    for prev, curr in zip(records, records[1:]):
-        assert prev.value is not None and curr.value is not None
-        stats.observe(abs(curr.value - prev.value))
-    return stats

@@ -322,6 +322,12 @@ class TestRunCli:
         assert main(["run", "--config", str(tmp_path / "nope.json")]) == 2
         assert "cannot read config" in capsys.readouterr().err
 
+    def test_non_utf8_file_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "bin.json"
+        path.write_bytes(b"\xff\xfe\x00")
+        assert main(["run", "--config", str(path)]) == 2
+        assert "cannot read config" in capsys.readouterr().err
+
     def test_invalid_config_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text('{"surprise": 1}')

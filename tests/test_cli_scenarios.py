@@ -179,6 +179,59 @@ class TestRunCapacityFamilies:
         assert capsys.readouterr().out == serial
 
 
+class TestClassicCommandsAreScenarioRuns:
+    """``repro <artefact>`` is ``repro scenarios run <artefact>``."""
+
+    @pytest.mark.parametrize(
+        "classic, scenario",
+        [
+            (
+                ["figure3", "--trace", "guardian"],
+                ["figure3", "--params", "trace=guardian"],
+            ),
+            (
+                ["figure5", "--pair", "guardian", "cnn_fn"],
+                ["figure5", "--params", 'pair=["guardian","cnn_fn"]'],
+            ),
+            (
+                ["hierarchy", "--trace", "nyt_ap"],
+                ["hierarchy", "--params", "trace=nyt_ap"],
+            ),
+            (["table3", "--seed", "7"], ["table3", "--seed", "7"]),
+        ],
+    )
+    def test_output_equals_scenarios_run(self, classic, scenario, capsys):
+        assert main(classic) == 0
+        classic_out = capsys.readouterr().out
+        assert main(["scenarios", "run", *scenario]) == 0
+        assert capsys.readouterr().out == classic_out
+
+    def test_heading_names_the_trace_that_ran(self, capsys):
+        assert main(["figure3", "--trace", "guardian"]) == 0
+        heading = capsys.readouterr().out.splitlines()[0]
+        assert "guardian" in heading
+        for other in ("CNN", "cnn_fn", "nyt_ap", "nyt_reuters"):
+            assert other not in heading
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["figure5", "--pair", "bbc", "cnn_fn"],
+            ["figure6", "--pair-fig6", "bbc", "nyt_ap"],
+        ],
+    )
+    def test_unknown_trace_key_exits_2(self, argv, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid scenario configuration:")
+        assert "bbc" in err
+
+    def test_ablations_prints_all_seven(self, capsys):
+        assert main(["ablations"]) == 0
+        out = capsys.readouterr().out
+        assert out.count("Ablation: ") == 7
+
+
 class TestClassicCliUnaffected:
     def test_experiment_list_mentions_scenarios_group(self, capsys):
         assert main(["list"]) == 0

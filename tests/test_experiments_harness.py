@@ -1,4 +1,4 @@
-"""Unit tests for the experiment harness: sweep, render, workloads."""
+"""Unit tests for the experiment harness: result rows, render, workloads."""
 
 from __future__ import annotations
 
@@ -15,7 +15,6 @@ from repro.experiments.render import (
     render_series_block,
     render_table,
 )
-from repro.experiments.sweep import SweepResult
 from repro.experiments.workloads import (
     DEFAULT_SEED,
     news_trace,
@@ -23,23 +22,33 @@ from repro.experiments.workloads import (
     stock_trace,
     stock_traces,
 )
+from repro.scenarios.engine import ScenarioResult
+from repro.scenarios.spec import ScenarioSpec
+
+
+def _result(rows):
+    spec = ScenarioSpec(
+        name="_rows",
+        description="hand-built rows",
+        axis="x",
+        values=tuple(row["x"] for row in rows),
+    )
+    return ScenarioResult(spec=spec, seed=DEFAULT_SEED, rows=rows)
 
 
 class TestSweep:
     def test_rows_carry_parameter_and_builder_columns(self):
-        result = SweepResult(
-            "x", [{"x": 1.0, "square": 1.0}, {"x": 2.0, "square": 4.0}]
-        )
-        assert result.values() == [1.0, 2.0]
+        result = _result([{"x": 1.0, "square": 1.0}, {"x": 2.0, "square": 4.0}])
+        assert result.column("x") == [1.0, 2.0]
         assert result.column("square") == [1.0, 4.0]
 
     def test_missing_column_raises(self):
-        result = SweepResult("x", [{"x": 1.0, "y": 1.0}])
+        result = _result([{"x": 1.0, "y": 1.0}])
         with pytest.raises(ExperimentError, match="missing"):
             result.column("z")
 
     def test_row_for_matches_value(self):
-        result = SweepResult("x", [{"x": 1.0, "y": 1.0}, {"x": 2.0, "y": 2.0}])
+        result = _result([{"x": 1.0, "y": 1.0}, {"x": 2.0, "y": 2.0}])
         assert result.row_for(2.0)["y"] == 2.0
         with pytest.raises(ExperimentError):
             result.row_for(3.0)

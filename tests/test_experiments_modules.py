@@ -1,34 +1,21 @@
 """Smoke tests for the per-table/figure experiment modules.
 
-The full sweeps live in ``benchmarks/``; here each module runs on a
-reduced parameter set to verify wiring, rendering, and the headline
-shape, keeping the unit suite fast.
+The full sweeps live in ``benchmarks/``; here each artefact runs by
+name on a reduced parameter set to verify wiring, rendering, and the
+headline shape, keeping the unit suite fast.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.experiments import (
-    figure3,
-    figure4,
-    figure5,
-    figure6,
-    figure7,
-    figure8,
-    table2,
-    table3,
-)
-from repro.experiments.ablations import (
-    ablate_partition,
-    ablate_trigger_semantics,
-    render_ablation,
-)
+from repro.experiments import figure4, figure6, figure8, table2
+from repro.scenarios.engine import render_scenario, run_scenario
 
 
 class TestTables:
     def test_table2_rows_match_paper_counts(self):
-        rows = table2.run()
+        rows = run_scenario("table2").rows
         counts = {row["key"]: row["num_updates"] for row in rows}
         assert counts == {
             key: spec["num_updates"]
@@ -36,28 +23,28 @@ class TestTables:
         }
 
     def test_table2_render_contains_all_traces(self):
-        out = table2.render()
+        out = render_scenario(run_scenario("table2"))
         assert "CNN" in out and "Guardian" in out
 
     def test_table3_rows_match_paper_ranges(self):
-        rows = table3.run()
+        rows = run_scenario("table3").rows
         by_key = {row["key"]: row for row in rows}
         assert by_key["att"]["min_value"] == pytest.approx(35.8)
         assert by_key["yahoo"]["max_value"] == pytest.approx(171.2)
 
     def test_table3_render(self):
-        out = table3.render()
+        out = render_scenario(run_scenario("table3"))
         assert "AT&T" in out and "Yahoo" in out
 
 
 class TestFigure3:
     def test_reduced_sweep_shape(self):
-        result = figure3.run(deltas_min=(2, 30))
+        result = run_scenario("figure3", values=(2, 30))
         tight = result.row_for(2)
         loose = result.row_for(30)
         assert tight["limd_polls"] < tight["baseline_polls"]
         assert loose["baseline_fidelity_violations"] == 1.0
-        assert figure3.render(result).startswith("Figure 3")
+        assert render_scenario(result).startswith("Figure 3")
 
 
 class TestFigure4:
@@ -70,11 +57,11 @@ class TestFigure4:
 
 class TestFigure5:
     def test_reduced_sweep_shape(self):
-        result = figure5.run(mutual_deltas_min=(2,))
+        result = run_scenario("figure5", values=(2,))
         row = result.rows[0]
         assert row["triggered_fidelity"] == 1.0
         assert row["heuristic_polls"] >= row["baseline_polls"] * 0.95
-        assert "Figure 5" in figure5.render(result)
+        assert "Figure 5" in render_scenario(result)
 
 
 class TestFigure6:
@@ -87,12 +74,12 @@ class TestFigure6:
 
 class TestFigure7:
     def test_reduced_sweep_shape(self):
-        result = figure7.run(mutual_deltas=(0.6, 4.0))
+        result = run_scenario("figure7", values=(0.6, 4.0))
         tight = result.row_for(0.6)
         loose = result.row_for(4.0)
         assert loose["adaptive_polls"] <= tight["adaptive_polls"]
         assert loose["partitioned_fidelity"] >= tight["partitioned_fidelity"]
-        assert "Figure 7" in figure7.render(result)
+        assert "Figure 7" in render_scenario(result)
 
 
 class TestFigure8:
@@ -106,12 +93,12 @@ class TestFigure8:
 
 class TestAblationsSmoke:
     def test_partition_ablation_rows(self):
-        rows = ablate_partition()
-        assert {row["split"] for row in rows} == {"static", "dynamic"}
-        assert "static" in render_ablation(rows, "t")
+        result = run_scenario("ablation_partition")
+        assert set(result.column("split")) == {"static", "dynamic"}
+        assert "static" in render_scenario(result)
 
     def test_trigger_semantics_rows(self):
-        rows = ablate_trigger_semantics()
+        rows = run_scenario("ablation_trigger_semantics").rows
         assert {row["semantics"] for row in rows} == {"additional", "replace"}
         for row in rows:
             assert row["fidelity"] == 1.0
@@ -119,47 +106,76 @@ class TestAblationsSmoke:
 
 class TestHierarchyExperiment:
     def test_rows_and_render(self):
-        from repro.experiments import hierarchy
-
-        rows = hierarchy.run(edge_count=3)
-        assert [row["topology"] for row in rows] == ["flat", "hierarchy"]
-        flat, hier = rows
+        result = run_scenario("hierarchy", params={"edge_count": 3})
+        assert result.column("topology") == ["flat", "hierarchy"]
+        flat, hier = result.rows
         assert hier["origin_requests"] < flat["origin_requests"]
         assert hier["parent_polls"] == hier["origin_requests"]
-        out = hierarchy.render(rows, edge_count=3)
+        out = render_scenario(result)
         assert "flat" in out and "hierarchy" in out
+        assert "3 edges" in out
 
     def test_edge_count_respected(self):
-        from repro.experiments import hierarchy
-
-        rows = hierarchy.run(edge_count=2)
+        rows = run_scenario("hierarchy", params={"edge_count": 2}).rows
         assert rows[0]["edges"] == 2
 
 
 class TestGroupMtExperiment:
     def test_reduced_sweep_shape(self):
-        from repro.experiments import group_mt
-
-        rows = group_mt.run(mutual_deltas_min=(2.0, 30.0))
-        tight, loose = rows
+        result = run_scenario("group_mt", values=(2.0, 30.0))
+        tight, loose = result.rows
         assert tight["triggered_fidelity_time"] >= tight[
             "baseline_fidelity_time"
         ] - 1e-9
         assert tight["triggered_extra"] >= loose["triggered_extra"]
-        out = group_mt.render(rows)
-        assert "n-object" in out
+        assert "n-object" in render_scenario(result)
+
+    def test_heading_names_the_trio_that_ran(self):
+        trio = ["guardian", "cnn_fn", "nyt_ap"]
+        result = run_scenario("group_mt", params={"trio": trio}, values=(30.0,))
+        heading = render_scenario(result).splitlines()[0]
+        assert "guardian+cnn_fn+nyt_ap" in heading
+        assert "nyt_reuters" not in heading
 
     def test_limd_ablation_rows(self):
-        from repro.experiments.ablations import ablate_limd_parameters
-
-        rows = ablate_limd_parameters()
-        tunings = [row["tuning"] for row in rows]
+        tunings = run_scenario("ablation_limd_parameters").column("tuning")
         assert "paper" in tunings and "optimistic" in tunings
 
     def test_latency_ablation_rows(self):
-        from repro.experiments.ablations import ablate_latency
-
-        rows = ablate_latency(latencies=(0.0, 600.0))
+        rows = run_scenario("ablation_latency", values=(0.0, 600.0)).rows
         assert rows[0]["one_way_latency_s"] == 0.0
         assert rows[1]["latency_over_delta"] == 1.0
         assert rows[1]["fidelity_time"] <= rows[0]["fidelity_time"]
+
+
+class TestReport:
+    def test_every_section_present_and_output_reproducible(self, capsys):
+        from repro.cli import main
+        from repro.experiments.report import generate
+
+        assert main(["report"]) == 0
+        first = capsys.readouterr().out.rstrip("\n")
+        headings = [
+            line[3:] for line in first.splitlines() if line.startswith("## ")
+        ]
+        assert [heading.split(" — ")[0] for heading in headings[:8]] == [
+            "Table 2",
+            "Table 3",
+            "Figure 3",
+            "Figure 4",
+            "Figure 5",
+            "Figure 6",
+            "Figure 7",
+            "Figure 8",
+        ]
+        assert headings[8:] == [
+            "Detection modes (§5.1 extension)",
+            "Heuristic rate-ratio threshold",
+            "Static vs dynamic δ split",
+            "Eq. 10 α sweep",
+            "Trigger semantics (additional vs replace)",
+            "LIMD l/m tuning (§3.1)",
+            "Network-latency sensitivity (§6.1.1 assumption)",
+        ]
+        assert generate().rstrip("\n") == first
+        assert generate(workers=2).rstrip("\n") == first

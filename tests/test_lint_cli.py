@@ -94,8 +94,9 @@ class TestReportsAndCatalog(unittest.TestCase):
             status = main(["--list-rules"])
         self.assertEqual(status, 0)
         output = buffer.getvalue()
-        for code in ("RL101", "RL104", "RL201", "RL203", "RL301", "RL302"):
+        for code in ("RL101", "RL104", "RL201", "RL203", "RL301"):
             self.assertIn(code, output)
+        self.assertNotIn("RL302", output)
 
 
 class TestParseErrors(unittest.TestCase):

@@ -83,20 +83,6 @@ class TestRuleFixtures(unittest.TestCase):
         self.assertIn("Drifting", finding.message)
 
 
-class TestCrossFileRules(unittest.TestCase):
-    """RL302 reconciles registrations against TINY_CONFIGS at finalize."""
-
-    def test_rl302_unregistered_scenario_is_flagged(self):
-        run = lint_paths([str(FIXTURES / "rl302" / "flagged")], only=["RL302"])
-        (finding,) = run.findings
-        self.assertEqual(finding.code, "RL302")
-        self.assertIn("uncovered", finding.message)
-
-    def test_rl302_registered_scenarios_pass(self):
-        run = lint_paths([str(FIXTURES / "rl302" / "clean")], only=["RL302"])
-        self.assertEqual([f.render() for f in run.findings], [])
-
-
 class TestScoping(unittest.TestCase):
     """Scoped rules only fire inside their packages."""
 

@@ -31,7 +31,7 @@ class TestParseSuppressions(unittest.TestCase):
         source = "x = 1  # repro-lint: disable=all (generated file)\n"
         suppressions = parse_suppressions(source)
         self.assertTrue(suppressions.is_suppressed("RL101", 1))
-        self.assertTrue(suppressions.is_suppressed("RL302", 1))
+        self.assertTrue(suppressions.is_suppressed("RL301", 1))
 
     def test_multiple_codes_comma_separated(self):
         source = "x = 1  # repro-lint: disable=RL101, RL104 (both)\n"

@@ -18,8 +18,8 @@ from repro.consistency.limd import LimdParameters, LimdPolicy
 from repro.core.types import ObjectId, ObjectSnapshot, PollOutcome, TTRBounds
 from repro.metrics.fidelity import temporal_fidelity, value_fidelity
 from repro.metrics.mutual import interval_gap
+from repro.metrics.streaming import StreamingMoments
 from repro.sim.kernel import Kernel
-from repro.sim.stats import SummaryStats
 from repro.traces.model import trace_from_ticks, trace_from_times
 
 # ----------------------------------------------------------------------
@@ -253,9 +253,8 @@ class TestStatsProperties:
     )
     @settings(max_examples=100)
     def test_summary_stats_match_bruteforce(self, data):
-        stats = SummaryStats()
-        for x in data:
-            stats.observe(x)
+        stats = StreamingMoments()
+        stats.add_many(data)
         assert stats.minimum == min(data)
         assert stats.maximum == max(data)
         naive_mean = sum(data) / len(data)

@@ -16,7 +16,7 @@ from repro.scenarios.registry import (
     UnknownScenarioError,
     register_scenario,
 )
-from repro.scenarios.spec import ScenarioSpec
+from repro.scenarios.spec import ScenarioSpec, ScenarioSpecError
 
 # ----------------------------------------------------------------------
 # A module-level toy scenario (point functions must pickle for the
@@ -142,8 +142,9 @@ class TestDriver:
 
     def test_sweep_view_exposes_columns(self):
         result = run_scenario(_toy_scenario())
-        assert result.sweep.values() == [1.0, 2.0, 3.0]
-        assert result.sweep.column("doubled") == [12.0, 14.0, 16.0]
+        assert result.column("x") == [1.0, 2.0, 3.0]
+        assert result.column("doubled") == [12.0, 14.0, 16.0]
+        assert result.row_for(2.0)["doubled"] == 14.0
 
     def test_result_to_dict_is_serializable(self):
         import json
@@ -181,6 +182,31 @@ class TestRendering:
         # seed_seen is excluded by the column selection.
         assert "seed_seen" not in text
 
+    def test_heading_fills_title_fields_from_params(self):
+        spec = ScenarioSpec(
+            name="_toy_heading",
+            description="toy",
+            axis="x",
+            values=(1.0,),
+            params={"trace": "cnn_fn", "pair": ["a", "b"]},
+            title="Toy on {trace} ({pair})",
+        )
+        assert spec.heading == "Toy on cnn_fn (a+b)"
+        assert (
+            spec.with_params({"trace": "guardian"}).heading
+            == "Toy on guardian (a+b)"
+        )
+
+    def test_title_naming_an_unknown_param_is_rejected(self):
+        with pytest.raises(ScenarioSpecError, match="title"):
+            ScenarioSpec(
+                name="_toy_bad_title",
+                description="toy",
+                axis="x",
+                values=(1.0,),
+                title="Toy on {trace}",
+            )
+
     def test_describe_lists_axis_params_and_tags(self):
         text = describe_scenario("figure3")
         assert "figure3" in text
@@ -188,23 +214,3 @@ class TestRendering:
         assert "detection_mode" in text
         assert "paper" in text
 
-
-class TestPortedExperimentsMatchEngine:
-    """The classic module entry points are thin specs over the engine."""
-
-    def test_figure3_module_equals_scenario(self):
-        from repro.experiments import figure3
-
-        module_rows = figure3.run(deltas_min=(5.0,)).rows
-        engine_rows = run_scenario("figure3", values=(5.0,)).rows
-        assert module_rows == engine_rows
-
-    def test_table2_module_equals_scenario(self):
-        from repro.experiments import table2
-
-        assert table2.run() == run_scenario("table2").rows
-
-    def test_ablation_history_equals_scenario(self):
-        from repro.experiments.ablations import ablate_history
-
-        assert ablate_history() == run_scenario("ablation_history").rows

@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-import math
-
 import pytest
 
-from repro.sim.stats import Counter, SummaryStats
+from repro.sim.stats import Counter
 
 
 class TestCounter:
@@ -50,51 +48,3 @@ class TestCounter:
         counter = Counter()
         assert counter.get("never") == 0
         assert len(counter) == 0 and counter.as_dict() == {}
-
-
-class TestSummaryStats:
-    def test_mean_min_max(self):
-        stats = SummaryStats()
-        for x in (2.0, 4.0, 6.0):
-            stats.observe(x)
-        assert stats.mean == pytest.approx(4.0)
-        assert stats.minimum == 2.0
-        assert stats.maximum == 6.0
-        assert stats.count == 3
-
-    def test_variance_matches_population_formula(self):
-        stats = SummaryStats()
-        data = [1.0, 2.0, 3.0, 4.0]
-        for x in data:
-            stats.observe(x)
-        mean = sum(data) / len(data)
-        expected = sum((x - mean) ** 2 for x in data) / len(data)
-        assert stats.variance == pytest.approx(expected)
-        assert stats.stddev == pytest.approx(math.sqrt(expected))
-
-    def test_single_observation_has_zero_variance(self):
-        stats = SummaryStats()
-        stats.observe(5.0)
-        assert stats.variance == 0.0
-
-    def test_empty_min_rejected(self):
-        stats = SummaryStats()
-        with pytest.raises(ValueError):
-            _ = stats.minimum
-
-    def test_non_finite_observation_rejected(self):
-        stats = SummaryStats()
-        with pytest.raises(ValueError):
-            stats.observe(math.inf)
-
-    def test_snapshot_of_empty(self):
-        snap = SummaryStats().snapshot()
-        assert snap.count == 0
-        assert math.isnan(snap.minimum)
-
-    def test_snapshot_is_immutable_copy(self):
-        stats = SummaryStats()
-        stats.observe(1.0)
-        snap = stats.snapshot()
-        stats.observe(100.0)
-        assert snap.maximum == 1.0

@@ -20,7 +20,6 @@ import pytest
 
 from repro.api.runs import run_many
 from repro.core.rng import RngRegistry, derive_seed
-from repro.experiments import figure3, figure5
 from repro.experiments.sweep import ParallelExecutor, SerialExecutor, executor_for
 from repro.scenarios.engine import run_scenario
 from repro.scenarios.registry import Scenario
@@ -109,13 +108,13 @@ class TestDeterminism:
         assert [row["x"] for row in parallel] == values
 
     def test_serial_and_parallel_rows_identical_figure3(self):
-        serial = figure3.run(deltas_min=(2, 30))
-        parallel = figure3.run(deltas_min=(2, 30), workers=2)
+        serial = run_scenario("figure3", values=(2, 30))
+        parallel = run_scenario("figure3", values=(2, 30), workers=2)
         assert serial.rows == parallel.rows
 
     def test_serial_and_parallel_rows_identical_figure5(self):
-        serial = figure5.run(mutual_deltas_min=(5, 20))
-        parallel = figure5.run(mutual_deltas_min=(5, 20), workers=2)
+        serial = run_scenario("figure5", values=(5, 20))
+        parallel = run_scenario("figure5", values=(5, 20), workers=2)
         assert serial.rows == parallel.rows
 
     def test_per_point_rng_is_seed_stable_across_executors(self):
@@ -124,7 +123,7 @@ class TestDeterminism:
         parallel = run_scenario(entry, seed=7, workers=3)
         assert serial.rows == parallel.rows
         # Each point gets an independent stream: draws differ by point.
-        draws = serial.sweep.column("draw")
+        draws = serial.column("draw")
         assert len(set(draws)) == len(draws)
 
     def test_different_root_seeds_change_point_draws(self):

@@ -21,13 +21,11 @@ from repro.traces.io import (
 )
 from repro.traces.model import TraceMetadata, trace_from_ticks, trace_from_times
 from repro.traces.stats import (
-    gap_statistics,
     inter_update_gaps,
     summarize_temporal,
     summarize_value,
     update_rate_per_bin,
     updates_per_bin,
-    value_change_statistics,
 )
 
 
@@ -222,11 +220,6 @@ class TestStats:
         assert len(gaps) == 9
         assert all(g == pytest.approx(100.0) for g in gaps)
 
-    def test_gap_statistics(self, simple_trace):
-        stats = gap_statistics(simple_trace)
-        assert stats.mean == pytest.approx(100.0)
-        assert stats.count == 9
-
     def test_updates_per_bin(self, simple_trace):
         counts = updates_per_bin(simple_trace, 500.0)
         # Bins: [0,500) has 100..400 → 4; [500,1000) has 500..900 → 5;
@@ -244,11 +237,3 @@ class TestStats:
     def test_updates_per_bin_invalid_width(self, simple_trace):
         with pytest.raises(ValueError):
             updates_per_bin(simple_trace, 0.0)
-
-    def test_value_change_statistics(self, valued_trace):
-        stats = value_change_statistics(valued_trace)
-        assert stats.mean == pytest.approx(1.0)
-
-    def test_value_change_statistics_rejects_temporal(self, simple_trace):
-        with pytest.raises(ValueError):
-            value_change_statistics(simple_trace)
