@@ -20,9 +20,9 @@ from repro.consistency.base import fixed_policy_factory
 from repro.consistency.limd import limd_policy_factory
 from repro.consistency.ttl import alex_policy_factory, static_ttl_policy_factory
 from repro.core.types import MINUTE
-from repro.experiments.render import render_dict_rows
+from repro.api.render import render_dict_rows
 from repro.api.runs import run_individual
-from repro.experiments.sweep import executor_for
+from repro.api.executors import executor_for
 from repro.experiments.workloads import news_trace
 from repro.metrics.collector import collect_temporal
 

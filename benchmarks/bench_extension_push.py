@@ -23,9 +23,9 @@ from repro.consistency.invalidation import (
 )
 from repro.consistency.limd import limd_policy_factory
 from repro.core.types import MINUTE
-from repro.experiments.render import render_dict_rows
+from repro.api.render import render_dict_rows
 from repro.api.runs import run_individual
-from repro.experiments.sweep import executor_for
+from repro.api.executors import executor_for
 from repro.experiments.workloads import news_trace
 from repro.httpsim.network import Network
 from repro.metrics.collector import collect_temporal

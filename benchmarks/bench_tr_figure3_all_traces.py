@@ -10,7 +10,7 @@ to the fast Guardian (one per 4.9 min).
 
 from __future__ import annotations
 
-from repro.experiments.render import render_dict_rows
+from repro.api.render import render_dict_rows
 from repro.scenarios.engine import run_scenario
 
 TRACE_KEYS = ("cnn_fn", "nyt_ap", "nyt_reuters", "guardian")

@@ -12,7 +12,7 @@ once and forwards the suite-wide parallelism knob: ``pytest
 benchmarks/bench_*.py --workers 4`` makes each experiment fan its
 independent simulation points across that many worker processes.
 Results are row-for-row identical to serial runs — the executor seam in
-:mod:`repro.experiments.sweep` guarantees ordering and per-point
+:mod:`repro.api.executors` guarantees ordering and per-point
 seeding — so the shape assertions are parallelism-agnostic.
 
 Nothing here is timed: one run of one experiment swings ±30% between

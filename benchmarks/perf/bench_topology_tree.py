@@ -21,7 +21,8 @@ from repro.core.types import HOUR, MINUTE
 from repro.server.origin import OriginServer
 from repro.server.updates import feed_traces
 from repro.sim.kernel import Kernel
-from repro.topology import TopologyTree, TreeLevel
+from repro.topology.levels import TreeLevel
+from repro.topology.tree import TopologyTree
 from repro.traces.synthetic import poisson_trace
 
 HOURS = 24.0

@@ -12,14 +12,12 @@ Run:
 
 from __future__ import annotations
 
-from repro import (
-    MINUTE,
-    collect_temporal,
-    fixed_policy_factory,
-    limd_policy_factory,
-    news_trace,
-    run_individual,
-)
+from repro.api.runs import run_individual
+from repro.consistency.base import fixed_policy_factory
+from repro.consistency.limd import limd_policy_factory
+from repro.core.types import MINUTE
+from repro.experiments.workloads import news_trace
+from repro.metrics.collector import collect_temporal
 
 
 def main() -> None:

@@ -1,25 +1,1 @@
 """Shared analysis utilities: rate estimation, time-series binning."""
-
-from repro.analysis.rates import (
-    UpdateRateEstimator,
-    ValueRateEstimator,
-    ttr_for_value_bound,
-)
-from repro.analysis.timeseries import (
-    Series,
-    bin_count,
-    moving_average,
-    ratio_series,
-    sample_step_function,
-)
-
-__all__ = [
-    "UpdateRateEstimator",
-    "ValueRateEstimator",
-    "ttr_for_value_bound",
-    "Series",
-    "bin_count",
-    "moving_average",
-    "ratio_series",
-    "sample_step_function",
-]

@@ -13,7 +13,10 @@ engine, the sweep executor, and external callers:
   consistency-policy, scenario, workload-source, and eviction-policy
   lookups share (re-exported here for compatibility);
 * :mod:`repro.api.runs` — the canonical run functions
-  (``run_individual``, the mutual-consistency runs, ``run_many``).
+  (``run_individual``, the mutual-consistency runs, ``run_many``);
+* :mod:`repro.api.executors` — the serial/parallel executors
+  ``run_many`` and the scenario engine fan out through;
+* :mod:`repro.api.render` — ASCII tables and sparkline series.
 
 Quickstart (see ``docs/API_GUIDE.md`` for the full guide)::
 

@@ -28,13 +28,16 @@ point function.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, List, Optional, Sequence, TypeVar
+
+from repro.core.errors import ExperimentError
 
 #: Generic task/result types of the executor seam: ``map`` preserves the
 #: relationship between what goes in and what comes out, so callers
 #: (:func:`repro.scenarios.engine.run_scenario` over axis values,
-#: :func:`repro.api.run_many` over builder-produced run-specs)
+#: :func:`repro.api.runs.run_many` over builder-produced run-specs)
 #: type-check end to end.
 T = TypeVar("T")
 R = TypeVar("R")
@@ -66,7 +69,11 @@ class ParallelExecutor(SweepExecutor):
     ``fn`` and every item must be picklable (see the module docstring
     for the run-spec discipline).  Futures are collected in submission
     order, so results are ordered even when later points finish first.
-    Falls back to in-process execution for batches of one.
+    Falls back to in-process execution for batches of one.  A worker
+    that dies (killed, ``os._exit``, out of memory) takes every
+    unfinished point with it; that surfaces as one
+    :class:`~repro.core.errors.ExperimentError` naming the first of
+    them.
     """
 
     def __init__(self, workers: Optional[int] = None) -> None:
@@ -78,11 +85,29 @@ class ParallelExecutor(SweepExecutor):
         items = list(items)
         if len(items) <= 1 or self.workers == 1:
             return [fn(item) for item in items]
+        futures: List[Future[R]] = []
         with ProcessPoolExecutor(
             max_workers=min(self.workers, len(items))
         ) as pool:
-            futures = [pool.submit(fn, item) for item in items]
-            return [future.result() for future in futures]
+            try:
+                for item in items:
+                    futures.append(pool.submit(fn, item))
+                return [future.result() for future in futures]
+            except BrokenProcessPool as exc:
+                # A broken pool fails every future that had not finished
+                # with this same exception (and refuses new submissions).
+                index = next(
+                    (
+                        i
+                        for i, future in enumerate(futures)
+                        if isinstance(future.exception(), BrokenProcessPool)
+                    ),
+                    len(futures),
+                )
+                raise ExperimentError(
+                    "a worker process died before every point finished; "
+                    f"the first unfinished is item {index}: {items[index]!r}"
+                ) from exc
 
 
 def executor_for(

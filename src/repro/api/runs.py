@@ -22,17 +22,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import (
-    TYPE_CHECKING,
-    Callable,
-    Dict,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-    TypeVar,
-)
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
+from repro.api.executors import SweepExecutor, executor_for
 from repro.consistency.base import PolicyFactory
 from repro.consistency.mutual_temporal import (
     MutualTemporalCoordinator,
@@ -58,9 +50,6 @@ from repro.topology.levels import TreeLevel
 from repro.topology.tree import TopologyTree
 from repro.traces.model import UpdateTrace
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
-    from repro.experiments.sweep import SweepExecutor
-
 R = TypeVar("R")
 
 
@@ -73,7 +62,7 @@ def run_many(
     tasks: Sequence[Callable[[], R]],
     *,
     workers: Optional[int] = None,
-    executor: Optional["SweepExecutor"] = None,
+    executor: Optional[SweepExecutor] = None,
 ) -> List[R]:
     """Run independent zero-argument run-specs, results in input order.
 
@@ -82,10 +71,6 @@ def run_many(
     over a module-level function and return plain data (rows, series),
     not live simulation objects.
     """
-    # Imported lazily: repro.experiments re-exports *this* module's
-    # functions, so a top-level import of the sweep seam would cycle.
-    from repro.experiments.sweep import executor_for
-
     return executor_for(workers, executor).map(_invoke, list(tasks))
 
 

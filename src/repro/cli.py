@@ -24,12 +24,6 @@ The declarative scenario engine has its own command group::
     python -m repro scenarios run flash_crowd --workers 4
     python -m repro scenarios run figure3 --params trace=guardian
     python -m repro scenarios run diurnal --values 0.0 0.5 1.0 --json
-
-So does the static analyzer (:mod:`repro.lint`)::
-
-    python -m repro lint                      # lint src/ (default)
-    python -m repro lint --list-rules         # rule catalogue
-    python -m repro lint src --format json    # machine-readable report
 """
 
 from __future__ import annotations
@@ -104,7 +98,7 @@ _COMMANDS: Dict[str, Tuple[str, object, Dict[str, str]]] = {
 
 def _render_command(args: argparse.Namespace) -> str:
     """The output of one command of :data:`_COMMANDS`."""
-    from repro.scenarios import render_scenario, run_scenario
+    from repro.scenarios.engine import render_scenario, run_scenario
 
     _, target, flags = _COMMANDS[args.experiment]
     settings = {name: getattr(args, flag) for flag, name in flags.items()}
@@ -153,10 +147,6 @@ def _list_experiments() -> str:
     lines.append(
         "Typed configs: `python -m repro run --config cfg.json` "
         "executes a repro.api.SimulationConfig JSON file."
-    )
-    lines.append(
-        "Static analysis: `python -m repro lint` checks determinism "
-        "and hot-path invariants (rules: `lint --list-rules`)."
     )
     return "\n".join(lines)
 
@@ -290,14 +280,13 @@ def _parse_axis_value(text: str) -> object:
 
 def _scenarios_main(argv: Sequence[str]) -> int:
     """Entry point for the ``scenarios`` command group."""
-    from repro.scenarios import (
-        SCENARIOS,
-        UnknownScenarioError,
+    from repro.scenarios.engine import (
         describe_scenario,
-        parse_param_overrides,
         render_scenario,
         run_scenario,
     )
+    from repro.scenarios.registry import SCENARIOS, UnknownScenarioError
+    from repro.scenarios.spec import parse_param_overrides
 
     args = build_scenarios_parser().parse_args(argv)
     if args.command == "list":
@@ -384,7 +373,7 @@ def _run_config_main(argv: Sequence[str]) -> int:
     """Entry point for ``repro run --config cfg.json``."""
     from repro.api import SimulationConfig, run_simulation
     from repro.core.errors import ReproError
-    from repro.experiments.render import render_dict_rows
+    from repro.api.render import render_dict_rows
 
     args = build_run_parser().parse_args(argv)
     try:
@@ -429,10 +418,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _scenarios_main(argv[1:])
     if argv and argv[0] == "run":
         return _run_config_main(argv[1:])
-    if argv and argv[0] == "lint":
-        from repro.lint.cli import main as lint_main
-
-        return lint_main(argv[1:])
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.experiment == "list":

@@ -15,111 +15,3 @@ Mutual consistency:
       :class:`~repro.consistency.mutual_value.PartitionedMvCoordinator`
       — the two Section 4.2 approaches.
 """
-
-from repro.consistency.adaptive_value import (
-    AdaptiveValueParameters,
-    AdaptiveValueTTRPolicy,
-    adaptive_value_policy_factory,
-)
-from repro.consistency.base import (
-    FixedTTRPolicy,
-    PassivePolicy,
-    PolicyFactory,
-    PollObserver,
-    RefreshPolicy,
-    ViolationJudgement,
-    fixed_policy_factory,
-    passive_policy_factory,
-)
-from repro.consistency.detection import (
-    HistoryViolationDetector,
-    InferredViolationDetector,
-    LastModifiedViolationDetector,
-    ViolationDetector,
-    make_detector,
-)
-from repro.consistency.limd import LimdParameters, LimdPolicy, limd_policy_factory
-from repro.consistency.mutual_temporal import (
-    MutualTemporalCoordinator,
-    MutualTemporalMode,
-    TriggerDecision,
-    make_mutual_temporal_coordinator,
-)
-from repro.consistency.invalidation import (
-    PushChannel,
-    PushConsistencyClient,
-    PushUpdateFeeder,
-    attach_push_channel,
-)
-from repro.consistency.mutual_value import (
-    AdaptiveFCoordinator,
-    AdaptiveFParameters,
-    PartitionedGroupMvCoordinator,
-    PartitionedMvCoordinator,
-    PartitionParameters,
-    GroupBudget,
-    difference,
-    group_f_history,
-    paired_f_history,
-    total_minus_parts,
-)
-from repro.consistency.ttl import (
-    AlexParameters,
-    AlexTTLPolicy,
-    StaticTTLPolicy,
-    alex_policy_factory,
-    static_ttl_policy_factory,
-)
-from repro.consistency.registry import (
-    available_policies,
-    build_policy_factory,
-    register_policy,
-)
-
-__all__ = [
-    "AdaptiveValueParameters",
-    "AdaptiveValueTTRPolicy",
-    "adaptive_value_policy_factory",
-    "FixedTTRPolicy",
-    "PassivePolicy",
-    "PolicyFactory",
-    "PollObserver",
-    "RefreshPolicy",
-    "ViolationJudgement",
-    "fixed_policy_factory",
-    "passive_policy_factory",
-    "HistoryViolationDetector",
-    "InferredViolationDetector",
-    "LastModifiedViolationDetector",
-    "ViolationDetector",
-    "make_detector",
-    "LimdParameters",
-    "LimdPolicy",
-    "limd_policy_factory",
-    "MutualTemporalCoordinator",
-    "MutualTemporalMode",
-    "TriggerDecision",
-    "make_mutual_temporal_coordinator",
-    "AdaptiveFCoordinator",
-    "AdaptiveFParameters",
-    "PartitionedGroupMvCoordinator",
-    "PartitionedMvCoordinator",
-    "PartitionParameters",
-    "difference",
-    "GroupBudget",
-    "group_f_history",
-    "paired_f_history",
-    "total_minus_parts",
-    "PushChannel",
-    "PushConsistencyClient",
-    "PushUpdateFeeder",
-    "attach_push_channel",
-    "AlexParameters",
-    "AlexTTLPolicy",
-    "StaticTTLPolicy",
-    "alex_policy_factory",
-    "static_ttl_policy_factory",
-    "available_policies",
-    "build_policy_factory",
-    "register_policy",
-]

@@ -1,82 +1,1 @@
 """Core primitives: types, errors, clock, RNG streams, event records."""
-
-from repro.core.clock import Clock, ManualClock
-from repro.core.errors import (
-    CacheConfigurationError,
-    ExperimentError,
-    PolicyConfigurationError,
-    ProtocolError,
-    ReproError,
-    SchedulingInPastError,
-    SimulationError,
-    TraceFormatError,
-    TraceOrderingError,
-    UnknownGroupError,
-    UnknownObjectError,
-)
-from repro.core.events import (
-    GenericEvent,
-    PollEvent,
-    PollReason,
-    TTRChangeEvent,
-    UpdateAppliedEvent,
-    ViolationEvent,
-    ViolationKind,
-)
-from repro.core.registry import Registry, RegistryError
-from repro.core.rng import RngRegistry, derive_seed
-from repro.core.types import (
-    DAY,
-    HOUR,
-    MINUTE,
-    ConsistencyBounds,
-    GroupId,
-    GroupSpec,
-    ObjectId,
-    ObjectSnapshot,
-    PollOutcome,
-    Seconds,
-    TTRBounds,
-    UpdateRecord,
-    Version,
-)
-
-__all__ = [
-    "Clock",
-    "ManualClock",
-    "CacheConfigurationError",
-    "ExperimentError",
-    "PolicyConfigurationError",
-    "ProtocolError",
-    "ReproError",
-    "SchedulingInPastError",
-    "SimulationError",
-    "TraceFormatError",
-    "TraceOrderingError",
-    "UnknownGroupError",
-    "UnknownObjectError",
-    "GenericEvent",
-    "PollEvent",
-    "PollReason",
-    "TTRChangeEvent",
-    "UpdateAppliedEvent",
-    "ViolationEvent",
-    "ViolationKind",
-    "Registry",
-    "RegistryError",
-    "RngRegistry",
-    "derive_seed",
-    "DAY",
-    "HOUR",
-    "MINUTE",
-    "ConsistencyBounds",
-    "GroupId",
-    "GroupSpec",
-    "ObjectId",
-    "ObjectSnapshot",
-    "PollOutcome",
-    "Seconds",
-    "TTRBounds",
-    "UpdateRecord",
-    "Version",
-]

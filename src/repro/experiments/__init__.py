@@ -1,5 +1,5 @@
-"""Experiment harness: one module per paper table/figure, plus shared
-workload/executor/render infrastructure.
+"""Experiment harness: one module per paper table/figure, plus the
+shared seeded workloads, the paper's LIMD set-up and the report.
 
 Modules:
     * :mod:`repro.experiments.table2` / :mod:`~repro.experiments.table3`
@@ -20,47 +20,3 @@ else — ``python -m repro figure3``, ``python -m repro scenarios run
 figure3``, the report, the regenerators under ``benchmarks/`` — runs it
 by name through :func:`repro.scenarios.engine.run_scenario`.
 """
-
-# Canonical homes are in the repro.api façade; re-exported here so
-# `from repro.experiments import run_individual` keeps working.
-from repro.api.runs import (
-    RunResult,
-    run_individual,
-    run_many,
-    run_mutual_temporal,
-    run_mutual_value_adaptive,
-    run_mutual_value_group,
-    run_mutual_value_partitioned,
-)
-from repro.experiments.sweep import (
-    ParallelExecutor,
-    SerialExecutor,
-    SweepExecutor,
-    executor_for,
-)
-from repro.experiments.workloads import (
-    DEFAULT_SEED,
-    news_trace,
-    news_traces,
-    stock_trace,
-    stock_traces,
-)
-
-__all__ = [
-    "RunResult",
-    "run_individual",
-    "run_many",
-    "run_mutual_temporal",
-    "run_mutual_value_adaptive",
-    "run_mutual_value_group",
-    "run_mutual_value_partitioned",
-    "SweepExecutor",
-    "SerialExecutor",
-    "ParallelExecutor",
-    "executor_for",
-    "DEFAULT_SEED",
-    "news_trace",
-    "news_traces",
-    "stock_trace",
-    "stock_traces",
-]

@@ -33,6 +33,7 @@ from __future__ import annotations
 from typing import Dict, Mapping
 
 from repro.api.runs import (
+    build_core,
     run_individual,
     run_mutual_temporal,
     run_mutual_value_partitioned,
@@ -57,10 +58,6 @@ from repro.metrics.collector import (
 )
 from repro.proxy.proxy import ProxyCache
 from repro.scenarios.registry import scenario
-from repro.server.origin import OriginServer
-from repro.server.updates import feed_traces
-from repro.sim.kernel import Kernel
-from repro.sim.tracing import EventLog
 from repro.traces.model import UpdateTrace
 
 DETECTION_MODES = ("history", "last_modified_only", "inferred")
@@ -246,10 +243,7 @@ def _trigger_point(
     triggered poll replace the next scheduled one — re-phases the LIMD
     schedule toward the partner's update instants.
     """
-    kernel = Kernel()
-    event_log = EventLog(enabled=False)
-    server = OriginServer(supports_history=True, event_log=event_log)
-    feed_traces(kernel, server, (trace_a, trace_b))
+    kernel, server, _ = build_core((trace_a, trace_b))
     proxy = ProxyCache(
         kernel,
         Network(kernel, LatencyModel()),

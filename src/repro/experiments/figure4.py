@@ -17,7 +17,7 @@ from repro.consistency.limd import limd_policy_factory
 from repro.core.events import PollEvent
 from repro.core.types import HOUR, MINUTE, Seconds
 from repro.experiments.paper import PAPER_LIMD_PARAMETERS, TTR_MAX
-from repro.experiments.render import render_series_block
+from repro.api.render import render_series_block
 from repro.experiments.workloads import DEFAULT_SEED, news_trace
 from repro.metrics.series import (
     ttr_knots_from_proxy_events,

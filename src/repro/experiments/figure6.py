@@ -22,7 +22,7 @@ from repro.consistency.limd import limd_policy_factory
 from repro.consistency.mutual_temporal import MutualTemporalMode, TriggerDecision
 from repro.core.types import HOUR, MINUTE, Seconds
 from repro.experiments.paper import PAPER_LIMD_PARAMETERS, TTR_MAX
-from repro.experiments.render import render_series_block
+from repro.api.render import render_series_block
 from repro.experiments.workloads import DEFAULT_SEED, news_trace
 from repro.metrics.series import extra_polls_series, update_ratio_series
 from repro.scenarios.registry import prepare_params_seed, scenario

@@ -23,7 +23,7 @@ from repro.api.runs import (
 from repro.consistency.mutual_value import difference, paired_f_history
 from repro.core.types import Seconds, TTRBounds
 from repro.experiments.figure7 import VALUE_BOUNDS
-from repro.experiments.render import render_series_block
+from repro.api.render import render_series_block
 from repro.experiments.workloads import DEFAULT_SEED, stock_trace
 from repro.metrics.series import f_value_series, server_f_knots
 from repro.scenarios.registry import prepare_params_seed, scenario

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from typing import Dict, Mapping, Sequence, Tuple
 
+from repro.api.runs import build_core
 from repro.consistency.limd import limd_policy_factory
 from repro.consistency.mutual_temporal import (
     MutualTemporalCoordinator,
@@ -31,9 +32,6 @@ from repro.metrics.fidelity import FidelityReport
 from repro.metrics.group import group_temporal_fidelity
 from repro.proxy.proxy import ProxyCache
 from repro.scenarios.registry import scenario
-from repro.server.origin import OriginServer
-from repro.server.updates import feed_traces
-from repro.sim.kernel import Kernel
 from repro.traces.model import UpdateTrace
 
 DEFAULT_TRIO = ("cnn_fn", "nyt_ap", "nyt_reuters")
@@ -46,9 +44,7 @@ def _run_mode(
     mutual_delta: Seconds,
     mode: MutualTemporalMode,
 ) -> Tuple[ProxyCache, MutualTemporalCoordinator, FidelityReport]:
-    kernel = Kernel()
-    server = OriginServer()
-    feed_traces(kernel, server, traces)
+    kernel, server, _ = build_core(traces)
     proxy = ProxyCache(kernel, Network(kernel))
     groups = GroupRegistry()
     members = tuple(trace.object_id for trace in traces)

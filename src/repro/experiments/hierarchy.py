@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Mapping, Tuple
 
+from repro.api.runs import build_core
 from repro.consistency.limd import LimdPolicy
 from repro.core.types import MINUTE, Seconds, TTRBounds
 from repro.experiments.workloads import news_trace
@@ -21,8 +22,6 @@ from repro.metrics.collector import collect_snapshot_fidelity
 from repro.proxy.proxy import ProxyCache
 from repro.scenarios.registry import scenario
 from repro.server.origin import OriginServer
-from repro.server.updates import feed_traces
-from repro.sim.kernel import Kernel
 from repro.traces.model import UpdateTrace
 
 DELTA: Seconds = 10 * MINUTE
@@ -48,9 +47,7 @@ def _run_flat(
     trace: UpdateTrace, edge_count: int
 ) -> Tuple[OriginServer, List[ProxyCache]]:
     """N edges each polling the origin directly."""
-    kernel = Kernel()
-    origin = OriginServer()
-    feed_traces(kernel, origin, [trace])
+    kernel, origin, _ = build_core([trace])
     edges: List[ProxyCache] = []
     for index in range(edge_count):
         edge = ProxyCache(kernel, Network(kernel), name=f"edge-{index}")
@@ -64,9 +61,7 @@ def _run_hierarchy(
     trace: UpdateTrace, edge_count: int
 ) -> Tuple[OriginServer, ProxyCache, List[ProxyCache]]:
     """N edges polling one shared parent; only the parent polls origin."""
-    kernel = Kernel()
-    origin = OriginServer()
-    feed_traces(kernel, origin, [trace])
+    kernel, origin, _ = build_core([trace])
     parent = ProxyCache(kernel, Network(kernel), name="parent")
     parent.register_object(trace.object_id, origin, _limd_policy())
     edges: List[ProxyCache] = []

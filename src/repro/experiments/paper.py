@@ -17,12 +17,21 @@ from repro.consistency.base import fixed_policy_factory
 from repro.consistency.limd import LimdParameters, limd_policy_factory
 from repro.core.types import MINUTE, Seconds
 from repro.metrics.collector import collect_temporal
+from repro.topology.levels import LevelPolicyFactory
 from repro.traces.model import UpdateTrace
 
 #: The paper's LIMD configuration (Section 6.2.1).
 PAPER_LIMD_PARAMETERS = LimdParameters(linear_increase=0.2, epsilon=0.02)
 
 TTR_MAX: Seconds = 60 * MINUTE
+
+
+def limd_level_factory(delta: Seconds) -> LevelPolicyFactory:
+    """The paper's LIMD at one shared Δ on every level of a tree."""
+    factory = limd_policy_factory(
+        delta, ttr_max=TTR_MAX, parameters=PAPER_LIMD_PARAMETERS
+    )
+    return lambda _level, object_id: factory(object_id)
 
 
 def evaluate_delta(

@@ -1,13 +1,1 @@
 """Related-object management: dependency graphs, extraction, registry."""
-
-from repro.groups.dependency import DependencyGraph
-from repro.groups.html_links import extract_embedded_urls, relate_document
-from repro.groups.registry import GroupRegistry, groups_from_components
-
-__all__ = [
-    "DependencyGraph",
-    "extract_embedded_urls",
-    "relate_document",
-    "GroupRegistry",
-    "groups_from_components",
-]

@@ -1,25 +1,1 @@
 """Simulated HTTP: messages, conditional-GET semantics, network model."""
-
-from repro.httpsim.messages import (
-    Headers,
-    Method,
-    Request,
-    Response,
-    Status,
-    conditional_get,
-)
-from repro.httpsim.network import LatencyModel, Network
-from repro.httpsim.semantics import MAX_HISTORY_LENGTH, evaluate_conditional_get
-
-__all__ = [
-    "Headers",
-    "Method",
-    "Request",
-    "Response",
-    "Status",
-    "conditional_get",
-    "LatencyModel",
-    "Network",
-    "MAX_HISTORY_LENGTH",
-    "evaluate_conditional_get",
-]

@@ -1,95 +1,1 @@
 """Evaluation metrics: fidelity (Eqs. 13–14), mutual consistency, series."""
-
-from repro.metrics.collector import (
-    ObjectReport,
-    PairReport,
-    EvictionImpact,
-    collect_eviction_impact,
-    collect_mutual_synchrony,
-    collect_mutual_temporal,
-    collect_mutual_value,
-    collect_snapshot_fidelity,
-    collect_temporal,
-    collect_value,
-    poll_times_of,
-    synchrony_fetches_of,
-    temporal_fetches_of,
-    value_fetches_of,
-)
-from repro.metrics.fidelity import (
-    FidelityReport,
-    temporal_fidelity,
-    temporal_fidelity_from_snapshots,
-    value_fidelity,
-)
-from repro.metrics.group import (
-    group_interval_spread,
-    group_mutually_consistent_at,
-    group_temporal_fidelity,
-)
-from repro.metrics.mutual import (
-    interval_gap,
-    mutual_poll_synchrony_fidelity,
-    mutual_temporal_fidelity,
-    mutual_value_fidelity,
-    mutually_consistent_at,
-    validity_interval,
-)
-from repro.metrics.streaming import (
-    ReservoirSample,
-    StreamingBinCounter,
-    StreamingMoments,
-)
-from repro.metrics.collector import poll_interval_moments
-from repro.metrics.series import (
-    extra_polls_series,
-    f_value_series,
-    polls_per_bin,
-    server_f_knots,
-    ttr_knots_from_proxy_events,
-    ttr_series,
-    update_frequency_series,
-    update_ratio_series,
-)
-
-__all__ = [
-    "ObjectReport",
-    "PairReport",
-    "EvictionImpact",
-    "collect_eviction_impact",
-    "collect_mutual_synchrony",
-    "collect_mutual_temporal",
-    "collect_mutual_value",
-    "collect_snapshot_fidelity",
-    "collect_temporal",
-    "collect_value",
-    "poll_times_of",
-    "synchrony_fetches_of",
-    "temporal_fetches_of",
-    "value_fetches_of",
-    "FidelityReport",
-    "temporal_fidelity",
-    "temporal_fidelity_from_snapshots",
-    "value_fidelity",
-    "group_interval_spread",
-    "group_mutually_consistent_at",
-    "group_temporal_fidelity",
-    "interval_gap",
-    "mutual_poll_synchrony_fidelity",
-    "mutual_temporal_fidelity",
-    "mutual_value_fidelity",
-    "mutually_consistent_at",
-    "validity_interval",
-    "ReservoirSample",
-    "StreamingBinCounter",
-    "StreamingMoments",
-    "poll_interval_moments",
-    "extra_polls_series",
-    "f_value_series",
-    "polls_per_bin",
-    "server_f_knots",
-    "ttr_knots_from_proxy_events",
-    "ttr_series",
-    "update_frequency_series",
-    "update_ratio_series",
-]

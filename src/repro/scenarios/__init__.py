@@ -17,39 +17,3 @@ their own modules under :mod:`repro.experiments`.
 
 See ``docs/SCENARIOS.md`` for the authoring guide.
 """
-
-from repro.scenarios.engine import (
-    DEFAULT_SEED,
-    ScenarioResult,
-    describe_scenario,
-    render_scenario,
-    run_scenario,
-)
-from repro.scenarios.registry import (
-    SCENARIOS,
-    Scenario,
-    UnknownScenarioError,
-    register_scenario,
-    scenario,
-)
-from repro.scenarios.spec import (
-    ScenarioSpec,
-    ScenarioSpecError,
-    parse_param_overrides,
-)
-
-__all__ = [
-    "DEFAULT_SEED",
-    "SCENARIOS",
-    "Scenario",
-    "ScenarioResult",
-    "ScenarioSpec",
-    "ScenarioSpecError",
-    "UnknownScenarioError",
-    "describe_scenario",
-    "parse_param_overrides",
-    "register_scenario",
-    "render_scenario",
-    "run_scenario",
-    "scenario",
-]

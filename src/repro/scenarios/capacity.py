@@ -28,34 +28,24 @@ import random
 from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro.api.builder import SimulationBuilder
-from repro.consistency.limd import limd_policy_factory
+from repro.api.runs import build_core
 from repro.core.rng import derive_seed
 from repro.core.types import HOUR, MINUTE
-from repro.experiments.paper import PAPER_LIMD_PARAMETERS, TTR_MAX
+from repro.experiments.paper import TTR_MAX, limd_level_factory
 from repro.metrics.collector import (
     collect_eviction_impact,
     collect_snapshot_fidelity,
 )
 from repro.proxy.cache import ObjectCache
 from repro.scenarios.registry import prepare_params_seed, scenario
-from repro.server.origin import OriginServer
-from repro.server.updates import feed_traces
-from repro.sim.kernel import Kernel
-from repro.topology import LevelPolicyFactory, TopologyTree, TreeLevel
+from repro.topology.levels import TreeLevel
+from repro.topology.tree import TopologyTree
 from repro.traces.model import UpdateTrace
 from repro.workload.surges import SurgeWindow, flash_crowd_trace
 
 # ----------------------------------------------------------------------
 # Bounded edge caches under flash-crowd load
 # ----------------------------------------------------------------------
-
-
-def _limd_level_factory(delta: float) -> LevelPolicyFactory:
-    """A per-(level, object) LIMD factory at one shared Δ."""
-    factory = limd_policy_factory(
-        delta, ttr_max=TTR_MAX, parameters=PAPER_LIMD_PARAMETERS
-    )
-    return lambda _level, object_id: factory(object_id)
 
 
 def _mean_edge_fidelity_present(
@@ -137,9 +127,7 @@ def _capacity_edge_point(
     delta = float(params["delta_min"]) * MINUTE  # type: ignore[arg-type]
     eviction = str(params["eviction"])
 
-    kernel = Kernel()
-    origin = OriginServer()
-    feed_traces(kernel, origin, traces)
+    kernel, origin, _ = build_core(traces)
     # The shield keeps the paper's unbounded cache; only the edges are
     # squeezed below the object population.
     tree = TopologyTree(
@@ -156,7 +144,7 @@ def _capacity_edge_point(
         ),
     )
     for trace in traces:
-        tree.register_object(trace.object_id, _limd_level_factory(delta))
+        tree.register_object(trace.object_id, limd_level_factory(delta))
     kernel.run(until=end)
 
     evictions = 0

@@ -7,7 +7,7 @@ paper figure, ablation, or new workload family — flows through:
 2. apply parameter / axis-value overrides,
 3. ``prepare`` the shared context once in the parent process,
 4. fan the axis values out through the same
-   :func:`repro.experiments.sweep.executor_for` seam the figure sweeps
+   :func:`repro.api.executors.executor_for` seam the figure sweeps
    use — so ``workers > 1`` runs points in parallel processes with
    rows collected in axis order, bit-identical to the serial run.
 
@@ -22,11 +22,11 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Dict, List, Mapping, Optional, Sequence, Union
 
+from repro.api.executors import executor_for
+from repro.api.render import render_dict_rows
 from repro.api.results import ResultSet
 from repro.core.errors import ExperimentError
 from repro.core.rng import DEFAULT_SEED
-from repro.experiments.render import render_dict_rows
-from repro.experiments.sweep import executor_for
 from repro.scenarios.registry import SCENARIOS, PointFn, Scenario
 from repro.scenarios.spec import AxisValue, ScenarioSpec
 
@@ -134,7 +134,7 @@ def run_scenario(
     ``params`` overrides entries of the spec's parameter mapping
     (unknown names are rejected); ``values`` replaces the swept axis
     values.  ``workers`` > 1 executes points across worker processes
-    through :func:`repro.experiments.sweep.executor_for`, with rows
+    through :func:`repro.api.executors.executor_for`, with rows
     returned in axis order — identical to a serial run.
     """
     entry = _resolve(target, params, values)

@@ -30,20 +30,23 @@ from __future__ import annotations
 import random
 from typing import Dict, Mapping
 
+from repro.api.runs import build_core, run_individual
 from repro.consistency.limd import limd_policy_factory
 from repro.core.rng import RngRegistry, derive_seed
 from repro.core.types import DAY, HOUR, MINUTE
-from repro.experiments.paper import PAPER_LIMD_PARAMETERS, TTR_MAX, evaluate_delta
-from repro.api.runs import run_individual
+from repro.experiments.paper import (
+    PAPER_LIMD_PARAMETERS,
+    TTR_MAX,
+    evaluate_delta,
+    limd_level_factory,
+)
 from repro.experiments.workloads import news_trace, stock_trace
 from repro.httpsim.network import Network
 from repro.metrics.collector import collect_snapshot_fidelity, collect_temporal
 from repro.proxy.proxy import ProxyCache
 from repro.scenarios.registry import prepare_params_seed, scenario
-from repro.server.origin import OriginServer
-from repro.server.updates import feed_traces
-from repro.sim.kernel import Kernel
-from repro.topology import LevelPolicyFactory, TopologyTree, TreeLevel
+from repro.topology.levels import TreeLevel
+from repro.topology.tree import TopologyTree
 from repro.traces.model import UpdateTrace
 from repro.traces.synthetic import poisson_trace
 from repro.workload.failures import FailureInjector, generate_failure_schedule
@@ -213,9 +216,7 @@ def _failure_churn_point(
         mean_downtime=mean_downtime,
         start=trace.start_time,
     )
-    kernel = Kernel()
-    server = OriginServer()
-    feed_traces(kernel, server, [trace])
+    kernel, server, _ = build_core([trace])
     proxy = ProxyCache(kernel, Network(kernel))
     factory = limd_policy_factory(
         delta, ttr_max=TTR_MAX, parameters=PAPER_LIMD_PARAMETERS
@@ -303,14 +304,6 @@ def _hetero_mix_point(
     return row
 
 
-def _limd_level_factory(delta: float) -> LevelPolicyFactory:
-    """A per-(level, object) LIMD factory at one shared Δ."""
-    factory = limd_policy_factory(
-        delta, ttr_max=TTR_MAX, parameters=PAPER_LIMD_PARAMETERS
-    )
-    return lambda _level, object_id: factory(object_id)
-
-
 def _mean_edge_snapshot_fidelity(
     tree: TopologyTree, trace: UpdateTrace, delta: float
 ) -> float:
@@ -381,9 +374,7 @@ def _cdn_tree_point(
     depth = int(params["depth"])  # type: ignore[arg-type]
     delta = float(params["delta_min"]) * MINUTE  # type: ignore[arg-type]
 
-    kernel = Kernel()
-    origin = OriginServer()
-    feed_traces(kernel, origin, [trace])
+    kernel, origin, _ = build_core([trace])
     # One shield node polls the origin; every deeper level fans out.
     tree = TopologyTree(
         kernel,
@@ -391,7 +382,7 @@ def _cdn_tree_point(
         [TreeLevel(fan_out=1)]
         + [TreeLevel(fan_out=int(fan_out)) for _ in range(depth - 1)],
     )
-    tree.register_object(trace.object_id, _limd_level_factory(delta))
+    tree.register_object(trace.object_id, limd_level_factory(delta))
     kernel.run(until=trace.end_time)
 
     edge_count = len(tree.edge_nodes)
@@ -449,9 +440,7 @@ def _hybrid_push_pull_point(
     delta = float(delta_min) * MINUTE
 
     def run_tree(root_mode: str) -> Dict[str, object]:
-        kernel = Kernel()
-        origin = OriginServer()
-        feed_traces(kernel, origin, [trace])
+        kernel, origin, _ = build_core([trace])
         tree = TopologyTree(
             kernel,
             origin,
@@ -460,7 +449,7 @@ def _hybrid_push_pull_point(
                 TreeLevel(fan_out=edge_count),
             ],
         )
-        tree.register_object(trace.object_id, _limd_level_factory(delta))
+        tree.register_object(trace.object_id, limd_level_factory(delta))
         kernel.run(until=trace.end_time)
         return {
             # Every message on the wire: conditional GETs at both

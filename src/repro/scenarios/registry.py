@@ -25,7 +25,7 @@ Registration is declarative::
         ...
 
 Point functions must be module-level (pickling requirement of
-:class:`repro.experiments.sweep.ParallelExecutor`).
+:class:`repro.api.executors.ParallelExecutor`).
 
 Lookup goes through :data:`SCENARIOS`, a
 :class:`repro.core.registry.Registry` shared with the consistency and

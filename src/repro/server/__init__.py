@@ -1,7 +1,1 @@
 """Origin server substrate: objects, HTTP handling, trace feeding."""
-
-from repro.server.objects import ServerObject
-from repro.server.origin import OriginServer
-from repro.server.updates import UpdateFeeder, feed_traces
-
-__all__ = ["ServerObject", "OriginServer", "UpdateFeeder", "feed_traces"]

@@ -27,38 +27,3 @@ one-node tree, :func:`repro.api.builder.run_simulation` maps every
 ``TopologyConfig`` kind (``single`` / ``hierarchy`` / ``tree``) onto a
 :class:`TopologyTree`.
 """
-
-from repro.topology.protocols import PushCallback, PushSource, Upstream
-from repro.topology.levels import (
-    LEVEL_MODES,
-    PULL,
-    PUSH,
-    LevelPolicyFactory,
-    TopologyError,
-    TreeLevel,
-    additive_staleness_bound,
-    uniform_levels,
-    warm_up_bound,
-)
-from repro.topology.push import OriginPushSource, ProxyPushSource, PushFanout
-from repro.topology.tree import TopologyNode, TopologyTree
-
-__all__ = [
-    "LEVEL_MODES",
-    "PULL",
-    "PUSH",
-    "LevelPolicyFactory",
-    "OriginPushSource",
-    "ProxyPushSource",
-    "PushCallback",
-    "PushFanout",
-    "PushSource",
-    "TopologyError",
-    "TopologyNode",
-    "TopologyTree",
-    "TreeLevel",
-    "Upstream",
-    "additive_staleness_bound",
-    "uniform_levels",
-    "warm_up_bound",
-]

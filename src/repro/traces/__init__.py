@@ -1,113 +1,1 @@
 """Workload traces: data model, generators, serialisation, statistics."""
-
-from repro.traces.io import (
-    read_csv,
-    read_json,
-    trace_from_csv_string,
-    trace_to_csv_string,
-    write_csv,
-    write_json,
-)
-from repro.traces.model import (
-    TraceMetadata,
-    UpdateTrace,
-    trace_from_ticks,
-    trace_from_times,
-)
-from repro.traces.news import (
-    CNN_FN,
-    DEFAULT_NEWS_PROFILE,
-    GUARDIAN,
-    NYT_AP,
-    NYT_REUTERS,
-    TABLE2_BY_KEY,
-    TABLE2_SPECS,
-    DiurnalProfile,
-    NewsTraceGenerator,
-    NewsTraceSpec,
-    generate_table2_traces,
-)
-from repro.traces.stats import (
-    TemporalTraceSummary,
-    ValueTraceSummary,
-    inter_update_gaps,
-    summarize_temporal,
-    summarize_value,
-    update_rate_per_bin,
-    updates_per_bin,
-)
-from repro.traces.sports import (
-    DEFAULT_LINEUP,
-    MatchTraces,
-    PlayerSpec,
-    ScoringEvent,
-    SportsMatchSpec,
-    generate_match,
-    server_sum_error_at,
-)
-from repro.traces.stocks import (
-    ATT,
-    TABLE3_BY_KEY,
-    TABLE3_SPECS,
-    YAHOO,
-    StockTraceGenerator,
-    StockTraceSpec,
-    generate_table3_traces,
-)
-from repro.traces.synthetic import (
-    FollowerSpec,
-    correlated_group_traces,
-    poisson_trace,
-    poisson_update_times,
-    random_walk_trace,
-)
-
-__all__ = [
-    "read_csv",
-    "read_json",
-    "trace_from_csv_string",
-    "trace_to_csv_string",
-    "write_csv",
-    "write_json",
-    "TraceMetadata",
-    "UpdateTrace",
-    "trace_from_ticks",
-    "trace_from_times",
-    "CNN_FN",
-    "DEFAULT_NEWS_PROFILE",
-    "GUARDIAN",
-    "NYT_AP",
-    "NYT_REUTERS",
-    "TABLE2_BY_KEY",
-    "TABLE2_SPECS",
-    "DiurnalProfile",
-    "NewsTraceGenerator",
-    "NewsTraceSpec",
-    "generate_table2_traces",
-    "TemporalTraceSummary",
-    "ValueTraceSummary",
-    "inter_update_gaps",
-    "summarize_temporal",
-    "summarize_value",
-    "update_rate_per_bin",
-    "updates_per_bin",
-    "DEFAULT_LINEUP",
-    "MatchTraces",
-    "PlayerSpec",
-    "ScoringEvent",
-    "SportsMatchSpec",
-    "generate_match",
-    "server_sum_error_at",
-    "ATT",
-    "TABLE3_BY_KEY",
-    "TABLE3_SPECS",
-    "YAHOO",
-    "StockTraceGenerator",
-    "StockTraceSpec",
-    "generate_table3_traces",
-    "FollowerSpec",
-    "correlated_group_traces",
-    "poisson_trace",
-    "poisson_update_times",
-    "random_walk_trace",
-]

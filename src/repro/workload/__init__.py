@@ -1,52 +1,3 @@
 """Client workload generation: arrivals, popularity, request streams,
 and the scenario workload families (surges, diurnal modulation,
 failure schedules)."""
-
-from repro.workload.arrivals import ArrivalProcess, PoissonArrivals, RegularArrivals
-from repro.workload.failures import (
-    DownInterval,
-    FailureInjector,
-    FailureSchedule,
-    generate_failure_schedule,
-)
-from repro.workload.modulation import (
-    DiurnalModulation,
-    diurnal_trace,
-    modulated_times,
-)
-from repro.workload.popularity import (
-    AliasSampler,
-    PopularityModel,
-    RotatingPopularity,
-    UniformPopularity,
-    ZipfPopularity,
-)
-from repro.workload.requests import RequestStream, RequestStreamConfig
-from repro.workload.surges import (
-    SurgeWindow,
-    flash_crowd_times,
-    flash_crowd_trace,
-)
-
-__all__ = [
-    "AliasSampler",
-    "ArrivalProcess",
-    "PoissonArrivals",
-    "RegularArrivals",
-    "PopularityModel",
-    "RotatingPopularity",
-    "UniformPopularity",
-    "ZipfPopularity",
-    "RequestStream",
-    "RequestStreamConfig",
-    "SurgeWindow",
-    "flash_crowd_times",
-    "flash_crowd_trace",
-    "DiurnalModulation",
-    "modulated_times",
-    "diurnal_trace",
-    "DownInterval",
-    "FailureSchedule",
-    "FailureInjector",
-    "generate_failure_schedule",
-]

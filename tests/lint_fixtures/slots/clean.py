@@ -1,4 +1,4 @@
-"""RL201 fixture: slotted classes, plus the exempt categories."""
+"""Slots fixture: slotted classes, plus the exempt categories."""
 
 from dataclasses import dataclass
 from enum import Enum

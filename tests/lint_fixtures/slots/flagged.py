@@ -1,4 +1,4 @@
-"""RL201 fixture: hot-path classes must declare __slots__."""
+"""Slots fixture: hot-path classes must declare __slots__."""
 
 from dataclasses import dataclass
 

@@ -3,8 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import repro
 
 from repro.api import (
     LevelConfig,
@@ -343,6 +349,29 @@ class TestRunCli:
         err = capsys.readouterr().err
         assert "invalid simulation configuration" in err
         assert "bogus" in err
+
+
+class TestLayering:
+    def test_the_facade_imports_nothing_above_it(self):
+        """``scenarios`` and ``experiments`` build on ``repro.api``, never
+        the reverse; checked in a fresh interpreter because this one has
+        long since imported both."""
+        code = (
+            "import pkgutil, sys, repro.api\n"
+            "for info in pkgutil.iter_modules(repro.api.__path__, 'repro.api.'):\n"
+            "    __import__(info.name)\n"
+            "above = ('repro.experiments', 'repro.scenarios')\n"
+            "print(sorted(name for name in sys.modules if name.startswith(above)))\n"
+        )
+        source_root = str(Path(repro.__file__).resolve().parent.parent)
+        fresh = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": source_root},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert (fresh.returncode, fresh.stdout.strip()) == (0, "[]"), fresh.stderr
 
 
 class TestRegistry:

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api.config import (
+    CacheConfig,
     LevelConfig,
     NetworkConfig,
     PolicyConfig,
@@ -89,9 +90,17 @@ _topologies = st.one_of(
         ).map(tuple),
     ),
 )
-_optional_durations = st.one_of(
-    st.none(),
-    st.floats(min_value=0.001, max_value=1e9, allow_nan=False, width=64),
+_positive_durations = st.floats(
+    min_value=0.001, max_value=1e9, allow_nan=False, width=64
+)
+_optional_durations = st.one_of(st.none(), _positive_durations)
+_caches = st.builds(
+    CacheConfig,
+    capacity=st.one_of(st.none(), st.integers(min_value=1, max_value=10**6)),
+    eviction=_names,
+    ttl_classes=st.dictionaries(_names, _positive_durations, max_size=3),
+    default_ttl_s=_optional_durations,
+    object_classes=st.dictionaries(_names, _names, max_size=3),
 )
 _configs = st.builds(
     SimulationConfig,
@@ -99,6 +108,7 @@ _configs = st.builds(
     policy=_policies,
     topology=_topologies,
     network=_networks,
+    cache=_caches,
     seed=st.integers(min_value=-(10**12), max_value=10**12),
     horizon_s=_optional_durations,
     fidelity_delta_s=_optional_durations,

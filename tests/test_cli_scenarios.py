@@ -11,7 +11,7 @@ from repro.cli import main
 
 class TestList:
     def test_lists_every_registered_scenario(self, capsys):
-        from repro.scenarios import SCENARIOS
+        from repro.scenarios.registry import SCENARIOS
 
         assert main(["scenarios", "list"]) == 0
         out = capsys.readouterr().out

@@ -8,7 +8,7 @@ import pytest
 
 from repro.analysis.timeseries import Series
 from repro.core.errors import ExperimentError
-from repro.experiments.render import (
+from repro.api.render import (
     format_cell,
     render_dict_rows,
     render_series,

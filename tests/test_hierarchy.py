@@ -19,7 +19,8 @@ from repro.proxy.proxy import ProxyCache
 from repro.server.origin import OriginServer
 from repro.server.updates import UpdateFeeder, feed_traces
 from repro.sim.kernel import Kernel
-from repro.topology import TopologyTree, uniform_levels
+from repro.topology.levels import uniform_levels
+from repro.topology.tree import TopologyTree
 from repro.traces.model import trace_from_times
 from repro.traces.synthetic import poisson_trace
 

@@ -1,6 +1,6 @@
 """Tests for the sweep executors: serial/parallel parity and ordering.
 
-The contract under test (see :mod:`repro.experiments.sweep`):
+The contract under test (see :mod:`repro.api.executors`):
 
 * ``executor_for(N).map`` — and therefore ``run_scenario(...,
   workers=N)`` — produces rows **identical** to the serial run — same
@@ -9,18 +9,23 @@ The contract under test (see :mod:`repro.experiments.sweep`):
 * executors return results in input order even when later items finish
   first;
 * a per-point RNG derived from the root seed is stable no matter which
-  executor (or worker) runs the point.
+  executor (or worker) runs the point;
+* a worker process that dies surfaces as one ``ExperimentError`` naming
+  the first point left unfinished, not a raw ``BrokenProcessPool``.
 """
 
 from __future__ import annotations
 
+import os
 import time
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
+from repro.api.executors import ParallelExecutor, SerialExecutor, executor_for
 from repro.api.runs import run_many
+from repro.core.errors import ExperimentError
 from repro.core.rng import RngRegistry, derive_seed
-from repro.experiments.sweep import ParallelExecutor, SerialExecutor, executor_for
 from repro.scenarios.engine import run_scenario
 from repro.scenarios.registry import Scenario
 from repro.scenarios.spec import ScenarioSpec
@@ -66,6 +71,20 @@ def _other():
     return "second"
 
 
+def _die():
+    """Exit the worker without unwinding, as a kill or the OOM killer would.
+
+    The pause lets the points before it finish first, so the dying one
+    is the first left unfinished.
+    """
+    time.sleep(0.3)
+    os._exit(3)
+
+
+def _die_on_two(item):
+    return _die() if item == 2 else item
+
+
 class TestExecutorResolution:
     def test_default_is_serial(self):
         assert isinstance(executor_for(None), SerialExecutor)
@@ -97,6 +116,18 @@ class TestOrdering:
             "first",
             "second",
         ]
+
+
+class TestDeadWorker:
+    def test_parallel_map_names_the_first_unfinished_item(self):
+        with pytest.raises(ExperimentError, match="item 2: 2") as caught:
+            ParallelExecutor(2).map(_die_on_two, [0, 1, 2, 3])
+        assert isinstance(caught.value.__cause__, BrokenProcessPool)
+
+    def test_run_many_names_the_first_unfinished_task(self):
+        """The seam sharded tree runs and ``run_scenario`` go through."""
+        with pytest.raises(ExperimentError, match="item 1: <function _die"):
+            run_many([_identity, _die], workers=2)
 
 
 class TestDeterminism:

@@ -10,20 +10,20 @@ from repro.api import LevelConfig, SimulationBuilder, run_simulation
 from repro.consistency.base import FixedTTRPolicy, PassivePolicy
 from repro.core.types import ObjectId
 from repro.httpsim.network import LatencyModel
+from repro.httpsim.semantics import Upstream
 from repro.metrics.collector import collect_temporal
 from repro.proxy.proxy import ProxyCache
 from repro.server.origin import OriginServer
 from repro.sim.kernel import Kernel
-from repro.topology import (
-    PushFanout,
-    PushSource,
+from repro.topology.levels import (
     TopologyError,
-    TopologyTree,
     TreeLevel,
-    Upstream,
     additive_staleness_bound,
     uniform_levels,
 )
+from repro.topology.protocols import PushSource
+from repro.topology.push import PushFanout
+from repro.topology.tree import TopologyTree
 from repro.traces.model import trace_from_times
 from repro.server.updates import feed_traces
 
