@@ -32,7 +32,7 @@ from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, List, Optional, Sequence, TypeVar
 
-from repro.core.errors import ExperimentError
+from repro.core.errors import WorkerDiedError
 
 #: Generic task/result types of the executor seam: ``map`` preserves the
 #: relationship between what goes in and what comes out, so callers
@@ -72,7 +72,7 @@ class ParallelExecutor(SweepExecutor):
     Falls back to in-process execution for batches of one.  A worker
     that dies (killed, ``os._exit``, out of memory) takes every
     unfinished point with it; that surfaces as one
-    :class:`~repro.core.errors.ExperimentError` naming the first of
+    :class:`~repro.core.errors.WorkerDiedError` naming the first of
     them.
     """
 
@@ -104,7 +104,7 @@ class ParallelExecutor(SweepExecutor):
                     ),
                     len(futures),
                 )
-                raise ExperimentError(
+                raise WorkerDiedError(
                     "a worker process died before every point finished; "
                     f"the first unfinished is item {index}: {items[index]!r}"
                 ) from exc

@@ -115,16 +115,20 @@ def _render_command(args: argparse.Namespace) -> str:
 
 
 def _print_or_explain(produce: Callable[[], str]) -> int:
-    """Print what ``produce`` returns, or why the configuration is bad.
+    """Print what ``produce`` returns, or why it could not.
 
     Bad parameter *values* surface while running (unknown trace keys,
     wrong-shaped pairs, non-positive durations) — they exit 2 with one
-    line, like unknown scenario or parameter names.
+    line, like unknown scenario or parameter names.  A worker process
+    that died is no configuration's fault: it exits 1 as a failed run.
     """
-    from repro.core.errors import ReproError
+    from repro.core.errors import ReproError, WorkerDiedError
 
     try:
         text = produce()
+    except WorkerDiedError as exc:
+        print(f"run failed: {exc}", file=sys.stderr)
+        return 1
     except (ReproError, KeyError, ValueError, TypeError) as exc:
         # KeyError.__str__ would wrap the message in quotes; use the
         # bare argument.

@@ -36,6 +36,7 @@ from repro.core.events import PollReason
 from repro.core.types import ObjectId, Seconds
 from repro.proxy.proxy import ProxyCache
 from repro.server.origin import OriginServer
+from repro.server.updates import UpdateFeeder
 from repro.sim.kernel import Kernel
 from repro.sim.stats import Counter
 from repro.topology.push import PushFanout
@@ -142,36 +143,17 @@ class PushConsistencyClient:
         self._proxy.trigger_poll(object_id, reason=PollReason.PUSH)
 
 
-class PushUpdateFeeder:
+class PushUpdateFeeder(UpdateFeeder):
     """Feeds a trace's updates through a :class:`PushChannel`.
 
-    The push analogue of :class:`repro.server.updates.UpdateFeeder`:
-    updates are applied via the channel so subscribers get notified.
+    An :class:`~repro.server.updates.UpdateFeeder` whose sink is the
+    channel's :meth:`~PushChannel.apply_update` rather than the
+    server's, so subscribers are notified whether or not the channel is
+    attached.
     """
 
     def __init__(
         self, kernel: Kernel, channel: PushChannel, trace: UpdateTrace
     ) -> None:
-        self._kernel = kernel
-        self._channel = channel
-        self._trace = trace
-        server = channel.server
-        if not server.has_object(trace.object_id):
-            initial_value = (
-                trace.records[0].value if trace.update_count > 0 else None
-            )
-            server.create_object(
-                trace.object_id,
-                created_at=trace.start_time,
-                initial_value=initial_value,
-            )
-        for record in trace.records:
-            if record.time <= trace.start_time:
-                continue
-            kernel.schedule_at(
-                record.time,
-                lambda _k, t=record.time, v=record.value: channel.apply_update(
-                    trace.object_id, t, v
-                ),
-                label=f"push-update.{trace.object_id}",
-            )
+        super().__init__(kernel, channel.server, trace)
+        self._sink = channel.apply_update

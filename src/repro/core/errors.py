@@ -81,3 +81,11 @@ class ProtocolError(ReproError):
 
 class ExperimentError(ReproError):
     """An experiment harness was misconfigured or failed to run."""
+
+
+class WorkerDiedError(ExperimentError):
+    """A worker process died before its points finished.
+
+    A failure of the run, not of its configuration: the CLI reports it
+    as ``run failed`` (exit 1) where configuration errors exit 2.
+    """

@@ -35,7 +35,7 @@ def update_frequency_series(
 ) -> Series:
     """Updates per bin over the trace window (Figure 4(a))."""
     return bin_count(
-        (r.time for r in trace.records),
+        (r.time for r in trace),
         start=trace.start_time,
         end=trace.end_time,
         bin_width=bin_width,
@@ -93,11 +93,11 @@ def update_ratio_series(
     start = min(trace_a.start_time, trace_b.start_time)
     end = max(trace_a.end_time, trace_b.end_time)
     series_a = bin_count(
-        (r.time for r in trace_a.records),
+        (r.time for r in trace_a),
         start=start, end=end, bin_width=bin_width, label="a",
     )
     series_b = bin_count(
-        (r.time for r in trace_b.records),
+        (r.time for r in trace_b),
         start=start, end=end, bin_width=bin_width, label="b",
     )
     return ratio_series(series_a, series_b, label=label)
@@ -124,8 +124,8 @@ def server_f_knots(
     f: Callable[[float, float], float],
 ) -> List[Tuple[Seconds, float]]:
     """(time, f at server) step knots — Figure 8's server series."""
-    events: List[Seconds] = [r.time for r in trace_a.records]
-    events.extend(r.time for r in trace_b.records)
+    events: List[Seconds] = [r.time for r in trace_a]
+    events.extend(r.time for r in trace_b)
     knots: List[Tuple[Seconds, float]] = []
     for time in sorted(set(events)):
         state_a = trace_a.latest_at(time)

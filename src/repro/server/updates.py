@@ -1,15 +1,17 @@
 """Feeding trace updates into an origin server.
 
-An :class:`UpdateFeeder` schedules one kernel event per trace record and
-applies it to the server at the right instant, turning a static
-:class:`UpdateTrace` into a live, time-driven object at the origin.
+An :class:`UpdateFeeder` turns a static :class:`UpdateTrace` into a
+live, time-driven object at the origin: every trace record is one
+kernel event that applies it at the right instant, streamed through
+:meth:`~repro.sim.kernel.Kernel.schedule_series` so only the next
+update of each trace is ever pending.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, Optional
+from typing import Dict, Iterable
 
-from repro.core.types import ObjectId, Seconds
+from repro.core.types import ObjectId
 from repro.server.origin import OriginServer
 from repro.sim.kernel import Kernel
 from repro.traces.model import UpdateTrace
@@ -36,21 +38,25 @@ class UpdateFeeder:
         *,
         create_object: bool = True,
     ) -> None:
-        self._kernel = kernel
-        self._server = server
         self._trace = trace
-        self._scheduled = 0
+        self._object_id = trace.object_id
+        self._sink = server.apply_update
         self._applied = 0
         if create_object and not server.has_object(trace.object_id):
-            initial_value = (
-                trace.records[0].value if trace.update_count > 0 else None
-            )
             server.create_object(
                 trace.object_id,
                 created_at=trace.start_time,
-                initial_value=initial_value,
+                initial_value=trace[0].value if len(trace) > 0 else None,
             )
-        self._schedule_all()
+        # The creation record coincides with the window start; feed only
+        # what is strictly in the future of creation.
+        start_time = trace.start_time
+        future = [record for record in trace if record.time > start_time]
+        self._times = [record.time for record in future]
+        self._values = [record.value for record in future]
+        kernel.schedule_series(
+            self._times, self._apply_next, label=f"update.{trace.object_id}"
+        )
 
     @property
     def trace(self) -> UpdateTrace:
@@ -58,38 +64,18 @@ class UpdateFeeder:
 
     @property
     def scheduled_count(self) -> int:
-        return self._scheduled
+        return len(self._times)
 
     @property
     def applied_count(self) -> int:
         return self._applied
 
-    def _schedule_all(self) -> None:
-        label = f"update.{self._trace.object_id}"
-        schedule_at = self._kernel.schedule_at
-        start_time = self._trace.start_time
-        for record in self._trace.records:
-            if record.time <= start_time:
-                # The creation record coincides with the window start;
-                # skip anything not strictly in the future of creation.
-                continue
-            schedule_at(
-                record.time,
-                self._make_apply(record.time, record.value),
-                label=label,
-            )
-            self._scheduled += 1
-
-    def _make_apply(
-        self, time: Seconds, value: Optional[float]
-    ) -> Callable[[Kernel], None]:
-        object_id = self._trace.object_id
-
-        def apply(_kernel: Kernel) -> None:
-            self._server.apply_update(object_id, time, value)
-            self._applied += 1
-
-        return apply
+    def _apply_next(self, _kernel: Kernel) -> None:
+        # Advance the cursor before delivering, so a raising sink cannot
+        # make the next instant re-deliver this record.
+        index = self._applied
+        self._applied = index + 1
+        self._sink(self._object_id, self._times[index], self._values[index])
 
 
 def feed_traces(

@@ -3,9 +3,12 @@
 A classic priority-queue DES: events are ``(time, sequence, record)``
 entries on a pluggable :class:`Scheduler`; the kernel pops the earliest
 event, advances the clock to its timestamp, and invokes the callback.
-Ties are broken by the monotonically increasing sequence number (FIFO
-insertion order), which makes runs deterministic for a given seed and
-schedule.
+Ties are broken by the sequence number, drawn in increasing order when
+an event is *registered* (FIFO among equal times), which makes runs
+deterministic for a given seed and schedule.  Registration and queueing
+coincide for everything except :meth:`Kernel.schedule_series`, which
+reserves one number per instant up front and queues each instant only
+when its predecessor fires.
 
 Hot-path design (every simulated poll passes through here several
 times):
@@ -25,6 +28,12 @@ times):
   skips them.
 * :meth:`Kernel._drain` binds hot attributes to locals; cancelled
   events are skipped lazily when popped.
+* Instants known in advance (a trace's updates) go through
+  :meth:`Kernel.schedule_series`: still one dispatched event each, in
+  the slot the per-instant ``schedule_at`` loop would give it, but one
+  queued record per series instead of a closure, record, handle and
+  entry tuple per instant — the pending set, and what the cyclic
+  garbage collector has to walk, is O(series) rather than O(instants).
 
 The scheduler seam has two implementations: the default
 :class:`HeapScheduler` (C ``heapq``, which has won every measurement on
@@ -35,8 +44,8 @@ host-time benchmark compares the two).  Both dispatch in bit-identical
 in ``tests/test_scheduler_equivalence.py``.
 
 The kernel is deliberately small — no coroutines, no channels — because
-the paper's simulation only needs timers (TTR expirations and trace
-updates).
+the paper's simulation only needs timers (TTR expirations) and
+pre-recorded instants (trace updates).
 """
 
 from __future__ import annotations
@@ -48,6 +57,7 @@ from typing import (
     List,
     Optional,
     Protocol,
+    Sequence,
     Tuple,
     TypeVar,
 )
@@ -275,6 +285,59 @@ class EventHandle:
         return f"EventHandle(t={self._time}, label={self._label!r}, {state})"
 
 
+class _Series:
+    """The unfired tail of one :meth:`Kernel.schedule_series` call.
+
+    Holds the instants, the shared callback and the first of the
+    sequence numbers reserved for them; at most one pooled ``_Event``
+    (whose callback is :meth:`fire`) is queued for the whole run.
+    """
+
+    __slots__ = ("_times", "_count", "_callback", "_label", "_sequence", "_next")
+
+    def __init__(
+        self,
+        times: Sequence[Seconds],
+        callback: EventCallback,
+        label: str,
+        sequence: int,
+    ) -> None:
+        self._times = times
+        self._count = len(times)
+        self._callback = callback
+        self._label = label
+        self._sequence = sequence
+        #: Index of the next instant to queue (0 is queued at registration).
+        self._next = 1
+
+    def fire(self, kernel: "Kernel") -> None:
+        """Dispatch one instant: queue its successor, then run the callback.
+
+        In that order, so that while the callback runs the successor is
+        already queued, exactly as if every instant had been scheduled
+        up front (it shows in ``peek_next_time`` and survives a raising
+        callback).
+        """
+        index = self._next
+        if index < self._count:
+            when = self._times[index]
+            if when < kernel._now:
+                raise SchedulingInPastError(kernel._now, when)
+            self._next = index + 1
+            # What Kernel.schedule_raw does, under the sequence number
+            # reserved at registration.  _drain released the firing
+            # record just before calling here, so the pool is not empty.
+            event = kernel._free.pop()
+            event.generation += 1
+            event.time = when
+            event.callback = self.fire
+            event.label = self._label
+            event.cancelled = False
+            event.fired = False
+            kernel._push(when, self._sequence + index, event)
+        self._callback(kernel)
+
+
 class Kernel:
     """The discrete-event simulation engine.
 
@@ -405,6 +468,42 @@ class Kernel:
         if delay < 0:
             raise ValueError(f"delay must be >= 0, got {delay}")
         return self.schedule_at(self._now + delay, callback, label=label)
+
+    def schedule_series(
+        self,
+        times: Sequence[Seconds],
+        callback: EventCallback,
+        *,
+        label: str = "",
+    ) -> None:
+        """Schedule ``callback`` at each instant of an ascending run.
+
+        Dispatch is identical to ``for t in times: schedule_at(t,
+        callback, label=label)`` issued at this point — every instant is
+        its own event, counted in :attr:`events_processed`, and ties
+        with events scheduled before or after this call break exactly
+        as they would for the loop — but only the next unfired instant
+        is ever queued, so a long trace costs one pending event instead
+        of one per record (:attr:`pending_count` is the one observable
+        that differs).  Successors are queued from inside dispatch,
+        before ``callback`` runs.
+
+        ``times`` must be sorted (equal neighbours allowed) and must not
+        change afterwards; no handle is returned, a series cannot be
+        cancelled.
+
+        Raises:
+            SchedulingInPastError: at once if ``times[0]`` precedes the
+                current time; from the dispatch of the preceding instant
+                if a later element breaks the ordering.
+        """
+        if not times:
+            return
+        series = _Series(times, callback, label, self._sequence)
+        # The first instant draws the block's first number the ordinary
+        # way; the rest of the block is reserved for the successors.
+        self.schedule_raw(times[0], series.fire, label)
+        self._sequence += len(times) - 1
 
     # ------------------------------------------------------------------
     # Execution

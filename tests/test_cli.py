@@ -121,3 +121,59 @@ class TestLocTool:
         totals = module.count_tree(tmp_path)
         assert totals == {"(root)": [1, 3, 1], "pkg": [1, 7, 4]}
         assert "| **total** | 2 | 10 | 5 |" in module.render(totals)
+
+
+class TestAbPairsVerdict:
+    """tools/ab_pairs.py: the ten-pair rule on canned numbers."""
+
+    PARENT = [119.4, 120.4, 117.8, 121.0, 118.9, 119.9, 120.1, 118.2, 119.0, 120.8]
+
+    def judge(self, change, **kwargs):
+        kwargs.setdefault("better", "higher")
+        kwargs.setdefault("bound", 0.15)
+        return _load_tool("ab_pairs").judge(self.PARENT, change, **kwargs)
+
+    def test_clear_win_is_a_gain(self):
+        verdict = self.judge([p * 1.38 for p in self.PARENT])
+        assert (verdict.wins, verdict.losses) == (10, 0)
+        assert verdict.gain and not verdict.regression
+        assert verdict.word == "GAIN"
+        assert verdict.ratio == pytest.approx(1.38)
+
+    def test_nine_of_ten_wins_is_enough_eight_is_not(self):
+        change = [p + 5.0 for p in self.PARENT]
+        change[0] = self.PARENT[0] - 1.0
+        assert self.judge(change).gain
+        change[1] = self.PARENT[1] - 1.0
+        verdict = self.judge(change)
+        assert verdict.wins == 8 and not verdict.gain
+
+    def test_ties_count_for_neither_side(self):
+        change = [p + 5.0 for p in self.PARENT]
+        change[0], change[1] = self.PARENT[0], self.PARENT[1]
+        verdict = self.judge(change)
+        assert (verdict.wins, verdict.losses) == (8, 0)
+        assert not verdict.gain
+
+    def test_gap_inside_the_parents_own_spread_is_no_gain(self):
+        """Ten wins out of ten, but by less than the parent's IQR."""
+        verdict = self.judge([p + 0.5 for p in self.PARENT])
+        low, high = verdict.parent_quartiles
+        assert verdict.wins == 10 and high - low > 0.5
+        assert not verdict.gain and verdict.word == "no gain"
+
+    def test_lower_is_better_flips_the_direction(self):
+        slower = [p * 1.4 for p in self.PARENT]
+        assert self.judge(slower, better="lower", bound=0.25).regression
+        faster = [p * 0.7 for p in self.PARENT]
+        verdict = self.judge(faster, better="lower", bound=0.25)
+        assert verdict.gain and verdict.wins == 10
+
+    def test_regression_needs_more_than_the_bound(self):
+        assert not self.judge([p * 0.9 for p in self.PARENT]).regression
+        verdict = self.judge([p * 0.8 for p in self.PARENT])
+        assert verdict.regression and verdict.word == "REGRESSION"
+
+    def test_unpaired_samples_are_rejected(self):
+        with pytest.raises(ValueError):
+            self.judge(self.PARENT[:-1])

@@ -6,7 +6,9 @@ import json
 
 import pytest
 
+from repro.api.executors import ParallelExecutor
 from repro.cli import main
+from repro.core.errors import WorkerDiedError
 
 
 class TestList:
@@ -114,6 +116,30 @@ class TestRun:
             == 2
         )
         assert "malformed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["scenarios", "run", "table2", "--workers", "2"],
+            ["figure3", "--workers", "2"],
+        ],
+    )
+    def test_dead_worker_is_a_failed_run_not_a_bad_configuration(
+        self, argv, capsys, monkeypatch
+    ):
+        def dead_pool(self, fn, items):
+            raise WorkerDiedError(
+                "a worker process died before every point finished; "
+                "the first unfinished is item 1: 'nyt_ap'"
+            )
+
+        monkeypatch.setattr(ParallelExecutor, "map", dead_pool)
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("run failed: a worker process died")
+        assert "item 1" in captured.err
+        assert "invalid scenario configuration" not in captured.err
+        assert captured.out == ""
 
     def test_missing_subcommand_exits_nonzero(self):
         with pytest.raises(SystemExit) as excinfo:

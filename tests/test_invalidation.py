@@ -138,6 +138,39 @@ class TestPushClient:
         assert report_tight.out_sync_time == pytest.approx(2 * 0.5)
 
 
+class TestPushUpdateFeeder:
+    """The trace feeder with the channel as its sink (black-box)."""
+
+    @pytest.mark.parametrize("attached", [False, True])
+    def test_notifies_exactly_once_per_update(self, attached):
+        kernel, server, proxy, channel, _ = build_push_stack()
+        if attached:
+            attach_push_channel(channel)
+        times = [10.0, 30.0, 50.0, 70.0]
+        feeder = PushUpdateFeeder(
+            kernel, channel, trace_from_times(X, times, end_time=100.0)
+        )
+        seen = []
+        channel.subscribe(X, lambda oid, t: seen.append((kernel.now(), t)))
+        # One pending event for the whole trace, as for the plain feeder.
+        assert kernel.pending_count == 1
+        assert feeder.scheduled_count == 4
+        kernel.run(until=100.0)
+        assert seen == [(t, t) for t in times]
+        assert channel.counters.get("notifications") == 4
+        assert server.counters.get("updates_applied") == 4
+        assert feeder.applied_count == 4
+        assert kernel.events_processed == 4
+
+    def test_existing_object_is_not_recreated(self):
+        kernel, server, proxy, channel, _ = build_push_stack()
+        server.create_object(X, created_at=0.0, initial_value=9.0)
+        PushUpdateFeeder(kernel, channel, trace_from_times(X, [5.0]))
+        assert server.get_object(X).current_value == 9.0
+        kernel.run()
+        assert server.get_object(X).current_version == 1
+
+
 def test_push_callback_alias_still_importable():
     # The signature's canonical home moved to repro.topology.protocols;
     # the historical import path keeps working.

@@ -7,6 +7,10 @@ must fire the same events at the same times in the same sequence
 order — including same-tick ties and lazily cancelled entries.  These
 tests drive both kernels through identical randomized operation scripts
 (hypothesis) and compare the full dispatch transcripts.
+
+:meth:`~repro.sim.kernel.Kernel.schedule_series` makes the same kind of
+promise — a series is unobservable next to the ``schedule_at`` loop it
+stands for — and is pinned the same way, on both schedulers.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim.kernel import Kernel
+from repro.sim.timers import RestartableTimer
 
 #: A dispatch transcript entry: (fire time, event label).  Labels are
 #: unique per scheduled event, so transcript equality pins the exact
@@ -167,3 +172,113 @@ class TestSchedulerEquivalence:
         assert wheel.events_processed == heap.events_processed
         assert wheel.now() == heap.now()
         assert wheel.pending_count == heap.pending_count
+
+
+# Quantized gaps make instants of one series coincide with each other,
+# with other series, with plain events and with timer re-arms.
+_GAPS = st.sampled_from([0.0, 0.0, 0.5, 1.0, 1.0, 2.5])
+
+_SERIES_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("schedule"), _GAPS),
+        # (first delay, gaps between instants, follow-up delay or None)
+        st.tuples(
+            st.just("series"),
+            _GAPS,
+            st.lists(_GAPS, max_size=8),
+            st.one_of(st.none(), _GAPS),
+        ),
+        # (first delay, period, re-arms)
+        st.tuples(
+            st.just("timer"), _GAPS, _GAPS, st.integers(min_value=0, max_value=4)
+        ),
+        st.tuples(st.just("run"), _GAPS),
+        st.tuples(st.just("run_batch"), _GAPS, st.integers(min_value=1, max_value=4)),
+        st.tuples(st.just("run_max"), st.integers(min_value=1, max_value=4)),
+    ),
+    max_size=25,
+)
+
+
+def _execute_series(
+    scheduler: str, ops: List[Tuple[object, ...]], *, expand: bool
+) -> Transcript:
+    """Run a script with each series as one call or as its ``schedule_at`` loop."""
+    kernel = Kernel(scheduler=scheduler)
+    fired: Transcript = []
+    labels = iter(range(10**6))
+
+    def recorder(label: str) -> Callable[[Kernel], None]:
+        return lambda k: fired.append((k.now(), label))
+
+    def series_callback(label: str, follow: object) -> Callable[[Kernel], None]:
+        def on_instant(k: Kernel) -> None:
+            fired.append((k.now(), label))
+            # The successor instant is already queued while this one
+            # runs, as it would be had all been scheduled up front.
+            head = k.peek_next_time()
+            fired.append((-1.0 if head is None else head, f"{label}#head"))
+            if follow is not None:
+                # Work scheduled from inside the series competes with
+                # the series' own reserved successors.
+                k.schedule_at(
+                    k.now() + follow, recorder(f"{label}+"), label=f"{label}+"
+                )
+
+        return on_instant
+
+    def start_timer(label: str, delay: float, period: float, rearms: int) -> None:
+        left = [rearms]
+
+        def on_expiry(now: float) -> None:
+            fired.append((now, label))
+            if left[0]:
+                left[0] -= 1
+                timer.arm_after(period)
+
+        timer = RestartableTimer(kernel, on_expiry, label=label)
+        timer.arm_after(delay)
+
+    for op in ops:
+        kind = op[0]
+        if kind == "schedule":
+            label = f"e{next(labels)}"
+            kernel.schedule_at(kernel.now() + op[1], recorder(label), label=label)
+        elif kind == "series":
+            label = f"s{next(labels)}"
+            times = [kernel.now() + op[1]]
+            for gap in op[2]:
+                times.append(times[-1] + gap)
+            on_instant = series_callback(label, op[3])
+            if expand:
+                for when in times:
+                    kernel.schedule_at(when, on_instant, label=label)
+            else:
+                kernel.schedule_series(times, on_instant, label=label)
+        elif kind == "timer":
+            start_timer(f"t{next(labels)}", op[1], op[2], op[3])
+        else:
+            if kind == "run":
+                kernel.run(until=kernel.now() + op[1])
+            elif kind == "run_batch":
+                kernel.run_batch(kernel.now() + op[1], max_events=op[2])
+            else:
+                kernel.run(max_events=op[1])
+            # A stop may land between two instants of a series: the
+            # count so far and the next visible head must still agree.
+            fired.append((float(kernel.events_processed), "#processed"))
+            head = kernel.peek_next_time()
+            fired.append((-1.0 if head is None else head, "#head"))
+    kernel.run()
+    fired.append((float(kernel.events_processed), "#processed"))
+    return fired
+
+
+class TestSeriesEquivalence:
+    @given(_SERIES_OPS)
+    @settings(max_examples=200, deadline=None)
+    def test_series_matches_its_schedule_at_loop(self, ops):
+        reference = _execute_series("heap", ops, expand=True)
+        for scheduler in ("heap", "wheel"):
+            assert _execute_series(scheduler, ops, expand=False) == reference
+        assert _execute_series("wheel", ops, expand=True) == reference

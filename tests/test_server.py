@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.errors import UnknownObjectError
+from repro.consistency.base import FixedTTRPolicy
+from repro.core.errors import SchedulingInPastError, UnknownObjectError
 from repro.core.events import UpdateAppliedEvent
 from repro.core.types import ObjectId
 from repro.httpsim.messages import Status, conditional_get
+from repro.httpsim.network import Network
+from repro.proxy.proxy import ProxyCache
 from repro.server.objects import ServerObject
 from repro.server.origin import OriginServer
 from repro.server.updates import UpdateFeeder, feed_traces
@@ -219,3 +222,93 @@ class TestUpdateFeeder:
         UpdateFeeder(kernel, server, trace)
         kernel.run()
         assert server.get_object(ObjectId("x")).current_version == 1
+
+
+class TestUpdateFeederContract:
+    """Black-box: what a feeder promises the kernel and the origin."""
+
+    def test_pending_set_is_one_event_per_trace_not_per_record(self):
+        kernel = Kernel()
+        server = OriginServer()
+        traces = [
+            trace_from_times(ObjectId(name), [10.0 * i + offset for i in range(1, 6)])
+            for offset, name in enumerate("abc")
+        ]
+        feeders = feed_traces(kernel, server, traces)
+        assert kernel.pending_count == 3
+        assert all(f.scheduled_count == 5 for f in feeders.values())
+        assert all(f.applied_count == 0 for f in feeders.values())
+
+        kernel.run(until=25.0)
+        assert kernel.pending_count == 3
+        assert all(f.scheduled_count == 5 for f in feeders.values())
+        assert [f.applied_count for f in feeders.values()] == [2, 2, 2]
+
+        kernel.run()
+        # Every record is still its own dispatched event.
+        assert kernel.events_processed == 15
+        assert server.counters.get("updates_applied") == 15
+        assert all(f.applied_count == 5 for f in feeders.values())
+        assert kernel.pending_count == 0
+
+    def test_record_at_the_window_start_is_the_creation_not_an_update(self):
+        kernel = Kernel()
+        server = OriginServer()
+        trace = trace_from_ticks(ObjectId("s"), [(0.0, 1.0), (5.0, 2.0)])
+        feeder = UpdateFeeder(kernel, server, trace)
+        assert feeder.scheduled_count == 1
+        kernel.run()
+        obj = server.get_object(ObjectId("s"))
+        assert (obj.current_version, obj.current_value) == (1, 2.0)
+
+    def test_update_at_exactly_a_polls_instant_is_visible_to_that_poll(self):
+        """Fed before the proxy registers, an update wins every tie with
+        a poll — also one whose kernel entry is queued (at t=15) after
+        the coincident poll was armed (at t=10)."""
+        kernel = Kernel()
+        server = OriginServer()
+        x = ObjectId("x")
+        UpdateFeeder(
+            kernel, server, trace_from_times(x, [5.0, 15.0, 20.0], end_time=30.0)
+        )
+        proxy = ProxyCache(kernel, Network(kernel))
+        proxy.register_object(x, server, FixedTTRPolicy(ttr=10.0))
+        kernel.run(until=20.0)
+        assert [
+            (r.time, r.snapshot.version) for r in proxy.entry_for(x).fetch_log
+        ] == [
+            (0.0, 0),
+            (10.0, 1),
+            (20.0, 3),
+        ]
+
+    def test_earlier_fed_trace_wins_coincident_updates(self):
+        """Feed order decides a tie, not which trace's entry was queued
+        first (the second trace's t=3 entry is queued at t=1, the
+        first's at t=2)."""
+        kernel = Kernel()
+        server = OriginServer()
+        order = []
+        server.add_update_listener(lambda oid, t: order.append((t, str(oid))))
+        feed_traces(
+            kernel,
+            server,
+            [
+                trace_from_times(ObjectId("first"), [2.0, 3.0]),
+                trace_from_times(ObjectId("second"), [1.0, 3.0]),
+            ],
+        )
+        kernel.run()
+        assert order == [
+            (1.0, "second"),
+            (2.0, "first"),
+            (3.0, "first"),
+            (3.0, "second"),
+        ]
+
+    def test_trace_starting_before_now_is_rejected_at_construction(self):
+        kernel = Kernel(start_time=50.0)
+        trace = trace_from_times(ObjectId("x"), [10.0, 60.0])
+        with pytest.raises(SchedulingInPastError):
+            UpdateFeeder(kernel, OriginServer(), trace)
+        assert kernel.pending_count == 0

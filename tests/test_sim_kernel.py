@@ -298,3 +298,87 @@ class TestBatchDispatchSeam:
         assert seam_fired == plain_fired
         assert seamed.now() == plain.now() == 5.0
         assert seamed.events_processed == plain.events_processed
+
+
+class TestScheduleSeries:
+    """One pending entry per series; dispatch as the ``schedule_at`` loop.
+
+    The randomized comparison against that loop lives in
+    ``tests/test_scheduler_equivalence.py``; these pin the edges by hand.
+    """
+
+    def test_each_instant_is_one_event_with_one_pending_entry(self, kernel):
+        fired = []
+        kernel.schedule_series(
+            [1.0, 2.0, 2.0, 5.0], lambda k: fired.append(k.now()), label="s"
+        )
+        assert kernel.pending_count == 1
+        assert kernel.run(until=2.0) == 3
+        assert fired == [1.0, 2.0, 2.0]
+        assert kernel.pending_count == 1
+        assert kernel.peek_next_time() == 5.0
+        kernel.run()
+        assert fired == [1.0, 2.0, 2.0, 5.0]
+        assert kernel.events_processed == 4
+        assert kernel.pending_count == 0
+
+    def test_empty_series_schedules_nothing(self, kernel):
+        kernel.schedule_series([], lambda k: None)
+        assert kernel.pending_count == 0
+        assert kernel.run() == 0
+
+    def test_ties_break_by_registration_order_not_by_push_order(self, kernel):
+        """Sequence numbers are reserved up front: an instant coincident
+        with an event scheduled *after* the series still fires first,
+        though it is pushed much later."""
+        order = []
+        kernel.schedule_at(4.0, lambda k: order.append("before"))
+        kernel.schedule_series([1.0, 4.0], lambda k: order.append("series"))
+        kernel.schedule_at(4.0, lambda k: order.append("after"))
+        kernel.schedule_series([4.0], lambda k: order.append("later-series"))
+        kernel.run()
+        assert order == ["series", "before", "series", "after", "later-series"]
+
+    def test_stop_in_the_middle_resumes_where_it_left_off(self, kernel):
+        fired = []
+        kernel.schedule_series(
+            [1.0, 2.0, 3.0, 4.0], lambda k: fired.append(k.now())
+        )
+        assert kernel.run(max_events=1) == 1
+        assert kernel.run_batch(10.0, max_events=2) == 2
+        assert fired == [1.0, 2.0, 3.0]
+        assert kernel.peek_next_time() == 4.0
+        kernel.run()
+        assert fired == [1.0, 2.0, 3.0, 4.0]
+
+    def test_first_instant_in_the_past_is_rejected_at_once(self):
+        kernel = Kernel(start_time=10.0)
+        with pytest.raises(SchedulingInPastError):
+            kernel.schedule_series([5.0, 20.0], lambda k: None)
+        assert kernel.pending_count == 0
+
+    def test_descending_series_raises_at_the_offending_element(self, kernel):
+        fired = []
+        kernel.schedule_series(
+            [1.0, 3.0, 2.0, 9.0], lambda k: fired.append(k.now())
+        )
+        with pytest.raises(SchedulingInPastError):
+            kernel.run()
+        # 3.0 is where the breach is found: before its callback runs.
+        assert fired == [1.0]
+        assert kernel.now() == 3.0
+
+    def test_successor_is_queued_before_the_callback_runs(self, kernel):
+        """A raising callback does not lose the rest of the series."""
+        fired = []
+
+        def callback(k):
+            fired.append((k.now(), k.peek_next_time()))
+            if k.now() == 1.0:
+                raise RuntimeError("boom")
+
+        kernel.schedule_series([1.0, 2.0], callback)
+        with pytest.raises(RuntimeError):
+            kernel.run()
+        kernel.run()
+        assert fired == [(1.0, 2.0), (2.0, None)]

@@ -24,7 +24,7 @@ import pytest
 
 from repro.api.executors import ParallelExecutor, SerialExecutor, executor_for
 from repro.api.runs import run_many
-from repro.core.errors import ExperimentError
+from repro.core.errors import ExperimentError, WorkerDiedError
 from repro.core.rng import RngRegistry, derive_seed
 from repro.scenarios.engine import run_scenario
 from repro.scenarios.registry import Scenario
@@ -120,7 +120,7 @@ class TestOrdering:
 
 class TestDeadWorker:
     def test_parallel_map_names_the_first_unfinished_item(self):
-        with pytest.raises(ExperimentError, match="item 2: 2") as caught:
+        with pytest.raises(WorkerDiedError, match="item 2: 2") as caught:
             ParallelExecutor(2).map(_die_on_two, [0, 1, 2, 3])
         assert isinstance(caught.value.__cause__, BrokenProcessPool)
 

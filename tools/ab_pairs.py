@@ -1,0 +1,196 @@
+#!/usr/bin/env python3
+"""Alternating parent/change pairs of one e2e workload, with the verdict.
+
+Usage::
+
+    python tools/ab_pairs.py --parent ../parent --change . --workload figures
+    python tools/ab_pairs.py --parent P --change C --workload churn --pairs 10 --seed 4242
+
+Each pair runs both checkouts' *own* ``benchmarks/e2e/run.py --workload W
+--rounds 1`` (a fresh subprocess per sample), flipping which side goes
+first every pair so a slow phase of the machine lands on both.  Prints
+the per-pair table, then for every end-to-end metric in the change's
+``BENCHMARK.json`` each side's median and quartiles, the pairs the
+change won, and the verdict by the rule every performance claim in this
+repo is held to (ROADMAP "rules of the road", choosing-metrics §8): a
+*gain* needs the change to win at least nine tenths of the pairs (ties
+count for neither side) and the medians to differ by more than the
+distance between the parent's own quartiles; a *regression* is a change
+median worse than the parent's by more than the metric's bound.
+
+Also reports whether both sides produced the same result digest and
+event count (what "same work" means at a seed ``expected.json`` does not
+pin).  Exits non-zero if either side reports ``failed > 0``.  Standard
+library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+import tempfile
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
+
+SIDES = ("parent", "change")
+
+
+class Verdict(NamedTuple):
+    """One metric's paired comparison (see :func:`judge`)."""
+
+    parent_median: float
+    parent_quartiles: Tuple[float, float]
+    change_median: float
+    change_quartiles: Tuple[float, float]
+    wins: int
+    losses: int
+    #: Change median over parent median.
+    ratio: float
+    gain: bool
+    regression: bool
+
+    @property
+    def word(self) -> str:
+        return "GAIN" if self.gain else "REGRESSION" if self.regression else "no gain"
+
+
+def _quartiles(values: Sequence[float]) -> Tuple[float, float]:
+    if len(values) < 2:
+        return (values[0], values[0])
+    low, _mid, high = statistics.quantiles(values, n=4)
+    return (low, high)
+
+
+def judge(
+    parent: Sequence[float],
+    change: Sequence[float],
+    *,
+    better: str,
+    bound: float,
+) -> Verdict:
+    """Apply the pairs rule to one metric; ``parent[i]``/``change[i]`` are pair i.
+
+    ``better`` is ``"higher"`` or ``"lower"``; ``bound`` is the share of
+    the parent median the change may be worse by before it regresses.
+    """
+    if len(parent) != len(change) or not parent:
+        raise ValueError("need the same non-zero number of samples per side")
+    sign = 1.0 if better == "higher" else -1.0
+    wins = sum(1 for p, c in zip(parent, change) if sign * (c - p) > 0)
+    losses = sum(1 for p, c in zip(parent, change) if sign * (c - p) < 0)
+    parent_median = statistics.median(parent)
+    change_median = statistics.median(change)
+    quartiles = _quartiles(parent)
+    improvement = sign * (change_median - parent_median)
+    return Verdict(
+        parent_median=parent_median,
+        parent_quartiles=quartiles,
+        change_median=change_median,
+        change_quartiles=_quartiles(change),
+        wins=wins,
+        losses=losses,
+        ratio=change_median / parent_median if parent_median else float("nan"),
+        gain=wins >= 0.9 * len(parent)
+        and improvement > quartiles[1] - quartiles[0],
+        regression=-improvement > bound * abs(parent_median),
+    )
+
+
+def run_once(
+    checkout: str, workload: str, seed: Optional[int]
+) -> Dict[str, Any]:
+    """One ``--rounds 1`` run of ``checkout``'s own benchmark; its one sample."""
+    with tempfile.TemporaryDirectory() as scratch:
+        out = os.path.join(scratch, "samples.json")
+        command = [
+            sys.executable, os.path.join("benchmarks", "e2e", "run.py"),
+            "--workload", workload, "--rounds", "1", "--out", out,
+        ]  # fmt: skip
+        if seed is not None:
+            command += ["--seed", str(seed)]
+        done = subprocess.run(
+            command, cwd=checkout, capture_output=True, text=True, check=False
+        )
+        lines = done.stdout.strip().splitlines()
+        if not lines or not os.path.exists(out):
+            raise SystemExit(
+                f"{checkout}: benchmark produced no result "
+                f"(exit {done.returncode})\n{done.stderr}"
+            )
+        result = json.loads(lines[-1])
+        with open(out, encoding="utf-8") as handle:
+            report = json.load(handle)["sets"][0]["workloads"][workload]
+    sample = report["samples"][0] if report["samples"] else {}
+    return {
+        "failed": result["failed"],
+        "metrics": {k: v["value"] for k, v in result["metrics"].items()},
+        "digest": sample.get("digest"),
+        "events": sample.get("counts", {}).get("sim.kernel.events"),
+    }
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", required=True, metavar="DIR")
+    parser.add_argument("--change", required=True, metavar="DIR")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seed", type=int, help="default: the benchmark's own")
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+    checkouts = {"parent": args.parent, "change": args.change}
+    with open(os.path.join(args.change, "BENCHMARK.json"), encoding="utf-8") as handle:
+        metrics = json.load(handle)["end_to_end"]
+
+    runs: Dict[str, List[Dict[str, Any]]] = {side: [] for side in SIDES}
+    print(f"# {args.workload}: {args.pairs} alternating pairs, seed "
+          f"{args.seed if args.seed is not None else 'default'}")
+    print("| pair | first | " + " | ".join(
+        f"{m['name']} parent | change" for m in metrics) + " |")
+    print("|---:|---|" + "---:|---:|" * len(metrics))
+    for pair in range(args.pairs):
+        order = SIDES if pair % 2 == 0 else SIDES[::-1]
+        for side in order:
+            runs[side].append(run_once(checkouts[side], args.workload, args.seed))
+        cells = " | ".join(
+            f"{runs['parent'][-1]['metrics'][m['name']]:.6g} | "
+            f"{runs['change'][-1]['metrics'][m['name']]:.6g}"
+            for m in metrics
+        )
+        print(f"| {pair + 1} | {order[0]} | {cells} |", flush=True)
+
+    print()
+    for metric in metrics:
+        name = metric["name"]
+        verdict = judge(
+            [run["metrics"][name] for run in runs["parent"]],
+            [run["metrics"][name] for run in runs["change"]],
+            better=metric["better"],
+            bound=metric["bound"],
+        )
+        print(
+            f"{name} ({metric['unit']}, {metric['better']} is better): "
+            f"parent {verdict.parent_median:.6g} "
+            f"({verdict.parent_quartiles[0]:.6g} .. {verdict.parent_quartiles[1]:.6g})"
+            f" -> change {verdict.change_median:.6g} "
+            f"({verdict.change_quartiles[0]:.6g} .. {verdict.change_quartiles[1]:.6g})"
+            f" x{verdict.ratio:.3f}, change better in {verdict.wins}/{args.pairs}"
+            f" (worse in {verdict.losses}): {verdict.word}"
+        )
+    for what in ("digest", "events"):
+        seen = {side: sorted({str(run[what]) for run in runs[side]}) for side in SIDES}
+        same = seen["parent"] == seen["change"] and len(seen["parent"]) == 1
+        print(f"{what}: {'equal on both sides' if same else 'DIFFERS'} "
+              f"(parent {', '.join(seen['parent'])[:40]}; "
+              f"change {', '.join(seen['change'])[:40]})")
+    failed = {side: sum(run["failed"] for run in runs[side]) for side in SIDES}
+    print(f"failed: parent {failed['parent']}, change {failed['change']}")
+    return 1 if any(failed.values()) else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
