@@ -16,48 +16,38 @@ from __future__ import annotations
 
 from functools import partial
 
-from repro.consistency.invalidation import (
-    PushChannel,
-    PushConsistencyClient,
-    PushUpdateFeeder,
-)
 from repro.consistency.limd import limd_policy_factory
 from repro.core.types import MINUTE
 from repro.api.render import render_dict_rows
-from repro.api.runs import run_individual
+from repro.api.runs import build_core, run_individual
 from repro.api.executors import executor_for
 from repro.experiments.workloads import news_trace
-from repro.httpsim.network import Network
 from repro.metrics.collector import collect_temporal
-from repro.proxy.proxy import ProxyCache
-from repro.server.origin import OriginServer
-from repro.sim.kernel import Kernel
+from repro.topology.levels import TreeLevel
+from repro.topology.tree import TopologyTree
 
 TTR_MAX = 60 * MINUTE
 
 
 def _run_push(trace):
-    kernel = Kernel()
-    server = OriginServer()
-    proxy = ProxyCache(kernel, Network(kernel))
-    channel = PushChannel(kernel, server)
-    client = PushConsistencyClient(proxy, channel)
-    PushUpdateFeeder(kernel, channel, trace)
-    client.register_object(trace.object_id)
+    """One proxy under origin push: a one-level push-mode tree."""
+    kernel, server = build_core([trace])
+    tree = TopologyTree(kernel, server, [TreeLevel(mode="push")])
+    tree.register_object(trace.object_id)
     kernel.run(until=trace.end_time)
-    return proxy, channel
+    return tree
 
 
 def _mechanism_row(delta_min, *, trace):
     """One comparison row: push (delta_min None) or LIMD at delta_min."""
     if delta_min is None:
-        push_proxy, channel = _run_push(trace)
+        tree = _run_push(trace)
+        push_proxy = tree.root.proxy
         push_report = collect_temporal(push_proxy, trace, delta=1.0).report
         return {
             "mechanism": "push",
             "delta_min": None,
-            "messages": push_proxy.counters.get("polls")
-            + channel.counters.get("notifications"),
+            "messages": tree.total_polls() + tree.push_notifications(),
             "fetches": push_proxy.entry_for(trace.object_id).poll_count,
             "fidelity_time": push_report.fidelity_by_time,
             "out_sync_s": push_report.out_sync_time,

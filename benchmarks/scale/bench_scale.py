@@ -22,8 +22,9 @@ request goes through the ordinary client path
 (:meth:`~repro.proxy.proxy.ProxyCache.handle_client_request`), so
 misses trigger real upstream fetch chains.
 
-``pytest benchmarks/scale`` runs the million-client point under
-pytest-benchmark;
+``pytest benchmarks/scale/bench_scale.py`` runs the million-client
+point once, untimed (the file does not match the default ``test_*``
+collection pattern, so name it);
 ``python benchmarks/scale/bench_scale.py --clients 10000 --verify``
 is the CI smoke, asserting sharded rows equal the serial run's.
 """

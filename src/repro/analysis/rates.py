@@ -124,14 +124,6 @@ class ValueRateEstimator:
         """The current rate estimate (value units per second)."""
         return self._rate
 
-    @property
-    def previous_value(self) -> Optional[float]:
-        return self._prev_value
-
-    @property
-    def previous_time(self) -> Optional[Seconds]:
-        return self._prev_time
-
     def observe(self, time: Seconds, value: float) -> Optional[float]:
         """Record an observation; returns the updated rate (or None).
 

@@ -1,7 +1,7 @@
 """Time-series utilities for experiment post-processing.
 
 Figures 4, 6 and 8 of the paper are time-series plots; these helpers
-turn event logs and sampled signals into evenly binned series suitable
+turn event times and sampled signals into evenly binned series suitable
 for ASCII rendering or downstream plotting.
 """
 

@@ -40,7 +40,6 @@ from typing import (
 if TYPE_CHECKING:  # pragma: no cover - types only, avoids import cycle
     from repro.groups.registry import GroupRegistry
     from repro.sim.kernel import Kernel
-    from repro.sim.tracing import EventLog
     from repro.topology.sharding import ShardSelection
 
 from repro.api.config import (
@@ -458,7 +457,7 @@ def _run_tree(
         }
 
     def label(node: TopologyNode) -> str:
-        # The hierarchy's root is *named* "proxy" (event logs, RNG
+        # The hierarchy's root is *named* "proxy" (error messages, RNG
         # labels) but has always *reported* as "parent".
         if kind == "hierarchy" and node.level == 0:
             return "parent"
@@ -488,10 +487,8 @@ def _run_tree(
         # never consult it, so determinism is label-independent there.
         return random.Random(derive_seed(config.seed, label))
 
-    kernel, server, event_log = build_core(
-        traces,
-        supports_history=config.supports_history,
-        log_events=config.log_events,
+    kernel, server = build_core(
+        traces, supports_history=config.supports_history
     )
     try:
         tree = TopologyTree(
@@ -499,7 +496,6 @@ def _run_tree(
             server,
             levels,
             want_history=config.want_history,
-            event_log=event_log,
             link_rng=link_rng,
             cache_factory=_cache_factory(config.cache),
             **naming,
@@ -554,7 +550,6 @@ def _run_tree(
             server=server,
             proxy=tree.nodes_at(0)[0].proxy,
             traces={trace.object_id: trace for trace in traces},
-            event_log=event_log,
         ),
         results=assembly.build(),
         edges=edges,
@@ -817,11 +812,6 @@ class SimulationBuilder:
         self._config = replace(
             self._config, supports_history=supports, want_history=want
         )
-        return self
-
-    def log_events(self, enabled: bool = True) -> "SimulationBuilder":
-        """Enable (or disable) event-log recording."""
-        self._config = replace(self._config, log_events=enabled)
         return self
 
     def fidelity(self, mode: str) -> "SimulationBuilder":

@@ -701,8 +701,6 @@ class SimulationConfig(_ConfigBase):
             result set; ``None`` skips fidelity evaluation.
         supports_history: Whether the origin answers history requests.
         want_history: Whether the proxy requests update history.
-        log_events: Whether to record the event log (costly; off by
-            default).
         fidelity: ``"exact"`` (default) dispatches every timer event
             through the kernel; ``"fastforward"`` keeps poll timers on
             a private scheduler, issues each poll through the ordinary
@@ -736,7 +734,6 @@ class SimulationConfig(_ConfigBase):
     fidelity_delta_s: Optional[float] = None
     supports_history: bool = True
     want_history: bool = True
-    log_events: bool = False
     fidelity: str = "exact"
     shards: int = 1
 
@@ -762,7 +759,7 @@ class SimulationConfig(_ConfigBase):
                     raise SimulationConfigError(
                         f"simulation.{name} must be > 0, got {value!r}"
                     )
-        for name in ("supports_history", "want_history", "log_events"):
+        for name in ("supports_history", "want_history"):
             _require_bool("simulation", name, getattr(self, name))
         _require_str("simulation", "fidelity", self.fidelity)
         if self.fidelity not in FIDELITY_MODES:
@@ -821,7 +818,6 @@ class SimulationConfig(_ConfigBase):
             "fidelity_delta_s": self.fidelity_delta_s,
             "supports_history": self.supports_history,
             "want_history": self.want_history,
-            "log_events": self.log_events,
             "fidelity": self.fidelity,
             "shards": self.shards,
         }

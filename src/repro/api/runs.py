@@ -45,7 +45,6 @@ from repro.proxy.proxy import ProxyCache
 from repro.server.origin import OriginServer
 from repro.server.updates import feed_traces
 from repro.sim.kernel import Kernel
-from repro.sim.tracing import EventLog
 from repro.topology.levels import TreeLevel
 from repro.topology.tree import TopologyTree
 from repro.traces.model import UpdateTrace
@@ -82,7 +81,6 @@ class RunResult:
     server: OriginServer
     proxy: ProxyCache
     traces: Dict[ObjectId, UpdateTrace]
-    event_log: EventLog
     mutual_coordinator: Optional[MutualTemporalCoordinator] = None
     adaptive_f: Optional[AdaptiveFCoordinator] = None
     partitioned: Optional[PartitionedMvCoordinator] = None
@@ -100,8 +98,7 @@ def build_core(
     traces: Sequence[UpdateTrace],
     *,
     supports_history: bool = True,
-    log_events: bool = False,
-) -> Tuple[Kernel, OriginServer, EventLog]:
+) -> Tuple[Kernel, OriginServer]:
     """Assemble the topology-independent substrate: kernel + fed origin.
 
     Every topology — the single proxy, the one-parent hierarchy, an
@@ -109,10 +106,9 @@ def build_core(
     this same core.
     """
     kernel = Kernel()
-    event_log = EventLog(enabled=log_events)
-    server = OriginServer(supports_history=supports_history, event_log=event_log)
+    server = OriginServer(supports_history=supports_history)
     feed_traces(kernel, server, traces)
-    return kernel, server, event_log
+    return kernel, server
 
 
 def build_stack(
@@ -121,9 +117,8 @@ def build_stack(
     supports_history: bool = True,
     want_history: bool = True,
     latency: LatencyModel = LatencyModel(),
-    log_events: bool = False,
     network_rng: Optional[random.Random] = None,
-) -> Tuple[Kernel, OriginServer, ProxyCache, EventLog]:
+) -> Tuple[Kernel, OriginServer, ProxyCache]:
     """Assemble the standard stack: kernel, fed origin, network, proxy.
 
     The one place the paper's single-proxy setting is wired together;
@@ -136,19 +131,16 @@ def build_stack(
     latency jitter; without it a jittery :class:`LatencyModel` degrades
     to its fixed ``one_way`` latency.
     """
-    kernel, server, event_log = build_core(
-        traces, supports_history=supports_history, log_events=log_events
-    )
+    kernel, server = build_core(traces, supports_history=supports_history)
     tree = TopologyTree(
         kernel,
         server,
         (TreeLevel(fan_out=1, latency=latency),),
         want_history=want_history,
-        event_log=event_log,
         link_rng=lambda _label: network_rng,
         node_namer=lambda _level, _index: "proxy",
     )
-    return kernel, server, tree.root.proxy, event_log
+    return kernel, server, tree.root.proxy
 
 
 def run_individual(
@@ -159,7 +151,6 @@ def run_individual(
     supports_history: bool = True,
     want_history: bool = True,
     latency: LatencyModel = LatencyModel(),
-    log_events: bool = False,
 ) -> RunResult:
     """Run individual-consistency maintenance over one or more traces.
 
@@ -169,12 +160,11 @@ def run_individual(
     """
     if not traces:
         raise ValueError("need at least one trace")
-    kernel, server, proxy, event_log = build_stack(
+    kernel, server, proxy = build_stack(
         traces,
         supports_history=supports_history,
         want_history=want_history,
         latency=latency,
-        log_events=log_events,
     )
     for trace in traces:
         proxy.register_object(
@@ -187,7 +177,6 @@ def run_individual(
         server=server,
         proxy=proxy,
         traces={t.object_id: t for t in traces},
-        event_log=event_log,
     )
 
 
@@ -202,15 +191,13 @@ def run_mutual_temporal(
     horizon: Optional[Seconds] = None,
     supports_history: bool = True,
     want_history: bool = True,
-    log_events: bool = False,
 ) -> RunResult:
     """Run a pair under LIMD plus a Section 3.2 mutual mode."""
-    kernel, server, proxy, event_log = build_stack(
+    kernel, server, proxy = build_stack(
         (trace_a, trace_b),
         supports_history=supports_history,
         want_history=want_history,
         latency=LatencyModel(),
-        log_events=log_events,
     )
     groups = GroupRegistry()
     groups.create_group(
@@ -237,7 +224,6 @@ def run_mutual_temporal(
         server=server,
         proxy=proxy,
         traces={trace_a.object_id: trace_a, trace_b.object_id: trace_b},
-        event_log=event_log,
         mutual_coordinator=coordinator,
     )
 
@@ -250,15 +236,13 @@ def run_mutual_value_adaptive(
     bounds: TTRBounds,
     parameters: AdaptiveFParameters = AdaptiveFParameters(),
     horizon: Optional[Seconds] = None,
-    log_events: bool = False,
 ) -> RunResult:
     """Run a valued pair under the adaptive-f (virtual object) approach."""
-    kernel, server, proxy, event_log = build_stack(
+    kernel, server, proxy = build_stack(
         (trace_a, trace_b),
         supports_history=True,
         want_history=True,
         latency=LatencyModel(),
-        log_events=log_events,
     )
     coordinator = AdaptiveFCoordinator(
         proxy,
@@ -279,7 +263,6 @@ def run_mutual_value_adaptive(
         server=server,
         proxy=proxy,
         traces={trace_a.object_id: trace_a, trace_b.object_id: trace_b},
-        event_log=event_log,
         adaptive_f=coordinator,
     )
 
@@ -292,15 +275,13 @@ def run_mutual_value_partitioned(
     bounds: TTRBounds,
     parameters: PartitionParameters = PartitionParameters(),
     horizon: Optional[Seconds] = None,
-    log_events: bool = False,
 ) -> RunResult:
     """Run a valued pair under the partitioned-δ approach."""
-    kernel, server, proxy, event_log = build_stack(
+    kernel, server, proxy = build_stack(
         (trace_a, trace_b),
         supports_history=True,
         want_history=True,
         latency=LatencyModel(),
-        log_events=log_events,
     )
     coordinator = PartitionedMvCoordinator(
         proxy,
@@ -321,7 +302,6 @@ def run_mutual_value_partitioned(
         server=server,
         proxy=proxy,
         traces={trace_a.object_id: trace_a, trace_b.object_id: trace_b},
-        event_log=event_log,
         partitioned=coordinator,
     )
 
@@ -334,7 +314,6 @@ def run_mutual_value_group(
     parameters: PartitionParameters = PartitionParameters(),
     budget: GroupBudget = GroupBudget.PAIRWISE,
     horizon: Optional[Seconds] = None,
-    log_events: bool = False,
 ) -> RunResult:
     """Run an n-object valued group under partitioned-δ apportioning.
 
@@ -344,12 +323,11 @@ def run_mutual_value_group(
     """
     if len(traces) < 2:
         raise ValueError("a group run needs at least two traces")
-    kernel, server, proxy, event_log = build_stack(
+    kernel, server, proxy = build_stack(
         traces,
         supports_history=True,
         want_history=True,
         latency=LatencyModel(),
-        log_events=log_events,
     )
     members = tuple(trace.object_id for trace in traces)
     coordinator = PartitionedGroupMvCoordinator(
@@ -368,6 +346,5 @@ def run_mutual_value_group(
         server=server,
         proxy=proxy,
         traces={t.object_id: t for t in traces},
-        event_log=event_log,
         partitioned_group=coordinator,
     )

@@ -34,7 +34,7 @@ class ViolationJudgement:
 
     violated: bool
     observed_out_sync: Optional[Seconds] = None
-    #: Human-readable tag of the detection path (for the event log).
+    #: Human-readable tag of the detection path.
     basis: str = ""
 
 

@@ -378,16 +378,6 @@ class PartitionedMvCoordinator:
         self.counters.increment("reapportionments")
         return delta_a, delta_b
 
-    def proxy_f_history(self) -> List[Tuple[Seconds, float]]:
-        """(time, f at proxy) knots reconstructed from both fetch logs.
-
-        f at the proxy is a step function changing whenever either
-        member's cached value changes — Figure 8's proxy series for the
-        partitioned approach.
-        """
-        a, b = self._pair
-        return paired_f_history(self._proxy, a, b, difference)
-
 
 class GroupBudget(enum.Enum):
     """How an n-object group's tolerance δ constrains the per-object δᵢ.
@@ -526,18 +516,30 @@ class PartitionedGroupMvCoordinator:
         Inverse-rate weights scaled to the budget — so the two largest
         tolerances (pairwise) or all tolerances (sum) total δ; every
         tolerance is floored at ``min_fraction · δ / n`` so no object is
-        starved.
+        starved, and a floored member's floor comes out of the budget
+        the others share, so the total never exceeds δ.
         """
         rates = {m: self._estimators[m].rate for m in self._members}
         if any(not r or r <= 0 for r in rates.values()):
             return self.current_tolerances()
         weights = {m: 1.0 / rates[m] for m in self._members}
-        if self._budget is GroupBudget.PAIRWISE:
-            two_largest = sorted(weights.values(), reverse=True)[:2]
-            scale = self._delta / sum(two_largest)
-        else:
-            scale = self._delta / sum(weights.values())
         floor = self._parameters.min_fraction * self._delta / len(self._members)
+        # The members whose tolerances the budget sums.
+        counted = list(self._members)
+        if self._budget is GroupBudget.PAIRWISE:
+            counted = sorted(counted, key=weights.__getitem__, reverse=True)[:2]
+        # Floor first, then scale the rest into what is left.  Each pass
+        # pins at least one member and lowers the scale, so pinned
+        # members stay pinned; the largest weight always stays free
+        # because n · floor ≤ δ/2 (min_fraction ≤ 0.5).
+        free = counted
+        while True:
+            left = self._delta - (len(counted) - len(free)) * floor
+            scale = left / sum(weights[m] for m in free)
+            kept = [m for m in free if weights[m] * scale >= floor]
+            if len(kept) == len(free):
+                break
+            free = kept
         for member in self._members:
             tolerance = max(floor, weights[member] * scale)
             self._policies[member].retarget_delta(tolerance)
@@ -578,9 +580,9 @@ def group_f_history(
 ) -> List[Tuple[Seconds, float]]:
     """Reconstruct the step function f(P₁, ..., Pₙ) from n fetch logs.
 
-    The n-object generalisation of :func:`paired_f_history`: f at the
-    proxy changes whenever any member's cached value changes; knots
-    start once every member has a cached value.
+    f at the proxy is a step function that changes whenever any
+    member's cached value changes; knots start once every member has a
+    cached value.
     """
     events: List[Tuple[Seconds, ObjectId, float]] = []
     for member in members:
@@ -606,27 +608,5 @@ def paired_f_history(
     b: ObjectId,
     f: PairFunction,
 ) -> List[Tuple[Seconds, float]]:
-    """Reconstruct the step function f(Pa, Pb) from two fetch logs."""
-    entry_a = proxy.entry_for(a)
-    entry_b = proxy.entry_for(b)
-    events: List[Tuple[Seconds, ObjectId, float]] = []
-    for record in entry_a.fetch_log:
-        if record.snapshot.value is not None:
-            events.append((record.time, a, record.snapshot.value))
-    for record in entry_b.fetch_log:
-        if record.snapshot.value is not None:
-            events.append((record.time, b, record.snapshot.value))
-    events.sort(key=lambda e: e[0])
-    knots: List[Tuple[Seconds, float]] = []
-    value_a: Optional[float] = None
-    value_b: Optional[float] = None
-    for time, object_id, value in events:
-        if object_id == a:
-            value_a = value
-        else:
-            value_b = value
-        if value_a is not None and value_b is not None:
-            current = f(value_a, value_b)
-            if not knots or knots[-1][1] != current or knots[-1][0] != time:
-                knots.append((time, current))
-    return knots
+    """Reconstruct the step function f(Pa, Pb): a group of two."""
+    return group_f_history(proxy, (a, b), lambda values: f(*values))

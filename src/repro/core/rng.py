@@ -54,14 +54,6 @@ class RngRegistry:
             self._streams[name] = random.Random(derive_seed(self._root_seed, name))
         return self._streams[name]
 
-    def fork(self, name: str) -> "RngRegistry":
-        """Return a child registry whose root seed is derived from ``name``.
-
-        Useful when an experiment wants per-repetition registries that
-        are independent but reproducible.
-        """
-        return RngRegistry(derive_seed(self._root_seed, name))
-
     def __repr__(self) -> str:
         return (
             f"RngRegistry(root_seed={self._root_seed}, "

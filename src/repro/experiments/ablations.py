@@ -243,7 +243,7 @@ def _trigger_point(
     triggered poll replace the next scheduled one — re-phases the LIMD
     schedule toward the partner's update instants.
     """
-    kernel, server, _ = build_core((trace_a, trace_b))
+    kernel, server = build_core((trace_a, trace_b))
     proxy = ProxyCache(
         kernel,
         Network(kernel, LatencyModel()),

@@ -9,26 +9,37 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping
+from typing import Dict, List, Mapping, Tuple
 
 from repro.analysis.timeseries import Series
-from repro.api.runs import RunResult, run_individual
+from repro.api.runs import RunResult, build_stack
+from repro.consistency.base import RefreshPolicy
 from repro.consistency.limd import limd_policy_factory
-from repro.core.events import PollEvent
-from repro.core.types import HOUR, MINUTE, Seconds
+from repro.core.types import HOUR, MINUTE, ObjectId, PollOutcome, Seconds
 from repro.experiments.paper import PAPER_LIMD_PARAMETERS, TTR_MAX
 from repro.api.render import render_series_block
 from repro.experiments.workloads import DEFAULT_SEED, news_trace
-from repro.metrics.series import (
-    ttr_knots_from_proxy_events,
-    ttr_series,
-    update_frequency_series,
-)
+from repro.metrics.series import ttr_series, update_frequency_series
 from repro.scenarios.registry import prepare_params_seed, scenario
 
 DELTA: Seconds = 10 * MINUTE
 UPDATE_BIN: Seconds = 2 * HOUR
 TTR_BIN: Seconds = 15 * MINUTE
+
+
+class _TTRKnots:
+    """Poll observer: the (poll time, TTR the policy then chose) knots.
+
+    Observers run after the refresher has fed the outcome to the policy,
+    so ``current_ttr`` is already the TTR computed from this poll.
+    """
+
+    def __init__(self, policy: RefreshPolicy) -> None:
+        self._policy = policy
+        self.knots: List[Tuple[Seconds, Seconds]] = []
+
+    def on_poll_complete(self, object_id: ObjectId, outcome: PollOutcome) -> None:
+        self.knots.append((outcome.poll_time, self._policy.current_ttr))
 
 
 @dataclass
@@ -60,18 +71,24 @@ def run(
 ) -> Figure4Result:
     """Run LIMD at Δ=10 min and extract both Figure 4 series."""
     trace = news_trace(trace_key, seed)
-    result = run_individual(
-        [trace],
-        limd_policy_factory(
-            delta, ttr_max=TTR_MAX, parameters=PAPER_LIMD_PARAMETERS
-        ),
-        log_events=True,
+    policy = limd_policy_factory(
+        delta, ttr_max=TTR_MAX, parameters=PAPER_LIMD_PARAMETERS
+    )(trace.object_id)
+    kernel, server, proxy = build_stack([trace])
+    # Attached before registration so the initial fetch is a knot too.
+    observer = _TTRKnots(policy)
+    proxy.add_observer(observer)
+    proxy.register_object(trace.object_id, server, policy)
+    kernel.run(until=trace.end_time)
+    result = RunResult(
+        kernel=kernel,
+        server=server,
+        proxy=proxy,
+        traces={trace.object_id: trace},
     )
     updates = update_frequency_series(trace, UPDATE_BIN, label="updates/2h")
-    poll_events = result.event_log.of_type(PollEvent)
-    knots = ttr_knots_from_proxy_events(poll_events, trace.object_id)
     ttr = ttr_series(
-        knots,
+        observer.knots,
         start=trace.start_time,
         end=trace.end_time,
         bin_width=TTR_BIN,

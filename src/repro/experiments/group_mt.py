@@ -44,7 +44,7 @@ def _run_mode(
     mutual_delta: Seconds,
     mode: MutualTemporalMode,
 ) -> Tuple[ProxyCache, MutualTemporalCoordinator, FidelityReport]:
-    kernel, server, _ = build_core(traces)
+    kernel, server = build_core(traces)
     proxy = ProxyCache(kernel, Network(kernel))
     groups = GroupRegistry()
     members = tuple(trace.object_id for trace in traces)

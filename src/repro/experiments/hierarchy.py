@@ -47,7 +47,7 @@ def _run_flat(
     trace: UpdateTrace, edge_count: int
 ) -> Tuple[OriginServer, List[ProxyCache]]:
     """N edges each polling the origin directly."""
-    kernel, origin, _ = build_core([trace])
+    kernel, origin = build_core([trace])
     edges: List[ProxyCache] = []
     for index in range(edge_count):
         edge = ProxyCache(kernel, Network(kernel), name=f"edge-{index}")
@@ -61,7 +61,7 @@ def _run_hierarchy(
     trace: UpdateTrace, edge_count: int
 ) -> Tuple[OriginServer, ProxyCache, List[ProxyCache]]:
     """N edges polling one shared parent; only the parent polls origin."""
-    kernel, origin, _ = build_core([trace])
+    kernel, origin = build_core([trace])
     parent = ProxyCache(kernel, Network(kernel), name="parent")
     parent.register_object(trace.object_id, origin, _limd_policy())
     edges: List[ProxyCache] = []

@@ -19,9 +19,7 @@ from typing import List, Sequence
 # Standard HTTP/1.1 headers the simulation models.
 LAST_MODIFIED = "last-modified"
 IF_MODIFIED_SINCE = "if-modified-since"
-CACHE_CONTROL = "cache-control"
 DATE = "date"
-CONTENT_LENGTH = "content-length"
 
 # Section 5.1 extension headers.
 #: Response header: comma-separated recent modification times (newest

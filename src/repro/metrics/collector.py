@@ -37,12 +37,11 @@ from repro.metrics.fidelity import (
     temporal_fidelity_from_snapshots,
     value_fidelity,
 )
+from repro.metrics.group import group_temporal_fidelity
 from repro.metrics.mutual import (
     mutual_poll_synchrony_fidelity,
-    mutual_temporal_fidelity,
     mutual_value_fidelity,
 )
-from repro.metrics.streaming import StreamingMoments
 from repro.proxy.proxy import ProxyCache
 from repro.traces.model import UpdateTrace
 
@@ -51,25 +50,6 @@ def poll_times_of(proxy: ProxyCache, object_id: ObjectId) -> List[Seconds]:
     """The times of all completed polls of an object."""
     entry = proxy.entry_for(object_id)
     return [record.time for record in entry.fetch_log]
-
-
-def poll_interval_moments(
-    proxy: ProxyCache, object_id: ObjectId
-) -> StreamingMoments:
-    """Streaming moments of an object's inter-poll intervals.
-
-    One O(1)-per-sample pass over the fetch log — no intermediate
-    interval list — yielding count/mean/variance/min/max of the gaps
-    between consecutive completed polls (the poll-cost side of the
-    paper's fidelity-vs-polls trade-off).
-    """
-    moments = StreamingMoments()
-    previous: Optional[Seconds] = None
-    for record in proxy.entry_for(object_id).fetch_log:
-        if previous is not None:
-            moments.add(record.time - previous)
-        previous = record.time
-    return moments
 
 
 def temporal_fetches_of(
@@ -261,8 +241,12 @@ def collect_mutual_temporal(
     """Mt report for a pair after a run."""
     fetches_a = temporal_fetches_of(proxy, trace_a.object_id)
     fetches_b = temporal_fetches_of(proxy, trace_b.object_id)
-    report = mutual_temporal_fidelity(
-        trace_a, trace_b, fetches_a, fetches_b, delta, start=start, end=end
+    report = group_temporal_fidelity(
+        {trace_a.object_id: trace_a, trace_b.object_id: trace_b},
+        {trace_a.object_id: fetches_a, trace_b.object_id: fetches_b},
+        delta,
+        start=start,
+        end=end,
     )
     return PairReport(
         pair=(trace_a.object_id, trace_b.object_id),
@@ -403,8 +387,6 @@ def append_group_rows(
     horizon: Seconds,
 ) -> None:
     """Emit one :data:`GROUP_ROW_COLUMNS` row per group on one node."""
-    from repro.metrics.group import group_temporal_fidelity
-
     for spec in registry:
         fetches = {}
         for member in spec.members:

@@ -10,7 +10,8 @@ For intervals this reduces to::
     max_i(start_i) − min_i(end_i) ≤ δ
 
 i.e. the *spread* between the latest validity start and the earliest
-validity end is at most δ (pairs recover Eq. 4's interval gap).
+validity end is at most δ.  Pairs recover Eq. 4's interval gap, so the
+pair metric is this one called with two members.
 """
 
 from __future__ import annotations
@@ -64,8 +65,16 @@ def group_temporal_fidelity(
     """Ground-truth Mt fidelity for an n-object group.
 
     The group condition is evaluated after every poll of any member
-    (same-instant polls grouped, as in the pairwise metric), and the
-    out-of-sync time integrates the periods where the condition fails.
+    and the out-of-sync time integrates the periods where the condition
+    fails.  A pair is a group of two.
+
+    Args:
+        traces: True update histories, keyed by member.
+        fetches: Each member's (poll time, obtained Last-Modified)
+            pairs, ascending.
+        delta: The mutual tolerance δ (seconds).  δ = 0 is allowed.
+        start, end: Evaluation window; defaults to the union of the
+            trace windows.
     """
     if delta < 0:
         raise ValueError(f"delta must be non-negative, got {delta}")
@@ -83,6 +92,12 @@ def group_temporal_fidelity(
         end if end is not None else max(t.end_time for t in traces.values())
     )
 
+    # Merge per-object fetch sequences into one event timeline.  Each
+    # event switches one member's cached-version origin.  Events sharing
+    # an exact timestamp (a detected update plus its synchronously
+    # triggered partner polls) are applied together and judged once —
+    # a violation "fixed" at the same instant it could first be observed
+    # never existed.
     events: List[Tuple[Seconds, ObjectId, Seconds]] = []
     for object_id, object_fetches in fetches.items():
         events.extend((t, object_id, lm) for t, lm in object_fetches)
@@ -110,6 +125,9 @@ def group_temporal_fidelity(
         consistent = group_mutually_consistent_at(traces, origins, delta)
         if not consistent:
             violations += group_size
+            # Within (time, segment_end) the cached versions are fixed,
+            # and validity intervals depend only on the traces, so
+            # consistency is constant over the segment.
             if segment_end > time:
                 lo = max(time, window_start)
                 hi = min(segment_end, window_end)

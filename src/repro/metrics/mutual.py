@@ -7,7 +7,8 @@ which the server held a's cached version is that version's *validity
 interval* ``[lm, next-update)``; the condition therefore reduces to the
 gap between the two validity intervals being at most δ.  For δ = 0 this
 is exactly "the objects simultaneously existed on the server at some
-point" — the paper's own intuition.
+point" — the paper's own intuition.  A pair is a group of two: the
+check and its fidelity are scored by :mod:`repro.metrics.group`.
 
 Value (Eq. 5): ``|f(S_a(t), S_b(t)) − f(P_a(t), P_b(t))| < δ`` at every
 instant.  Both sides are step functions (the server side steps at
@@ -56,114 +57,6 @@ def validity_interval(
     return (version_origin, end)
 
 
-def interval_gap(
-    a: Tuple[Seconds, Seconds], b: Tuple[Seconds, Seconds]
-) -> Seconds:
-    """Distance between two half-open intervals (0 when they overlap)."""
-    (start_a, end_a), (start_b, end_b) = a, b
-    return max(0.0, max(start_a, start_b) - min(end_a, end_b))
-
-
-def mutually_consistent_at(
-    trace_a: UpdateTrace,
-    trace_b: UpdateTrace,
-    origin_a: Seconds,
-    origin_b: Seconds,
-    delta: Seconds,
-) -> bool:
-    """Eq. 4 check for cached versions with the given origination times."""
-    gap = interval_gap(
-        validity_interval(trace_a, origin_a),
-        validity_interval(trace_b, origin_b),
-    )
-    return gap <= delta
-
-
-def mutual_temporal_fidelity(
-    trace_a: UpdateTrace,
-    trace_b: UpdateTrace,
-    fetches_a: Sequence[TemporalFetch],
-    fetches_b: Sequence[TemporalFetch],
-    delta: Seconds,
-    *,
-    start: Optional[Seconds] = None,
-    end: Optional[Seconds] = None,
-) -> FidelityReport:
-    """Ground-truth Mt fidelity for a pair of objects.
-
-    Args:
-        trace_a, trace_b: True update histories.
-        fetches_a, fetches_b: Each object's (poll time, obtained
-            Last-Modified) pairs, ascending.
-        delta: The mutual tolerance δ (seconds).  δ = 0 is allowed.
-        start, end: Evaluation window; defaults to the union of the two
-            trace windows.
-    """
-    if delta < 0:
-        raise ValueError(f"delta must be non-negative, got {delta}")
-    window_start = (
-        start if start is not None else min(trace_a.start_time, trace_b.start_time)
-    )
-    window_end = (
-        end if end is not None else max(trace_a.end_time, trace_b.end_time)
-    )
-
-    # Merge per-object fetch sequences into one event timeline.  Each
-    # event switches one side's cached-version origin.  Events sharing
-    # an exact timestamp (a detected update plus its synchronously
-    # triggered partner poll) are applied together and judged once —
-    # a violation "fixed" at the same instant it could first be observed
-    # never existed.
-    events: List[Tuple[Seconds, str, Seconds]] = []
-    events.extend((t, "a", lm) for t, lm in fetches_a)
-    events.extend((t, "b", lm) for t, lm in fetches_b)
-    events.sort(key=lambda e: e[0])
-
-    polls = len(events)
-    violations = 0
-    out_sync = 0.0
-    origin_a: Optional[Seconds] = None
-    origin_b: Optional[Seconds] = None
-
-    index = 0
-    total = len(events)
-    while index < total:
-        time = events[index][0]
-        group_end = index
-        while group_end < total and events[group_end][0] == time:
-            _, side, last_modified = events[group_end]
-            if side == "a":
-                origin_a = last_modified
-            else:
-                origin_b = last_modified
-            group_end += 1
-        group_size = group_end - index
-        segment_end = events[group_end][0] if group_end < total else window_end
-        index = group_end
-        if origin_a is None or origin_b is None:
-            continue
-        consistent = mutually_consistent_at(
-            trace_a, trace_b, origin_a, origin_b, delta
-        )
-        if not consistent:
-            violations += group_size
-        # Within (time, segment_end) the cached versions are fixed, and
-        # validity intervals depend only on the traces, so consistency
-        # is constant over the segment.
-        if not consistent and segment_end > time:
-            lo = max(time, window_start)
-            hi = min(segment_end, window_end)
-            if hi > lo:
-                out_sync += hi - lo
-
-    return FidelityReport(
-        polls=polls,
-        violations=violations,
-        out_sync_time=out_sync,
-        duration=window_end - window_start,
-    )
-
-
 # ----------------------------------------------------------------------
 # Operational (poll-synchrony) Mt fidelity
 # ----------------------------------------------------------------------
@@ -190,8 +83,8 @@ def mutual_poll_synchrony_fidelity(
     condition at that instant (two versions simultaneously current
     within δ of each other), so this measure never reports a false
     "consistent" at detection points; the stricter ground-truth measure
-    (:func:`mutual_temporal_fidelity`) additionally integrates staleness
-    between polls.
+    (:func:`repro.metrics.group.group_temporal_fidelity`) additionally
+    integrates staleness between polls.
 
     ``out_sync_time`` is reported as 0 here; use the ground-truth
     measure for Eq. 14-style accounting.

@@ -21,7 +21,6 @@ from repro.analysis.timeseries import (
     sample_step_function,
 )
 from repro.consistency.mutual_temporal import TriggerDecision
-from repro.core.events import PollEvent
 from repro.core.types import ObjectId, Seconds
 from repro.proxy.proxy import ProxyCache
 from repro.traces.model import UpdateTrace
@@ -54,8 +53,9 @@ def ttr_series(
 ) -> Series:
     """Sample a TTR step function at bin centers (Figure 4(b)).
 
-    ``ttr_knots`` are (time, new TTR) change points, e.g. harvested from
-    :class:`~repro.core.events.PollEvent.ttr_after` in the event log.
+    ``ttr_knots`` are (time, new TTR) change points, e.g. the policy's
+    ``current_ttr`` read by a poll observer after each completed poll
+    (see :mod:`repro.experiments.figure4`).
     """
     return sample_step_function(
         list(ttr_knots),
@@ -65,18 +65,6 @@ def ttr_series(
         initial=initial,
         label=label,
     )
-
-
-def ttr_knots_from_proxy_events(
-    events: Sequence[PollEvent], object_id: ObjectId
-) -> List[Tuple[Seconds, Seconds]]:
-    """(time, TTR after poll) knots for one object from poll events."""
-    knots: List[Tuple[Seconds, Seconds]] = []
-    for event in events:
-        if event.object_id != object_id or event.ttr_after is None:
-            continue
-        knots.append((event.time, event.ttr_after))
-    return knots
 
 
 def update_ratio_series(

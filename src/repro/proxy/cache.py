@@ -122,16 +122,6 @@ class ObjectCache:
         return self._capacity
 
     @property
-    def eviction_name(self) -> str:
-        """Registry name of the eviction policy ("lru" when unbounded)."""
-        return self._eviction_name
-
-    @property
-    def eviction_policy(self) -> Optional[EvictionPolicy]:
-        """The live policy instance (None for unbounded caches)."""
-        return self._policy
-
-    @property
     def eviction_count(self) -> int:
         return self._evictions
 

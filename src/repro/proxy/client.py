@@ -39,10 +39,6 @@ class Client:
         self.counters = Counter()
         self._log: List[ClientRequestRecord] = []
 
-    @property
-    def request_log(self) -> List[ClientRequestRecord]:
-        return list(self._log)
-
     def request(self, object_id: ObjectId) -> ObjectSnapshot:
         """Issue one request now; returns the served snapshot."""
         hits_before = self._proxy.counters.get("client_hits")

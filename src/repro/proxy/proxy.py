@@ -14,11 +14,11 @@ The proxy:
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Dict, List, Optional
 
-from repro.consistency.base import PolicyFactory, PollObserver, RefreshPolicy
+from repro.consistency.base import PollObserver, RefreshPolicy
 from repro.core.errors import CacheConfigurationError, ProtocolError, UnknownObjectError
-from repro.core.events import PollEvent, PollReason
+from repro.core.events import PollReason
 from repro.core.types import ObjectId, ObjectSnapshot, PollOutcome, Seconds
 from repro.httpsim.messages import Method, Request, Response, Status
 from repro.httpsim.network import Network
@@ -28,7 +28,6 @@ from repro.proxy.entry import CacheEntry
 from repro.proxy.refresher import Refresher
 from repro.sim.kernel import Kernel
 from repro.sim.stats import Counter
-from repro.sim.tracing import EventLog
 
 
 class ProxyCache:
@@ -41,7 +40,6 @@ class ProxyCache:
             configuration).
         want_history: Whether polls request the Section 5.1
             modification-history extension.
-        event_log: Optional structured log for post-run analysis.
         name: Identifier used in logs and error messages; give each
             level of a proxy hierarchy a distinct name.
     """
@@ -52,7 +50,6 @@ class ProxyCache:
         "_network",
         "_cache",
         "_want_history",
-        "_event_log",
         "triggered_polls_reschedule",
         "_servers",
         "_refreshers",
@@ -67,7 +64,6 @@ class ProxyCache:
         *,
         cache: Optional[ObjectCache] = None,
         want_history: bool = True,
-        event_log: Optional[EventLog] = None,
         triggered_polls_reschedule: bool = False,
         name: str = "proxy",
     ) -> None:
@@ -78,13 +74,6 @@ class ProxyCache:
         # Eviction windows carry simulation timestamps.
         self._cache.bind_clock(kernel.now)
         self._want_history = want_history
-        # Normalise a disabled log to None: event records are built per
-        # poll, and a disabled log would discard them after the fact —
-        # better to never construct them (EventLog.enabled is fixed at
-        # construction, so this cannot go stale).
-        self._event_log = (
-            event_log if (event_log is not None and event_log.enabled) else None
-        )
         #: Whether a MUTUAL_TRIGGER poll replaces the object's next
         #: scheduled poll (True) or is an additional poll on top of the
         #: unchanged schedule (False, the paper's semantics).
@@ -153,16 +142,6 @@ class ProxyCache:
             self._issue_poll(object_id, PollReason.INITIAL_FETCH)
         refresher.start()
         return refresher
-
-    def register_with_factory(
-        self,
-        object_id: ObjectId,
-        server: Upstream,
-        factory: PolicyFactory,
-        **kwargs: Any,
-    ) -> Refresher:
-        """Convenience: build the policy from a factory, then register."""
-        return self.register_object(object_id, server, factory(object_id), **kwargs)
 
     def deregister_object(self, object_id: ObjectId) -> None:
         """Stop refreshing an object and drop its server binding."""
@@ -416,14 +395,6 @@ class ProxyCache:
         entry.record_fetch(now, snapshot, modified, reason)
         refresher = self._refreshers.get(object_id)
         outcome = PollOutcome(now, modified, snapshot, first_unseen, updates_since)
-        event_log = self._event_log
-        # The pre-poll TTR is only needed for the event log; skip the
-        # policy property access on unlogged (hot-path) runs.
-        ttr_before = (
-            refresher.policy.current_ttr
-            if (event_log is not None and refresher is not None)
-            else None
-        )
         additional = (
             reason is PollReason.MUTUAL_TRIGGER
             and not self.triggered_polls_reschedule
@@ -433,17 +404,6 @@ class ProxyCache:
                 refresher.on_triggered_poll(outcome)
             else:
                 refresher.on_poll_complete(outcome)
-        if event_log is not None:
-            event_log.record(
-                PollEvent(
-                    time=now,
-                    object_id=object_id,
-                    reason=reason,
-                    modified=modified,
-                    ttr_before=ttr_before,
-                    ttr_after=refresher.policy.current_ttr if refresher else None,
-                )
-            )
         if modified:
             self.counters.counts["polls_modified"] += 1
         if self._observers:

@@ -127,7 +127,7 @@ def _capacity_edge_point(
     delta = float(params["delta_min"]) * MINUTE  # type: ignore[arg-type]
     eviction = str(params["eviction"])
 
-    kernel, origin, _ = build_core(traces)
+    kernel, origin = build_core(traces)
     # The shield keeps the paper's unbounded cache; only the edges are
     # squeezed below the object population.
     tree = TopologyTree(

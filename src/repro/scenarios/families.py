@@ -216,7 +216,7 @@ def _failure_churn_point(
         mean_downtime=mean_downtime,
         start=trace.start_time,
     )
-    kernel, server, _ = build_core([trace])
+    kernel, server = build_core([trace])
     proxy = ProxyCache(kernel, Network(kernel))
     factory = limd_policy_factory(
         delta, ttr_max=TTR_MAX, parameters=PAPER_LIMD_PARAMETERS
@@ -374,7 +374,7 @@ def _cdn_tree_point(
     depth = int(params["depth"])  # type: ignore[arg-type]
     delta = float(params["delta_min"]) * MINUTE  # type: ignore[arg-type]
 
-    kernel, origin, _ = build_core([trace])
+    kernel, origin = build_core([trace])
     # One shield node polls the origin; every deeper level fans out.
     tree = TopologyTree(
         kernel,
@@ -440,7 +440,7 @@ def _hybrid_push_pull_point(
     delta = float(delta_min) * MINUTE
 
     def run_tree(root_mode: str) -> Dict[str, object]:
-        kernel, origin, _ = build_core([trace])
+        kernel, origin = build_core([trace])
         tree = TopologyTree(
             kernel,
             origin,

@@ -255,7 +255,7 @@ def _correlated_storm_point(
         storms_per_hour=float(params["storms_per_hour"]),  # type: ignore[arg-type]
         lag_max=float(params["lag_max_s"]),  # type: ignore[arg-type]
     )
-    kernel, server, proxy, _ = build_stack(traces)
+    kernel, server, proxy = build_stack(traces)
     registry = GroupRegistry()
     for index, members in enumerate(memberships):
         registry.create_group(f"g{index:03d}", members, delta)
@@ -384,7 +384,7 @@ def _group_churn_point(
         for _ in range(len(reform_times) + 1)
     ]
 
-    kernel, server, proxy, _ = build_stack(traces)
+    kernel, server, proxy = build_stack(traces)
     registry = GroupRegistry()
     current_ids: List[GroupId] = []
 

@@ -10,13 +10,11 @@ from __future__ import annotations
 from typing import Callable, Dict, Iterator, List, Optional
 
 from repro.core.errors import UnknownObjectError
-from repro.core.events import UpdateAppliedEvent
 from repro.core.types import ObjectId, Seconds
 from repro.httpsim.messages import Request, Response, Status
 from repro.httpsim.semantics import evaluate_conditional_get
 from repro.server.objects import ServerObject
 from repro.sim.stats import Counter
-from repro.sim.tracing import EventLog
 
 #: Per-status response counter names, precomputed so the per-request
 #: hot path does no f-string formatting.
@@ -42,16 +40,10 @@ class OriginServer:
         name: str = "origin",
         *,
         supports_history: bool = True,
-        event_log: Optional[EventLog] = None,
     ) -> None:
         self.name = name
         self.supports_history = supports_history
         self._objects: Dict[ObjectId, ServerObject] = {}
-        # Disabled logs are normalised to None so the per-update path
-        # never builds event records only to discard them.
-        self._event_log = (
-            event_log if (event_log is not None and event_log.enabled) else None
-        )
         # Update listeners back push-based consistency (an attached
         # push source fans each applied update out to its subscribers);
         # the common pull-only stack leaves the list empty, keeping the
@@ -105,17 +97,8 @@ class OriginServer:
     ) -> None:
         """Apply one update to an object (called by the update feeder)."""
         obj = self.get_object(object_id)
-        record = obj.apply_update(time, value)
+        obj.apply_update(time, value)
         self.counters.increment("updates_applied")
-        if self._event_log is not None:
-            self._event_log.record(
-                UpdateAppliedEvent(
-                    time=time,
-                    object_id=object_id,
-                    version=record.version,
-                    value=record.value,
-                )
-            )
         if self._update_listeners:
             for listener in tuple(self._update_listeners):
                 listener(object_id, time)

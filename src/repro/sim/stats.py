@@ -2,9 +2,8 @@
 
 :class:`Counter` — monotone named counters (polls, violations, hits).
 
-Streaming moments (mean/variance/min/max) live in
-:class:`repro.metrics.streaming.StreamingMoments`; Eq. 14 fidelity
-(total out-of-sync time) is computed in :mod:`repro.metrics.fidelity`.
+Eq. 14 fidelity (total out-of-sync time) is computed in
+:mod:`repro.metrics.fidelity`.
 """
 
 from __future__ import annotations

@@ -21,19 +21,16 @@ contribute only their one-way delivery latency.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Sequence, Tuple
+from typing import Callable, Sequence, Tuple
 
+from repro.consistency.base import RefreshPolicy
 from repro.core.errors import ReproError
 from repro.core.types import ObjectId, Seconds
 from repro.httpsim.network import LatencyModel
 
-if TYPE_CHECKING:  # pragma: no cover - type alias only; a runtime
-    # import would cycle (consistency → invalidation → topology → here)
-    from repro.consistency.base import RefreshPolicy
-
 #: Builds the refresh policy for one (level, object) pair.  Level 0 is
 #: the level closest to the origin; higher levels poll the level above.
-LevelPolicyFactory = Callable[[int, ObjectId], "RefreshPolicy"]
+LevelPolicyFactory = Callable[[int, ObjectId], RefreshPolicy]
 
 #: A level whose nodes poll their upstream on a TTR schedule.
 PULL = "pull"

@@ -9,8 +9,9 @@ Two capabilities define what a node can do for the nodes below it:
   in :mod:`repro.httpsim.semantics` (the proxy layer needs it too) and
   re-exported here.
 * :class:`PushSource` — it pushes update notifications at subscribers.
-  :class:`repro.topology.push.PushFanout` and its bindings (including
-  :class:`repro.consistency.invalidation.PushChannel`) satisfy this.
+  :class:`repro.topology.push.PushFanout` and its two bindings
+  (:class:`~repro.topology.push.OriginPushSource`,
+  :class:`~repro.topology.push.ProxyPushSource`) satisfy this.
 
 A hybrid tree mixes the two per level: a node below a push-capable
 upstream subscribes and fetches on notification; a node below a plain

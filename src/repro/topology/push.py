@@ -7,8 +7,7 @@ place it in a tree:
 * :class:`OriginPushSource` — taps an origin server's update stream
   (:meth:`repro.server.origin.OriginServer.add_update_listener`), so
   every applied update is pushed downstream.  This is the paper's
-  footnote-1 "server pushes relevant changes to the proxy" design and
-  what :class:`repro.consistency.invalidation.PushChannel` builds on.
+  footnote-1 "server pushes relevant changes to the proxy" design.
 * :class:`ProxyPushSource` — observes a parent *proxy*'s completed
   polls and pushes only the updates the parent itself observed.  An
   interior push level therefore relays the parent's (possibly

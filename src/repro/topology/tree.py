@@ -43,7 +43,6 @@ from repro.httpsim.network import Network
 from repro.proxy.cache import ObjectCache
 from repro.proxy.proxy import ProxyCache
 from repro.sim.kernel import Kernel
-from repro.sim.tracing import EventLog
 
 if TYPE_CHECKING:  # pragma: no cover - types only, avoids import cycle
     from repro.server.origin import OriginServer
@@ -163,7 +162,6 @@ class TopologyTree:
         levels: Per-level structure, level 0 first.
         want_history: Whether node polls request the Section 5.1
             modification-history extension.
-        event_log: Optional structured log shared by every node.
         link_rng: Resolves a link label to the RNG its jitter draws use
             (``None`` degrades jittery latency to its fixed one-way
             value).  Labels come from ``link_labeler``.
@@ -204,7 +202,6 @@ class TopologyTree:
         levels: Sequence[TreeLevel],
         *,
         want_history: bool = True,
-        event_log: Optional[EventLog] = None,
         link_rng: LinkRngFactory = _no_link_rng,
         node_namer: NodeNamer = _default_namer,
         link_labeler: LinkLabeler = _default_link_labeler,
@@ -246,7 +243,6 @@ class TopologyTree:
                                 else None
                             ),
                             want_history=want_history,
-                            event_log=event_log,
                             name=node_namer(level_number, index),
                         ),
                         level_number,

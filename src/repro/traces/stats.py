@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional
 
-from repro.core.types import HOUR, MINUTE, Seconds
+from repro.core.types import HOUR, Seconds
 from repro.traces.model import UpdateTrace
 
 
@@ -27,10 +27,6 @@ class TemporalTraceSummary:
     @property
     def duration_hours(self) -> float:
         return self.duration / HOUR
-
-    @property
-    def mean_update_interval_minutes(self) -> float:
-        return self.mean_update_interval / MINUTE
 
 
 @dataclass(frozen=True)

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import inspect
 import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -50,7 +52,6 @@ class TestBuilder:
             .horizon(7200.0)
             .fidelity_delta(600.0)
             .history(supports=True, want=False)
-            .log_events()
             .build()
         )
         assert config.workload.objects == ("cnn_fn", "nyt_ap")
@@ -60,7 +61,32 @@ class TestBuilder:
         assert config.seed == 42
         assert config.horizon_s == 7200.0
         assert not config.want_history
-        assert config.log_events
+
+    def test_no_entry_point_takes_an_event_log(self):
+        # One record of a run (the fetch log) and two seams to watch one
+        # (poll observers, update listeners): nothing takes a log to fill.
+        from repro.api import runs
+        from repro.proxy.proxy import ProxyCache
+        from repro.server.origin import OriginServer
+        from repro.topology.tree import TopologyTree
+
+        entry_points = [
+            OriginServer,
+            ProxyCache,
+            TopologyTree,
+            runs.build_core,
+            runs.build_stack,
+            runs.run_individual,
+            runs.run_mutual_temporal,
+            runs.run_mutual_value_adaptive,
+            runs.run_mutual_value_partitioned,
+            runs.run_mutual_value_group,
+        ]
+        for entry_point in entry_points:
+            parameters = inspect.signature(entry_point).parameters
+            assert not {"event_log", "log_events"} & set(parameters), entry_point
+        assert not hasattr(SimulationBuilder, "log_events")
+        assert "event_log" not in {f.name for f in fields(runs.RunResult)}
 
     def test_builder_from_existing_config_overrides(self):
         base = _tiny_builder().build()

@@ -114,7 +114,6 @@ _configs = st.builds(
     fidelity_delta_s=_optional_durations,
     supports_history=st.booleans(),
     want_history=st.booleans(),
-    log_events=st.booleans(),
 )
 
 
@@ -168,10 +167,13 @@ class TestRoundTrip:
 
 class TestRejection:
     def test_unknown_top_level_field(self):
-        data = SimulationConfig().to_dict()
-        data["surprise"] = 1
-        with pytest.raises(SimulationConfigError, match="surprise"):
-            SimulationConfig.from_dict(data)
+        # "log_events" was a field until the event log was deleted: a
+        # saved config that carries it is rejected, not silently ignored.
+        for name, value in (("surprise", 1), ("log_events", False)):
+            data = SimulationConfig().to_dict()
+            data[name] = value
+            with pytest.raises(SimulationConfigError, match=name):
+                SimulationConfig.from_dict(data)
 
     @pytest.mark.parametrize(
         "section", ["workload", "policy", "topology", "network"]

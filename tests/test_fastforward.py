@@ -134,7 +134,7 @@ class TestEngineDirect:
             for version, time in enumerate(updates)
         ]
         trace = UpdateTrace(ObjectId("obj"), records, end_time=7200.0)
-        kernel, server, proxy, _log = build_stack([trace])
+        kernel, server, proxy = build_stack([trace])
         proxy.register_object(
             trace.object_id, server, StaticTTLPolicy(250.0)
         )
@@ -196,7 +196,7 @@ class TestEngineDirect:
     def test_latent_link_is_rejected(self):
         records = []
         trace = UpdateTrace(ObjectId("obj"), records, end_time=1000.0)
-        kernel, server, proxy, _log = build_stack(
+        kernel, server, proxy = build_stack(
             [trace], latency=LatencyModel(one_way=0.5)
         )
         proxy.register_object(trace.object_id, server, StaticTTLPolicy(100.0))
@@ -209,7 +209,7 @@ class TestEngineDirect:
         # their kernel timers (nothing could ever reattach them).
         object_id = ObjectId("obj")
         trace = UpdateTrace(object_id, [], end_time=1000.0)
-        kernel, server, _log = build_core([trace])
+        kernel, server = build_core([trace])
         tree = TopologyTree(
             kernel,
             server,

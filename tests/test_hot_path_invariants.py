@@ -1,7 +1,7 @@
 """Property tests for the hot-path rewrites (PR 2).
 
 The tuple-keyed kernel heap, the alias popularity sampler, and the
-streaming metric accumulators are all drop-in replacements for simpler
+streaming bin counter are all drop-in replacements for simpler
 reference implementations.  These tests pin the equivalences:
 
 * kernel dispatch order equals the reference ``(time, insertion-order)``
@@ -9,27 +9,21 @@ reference implementations.  These tests pin the equivalences:
   under lazy cancellation and mid-run scheduling;
 * alias-method draws follow the exact weight distribution (chi-squared
   tolerance under a fixed seed) and are seed-deterministic;
-* streaming moments/bin counts equal the list-based aggregates they
-  replaced, on random series.
+* streaming bin counts equal the list-based aggregate they replaced,
+  on random series.
 """
 
 from __future__ import annotations
 
 import math
 import random
-import statistics
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.timeseries import bin_count
-from repro.core.rng import DEFAULT_SEED, derive_seed
 from repro.core.types import ObjectId
-from repro.metrics.streaming import (
-    ReservoirSample,
-    StreamingBinCounter,
-    StreamingMoments,
-)
+from repro.metrics.streaming import StreamingBinCounter
 from repro.sim.kernel import Kernel
 from repro.workload.popularity import AliasSampler, ZipfPopularity
 
@@ -183,48 +177,7 @@ class TestAliasSampler:
 # Streaming accumulators vs list-based aggregates
 # ---------------------------------------------------------------------------
 
-value_lists = st.lists(
-    st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, width=32),
-    min_size=1,
-    max_size=200,
-)
-
-
 class TestStreamingEquivalence:
-    @given(values=value_lists)
-    @settings(max_examples=80)
-    def test_moments_equal_list_based_stats(self, values):
-        moments = StreamingMoments()
-        moments.add_many(values)
-        assert moments.count == len(values)
-        assert moments.minimum == min(values)
-        assert moments.maximum == max(values)
-        assert math.isclose(
-            moments.mean, statistics.fmean(values), rel_tol=1e-9, abs_tol=1e-9
-        )
-        if len(values) >= 2:
-            assert math.isclose(
-                moments.variance,
-                statistics.pvariance(values),
-                rel_tol=1e-6,
-                abs_tol=1e-3,
-            )
-
-    @given(values=value_lists, split=st.integers(min_value=0, max_value=200))
-    @settings(max_examples=40)
-    def test_merge_equals_single_pass(self, values, split):
-        split = min(split, len(values))
-        left, right = StreamingMoments(), StreamingMoments()
-        left.add_many(values[:split])
-        right.add_many(values[split:])
-        left.merge(right)
-        single = StreamingMoments()
-        single.add_many(values)
-        assert left.count == single.count
-        assert math.isclose(left.total, single.total, rel_tol=1e-12, abs_tol=1e-9)
-        assert left.minimum == single.minimum
-        assert left.maximum == single.maximum
-
     @given(
         times=st.lists(
             st.floats(min_value=-50.0, max_value=150.0, allow_nan=False),
@@ -246,50 +199,3 @@ class TestStreamingEquivalence:
         assert counter.dropped == sum(1 for t in times if not start <= t < end)
         series = bin_count(times, start=start, end=end, bin_width=width)
         assert list(series.values) == reference
-
-    def test_reservoir_holds_everything_under_capacity(self):
-        reservoir = ReservoirSample(100, rng=random.Random(5))
-        values = [float(i) for i in range(60)]
-        for v in values:
-            reservoir.add(v)
-        assert sorted(reservoir.values()) == values
-        assert reservoir.quantile(0.0) == 0.0
-        assert reservoir.quantile(1.0) == 59.0
-
-    def test_reservoir_default_rng_is_deterministic(self):
-        """Default-constructed reservoirs sample identically (RL102 fix).
-
-        The default used to be an unseeded ``random.Random()``, which
-        made quantiles of over-capacity streams vary run to run.
-        """
-        stream = [math.sin(i) * 100.0 for i in range(500)]
-
-        def run():
-            reservoir = ReservoirSample(16)
-            for v in stream:
-                reservoir.add(v)
-            return reservoir.values()
-
-        first, second = run(), run()
-        assert first == second
-        seeded = ReservoirSample(
-            16, rng=random.Random(derive_seed(DEFAULT_SEED, "metrics.reservoir"))
-        )
-        for v in stream:
-            seeded.add(v)
-        assert seeded.values() == first
-
-    def test_reservoir_is_uniform_enough(self):
-        """Over many trials each element is retained ~capacity/n of the time."""
-        rng = random.Random(11)
-        capacity, n, trials = 10, 40, 400
-        hits = [0] * n
-        for _ in range(trials):
-            reservoir = ReservoirSample(capacity, rng=rng)
-            for i in range(n):
-                reservoir.add(float(i))
-            for kept in reservoir.values():
-                hits[int(kept)] += 1
-        expected = trials * capacity / n
-        for count in hits:
-            assert abs(count - expected) < expected  # within 100% of mean

@@ -175,9 +175,7 @@ class TestSmallPredictableScenario:
         trace = trace_from_times(
             ObjectId("obj"), [15.0, 45.0], start_time=0.0, end_time=60.0
         )
-        result = run_individual(
-            [trace], fixed_policy_factory(10.0), log_events=True
-        )
+        result = run_individual([trace], fixed_policy_factory(10.0))
         entry = result.proxy.entry_for(ObjectId("obj"))
         times = [r.time for r in entry.fetch_log]
         assert times == [0.0, 10.0, 20.0, 30.0, 40.0, 50.0, 60.0]

@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.consistency.base import FixedTTRPolicy
-from repro.core.events import PollEvent
 from repro.core.types import ObjectId
 from repro.httpsim.network import Network
 from repro.metrics.collector import (
@@ -24,7 +23,7 @@ from repro.metrics.series import (
     f_value_series,
     polls_per_bin,
     server_f_knots,
-    ttr_knots_from_proxy_events,
+    ttr_series,
     update_frequency_series,
     update_ratio_series,
 )
@@ -32,7 +31,6 @@ from repro.proxy.proxy import ProxyCache
 from repro.server.origin import OriginServer
 from repro.server.updates import feed_traces
 from repro.sim.kernel import Kernel
-from repro.sim.tracing import EventLog
 from repro.traces.model import trace_from_ticks, trace_from_times
 
 X = ObjectId("x")
@@ -42,18 +40,29 @@ Y = ObjectId("y")
 @pytest.fixture
 def finished_run():
     kernel = Kernel()
-    log = EventLog()
-    server = OriginServer(event_log=log)
-    proxy = ProxyCache(kernel, Network(kernel), event_log=log)
+    server = OriginServer()
+    proxy = ProxyCache(kernel, Network(kernel))
+    policies = {X: FixedTTRPolicy(ttr=10.0), Y: FixedTTRPolicy(ttr=10.0)}
+    # (object, poll time, TTR its policy chose from that poll), gathered
+    # the way figure 4 does: a poll observer attached before registration.
+    ttr_knots = []
+
+    class KnotObserver:
+        def on_poll_complete(self, object_id, outcome):
+            ttr_knots.append(
+                (object_id, outcome.poll_time, policies[object_id].current_ttr)
+            )
+
+    proxy.add_observer(KnotObserver())
     trace_x = trace_from_times(X, [15.0, 35.0], end_time=100.0)
     trace_y = trace_from_ticks(
         Y, [(5.0, 1.0), (25.0, 2.0), (45.0, 3.0)], end_time=100.0
     )
     feed_traces(kernel, server, (trace_x, trace_y))
-    proxy.register_object(X, server, FixedTTRPolicy(ttr=10.0))
-    proxy.register_object(Y, server, FixedTTRPolicy(ttr=10.0))
+    proxy.register_object(X, server, policies[X])
+    proxy.register_object(Y, server, policies[Y])
     kernel.run(until=100.0)
-    return proxy, trace_x, trace_y, log
+    return proxy, trace_x, trace_y, ttr_knots
 
 
 class TestCollectors:
@@ -124,11 +133,13 @@ class TestSeries:
         assert series.values == (2.0, 0.0)
 
     def test_ttr_knots_from_events(self, finished_run):
-        proxy, _, _, log = finished_run
-        events = log.of_type(PollEvent)
-        knots = ttr_knots_from_proxy_events(events, X)
-        assert knots
+        proxy, _, _, ttr_knots = finished_run
+        knots = [(time, ttr) for oid, time, ttr in ttr_knots if oid == X]
+        # One knot per completed poll, initial fetch included.
+        assert [time for time, _ in knots] == poll_times_of(proxy, X)
         assert all(ttr == 10.0 for _, ttr in knots)
+        series = ttr_series(knots, start=0.0, end=100.0, bin_width=50.0)
+        assert series.values == (10.0, 10.0)
 
     def test_update_ratio_series(self, finished_run):
         _, trace_x, trace_y, _ = finished_run

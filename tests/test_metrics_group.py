@@ -34,10 +34,11 @@ class TestGroupIntervalSpread:
         assert group_interval_spread([(3.0, 7.0)]) == 0.0
 
     def test_pairwise_reduces_to_interval_gap(self):
-        from repro.metrics.mutual import interval_gap
-
+        # Two intervals: the spread is Eq. 4's gap between them,
+        # whichever comes first.
         a, b = (0.0, 10.0), (25.0, 30.0)
-        assert group_interval_spread([a, b]) == interval_gap(a, b)
+        assert group_interval_spread([a, b]) == 15.0
+        assert group_interval_spread([b, a]) == 15.0
 
     def test_open_ended_intervals(self):
         intervals = [(0.0, math.inf), (100.0, math.inf)]
@@ -101,8 +102,9 @@ class TestGroupTemporalFidelity:
         assert report.out_sync_time == pytest.approx(70.0)
 
     def test_matches_pairwise_metric_for_two_objects(self):
-        from repro.metrics.mutual import mutual_temporal_fidelity
-
+        # A pair is a group of two.  By hand: at t=30 A holds [25, 70)
+        # and B still holds [0, 20), a gap of exactly 5 s that lasts
+        # until B's poll at t=50; every other segment overlaps.
         traces = {
             A: t_trace(A, [25.0, 70.0], end=100.0),
             B: t_trace(B, [20.0, 80.0], end=100.0),
@@ -111,14 +113,12 @@ class TestGroupTemporalFidelity:
             A: [(0.0, 0.0), (30.0, 25.0), (75.0, 70.0)],
             B: [(0.0, 0.0), (50.0, 20.0)],
         }
-        group_report = group_temporal_fidelity(traces, fetches, delta=5.0)
-        pair_report = mutual_temporal_fidelity(
-            traces[A], traces[B], fetches[A], fetches[B], 5.0
-        )
-        assert group_report.violations == pair_report.violations
-        assert group_report.out_sync_time == pytest.approx(
-            pair_report.out_sync_time
-        )
+        at_bound = group_temporal_fidelity(traces, fetches, delta=5.0)
+        assert (at_bound.polls, at_bound.violations) == (5, 0)
+        assert at_bound.out_sync_time == 0.0
+        inside = group_temporal_fidelity(traces, fetches, delta=4.9)
+        assert (inside.polls, inside.violations) == (5, 1)
+        assert inside.out_sync_time == pytest.approx(20.0)
 
     def test_mismatched_keys_rejected(self):
         traces = {A: t_trace(A, []), B: t_trace(B, [])}

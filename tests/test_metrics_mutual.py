@@ -8,19 +8,41 @@ import math
 import pytest
 
 from repro.core.types import ObjectId
+from repro.metrics.group import (
+    group_interval_spread,
+    group_mutually_consistent_at,
+    group_temporal_fidelity,
+)
 from repro.metrics.mutual import (
-    interval_gap,
     mutual_poll_synchrony_fidelity,
-    mutual_temporal_fidelity,
     mutual_value_fidelity,
-    mutually_consistent_at,
     validity_interval,
 )
 from repro.traces.model import trace_from_ticks, trace_from_times
 
+A, B = ObjectId("a"), ObjectId("b")
+
 
 def t_trace(oid, times, end=1000.0):
     return trace_from_times(ObjectId(oid), times, start_time=0.0, end_time=end)
+
+
+# A pair is a group of two: the pair cases below run the n-object
+# metric with two members.
+def interval_gap(a, b):
+    return group_interval_spread([a, b])
+
+
+def mutually_consistent_at(trace_a, trace_b, origin_a, origin_b, delta):
+    return group_mutually_consistent_at(
+        {A: trace_a, B: trace_b}, {A: origin_a, B: origin_b}, delta
+    )
+
+
+def mutual_temporal_fidelity(trace_a, trace_b, fetches_a, fetches_b, delta):
+    return group_temporal_fidelity(
+        {A: trace_a, B: trace_b}, {A: fetches_a, B: fetches_b}, delta
+    )
 
 
 class TestValidityInterval:

@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.consistency.base import FixedTTRPolicy
 from repro.consistency.mutual_value import (
@@ -14,7 +16,7 @@ from repro.consistency.mutual_value import (
     group_f_history,
     total_minus_parts,
 )
-from repro.core.types import ObjectId, TTRBounds
+from repro.core.types import ObjectId, ObjectSnapshot, PollOutcome, TTRBounds
 from repro.api.runs import run_individual, run_mutual_value_group
 from repro.httpsim.network import Network
 from repro.proxy.proxy import ProxyCache
@@ -106,6 +108,62 @@ class TestGroupBudgets:
             run_mutual_value_group(
                 traces, 1.0, bounds=TTRBounds(ttr_min=1.0, ttr_max=50.0)
             )
+
+
+class TestReapportionKeepsTheBudget:
+    """δ is the guarantee: flooring a starved member must not break it."""
+
+    @given(
+        rates=st.lists(
+            st.floats(min_value=1e-3, max_value=1e3), min_size=2, max_size=6
+        ),
+        budget=st.sampled_from(list(GroupBudget)),
+        min_fraction=st.floats(min_value=0.01, max_value=0.5),
+    )
+    # One fast and one slow member at the default floor: the fast one is
+    # floored, and its floor used to come on top of a slow member that
+    # already held the whole budget (1.025 > δ = 1).
+    @example(rates=[0.001, 1.0], budget=GroupBudget.PAIRWISE, min_fraction=0.05)
+    @example(rates=[0.001, 1.0, 1.0], budget=GroupBudget.SUM, min_fraction=0.05)
+    @settings(max_examples=200, deadline=None)
+    def test_budget_never_exceeds_delta(self, rates, budget, min_fraction):
+        delta = 1.0
+        members = tuple(ObjectId(f"m{i}") for i in range(len(rates)))
+        kernel = Kernel()
+        server = OriginServer()
+        for member in members:
+            server.create_object(member, created_at=0.0, initial_value=0.0)
+        coordinator = PartitionedGroupMvCoordinator(
+            ProxyCache(kernel, Network(kernel)),
+            members,
+            delta,
+            bounds=TTRBounds(ttr_min=1.0, ttr_max=50.0),
+            parameters=PartitionParameters(
+                reapportion_interval=None, min_fraction=min_fraction
+            ),
+            budget=budget,
+        )
+        coordinator.setup({member: server for member in members})
+        # Two observed polls a second apart, from value 0 to the drawn
+        # rate, give each member's estimator exactly that rate.
+        for member, rate in zip(members, rates):
+            for time, value in ((0.0, 0.0), (1.0, rate)):
+                snapshot = ObjectSnapshot(
+                    member, version=1, last_modified=time, value=value
+                )
+                coordinator.on_poll_complete(
+                    member, PollOutcome(time, True, snapshot, None, None)
+                )
+        tolerances = coordinator.reapportion()
+        assert coordinator.counters.get("reapportionments") == 1
+        spent = (
+            coordinator.max_pair_tolerance_sum()
+            if budget is GroupBudget.PAIRWISE
+            else coordinator.tolerance_sum()
+        )
+        assert spent <= delta * (1 + 1e-12)
+        floor = min_fraction * delta / len(members)
+        assert min(tolerances.values()) >= floor
 
 
 class TestTotalMinusParts:

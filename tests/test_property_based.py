@@ -8,8 +8,6 @@ arithmetic behind mutual-consistency evaluation.
 
 from __future__ import annotations
 
-import math
-
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -17,8 +15,7 @@ from repro.consistency.detection import make_detector
 from repro.consistency.limd import LimdParameters, LimdPolicy
 from repro.core.types import ObjectId, ObjectSnapshot, PollOutcome, TTRBounds
 from repro.metrics.fidelity import temporal_fidelity, value_fidelity
-from repro.metrics.mutual import interval_gap
-from repro.metrics.streaming import StreamingMoments
+from repro.metrics.group import group_interval_spread
 from repro.sim.kernel import Kernel
 from repro.traces.model import trace_from_ticks, trace_from_times
 
@@ -217,6 +214,11 @@ class TestFidelityProperties:
         assert 0.0 <= report.fidelity_by_time <= 1.0
 
 
+def interval_gap(a, b):
+    """Eq. 4's pair gap: the group spread of two intervals."""
+    return group_interval_spread([a, b])
+
+
 class TestIntervalGapProperties:
     interval = st.tuples(
         st.floats(min_value=0.0, max_value=1e5, allow_nan=False),
@@ -241,21 +243,3 @@ class TestIntervalGapProperties:
         gap = interval_gap(a, b)
         overlaps = max(a[0], b[0]) <= min(a[1], b[1])
         assert (gap == 0.0) == overlaps
-
-
-class TestStatsProperties:
-    @given(
-        st.lists(
-            st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
-            min_size=1,
-            max_size=100,
-        )
-    )
-    @settings(max_examples=100)
-    def test_summary_stats_match_bruteforce(self, data):
-        stats = StreamingMoments()
-        stats.add_many(data)
-        assert stats.minimum == min(data)
-        assert stats.maximum == max(data)
-        naive_mean = sum(data) / len(data)
-        assert math.isclose(stats.mean, naive_mean, rel_tol=1e-9, abs_tol=1e-6)

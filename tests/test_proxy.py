@@ -13,7 +13,7 @@ from repro.core.errors import (
     SimulationError,
     UnknownObjectError,
 )
-from repro.core.events import PollEvent, PollReason
+from repro.core.events import PollReason
 from repro.core.types import ObjectId, ObjectSnapshot, PollOutcome
 from repro.httpsim.network import LatencyModel, Network
 from repro.proxy.cache import ObjectCache
@@ -25,22 +25,19 @@ from repro.server.origin import OriginServer
 from repro.server.updates import UpdateFeeder
 from repro.sim.fastforward import FastForwardEngine
 from repro.sim.kernel import Kernel
-from repro.sim.tracing import EventLog
 from repro.traces.model import trace_from_times
 
 
 def build_stack(*, want_history=True, triggered_reschedule=False):
     kernel = Kernel()
     server = OriginServer()
-    log = EventLog()
     proxy = ProxyCache(
         kernel,
         Network(kernel),
         want_history=want_history,
-        event_log=log,
         triggered_polls_reschedule=triggered_reschedule,
     )
-    return kernel, server, proxy, log
+    return kernel, server, proxy
 
 
 class TestCacheEntry:
@@ -129,7 +126,7 @@ class TestObjectCache:
 
 class TestProxyPolling:
     def test_registration_does_initial_fetch(self):
-        kernel, server, proxy, _ = build_stack()
+        kernel, server, proxy = build_stack()
         server.create_object(ObjectId("x"), created_at=0.0)
         proxy.register_object(ObjectId("x"), server, FixedTTRPolicy(ttr=10.0))
         entry = proxy.entry_for(ObjectId("x"))
@@ -138,7 +135,7 @@ class TestProxyPolling:
         assert proxy.counters.get("polls") == 1
 
     def test_ttr_driven_refresh_sees_updates(self):
-        kernel, server, proxy, _ = build_stack()
+        kernel, server, proxy = build_stack()
         trace = trace_from_times(ObjectId("x"), [15.0], end_time=100.0)
         UpdateFeeder(kernel, server, trace)
         proxy.register_object(ObjectId("x"), server, FixedTTRPolicy(ttr=10.0))
@@ -149,7 +146,7 @@ class TestProxyPolling:
         assert entry.poll_count == 11
 
     def test_304_keeps_snapshot(self):
-        kernel, server, proxy, _ = build_stack()
+        kernel, server, proxy = build_stack()
         server.create_object(ObjectId("x"), created_at=0.0)
         proxy.register_object(ObjectId("x"), server, FixedTTRPolicy(ttr=10.0))
         kernel.run(until=30.0)
@@ -158,7 +155,7 @@ class TestProxyPolling:
         assert all(not r.modified for r in entry.fetch_log[1:])
 
     def test_poll_outcome_history_fields(self):
-        kernel, server, proxy, _ = build_stack(want_history=True)
+        kernel, server, proxy = build_stack(want_history=True)
         trace = trace_from_times(ObjectId("x"), [3.0, 5.0, 7.0], end_time=100.0)
         UpdateFeeder(kernel, server, trace)
         seen = []
@@ -176,7 +173,7 @@ class TestProxyPolling:
         assert modified[0].updates_since_last_poll == 3
 
     def test_no_history_when_disabled(self):
-        kernel, server, proxy, _ = build_stack(want_history=False)
+        kernel, server, proxy = build_stack(want_history=False)
         trace = trace_from_times(ObjectId("x"), [3.0], end_time=100.0)
         UpdateFeeder(kernel, server, trace)
         seen = []
@@ -192,14 +189,14 @@ class TestProxyPolling:
         assert modified and modified[0].first_unseen_update is None
 
     def test_duplicate_registration_rejected(self):
-        kernel, server, proxy, _ = build_stack()
+        kernel, server, proxy = build_stack()
         server.create_object(ObjectId("x"))
         proxy.register_object(ObjectId("x"), server, FixedTTRPolicy(ttr=10.0))
         with pytest.raises(CacheConfigurationError):
             proxy.register_object(ObjectId("x"), server, FixedTTRPolicy(ttr=10.0))
 
     def test_deregister_stops_polling(self):
-        kernel, server, proxy, _ = build_stack()
+        kernel, server, proxy = build_stack()
         server.create_object(ObjectId("x"))
         proxy.register_object(ObjectId("x"), server, FixedTTRPolicy(ttr=10.0))
         proxy.deregister_object(ObjectId("x"))
@@ -207,32 +204,49 @@ class TestProxyPolling:
         assert proxy.entry_for(ObjectId("x")).poll_count == 1  # initial only
 
     def test_poll_answered_404_is_a_protocol_error(self):
-        kernel, server, proxy, _ = build_stack()
+        kernel, server, proxy = build_stack()
         with pytest.raises(ProtocolError, match="unexpected status 404"):
             proxy.register_object(ObjectId("x"), server, FixedTTRPolicy(ttr=10.0))
 
     def test_deregister_unknown_rejected(self):
-        kernel, server, proxy, _ = build_stack()
+        kernel, server, proxy = build_stack()
         with pytest.raises(UnknownObjectError):
             proxy.deregister_object(ObjectId("nope"))
 
     def test_passive_policy_never_schedules(self):
-        kernel, server, proxy, _ = build_stack()
+        kernel, server, proxy = build_stack()
         server.create_object(ObjectId("x"))
         proxy.register_object(ObjectId("x"), server, PassivePolicy())
         kernel.run(until=1000.0)
         assert proxy.entry_for(ObjectId("x")).poll_count == 1
 
     def test_poll_events_logged_with_ttr(self):
-        kernel, server, proxy, log = build_stack()
+        # What a run records is the fetch log; what it lets you watch
+        # is the poll-observer seam, which fires after the policy has
+        # consumed the poll (so it sees the TTR chosen *from* it).
+        kernel, server, proxy = build_stack()
+        policy = FixedTTRPolicy(ttr=10.0)
+        watched = []
+
+        class Watcher:
+            def on_poll_complete(self, object_id, outcome):
+                watched.append((object_id, outcome.poll_time, policy.current_ttr))
+
+        proxy.add_observer(Watcher())
         server.create_object(ObjectId("x"))
-        proxy.register_object(ObjectId("x"), server, FixedTTRPolicy(ttr=10.0))
+        proxy.register_object(ObjectId("x"), server, policy)
         kernel.run(until=25.0)
-        events = log.of_type(PollEvent)
-        assert len(events) == 3
-        assert events[0].reason is PollReason.INITIAL_FETCH
-        assert events[1].reason is PollReason.TTR_EXPIRED
-        assert events[1].ttr_after == 10.0
+        fetch_log = proxy.entry_for(ObjectId("x")).fetch_log
+        assert [(r.time, r.reason, r.modified) for r in fetch_log] == [
+            (0.0, PollReason.INITIAL_FETCH, True),
+            (10.0, PollReason.TTR_EXPIRED, False),
+            (20.0, PollReason.TTR_EXPIRED, False),
+        ]
+        assert watched == [
+            (ObjectId("x"), 0.0, 10.0),
+            (ObjectId("x"), 10.0, 10.0),
+            (ObjectId("x"), 20.0, 10.0),
+        ]
 
 
 class _ScriptedPolicy(RefreshPolicy):
@@ -266,7 +280,7 @@ class TestInvalidTTR:
 
     @pytest.mark.parametrize("ttr", BAD)
     def test_bad_first_ttr_rejected_at_registration(self, ttr):
-        kernel, server, proxy, _ = build_stack()
+        kernel, server, proxy = build_stack()
         server.create_object(ObjectId("x"))
         with pytest.raises(SimulationError) as raised:
             proxy.register_object(
@@ -278,7 +292,7 @@ class TestInvalidTTR:
 
     @pytest.mark.parametrize("ttr", BAD)
     def test_bad_next_ttr_rejected_at_the_poll(self, ttr):
-        kernel, server, proxy, _ = build_stack()
+        kernel, server, proxy = build_stack()
         server.create_object(ObjectId("x"))
         proxy.register_object(ObjectId("x"), server, _ScriptedPolicy(10.0, ttr))
         with pytest.raises(SimulationError, match="'scripted'"):
@@ -288,7 +302,7 @@ class TestInvalidTTR:
 
     @pytest.mark.parametrize("ttr", BAD)
     def test_bad_next_ttr_rejected_while_detached(self, ttr):
-        kernel, server, proxy, _ = build_stack()
+        kernel, server, proxy = build_stack()
         server.create_object(ObjectId("x"))
         proxy.register_object(ObjectId("x"), server, _ScriptedPolicy(10.0, ttr))
         engine = FastForwardEngine(kernel, [proxy])
@@ -300,7 +314,7 @@ class TestInvalidTTR:
         assert proxy.counters.get("polls") == 2
 
     def test_bad_first_ttr_rejected_on_recovery(self):
-        kernel, server, proxy, _ = build_stack()
+        kernel, server, proxy = build_stack()
         server.create_object(ObjectId("x"))
         policy = _ScriptedPolicy(10.0, 10.0)
         proxy.register_object(ObjectId("x"), server, policy)
@@ -309,7 +323,7 @@ class TestInvalidTTR:
             proxy.recover_from_failure()
 
     def test_infinite_ttr_still_means_unarmed(self):
-        kernel, server, proxy, _ = build_stack()
+        kernel, server, proxy = build_stack()
         server.create_object(ObjectId("x"))
         refresher = proxy.register_object(
             ObjectId("x"), server, _ScriptedPolicy(10.0, float("inf"))
@@ -360,7 +374,7 @@ class TestRefresherIsItsOwnTimer:
 
 class TestTriggeredPolls:
     def _setup(self, reschedule):
-        kernel, server, proxy, _ = build_stack(triggered_reschedule=reschedule)
+        kernel, server, proxy = build_stack(triggered_reschedule=reschedule)
         server.create_object(ObjectId("x"), created_at=0.0)
         refresher = proxy.register_object(
             ObjectId("x"), server, FixedTTRPolicy(ttr=10.0)
@@ -407,7 +421,7 @@ class TestTriggeredPolls:
 
 class TestClientPath:
     def test_hit_serves_cached_snapshot(self):
-        kernel, server, proxy, _ = build_stack()
+        kernel, server, proxy = build_stack()
         server.create_object(ObjectId("x"), created_at=0.0)
         proxy.register_object(ObjectId("x"), server, FixedTTRPolicy(ttr=10.0))
         client = Client(kernel, proxy)
@@ -417,7 +431,7 @@ class TestClientPath:
         assert client.hit_ratio == 1.0
 
     def test_miss_fetches_and_populates(self):
-        kernel, server, proxy, _ = build_stack()
+        kernel, server, proxy = build_stack()
         server.create_object(ObjectId("x"), created_at=0.0)
         proxy.bind_server(ObjectId("x"), server)
         client = Client(kernel, proxy)
@@ -429,14 +443,14 @@ class TestClientPath:
         assert client.counters.get("hits") == 1
 
     def test_request_for_unbound_object_rejected(self):
-        kernel, server, proxy, _ = build_stack()
+        kernel, server, proxy = build_stack()
         client = Client(kernel, proxy)
         with pytest.raises(UnknownObjectError):
             client.request(ObjectId("nope"))
 
     def test_versions_served_monotonic(self):
         """Section 2: versions served to clients never go backwards."""
-        kernel, server, proxy, _ = build_stack()
+        kernel, server, proxy = build_stack()
         trace = trace_from_times(
             ObjectId("x"), [5.0, 15.0, 25.0], end_time=100.0
         )

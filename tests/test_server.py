@@ -6,7 +6,6 @@ import pytest
 
 from repro.consistency.base import FixedTTRPolicy
 from repro.core.errors import SchedulingInPastError, UnknownObjectError
-from repro.core.events import UpdateAppliedEvent
 from repro.core.types import ObjectId
 from repro.httpsim.messages import Status, conditional_get
 from repro.httpsim.network import Network
@@ -15,7 +14,6 @@ from repro.server.objects import ServerObject
 from repro.server.origin import OriginServer
 from repro.server.updates import UpdateFeeder, feed_traces
 from repro.sim.kernel import Kernel
-from repro.sim.tracing import EventLog
 from repro.traces.model import trace_from_ticks, trace_from_times
 
 
@@ -166,15 +164,6 @@ class TestOriginServer:
         assert server.counters.get("requests") == 2
         assert server.counters.get("responses_200") == 1
         assert server.counters.get("responses_404") == 1
-
-    def test_update_events_logged(self):
-        log = EventLog()
-        server = OriginServer(event_log=log)
-        server.create_object(ObjectId("x"))
-        server.apply_update(ObjectId("x"), 5.0, value=1.0)
-        events = log.of_type(UpdateAppliedEvent)
-        assert len(events) == 1
-        assert events[0].version == 1
 
 
 class TestUpdateFeeder:

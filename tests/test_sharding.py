@@ -74,7 +74,7 @@ class TestPlanShards:
                 assert parent in selection.registers
 
 
-def _config(*, shards=1, fidelity="exact", log_events=False):
+def _config(*, shards=1, fidelity="exact"):
     return (
         SimulationBuilder()
         .workload("poisson", "a", "b", "c", rate_per_hour=5.0, hours=1.0)
@@ -92,7 +92,6 @@ def _config(*, shards=1, fidelity="exact", log_events=False):
         .horizon(3600.0)
         .fidelity(fidelity)
         .shards(shards)
-        .log_events(log_events)
         .build()
     )
 
