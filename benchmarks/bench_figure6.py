@@ -34,7 +34,5 @@ def test_figure6_heuristic_adaptivity(run_once):
     assert result.total_suppressed_by_rate > 0
 
     # (4) Extra polls are bounded by the trigger considerations.
-    coordinator = result.run.mutual_coordinator
-    assert coordinator is not None
-    considerations = coordinator.counters.get("considerations")
+    considerations = result.run.coordinator.counters.get("considerations")
     assert result.total_extra_polls < considerations

@@ -92,13 +92,12 @@ def main() -> None:
                 f"(max ${max(errors):.4f} over {len(errors)} refreshes)"
             )
 
-    if partitioned.partitioned is not None:
-        delta_a, delta_b = partitioned.partitioned.current_split
-        print(
-            f"\nFinal partitioned split: AT&T gets δa = ${delta_a:.3f}, "
-            f"Yahoo gets δb = ${delta_b:.3f} "
-            "(the faster mover earns the tighter tolerance)"
-        )
+    delta_a, delta_b = partitioned.coordinator.current_split
+    print(
+        f"\nFinal partitioned split: AT&T gets δa = ${delta_a:.3f}, "
+        f"Yahoo gets δb = ${delta_b:.3f} "
+        "(the faster mover earns the tighter tolerance)"
+    )
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from typing import Optional
 
-from repro.core.types import Seconds, require_fraction, require_positive
+from repro.core.types import Seconds, require_fraction
 
 
 class UpdateRateEstimator:
@@ -149,17 +149,3 @@ class ValueRateEstimator:
         self._prev_time = time
         self._prev_value = value
         return self._rate
-
-
-def ttr_for_value_bound(
-    delta: float, rate: Optional[float], *, ttr_if_static: Seconds
-) -> Seconds:
-    """Section 4.1, Eq. 9: time for the value to drift by ``delta``.
-
-    A zero/unknown rate means the object is (currently) static; the
-    caller supplies the TTR to use in that case (typically TTR_max).
-    """
-    require_positive("delta", delta)
-    if rate is None or rate <= 0:
-        return ttr_if_static
-    return delta / rate

@@ -116,23 +116,3 @@ def ratio_series(numerator: Series, denominator: Series, *, label: str = "") -> 
         values=values,
         label=label or f"{numerator.label}/{denominator.label}",
     )
-
-
-def moving_average(series: Series, window_bins: int, *, label: str = "") -> Series:
-    """Centered moving average over ``window_bins`` bins (NaN-aware)."""
-    if window_bins < 1:
-        raise ValueError(f"window_bins must be >= 1, got {window_bins}")
-    half = window_bins // 2
-    smoothed: List[float] = []
-    vals = series.values
-    for i in range(len(vals)):
-        lo = max(0, i - half)
-        hi = min(len(vals), i + half + 1)
-        window = [v for v in vals[lo:hi] if not math.isnan(v)]
-        smoothed.append(sum(window) / len(window) if window else math.nan)
-    return Series(
-        start=series.start,
-        bin_width=series.bin_width,
-        values=tuple(smoothed),
-        label=label or f"ma({series.label})",
-    )

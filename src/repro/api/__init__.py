@@ -12,8 +12,9 @@ engine, the sweep executor, and external callers:
 * :mod:`repro.core.registry` — the generic :class:`Registry` the
   consistency-policy, scenario, workload-source, and eviction-policy
   lookups share (re-exported here for compatibility);
-* :mod:`repro.api.runs` — the canonical run functions
-  (``run_individual``, the mutual-consistency runs, ``run_many``);
+* :mod:`repro.api.runs` — the live-object layer under the config
+  path: ``build_stack`` and the run functions the paper's artefacts
+  call (``run_individual``, the mutual-consistency runs, ``run_many``);
 * :mod:`repro.api.executors` — the serial/parallel executors
   ``run_many`` and the scenario engine fan out through;
 * :mod:`repro.api.render` — ASCII tables and sparkline series.

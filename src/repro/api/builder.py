@@ -17,8 +17,9 @@
 :func:`run_simulation` is the one execution path behind the builder,
 the ``repro run --config`` CLI, and any external caller holding a
 config: resolve the workload through the source registry, the policy
-through the consistency registry, assemble the stack via
-:func:`repro.api.runs.build_stack`, run to the horizon, and report a
+through the consistency registry, grow a
+:class:`~repro.topology.tree.TopologyTree` out of
+:func:`repro.api.runs.build_core`, run to the horizon, and report a
 :class:`~repro.api.results.ResultSet` with a declared column schema.
 """
 
@@ -28,6 +29,7 @@ import random
 from dataclasses import dataclass, replace
 from typing import (
     TYPE_CHECKING,
+    Any,
     Callable,
     Dict,
     List,
@@ -119,7 +121,7 @@ class SimulationOutcome:
     """
 
     config: SimulationConfig
-    run: RunResult
+    run: RunResult[None]
     results: ResultSet
     edges: List[ProxyCache]
     tree: Optional[TopologyTree] = None
@@ -550,6 +552,7 @@ def _run_tree(
             server=server,
             proxy=tree.nodes_at(0)[0].proxy,
             traces={trace.object_id: trace for trace in traces},
+            coordinator=None,
         ),
         results=assembly.build(),
         edges=edges,
@@ -616,6 +619,18 @@ def run_simulation(
     return outcome
 
 
+def _passed(**keywords: Any) -> Dict[str, Any]:
+    """The keywords a caller actually gave a builder section method.
+
+    Section methods default every keyword to ``None`` ("not given") and
+    forward only the rest, so each section default is declared once —
+    on its config dataclass.
+    """
+    return {
+        name: value for name, value in keywords.items() if value is not None
+    }
+
+
 class SimulationBuilder:
     """Fluent construction of a :class:`SimulationConfig`.
 
@@ -677,9 +692,10 @@ class SimulationBuilder:
         """Select the proxy topology (``single``, ``hierarchy``, ``tree``).
 
         ``tree`` takes ``levels`` (a sequence of :class:`LevelConfig`
-        or equivalent mappings), root level first.  Omitted keywords
-        inherit the builder's current topology — ``levels`` only while
-        the kind stays ``tree``, since other kinds reject them.
+        or equivalent mappings), root level first.  An omitted keyword
+        carries over from the builder's current topology only into a
+        kind that reads it: ``levels`` while the kind stays ``tree``,
+        ``edge_count`` everywhere else.
         """
         if isinstance(kind, TopologyConfig):
             if edge_count is not None or levels is not None:
@@ -689,36 +705,31 @@ class SimulationBuilder:
                 )
             topology = kind
         else:
-            if levels is None:
-                inherited = (
-                    self._config.topology.levels if kind == "tree" else ()
-                )
-            else:
-                inherited = tuple(levels)
-            if edge_count is None:
-                # Like levels, edge_count only carries over to a kind
-                # that reads it — trees reset to the field default.
-                edge_count = (
-                    self._config.topology.edge_count if kind != "tree" else 4
-                )
+            current = self._config.topology
+            if levels is None and kind == "tree":
+                levels = current.levels
+            if edge_count is None and kind != "tree":
+                edge_count = current.edge_count
             topology = TopologyConfig(
-                kind=kind, edge_count=edge_count, levels=inherited
+                kind=kind, **_passed(edge_count=edge_count, levels=levels)
             )
         self._config = replace(self._config, topology=topology)
         return self
 
     def network(
         self,
-        one_way_latency_s: Union[float, NetworkConfig] = 0.0,
+        one_way_latency_s: Union[None, float, NetworkConfig] = None,
         *,
-        jitter_s: float = 0.0,
+        jitter_s: Optional[float] = None,
     ) -> "SimulationBuilder":
         """Set the link latency model."""
         if isinstance(one_way_latency_s, NetworkConfig):
             network = one_way_latency_s
         else:
             network = NetworkConfig(
-                one_way_latency_s=one_way_latency_s, jitter_s=jitter_s
+                **_passed(
+                    one_way_latency_s=one_way_latency_s, jitter_s=jitter_s
+                )
             )
         self._config = replace(self._config, network=network)
         return self
@@ -727,7 +738,7 @@ class SimulationBuilder:
         self,
         capacity: Union[None, int, CacheConfig] = None,
         *,
-        eviction: str = "lru",
+        eviction: Optional[str] = None,
         ttl_classes: Optional[Dict[str, float]] = None,
         default_ttl_s: Optional[float] = None,
         object_classes: Optional[Dict[str, str]] = None,
@@ -746,23 +757,25 @@ class SimulationBuilder:
             cache = capacity
         else:
             cache = CacheConfig(
-                capacity=capacity,
-                eviction=eviction,
-                ttl_classes=ttl_classes or {},
-                default_ttl_s=default_ttl_s,
-                object_classes=object_classes or {},
+                **_passed(
+                    capacity=capacity,
+                    eviction=eviction,
+                    ttl_classes=ttl_classes,
+                    default_ttl_s=default_ttl_s,
+                    object_classes=object_classes,
+                )
             )
         self._config = replace(self._config, cache=cache)
         return self
 
     def groups(
         self,
-        groups: Union[GroupsConfig, Sequence[GroupConfig]] = (),
+        groups: Union[None, GroupsConfig, Sequence[GroupConfig]] = None,
         *,
-        edges: Sequence[Sequence[str]] = (),
-        component_delta: float = 600.0,
-        mode: str = "triggered",
-        rate_ratio_threshold: float = 0.8,
+        edges: Optional[Sequence[Sequence[str]]] = None,
+        component_delta: Optional[float] = None,
+        mode: Optional[str] = None,
+        rate_ratio_threshold: Optional[float] = None,
     ) -> "SimulationBuilder":
         """Declare mutual-consistency groups.
 
@@ -781,11 +794,13 @@ class SimulationBuilder:
             section = groups
         else:
             section = GroupsConfig(
-                groups=tuple(groups),
-                edges=tuple(tuple(pair) for pair in edges),
-                component_delta=component_delta,
-                mode=mode,
-                rate_ratio_threshold=rate_ratio_threshold,
+                **_passed(
+                    groups=groups,
+                    edges=edges,
+                    component_delta=component_delta,
+                    mode=mode,
+                    rate_ratio_threshold=rate_ratio_threshold,
+                )
             )
         self._config = replace(self._config, groups=section)
         return self

@@ -40,6 +40,9 @@ C = TypeVar("C", bound="_ConfigBase")
 
 #: Topology kinds the assembly layer understands.
 TOPOLOGY_KINDS = ("single", "hierarchy", "tree")
+#: ``TopologyConfig.edge_count`` when unset — the one value a ``tree``
+#: config may carry there, since trees take their shape from ``levels``.
+DEFAULT_EDGE_COUNT = 4
 
 #: Execution fidelities: ``exact`` dispatches every timer event;
 #: ``fastforward`` keeps poll timers on the analytic engine's private
@@ -277,7 +280,7 @@ class TopologyConfig(_ConfigBase):
     """
 
     kind: str = "single"
-    edge_count: int = 4
+    edge_count: int = DEFAULT_EDGE_COUNT
     levels: Tuple[LevelConfig, ...] = ()
 
     def __post_init__(self) -> None:
@@ -320,9 +323,9 @@ class TopologyConfig(_ConfigBase):
                 f"topology.levels only applies to kind 'tree', "
                 f"got kind {self.kind!r}"
             )
-        if self.kind == "tree" and self.edge_count != 4:
-            # 4 is the field default; anything else was set on purpose
-            # and would be silently ignored by the tree execution path.
+        if self.kind == "tree" and self.edge_count != DEFAULT_EDGE_COUNT:
+            # Anything but the field default was set on purpose and
+            # would be silently ignored by the tree execution path.
             raise SimulationConfigError(
                 "topology.edge_count only applies to kind 'hierarchy'; "
                 "a tree's shape comes from topology.levels"

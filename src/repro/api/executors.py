@@ -110,16 +110,12 @@ class ParallelExecutor(SweepExecutor):
                 ) from exc
 
 
-def executor_for(
-    workers: Optional[int], executor: Optional[SweepExecutor] = None
-) -> SweepExecutor:
+def executor_for(workers: Optional[int]) -> SweepExecutor:
     """Resolve the ``workers=`` knob into an executor.
 
-    An explicit ``executor`` wins; otherwise ``workers`` of ``None`` or
-    ``1`` means serial and anything larger a process pool of that size.
+    ``None`` or ``1`` means serial and anything larger a process pool
+    of that size.
     """
-    if executor is not None:
-        return executor
     if workers is None or workers == 1:
         return SerialExecutor()
     return ParallelExecutor(workers)

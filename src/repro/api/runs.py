@@ -20,11 +20,19 @@ process pool.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
+from typing import (
+    Callable,
+    Dict,
+    Generic,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    TypeVar,
+)
 
-from repro.api.executors import SweepExecutor, executor_for
+from repro.api.executors import executor_for
 from repro.consistency.base import PolicyFactory
 from repro.consistency.mutual_temporal import (
     MutualTemporalCoordinator,
@@ -50,6 +58,8 @@ from repro.topology.tree import TopologyTree
 from repro.traces.model import UpdateTrace
 
 R = TypeVar("R")
+#: The mutual-consistency coordinator a run attached (``None``: none).
+C = TypeVar("C")
 
 
 def _invoke(task: Callable[[], R]) -> R:
@@ -61,7 +71,6 @@ def run_many(
     tasks: Sequence[Callable[[], R]],
     *,
     workers: Optional[int] = None,
-    executor: Optional[SweepExecutor] = None,
 ) -> List[R]:
     """Run independent zero-argument run-specs, results in input order.
 
@@ -70,21 +79,23 @@ def run_many(
     over a module-level function and return plain data (rows, series),
     not live simulation objects.
     """
-    return executor_for(workers, executor).map(_invoke, list(tasks))
+    return executor_for(workers).map(_invoke, list(tasks))
 
 
 @dataclass
-class RunResult:
-    """Everything a finished simulation exposes for analysis."""
+class RunResult(Generic[C]):
+    """Everything a finished simulation exposes for analysis.
+
+    ``coordinator`` is whatever mutual-consistency coordinator the run
+    function attached to the proxy — ``None`` for
+    :func:`run_individual` and the config path.
+    """
 
     kernel: Kernel
     server: OriginServer
     proxy: ProxyCache
     traces: Dict[ObjectId, UpdateTrace]
-    mutual_coordinator: Optional[MutualTemporalCoordinator] = None
-    adaptive_f: Optional[AdaptiveFCoordinator] = None
-    partitioned: Optional[PartitionedMvCoordinator] = None
-    partitioned_group: Optional[PartitionedGroupMvCoordinator] = None
+    coordinator: C
 
     def polls_of(self, object_id: ObjectId) -> int:
         return self.proxy.entry_for(object_id).poll_count
@@ -117,7 +128,6 @@ def build_stack(
     supports_history: bool = True,
     want_history: bool = True,
     latency: LatencyModel = LatencyModel(),
-    network_rng: Optional[random.Random] = None,
 ) -> Tuple[Kernel, OriginServer, ProxyCache]:
     """Assemble the standard stack: kernel, fed origin, network, proxy.
 
@@ -127,9 +137,9 @@ def build_stack(
     the single-proxy stack and the deep trees
     :func:`repro.api.builder.run_simulation` builds are the same layer.
     Objects are *not* registered — callers attach policies (and any
-    coordinators) before running the kernel.  ``network_rng`` seeds
-    latency jitter; without it a jittery :class:`LatencyModel` degrades
-    to its fixed ``one_way`` latency.
+    coordinators) before running the kernel.  The link draws no jitter:
+    a jittery :class:`LatencyModel` degrades to its fixed ``one_way``
+    latency.
     """
     kernel, server = build_core(traces, supports_history=supports_history)
     tree = TopologyTree(
@@ -137,10 +147,33 @@ def build_stack(
         server,
         (TreeLevel(fan_out=1, latency=latency),),
         want_history=want_history,
-        link_rng=lambda _label: network_rng,
         node_namer=lambda _level, _index: "proxy",
     )
     return kernel, server, tree.root.proxy
+
+
+def _finish_run(
+    kernel: Kernel,
+    server: OriginServer,
+    proxy: ProxyCache,
+    traces: Sequence[UpdateTrace],
+    horizon: Optional[Seconds],
+    coordinator: C,
+) -> RunResult[C]:
+    """The shared tail of every run function: run, then package.
+
+    The run covers the longest trace window unless ``horizon`` says
+    otherwise.
+    """
+    end = horizon if horizon is not None else max(t.end_time for t in traces)
+    kernel.run(until=end)
+    return RunResult(
+        kernel=kernel,
+        server=server,
+        proxy=proxy,
+        traces={t.object_id: t for t in traces},
+        coordinator=coordinator,
+    )
 
 
 def run_individual(
@@ -151,7 +184,7 @@ def run_individual(
     supports_history: bool = True,
     want_history: bool = True,
     latency: LatencyModel = LatencyModel(),
-) -> RunResult:
+) -> RunResult[None]:
     """Run individual-consistency maintenance over one or more traces.
 
     Each trace's object is registered with its own policy instance from
@@ -170,19 +203,11 @@ def run_individual(
         proxy.register_object(
             trace.object_id, server, policy_factory(trace.object_id)
         )
-    end = horizon if horizon is not None else max(t.end_time for t in traces)
-    kernel.run(until=end)
-    return RunResult(
-        kernel=kernel,
-        server=server,
-        proxy=proxy,
-        traces={t.object_id: t for t in traces},
-    )
+    return _finish_run(kernel, server, proxy, traces, horizon, None)
 
 
 def run_mutual_temporal(
-    trace_a: UpdateTrace,
-    trace_b: UpdateTrace,
+    traces: Sequence[UpdateTrace],
     policy_factory: PolicyFactory,
     mutual_delta: Seconds,
     mode: MutualTemporalMode,
@@ -191,17 +216,21 @@ def run_mutual_temporal(
     horizon: Optional[Seconds] = None,
     supports_history: bool = True,
     want_history: bool = True,
-) -> RunResult:
-    """Run a pair under LIMD plus a Section 3.2 mutual mode."""
+) -> RunResult[MutualTemporalCoordinator]:
+    """Run one group of related objects under a Section 3.2 mutual mode.
+
+    The traces' objects form a single δ-group (the paper's pair is a
+    sequence of two; its definitions "can be generalized to n
+    objects"), each under its own policy from ``policy_factory``.
+    """
+    if len(traces) < 2:
+        raise ValueError("a mutual-consistency run needs at least two traces")
     kernel, server, proxy = build_stack(
-        (trace_a, trace_b),
-        supports_history=supports_history,
-        want_history=want_history,
-        latency=LatencyModel(),
+        traces, supports_history=supports_history, want_history=want_history
     )
     groups = GroupRegistry()
     groups.create_group(
-        "pair", (trace_a.object_id, trace_b.object_id), mutual_delta
+        "group", tuple(trace.object_id for trace in traces), mutual_delta
     )
     coordinator = MutualTemporalCoordinator(
         proxy,
@@ -209,23 +238,11 @@ def run_mutual_temporal(
         mode=mode,
         rate_ratio_threshold=rate_ratio_threshold,
     )
-    for trace in (trace_a, trace_b):
+    for trace in traces:
         proxy.register_object(
             trace.object_id, server, policy_factory(trace.object_id)
         )
-    end = (
-        horizon
-        if horizon is not None
-        else max(trace_a.end_time, trace_b.end_time)
-    )
-    kernel.run(until=end)
-    return RunResult(
-        kernel=kernel,
-        server=server,
-        proxy=proxy,
-        traces={trace_a.object_id: trace_a, trace_b.object_id: trace_b},
-        mutual_coordinator=coordinator,
-    )
+    return _finish_run(kernel, server, proxy, traces, horizon, coordinator)
 
 
 def run_mutual_value_adaptive(
@@ -236,14 +253,10 @@ def run_mutual_value_adaptive(
     bounds: TTRBounds,
     parameters: AdaptiveFParameters = AdaptiveFParameters(),
     horizon: Optional[Seconds] = None,
-) -> RunResult:
+) -> RunResult[AdaptiveFCoordinator]:
     """Run a valued pair under the adaptive-f (virtual object) approach."""
-    kernel, server, proxy = build_stack(
-        (trace_a, trace_b),
-        supports_history=True,
-        want_history=True,
-        latency=LatencyModel(),
-    )
+    traces = (trace_a, trace_b)
+    kernel, server, proxy = build_stack(traces)
     coordinator = AdaptiveFCoordinator(
         proxy,
         (trace_a.object_id, trace_b.object_id),
@@ -252,19 +265,7 @@ def run_mutual_value_adaptive(
         parameters=parameters,
     )
     coordinator.setup(server, server)
-    end = (
-        horizon
-        if horizon is not None
-        else max(trace_a.end_time, trace_b.end_time)
-    )
-    kernel.run(until=end)
-    return RunResult(
-        kernel=kernel,
-        server=server,
-        proxy=proxy,
-        traces={trace_a.object_id: trace_a, trace_b.object_id: trace_b},
-        adaptive_f=coordinator,
-    )
+    return _finish_run(kernel, server, proxy, traces, horizon, coordinator)
 
 
 def run_mutual_value_partitioned(
@@ -275,14 +276,10 @@ def run_mutual_value_partitioned(
     bounds: TTRBounds,
     parameters: PartitionParameters = PartitionParameters(),
     horizon: Optional[Seconds] = None,
-) -> RunResult:
+) -> RunResult[PartitionedMvCoordinator]:
     """Run a valued pair under the partitioned-δ approach."""
-    kernel, server, proxy = build_stack(
-        (trace_a, trace_b),
-        supports_history=True,
-        want_history=True,
-        latency=LatencyModel(),
-    )
+    traces = (trace_a, trace_b)
+    kernel, server, proxy = build_stack(traces)
     coordinator = PartitionedMvCoordinator(
         proxy,
         (trace_a.object_id, trace_b.object_id),
@@ -291,19 +288,7 @@ def run_mutual_value_partitioned(
         parameters=parameters,
     )
     coordinator.setup(server, server)
-    end = (
-        horizon
-        if horizon is not None
-        else max(trace_a.end_time, trace_b.end_time)
-    )
-    kernel.run(until=end)
-    return RunResult(
-        kernel=kernel,
-        server=server,
-        proxy=proxy,
-        traces={trace_a.object_id: trace_a, trace_b.object_id: trace_b},
-        partitioned=coordinator,
-    )
+    return _finish_run(kernel, server, proxy, traces, horizon, coordinator)
 
 
 def run_mutual_value_group(
@@ -314,7 +299,7 @@ def run_mutual_value_group(
     parameters: PartitionParameters = PartitionParameters(),
     budget: GroupBudget = GroupBudget.PAIRWISE,
     horizon: Optional[Seconds] = None,
-) -> RunResult:
+) -> RunResult[PartitionedGroupMvCoordinator]:
     """Run an n-object valued group under partitioned-δ apportioning.
 
     Generalises :func:`run_mutual_value_partitioned` beyond pairs using
@@ -323,12 +308,7 @@ def run_mutual_value_group(
     """
     if len(traces) < 2:
         raise ValueError("a group run needs at least two traces")
-    kernel, server, proxy = build_stack(
-        traces,
-        supports_history=True,
-        want_history=True,
-        latency=LatencyModel(),
-    )
+    kernel, server, proxy = build_stack(traces)
     members = tuple(trace.object_id for trace in traces)
     coordinator = PartitionedGroupMvCoordinator(
         proxy,
@@ -339,12 +319,4 @@ def run_mutual_value_group(
         budget=budget,
     )
     coordinator.setup({member: server for member in members})
-    end = horizon if horizon is not None else max(t.end_time for t in traces)
-    kernel.run(until=end)
-    return RunResult(
-        kernel=kernel,
-        server=server,
-        proxy=proxy,
-        traces={t.object_id: t for t in traces},
-        partitioned_group=coordinator,
-    )
+    return _finish_run(kernel, server, proxy, traces, horizon, coordinator)

@@ -30,8 +30,8 @@ from repro.core.registry import Registry
 from repro.core.rng import RngRegistry, derive_seed
 from repro.core.types import HOUR
 from repro.traces.model import UpdateTrace
-from repro.traces.news import generate_table2_traces
-from repro.traces.stocks import generate_table3_traces
+from repro.traces.news import table2_traces
+from repro.traces.stocks import table3_traces
 from repro.traces.synthetic import poisson_trace
 
 #: A workload source: ``(objects, seed, params) -> traces`` in key order.
@@ -76,40 +76,24 @@ def resolve_workload(config: WorkloadConfig, seed: int) -> List[UpdateTrace]:
         ) from None
 
 
-def _select(
-    catalogue: Mapping[str, UpdateTrace],
-    objects: Sequence[str],
-    source: str,
-) -> List[UpdateTrace]:
-    traces = []
-    for key in objects:
-        if key not in catalogue:
+def _catalogue_source(
+    name: str, lookup: Callable[[Sequence[str], int], List[UpdateTrace]]
+) -> WorkloadSource:
+    """A source over one of the paper's keyed, parameterless catalogues."""
+
+    def source(
+        objects: Sequence[str], seed: int, params: Mapping[str, object]
+    ) -> List[UpdateTrace]:
+        if params:
             raise SimulationConfigError(
-                f"unknown {source} trace {key!r}; "
-                f"available: {sorted(catalogue)}"
+                f"{name} source takes no params, got {sorted(params)}"
             )
-        traces.append(catalogue[key])
-    return traces
+        try:
+            return lookup(objects, seed)
+        except KeyError as exc:
+            raise SimulationConfigError(exc.args[0]) from None
 
-
-def _news_source(
-    objects: Sequence[str], seed: int, params: Mapping[str, object]
-) -> List[UpdateTrace]:
-    if params:
-        raise SimulationConfigError(
-            f"news source takes no params, got {sorted(params)}"
-        )
-    return _select(generate_table2_traces(RngRegistry(seed)), objects, "news")
-
-
-def _stocks_source(
-    objects: Sequence[str], seed: int, params: Mapping[str, object]
-) -> List[UpdateTrace]:
-    if params:
-        raise SimulationConfigError(
-            f"stocks source takes no params, got {sorted(params)}"
-        )
-    return _select(generate_table3_traces(RngRegistry(seed)), objects, "stocks")
+    return source
 
 
 def _poisson_source(
@@ -226,7 +210,7 @@ def _trace_replay_source(
         raise SimulationConfigError(f"trace_replay: {exc}") from None
 
 
-register_workload_source("news", _news_source)
-register_workload_source("stocks", _stocks_source)
+register_workload_source("news", _catalogue_source("news", table2_traces))
+register_workload_source("stocks", _catalogue_source("stocks", table3_traces))
 register_workload_source("poisson", _poisson_source)
 register_workload_source("trace_replay", _trace_replay_source)

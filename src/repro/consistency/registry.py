@@ -10,7 +10,7 @@ workload-source lookups use.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Mapping, Optional, Type, TypeVar, Union
 
 from repro.core.registry import Registry
 
@@ -30,6 +30,8 @@ from repro.core.types import Seconds
 
 #: A registry entry: builds a PolicyFactory from keyword arguments.
 FactoryBuilder = Callable[..., PolicyFactory]
+
+P = TypeVar("P")
 
 #: The policy registry; ``POLICIES.names()`` lists the built-ins.
 POLICIES: Registry[FactoryBuilder] = Registry(
@@ -64,6 +66,29 @@ def build_policy_factory(name: str, **kwargs: Any) -> PolicyFactory:
     return POLICIES.get(name)(**kwargs)
 
 
+def _parameters(
+    kind: Type[P], given: Union[None, P, Mapping[str, Any]]
+) -> P:
+    """A policy's ``parameters`` keyword as its dataclass.
+
+    Configs are JSON, so the knobs arrive as a mapping of the
+    dataclass's fields; code passes the dataclass itself.  Anything
+    else — and a mapping with unknown keys — raises the ``TypeError``
+    a bad keyword would, which the config path reports as invalid
+    params for the policy.
+    """
+    if given is None:
+        return kind()
+    if isinstance(given, kind):
+        return given
+    if isinstance(given, Mapping):
+        return kind(**given)
+    raise TypeError(
+        f"parameters must be a {kind.__name__} or a mapping of its "
+        f"fields, got {type(given).__name__}"
+    )
+
+
 def _build_baseline(*, delta: Seconds) -> PolicyFactory:
     """The paper's baseline: poll every Δ time units."""
     return fixed_policy_factory(delta)
@@ -73,13 +98,13 @@ def _build_limd(
     *,
     delta: Seconds,
     ttr_max: Optional[Seconds] = None,
-    parameters: Optional[LimdParameters] = None,
+    parameters: Union[None, LimdParameters, Mapping[str, Any]] = None,
     detection_mode: str = "history",
 ) -> PolicyFactory:
     return limd_policy_factory(
         delta,
         ttr_max=ttr_max,
-        parameters=parameters if parameters is not None else LimdParameters(),
+        parameters=_parameters(LimdParameters, parameters),
         detection_mode=detection_mode,
     )
 
@@ -89,15 +114,15 @@ def _build_adaptive_value(
     delta: float,
     ttr_min: Seconds,
     ttr_max: Seconds,
-    parameters: Optional[AdaptiveValueParameters] = None,
+    parameters: Union[
+        None, AdaptiveValueParameters, Mapping[str, Any]
+    ] = None,
 ) -> PolicyFactory:
     return adaptive_value_policy_factory(
         delta,
         ttr_min=ttr_min,
         ttr_max=ttr_max,
-        parameters=(
-            parameters if parameters is not None else AdaptiveValueParameters()
-        ),
+        parameters=_parameters(AdaptiveValueParameters, parameters),
     )
 
 

@@ -105,15 +105,6 @@ class ObjectSnapshot:
             f"value={self.value!r})"
         )
 
-    def is_newer_than(self, other: "ObjectSnapshot") -> bool:
-        """Return True if this snapshot is a strictly newer version."""
-        if self.object_id != other.object_id:
-            raise ValueError(
-                "cannot compare snapshots of different objects: "
-                f"{self.object_id!r} vs {other.object_id!r}"
-            )
-        return self.version > other.version
-
 
 class PollOutcome:
     """The result of one proxy poll of the origin server.
@@ -193,29 +184,6 @@ class PollOutcome:
 
 
 @dataclass
-class ConsistencyBounds:
-    """User-specified tolerances (paper Section 2).
-
-    Attributes:
-        delta: The individual-consistency bound Δ (time units for
-            Δt-consistency, value units for Δv-consistency).
-        mutual_delta: The mutual-consistency tolerance δ, or ``None`` if
-            no mutual guarantee is requested for this object/group.
-    """
-
-    delta: float
-    mutual_delta: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        if self.delta <= 0:
-            raise ValueError(f"delta must be positive, got {self.delta}")
-        if self.mutual_delta is not None and self.mutual_delta < 0:
-            raise ValueError(
-                f"mutual_delta must be non-negative, got {self.mutual_delta}"
-            )
-
-
-@dataclass
 class TTRBounds:
     """Lower and upper bounds on the time-to-refresh (paper Section 3.1).
 
@@ -284,14 +252,6 @@ def require_positive(name: str, value: float) -> float:
     require_finite(name, value)
     if value <= 0:
         raise ValueError(f"{name} must be positive, got {value}")
-    return value
-
-
-def require_non_negative(name: str, value: float) -> float:
-    """Validate that a numeric parameter is finite and >= 0."""
-    require_finite(name, value)
-    if value < 0:
-        raise ValueError(f"{name} must be non-negative, got {value}")
     return value
 
 

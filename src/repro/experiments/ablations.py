@@ -33,7 +33,7 @@ from __future__ import annotations
 from typing import Dict, Mapping
 
 from repro.api.runs import (
-    build_core,
+    build_stack,
     run_individual,
     run_mutual_temporal,
     run_mutual_value_partitioned,
@@ -50,13 +50,12 @@ from repro.experiments.figure7 import VALUE_BOUNDS
 from repro.experiments.paper import PAPER_LIMD_PARAMETERS, TTR_MAX
 from repro.experiments.workloads import news_trace, stock_trace
 from repro.groups.registry import GroupRegistry
-from repro.httpsim.network import LatencyModel, Network
+from repro.httpsim.network import LatencyModel
 from repro.metrics.collector import (
     collect_mutual_synchrony,
     collect_mutual_value,
     collect_temporal,
 )
-from repro.proxy.proxy import ProxyCache
 from repro.scenarios.registry import scenario
 from repro.traces.model import UpdateTrace
 
@@ -195,8 +194,7 @@ def _threshold_point(
         delta, ttr_max=TTR_MAX, parameters=PAPER_LIMD_PARAMETERS
     )
     result = run_mutual_temporal(
-        trace_a,
-        trace_b,
+        (trace_a, trace_b),
         factory,
         mutual_delta,
         MutualTemporalMode.HEURISTIC,
@@ -205,8 +203,7 @@ def _threshold_point(
     synchrony = collect_mutual_synchrony(
         result.proxy, trace_a.object_id, trace_b.object_id, mutual_delta
     )
-    coordinator = result.mutual_coordinator
-    assert coordinator is not None
+    coordinator = result.coordinator
     return {
         "threshold": threshold,
         "polls": synchrony.total_polls,
@@ -243,13 +240,8 @@ def _trigger_point(
     triggered poll replace the next scheduled one — re-phases the LIMD
     schedule toward the partner's update instants.
     """
-    kernel, server = build_core((trace_a, trace_b))
-    proxy = ProxyCache(
-        kernel,
-        Network(kernel, LatencyModel()),
-        want_history=True,
-        triggered_polls_reschedule=(semantics == "replace"),
-    )
+    kernel, server, proxy = build_stack((trace_a, trace_b))
+    proxy.triggered_polls_reschedule = semantics == "replace"
     groups = GroupRegistry()
     groups.create_group(
         "pair", (trace_a.object_id, trace_b.object_id), mutual_delta
@@ -310,9 +302,7 @@ def _partition_point(
     pair_report = collect_mutual_value(
         result.proxy, trace_a, trace_b, mutual_delta
     )
-    coordinator = result.partitioned
-    assert coordinator is not None
-    delta_a, delta_b = coordinator.current_split
+    delta_a, delta_b = result.coordinator.current_split
     return {
         "split": split,
         "polls": pair_report.total_polls,

@@ -48,7 +48,7 @@ class Figure4Result:
 
     update_frequency: Series
     ttr: Series
-    run: RunResult
+    run: RunResult[None]
     trace_key: str
     delta: Seconds
 
@@ -85,6 +85,7 @@ def run(
         server=server,
         proxy=proxy,
         traces={trace.object_id: trace},
+        coordinator=None,
     )
     updates = update_frequency_series(trace, UPDATE_BIN, label="updates/2h")
     ttr = ttr_series(

@@ -53,8 +53,7 @@ def evaluate_mutual_delta(
     )
     for label, mode in _MODES:
         result = run_mutual_temporal(
-            trace_a,
-            trace_b,
+            (trace_a, trace_b),
             factory,
             mutual_delta,
             mode,
@@ -75,8 +74,7 @@ def evaluate_mutual_delta(
             ground_truth.report.fidelity_by_violations
         )
         row[f"{label}_fidelity_time"] = ground_truth.report.fidelity_by_time
-        if result.mutual_coordinator is not None:
-            row[f"{label}_extra_polls"] = result.mutual_coordinator.extra_polls
+        row[f"{label}_extra_polls"] = result.coordinator.extra_polls
     baseline = row["baseline_polls"]
     assert isinstance(baseline, int) and baseline > 0
     row["triggered_overhead"] = (row["triggered_polls"] - baseline) / baseline  # type: ignore[operator]

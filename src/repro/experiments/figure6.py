@@ -19,7 +19,11 @@ from typing import Dict, Mapping, Sequence
 from repro.analysis.timeseries import Series
 from repro.api.runs import RunResult, run_mutual_temporal
 from repro.consistency.limd import limd_policy_factory
-from repro.consistency.mutual_temporal import MutualTemporalMode, TriggerDecision
+from repro.consistency.mutual_temporal import (
+    MutualTemporalCoordinator,
+    MutualTemporalMode,
+    TriggerDecision,
+)
 from repro.core.types import HOUR, MINUTE, Seconds
 from repro.experiments.paper import PAPER_LIMD_PARAMETERS, TTR_MAX
 from repro.api.render import render_series_block
@@ -39,7 +43,7 @@ class Figure6Result:
     rate_ratio: Series
     extra_polls: Series
     decisions: Sequence[TriggerDecision]
-    run: RunResult
+    run: RunResult[MutualTemporalCoordinator]
     pair: Sequence[str]
 
     @property
@@ -67,16 +71,13 @@ def run(
         delta, ttr_max=TTR_MAX, parameters=PAPER_LIMD_PARAMETERS
     )
     result = run_mutual_temporal(
-        trace_a,
-        trace_b,
+        (trace_a, trace_b),
         factory,
         mutual_delta,
         MutualTemporalMode.HEURISTIC,
         rate_ratio_threshold=rate_ratio_threshold,
     )
-    coordinator = result.mutual_coordinator
-    assert coordinator is not None
-    decisions = coordinator.decisions
+    decisions = result.coordinator.decisions
     start = min(trace_a.start_time, trace_b.start_time)
     end = max(trace_a.end_time, trace_b.end_time)
     ratio = update_ratio_series(trace_a, trace_b, BIN, label="rate ratio a/b")

@@ -14,56 +14,22 @@ Registered as the ``group_mt`` scenario (``python -m repro group_mt``;
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Sequence, Tuple
+from typing import Dict, Mapping, Sequence
 
-from repro.api.runs import build_core
+from repro.api.runs import run_mutual_temporal
 from repro.consistency.limd import limd_policy_factory
-from repro.consistency.mutual_temporal import (
-    MutualTemporalCoordinator,
-    MutualTemporalMode,
-)
-from repro.core.types import MINUTE, ObjectId, Seconds
+from repro.consistency.mutual_temporal import MutualTemporalMode
+from repro.core.types import MINUTE, Seconds
 from repro.experiments.paper import PAPER_LIMD_PARAMETERS, TTR_MAX
 from repro.experiments.workloads import news_trace
-from repro.groups.registry import GroupRegistry
-from repro.httpsim.network import Network
 from repro.metrics.collector import temporal_fetches_of
-from repro.metrics.fidelity import FidelityReport
 from repro.metrics.group import group_temporal_fidelity
-from repro.proxy.proxy import ProxyCache
 from repro.scenarios.registry import scenario
 from repro.traces.model import UpdateTrace
 
 DEFAULT_TRIO = ("cnn_fn", "nyt_ap", "nyt_reuters")
 DEFAULT_DELTA: Seconds = 10 * MINUTE
 DEFAULT_MUTUAL_DELTAS = (1.0, 5.0, 10.0, 20.0, 30.0)  # minutes
-
-
-def _run_mode(
-    traces: Sequence[UpdateTrace],
-    mutual_delta: Seconds,
-    mode: MutualTemporalMode,
-) -> Tuple[ProxyCache, MutualTemporalCoordinator, FidelityReport]:
-    kernel, server = build_core(traces)
-    proxy = ProxyCache(kernel, Network(kernel))
-    groups = GroupRegistry()
-    members = tuple(trace.object_id for trace in traces)
-    groups.create_group("trio", members, mutual_delta)
-    coordinator = MutualTemporalCoordinator(proxy, groups, mode=mode)
-    factory = limd_policy_factory(
-        DEFAULT_DELTA, ttr_max=TTR_MAX, parameters=PAPER_LIMD_PARAMETERS
-    )
-    for trace in traces:
-        proxy.register_object(trace.object_id, server, factory(trace.object_id))
-    kernel.run(until=max(trace.end_time for trace in traces))
-
-    trace_map: Dict[ObjectId, UpdateTrace] = {t.object_id: t for t in traces}
-    fetches = {
-        object_id: temporal_fetches_of(proxy, object_id)
-        for object_id in members
-    }
-    report = group_temporal_fidelity(trace_map, fetches, mutual_delta)
-    return proxy, coordinator, report
 
 
 def _prepare(params: Mapping[str, object], seed: int) -> Dict[str, object]:
@@ -90,15 +56,26 @@ def _sweep_point(
     """All three Section 3.2 modes at one δ."""
     mutual_delta = delta_min * MINUTE
     row: Dict[str, object] = {"mutual_delta_min": delta_min}
+    factory = limd_policy_factory(
+        DEFAULT_DELTA, ttr_max=TTR_MAX, parameters=PAPER_LIMD_PARAMETERS
+    )
     for mode in (
         MutualTemporalMode.NONE,
         MutualTemporalMode.HEURISTIC,
         MutualTemporalMode.TRIGGERED,
     ):
-        proxy, coordinator, report = _run_mode(traces, mutual_delta, mode)
+        result = run_mutual_temporal(traces, factory, mutual_delta, mode)
+        report = group_temporal_fidelity(
+            result.traces,
+            {
+                object_id: temporal_fetches_of(result.proxy, object_id)
+                for object_id in result.traces
+            },
+            mutual_delta,
+        )
         label = "baseline" if mode is MutualTemporalMode.NONE else mode.value
-        row[f"{label}_polls"] = proxy.counters.get("polls")
+        row[f"{label}_polls"] = result.total_polls
         row[f"{label}_fidelity_time"] = report.fidelity_by_time
         if mode is not MutualTemporalMode.NONE:
-            row[f"{label}_extra"] = coordinator.extra_polls
+            row[f"{label}_extra"] = result.coordinator.extra_polls
     return row

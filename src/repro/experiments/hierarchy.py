@@ -11,17 +11,16 @@ hierarchy``; ``benchmarks/bench_extension_hierarchy.py`` regenerates it).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Tuple
+from typing import Dict, Mapping, Sequence
 
 from repro.api.runs import build_core
 from repro.consistency.limd import LimdPolicy
-from repro.core.types import MINUTE, Seconds, TTRBounds
+from repro.core.types import MINUTE, ObjectId, Seconds, TTRBounds
 from repro.experiments.workloads import news_trace
-from repro.httpsim.network import Network
-from repro.metrics.collector import collect_snapshot_fidelity
-from repro.proxy.proxy import ProxyCache
+from repro.metrics.collector import mean_snapshot_fidelity
 from repro.scenarios.registry import scenario
-from repro.server.origin import OriginServer
+from repro.topology.levels import TreeLevel
+from repro.topology.tree import TopologyTree
 from repro.traces.model import UpdateTrace
 
 DELTA: Seconds = 10 * MINUTE
@@ -29,53 +28,23 @@ TTR_MAX: Seconds = 60 * MINUTE
 DEFAULT_EDGE_COUNT = 8
 
 
-def _limd_policy() -> LimdPolicy:
+def _limd_policy(_level: int, _object_id: ObjectId) -> LimdPolicy:
     return LimdPolicy(DELTA, bounds=TTRBounds(ttr_min=DELTA, ttr_max=TTR_MAX))
 
 
-def _edge_fidelity(trace: UpdateTrace, proxy: ProxyCache, delta: Seconds) -> float:
-    """Time-fidelity from the snapshots the proxy actually held.
+def _run_tree(trace: UpdateTrace, fan_outs: Sequence[int]) -> TopologyTree:
+    """Run LIMD at Δ on every node of a tree with the given fan-outs.
 
-    Snapshot-based evaluation is essential for hierarchy edges: an edge
-    poll refreshes to *parent*-current state, which can itself be
-    stale, so poll-time fidelity would overestimate freshness.
+    ``(N,)`` is N edges each polling the origin directly; ``(1, N)`` is
+    N edges polling one shared parent, which alone polls the origin.
     """
-    return collect_snapshot_fidelity(proxy, trace, delta).report.fidelity_by_time
-
-
-def _run_flat(
-    trace: UpdateTrace, edge_count: int
-) -> Tuple[OriginServer, List[ProxyCache]]:
-    """N edges each polling the origin directly."""
     kernel, origin = build_core([trace])
-    edges: List[ProxyCache] = []
-    for index in range(edge_count):
-        edge = ProxyCache(kernel, Network(kernel), name=f"edge-{index}")
-        edge.register_object(trace.object_id, origin, _limd_policy())
-        edges.append(edge)
+    tree = TopologyTree(
+        kernel, origin, [TreeLevel(fan_out=fan_out) for fan_out in fan_outs]
+    )
+    tree.register_object(trace.object_id, _limd_policy)
     kernel.run(until=trace.end_time)
-    return origin, edges
-
-
-def _run_hierarchy(
-    trace: UpdateTrace, edge_count: int
-) -> Tuple[OriginServer, ProxyCache, List[ProxyCache]]:
-    """N edges polling one shared parent; only the parent polls origin."""
-    kernel, origin = build_core([trace])
-    parent = ProxyCache(kernel, Network(kernel), name="parent")
-    parent.register_object(trace.object_id, origin, _limd_policy())
-    edges: List[ProxyCache] = []
-    for index in range(edge_count):
-        edge = ProxyCache(kernel, Network(kernel), name=f"edge-{index}")
-        edge.register_object(trace.object_id, parent, _limd_policy())
-        edges.append(edge)
-    kernel.run(until=trace.end_time)
-    return origin, parent, edges
-
-
-def _mean(values: Iterable[float]) -> float:
-    materialized = list(values)
-    return sum(materialized) / len(materialized)
+    return tree
 
 
 def _prepare(params: Mapping[str, object], seed: int) -> Dict[str, object]:
@@ -102,21 +71,17 @@ def _topology_row(
     topology: str, *, trace: UpdateTrace, edge_count: int
 ) -> Dict[str, object]:
     """One topology's row."""
-    if topology == "flat":
-        origin, edges = _run_flat(trace, edge_count)
-        parent_polls = None
-    else:
-        origin, parent, edges = _run_hierarchy(trace, edge_count)
-        parent_polls = parent.counters.get("polls")
+    flat = topology == "flat"
+    tree = _run_tree(trace, (edge_count,) if flat else (1, edge_count))
+    edges = [node.proxy for node in tree.edge_nodes]
     return {
         "topology": topology,
         "edges": edge_count,
-        "origin_requests": origin.counters.get("requests"),
-        "parent_polls": parent_polls,
-        "edge_fidelity_1x": _mean(
-            _edge_fidelity(trace, e, DELTA) for e in edges
-        ),
-        "edge_fidelity_2x": _mean(
-            _edge_fidelity(trace, e, 2 * DELTA) for e in edges
-        ),
+        "origin_requests": tree.origin_request_count(),
+        "parent_polls": None if flat else tree.polls_per_level()[0],
+        # Scored from the snapshots the edges held: an edge poll
+        # refreshes to *parent*-current state, which can itself be
+        # stale, so poll-time fidelity would overestimate freshness.
+        "edge_fidelity_1x": mean_snapshot_fidelity(edges, [trace], DELTA),
+        "edge_fidelity_2x": mean_snapshot_fidelity(edges, [trace], 2 * DELTA),
     }

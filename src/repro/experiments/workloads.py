@@ -10,8 +10,8 @@ from typing import Dict
 
 from repro.core.rng import DEFAULT_SEED, RngRegistry
 from repro.traces.model import UpdateTrace
-from repro.traces.news import generate_table2_traces
-from repro.traces.stocks import generate_table3_traces
+from repro.traces.news import generate_table2_traces, table2_traces
+from repro.traces.stocks import generate_table3_traces, table3_traces
 
 __all__ = [
     "DEFAULT_SEED",
@@ -33,16 +33,10 @@ def stock_traces(seed: int = DEFAULT_SEED) -> Dict[str, UpdateTrace]:
 
 
 def news_trace(key: str, seed: int = DEFAULT_SEED) -> UpdateTrace:
-    """One Table 2 trace by key."""
-    traces = news_traces(seed)
-    if key not in traces:
-        raise KeyError(f"unknown news trace {key!r}; have {sorted(traces)}")
-    return traces[key]
+    """One Table 2 trace by key (``KeyError`` for an unknown one)."""
+    return table2_traces((key,), seed)[0]
 
 
 def stock_trace(key: str, seed: int = DEFAULT_SEED) -> UpdateTrace:
-    """One Table 3 trace by key."""
-    traces = stock_traces(seed)
-    if key not in traces:
-        raise KeyError(f"unknown stock trace {key!r}; have {sorted(traces)}")
-    return traces[key]
+    """One Table 3 trace by key (``KeyError`` for an unknown one)."""
+    return table3_traces((key,), seed)[0]

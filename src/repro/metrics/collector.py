@@ -21,6 +21,7 @@ from typing import (
     TYPE_CHECKING,
     Callable,
     Dict,
+    Iterable,
     List,
     Optional,
     Sequence,
@@ -123,6 +124,27 @@ def collect_snapshot_fidelity(
         trace, proxy.entry_for(trace.object_id).fetch_log, delta
     )
     return ObjectReport(object_id=trace.object_id, report=report)
+
+
+def mean_snapshot_fidelity(
+    proxies: Iterable[ProxyCache],
+    traces: Sequence[UpdateTrace],
+    delta: Seconds,
+) -> Optional[float]:
+    """Mean snapshot-scored time-fidelity over (proxy, object) pairs.
+
+    The edge-level summary of the tree scenarios, proxy by proxy and
+    object by object within each.  A bounded cache may have evicted an
+    object without refetching it by the end of the run; such pairs have
+    no snapshots to score and are skipped (``None`` when none is left).
+    """
+    scores = [
+        collect_snapshot_fidelity(proxy, trace, delta).report.fidelity_by_time
+        for proxy in proxies
+        for trace in traces
+        if proxy.entry_or_none(trace.object_id) is not None
+    ]
+    return sum(scores) / len(scores) if scores else None
 
 
 def collect_value(

@@ -21,8 +21,7 @@ from repro.analysis.timeseries import (
     sample_step_function,
 )
 from repro.consistency.mutual_temporal import TriggerDecision
-from repro.core.types import ObjectId, Seconds
-from repro.proxy.proxy import ProxyCache
+from repro.core.types import Seconds
 from repro.traces.model import UpdateTrace
 
 
@@ -139,23 +138,4 @@ def f_value_series(
     """Sample an f step function for plotting (Figure 8)."""
     return sample_step_function(
         list(knots), start=start, end=end, bin_width=bin_width, label=label
-    )
-
-
-def polls_per_bin(
-    proxy: ProxyCache,
-    object_id: ObjectId,
-    *,
-    start: Seconds,
-    end: Seconds,
-    bin_width: Seconds,
-) -> Series:
-    """Poll counts per bin for one object (diagnostics)."""
-    entry = proxy.entry_for(object_id)
-    return bin_count(
-        (record.time for record in entry.fetch_log),
-        start=start,
-        end=end,
-        bin_width=bin_width,
-        label=f"polls({object_id})",
     )

@@ -109,25 +109,6 @@ class CacheEntry:
             return None
         return self._fetch_log[-1].time
 
-    @property
-    def cached_version_origin(self) -> Optional[Seconds]:
-        """When the cached version was created at the server
-        (its Last-Modified) — the t₁/t₂ of the paper's Eq. 4."""
-        if self.snapshot is None:
-            return None
-        return self.snapshot.last_modified
-
-    def known_modification_times(self) -> List[Seconds]:
-        """Distinct server modification times this proxy has observed.
-
-        A proxy serving as an upstream in a hierarchy uses these to
-        populate the Section 5.1 history header for its children.  Note
-        the list only contains versions this proxy *fetched* — updates
-        that fell between its polls are invisible, exactly the
-        degradation a real cache hierarchy exhibits.
-        """
-        return list(self.modification_times)
-
     def record_fetch(
         self,
         time: Seconds,

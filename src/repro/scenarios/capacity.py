@@ -25,7 +25,7 @@ serial and ``workers > 1`` runs stay row-for-row identical.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, Mapping, Optional, Sequence
 
 from repro.api.builder import SimulationBuilder
 from repro.api.runs import build_core
@@ -34,40 +34,17 @@ from repro.core.types import HOUR, MINUTE
 from repro.experiments.paper import TTR_MAX, limd_level_factory
 from repro.metrics.collector import (
     collect_eviction_impact,
-    collect_snapshot_fidelity,
+    mean_snapshot_fidelity,
 )
 from repro.proxy.cache import ObjectCache
 from repro.scenarios.registry import prepare_params_seed, scenario
 from repro.topology.levels import TreeLevel
 from repro.topology.tree import TopologyTree
-from repro.traces.model import UpdateTrace
 from repro.workload.surges import SurgeWindow, flash_crowd_trace
 
 # ----------------------------------------------------------------------
 # Bounded edge caches under flash-crowd load
 # ----------------------------------------------------------------------
-
-
-def _mean_edge_fidelity_present(
-    tree: TopologyTree, traces: Sequence[UpdateTrace], delta: float
-) -> Optional[float]:
-    """Mean edge time-fidelity over the (edge, object) pairs still cached.
-
-    Bounded edges may have evicted an object without refetching it by
-    the end of the run; those pairs have no snapshots to score and are
-    skipped (their cost is what ``staleness_violations`` counts).
-    """
-    scores: List[float] = []
-    for node in tree.edge_nodes:
-        for trace in traces:
-            if node.proxy.entry_or_none(trace.object_id) is None:
-                continue
-            scores.append(
-                collect_snapshot_fidelity(
-                    node.proxy, trace, delta
-                ).report.fidelity_by_time
-            )
-    return sum(scores) / len(scores) if scores else None
 
 
 @scenario(
@@ -166,9 +143,11 @@ def _capacity_edge_point(
         "refetch_after_evict": refetches,
         "staleness_violations": violations,
         "absent_time_s": absent,
-        # The additive bound gives depth-2 edges 2Δ of slack.
-        "edge_fidelity_time": _mean_edge_fidelity_present(
-            tree, traces, 2 * delta
+        # The additive bound gives depth-2 edges 2Δ of slack.  Pairs a
+        # bounded edge evicted for good are not scored here: their cost
+        # is what ``staleness_violations`` counts.
+        "edge_fidelity_time": mean_snapshot_fidelity(
+            (node.proxy for node in tree.edge_nodes), traces, 2 * delta
         ),
         "origin_requests": tree.origin_request_count(),
         "total_polls": tree.total_polls(),

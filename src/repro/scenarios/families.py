@@ -30,7 +30,7 @@ from __future__ import annotations
 import random
 from typing import Dict, Mapping
 
-from repro.api.runs import build_core, run_individual
+from repro.api.runs import build_core, build_stack, run_individual
 from repro.consistency.limd import limd_policy_factory
 from repro.core.rng import RngRegistry, derive_seed
 from repro.core.types import DAY, HOUR, MINUTE
@@ -41,9 +41,7 @@ from repro.experiments.paper import (
     limd_level_factory,
 )
 from repro.experiments.workloads import news_trace, stock_trace
-from repro.httpsim.network import Network
-from repro.metrics.collector import collect_snapshot_fidelity, collect_temporal
-from repro.proxy.proxy import ProxyCache
+from repro.metrics.collector import collect_temporal, mean_snapshot_fidelity
 from repro.scenarios.registry import prepare_params_seed, scenario
 from repro.topology.levels import TreeLevel
 from repro.topology.tree import TopologyTree
@@ -216,8 +214,7 @@ def _failure_churn_point(
         mean_downtime=mean_downtime,
         start=trace.start_time,
     )
-    kernel, server = build_core([trace])
-    proxy = ProxyCache(kernel, Network(kernel))
+    kernel, server, proxy = build_stack([trace])
     factory = limd_policy_factory(
         delta, ttr_max=TTR_MAX, parameters=PAPER_LIMD_PARAMETERS
     )
@@ -304,24 +301,6 @@ def _hetero_mix_point(
     return row
 
 
-def _mean_edge_snapshot_fidelity(
-    tree: TopologyTree, trace: UpdateTrace, delta: float
-) -> float:
-    """Mean time-fidelity over the edges, from snapshots actually held.
-
-    Edge polls refresh to *parent*-current (possibly stale) state, so
-    poll-time scoring would overestimate freshness — the same
-    snapshot-based rule the hierarchy extension uses.
-    """
-    scores = [
-        collect_snapshot_fidelity(
-            node.proxy, trace, delta
-        ).report.fidelity_by_time
-        for node in tree.edge_nodes
-    ]
-    return sum(scores) / len(scores)
-
-
 # ----------------------------------------------------------------------
 # CDN-style edge trees under flash-crowd load
 # ----------------------------------------------------------------------
@@ -394,8 +373,8 @@ def _cdn_tree_point(
         "total_polls": sum(per_level),
         "polls_per_edge": per_level[-1] / edge_count,
         # The additive bound gives the edges depth*delta of slack.
-        "edge_fidelity_time": _mean_edge_snapshot_fidelity(
-            tree, trace, depth * delta
+        "edge_fidelity_time": mean_snapshot_fidelity(
+            (node.proxy for node in tree.edge_nodes), [trace], depth * delta
         ),
     }
 
@@ -457,8 +436,8 @@ def _hybrid_push_pull_point(
             # update pushed down by the origin.
             "messages": tree.total_polls() + tree.push_notifications(),
             "origin_requests": tree.origin_request_count(),
-            "edge_fidelity": _mean_edge_snapshot_fidelity(
-                tree, trace, 2 * delta
+            "edge_fidelity": mean_snapshot_fidelity(
+                (node.proxy for node in tree.edge_nodes), [trace], 2 * delta
             ),
         }
 

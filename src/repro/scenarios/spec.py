@@ -20,7 +20,7 @@ Keeping the spec declarative buys three things:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from typing import Dict, Mapping, Sequence, Tuple, Union
 
 # Shared with repro.api.config: one JSON-round-trip discipline.
@@ -186,38 +186,6 @@ class ScenarioSpec:
             "title": self.title,
             "tags": list(self.tags),
         }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, object]) -> "ScenarioSpec":
-        """Build a spec from a plain dict, rejecting unknown fields."""
-        if not isinstance(data, Mapping):
-            raise ScenarioSpecError(
-                f"spec must be a mapping, got {type(data).__name__}"
-            )
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise ScenarioSpecError(
-                f"unknown spec field(s): {unknown}; known: {sorted(known)}"
-            )
-        missing = sorted(
-            {"name", "description", "axis", "values"} - set(data)
-        )
-        if missing:
-            raise ScenarioSpecError(f"missing spec field(s): {missing}")
-        kwargs = dict(data)
-        return cls(**kwargs)  # type: ignore[arg-type]
-
-    def to_json(self, *, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=False)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ScenarioSpec":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ScenarioSpecError(f"invalid spec JSON: {exc}") from None
-        return cls.from_dict(data)
 
 
 def parse_param_overrides(pairs: Sequence[str]) -> Dict[str, object]:

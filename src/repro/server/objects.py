@@ -124,14 +124,6 @@ class ServerObject:
         """
         return self._times
 
-    def modifications_between(
-        self, start: Seconds, end: Seconds
-    ) -> List[UpdateRecord]:
-        """Updates with start < time <= end."""
-        lo = bisect.bisect_right(self._times, start)
-        hi = bisect.bisect_right(self._times, end)
-        return self._updates[lo:hi]
-
     def value_at(self, t: Seconds) -> Optional[float]:
         """The object's value at time ``t`` (None if unborn or unvalued)."""
         state = self.state_at(t)

@@ -270,14 +270,6 @@ class EventHandle:
         self._cancelled = True
         self._event.cancelled = True
 
-    def cancel_if_pending(self) -> bool:
-        """Cancel the event if pending; return whether it was cancelled."""
-        if self.pending:
-            self._cancelled = True
-            self._event.cancelled = True
-            return True
-        return False
-
     def __repr__(self) -> str:
         state = (
             "cancelled" if self._cancelled else ("fired" if self.fired else "pending")

@@ -79,18 +79,6 @@ class OneShotTimer:
         """Arm (or re-arm) the timer to fire ``delay`` seconds from now."""
         self.arm_at(self._kernel.now() + delay)
 
-    def pull_in_to(self, when: Seconds) -> bool:
-        """Move the firing earlier, to ``when``, if it is currently later.
-
-        Returns True if the timer was moved.  A timer that is unarmed is
-        simply armed at ``when``.  Never pushes a timer later.
-        """
-        current = self.next_fire_time
-        if current is not None and current <= when:
-            return False
-        self.arm_at(when)
-        return True
-
     def disarm(self) -> None:
         """Cancel any pending firing.  Safe to call when unarmed."""
         event = self._event
@@ -118,8 +106,7 @@ class RestartableTimer(OneShotTimer):
     """A one-shot timer that can be re-armed or rescheduled.
 
     Each firing hands the fire time to ``callback``, which typically
-    computes the next interval and re-arms.  Mutual-consistency
-    coordinators may also *pull in* the timer to an earlier instant.
+    computes the next interval and re-arms.
     """
 
     __slots__ = ("_callback",)

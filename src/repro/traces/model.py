@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional, Sequence
+from typing import Iterable, Iterator, List, Mapping, Optional, Sequence
 
 from repro.core.errors import TraceFormatError, TraceOrderingError
 from repro.core.types import ObjectId, Seconds, UpdateRecord
@@ -246,3 +246,19 @@ def trace_from_ticks(
         end_time=end_time,
         metadata=metadata,
     )
+
+
+def select_traces(
+    catalogue: Mapping[str, UpdateTrace], keys: Sequence[str], kind: str
+) -> List[UpdateTrace]:
+    """A catalogue's traces for ``keys``, in key order.
+
+    An unknown key raises ``KeyError`` naming it and the keys on offer.
+    """
+    try:
+        return [catalogue[key] for key in keys]
+    except KeyError as exc:
+        raise KeyError(
+            f"unknown {kind} trace {exc.args[0]!r}; "
+            f"available: {sorted(catalogue)}"
+        ) from None

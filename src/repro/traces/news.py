@@ -26,7 +26,12 @@ from typing import List, Optional, Sequence
 
 from repro.core.rng import RngRegistry
 from repro.core.types import DAY, HOUR, MINUTE, ObjectId, Seconds
-from repro.traces.model import TraceMetadata, UpdateTrace, trace_from_times
+from repro.traces.model import (
+    TraceMetadata,
+    UpdateTrace,
+    select_traces,
+    trace_from_times,
+)
 
 #: Minimum separation between consecutive synthetic updates.  The paper's
 #: collection program polled once a minute, so sub-second spacing carries
@@ -340,3 +345,10 @@ def generate_table2_traces(
         generator = NewsTraceGenerator(rngs.stream(f"news.{key}"))
         traces[key] = generator.generate(spec, object_id=key)
     return traces
+
+
+def table2_traces(keys: Sequence[str], seed: int) -> List[UpdateTrace]:
+    """The Table 2 traces named by ``keys`` at one seed, in key order."""
+    return select_traces(
+        generate_table2_traces(RngRegistry(seed)), keys, "news"
+    )

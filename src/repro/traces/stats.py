@@ -80,12 +80,6 @@ def summarize_value(trace: UpdateTrace) -> ValueTraceSummary:
     )
 
 
-def inter_update_gaps(trace: UpdateTrace) -> List[Seconds]:
-    """Return the gaps between consecutive updates."""
-    times = [r.time for r in trace.records]
-    return [b - a for a, b in zip(times, times[1:])]
-
-
 def updates_per_bin(
     trace: UpdateTrace, bin_width: Seconds, *, end: Optional[Seconds] = None
 ) -> List[int]:
@@ -109,10 +103,3 @@ def updates_per_bin(
         if 0 <= index < bin_count:
             counts[index] += 1
     return counts
-
-
-def update_rate_per_bin(
-    trace: UpdateTrace, bin_width: Seconds, *, end: Optional[Seconds] = None
-) -> List[float]:
-    """Update *rate* (updates per second) in each bin."""
-    return [c / bin_width for c in updates_per_bin(trace, bin_width, end=end)]

@@ -33,7 +33,12 @@ from typing import List, Optional, Sequence
 
 from repro.core.rng import RngRegistry
 from repro.core.types import HOUR, ObjectId, Seconds
-from repro.traces.model import TraceMetadata, UpdateTrace, trace_from_ticks
+from repro.traces.model import (
+    TraceMetadata,
+    UpdateTrace,
+    select_traces,
+    trace_from_ticks,
+)
 
 #: Minimum separation between ticks; the quote server sampled at ~1 Hz.
 MIN_TICK_SPACING: Seconds = 0.5
@@ -231,3 +236,10 @@ def generate_table3_traces(
         generator = StockTraceGenerator(rngs.stream(f"stocks.{key}"))
         traces[key] = generator.generate(spec, object_id=key)
     return traces
+
+
+def table3_traces(keys: Sequence[str], seed: int) -> List[UpdateTrace]:
+    """The Table 3 traces named by ``keys`` at one seed, in key order."""
+    return select_traces(
+        generate_table3_traces(RngRegistry(seed)), keys, "stock"
+    )

@@ -2,16 +2,14 @@
 
 The paper's simulator "simulates a proxy cache that receives requests
 from several clients"; consistency maintenance itself is autonomous, but
-the request path (hits/misses) needs an arrival model.  Two standard
-processes are provided: Poisson (exponential gaps) and regular (fixed
-gaps with optional jitter).
+the request path (hits/misses) needs an arrival model — Poisson
+(exponential gaps) here.
 """
 
 from __future__ import annotations
 
 import abc
 import random
-from typing import Iterator, Optional
 
 from repro.core.types import Seconds, require_positive
 
@@ -22,17 +20,6 @@ class ArrivalProcess(abc.ABC):
     @abc.abstractmethod
     def next_gap(self) -> Seconds:
         """The gap until the next arrival, in seconds (> 0)."""
-
-    def arrival_times(
-        self, start: Seconds, end: Seconds
-    ) -> Iterator[Seconds]:
-        """Yield absolute arrival times in (start, end]."""
-        t = start
-        while True:
-            t += self.next_gap()
-            if t > end:
-                return
-            yield t
 
 
 class PoissonArrivals(ArrivalProcess):
@@ -48,35 +35,3 @@ class PoissonArrivals(ArrivalProcess):
 
     def next_gap(self) -> Seconds:
         return self._rng.expovariate(self._rate)
-
-
-class RegularArrivals(ArrivalProcess):
-    """Fixed-interval arrivals with optional uniform jitter."""
-
-    def __init__(
-        self,
-        interval: Seconds,
-        *,
-        jitter: Seconds = 0.0,
-        rng: Optional[random.Random] = None,
-    ) -> None:
-        self._interval = require_positive("interval", interval)
-        if jitter < 0:
-            raise ValueError(f"jitter must be >= 0, got {jitter}")
-        if jitter >= interval:
-            raise ValueError(
-                f"jitter ({jitter}) must be smaller than interval ({interval})"
-            )
-        if jitter > 0 and rng is None:
-            raise ValueError("jitter requires an rng")
-        self._jitter = jitter
-        self._rng = rng
-
-    @property
-    def interval(self) -> Seconds:
-        return self._interval
-
-    def next_gap(self) -> Seconds:
-        if self._jitter == 0 or self._rng is None:
-            return self._interval
-        return self._interval + self._rng.uniform(-self._jitter, self._jitter)

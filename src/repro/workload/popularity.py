@@ -12,7 +12,6 @@ dominated request generation for large catalogues.
 from __future__ import annotations
 
 import abc
-import itertools
 import random
 from typing import List, Sequence
 
@@ -96,19 +95,6 @@ class PopularityModel(abc.ABC):
         ...
 
 
-class UniformPopularity(PopularityModel):
-    """All objects equally likely."""
-
-    def __init__(self, objects: Sequence[ObjectId], rng: random.Random) -> None:
-        if not objects:
-            raise ValueError("need at least one object")
-        self._objects = list(objects)
-        self._rng = rng
-
-    def choose(self) -> ObjectId:
-        return self._rng.choice(self._objects)
-
-
 class ZipfPopularity(PopularityModel):
     """Zipf(s) popularity: the i-th ranked object has weight 1/i^s.
 
@@ -136,29 +122,7 @@ class ZipfPopularity(PopularityModel):
             raise ValueError(f"exponent must be >= 0, got {exponent}")
         self._objects = list(objects)
         weights = [1.0 / ((rank + 1) ** exponent) for rank in range(len(objects))]
-        self._cumulative: List[float] = list(itertools.accumulate(weights))
         self._sampler = AliasSampler(weights, rng)
 
     def choose(self) -> ObjectId:
         return self._objects[self._sampler.draw_index()]
-
-    def probability_of(self, object_id: ObjectId) -> float:
-        """The model's probability of choosing ``object_id``."""
-        index = self._objects.index(object_id)
-        previous = self._cumulative[index - 1] if index > 0 else 0.0
-        return (self._cumulative[index] - previous) / self._cumulative[-1]
-
-
-class RotatingPopularity(PopularityModel):
-    """Deterministic round-robin (useful in tests)."""
-
-    def __init__(self, objects: Sequence[ObjectId]) -> None:
-        if not objects:
-            raise ValueError("need at least one object")
-        self._objects = list(objects)
-        self._index = 0
-
-    def choose(self) -> ObjectId:
-        chosen = self._objects[self._index % len(self._objects)]
-        self._index += 1
-        return chosen

@@ -9,12 +9,10 @@ import pytest
 from repro.analysis.rates import (
     UpdateRateEstimator,
     ValueRateEstimator,
-    ttr_for_value_bound,
 )
 from repro.analysis.timeseries import (
     Series,
     bin_count,
-    moving_average,
     ratio_series,
     sample_step_function,
 )
@@ -89,19 +87,6 @@ class TestValueRateEstimator:
             estimator.observe(0.0, math.nan)
 
 
-class TestTtrForValueBound:
-    def test_eq9(self):
-        assert ttr_for_value_bound(2.0, 0.5, ttr_if_static=99.0) == 4.0
-
-    def test_static_fallback(self):
-        assert ttr_for_value_bound(2.0, None, ttr_if_static=99.0) == 99.0
-        assert ttr_for_value_bound(2.0, 0.0, ttr_if_static=99.0) == 99.0
-
-    def test_invalid_delta(self):
-        with pytest.raises(ValueError):
-            ttr_for_value_bound(0.0, 1.0, ttr_if_static=1.0)
-
-
 class TestSeries:
     def test_bin_count(self):
         series = bin_count(
@@ -153,18 +138,6 @@ class TestSeries:
         b = Series(start=1.0, bin_width=1.0, values=(1.0,))
         with pytest.raises(ValueError):
             ratio_series(a, b)
-
-    def test_moving_average(self):
-        series = Series(start=0.0, bin_width=1.0, values=(0.0, 3.0, 6.0))
-        smoothed = moving_average(series, window_bins=3)
-        assert smoothed.values[1] == pytest.approx(3.0)
-
-    def test_moving_average_handles_nan(self):
-        series = Series(
-            start=0.0, bin_width=1.0, values=(1.0, math.nan, 3.0)
-        )
-        smoothed = moving_average(series, window_bins=3)
-        assert smoothed.values[1] == pytest.approx(2.0)
 
     def test_invalid_bin_width_rejected(self):
         with pytest.raises(ValueError):

@@ -88,6 +88,61 @@ class TestBuilder:
         assert not hasattr(SimulationBuilder, "log_events")
         assert "event_log" not in {f.name for f in fields(runs.RunResult)}
 
+    def test_run_layer_takes_only_what_some_caller_passes(self):
+        # Whole parameter lists, so a seam nobody passes cannot return
+        # under any name; one coordinator slot whatever the run attached.
+        from repro.api import runs
+        from repro.api.executors import executor_for
+
+        def names(function):
+            return list(inspect.signature(function).parameters)
+
+        assert names(runs.build_stack) == [
+            "traces", "supports_history", "want_history", "latency"
+        ]
+        assert names(runs.run_many) == ["tasks", "workers"]
+        assert names(executor_for) == ["workers"]
+        assert [f.name for f in fields(runs.RunResult)] == [
+            "kernel", "server", "proxy", "traces", "coordinator"
+        ]
+
+    def test_bare_section_calls_yield_the_section_defaults(self):
+        # The builder declares no default of its own: it forwards what
+        # the caller passed and the section dataclass supplies the rest.
+        from repro.api.config import (
+            CacheConfig,
+            GroupsConfig,
+            NetworkConfig,
+            PolicyConfig,
+            TopologyConfig,
+            WorkloadConfig,
+        )
+
+        fresh = (
+            SimulationBuilder()
+            .workload(WorkloadConfig().source)
+            .policy(PolicyConfig().name)
+            .topology(TopologyConfig().kind)
+            .build()
+        )
+        assert fresh.workload == WorkloadConfig()
+        assert fresh.policy == PolicyConfig()
+        assert fresh.topology == TopologyConfig()
+        tree = SimulationBuilder().topology("tree", levels=[{}]).build()
+        assert tree.topology == TopologyConfig(kind="tree", levels=[{}])
+        # These three replace their whole section, so a bare call also
+        # resets one that was set away from every default.
+        moved = (
+            SimulationBuilder()
+            .network(2.0, jitter_s=1.0)
+            .cache(3, eviction="lfu", default_ttl_s=9.0)
+            .groups(edges=[("a", "b")], mode="heuristic", component_delta=1.0)
+        )
+        bare = moved.network().cache().groups().build()
+        assert bare.network == NetworkConfig()
+        assert bare.cache == CacheConfig()
+        assert bare.groups == GroupsConfig()
+
     def test_builder_from_existing_config_overrides(self):
         base = _tiny_builder().build()
         derived = SimulationBuilder(base).seed(11).build()
@@ -203,6 +258,25 @@ class TestRunSimulation:
         config = _tiny_builder().policy("baseline", delta=600.0, bogus=1).build()
         with pytest.raises(SimulationConfigError, match="bogus"):
             run_simulation(config)
+        for parameters in ({"nope": 1}, 3):
+            config = (
+                _tiny_builder()
+                .policy("limd", delta=600.0, parameters=parameters)
+                .build()
+            )
+            with pytest.raises(SimulationConfigError, match="policy 'limd'"):
+                run_simulation(config)
+
+    def test_policy_parameters_may_be_a_json_mapping(self):
+        # A config file can only spell LimdParameters as a mapping.
+        def rows(**params):
+            builder = SimulationBuilder().fidelity_delta(600.0)
+            outcome = builder.policy("limd", delta=600.0, **params).run()
+            return outcome.results.to_records()
+
+        paper = {"linear_increase": 0.2, "epsilon": 0.02}
+        assert rows(parameters=paper) == rows()
+        assert rows(parameters={**paper, "linear_increase": 0.5}) != rows()
 
     def test_bad_workload_params_are_a_config_error(self):
         config = (

@@ -7,16 +7,13 @@ import math
 import pytest
 
 from repro.core.types import (
-    ConsistencyBounds,
     GroupId,
     GroupSpec,
     ObjectId,
-    ObjectSnapshot,
     TTRBounds,
     UpdateRecord,
     require_finite,
     require_fraction,
-    require_non_negative,
     require_positive,
 )
 
@@ -52,44 +49,6 @@ class TestUpdateRecord:
         record = UpdateRecord(time=1.0, version=0)
         with pytest.raises(AttributeError):
             record.time = 2.0  # type: ignore[misc]
-
-
-class TestObjectSnapshot:
-    def test_is_newer_than(self):
-        old = ObjectSnapshot(ObjectId("x"), version=1, last_modified=10.0)
-        new = ObjectSnapshot(ObjectId("x"), version=2, last_modified=20.0)
-        assert new.is_newer_than(old)
-        assert not old.is_newer_than(new)
-        assert not old.is_newer_than(old)
-
-    def test_cross_object_comparison_rejected(self):
-        a = ObjectSnapshot(ObjectId("a"), version=1, last_modified=10.0)
-        b = ObjectSnapshot(ObjectId("b"), version=2, last_modified=20.0)
-        with pytest.raises(ValueError, match="different objects"):
-            a.is_newer_than(b)
-
-
-class TestConsistencyBounds:
-    def test_valid(self):
-        bounds = ConsistencyBounds(delta=5.0, mutual_delta=2.0)
-        assert bounds.delta == 5.0
-        assert bounds.mutual_delta == 2.0
-
-    def test_mutual_delta_optional(self):
-        assert ConsistencyBounds(delta=5.0).mutual_delta is None
-
-    def test_zero_mutual_delta_allowed(self):
-        assert ConsistencyBounds(delta=5.0, mutual_delta=0.0).mutual_delta == 0.0
-
-    def test_non_positive_delta_rejected(self):
-        with pytest.raises(ValueError):
-            ConsistencyBounds(delta=0.0)
-        with pytest.raises(ValueError):
-            ConsistencyBounds(delta=-1.0)
-
-    def test_negative_mutual_delta_rejected(self):
-        with pytest.raises(ValueError):
-            ConsistencyBounds(delta=1.0, mutual_delta=-0.1)
 
 
 class TestTTRBounds:
@@ -160,13 +119,6 @@ class TestValidators:
     def test_require_positive_rejects(self, bad):
         with pytest.raises(ValueError):
             require_positive("x", bad)
-
-    def test_require_non_negative_accepts_zero(self):
-        assert require_non_negative("x", 0.0) == 0.0
-
-    def test_require_non_negative_rejects_negative(self):
-        with pytest.raises(ValueError):
-            require_non_negative("x", -0.001)
 
     def test_require_finite_rejects_nan(self):
         with pytest.raises(ValueError):

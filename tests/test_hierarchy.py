@@ -84,7 +84,7 @@ class TestProxyHandleRequest:
         kernel.schedule_at(45.0, lambda k: server.apply_update(X, 45.0))
         kernel.run(until=100.0)
         entry = proxy.entry_for(X)
-        known = entry.known_modification_times()
+        known = list(entry.modification_times)
         assert known == [0.0, 45.0]
         modified = proxy.handle_request(
             conditional_get(X, want_history=True), now=100.0
@@ -98,8 +98,7 @@ class TestProxyHandleRequest:
         )
         assert unchanged.status is Status.NOT_MODIFIED
         unchanged.modification_history.append(999.0)
-        entry.known_modification_times().append(999.0)
-        assert entry.known_modification_times() == known
+        assert entry.modification_times == known
 
     def test_downstream_counters_tracked(self):
         _kernel, server, proxy = _single_proxy_stack()

@@ -168,8 +168,11 @@ class TestAliasSampler:
         counts = {obj: 0 for obj in objects}
         for _ in range(draws):
             counts[model.choose()] += 1
-        for obj in objects[:5]:  # the head carries enough mass to test
-            expected = model.probability_of(obj)
+        harmonic = sum(1.0 / rank for rank in range(1, len(objects) + 1))
+        # The head carries enough mass to test: Zipf(1) gives rank i
+        # probability 1 / (i * H_n).
+        for rank, obj in enumerate(objects[:5], start=1):
+            expected = 1.0 / (rank * harmonic)
             assert abs(counts[obj] / draws - expected) < 0.02
 
 

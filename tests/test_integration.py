@@ -93,8 +93,7 @@ class TestMutualTemporalEndToEnd:
         delta = 10 * MINUTE
         mutual_delta = 2 * MINUTE
         result = run_mutual_temporal(
-            trace_a,
-            trace_b,
+            (trace_a, trace_b),
             limd_policy_factory(delta),
             mutual_delta,
             MutualTemporalMode.TRIGGERED,
@@ -105,31 +104,40 @@ class TestMutualTemporalEndToEnd:
         assert pair.report.fidelity_by_violations == 1.0
 
     def test_heuristic_cheaper_than_triggered(self):
-        trace_a = news_trace("cnn_fn")
-        trace_b = news_trace("nyt_ap")
         delta = 10 * MINUTE
         mutual_delta = 1 * MINUTE
-        triggered = run_mutual_temporal(
-            trace_a, trace_b, limd_policy_factory(delta),
-            mutual_delta, MutualTemporalMode.TRIGGERED,
-        )
-        heuristic = run_mutual_temporal(
-            trace_a, trace_b, limd_policy_factory(delta),
-            mutual_delta, MutualTemporalMode.HEURISTIC,
-        )
-        assert (
-            heuristic.mutual_coordinator.extra_polls
-            <= triggered.mutual_coordinator.extra_polls
-        )
+        # The paper's pair, and the n-object group it generalises to.
+        for keys in (("cnn_fn", "nyt_ap"), ("cnn_fn", "nyt_ap", "nyt_reuters")):
+            traces = [news_trace(key) for key in keys]
+            triggered = run_mutual_temporal(
+                traces, limd_policy_factory(delta),
+                mutual_delta, MutualTemporalMode.TRIGGERED,
+            )
+            heuristic = run_mutual_temporal(
+                traces, limd_policy_factory(delta),
+                mutual_delta, MutualTemporalMode.HEURISTIC,
+            )
+            assert set(triggered.traces) == {t.object_id for t in traces}
+            assert (
+                0
+                < heuristic.coordinator.extra_polls
+                <= triggered.coordinator.extra_polls
+            )
 
     def test_baseline_mode_never_triggers(self):
-        trace_a = news_trace("cnn_fn")
-        trace_b = news_trace("nyt_ap")
+        traces = (news_trace("cnn_fn"), news_trace("nyt_ap"))
         result = run_mutual_temporal(
-            trace_a, trace_b, limd_policy_factory(10 * MINUTE),
+            traces, limd_policy_factory(10 * MINUTE),
             2 * MINUTE, MutualTemporalMode.NONE,
         )
-        assert result.mutual_coordinator.extra_polls == 0
+        assert result.coordinator.extra_polls == 0
+
+    def test_a_group_needs_two_members(self):
+        with pytest.raises(ValueError, match="at least two"):
+            run_mutual_temporal(
+                [news_trace("cnn_fn")], limd_policy_factory(10 * MINUTE),
+                2 * MINUTE, MutualTemporalMode.TRIGGERED,
+            )
 
 
 class TestMutualValueEndToEnd:

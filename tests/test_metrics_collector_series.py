@@ -21,7 +21,6 @@ from repro.metrics.collector import (
 from repro.metrics.series import (
     extra_polls_series,
     f_value_series,
-    polls_per_bin,
     server_f_knots,
     ttr_series,
     update_frequency_series,
@@ -146,11 +145,6 @@ class TestSeries:
         series = update_ratio_series(trace_x, trace_y, bin_width=50.0)
         # x: 2 updates in [0,50); y: 3 updates → ratio 2/3.
         assert series.values[0] == pytest.approx(2 / 3)
-
-    def test_polls_per_bin(self, finished_run):
-        proxy, _, _, _ = finished_run
-        series = polls_per_bin(proxy, X, start=0.0, end=100.0, bin_width=50.0)
-        assert sum(series.values) == 10.0  # initial + 9 polls before 100
 
     def test_server_f_knots_difference(self, finished_run):
         _, _, trace_y, _ = finished_run

@@ -53,14 +53,14 @@ def _run_group(budget, *, delta=3.0, rates=None):
 class TestGroupBudgets:
     def test_pairwise_budget_bounds_two_largest(self):
         result = _run_group(GroupBudget.PAIRWISE)
-        group = result.partitioned_group
+        group = result.coordinator
         assert group is not None
         assert group.counters.get("reapportionments") > 0
         assert group.max_pair_tolerance_sum() <= 3.0 * 1.05
 
     def test_sum_budget_bounds_full_sum(self):
         result = _run_group(GroupBudget.SUM)
-        group = result.partitioned_group
+        group = result.coordinator
         assert group is not None
         assert group.counters.get("reapportionments") > 0
         assert group.tolerance_sum() <= 3.0 * 1.05
@@ -71,8 +71,8 @@ class TestGroupBudgets:
         # pins the full sum at δ.  (Per-object comparison would be
         # noisy: the two runs poll differently and estimate different
         # rates.)
-        pairwise = _run_group(GroupBudget.PAIRWISE).partitioned_group
-        summed = _run_group(GroupBudget.SUM).partitioned_group
+        pairwise = _run_group(GroupBudget.PAIRWISE).coordinator
+        summed = _run_group(GroupBudget.SUM).coordinator
         assert pairwise is not None and summed is not None
         assert summed.tolerance_sum() <= pairwise.tolerance_sum() + 1e-9
 
@@ -94,11 +94,11 @@ class TestGroupBudgets:
 
     def test_budget_property_exposed(self):
         result = _run_group(GroupBudget.SUM)
-        assert result.partitioned_group.budget is GroupBudget.SUM
+        assert result.coordinator.budget is GroupBudget.SUM
 
     def test_slower_objects_get_larger_tolerance_in_both_budgets(self):
         for budget in (GroupBudget.PAIRWISE, GroupBudget.SUM):
-            group = _run_group(budget).partitioned_group
+            group = _run_group(budget).coordinator
             tolerances = group.current_tolerances()
             assert tolerances[A] > tolerances[B] > tolerances[C]
 

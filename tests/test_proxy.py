@@ -50,7 +50,6 @@ class TestCacheEntry:
         assert entry.snapshot is snap
         assert entry.poll_count == 1
         assert entry.last_poll_time == 10.0
-        assert entry.cached_version_origin == 5.0
 
     def test_fetches_must_be_time_ordered(self):
         entry = CacheEntry(ObjectId("x"))
@@ -67,11 +66,11 @@ class TestCacheEntry:
         # A 304 revalidation re-records the same snapshot.
         entry.record_fetch(20.0, v1, modified=False, reason=PollReason.TTR_EXPIRED)
         entry.record_fetch(40.0, v2, modified=True, reason=PollReason.TTR_EXPIRED)
-        assert entry.known_modification_times() == [5.0, 30.0]
+        assert entry.modification_times == [5.0, 30.0]
 
     def test_known_modification_times_empty_before_fetches(self):
         entry = CacheEntry(ObjectId("x"))
-        assert entry.known_modification_times() == []
+        assert entry.modification_times == []
 
 
 class TestObjectCache:

@@ -1,4 +1,8 @@
-"""Unit tests for ScenarioSpec serialization and validation."""
+"""Unit tests for ScenarioSpec serialization and validation.
+
+``to_dict`` is what goldens and ``ScenarioResult.to_dict`` store; a spec
+comes back from it through the constructor, so that is the round trip.
+"""
 
 from __future__ import annotations
 
@@ -11,6 +15,10 @@ from repro.scenarios.spec import (
     ScenarioSpecError,
     parse_param_overrides,
 )
+
+
+def _through_json(spec: ScenarioSpec) -> ScenarioSpec:
+    return ScenarioSpec(**json.loads(json.dumps(spec.to_dict())))
 
 
 def make_spec(**overrides) -> ScenarioSpec:
@@ -31,60 +39,30 @@ def make_spec(**overrides) -> ScenarioSpec:
 class TestRoundTrip:
     def test_dict_round_trip_is_identity(self):
         spec = make_spec()
-        assert ScenarioSpec.from_dict(spec.to_dict()) == spec
-
-    def test_json_round_trip_is_identity(self):
-        spec = make_spec()
-        assert ScenarioSpec.from_json(spec.to_json()) == spec
+        assert ScenarioSpec(**spec.to_dict()) == spec
 
     def test_to_dict_is_json_serializable(self):
         # Nested tuples in params must come out as plain lists.
-        payload = json.dumps(make_spec().to_dict())
-        restored = ScenarioSpec.from_dict(json.loads(payload))
-        assert restored == make_spec()
+        assert _through_json(make_spec()) == make_spec()
 
     def test_minimal_spec_round_trips(self):
         spec = ScenarioSpec(
             name="mini", description="d", axis="x", values=(1,)
         )
-        assert ScenarioSpec.from_dict(spec.to_dict()) == spec
+        assert ScenarioSpec(**spec.to_dict()) == spec
 
     def test_string_axis_values_survive(self):
         spec = make_spec(values=("flat", "hierarchy"))
-        assert ScenarioSpec.from_json(spec.to_json()).values == (
-            "flat",
-            "hierarchy",
-        )
+        assert _through_json(spec).values == ("flat", "hierarchy")
 
     def test_every_registered_spec_round_trips(self):
         from repro.scenarios.registry import SCENARIOS
 
         for entry in SCENARIOS.values():
-            spec = entry.spec
-            assert ScenarioSpec.from_json(spec.to_json()) == spec
+            assert _through_json(entry.spec) == entry.spec
 
 
 class TestRejection:
-    def test_unknown_field_rejected(self):
-        data = make_spec().to_dict()
-        data["surprise"] = 1
-        with pytest.raises(ScenarioSpecError, match="unknown spec field"):
-            ScenarioSpec.from_dict(data)
-
-    def test_missing_required_field_rejected(self):
-        data = make_spec().to_dict()
-        del data["axis"]
-        with pytest.raises(ScenarioSpecError, match="missing spec field"):
-            ScenarioSpec.from_dict(data)
-
-    def test_non_mapping_rejected(self):
-        with pytest.raises(ScenarioSpecError, match="must be a mapping"):
-            ScenarioSpec.from_dict([("name", "x")])  # type: ignore[arg-type]
-
-    def test_invalid_json_rejected(self):
-        with pytest.raises(ScenarioSpecError, match="invalid spec JSON"):
-            ScenarioSpec.from_json("{not json")
-
     def test_empty_name_rejected(self):
         with pytest.raises(ScenarioSpecError, match="name"):
             make_spec(name="")

@@ -92,7 +92,9 @@ def _execute(scheduler: str, ops: List[Tuple[object, ...]]) -> Transcript:
             )
         elif kind == "cancel":
             if handles:
-                handles[int(op[1]) % len(handles)].cancel_if_pending()
+                handle = handles[int(op[1]) % len(handles)]
+                if handle.pending:
+                    handle.cancel()
         else:
             if kind == "run":
                 kernel.run(until=kernel.now() + float(op[1]))
@@ -148,8 +150,8 @@ class TestSchedulerEquivalence:
                 for index, delay in enumerate(delays)
             ]
             for index in sorted(cancels):
-                if index < len(handles):
-                    handles[index].cancel_if_pending()
+                if index < len(handles) and handles[index].pending:
+                    handles[index].cancel()
             kernel.run()
             transcripts.append(fired)
         assert transcripts[0] == transcripts[1]

@@ -71,13 +71,6 @@ class TestServerObject:
         obj = ServerObject(ObjectId("x"), created_at=5.0)
         assert obj.state_at(4.0) is None
 
-    def test_modifications_between(self):
-        obj = ServerObject(ObjectId("x"), created_at=0.0)
-        for t in (10.0, 20.0, 30.0):
-            obj.apply_update(t)
-        mods = obj.modifications_between(10.0, 30.0)
-        assert [m.time for m in mods] == [20.0, 30.0]
-
     def test_modification_times_includes_creation(self):
         obj = ServerObject(ObjectId("x"), created_at=1.0)
         obj.apply_update(2.0)

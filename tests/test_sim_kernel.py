@@ -76,11 +76,6 @@ class TestCancellation:
         with pytest.raises(SimulationError):
             handle.cancel()
 
-    def test_cancel_if_pending_is_idempotent(self, kernel):
-        handle = kernel.schedule_at(5.0, lambda k: None)
-        assert handle.cancel_if_pending() is True
-        assert handle.cancel_if_pending() is False
-
     def test_pending_state_transitions(self, kernel):
         handle = kernel.schedule_at(5.0, lambda k: None)
         assert handle.pending

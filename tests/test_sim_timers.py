@@ -45,29 +45,6 @@ class TestRestartableTimer:
         kernel.run()
         assert fired == [1.0, 2.0, 3.0]
 
-    def test_pull_in_moves_firing_earlier(self, kernel):
-        fired = []
-        timer = RestartableTimer(kernel, fired.append)
-        timer.arm_at(10.0)
-        assert timer.pull_in_to(4.0) is True
-        kernel.run()
-        assert fired == [4.0]
-
-    def test_pull_in_never_delays(self, kernel):
-        fired = []
-        timer = RestartableTimer(kernel, fired.append)
-        timer.arm_at(3.0)
-        assert timer.pull_in_to(8.0) is False
-        kernel.run()
-        assert fired == [3.0]
-
-    def test_pull_in_arms_unarmed_timer(self, kernel):
-        fired = []
-        timer = RestartableTimer(kernel, fired.append)
-        assert timer.pull_in_to(2.0) is True
-        kernel.run()
-        assert fired == [2.0]
-
     def test_disarm_prevents_firing(self, kernel):
         fired = []
         timer = RestartableTimer(kernel, fired.append)

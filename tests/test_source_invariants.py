@@ -8,8 +8,12 @@ that would make it vary between processes or slow the per-event path:
   an un-seeded ``random.Random()``, ``hash()`` / ``id()`` feeding an
   ordering (all three in the packages that feed result rows), ``heapq``
   imported outside ``repro.sim`` (scheduling goes through the kernel's
-  scheduler seam), and ``except`` arms that only ``pass`` / ``continue``
-  / ``break`` in ``sim`` / ``proxy``.  Empty on every file under
+  scheduler seam), ``ProxyCache(...)`` / ``Network(...)`` constructed
+  outside ``repro.topology`` (a run gets its proxies from a
+  ``TopologyTree``, directly or through ``build_stack``, so whatever a
+  tree learns to do reaches every artefact), and ``except`` arms that
+  only ``pass`` / ``continue`` / ``break`` in ``sim`` / ``proxy``.
+  Empty on every file under
   ``src/repro``, non-empty on each ``lint_fixtures/rl*/**/flagged.py``:
   the fixtures are the mutation test.
 * every class defined in ``repro.sim`` / ``repro.proxy`` carries
@@ -65,6 +69,10 @@ WALL_CLOCK = frozenset(
     for name in names.split()
 )
 COMPARISON_DUNDERS = frozenset({"__lt__", "__le__", "__gt__", "__ge__"})
+#: What only ``repro.topology`` constructs.
+TREE_BUILT = frozenset(
+    {"repro.proxy.proxy.ProxyCache", "repro.httpsim.network.Network"}
+)
 
 
 def _import_aliases(tree: ast.Module) -> Dict[str, str]:
@@ -136,9 +144,15 @@ def violations(path: Path) -> List[str]:
                 for stmt in node.body
             ):
                 flag(node, "except arm only swallows the error as control flow")
-        elif deterministic and isinstance(node, ast.Call):
+        elif isinstance(node, ast.Call):
             called = _resolve(node.func, aliases) or ""
-            if called in WALL_CLOCK:
+            if called in TREE_BUILT:
+                if "topology" not in packages:
+                    name = called.rsplit(".", 1)[1]
+                    flag(node, f"{name}() constructed outside repro.topology")
+            elif not deterministic:
+                continue
+            elif called in WALL_CLOCK:
                 flag(node, f"{called}() reads the wall clock / OS entropy")
             elif called.startswith("random.") and called[7:] in random.__all__:
                 # random.__all__ is Random, SystemRandom and the functions
@@ -196,6 +210,8 @@ class TestSourceWalk:
             "inside an ordering",
             "inside __lt__",
             "except arm",
+            "ProxyCache() constructed outside",
+            "Network() constructed outside",
         ):
             assert what in reported, what
         assert f"{FIXTURES / 'rl101' / 'sim' / 'flagged.py'}:8: " in reported

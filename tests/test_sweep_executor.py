@@ -95,10 +95,6 @@ class TestExecutorResolution:
         assert isinstance(executor, ParallelExecutor)
         assert executor.workers == 4
 
-    def test_explicit_executor_wins(self):
-        serial = SerialExecutor()
-        assert executor_for(8, serial) is serial
-
     def test_invalid_worker_count_rejected(self):
         with pytest.raises(ValueError, match="workers"):
             ParallelExecutor(0)

@@ -2,14 +2,10 @@
 
 The round-trip properties pin the contract :mod:`repro.traces.clf`
 documents — ``parse(serialize(records)) == records`` in both dialects —
-plus the strict, line-numbered rejection of malformed input.  The trace
-io round-trips (CSV and JSON) ride along here because the replay path
-leans on them for archiving inferred traces.
+plus the strict, line-numbered rejection of malformed input.
 """
 
 from __future__ import annotations
-
-import json
 
 import pytest
 from hypothesis import given, settings
@@ -26,13 +22,6 @@ from repro.traces.clf import (
     parse_log,
     serialize_log,
 )
-from repro.traces.io import (
-    from_json_dict,
-    to_json_dict,
-    trace_from_csv_string,
-    trace_to_csv_string,
-)
-from repro.traces.model import trace_from_ticks, trace_from_times
 
 # ----------------------------------------------------------------------
 # Strategies
@@ -80,16 +69,6 @@ _squid_records = st.lists(
     max_size=20,
 )
 
-_update_times = st.lists(
-    st.floats(
-        min_value=0.0, max_value=1e6, allow_nan=False, allow_infinity=False
-    ),
-    min_size=1,
-    max_size=30,
-    unique=True,
-)
-
-
 class TestLogRoundTripProperties:
     @given(_clf_records)
     @settings(max_examples=100)
@@ -132,65 +111,6 @@ class TestLogRoundTripProperties:
         for line in lines:
             noisy.extend([line, "", "# noise"])
         assert parse_log(noisy) == records
-
-
-class TestTraceIoRoundTripProperties:
-    @given(_update_times)
-    @settings(max_examples=100)
-    def test_csv_round_trip_preserves_records_and_window(self, times):
-        trace = trace_from_times(ObjectId("x"), times, start_time=min(times))
-        back = trace_from_csv_string(trace_to_csv_string(trace), "x")
-        assert [(r.time, r.version) for r in back.records] == [
-            (r.time, r.version) for r in trace.records
-        ]
-        # The window default opens at the first record (the PR-8 fix),
-        # so a trace whose window starts at its first update survives.
-        assert back.start_time == trace.start_time
-
-    @given(
-        _update_times,
-        st.floats(
-            min_value=-1e4, max_value=1e4, allow_nan=False, allow_infinity=False
-        ),
-    )
-    @settings(max_examples=100)
-    def test_json_round_trip_is_lossless(self, times, tail):
-        end = max(times) + abs(tail)
-        trace = trace_from_times(
-            ObjectId("x"), times, start_time=0.0, end_time=end
-        )
-        data = json.loads(json.dumps(to_json_dict(trace)))
-        back = from_json_dict(data)
-        assert back.object_id == trace.object_id
-        assert back.start_time == trace.start_time
-        assert back.end_time == trace.end_time
-        assert [(r.time, r.version, r.value) for r in back.records] == [
-            (r.time, r.version, r.value) for r in trace.records
-        ]
-
-    @given(
-        st.lists(
-            st.tuples(
-                st.floats(min_value=0.0, max_value=1e6, allow_nan=False),
-                st.floats(
-                    min_value=-1e9,
-                    max_value=1e9,
-                    allow_nan=False,
-                    allow_infinity=False,
-                ),
-            ),
-            min_size=1,
-            max_size=20,
-            unique_by=lambda pair: pair[0],
-        )
-    )
-    @settings(max_examples=100)
-    def test_valued_csv_round_trip_is_lossless(self, ticks):
-        trace = trace_from_ticks(ObjectId("v"), ticks)
-        back = trace_from_csv_string(trace_to_csv_string(trace), "v")
-        assert [(r.time, r.value) for r in back.records] == [
-            (r.time, r.value) for r in trace.records
-        ]
 
 
 class TestClfParsing:

@@ -131,21 +131,3 @@ class TestRandomWalk:
             random_walk_trace(
                 "w", rng, tick_interval=1.0, end=10.0, mean_reversion=1.0
             )
-
-
-class TestPropertyRoundTrips:
-    def test_csv_round_trip_of_synthetic_traces(self, rng):
-        from repro.traces.io import trace_from_csv_string, trace_to_csv_string
-
-        for maker in (
-            lambda: poisson_trace("p", rng, rate=0.01, end=5000.0),
-            lambda: random_walk_trace("w", rng, tick_interval=7.0, end=5000.0),
-        ):
-            trace = maker()
-            back = trace_from_csv_string(
-                trace_to_csv_string(trace), str(trace.object_id),
-                start_time=trace.start_time, end_time=trace.end_time,
-            )
-            assert [(r.time, r.version, r.value) for r in back.records] == [
-                (r.time, r.version, r.value) for r in trace.records
-            ]

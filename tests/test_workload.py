@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 
 import pytest
 
@@ -12,13 +13,27 @@ from repro.proxy.client import Client
 from repro.proxy.proxy import ProxyCache
 from repro.server.origin import OriginServer
 from repro.sim.kernel import Kernel
-from repro.workload.arrivals import PoissonArrivals, RegularArrivals
-from repro.workload.popularity import (
-    RotatingPopularity,
-    UniformPopularity,
-    ZipfPopularity,
-)
+from repro.workload.arrivals import ArrivalProcess, PoissonArrivals
+from repro.workload.popularity import PopularityModel, ZipfPopularity
 from repro.workload.requests import RequestStream, RequestStreamConfig
+
+
+class _Every(ArrivalProcess):
+    """A fixed gap between arrivals, so a stream's count is exact."""
+
+    def __init__(self, gap):
+        self._gap = gap
+
+    def next_gap(self):
+        return self._gap
+
+
+class _RoundRobin(PopularityModel):
+    def __init__(self, objects):
+        self._objects = itertools.cycle(objects)
+
+    def choose(self):
+        return next(self._objects)
 
 
 class TestArrivals:
@@ -31,39 +46,10 @@ class TestArrivals:
         with pytest.raises(ValueError):
             PoissonArrivals(rate_per_second=0.0, rng=rng)
 
-    def test_regular_fixed_interval(self):
-        arrivals = RegularArrivals(interval=3.0)
-        assert [arrivals.next_gap() for _ in range(3)] == [3.0, 3.0, 3.0]
-
-    def test_regular_with_jitter_stays_in_band(self, rng):
-        arrivals = RegularArrivals(interval=3.0, jitter=1.0, rng=rng)
-        for _ in range(200):
-            gap = arrivals.next_gap()
-            assert 2.0 <= gap <= 4.0
-
-    def test_regular_jitter_requires_rng(self):
-        with pytest.raises(ValueError):
-            RegularArrivals(interval=3.0, jitter=1.0)
-
-    def test_jitter_must_be_smaller_than_interval(self, rng):
-        with pytest.raises(ValueError):
-            RegularArrivals(interval=1.0, jitter=1.0, rng=rng)
-
-    def test_arrival_times_bounded(self, rng):
-        arrivals = RegularArrivals(interval=10.0)
-        times = list(arrivals.arrival_times(0.0, 35.0))
-        assert times == [10.0, 20.0, 30.0]
-
 
 class TestPopularity:
     def _objects(self, n):
         return [ObjectId(f"o{i}") for i in range(n)]
-
-    def test_uniform_covers_all_objects(self, rng):
-        objects = self._objects(5)
-        model = UniformPopularity(objects, rng)
-        seen = {model.choose() for _ in range(500)}
-        assert seen == set(objects)
 
     def test_zipf_rank_ordering(self, rng):
         objects = self._objects(10)
@@ -73,33 +59,18 @@ class TestPopularity:
             counts[model.choose()] += 1
         assert counts[objects[0]] > counts[objects[4]] > counts[objects[9]]
 
-    def test_zipf_probability_of(self, rng):
-        objects = self._objects(2)
-        model = ZipfPopularity(objects, exponent=1.0, rng=rng)
-        # Weights 1 and 0.5 → probabilities 2/3, 1/3.
-        assert model.probability_of(objects[0]) == pytest.approx(2 / 3)
-        assert model.probability_of(objects[1]) == pytest.approx(1 / 3)
-
     def test_zipf_zero_exponent_is_uniform(self, rng):
         objects = self._objects(4)
         model = ZipfPopularity(objects, exponent=0.0, rng=rng)
+        counts = {o: 0 for o in objects}
+        for _ in range(8000):
+            counts[model.choose()] += 1
         for obj in objects:
-            assert model.probability_of(obj) == pytest.approx(0.25)
-
-    def test_rotating_cycles(self):
-        objects = self._objects(3)
-        model = RotatingPopularity(objects)
-        assert [model.choose() for _ in range(4)] == [
-            objects[0], objects[1], objects[2], objects[0]
-        ]
+            assert counts[obj] / 8000 == pytest.approx(0.25, abs=0.03)
 
     def test_empty_objects_rejected(self, rng):
         with pytest.raises(ValueError):
-            UniformPopularity([], rng)
-        with pytest.raises(ValueError):
             ZipfPopularity([], 1.0, rng)
-        with pytest.raises(ValueError):
-            RotatingPopularity([])
 
 
 class TestRequestStream:
@@ -120,8 +91,8 @@ class TestRequestStream:
         stream = RequestStream(
             kernel,
             client,
-            RegularArrivals(interval=10.0),
-            RotatingPopularity([ObjectId("x"), ObjectId("y")]),
+            _Every(10.0),
+            _RoundRobin([ObjectId("x"), ObjectId("y")]),
             RequestStreamConfig(start=0.0, end=55.0),
         )
         # The refresher timers re-arm forever; bound the horizon.
@@ -134,8 +105,8 @@ class TestRequestStream:
         RequestStream(
             kernel,
             client,
-            RegularArrivals(interval=5.0),
-            RotatingPopularity([ObjectId("x"), ObjectId("y")]),
+            _Every(5.0),
+            _RoundRobin([ObjectId("x"), ObjectId("y")]),
             RequestStreamConfig(start=0.0, end=100.0),
         )
         kernel.run(until=100.0)
