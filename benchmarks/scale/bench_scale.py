@@ -6,10 +6,11 @@ The scale driver wires the three million-client mechanisms together:
   engine (``fidelity="fastforward"``): poll timers live on the engine's
   private scheduler and the kernel batch-dispatches only the client
   arrivals and trace updates — byte-identical rows at a similar speed
-  (medians of 7 alternating runs at 1.05M clients: 3.96 s exact,
-  3.57 s fast-forwarded);
-* sharded tree execution (``shards``/``workers``), which partitions
-  the edge tree at a subtree boundary across worker processes;
+  (medians of 10 alternating pairs at 1.05M clients: 3.8 s exact,
+  3.5 s fast-forwarded, inside the runs' own 1.5 s spread);
+* sharded tree execution (``shards``), which partitions the edge tree
+  at a subtree boundary and, given ``workers`` > 1, runs the partitions
+  on a process pool (without it they run one after another here);
 * a self-rescheduling :class:`ClientPump` per edge proxy, which keeps
   the event heap O(edges) no matter how many client arrivals the run
   drives (a pre-scheduled million-event heap would dominate memory).
@@ -38,7 +39,7 @@ import time
 from bisect import bisect_left
 from functools import partial
 from itertools import accumulate
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from repro.api.builder import SimulationOutcome, run_simulation
 from repro.api.config import LevelConfig, SimulationConfig
@@ -197,9 +198,9 @@ def clients_served(outcome: SimulationOutcome) -> int:
     )
 
 
-def test_scale_million_clients(run_once):
+def test_scale_million_clients():
     """The headline scale point: >= 1M clients, serial exact kernel."""
-    outcome = run_once(run_scale, BENCH_CLIENTS)
+    outcome = run_scale(BENCH_CLIENTS)
     assert clients_served(outcome) >= MILLION
 
 

@@ -599,8 +599,10 @@ def run_simulation(
     sources, policies, or object keys before any simulation starts.
 
     ``workers`` is consumed only by sharded configs
-    (``config.shards > 1``): the number of worker processes executing
-    shard partitions (``None``: one per shard).  ``instrument`` (tree
+    (``config.shards > 1``): the size of the process pool that runs
+    shards 1..N-1 while shard 0 runs in this process.  ``None`` (the
+    default) and ``1`` mean no pool — every shard runs here, one after
+    another, to the same rows.  ``instrument`` (tree
     topologies only) runs on each live tree after registration —
     under sharding it is pickled to worker processes, so it must be a
     module-level callable or a :class:`functools.partial` over one.
@@ -853,7 +855,8 @@ class SimulationBuilder:
     def run(self, *, workers: Optional[int] = None) -> SimulationOutcome:
         """Build and execute in one step.
 
-        ``workers`` caps the worker processes of a sharded run; it is
-        ignored (and harmless) for unsharded configs.
+        ``workers`` sizes the process pool of a sharded run (``None``,
+        the default: no pool, the shards run one after another in this
+        process); it is ignored (and harmless) for unsharded configs.
         """
         return run_simulation(self.build(), workers=workers)

@@ -14,7 +14,7 @@ The paper's related work rests on three classic proxy-side mechanisms:
 Both are :class:`~repro.consistency.base.RefreshPolicy` implementations,
 so they can be dropped anywhere LIMD can — including under the mutual
 coordinators — and compared head-to-head (see
-``benchmarks/bench_extension_prior_policies.py``).
+``tests/test_paper_claims.py::test_extension_prior_policies``).
 """
 
 from __future__ import annotations

@@ -17,6 +17,9 @@ Modules:
 Each module *is* the definition of its artefact: it decorates its point
 function with :func:`repro.scenarios.registry.scenario`, and everything
 else — ``python -m repro figure3``, ``python -m repro scenarios run
-figure3``, the report, the regenerators under ``benchmarks/`` — runs it
-by name through :func:`repro.scenarios.engine.run_scenario`.
+figure3``, the report — runs it by name through
+:func:`repro.scenarios.engine.run_scenario`.  What the paper says the
+artefact shows is stated beside it as ``claims=`` (``CLAIMS`` on the
+time-series figures' modules); the report prints each verdict and
+``tests/test_paper_claims.py`` pins it.
 """

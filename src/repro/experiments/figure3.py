@@ -8,9 +8,7 @@ poll-every-Δ baseline, reports:
 * (b) fidelity by violations (Eq. 13),
 * (c) fidelity by out-of-sync time (Eq. 14).
 
-Expected shape: LIMD ≪ baseline polls at small Δ (the paper sees ~6×
-fewer at Δ = 1 min, at ~20% fidelity cost) and LIMD → baseline (with
-fidelity → 1) once Δ exceeds the mean update interval.
+What the paper says the sweep shows is :data:`CLAIMS`.
 """
 
 from __future__ import annotations
@@ -20,7 +18,8 @@ from typing import Dict, Mapping, Sequence
 from repro.core.types import MINUTE
 from repro.experiments.paper import evaluate_delta
 from repro.experiments.workloads import news_trace
-from repro.scenarios.registry import scenario
+from repro.scenarios.engine import ScenarioResult
+from repro.scenarios.registry import Claim, Verdict, scenario
 from repro.traces.model import UpdateTrace
 
 #: Δ values (minutes) swept by the paper's Figure 3.
@@ -33,6 +32,61 @@ def _prepare(params: Mapping[str, object], seed: int) -> Dict[str, object]:
         "trace_key": str(params["trace"]),
         "detection_mode": str(params["detection_mode"]),
     }
+
+
+def _fewer_polls_at_tight_delta(result: ScenarioResult) -> Verdict:
+    tight = result.rows[0]
+    ratio, fidelity = tight["poll_ratio"], tight["limd_fidelity_violations"]
+    # Eq. 14's time measure may not tell a different story from Eq. 13's.
+    agree = all(
+        row["limd_fidelity_time"] >= row["limd_fidelity_violations"] - 0.15
+        for row in result.rows
+    )
+    return (
+        ratio >= 3.0 and fidelity >= 0.7 and agree,
+        f"{ratio:.1f}x fewer polls at Δ = {tight['delta_min']:g} min with "
+        f"fidelity {fidelity:.2f} ({tight['limd_fidelity_time']:.2f} by time)",
+    )
+
+
+def _converges_to_the_perfect_baseline(result: ScenarioResult) -> Verdict:
+    loose = result.rows[-1]
+    ratios = result.column("poll_ratio")
+    perfect = all(
+        row["baseline_fidelity_violations"] == row["baseline_fidelity_time"] == 1.0
+        for row in result.rows
+    )
+    return (
+        perfect
+        and loose["limd_polls"] <= loose["baseline_polls"] * 1.1
+        and loose["limd_fidelity_violations"] >= 0.99
+        and ratios[0] > ratios[len(ratios) // 2] > ratios[-1] - 1e-9,
+        f"at Δ = {loose['delta_min']:g} min {loose['limd_polls']} polls to the "
+        f"baseline's {loose['baseline_polls']} at LIMD fidelity "
+        f"{loose['limd_fidelity_violations']:.2f}; baseline fidelity "
+        + ("1 at every Δ" if perfect else "below 1 somewhere"),
+    )
+
+
+CLAIMS = (
+    Claim(
+        "figure3.fewer_polls_at_tight_delta",
+        "LIMD incurs ~6x fewer polls than the baseline at Δ = 1 min, at a "
+        "fidelity loss of ~20% on either fidelity measure.",
+        _fewer_polls_at_tight_delta,
+        divergence=(
+            "on Guardian, which updates every 4.9 min, there is too little "
+            "idle time to skip: 2.5-2.6x, under the 3x the check asks for"
+        ),
+    ),
+    Claim(
+        "figure3.converges_to_the_perfect_baseline",
+        "Once Δ exceeds the mean update interval LIMD converges to the "
+        "poll count and the fidelity of the baseline, which is 1 at every "
+        "Δ by definition.",
+        _converges_to_the_perfect_baseline,
+    ),
+)
 
 
 @scenario(
@@ -53,6 +107,7 @@ def _prepare(params: Mapping[str, object], seed: int) -> Dict[str, object]:
     title="Figure 3: LIMD vs baseline on {trace} (polls and fidelity vs delta)",
     tags=("paper", "figure"),
     prepare=_prepare,
+    claims=CLAIMS,
 )
 def _point(
     delta_min: float, *, trace: UpdateTrace, trace_key: str, detection_mode: str

@@ -5,14 +5,12 @@ On the NYT/AP + NYT/Reuters pair:
 * (a) the ratio of the two objects' update frequencies over time;
 * (b) the number of extra (triggered) polls over time.
 
-Expected shape: triggered polls concentrate in the periods where the
-two objects change at comparable rates; when the rates diverge, the
-heuristic suppresses triggers toward the slower object, so extra polls
-drop.
+What the paper says the two series show is :data:`CLAIMS`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Mapping, Sequence
 
@@ -29,7 +27,7 @@ from repro.experiments.paper import PAPER_LIMD_PARAMETERS, TTR_MAX
 from repro.api.render import render_series_block
 from repro.experiments.workloads import DEFAULT_SEED, news_trace
 from repro.metrics.series import extra_polls_series, update_ratio_series
-from repro.scenarios.registry import prepare_params_seed, scenario
+from repro.scenarios.registry import Claim, Verdict, prepare_params_seed, scenario
 
 DELTA: Seconds = 10 * MINUTE
 MUTUAL_DELTA: Seconds = 5 * MINUTE
@@ -91,6 +89,35 @@ def run(
         run=result,
         pair=pair,
     )
+
+
+def _heuristic_is_selective(result: Figure6Result) -> Verdict:
+    ratios = [v for v in result.rate_ratio.values if v > 0]  # NaN > 0 is False
+    considered = result.run.coordinator.counters.get("considerations")
+    return (
+        bool(ratios)
+        and max(ratios) > 1.5 * min(ratios)
+        and 0 < result.total_extra_polls < considered
+        and result.total_suppressed_by_rate > 0,
+        f"the {BIN / HOUR:g} h rate ratio ranges over "
+        f"[{min(ratios, default=math.nan):.2f}, "
+        f"{max(ratios, default=math.nan):.2f}]; {result.total_extra_polls} "
+        f"polls triggered in {considered} considerations, "
+        f"{result.total_suppressed_by_rate} suppressed as slower-rate",
+    )
+
+
+#: Judged on a :class:`Figure6Result` (the registered scenario keeps
+#: only the summary row, which has no series to judge).
+CLAIMS = (
+    Claim(
+        "figure6.heuristic_is_selective",
+        "The ratio of the two objects' update frequencies swings over time, "
+        "and extra polls are triggered only toward a partner changing at a "
+        "similar or faster rate.",
+        _heuristic_is_selective,
+    ),
+)
 
 
 def render(result: Figure6Result) -> str:

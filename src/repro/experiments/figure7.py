@@ -6,14 +6,12 @@ $0.25 to $5 and compares the two Section 4.2 approaches:
 * **adaptive** — the virtual-object (adaptive-f) approach;
 * **partitioned** — split δ = δa + δb with rate-based re-apportioning.
 
-Expected shape: both approaches poll less and achieve higher fidelity
-as δ grows; the partitioned approach achieves higher fidelity at the
-cost of more polls.
+What the paper says the sweep shows is :data:`CLAIMS`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Sequence
+from typing import Any, Dict, Mapping, Sequence
 
 from repro.api.runs import (
     run_mutual_value_adaptive,
@@ -23,7 +21,8 @@ from repro.consistency.mutual_value import difference
 from repro.core.types import TTRBounds
 from repro.experiments.workloads import stock_trace
 from repro.metrics.collector import collect_mutual_value
-from repro.scenarios.registry import scenario
+from repro.scenarios.engine import ScenarioResult
+from repro.scenarios.registry import Claim, Verdict, scenario
 from repro.traces.model import UpdateTrace
 
 #: δ values (dollars) swept by the paper's Figure 7.
@@ -79,6 +78,71 @@ def _prepare(params: Mapping[str, object], seed: int) -> Dict[str, object]:
     }
 
 
+def _tolerance_saves_polls_and_buys_fidelity(result: ScenarioResult) -> Verdict:
+    tight, loose = result.rows[0], result.rows[-1]
+    approaches = ("adaptive", "partitioned")
+    return (
+        all(
+            loose[f"{approach}_polls"] < tight[f"{approach}_polls"]
+            and loose[f"{approach}_fidelity"] >= tight[f"{approach}_fidelity"]
+            and loose[f"{approach}_fidelity"] >= 0.95
+            for approach in approaches
+        ),
+        f"from δ = ${tight['mutual_delta']:g} to ${loose['mutual_delta']:g}: "
+        + "; ".join(
+            f"{approach} {tight[f'{approach}_polls']} → "
+            f"{loose[f'{approach}_polls']} polls, fidelity "
+            f"{tight[f'{approach}_fidelity']:.2f} → "
+            f"{loose[f'{approach}_fidelity']:.2f}"
+            for approach in approaches
+        ),
+    )
+
+
+def _partitioned_trades_polls_for_fidelity(result: ScenarioResult) -> Verdict:
+    def describe(row: Mapping[str, Any]) -> str:
+        return (
+            f"at δ = ${row['mutual_delta']:g} partitioned fidelity "
+            f"{row['partitioned_fidelity']:.3f} vs adaptive "
+            f"{row['adaptive_fidelity']:.3f} with {row['partitioned_polls']} "
+            f"vs {row['adaptive_polls']} polls"
+        )
+
+    broken = [
+        row
+        for row in result.rows
+        if row["partitioned_fidelity"] < row["adaptive_fidelity"] - 1e-9
+        or row["partitioned_polls"] < row["adaptive_polls"]
+    ]
+    if broken:
+        return False, "the ordering breaks " + "; ".join(map(describe, broken))
+    return True, describe(result.rows[len(result.rows) // 2]) + ", and so at every δ"
+
+
+CLAIMS = (
+    Claim(
+        "figure7.tolerance_saves_polls_and_buys_fidelity",
+        "Both approaches incur fewer polls and achieve higher fidelity at "
+        "larger δ.",
+        _tolerance_saves_polls_and_buys_fidelity,
+    ),
+    Claim(
+        "figure7.partitioned_trades_polls_for_fidelity",
+        "The partitioned approach achieves higher fidelity than adaptive-f, "
+        "at the cost of more polls.",
+        _partitioned_trades_polls_for_fidelity,
+        divergence=(
+            "at δ = $0.25 the per-object bound the partition rests on is "
+            "infeasible for Yahoo: its share sits at the 5% floor ($0.0125, "
+            "under ~90% of its ticks), Eq. 9 asks for a TTR below TTR_min = "
+            "1 s, and its poll interval stops answering to δ (median ~11 s "
+            "at $0.25, $0.5 and $0.6 alike) while adaptive-f keeps "
+            "tightening; seed 1 also misses by one poll in 559 at δ = $3"
+        ),
+    ),
+)
+
+
 @scenario(
     name="figure7",
     description="Figure 7: mutual value approaches (mutual-delta sweep, $)",
@@ -104,6 +168,7 @@ def _prepare(params: Mapping[str, object], seed: int) -> Dict[str, object]:
     ),
     tags=("paper", "figure"),
     prepare=_prepare,
+    claims=CLAIMS,
 )
 def _point(
     mutual_delta: float,

@@ -2,8 +2,8 @@
 
 Plots the difference in the two stock prices as tracked by each Mv
 approach against the true server-side difference, over the window
-[2500 s, 5000 s] of the AT&T + Yahoo pair.  The partitioned approach is
-expected to hug the server series more tightly than adaptive-f.
+[2500 s, 5000 s] of the AT&T + Yahoo pair.  What the paper says the
+series show is :data:`CLAIMS`.
 """
 
 from __future__ import annotations
@@ -11,11 +11,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from repro.analysis.timeseries import Series
 from repro.api.runs import (
-    RunResult,
     run_many,
     run_mutual_value_adaptive,
     run_mutual_value_partitioned,
@@ -26,7 +25,7 @@ from repro.experiments.figure7 import VALUE_BOUNDS
 from repro.api.render import render_series_block
 from repro.experiments.workloads import DEFAULT_SEED, stock_trace
 from repro.metrics.series import f_value_series, server_f_knots
-from repro.scenarios.registry import prepare_params_seed, scenario
+from repro.scenarios.registry import Claim, Verdict, prepare_params_seed, scenario
 from repro.traces.model import UpdateTrace
 
 MUTUAL_DELTA = 0.6
@@ -36,20 +35,13 @@ BIN: Seconds = 10.0
 
 @dataclass
 class Figure8Result:
-    """Server and proxy f series for both approaches.
-
-    The raw :class:`RunResult` objects are only retained on serial runs
-    (``workers`` absent or 1): live simulation state cannot cross the
-    process boundary the parallel path uses.
-    """
+    """Server and proxy f series for both approaches."""
 
     server: Series
     adaptive_proxy: Series
     partitioned_proxy: Series
     mutual_delta: float
     window: Tuple[Seconds, Seconds]
-    adaptive_run: Optional[RunResult] = None
-    partitioned_run: Optional[RunResult] = None
 
     def tracking_error(self, which: str) -> float:
         """Mean |proxy − server| across bins (lower = tighter tracking)."""
@@ -77,8 +69,12 @@ def _run_approach(
     mutual_delta: float,
     window: Tuple[Seconds, Seconds],
     bounds: TTRBounds,
-) -> Tuple[Series, RunResult]:
-    """Run one Mv approach and sample its proxy f series."""
+) -> Series:
+    """Run one Mv approach and sample its proxy f series.
+
+    Module-level and returning only the series, so it is a picklable
+    run-spec for :func:`~repro.api.runs.run_many`.
+    """
     runner = (
         run_mutual_value_adaptive
         if which == "adaptive"
@@ -86,19 +82,12 @@ def _run_approach(
     )
     result = runner(trace_a, trace_b, mutual_delta, bounds=bounds)
     start, end = window
-    series = f_value_series(
+    return f_value_series(
         paired_f_history(
             result.proxy, trace_a.object_id, trace_b.object_id, _f_reversed
         ),
         start=start, end=end, bin_width=BIN, label=f"{which} proxy",
     )
-    return series, result
-
-
-def _approach_point(which: str, **kwargs: Any) -> Series:
-    """Picklable run-spec: one approach's proxy series, sans live state."""
-    series, _ = _run_approach(which, **kwargs)
-    return series
 
 
 def run(
@@ -113,8 +102,7 @@ def run(
     """Run both Mv approaches and sample the three f series.
 
     ``workers`` > 1 runs the two approaches in parallel worker
-    processes; the resulting :class:`Figure8Result` then carries only
-    the series (``adaptive_run``/``partitioned_run`` are ``None``).
+    processes.
     """
     key_a, key_b = pair
     trace_a = stock_trace(key_a, seed)
@@ -126,39 +114,49 @@ def run(
         start=start, end=end, bin_width=BIN, label="server",
     )
 
-    approach_kwargs = dict(
+    approach = partial(
+        _run_approach,
         trace_a=trace_a,
         trace_b=trace_b,
         mutual_delta=mutual_delta,
         window=window,
         bounds=bounds,
     )
-    if workers is not None and workers > 1:
-        adaptive_series, partitioned_series = run_many(
-            [
-                partial(_approach_point, "adaptive", **approach_kwargs),
-                partial(_approach_point, "partitioned", **approach_kwargs),
-            ],
-            workers=workers,
-        )
-        adaptive = partitioned = None
-    else:
-        adaptive_series, adaptive = _run_approach(
-            "adaptive", **approach_kwargs
-        )
-        partitioned_series, partitioned = _run_approach(
-            "partitioned", **approach_kwargs
-        )
-
+    adaptive_series, partitioned_series = run_many(
+        [partial(approach, "adaptive"), partial(approach, "partitioned")],
+        workers=workers,
+    )
     return Figure8Result(
         server=server_series,
         adaptive_proxy=adaptive_series,
         partitioned_proxy=partitioned_series,
         mutual_delta=mutual_delta,
         window=window,
-        adaptive_run=adaptive,
-        partitioned_run=partitioned,
     )
+
+
+def _partitioned_tracks_tighter(result: Figure8Result) -> Verdict:
+    server = [value for value in result.server.values if not math.isnan(value)]
+    spread = max(server) - min(server)
+    adaptive = result.tracking_error("adaptive")
+    partitioned = result.tracking_error("partitioned")
+    return (
+        spread > 0 and partitioned < adaptive < spread * 0.5,
+        f"mean tracking error: adaptive {adaptive:.3f}, partitioned "
+        f"{partitioned:.3f}, against a server-side range of ${spread:.2f}",
+    )
+
+
+#: Judged on a :class:`Figure8Result` (the registered scenario keeps
+#: only the summary row, which has no series to judge).
+CLAIMS = (
+    Claim(
+        "figure8.partitioned_tracks_tighter",
+        "Both proxy-side series follow the server-side difference, and the "
+        "partitioned approach tracks it more tightly than adaptive-f.",
+        _partitioned_tracks_tighter,
+    ),
+)
 
 
 def render(result: Figure8Result) -> str:

@@ -8,8 +8,7 @@ and the ground-truth n-object Mt fidelity (the Eq. 4 generalisation:
 the members' validity intervals must fit in a window of width δ —
 :func:`repro.metrics.group.group_temporal_fidelity`).
 
-Registered as the ``group_mt`` scenario (``python -m repro group_mt``;
-``benchmarks/bench_extension_group_mt.py`` regenerates it).
+Registered as the ``group_mt`` scenario (``python -m repro group_mt``).
 """
 
 from __future__ import annotations
@@ -24,7 +23,8 @@ from repro.experiments.paper import PAPER_LIMD_PARAMETERS, TTR_MAX
 from repro.experiments.workloads import news_trace
 from repro.metrics.collector import temporal_fetches_of
 from repro.metrics.group import group_temporal_fidelity
-from repro.scenarios.registry import scenario
+from repro.scenarios.engine import ScenarioResult
+from repro.scenarios.registry import Claim, Verdict, scenario
 from repro.traces.model import UpdateTrace
 
 DEFAULT_TRIO = ("cnn_fn", "nyt_ap", "nyt_reuters")
@@ -35,6 +35,29 @@ DEFAULT_MUTUAL_DELTAS = (1.0, 5.0, 10.0, 20.0, 30.0)  # minutes
 def _prepare(params: Mapping[str, object], seed: int) -> Dict[str, object]:
     trio = [str(key) for key in params["trio"]]  # type: ignore[union-attr]
     return {"traces": [news_trace(key, seed) for key in trio]}
+
+
+def _pair_claims_survive_n_objects(result: ScenarioResult) -> Verdict:
+    tight = result.rows[0]
+    extras = result.column("triggered_extra")
+    return (
+        all(
+            row["triggered_fidelity_time"] >= row["baseline_fidelity_time"] - 1e-9
+            and row["heuristic_extra"] <= row["triggered_extra"]
+            and row["baseline_polls"] == tight["baseline_polls"]
+            for row in result.rows
+        )
+        and tight["triggered_fidelity_time"] > 0.98
+        and tight["baseline_fidelity_time"] < 0.95
+        and extras == sorted(extras, reverse=True)
+        and extras[-1] <= 5,
+        f"at δ = {tight['mutual_delta_min']:g} min triggered fidelity by time "
+        f"{tight['triggered_fidelity_time']:.3f} against the baseline's "
+        f"{tight['baseline_fidelity_time']:.3f}; triggered extra polls "
+        + " → ".join(map(str, extras))
+        + ", the heuristic's "
+        + " → ".join(map(str, result.column("heuristic_extra"))),
+    )
 
 
 @scenario(
@@ -49,6 +72,16 @@ def _prepare(params: Mapping[str, object], seed: int) -> Dict[str, object]:
     ),
     tags=("extension",),
     prepare=_prepare,
+    claims=(
+        Claim(
+            "group_mt.pair_claims_survive_n_objects",
+            "Generalised to n objects, triggered polls still dominate the "
+            "δ-blind baseline on ground-truth fidelity, the heuristic spends "
+            "no more extra polls than full triggering, and extra polls fade "
+            "to none as δ loosens.",
+            _pair_claims_survive_n_objects,
+        ),
+    ),
 )
 def _sweep_point(
     delta_min: float, *, traces: Sequence[UpdateTrace]

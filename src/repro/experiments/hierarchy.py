@@ -6,7 +6,7 @@ proxies polling the origin directly against the same N edges polling a
 shared parent proxy, everything under LIMD at the same per-level Δ.
 
 Registered as the ``hierarchy`` scenario (``python -m repro
-hierarchy``; ``benchmarks/bench_extension_hierarchy.py`` regenerates it).
+hierarchy``).
 """
 
 from __future__ import annotations
@@ -18,7 +18,8 @@ from repro.consistency.limd import LimdPolicy
 from repro.core.types import MINUTE, ObjectId, Seconds, TTRBounds
 from repro.experiments.workloads import news_trace
 from repro.metrics.collector import mean_snapshot_fidelity
-from repro.scenarios.registry import scenario
+from repro.scenarios.engine import ScenarioResult
+from repro.scenarios.registry import Claim, Verdict, scenario
 from repro.topology.levels import TreeLevel
 from repro.topology.tree import TopologyTree
 from repro.traces.model import UpdateTrace
@@ -54,6 +55,20 @@ def _prepare(params: Mapping[str, object], seed: int) -> Dict[str, object]:
     }
 
 
+def _parent_shields_origin_staleness_composes(result: ScenarioResult) -> Verdict:
+    flat, tree = result.rows
+    return (
+        tree["origin_requests"] < flat["origin_requests"] / 2
+        and tree["edge_fidelity_1x"] <= flat["edge_fidelity_1x"] + 0.02
+        and tree["edge_fidelity_2x"] >= 0.85
+        and tree["edge_fidelity_2x"] > tree["edge_fidelity_1x"],
+        f"origin requests {flat['origin_requests']} → {tree['origin_requests']}; "
+        f"edge fidelity at Δ {flat['edge_fidelity_1x']:.2f} → "
+        f"{tree['edge_fidelity_1x']:.2f}, at 2Δ under the parent "
+        f"{tree['edge_fidelity_2x']:.2f}",
+    )
+
+
 @scenario(
     name="hierarchy",
     description="Extension: flat vs hierarchical proxy topologies",
@@ -66,6 +81,15 @@ def _prepare(params: Mapping[str, object], seed: int) -> Dict[str, object]:
     ),
     tags=("extension",),
     prepare=_prepare,
+    claims=(
+        Claim(
+            "hierarchy.parent_shields_origin_staleness_composes",
+            "A shared parent replaces the edges' poll streams at the origin "
+            "with its own; each level adds its Δ, so edges lose fidelity at "
+            "the single-level bound and recover it at the composed bound 2Δ.",
+            _parent_shields_origin_staleness_composes,
+        ),
+    ),
 )
 def _topology_row(
     topology: str, *, trace: UpdateTrace, edge_count: int

@@ -1,67 +1,49 @@
 """Regenerate every table and figure and emit a Markdown report.
 
-``python -m repro report`` prints the full reproduction report (the
-body of EXPERIMENTS.md): each experiment's output plus the
-paper-vs-measured comparison of the qualitative claims.
+``python -m repro report`` prints the full reproduction report: each
+experiment's output, and under it every claim registered for that
+artefact (``@scenario(..., claims=...)``, or the module's ``CLAIMS`` for
+the time-series figures) with what was measured and whether it holds.
 """
 
 from __future__ import annotations
 
 import io
-from typing import Optional, cast
+from typing import Any, Optional, Sequence
 
 from repro.experiments import figure4, figure6, figure8
 from repro.experiments.workloads import DEFAULT_SEED
-from repro.scenarios.engine import ScenarioResult, render_scenario, run_scenario
+from repro.scenarios.engine import render_scenario, run_scenario
+from repro.scenarios.registry import SCENARIOS, Claim
 
-#: (scenario, section heading, notes) in report order.
+#: (scenario, section heading) in report order.
 _ABLATIONS = (
-    (
-        "ablation_history",
-        "Detection modes (§5.1 extension)",
-        "The exact history mode detects the most violations and backs "
-        "off hardest; plain Last-Modified misses Figure 1(b) patterns "
-        "and under-polls at a visible fidelity cost.",
-    ),
-    (
-        "ablation_heuristic_threshold",
-        "Heuristic rate-ratio threshold",
-        "Stricter gates suppress more triggers and shed fidelity — "
-        "the knob spans the baseline↔triggered spectrum.",
-    ),
-    (
-        "ablation_partition",
-        "Static vs dynamic δ split",
-        "Dynamic apportioning shifts tolerance toward the slow "
-        "object (AT&T) and tightens the fast one (Yahoo).",
-    ),
-    (
-        "ablation_smoothing",
-        "Eq. 10 α sweep",
-        "Small α = conservative = more polls; the paper's remedy for "
-        "low-locality data.",
-    ),
-    (
-        "ablation_trigger_semantics",
-        "Trigger semantics (additional vs replace)",
-        "Both achieve operational fidelity 1; replacing scheduled "
-        "polls absorbs some poll budget.",
-    ),
-    (
-        "ablation_limd_parameters",
-        "LIMD l/m tuning (§3.1)",
-        "Large l (optimistic) sheds polls and fidelity; a strong "
-        "back-off (small fixed m) buys fidelity with polls — the "
-        "two tuning directions the paper describes.",
-    ),
-    (
-        "ablation_latency",
-        "Network-latency sensitivity (§6.1.1 assumption)",
-        "Latencies well below Δ are harmless (the paper's regime); "
-        "fidelity degrades as the one-way latency approaches Δ and "
-        "the round trip stretches the effective poll period.",
-    ),
+    ("ablation_history", "Detection modes (§5.1 extension)"),
+    ("ablation_heuristic_threshold", "Heuristic rate-ratio threshold"),
+    ("ablation_partition", "Static vs dynamic δ split"),
+    ("ablation_smoothing", "Eq. 10 α sweep"),
+    ("ablation_trigger_semantics", "Trigger semantics (additional vs replace)"),
+    ("ablation_limd_parameters", "LIMD l/m tuning (§3.1)"),
+    ("ablation_latency", "Network-latency sensitivity (§6.1.1 assumption)"),
 )
+
+
+def _verdicts(claims: Sequence[Claim], result: object, source: str) -> str:
+    """One line per claim: its sentence, what was measured, the verdict.
+
+    The verdict words come from what ``claim.check`` returns for this
+    ``result`` and from nowhere else.
+    """
+    lines = []
+    for claim in claims:
+        holds, measured = claim.check(result)
+        verdict = "**holds**" if holds else "**does not hold**"
+        if not holds and claim.divergence:
+            verdict += f" (known: {claim.divergence})"
+        lines.append(
+            f"- {source}: {claim.paper}  Measured: {measured} — {verdict}."
+        )
+    return "\n".join(lines)
 
 
 def _section(out: io.StringIO, title: str, body: str, notes: str) -> None:
@@ -75,138 +57,42 @@ def generate(seed: int = DEFAULT_SEED, *, workers: Optional[int] = None) -> str:
     one experiment run concurrently; experiments still run in report
     order so the document is deterministic).
     """
-
-    def table(name: str) -> ScenarioResult:
-        return run_scenario(name, seed=seed, workers=workers)
-
     out = io.StringIO()
+
+    def table(name: str, title: str) -> None:
+        entry = SCENARIOS.get(name)
+        result = run_scenario(entry, seed=seed, workers=workers)
+        # An ablation's sentence is this reproduction's, not the paper's.
+        source = "Paper" if "paper" in entry.spec.tags else "Expected"
+        notes = _verdicts(entry.claims, result, source)
+        _section(out, title, render_scenario(result), notes)
+
+    def series(module: Any, title: str, **settings: object) -> None:
+        result = module.run(seed=seed, **settings)
+        notes = _verdicts(module.CLAIMS, result, "Paper")
+        _section(out, title, module.render(result), notes)
+
     out.write("# Reproduction report\n\n")
     out.write(
         f"Generated by `python -m repro report` "
         f"(seed {seed}).  Workloads are synthetic traces calibrated to "
         "the paper's Tables 2-3; absolute numbers therefore differ from "
-        "the paper while the qualitative shapes are expected to hold.\n\n"
+        "the paper.  Each claim below is a predicate registered beside "
+        "the artefact it judges; the verdict is what it returned on "
+        "this run.\n\n"
     )
 
-    _section(
-        out,
-        "Table 2 — temporal workloads",
-        render_scenario(table("table2")),
-        "Paper: 113 / 233 / 133 / 902 updates at mean intervals of "
-        "26 / 11.6 / 20.3 / 4.9 min.  Measured: update counts match "
-        "exactly (calibrated); mean intervals match to ±5%.",
-    )
-    _section(
-        out,
-        "Table 3 — value workloads",
-        render_scenario(table("table3")),
-        "Paper: AT&T 653 ticks in [35.8, 36.5]; Yahoo 2204 ticks in "
-        "[160.2, 171.2].  Measured: counts and ranges match exactly "
-        "(calibrated).",
-    )
-
-    fig3 = table("figure3")
-    _section(
-        out,
-        "Figure 3 — LIMD vs baseline (CNN/FN)",
-        render_scenario(fig3),
-        _figure3_notes(fig3),
-    )
-
-    fig4 = figure4.run(seed=seed)
-    _section(
-        out,
-        "Figure 4 — LIMD adaptivity over time",
-        figure4.render(fig4),
-        f"Paper: TTR climbs to TTR_max = 60 min across each quiet night "
-        f"and collapses toward Δ = 10 min each morning.  Measured TTR "
-        f"range: [{fig4.min_ttr_minutes:.1f}, {fig4.max_ttr_minutes:.1f}] "
-        "min — both extremes reached.",
-    )
-
-    fig5 = table("figure5")
-    _section(
-        out,
-        "Figure 5 — mutual temporal consistency",
-        render_scenario(fig5),
-        _figure5_notes(fig5),
-    )
-
-    fig6 = figure6.run(seed=seed)
-    _section(
-        out,
-        "Figure 6 — heuristic adaptivity",
-        figure6.render(fig6),
-        f"Paper: extra polls concentrate where the two objects change "
-        f"at comparable rates.  Measured: {fig6.total_extra_polls} "
-        f"triggered polls, {fig6.total_suppressed_by_rate} considerations "
-        "suppressed as slower-rate — the heuristic is selective exactly "
-        "as described.",
-    )
-
-    fig7 = table("figure7")
-    _section(
-        out,
-        "Figure 7 — mutual value consistency",
-        render_scenario(fig7),
-        _figure7_notes(fig7),
-    )
-
-    fig8 = figure8.run(seed=seed, workers=workers)
-    _section(
-        out,
-        "Figure 8 — f at proxy vs server (δ = $0.6)",
-        figure8.render(fig8),
-        f"Paper: the partitioned approach tracks the server-side "
-        f"difference more tightly than adaptive-f.  Measured mean "
-        f"tracking error: adaptive {fig8.tracking_error('adaptive'):.3f}, "
-        f"partitioned {fig8.tracking_error('partitioned'):.3f} — "
-        "partitioned is tighter, matching Figure 8(b) vs 8(a).",
-    )
+    table("table2", "Table 2 — temporal workloads")
+    table("table3", "Table 3 — value workloads")
+    table("figure3", "Figure 3 — LIMD vs baseline (CNN/FN)")
+    series(figure4, "Figure 4 — LIMD adaptivity over time")
+    table("figure5", "Figure 5 — mutual temporal consistency")
+    series(figure6, "Figure 6 — heuristic adaptivity")
+    table("figure7", "Figure 7 — mutual value consistency")
+    series(figure8, "Figure 8 — f at proxy vs server (δ = $0.6)", workers=workers)
 
     out.write("# Ablations\n\n")
-    for name, title, notes in _ABLATIONS:
-        _section(out, title, render_scenario(table(name)), notes)
+    for name, title in _ABLATIONS:
+        table(name, title)
 
     return out.getvalue()
-
-
-def _figure3_notes(result: ScenarioResult) -> str:
-    tight = result.rows[0]
-    loose = result.rows[-1]
-    return (
-        f"Paper: ~6x fewer polls at Δ = 1 min with ~20% fidelity loss; "
-        f"convergence to the (always-perfect) baseline at large Δ.  "
-        f"Measured: {tight['poll_ratio']:.1f}x fewer polls at Δ = 1 min "
-        f"with fidelity {tight['limd_fidelity_violations']:.2f}; at "
-        f"Δ = 60 min LIMD fidelity is "
-        f"{loose['limd_fidelity_violations']:.2f} and poll counts match "
-        "the baseline."
-    )
-
-
-def _figure5_notes(result: ScenarioResult) -> str:
-    tight = result.rows[0]
-    overheads = [cast(float, row["heuristic_overhead"]) for row in result.rows]
-    return (
-        f"Paper: triggered fidelity 1 by definition; heuristic fidelity "
-        f"0.87-1 rising with δ; heuristic overhead < 20% over baseline "
-        f"LIMD.  Measured: triggered fidelity 1.0 at every δ; heuristic "
-        f"fidelity {tight['heuristic_fidelity']:.2f} at δ = 1 min rising "
-        f"to 1.0; heuristic overhead peaks at {max(overheads):.1%} and "
-        "shrinks with δ."
-    )
-
-
-def _figure7_notes(result: ScenarioResult) -> str:
-    mid = result.row_for(0.6)
-    return (
-        "Paper: both approaches poll less and achieve higher fidelity "
-        "at larger δ; partitioned achieves higher fidelity at the cost "
-        "of more polls.  Measured at δ = $0.6: partitioned fidelity "
-        f"{mid['partitioned_fidelity']:.2f} vs adaptive "
-        f"{mid['adaptive_fidelity']:.2f}, with "
-        f"{mid['partitioned_polls']} vs {mid['adaptive_polls']} polls — "
-        "same ordering on both axes."
-    )
-

@@ -12,14 +12,39 @@ from typing import Dict, Mapping
 
 from repro.core.types import HOUR, MINUTE
 from repro.experiments.workloads import news_traces
-from repro.scenarios.registry import scenario
+from repro.scenarios.engine import ScenarioResult
+from repro.scenarios.registry import Claim, Verdict, scenario
 from repro.traces.model import UpdateTrace
 from repro.traces.stats import summarize_temporal
+
+
+#: The paper's reported values.
+PAPER_TABLE2 = {
+    "cnn_fn": {"num_updates": 113, "avg_update_interval_min": 26.0},
+    "nyt_ap": {"num_updates": 233, "avg_update_interval_min": 11.6},
+    "nyt_reuters": {"num_updates": 133, "avg_update_interval_min": 20.3},
+    "guardian": {"num_updates": 902, "avg_update_interval_min": 4.9},
+}
 
 
 def _prepare(params: Mapping[str, object], seed: int) -> Dict[str, object]:
     del params
     return {"traces": news_traces(seed)}
+
+
+def _matches_paper(result: ScenarioResult) -> Verdict:
+    pairs = [(row, PAPER_TABLE2[row["key"]]) for row in result.rows]
+    worst = max(
+        abs(row["avg_update_interval_min"] / paper["avg_update_interval_min"] - 1)
+        for row, paper in pairs
+    )
+    return (
+        len(pairs) == len(PAPER_TABLE2)
+        and all(row["num_updates"] == paper["num_updates"] for row, paper in pairs)
+        and worst <= 0.05,
+        " / ".join(str(row["num_updates"]) for row in result.rows)
+        + f" updates, mean intervals at most {worst:.1%} off the paper's",
+    )
 
 
 @scenario(
@@ -31,6 +56,14 @@ def _prepare(params: Mapping[str, object], seed: int) -> Dict[str, object]:
     title="Table 2: Characteristics of Trace Workloads (Temporal Domain)",
     tags=("paper", "table"),
     prepare=_prepare,
+    claims=(
+        Claim(
+            "table2.matches_paper",
+            "113 / 233 / 133 / 902 updates at mean intervals of "
+            "26 / 11.6 / 20.3 / 4.9 min.",
+            _matches_paper,
+        ),
+    ),
 )
 def _summary_row(key: str, *, traces: Mapping[str, UpdateTrace]) -> Dict[str, object]:
     """Characterise one trace."""
@@ -44,13 +77,4 @@ def _summary_row(key: str, *, traces: Mapping[str, UpdateTrace]) -> Dict[str, ob
             summary.mean_update_interval / MINUTE, 1
         ),
     }
-
-
-#: The paper's reported values, for EXPERIMENTS.md comparison.
-PAPER_TABLE2 = {
-    "cnn_fn": {"num_updates": 113, "avg_update_interval_min": 26.0},
-    "nyt_ap": {"num_updates": 233, "avg_update_interval_min": 11.6},
-    "nyt_reuters": {"num_updates": 133, "avg_update_interval_min": 20.3},
-    "guardian": {"num_updates": 902, "avg_update_interval_min": 4.9},
-}
 

@@ -18,9 +18,9 @@ grids like the ablations label their own rows).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
-from typing import Dict, List, Mapping, Optional, Sequence, Union
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
 
 from repro.api.executors import executor_for
 from repro.api.render import render_dict_rows
@@ -37,9 +37,9 @@ class ScenarioResult:
 
     spec: ScenarioSpec
     seed: int
-    rows: List[Dict[str, object]]
+    rows: List[Dict[str, Any]]
 
-    def column(self, name: str) -> List[object]:
+    def column(self, name: str) -> List[Any]:
         """Extract one column across all rows (missing → raises)."""
         try:
             return [row[name] for row in self.rows]
@@ -49,11 +49,11 @@ class ScenarioResult:
                 f"available: {sorted(self.rows[0]) if self.rows else []}"
             ) from None
 
-    def row_for(self, value: float, *, tolerance: float = 1e-9) -> Dict[str, object]:
+    def row_for(self, value: float, *, tolerance: float = 1e-9) -> Dict[str, Any]:
         """The row whose (numeric) axis value matches ``value``."""
         axis = self.spec.axis
         for row in self.rows:
-            if abs(float(row[axis]) - value) <= tolerance:  # type: ignore[arg-type]
+            if abs(float(row[axis]) - value) <= tolerance:
                 return row
         raise ExperimentError(
             f"no row with {axis} == {value} in scenario {self.spec.name!r}"
@@ -118,7 +118,7 @@ def _resolve(
         spec = spec.with_values(values)
     if spec is entry.spec:
         return entry
-    return Scenario(spec=spec, point=entry.point, prepare=entry.prepare)
+    return replace(entry, spec=spec)
 
 
 def run_scenario(

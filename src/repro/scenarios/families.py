@@ -17,7 +17,8 @@ measured:
   :mod:`repro.topology`).
 * **hybrid_push_pull** — a push root with polling edges against the
   same tree running pure pull; sweeps the edge Δ across the
-  message-cost crossover quantified by ``bench_extension_push``.
+  message-cost crossover (``test_extension_push_vs_poll`` in
+  ``tests/test_paper_claims.py`` measures it on one proxy).
 
 Every point derives its RNG seed from the run seed and its axis value
 (:func:`repro.core.rng.derive_seed`), so serial and ``workers > 1``

@@ -27,6 +27,11 @@ Registration is declarative::
 Point functions must be module-level (pickling requirement of
 :class:`repro.api.executors.ParallelExecutor`).
 
+A scenario that reproduces something the paper asserts also carries the
+assertion: ``claims=(Claim(...), ...)`` beside the point function whose
+rows it judges.  The report prints each claim's verdict and
+``tests/test_paper_claims.py`` pins it per seed; nothing else states it.
+
 Lookup goes through :data:`SCENARIOS`, a
 :class:`repro.core.registry.Registry` shared with the consistency and
 workload-source registries (``SCENARIOS.get(name)``,
@@ -36,7 +41,7 @@ workload-source registries (``SCENARIOS.get(name)``,
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Any, Callable, Mapping, Optional, Sequence, Tuple
 
 from repro.core.registry import Registry
 from repro.core.errors import ReproError
@@ -81,6 +86,31 @@ def prepare_params_seed(
     return {"params": dict(params), "seed": seed}
 
 
+#: What a claim's check returns: (holds, the measured numbers in words).
+Verdict = Tuple[bool, str]
+
+
+@dataclass(frozen=True)
+class Claim:
+    """One qualitative claim of the paper, stated once as a predicate.
+
+    Attributes:
+        id: ``<artefact>.<what_it_says>``, unique across the tree.
+        paper: The paper's sentence, as the report quotes it.
+        check: Module-level function from the finished run — a
+            :class:`~repro.scenarios.engine.ScenarioResult`, or the
+            ``FigureNResult`` of a time-series figure — to a
+            :data:`Verdict`.
+        divergence: Why the claim is known not to hold where it does
+            not ('' when it holds wherever it has been measured).
+    """
+
+    id: str
+    paper: str
+    check: Callable[[Any], Verdict]
+    divergence: str = ""
+
+
 @dataclass(frozen=True)
 class Scenario:
     """One registered scenario: declarative spec + executable hooks."""
@@ -88,6 +118,7 @@ class Scenario:
     spec: ScenarioSpec
     point: PointFn
     prepare: PrepareFn = _prepare_nothing
+    claims: Tuple[Claim, ...] = ()
 
 
 def _load_builtins() -> None:
@@ -133,6 +164,7 @@ def scenario(
     title: str = "",
     tags: Sequence[str] = (),
     prepare: Optional[PrepareFn] = None,
+    claims: Sequence[Claim] = (),
 ) -> Callable[[PointFn], PointFn]:
     """Register the decorated point function as a runnable scenario."""
     spec = ScenarioSpec(
@@ -148,7 +180,12 @@ def scenario(
 
     def wrap(point: PointFn) -> PointFn:
         register_scenario(
-            Scenario(spec=spec, point=point, prepare=prepare or _prepare_nothing)
+            Scenario(
+                spec=spec,
+                point=point,
+                prepare=prepare or _prepare_nothing,
+                claims=tuple(claims),
+            )
         )
         return point
 

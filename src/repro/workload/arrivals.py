@@ -8,21 +8,12 @@ the request path (hits/misses) needs an arrival model — Poisson
 
 from __future__ import annotations
 
-import abc
 import random
 
 from repro.core.types import Seconds, require_positive
 
 
-class ArrivalProcess(abc.ABC):
-    """Generates successive inter-arrival gaps."""
-
-    @abc.abstractmethod
-    def next_gap(self) -> Seconds:
-        """The gap until the next arrival, in seconds (> 0)."""
-
-
-class PoissonArrivals(ArrivalProcess):
+class PoissonArrivals:
     """Memoryless arrivals at a given mean rate."""
 
     def __init__(self, rate_per_second: float, rng: random.Random) -> None:
@@ -34,4 +25,5 @@ class PoissonArrivals(ArrivalProcess):
         return self._rate
 
     def next_gap(self) -> Seconds:
+        """The gap until the next arrival, in seconds (> 0)."""
         return self._rng.expovariate(self._rate)

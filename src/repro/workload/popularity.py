@@ -11,7 +11,6 @@ dominated request generation for large catalogues.
 
 from __future__ import annotations
 
-import abc
 import random
 from typing import List, Sequence
 
@@ -87,15 +86,7 @@ class AliasSampler:
         return self._alias[index]
 
 
-class PopularityModel(abc.ABC):
-    """Chooses an object for each request."""
-
-    @abc.abstractmethod
-    def choose(self) -> ObjectId:
-        ...
-
-
-class ZipfPopularity(PopularityModel):
+class ZipfPopularity:
     """Zipf(s) popularity: the i-th ranked object has weight 1/i^s.
 
     Draws are O(1) via :class:`AliasSampler` rather than O(log n)
@@ -125,4 +116,5 @@ class ZipfPopularity(PopularityModel):
         self._sampler = AliasSampler(weights, rng)
 
     def choose(self) -> ObjectId:
+        """The object the next request asks for."""
         return self._objects[self._sampler.draw_index()]

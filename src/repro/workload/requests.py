@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from repro.core.types import Seconds
 from repro.proxy.client import Client
 from repro.sim.kernel import Kernel
-from repro.workload.arrivals import ArrivalProcess
-from repro.workload.popularity import PopularityModel
+from repro.workload.arrivals import PoissonArrivals
+from repro.workload.popularity import ZipfPopularity
 
 
 @dataclass(frozen=True)
@@ -32,14 +32,18 @@ class RequestStreamConfig:
 
 
 class RequestStream:
-    """Schedules a stream of client requests on the kernel."""
+    """Schedules a stream of client requests on the kernel.
+
+    Only ``arrivals.next_gap()`` and ``popularity.choose()`` are called,
+    so anything with those two methods can stand in for them.
+    """
 
     def __init__(
         self,
         kernel: Kernel,
         client: Client,
-        arrivals: ArrivalProcess,
-        popularity: PopularityModel,
+        arrivals: PoissonArrivals,
+        popularity: ZipfPopularity,
         config: RequestStreamConfig,
     ) -> None:
         self._kernel = kernel

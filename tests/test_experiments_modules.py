@@ -1,8 +1,9 @@
-"""Smoke tests for the per-table/figure experiment modules.
+"""Wiring and rendering of the per-table/figure experiment modules.
 
-The full sweeps live in ``benchmarks/``; here each artefact runs by
-name on a reduced parameter set to verify wiring, rendering, and the
-headline shape, keeping the unit suite fast.
+What each artefact is expected to *show* is stated once, as the claims
+registered beside it, and pinned full-size by
+``tests/test_paper_claims.py``; here each artefact runs by name to check
+its parameters, row labels, rendering, and the report built from them.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import pytest
 
 from repro.experiments import figure4, figure6, figure8, table2
+from repro.experiments.report import generate
 from repro.scenarios.engine import render_scenario, run_scenario
 
 
@@ -37,16 +39,6 @@ class TestTables:
         assert "AT&T" in out and "Yahoo" in out
 
 
-class TestFigure3:
-    def test_reduced_sweep_shape(self):
-        result = run_scenario("figure3", values=(2, 30))
-        tight = result.row_for(2)
-        loose = result.row_for(30)
-        assert tight["limd_polls"] < tight["baseline_polls"]
-        assert loose["baseline_fidelity_violations"] == 1.0
-        assert render_scenario(result).startswith("Figure 3")
-
-
 class TestFigure4:
     def test_series_cover_trace_window(self):
         result = figure4.run()
@@ -55,31 +47,12 @@ class TestFigure4:
         assert "Figure 4" in figure4.render(result)
 
 
-class TestFigure5:
-    def test_reduced_sweep_shape(self):
-        result = run_scenario("figure5", values=(2,))
-        row = result.rows[0]
-        assert row["triggered_fidelity"] == 1.0
-        assert row["heuristic_polls"] >= row["baseline_polls"] * 0.95
-        assert "Figure 5" in render_scenario(result)
-
-
 class TestFigure6:
     def test_series_and_decisions(self):
         result = figure6.run()
         assert len(result.rate_ratio) == len(result.extra_polls)
         assert result.total_extra_polls >= 0
         assert "Figure 6" in figure6.render(result)
-
-
-class TestFigure7:
-    def test_reduced_sweep_shape(self):
-        result = run_scenario("figure7", values=(0.6, 4.0))
-        tight = result.row_for(0.6)
-        loose = result.row_for(4.0)
-        assert loose["adaptive_polls"] <= tight["adaptive_polls"]
-        assert loose["partitioned_fidelity"] >= tight["partitioned_fidelity"]
-        assert "Figure 7" in render_scenario(result)
 
 
 class TestFigure8:
@@ -100,16 +73,13 @@ class TestAblationsSmoke:
     def test_trigger_semantics_rows(self):
         rows = run_scenario("ablation_trigger_semantics").rows
         assert {row["semantics"] for row in rows} == {"additional", "replace"}
-        for row in rows:
-            assert row["fidelity"] == 1.0
 
 
 class TestHierarchyExperiment:
     def test_rows_and_render(self):
         result = run_scenario("hierarchy", params={"edge_count": 3})
         assert result.column("topology") == ["flat", "hierarchy"]
-        flat, hier = result.rows
-        assert hier["origin_requests"] < flat["origin_requests"]
+        hier = result.rows[1]
         assert hier["parent_polls"] == hier["origin_requests"]
         out = render_scenario(result)
         assert "flat" in out and "hierarchy" in out
@@ -121,15 +91,6 @@ class TestHierarchyExperiment:
 
 
 class TestGroupMtExperiment:
-    def test_reduced_sweep_shape(self):
-        result = run_scenario("group_mt", values=(2.0, 30.0))
-        tight, loose = result.rows
-        assert tight["triggered_fidelity_time"] >= tight[
-            "baseline_fidelity_time"
-        ] - 1e-9
-        assert tight["triggered_extra"] >= loose["triggered_extra"]
-        assert "n-object" in render_scenario(result)
-
     def test_heading_names_the_trio_that_ran(self):
         trio = ["guardian", "cnn_fn", "nyt_ap"]
         result = run_scenario("group_mt", params={"trio": trio}, values=(30.0,))
@@ -145,13 +106,17 @@ class TestGroupMtExperiment:
         rows = run_scenario("ablation_latency", values=(0.0, 600.0)).rows
         assert rows[0]["one_way_latency_s"] == 0.0
         assert rows[1]["latency_over_delta"] == 1.0
-        assert rows[1]["fidelity_time"] <= rows[0]["fidelity_time"]
 
 
 class TestReport:
-    def test_every_section_present_and_output_reproducible(self, capsys):
+    @pytest.fixture(scope="class")
+    def default_report(self):
+        return generate()
+
+    def test_every_section_present_and_output_reproducible(
+        self, default_report, capsys
+    ):
         from repro.cli import main
-        from repro.experiments.report import generate
 
         assert main(["report"]) == 0
         first = capsys.readouterr().out.rstrip("\n")
@@ -177,5 +142,36 @@ class TestReport:
             "LIMD l/m tuning (§3.1)",
             "Network-latency sensitivity (§6.1.1 assumption)",
         ]
-        assert generate().rstrip("\n") == first
+        for table_title in ("Figure 3: LIMD", "Figure 5: Mutual", "Figure 7: Mutual"):
+            assert f"```\n{table_title}" in first
+        assert default_report.rstrip("\n") == first
         assert generate(workers=2).rstrip("\n") == first
+
+    def test_verdicts_follow_the_numbers(self, default_report):
+        """The same sentence, two seeds, two verdicts — none hard-coded."""
+
+        def verdict(report, paper_sentence):
+            (line,) = [ln for ln in report.splitlines() if paper_sentence in ln]
+            return line
+
+        triggered = "Triggered polls give mutual fidelity 1 by definition."
+        seed3 = generate(seed=3)
+        assert verdict(default_report, triggered).endswith(
+            "triggered fidelity 1 at all 8 values of δ — **holds**."
+        )
+        line = verdict(seed3, triggered)
+        assert "0.997 at δ = 25 min" in line
+        assert "**does not hold** (known: " in line
+        assert "right-censored at the horizon" in line
+        # The default seed's known divergence: Figure 7 at δ = $0.25.
+        line = verdict(default_report, "at the cost of more polls.")
+        assert "the ordering breaks at δ = $0.25" in line
+        assert "**does not hold** (known: " in line
+        for phrase in (
+            "1.0 at every δ",
+            "same ordering on both axes",
+            "exactly as described",
+            "both extremes reached",
+            "partitioned is tighter, matching",
+        ):
+            assert phrase not in default_report + seed3

@@ -13,12 +13,12 @@ from repro.proxy.client import Client
 from repro.proxy.proxy import ProxyCache
 from repro.server.origin import OriginServer
 from repro.sim.kernel import Kernel
-from repro.workload.arrivals import ArrivalProcess, PoissonArrivals
-from repro.workload.popularity import PopularityModel, ZipfPopularity
+from repro.workload.arrivals import PoissonArrivals
+from repro.workload.popularity import ZipfPopularity
 from repro.workload.requests import RequestStream, RequestStreamConfig
 
 
-class _Every(ArrivalProcess):
+class _Every:
     """A fixed gap between arrivals, so a stream's count is exact."""
 
     def __init__(self, gap):
@@ -28,7 +28,7 @@ class _Every(ArrivalProcess):
         return self._gap
 
 
-class _RoundRobin(PopularityModel):
+class _RoundRobin:
     def __init__(self, objects):
         self._objects = itertools.cycle(objects)
 
