@@ -16,6 +16,7 @@ Arbitrary simulations run from a typed JSON config
     python -m repro run --config cfg.json         # table of result rows
     python -m repro run --config cfg.json --json  # ResultSet JSON
     python -m repro run --config cfg.json --csv   # ResultSet CSV
+    python -m repro run --config cfg.json --workers 2  # shards on a pool
 
 The declarative scenario engine has its own command group::
 
@@ -359,6 +360,16 @@ def build_run_parser() -> argparse.ArgumentParser:
         default=None,
         help="override the config's RNG seed",
     )
+    parser.add_argument(
+        "--workers",
+        type=_positive_int,
+        default=None,
+        metavar="N",
+        help=(
+            "run a sharded config's shards across N worker processes "
+            "(default: serial; rows stay identical)"
+        ),
+    )
     output = parser.add_mutually_exclusive_group()
     output.add_argument(
         "--json",
@@ -390,7 +401,7 @@ def _run_config_main(argv: Sequence[str]) -> int:
         config = SimulationConfig.from_json(text)
         if args.seed is not None:
             config = config.with_seed(args.seed)
-        outcome = run_simulation(config)
+        outcome = run_simulation(config, workers=args.workers)
     except ReproError as exc:
         print(f"invalid simulation configuration: {exc}", file=sys.stderr)
         return 2

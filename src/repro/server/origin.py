@@ -98,7 +98,7 @@ class OriginServer:
         """Apply one update to an object (called by the update feeder)."""
         obj = self.get_object(object_id)
         obj.apply_update(time, value)
-        self.counters.increment("updates_applied")
+        self.counters.counts["updates_applied"] += 1
         if self._update_listeners:
             for listener in tuple(self._update_listeners):
                 listener(object_id, time)
@@ -108,7 +108,8 @@ class OriginServer:
     # ------------------------------------------------------------------
     def handle_request(self, request: Request, now: Seconds) -> Response:
         """Answer a simulated HTTP request at server time ``now``."""
-        self.counters.increment("requests")
+        counts = self.counters.counts
+        counts["requests"] += 1
         obj = self._objects.get(request.object_id)
         if obj is None:
             self.counters.increment("responses_404")
@@ -130,7 +131,7 @@ class OriginServer:
                 obj.modification_times_view() if self.supports_history else None
             ),
         )
-        self.counters.increment(_RESPONSE_COUNTER_NAMES[response.status])
+        counts[_RESPONSE_COUNTER_NAMES[response.status]] += 1
         return response
 
     def __repr__(self) -> str:

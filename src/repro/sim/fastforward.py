@@ -12,10 +12,12 @@ the refresher's next instant is known exactly, so there is nothing to
   (:meth:`~repro.proxy.refresher.Refresher.detach_timer`); re-arms
   become arithmetic updates queued on the engine's own scheduler —
   built through the same :func:`~repro.sim.kernel.make_scheduler` seam
-  as the kernel's, and of the same kind — instead of kernel events.
-  Queued polls ride pooled ``_PollEntry`` carriers: a re-arm or disarm
-  eagerly cancels the carrier through the reschedule hook, and the
-  scheduler's reclaim hook recycles skipped carriers into a free list.
+  as the kernel's, of the same kind, and driven through the same three
+  primitives (``push(entry)`` / ``pop()`` / ``size()``) — instead of
+  kernel events.  Queued polls ride pooled ``_PollEntry`` carriers: a
+  re-arm or disarm eagerly cancels the carrier through the reschedule
+  hook, and the main loop recycles the cancelled carriers it pops into
+  a free list, as the kernel's drain loop does with its records.
 * The main loop compares the earliest queued poll instant with the
   kernel's earliest pending event (:meth:`~repro.sim.kernel.Kernel.
   peek_next_time`).  Runs of external events dispatch through the
@@ -94,6 +96,7 @@ class FastForwardEngine:
     __slots__ = (
         "_kernel",
         "_scheduler",
+        "_queue",
         "_current",
         "_free",
         "_sequence",
@@ -115,8 +118,9 @@ class FastForwardEngine:
         self._kernel = kernel
         self._free: List[_PollEntry] = []
         self._scheduler: Scheduler[_PollEntry] = make_scheduler(
-            kernel.scheduler_kind, on_reclaim=self._free.append
+            kernel.scheduler_kind
         )
+        self._queue = self._scheduler.push
         #: The live carrier per armed refresher, for eager cancellation.
         self._current: Dict[Refresher, _PollEntry] = {}
         self._sequence = 0
@@ -142,14 +146,14 @@ class FastForwardEngine:
         else:
             entry = _PollEntry(refresher)
         self._current[refresher] = entry
-        self._scheduler.push(when, self._sequence, entry)
+        self._queue((when, self._sequence, entry))
         self._sequence += 1
 
     def _on_reschedule(self, refresher: Refresher, when: Optional[Seconds]) -> None:
         """Mirror a detached re-arm (or, with ``when=None``, a disarm).
 
-        The superseded carrier is cancelled eagerly and reclaimed by the
-        scheduler when it would have surfaced, exactly as a
+        The superseded carrier is cancelled eagerly and recycled by
+        :meth:`run` when it surfaces, exactly as a
         ``RestartableTimer.arm_at`` flags its old kernel event.
         """
         stale = self._current.pop(refresher, None)
@@ -175,30 +179,44 @@ class FastForwardEngine:
             raise SimulationError(
                 f"cannot fast-forward to t={until}, already at t={kernel.now()}"
             )
-        scheduler = self._scheduler
+        pop = self._scheduler.pop
+        size = self._scheduler.size
+        free = self._free
         while True:
-            head = scheduler.peek()
-            t_poll = head[0] if head is not None else None
-            bound = until if (t_poll is None or t_poll > until) else t_poll
+            # The earliest live poll, popped; cancelled carriers on the
+            # way to it are recycled.
+            head = None
+            while size():
+                entry = pop()
+                if not entry[2].cancelled:
+                    head = entry
+                    break
+                free.append(entry[2])
+            bound = until if (head is None or head[0] > until) else head[0]
             t_ext = kernel.peek_next_time()
             if t_ext is not None and t_ext <= bound:
                 # External events first (they were scheduled before any
                 # timer re-arm at the same instant); one batch call
                 # drains the whole run up to the next poll, including
                 # events its own callbacks schedule inside the window.
+                # The popped poll goes back under its own (time,
+                # sequence): those callbacks may re-arm ahead of it.
+                if head is not None:
+                    self._queue(head)
                 kernel.run_batch(bound)
                 continue
-            if t_poll is None or t_poll > until:
+            if head is None:
                 break
-            entry = scheduler.pop()
-            assert entry is not None
-            time, _sequence, carrier = entry
+            time, _sequence, carrier = head
+            if time > until:
+                self._queue(head)
+                break
             refresher = carrier.refresher
-            # A surfaced carrier is never cancelled, so it is exactly
-            # the refresher's current one; consume and recycle it
-            # before the poll re-arms (the re-arm reuses the carrier).
+            # A live carrier is exactly the refresher's current one;
+            # consume and recycle it before the poll re-arms (the
+            # re-arm reuses the carrier).
             del self._current[refresher]
-            self._free.append(carrier)
+            free.append(carrier)
             kernel.advance_clock(time)
             refresher.fire_expired()
         if kernel.now() < until:

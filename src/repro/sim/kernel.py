@@ -24,10 +24,15 @@ times):
 * Fired events are recycled through a free list instead of allocated
   per schedule: :meth:`Kernel.schedule_raw` reuses the record and bumps
   its ``generation`` so stale handles can tell a recycled event from
-  their own.  Cancelled events are reclaimed lazily when the scheduler
-  skips them.
-* :meth:`Kernel._drain` binds hot attributes to locals; cancelled
-  events are skipped lazily when popped.
+  their own.  Cancelled events are reclaimed lazily when the drain loop
+  pops them.
+* The default scheduler's hot path enters no interpreted frame: the
+  kernel binds the seam's three primitives once, and for the heap they
+  are C callables (``partial(heappush, heap)``, ``partial(heappop,
+  heap)``, ``heap.__len__``).  The scheduling methods build the entry
+  tuple themselves and :meth:`Kernel._drain` — one frame per run, not
+  per event — skips and recycles cancelled entries and stops at the
+  horizon.
 * Instants known in advance (a trace's updates) go through
   :meth:`Kernel.schedule_series`: still one dispatched event each, in
   the slot the per-instant ``schedule_at`` loop would give it, but one
@@ -35,13 +40,18 @@ times):
   entry tuple per instant — the pending set, and what the cyclic
   garbage collector has to walk, is O(series) rather than O(instants).
 
-The scheduler seam has two implementations: the default
-:class:`HeapScheduler` (C ``heapq``, which has won every measurement on
-this tree) and :class:`repro.sim.wheel.TimerWheelScheduler` (a
-pure-Python calendar queue, still selectable because the frozen
-host-time benchmark compares the two).  Both dispatch in bit-identical
-``(time, sequence)`` order — pinned by the hypothesis equivalence suite
-in ``tests/test_scheduler_equivalence.py``.
+The scheduler seam is a bare ordered container of three primitives —
+``push(entry)``, ``pop()`` (the earliest entry, cancelled or not; called
+only when something is queued) and ``size()`` — and knows nothing about
+cancellation, horizons or the event pool: whoever pops owns the
+cancelled flag (the kernel recycles what it skips).  It has two
+implementations: the default :class:`HeapScheduler` (C ``heapq``, which
+has won every measurement on this tree) and
+:class:`repro.sim.wheel.TimerWheelScheduler` (a pure-Python calendar
+queue, still selectable because the frozen host-time benchmark compares
+the two).  Both dispatch in bit-identical ``(time, sequence)`` order —
+pinned by the hypothesis equivalence suite in
+``tests/test_scheduler_equivalence.py``.
 
 The kernel is deliberately small — no coroutines, no channels — because
 the paper's simulation only needs timers (TTR expirations) and
@@ -51,6 +61,7 @@ pre-recorded instants (trace updates).
 from __future__ import annotations
 
 import heapq
+from functools import partial
 from typing import (
     Callable,
     Generic,
@@ -71,7 +82,7 @@ EventCallback = Callable[["Kernel"], None]
 
 
 class Cancellable(Protocol):
-    """An item a :class:`Scheduler` can lazily skip once flagged."""
+    """An item whose queue entry is lazily skipped once flagged."""
 
     cancelled: bool
 
@@ -86,29 +97,35 @@ SchedulerEntry = Tuple[Seconds, int, _ItemT]
 class Scheduler(Protocol[_ItemT]):
     """The pluggable priority-queue seam under the kernel.
 
-    Implementations must dispatch in exact ``(time, sequence)`` order —
-    including same-tick sequence tie-breaks — so the choice of scheduler
-    is unobservable to the simulation.  Cancellation is lazy: items
-    flagged ``cancelled`` are skipped (and reported to the reclaim hook)
-    when they would otherwise surface.
+    A bare ordered container of ``(time, sequence, item)`` entries.
+    Implementations must hand entries back in exact ``(time, sequence)``
+    order — including same-tick sequence tie-breaks — so the choice of
+    scheduler is unobservable to the simulation.  The three primitives
+    ``push`` / ``pop`` / ``size`` are bound once by their caller and
+    called per event, so an implementation may expose them as instance
+    attributes holding C callables.  Cancellation belongs to the caller:
+    ``pop`` returns flagged entries like any other and the caller skips
+    (and recycles) them; only ``peek`` and ``pending_count`` look at the
+    flag.
     """
 
-    def push(self, when: Seconds, sequence: int, item: _ItemT) -> None:
-        """Insert ``item`` keyed by ``(when, sequence)``."""
+    def push(self, entry: Tuple[Seconds, int, _ItemT]) -> None:
+        """Insert ``entry``; re-pushing a popped entry restores its place."""
+        ...
+
+    def pop(self) -> Tuple[Seconds, int, _ItemT]:
+        """Remove and return the earliest entry, cancelled or not.
+
+        Only called when :meth:`size` is non-zero.
+        """
+        ...
+
+    def size(self) -> int:
+        """Number of queued entries, cancelled ones included."""
         ...
 
     def peek(self) -> Optional[Tuple[Seconds, int, _ItemT]]:
         """The earliest pending entry, or None; drops cancelled heads."""
-        ...
-
-    def pop(
-        self, until: Optional[Seconds] = None
-    ) -> Optional[Tuple[Seconds, int, _ItemT]]:
-        """Remove and return the earliest pending entry.
-
-        With ``until`` given, an entry later than ``until`` is left in
-        place and None is returned (entries exactly at ``until`` pop).
-        """
         ...
 
     def advance(self, to: Seconds) -> None:
@@ -123,44 +140,34 @@ class Scheduler(Protocol[_ItemT]):
 class HeapScheduler(Generic[_ItemT]):
     """The default scheduler: a binary heap of entry tuples.
 
-    O(log n) push/pop via :mod:`heapq`.  Also the behavioral oracle for
+    O(log n) push/pop via :mod:`heapq`, with ``push`` / ``pop`` /
+    ``size`` bound to the C functions themselves, so the per-event path
+    runs no Python code of this class.  Also the behavioral oracle for
     the timer wheel in differential tests; the wheel must match it byte
     for byte.
     """
 
-    __slots__ = ("_heap", "_reclaim")
+    __slots__ = ("_heap", "push", "pop", "size")
 
-    def __init__(
-        self, on_reclaim: Optional[Callable[[_ItemT], None]] = None
-    ) -> None:
-        self._heap: List[Tuple[Seconds, int, _ItemT]] = []
-        self._reclaim = on_reclaim
-
-    def push(self, when: Seconds, sequence: int, item: _ItemT) -> None:
-        heapq.heappush(self._heap, (when, sequence, item))
+    def __init__(self) -> None:
+        heap: List[Tuple[Seconds, int, _ItemT]] = []
+        self._heap = heap
+        self.push: Callable[[Tuple[Seconds, int, _ItemT]], None] = partial(
+            heapq.heappush, heap
+        )
+        self.pop: Callable[[], Tuple[Seconds, int, _ItemT]] = partial(
+            heapq.heappop, heap
+        )
+        self.size: Callable[[], int] = heap.__len__
 
     def peek(self) -> Optional[Tuple[Seconds, int, _ItemT]]:
         heap = self._heap
-        reclaim = self._reclaim
-        pop = heapq.heappop
         while heap:
             head = heap[0]
-            if head[2].cancelled:
-                pop(heap)
-                if reclaim is not None:
-                    reclaim(head[2])
-                continue
-            return head
+            if not head[2].cancelled:
+                return head
+            heapq.heappop(heap)
         return None
-
-    def pop(
-        self, until: Optional[Seconds] = None
-    ) -> Optional[Tuple[Seconds, int, _ItemT]]:
-        head = self.peek()
-        if head is None or (until is not None and head[0] > until):
-            return None
-        heapq.heappop(self._heap)
-        return head
 
     def advance(self, to: Seconds) -> None:
         """Clock jumps need no bookkeeping in a heap."""
@@ -172,16 +179,14 @@ class HeapScheduler(Generic[_ItemT]):
         return f"HeapScheduler(queued={len(self._heap)})"
 
 
-def make_scheduler(
-    kind: str, on_reclaim: Optional[Callable[[_ItemT], None]] = None
-) -> "Scheduler[_ItemT]":
+def make_scheduler(kind: str) -> "Scheduler[_ItemT]":
     """Build a scheduler by kind (``"wheel"`` or ``"heap"``)."""
     if kind == "wheel":
         from repro.sim.wheel import TimerWheelScheduler
 
-        return TimerWheelScheduler(on_reclaim=on_reclaim)
+        return TimerWheelScheduler()
     if kind == "heap":
-        return HeapScheduler(on_reclaim=on_reclaim)
+        return HeapScheduler()
     raise ValueError(f"unknown scheduler kind {kind!r} (use 'wheel' or 'heap')")
 
 
@@ -326,7 +331,7 @@ class _Series:
             event.label = self._label
             event.cancelled = False
             event.fired = False
-            kernel._push(when, self._sequence + index, event)
+            kernel._push((when, self._sequence + index, event))
         self._callback(kernel)
 
 
@@ -339,6 +344,12 @@ class Kernel:
             ``"wheel"`` (the calendar queue in :mod:`repro.sim.wheel`).
             Dispatch order is identical; the knob exists for
             differential testing and benchmarking.
+
+    The scheduler's ``push`` / ``pop`` / ``size`` are bound once here;
+    every scheduling and run method goes through those three and never
+    branches on the kind.  The kernel, not the scheduler, owns lazy
+    cancellation (skip and recycle), the ``until`` horizon and the
+    event pool — all in :meth:`_drain`.
 
     Example:
         >>> k = Kernel()
@@ -354,6 +365,8 @@ class Kernel:
         "_scheduler",
         "_scheduler_kind",
         "_push",
+        "_pop",
+        "_size",
         "_sequence",
         "_running",
         "_events_processed",
@@ -367,11 +380,13 @@ class Kernel:
             raise ValueError(f"start_time must be >= 0, got {start_time}")
         self._now: Seconds = start_time
         self._free: List[_Event] = []
-        self._scheduler: Scheduler[_Event] = make_scheduler(
-            scheduler, on_reclaim=self._free.append
-        )
+        self._scheduler: Scheduler[_Event] = make_scheduler(scheduler)
         self._scheduler_kind = scheduler
+        # The seam's three primitives, bound once: C callables for the
+        # heap, so scheduling and dispatch enter no scheduler frame.
         self._push = self._scheduler.push
+        self._pop = self._scheduler.pop
+        self._size = self._scheduler.size
         self._sequence = 0
         self._running = False
         self._events_processed = 0
@@ -421,7 +436,7 @@ class Kernel:
             event = _Event(when, callback, label)
         sequence = self._sequence
         self._sequence = sequence + 1
-        self._push(when, sequence, event)
+        self._push((when, sequence, event))
         return event
 
     def schedule_at(
@@ -450,7 +465,7 @@ class Kernel:
             event = _Event(when, callback, label)
         sequence = self._sequence
         self._sequence = sequence + 1
-        self._push(when, sequence, event)
+        self._push((when, sequence, event))
         return EventHandle(event)
 
     def schedule_after(
@@ -511,25 +526,33 @@ class Kernel:
     def _drain(self, until: Optional[Seconds], max_events: Optional[int]) -> int:
         """Dispatch pending events in (time, sequence) order.
 
-        The single lazy-cancel pop loop behind :meth:`step`,
-        :meth:`run`, and :meth:`run_batch`: the scheduler skips
-        cancelled entries, the loop stops at the first event past
-        ``until`` (events exactly at ``until`` are dispatched), and the
-        clock is left at the last dispatched event.  Fired records are
-        released to the free list *before* their callback runs, so the
-        fire→re-arm pattern reuses the same record without growing the
-        pool.  Callers own the ``_running`` guard and the end-of-run
-        clock policy.
+        The single pop loop behind :meth:`step`, :meth:`run`, and
+        :meth:`run_batch`, for either scheduler.  A cancelled entry is
+        skipped and its record recycled; the first live entry past
+        ``until`` is pushed back unchanged — same ``(time, sequence)``,
+        handle still pending — and ends the loop (events exactly at
+        ``until`` are dispatched); the clock is left at the last
+        dispatched event.  Fired records are released to the free list
+        *before* their callback runs, so the fire→re-arm pattern reuses
+        the same record without growing the pool.  Emptiness is tested,
+        never caught: an ``IndexError`` here is a callback's own.
+        Callers own the ``_running`` guard and the end-of-run clock
+        policy.
         """
         processed = 0
-        pop = self._scheduler.pop
+        pop = self._pop
+        size = self._size
         free = self._free
         try:
-            while processed != max_events:
-                entry = pop(until)
-                if entry is None:
-                    break
+            while processed != max_events and size():
+                entry = pop()
                 event = entry[2]
+                if event.cancelled:
+                    free.append(event)
+                    continue
+                if until is not None and entry[0] > until:
+                    self._push(entry)
+                    break
                 self._now = entry[0]
                 event.fired = True
                 callback = event.callback
@@ -553,13 +576,21 @@ class Kernel:
 
         Events scheduled exactly at ``until`` are processed; the clock is
         advanced to ``until`` at the end even when the queue empties
-        earlier, so time-weighted statistics cover the full horizon.
+        earlier, so time-weighted statistics cover the full horizon —
+        unless ``max_events`` ended the run, which may leave events
+        before ``until`` pending: the clock then stays at the last one
+        dispatched.
 
         Returns:
             The number of events processed by this call.
+
+        Raises:
+            ValueError: if ``max_events`` is negative (0 dispatches nothing).
         """
         if self._running:
             raise SimulationError("kernel is already running (re-entrant run())")
+        if max_events is not None and max_events < 0:
+            raise ValueError(f"max_events must be >= 0, got {max_events}")
         if until is not None and until < self._now:
             raise SimulationError(
                 f"cannot run until t={until}, already at t={self._now}"
@@ -569,7 +600,7 @@ class Kernel:
         processed = 0
         try:
             processed = self._drain(until, max_events)
-            if until is not None and self._now < until:
+            if until is not None and self._now < until and processed != max_events:
                 self._now = until
         finally:
             self._running = False
@@ -594,11 +625,16 @@ class Kernel:
 
         Returns:
             The number of events processed by this call.
+
+        Raises:
+            ValueError: if ``max_events`` is negative (0 dispatches nothing).
         """
         if self._running:
             raise SimulationError(
                 "kernel is already running (re-entrant run_batch())"
             )
+        if max_events is not None and max_events < 0:
+            raise ValueError(f"max_events must be >= 0, got {max_events}")
         if until < self._now:
             raise SimulationError(
                 f"cannot run batch until t={until}, already at t={self._now}"

@@ -5,7 +5,7 @@ Time is divided into fixed-width slots (``slot = int(time * scale)``
 with the width a power of two, so the scaling multiply is exact and the
 slot map is monotone); each slot hashes onto one of ``nbuckets``
 unsorted buckets.  Scheduling an event appends to its bucket — O(1) —
-and cancellation is a flag write, reclaimed lazily.  Dispatch drains
+and cancellation is a flag write the popping caller acts on.  Dispatch drains
 one slot at a time into a sorted *ready list* and consumes it with a
 moving index, so within-slot order is exact ``(time, sequence)`` —
 bit-identical to the reference binary heap, same-tick tie-breaks
@@ -37,7 +37,7 @@ import heapq
 import math
 from bisect import insort
 from heapq import heappush
-from typing import Callable, Generic, List, Optional, Tuple
+from typing import Generic, List, Optional, Tuple
 
 from repro.core.errors import SimulationError
 from repro.core.types import Seconds
@@ -85,15 +85,11 @@ class TimerWheelScheduler(Generic[_ItemT]):
         "_overflow",
         "_cursor",
         "_scale",
-        "_floor",
         "_scan_debt",
         "_narrow_limit",
-        "_reclaim",
     )
 
-    def __init__(
-        self, on_reclaim: Optional[Callable[[_ItemT], None]] = None
-    ) -> None:
+    def __init__(self) -> None:
         #: Entries of the slot at ``_cursor`` (plus late pushes behind
         #: it), ascending; ``_pos`` is the consumption index.
         self._ready: List[Tuple[Seconds, int, _ItemT]] = []
@@ -106,24 +102,26 @@ class TimerWheelScheduler(Generic[_ItemT]):
         self._cursor = -1
         #: 1 / slot width; a power of two, so ``time * scale`` is exact.
         self._scale = 1.0 / _INITIAL_WIDTH
-        #: Lower bound on every queued time (last pop / advance target);
-        #: rebuilds place the new cursor just below its slot.
-        self._floor: Seconds = 0.0
         self._scan_debt = 0
         self._narrow_limit = _NARROW_LIMIT
-        self._reclaim = on_reclaim
 
     # ------------------------------------------------------------------
-    # Scheduler protocol
+    # Scheduler protocol: push / pop / size are the per-event
+    # primitives (pop hands back cancelled entries too — skipping and
+    # recycling them is the caller's); peek / advance / pending_count
+    # serve peek_next_time, advance_clock and introspection.  The wheel
+    # still purges cancelled entries of its own accord where crowding
+    # decisions need a live count, but never down to empty: a caller
+    # that read size() > 0 is owed an entry.
     # ------------------------------------------------------------------
-    def push(self, when: Seconds, sequence: int, item: _ItemT) -> None:
-        entry = (when, sequence, item)
-        slot = int(when * self._scale)
+    def push(self, entry: Tuple[Seconds, int, _ItemT]) -> None:
+        slot = int(entry[0] * self._scale)
         cursor = self._cursor
         if slot <= cursor:
             # Push into the slot being consumed (the common case while
-            # the width is wide): keep the ready list sorted so it
-            # still pops in exact order.  ``lo=pos`` skips the
+            # the width is wide, and where a popped entry handed back
+            # at a run's horizon lands): keep the ready list sorted so
+            # it still pops in exact order.  ``lo=pos`` skips the
             # consumed prefix, and tail inserts cost one bisect.
             pos = self._pos
             ready = self._ready
@@ -142,85 +140,60 @@ class TimerWheelScheduler(Generic[_ItemT]):
         else:
             heappush(self._overflow, entry)
 
-    def peek(self) -> Optional[Tuple[Seconds, int, _ItemT]]:
-        reclaim = self._reclaim
-        while True:
-            ready = self._ready
-            pos = self._pos
-            n = len(ready)
-            while pos < n:
-                entry = ready[pos]
-                if entry[2].cancelled:
-                    pos += 1
-                    if reclaim is not None:
-                        reclaim(entry[2])
-                    continue
-                self._pos = pos
-                return entry
-            self._pos = pos
+    def pop(self) -> Tuple[Seconds, int, _ItemT]:
+        while self._pos >= len(self._ready):
+            # A refill that rebuilt the wheel leaves ready empty and
+            # the entries in their new buckets: go round again.
             if not self._refill():
-                return None
-
-    def pop(
-        self, until: Optional[Seconds] = None
-    ) -> Optional[Tuple[Seconds, int, _ItemT]]:
-        # Self-contained (not peek + consume): this is the kernel's
-        # per-event path, so it spends its call budget on at most one
-        # _refill, not a method-call chain.
-        reclaim = self._reclaim
+                raise IndexError("pop from an empty timer wheel")
         ready = self._ready
         pos = self._pos
+        entry = ready[pos]
+        pos += 1
+        if pos >= _COMPACT_LIMIT:
+            # Shed the consumed prefix so a long-lived slot (huge
+            # width, steady churn) stays bounded.
+            del ready[:pos]
+            pos = 0
+        self._pos = pos
+        return entry
+
+    def size(self) -> int:
+        return (
+            len(self._ready) - self._pos + self._bucket_count + len(self._overflow)
+        )
+
+    def peek(self) -> Optional[Tuple[Seconds, int, _ItemT]]:
         while True:
-            n = len(ready)
-            while pos < n:
-                entry = ready[pos]
-                item = entry[2]
-                if item.cancelled:
-                    pos += 1
-                    if reclaim is not None:
-                        reclaim(item)
-                    continue
-                if until is not None and entry[0] > until:
-                    self._pos = pos
-                    return None
-                pos += 1
-                if pos >= _COMPACT_LIMIT:
-                    # Shed the consumed prefix so a long-lived slot
-                    # (huge width, steady churn) stays bounded.
-                    del ready[:pos]
-                    pos = 0
-                self._pos = pos
-                self._floor = entry[0]
-                return entry
-            self._pos = pos
-            if not self._refill():
-                return None
             ready = self._ready
             pos = self._pos
+            n = len(ready)
+            while pos < n and ready[pos][2].cancelled:
+                pos += 1
+            self._pos = pos
+            if pos < n:
+                return ready[pos]
+            if not self._refill():
+                return None
 
     def advance(self, to: Seconds) -> None:
         """Jump the cursor to ``to``'s slot without scanning up to it.
 
         The fast-forward seam: the kernel has already verified nothing
         pending precedes ``to``, so every slot in between holds only
-        cancelled leftovers (reclaimed here) — the wheel skips the
+        cancelled leftovers (dropped here) — the wheel skips the
         empty-slot walk entirely.
         """
-        self._floor = to
         slot = int(to * self._scale)
         if slot <= self._cursor:
             return
         ready = self._ready
-        reclaim = self._reclaim
         for index in range(self._pos, len(ready)):
-            item = ready[index][2]
-            if not item.cancelled:
+            if not ready[index][2].cancelled:
                 raise SimulationError(
                     f"cannot advance wheel to t={to}: entry pending at "
                     f"t={ready[index][0]}"
                 )
-            if reclaim is not None:
-                reclaim(item)
         ready.clear()
         self._pos = 0
         # Land just *before* the slot so the next drain scans it: an
@@ -319,20 +292,14 @@ class TimerWheelScheduler(Generic[_ItemT]):
     def _purge_ready(self) -> None:
         """Shed the consumed prefix and cancelled entries from ready.
 
-        In place (``ready[:] = live``) so aliases held by ``pop`` stay
-        valid; resets the consumption index to the front.
+        In place (``ready[:] = ...``) so aliases held by callers stay
+        valid; resets the consumption index to the front.  An
+        all-cancelled list keeps its last entry, so the purge a
+        ``pop()`` triggers cannot leave that pop without an entry.
         """
         ready = self._ready
-        reclaim = self._reclaim
-        live = []
-        for index in range(self._pos, len(ready)):
-            entry = ready[index]
-            if entry[2].cancelled:
-                if reclaim is not None:
-                    reclaim(entry[2])
-            else:
-                live.append(entry)
-        ready[:] = live
+        live = [entry for entry in ready[self._pos :] if not entry[2].cancelled]
+        ready[:] = live or ready[-1:]
         self._pos = 0
 
     # ------------------------------------------------------------------
@@ -382,17 +349,14 @@ class TimerWheelScheduler(Generic[_ItemT]):
         self._bucket_count = 0
         self._scan_debt = 0
         self._scale = scale
-        # Just below the floor's slot: entries at the floor itself may
-        # still be pending, so their slot must remain scannable.
-        self._cursor = int(self._floor * scale) - 1
-        reclaim = self._reclaim
+        # Just below the earliest entry's slot, so that slot is still
+        # scanned (a rebuild never runs on an empty wheel).
+        self._cursor = int(min(entries)[0] * scale) - 1
+        # Cancelled entries ride along: they surface at pop() like any
+        # other, and dropping them here could empty a wheel whose
+        # caller has just been told size() > 0.
         for entry in entries:
-            item = entry[2]
-            if item.cancelled:
-                if reclaim is not None:
-                    reclaim(item)
-                continue
-            self.push(entry[0], entry[1], item)
+            self.push(entry)
 
     def __repr__(self) -> str:
         return (

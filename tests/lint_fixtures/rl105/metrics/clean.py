@@ -6,5 +6,5 @@ from repro.sim.kernel import make_scheduler
 def earliest(entries):
     scheduler = make_scheduler("wheel")
     for when, sequence, item in entries:
-        scheduler.push(when, sequence, item)
+        scheduler.push((when, sequence, item))
     return scheduler.peek()

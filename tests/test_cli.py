@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -72,6 +73,29 @@ class TestMain:
         serial = capsys.readouterr().out
         assert main(["table2", "--workers", "2"]) == 0
         assert capsys.readouterr().out == serial
+
+    def test_run_config_with_workers_matches_serial(self, tmp_path, capsys):
+        """``repro run --workers`` hands a sharded config its pool."""
+        from repro.api import SimulationBuilder
+
+        config = (
+            SimulationBuilder()
+            .workload("poisson", "a", "b", rate_per_hour=5.0, hours=1.0)
+            .policy("static_ttl", ttl=200.0)
+            .topology("tree", levels=[{"fan_out": 1}, {"fan_out": 4}])
+            .seed(23)
+            .shards(3)  # two shards run serially even with a pool
+            .build()
+        )
+        path = tmp_path / "sharded.json"
+        path.write_text(config.to_json())
+        assert main(["run", "--config", str(path), "--csv"]) == 0
+        serial = capsys.readouterr().out
+        assert serial.count("\n") > 5
+        assert main(["run", "--config", str(path), "--csv", "--workers", "2"]) == 0
+        assert capsys.readouterr().out == serial
+        with pytest.raises(SystemExit):
+            main(["run", "--config", str(path), "--workers", "0"])
 
     def test_figure4_runs(self, capsys):
         assert main(["figure4"]) == 0
@@ -177,3 +201,53 @@ class TestAbPairsVerdict:
     def test_unpaired_samples_are_rejected(self):
         with pytest.raises(ValueError):
             self.judge(self.PARENT[:-1])
+
+
+class TestAbPairsWorkloads:
+    """tools/ab_pairs.py: one run covers every workload of the benchmark."""
+
+    def test_each_pair_runs_all_workloads_a_side_at_a_time(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        module = _load_tool("ab_pairs")
+        change = str(tmp_path)
+        (tmp_path / "BENCHMARK.json").write_text(
+            json.dumps(
+                {
+                    "workloads": [{"name": "a"}, {"name": "b"}],
+                    "end_to_end": [
+                        {"name": "ops_per_s", "unit": "ops/s",
+                         "better": "higher", "bound": 0.15}
+                    ],
+                }
+            )
+        )
+        calls = []
+
+        def run_once(checkout, workload, seed):
+            calls.append((checkout, workload))
+            return {
+                "failed": int(workload == "b" and checkout == change),
+                "metrics": {"ops_per_s": 100.0 + len(calls)},
+                "digest": "d",
+                "events": 1,
+            }
+
+        monkeypatch.setattr(module, "run_once", run_once)
+        code = module.main(["--parent", "P", "--change", change, "--pairs", "2"])
+        parent_side = [("P", "a"), ("P", "b")]
+        change_side = [(change, "a"), (change, "b")]
+        assert calls == parent_side + change_side + change_side + parent_side
+        out = capsys.readouterr().out
+        assert [line for line in out.splitlines() if line.startswith("# ")] == [
+            "# a: 2 alternating pairs, seed default",
+            "# b: 2 alternating pairs, seed default",
+        ]
+        assert out.count("failed: parent 0, change 0") == 1
+        assert "failed: parent 0, change 2" in out
+        assert code == 1
+        calls.clear()
+        assert module.main(
+            ["--parent", "P", "--change", change, "--pairs", "1", "--workload", "a"]
+        ) == 0
+        assert calls == [("P", "a"), (change, "a")]

@@ -15,8 +15,10 @@ stands for — and is pinned the same way, on both schedulers.
 
 from __future__ import annotations
 
+import random
 from typing import Callable, List, Tuple
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -37,13 +39,17 @@ _DELAYS = st.one_of(
     st.sampled_from([5_000.0, 80_000.0, 2_000_000.0]),
 )
 
+_MAX_EVENTS = st.one_of(st.none(), st.integers(min_value=0, max_value=4))
+
 _OPS = st.lists(
     st.one_of(
         st.tuples(st.just("schedule"), _DELAYS),
         st.tuples(st.just("chain"), _DELAYS, _DELAYS),
         st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=999)),
-        st.tuples(st.just("run"), _DELAYS),
-        st.tuples(st.just("run_batch"), _DELAYS),
+        # (window, max_events): a bounded drain stops short of the
+        # horizon, an unbounded one hands back the first entry past it.
+        st.tuples(st.just("run"), _DELAYS, _MAX_EVENTS),
+        st.tuples(st.just("run_batch"), _DELAYS, _MAX_EVENTS),
         st.tuples(st.just("step"), st.just(0)),
         st.tuples(st.just("advance"), _DELAYS),
     ),
@@ -97,9 +103,9 @@ def _execute(scheduler: str, ops: List[Tuple[object, ...]]) -> Transcript:
                     handle.cancel()
         else:
             if kind == "run":
-                kernel.run(until=kernel.now() + float(op[1]))
+                kernel.run(until=kernel.now() + float(op[1]), max_events=op[2])
             elif kind == "run_batch":
-                kernel.run_batch(kernel.now() + float(op[1]))
+                kernel.run_batch(kernel.now() + float(op[1]), max_events=op[2])
             elif kind == "step":
                 kernel.step()
             else:  # advance: clamp to the next pending event, as the
@@ -161,6 +167,39 @@ class TestSchedulerEquivalence:
             by_time.setdefault(time, []).append(int(label[1:]))
         for indices in by_time.values():
             assert indices == sorted(indices)
+
+    @pytest.mark.parametrize("cancelled_share", [0.0, 0.5, 1.0])
+    def test_crowded_slots_match_heap(self, cancelled_share):
+        """Past its crowding limit the wheel purges and re-slots.
+
+        Thousands of entries per slot — live, half cancelled, or all
+        cancelled (the wheel may purge those itself, but never a pop the
+        kernel has been promised) — with a horizon hand-back in between.
+        """
+        transcripts = []
+        for scheduler in ("wheel", "heap"):
+            rng = random.Random(5)
+            kernel = Kernel(scheduler=scheduler)
+            fired: Transcript = []
+            for spread in (2.0, 50_000.0, 2.0):
+                handles = [
+                    kernel.schedule_at(
+                        kernel.now() + rng.random() * spread,
+                        lambda k: fired.append((k.now(), "e")),
+                    )
+                    for _ in range(3000)
+                ]
+                for handle in handles:
+                    if rng.random() < cancelled_share:
+                        handle.cancel()
+                far = kernel.schedule_at(kernel.now() + 1e6, lambda k: None)
+                kernel.run(until=kernel.now() + 0.5)
+                fired.append((float(kernel.pending_count), "#pending"))
+                far.cancel()
+            kernel.run()
+            fired.append((float(kernel.events_processed), "#processed"))
+            transcripts.append(fired)
+        assert transcripts[0] == transcripts[1]
 
     def test_events_processed_and_clock_agree(self):
         kernels = {

@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import sys
+from collections import Counter
+
 import pytest
 
 from repro.core.errors import SchedulingInPastError, SimulationError
+from repro.sim import kernel as kernel_module
 from repro.sim.kernel import Kernel
+from repro.sim.timers import RestartableTimer
 
 
 class TestScheduling:
@@ -126,6 +131,58 @@ class TestRun:
         assert processed == 3
         assert fired == [0, 1, 2]
 
+    def test_max_events_does_not_move_the_clock_past_pending_events(self, kernel):
+        fired = []
+        for when in (1.0, 2.0, 3.0):
+            kernel.schedule_at(when, lambda k: fired.append(k.now()))
+        assert kernel.run(until=10.0, max_events=2) == 2
+        assert kernel.now() == 2.0
+        assert kernel.run(until=10.0, max_events=2) == 1
+        assert (fired, kernel.now()) == ([1.0, 2.0, 3.0], 10.0)
+
+    def test_negative_max_events_is_rejected_by_run(self, kernel):
+        fired = []
+        kernel.schedule_at(1.0, lambda k: fired.append(k.now()))
+        with pytest.raises(ValueError, match="max_events"):
+            kernel.run(max_events=-1)
+        # Refused before the re-entrancy guard was taken, and 0 is legal.
+        assert kernel.run(max_events=0) == 0
+        assert fired == []
+        assert kernel.run() == 1
+
+    @pytest.mark.parametrize("scheduler", ["heap", "wheel"])
+    def test_event_past_until_is_handed_back_untouched(self, scheduler):
+        kernel = Kernel(scheduler=scheduler)
+        fired = []
+        kernel.schedule_at(5.0, lambda k: fired.append("boundary"))
+        first = kernel.schedule_at(5.5, lambda k: fired.append("first"))
+        doomed = kernel.schedule_at(5.5, lambda k: fired.append("doomed"))
+        second = kernel.schedule_at(5.5, lambda k: fired.append("second"))
+        assert kernel.run(until=5.0) == 1
+        assert fired == ["boundary"]
+        assert (kernel.pending_count, kernel.peek_next_time()) == (3, 5.5)
+        # A drain that only meets the horizon changes nothing it met.
+        assert kernel.run(until=5.25) == 0
+        assert kernel.run_batch(5.25) == 0
+        assert (kernel.pending_count, kernel.peek_next_time()) == (3, 5.5)
+        assert first.pending and doomed.pending and second.pending
+        doomed.cancel()
+        assert kernel.run() == 2
+        assert fired == ["boundary", "first", "second"]
+
+    def test_index_error_from_a_callback_is_the_callers_to_see(self, kernel):
+        """The drain loop tests emptiness; it never catches IndexError."""
+        fired = []
+        kernel.schedule_at(1.0, lambda k: fired.append(k.now()))
+        kernel.schedule_at(2.0, lambda k: [][0])
+        kernel.schedule_at(3.0, lambda k: fired.append(k.now()))
+        with pytest.raises(IndexError):
+            kernel.run()
+        # The event that completed is counted; the clock is where it broke.
+        assert (fired, kernel.events_processed, kernel.now()) == ([1.0], 1, 2.0)
+        assert kernel.run() == 1
+        assert (fired, kernel.events_processed) == ([1.0, 3.0], 2)
+
     def test_reentrant_run_rejected(self, kernel):
         def reenter(k):
             k.run()
@@ -226,6 +283,13 @@ class TestBatchDispatchSeam:
             kernel.schedule_at(t, lambda k: None)
         assert kernel.run_batch(10.0, max_events=2) == 2
         assert kernel.pending_count == 1
+
+    def test_negative_max_events_is_rejected_by_run_batch(self, kernel):
+        kernel.schedule_at(1.0, lambda k: None)
+        with pytest.raises(ValueError, match="max_events"):
+            kernel.run_batch(5.0, max_events=-1)
+        assert kernel.run_batch(5.0, max_events=0) == 0
+        assert kernel.run_batch(5.0) == 1
 
     def test_run_batch_counts_into_events_processed(self, kernel):
         kernel.schedule_at(1.0, lambda k: None)
@@ -377,3 +441,61 @@ class TestScheduleSeries:
             kernel.run()
         kernel.run()
         assert fired == [(1.0, 2.0), (2.0, None)]
+
+
+class TestDispatchFrames:
+    """The default scheduler's per-event path runs no scheduler frame.
+
+    Counted with ``sys.setprofile`` (deterministic, no clock): Python
+    frames entered from ``sim/kernel.py`` while ``run()`` dispatches,
+    ``now()`` apart.  ``run`` and ``_drain`` are entered once per run.
+    """
+
+    EVENTS = 1200
+
+    def _kernel_frames(self, kernel):
+        frames = Counter()
+        source = kernel_module.__file__
+
+        def profiler(frame, event, arg):
+            if event == "call" and frame.f_code.co_filename == source:
+                frames[frame.f_code.co_qualname] += 1
+
+        sys.setprofile(profiler)
+        try:
+            dispatched = kernel.run()
+        finally:
+            sys.setprofile(None)
+        assert dispatched == self.EVENTS
+        assert not [name for name in frames if name.startswith("HeapScheduler")]
+        per_run = frames.pop("Kernel.run") + frames.pop("Kernel._drain")
+        assert per_run == 2
+        frames.pop("Kernel.now", None)
+        return frames
+
+    def test_schedule_at_chain_costs_two_kernel_frames_per_event(self, kernel):
+        left = [self.EVENTS - 1]
+
+        def link(k):
+            if left[0]:
+                left[0] -= 1
+                k.schedule_at(k.now() + 1.0, link)
+
+        kernel.schedule_at(1.0, link)
+        frames = self._kernel_frames(kernel)
+        assert set(frames) == {"Kernel.schedule_at", "EventHandle.__init__"}
+        assert sum(frames.values()) <= 2 * self.EVENTS
+
+    def test_rearming_timer_costs_one_kernel_frame_per_event(self, kernel):
+        left = [self.EVENTS - 1]
+
+        def on_expiry(now):
+            if left[0]:
+                left[0] -= 1
+                timer.arm_after(1.0)
+
+        timer = RestartableTimer(kernel, on_expiry)
+        timer.arm_after(1.0)
+        frames = self._kernel_frames(kernel)
+        assert set(frames) == {"Kernel.schedule_raw"}
+        assert sum(frames.values()) <= self.EVENTS

@@ -1,15 +1,20 @@
 #!/usr/bin/env python3
-"""Alternating parent/change pairs of one e2e workload, with the verdict.
+"""Alternating parent/change pairs of the e2e workloads, with the verdict.
 
 Usage::
 
+    python tools/ab_pairs.py --parent ../parent --change .          # every workload
     python tools/ab_pairs.py --parent ../parent --change . --workload figures
-    python tools/ab_pairs.py --parent P --change C --workload churn --pairs 10 --seed 4242
+    python tools/ab_pairs.py --parent P --change C --workload churn --workload clients \
+        --pairs 10 --seed 4242
 
 Each pair runs both checkouts' *own* ``benchmarks/e2e/run.py --workload W
---rounds 1`` (a fresh subprocess per sample), flipping which side goes
-first every pair so a slow phase of the machine lands on both.  Prints
-the per-pair table, then for every end-to-end metric in the change's
+--rounds 1`` (a fresh subprocess per sample) for every chosen workload
+(``--workload`` is repeatable; the default is every workload the
+change's ``BENCHMARK.json`` declares) on one side, then on the other,
+flipping which side goes first every pair so a slow phase of the machine
+lands on both.  Progress goes to stderr; at the end it prints, per
+workload, the per-pair table, then for every end-to-end metric in the change's
 ``BENCHMARK.json`` each side's median and quartiles, the pairs the
 change won, and the verdict by the rule every performance claim in this
 repo is held to (ROADMAP "rules of the road", choosing-metrics §8): a
@@ -20,8 +25,8 @@ median worse than the parent's by more than the metric's bound.
 
 Also reports whether both sides produced the same result digest and
 event count (what "same work" means at a seed ``expected.json`` does not
-pin).  Exits non-zero if either side reports ``failed > 0``.  Standard
-library only.
+pin).  Exits non-zero if either side of any workload reports
+``failed > 0``.  Standard library only.
 """
 
 from __future__ import annotations
@@ -132,36 +137,27 @@ def run_once(
     }
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--parent", required=True, metavar="DIR")
-    parser.add_argument("--change", required=True, metavar="DIR")
-    parser.add_argument("--workload", required=True)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seed", type=int, help="default: the benchmark's own")
-    args = parser.parse_args(argv)
-    if args.pairs < 1:
-        parser.error("--pairs must be at least 1")
-    checkouts = {"parent": args.parent, "change": args.change}
-    with open(os.path.join(args.change, "BENCHMARK.json"), encoding="utf-8") as handle:
-        metrics = json.load(handle)["end_to_end"]
-
-    runs: Dict[str, List[Dict[str, Any]]] = {side: [] for side in SIDES}
-    print(f"# {args.workload}: {args.pairs} alternating pairs, seed "
-          f"{args.seed if args.seed is not None else 'default'}")
+def report(
+    workload: str,
+    runs: Dict[str, List[Dict[str, Any]]],
+    firsts: Sequence[str],
+    metrics: Sequence[Dict[str, Any]],
+    seed: Optional[int],
+) -> bool:
+    """Print one workload's pair table and verdict block; True if any run failed."""
+    pairs = len(firsts)
+    print(f"# {workload}: {pairs} alternating pairs, seed "
+          f"{seed if seed is not None else 'default'}")
     print("| pair | first | " + " | ".join(
         f"{m['name']} parent | change" for m in metrics) + " |")
     print("|---:|---|" + "---:|---:|" * len(metrics))
-    for pair in range(args.pairs):
-        order = SIDES if pair % 2 == 0 else SIDES[::-1]
-        for side in order:
-            runs[side].append(run_once(checkouts[side], args.workload, args.seed))
+    for pair, first in enumerate(firsts):
         cells = " | ".join(
-            f"{runs['parent'][-1]['metrics'][m['name']]:.6g} | "
-            f"{runs['change'][-1]['metrics'][m['name']]:.6g}"
+            f"{runs['parent'][pair]['metrics'][m['name']]:.6g} | "
+            f"{runs['change'][pair]['metrics'][m['name']]:.6g}"
             for m in metrics
         )
-        print(f"| {pair + 1} | {order[0]} | {cells} |", flush=True)
+        print(f"| {pair + 1} | {first} | {cells} |")
 
     print()
     for metric in metrics:
@@ -178,7 +174,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             f"({verdict.parent_quartiles[0]:.6g} .. {verdict.parent_quartiles[1]:.6g})"
             f" -> change {verdict.change_median:.6g} "
             f"({verdict.change_quartiles[0]:.6g} .. {verdict.change_quartiles[1]:.6g})"
-            f" x{verdict.ratio:.3f}, change better in {verdict.wins}/{args.pairs}"
+            f" x{verdict.ratio:.3f}, change better in {verdict.wins}/{pairs}"
             f" (worse in {verdict.losses}): {verdict.word}"
         )
     for what in ("digest", "events"):
@@ -189,7 +185,52 @@ def main(argv: Optional[List[str]] = None) -> int:
               f"change {', '.join(seen['change'])[:40]})")
     failed = {side: sum(run["failed"] for run in runs[side]) for side in SIDES}
     print(f"failed: parent {failed['parent']}, change {failed['change']}")
-    return 1 if any(failed.values()) else 0
+    return any(failed.values())
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", required=True, metavar="DIR")
+    parser.add_argument("--change", required=True, metavar="DIR")
+    parser.add_argument(
+        "--workload",
+        action="append",
+        metavar="NAME",
+        help="repeatable; default: every workload in the change's BENCHMARK.json",
+    )
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seed", type=int, help="default: the benchmark's own")
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+    checkouts = {"parent": args.parent, "change": args.change}
+    with open(os.path.join(args.change, "BENCHMARK.json"), encoding="utf-8") as handle:
+        benchmark = json.load(handle)
+    metrics = benchmark["end_to_end"]
+    workloads = args.workload or [w["name"] for w in benchmark["workloads"]]
+
+    runs: Dict[str, Dict[str, List[Dict[str, Any]]]] = {
+        workload: {side: [] for side in SIDES} for workload in workloads
+    }
+    firsts = []
+    for pair in range(args.pairs):
+        order = SIDES if pair % 2 == 0 else SIDES[::-1]
+        firsts.append(order[0])
+        # Every workload on one side, then every workload on the other,
+        # so a pair's two samples of a workload sit equally far apart.
+        for side in order:
+            for workload in workloads:
+                runs[workload][side].append(
+                    run_once(checkouts[side], workload, args.seed)
+                )
+        print(f"pair {pair + 1}/{args.pairs} done", file=sys.stderr, flush=True)
+
+    any_failed = False
+    for index, workload in enumerate(workloads):
+        if index:
+            print()
+        any_failed |= report(workload, runs[workload], firsts, metrics, args.seed)
+    return 1 if any_failed else 0
 
 
 if __name__ == "__main__":
