@@ -11,17 +11,17 @@ The scale driver wires the three million-client mechanisms together:
 * sharded tree execution (``shards``), which partitions the edge tree
   at a subtree boundary and, given ``workers`` > 1, runs the partitions
   on a process pool (without it they run one after another here);
-* a self-rescheduling :class:`ClientPump` per edge proxy, which keeps
-  the event heap O(edges) no matter how many client arrivals the run
+* the tree's client load generator,
+  :func:`repro.workload.clients.attach_client_pumps`: one
+  self-rescheduling ``ClientPump`` per edge proxy, which keeps the
+  event heap O(edges) no matter how many client arrivals the run
   drives (a pre-scheduled million-event heap would dominate memory).
 
 Topology: a ``cdn_tree`` of levels (1, 8, 16) — one shield proxy, 8
 regional proxies, 128 edges — serving 8 Poisson-updated objects under
 a static 600 s TTL over a one-hour horizon.  Clients arrive at each
-edge as a Poisson process and request objects Zipf-style; every
-request goes through the ordinary client path
-(:meth:`~repro.proxy.proxy.ProxyCache.handle_client_request`), so
-misses trigger real upstream fetch chains.
+edge as a Poisson process and request objects Zipf-style through the
+ordinary client path, so misses trigger real upstream fetch chains.
 
 ``pytest benchmarks/scale/bench_scale.py`` runs the million-client
 point once, untimed (the file does not match the default ``test_*``
@@ -33,21 +33,14 @@ is the CI smoke, asserting sharded rows equal the serial run's.
 from __future__ import annotations
 
 import argparse
-import random
 import sys
 import time
-from bisect import bisect_left
 from functools import partial
-from itertools import accumulate
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 from repro.api.builder import SimulationOutcome, run_simulation
 from repro.api.config import LevelConfig, SimulationConfig
-from repro.core.rng import derive_seed
-from repro.core.types import ObjectId
-from repro.proxy.proxy import ProxyCache
-from repro.sim.kernel import Kernel
-from repro.topology.tree import TopologyTree
+from repro.workload.clients import attach_client_pumps
 
 MILLION = 1_000_000
 
@@ -60,87 +53,7 @@ FAN_OUTS = (1, 8, 16)
 OBJECTS = tuple(f"obj{i}" for i in range(8))
 TTL_S = 600.0
 HORIZON_S = 3600.0
-ZIPF_EXPONENT = 0.9
 SEED = 1077
-
-
-class ClientPump:
-    """Poisson client arrivals against one edge proxy.
-
-    Self-rescheduling: each arrival handles one request and schedules
-    the next, so a pump holds exactly one pending kernel event however
-    many clients it drives.  Object choice is Zipf-weighted via one
-    cumulative-weight table and ``bisect``.
-    """
-
-    def __init__(
-        self,
-        kernel: Kernel,
-        proxy: ProxyCache,
-        objects: Sequence[ObjectId],
-        rng: random.Random,
-        *,
-        rate_per_s: float,
-        horizon: float,
-    ) -> None:
-        self._kernel = kernel
-        self._proxy = proxy
-        self._objects = tuple(objects)
-        self._rng = rng
-        self._rate = rate_per_s
-        self._horizon = horizon
-        weights = [
-            1.0 / (rank + 1) ** ZIPF_EXPONENT
-            for rank in range(len(self._objects))
-        ]
-        self._cumulative = list(accumulate(weights))
-        self.served = 0
-
-    def start(self) -> None:
-        self._schedule_next(self._kernel.now())
-
-    def _schedule_next(self, now: float) -> None:
-        arrival = now + self._rng.expovariate(self._rate)
-        if arrival > self._horizon:
-            return
-        self._kernel.schedule_at(arrival, self._on_arrival)
-
-    def _on_arrival(self, kernel: Kernel) -> None:
-        draw = self._rng.random() * self._cumulative[-1]
-        object_id = self._objects[bisect_left(self._cumulative, draw)]
-        self._proxy.handle_client_request(object_id)
-        self.served += 1
-        self._schedule_next(kernel.now())
-
-
-def _attach_client_pumps(
-    tree: TopologyTree, *, clients: int, horizon: float, seed: int
-) -> None:
-    """Start one pump per registered edge node (the instrument hook).
-
-    Module-level so sharded runs can pickle it to worker processes.
-    Each pump's RNG derives from the node's (level, index), so a node
-    sees the identical arrival stream whether it runs in the serial
-    tree or inside a shard — and nodes outside a shard's cone (no
-    registered objects) simply get no pump.
-    """
-    edges = tree.edge_nodes
-    rate_per_s = clients / len(edges) / horizon
-    for node in edges:
-        objects = node.proxy.registered_objects()
-        if not objects:
-            continue
-        rng = random.Random(
-            derive_seed(seed, f"clients[{node.level}][{node.index}]")
-        )
-        ClientPump(
-            tree.kernel,
-            node.proxy,
-            objects,
-            rng,
-            rate_per_s=rate_per_s,
-            horizon=horizon,
-        ).start()
 
 
 def _scale_config(
@@ -173,7 +86,7 @@ def run_scale(
 ) -> SimulationOutcome:
     """Drive ``clients`` expected arrivals through the cdn_tree."""
     instrument = partial(
-        _attach_client_pumps,
+        attach_client_pumps,
         clients=clients,
         horizon=HORIZON_S,
         seed=SEED,

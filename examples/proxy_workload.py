@@ -1,12 +1,14 @@
 #!/usr/bin/env python
-"""Full proxy workload: clients, Zipf popularity, bounded cache.
+"""Full proxy workload: clients, Zipf popularity, bounded LRU cache.
 
 Exercises the request path the paper's simulator models ("a proxy cache
 that receives requests from several clients"): a Poisson client
-population requests objects under Zipf popularity; the proxy serves
-hits from cache while LIMD keeps every object within its Δt bound; a
-bounded LRU cache shows the eviction machinery a deployable proxy
-needs (the paper's own experiments assume an infinite cache).
+population requests objects under Zipf popularity
+(:mod:`repro.workload.clients`); the proxy serves hits from cache while
+LIMD keeps every cached object within its Δt bound; an LRU cache that
+holds fewer objects than the site has shows the eviction machinery a
+deployable proxy needs (the paper's own experiments assume an
+infinite cache).
 
 Run:
     python examples/proxy_workload.py
@@ -14,100 +16,79 @@ Run:
 
 from __future__ import annotations
 
+from functools import partial
 
-from repro.consistency.limd import limd_policy_factory
-from repro.core.rng import RngRegistry
-from repro.core.types import MINUTE, ObjectId
-from repro.httpsim.network import Network
-from repro.metrics.collector import collect_temporal
-from repro.proxy.client import Client
-from repro.proxy.proxy import ProxyCache
-from repro.server.origin import OriginServer
-from repro.server.updates import feed_traces
-from repro.sim.kernel import Kernel
-from repro.traces.model import trace_from_times
-from repro.workload.arrivals import PoissonArrivals
-from repro.workload.popularity import ZipfPopularity
-from repro.workload.requests import RequestStream, RequestStreamConfig
+from repro.api.builder import SimulationBuilder, run_simulation
+from repro.api.config import LevelConfig
+from repro.core.types import MINUTE
+from repro.workload.clients import ZIPF_EXPONENT, attach_client_pumps
 
 OBJECT_COUNT = 20
-HORIZON = 4 * 3600.0
+CACHE_CAPACITY = 16
+HOURS = 4
+HORIZON = HOURS * 3600.0
 DELTA = 5 * MINUTE
-REQUEST_RATE = 0.5  # requests/second across all clients
-
-
-def synthetic_site_traces(rngs: RngRegistry):
-    """Every object updates Poisson-style at its own rate (hot → fast)."""
-    traces = []
-    for rank in range(OBJECT_COUNT):
-        rng = rngs.stream(f"updates.{rank}")
-        mean_gap = 10 * MINUTE * (1 + rank)  # rank 0 hottest
-        times, t = [], 0.0
-        while True:
-            t += rng.expovariate(1.0 / mean_gap)
-            if t >= HORIZON:
-                break
-            times.append(t)
-        traces.append(
-            trace_from_times(
-                ObjectId(f"http://site.example.com/page-{rank}.html"),
-                times,
-                start_time=0.0,
-                end_time=HORIZON,
-            )
-        )
-    return traces
+CLIENTS = 7200  # 0.5 requests/second across all clients
+SEED = 2024
 
 
 def main() -> None:
-    rngs = RngRegistry(2024)
-    kernel = Kernel()
-    server = OriginServer()
-    proxy = ProxyCache(kernel, Network(kernel))
-
-    traces = synthetic_site_traces(rngs)
-    feed_traces(kernel, server, traces)
-    factory = limd_policy_factory(DELTA, ttr_max=60 * MINUTE)
-    for trace in traces:
-        proxy.register_object(trace.object_id, server, factory(trace.object_id))
-
-    client = Client(kernel, proxy)
-    objects = [t.object_id for t in traces]
-    RequestStream(
-        kernel,
-        client,
-        PoissonArrivals(REQUEST_RATE, rngs.stream("arrivals")),
-        ZipfPopularity(objects, exponent=0.8, rng=rngs.stream("popularity")),
-        RequestStreamConfig(start=0.0, end=HORIZON),
+    config = (
+        SimulationBuilder()
+        .workload(
+            "poisson",
+            *(f"page-{rank}" for rank in range(OBJECT_COUNT)),
+            rate_per_hour=3.0,
+            hours=HOURS,
+        )
+        .policy("limd", delta=DELTA, ttr_max=60 * MINUTE)
+        .topology("tree", levels=[LevelConfig(fan_out=1)])
+        .cache(CACHE_CAPACITY, eviction="lru")
+        .seed(SEED)
+        .horizon(HORIZON)
+        .fidelity_delta(DELTA)
+        .build()
     )
+    outcome = run_simulation(
+        config,
+        instrument=partial(
+            attach_client_pumps, clients=CLIENTS, horizon=HORIZON, seed=SEED
+        ),
+    )
+    proxy = outcome.run.proxy
+    hits = proxy.counters.get("client_hits")
+    misses = proxy.counters.get("client_misses")
+    requests = hits + misses
 
-    kernel.run(until=HORIZON)
-
-    requests = client.counters.get("requests")
-    print(f"Simulated {HORIZON / 3600:.0f} h: {requests} client requests "
-          f"over {OBJECT_COUNT} objects (Zipf 0.8)")
-    print(f"Cache hit ratio: {client.hit_ratio:.1%} "
-          "(all registered objects stay cached → every request hits)")
+    print(f"Simulated {HOURS} h: {requests} client requests over "
+          f"{OBJECT_COUNT} objects (Zipf {ZIPF_EXPONENT}), "
+          f"LRU cache of {CACHE_CAPACITY}")
+    print(f"Cache hit ratio: {hits / requests:.1%} "
+          f"({misses} misses fetched from the origin)")
     print(f"Consistency polls issued by the proxy: "
           f"{proxy.counters.get('polls')}\n")
 
-    print(f"{'object':<40} {'updates':>8} {'polls':>6} {'fidelity':>9}")
-    for trace in traces[:8]:
-        report = collect_temporal(proxy, trace, DELTA).report
-        label = str(trace.object_id).rsplit("/", 1)[-1]
-        print(
-            f"{label:<40} {trace.update_count:>8} {report.polls:>6} "
-            f"{report.fidelity_by_violations:>9.3f}"
-        )
-    print("...")
+    print(f"{'object':<10} {'updates':>8} {'polls':>6} {'fidelity':>9} "
+          f"{'evictions':>10}")
+    for row in list(outcome.results)[:8]:
+        fidelity = row["fidelity_by_violations"]
+        shown = "-" if fidelity is None else f"{fidelity:.3f}"
+        print(f"{row['object']:<10} {row['updates']:>8} {row['polls']:>6} "
+              f"{shown:>9} {row['evictions']:>10}")
+    print("...  (polls and fidelity cover each object's current stay in "
+          "the cache)")
 
-    # Versions served to clients must never go backwards (Section 2's
-    # monotonicity requirement) — check it across the whole run.
-    for object_id in objects:
-        versions = client.versions_served(object_id)
+    # Versions the proxy fetches must never go backwards (Section 2's
+    # monotonicity requirement); a client is served either the cached
+    # snapshot or the one a miss just fetched.
+    for object_id in proxy.registered_objects():
+        entry = proxy.entry_or_none(object_id)
+        if entry is None:
+            continue  # evicted, not refetched since
+        versions = [record.snapshot.version for record in entry.fetch_log]
         assert versions == sorted(versions), "monotonicity violated!"
-    print("\nMonotonicity check passed: no client ever saw a version "
-          "older than one previously served.")
+    print("\nMonotonicity check passed: no fetch ever returned a version "
+          "older than one previously cached.")
 
 
 if __name__ == "__main__":

@@ -4,8 +4,8 @@ Web Objects* (Urgaonkar, Ninan, Raunak, Shenoy, Ramamritham; ICDCS 2001).
 The library implements the paper's full stack in pure Python:
 
 * a discrete-event simulation kernel (:mod:`repro.sim`);
-* a simulated HTTP layer with conditional GETs and the paper's proposed
-  protocol extensions (:mod:`repro.httpsim`);
+* a simulated HTTP layer with conditional GETs and the paper's
+  Section 5.1 modification-history extension (:mod:`repro.httpsim`);
 * origin servers driven by update traces (:mod:`repro.server`,
   :mod:`repro.traces`);
 * a proxy cache with pluggable consistency policies (:mod:`repro.proxy`);

@@ -60,13 +60,17 @@ def bin_count(
 
     ``times`` may be any iterable (callers can stream event times from
     a log without materialising a list); each instant is binned in O(1)
-    by :class:`repro.metrics.streaming.StreamingBinCounter`.
+    and instants outside the window are ignored.
     """
-    from repro.metrics.streaming import StreamingBinCounter
-
-    counter = StreamingBinCounter(start=start, end=end, bin_width=bin_width)
-    counter.add_many(times)
-    return counter.to_series(label=label)
+    if end <= start:
+        raise ValueError(f"end ({end}) must exceed start ({start})")
+    if bin_width <= 0:
+        raise ValueError(f"bin_width must be positive, got {bin_width}")
+    counts = [0.0] * int(math.ceil((end - start) / bin_width))
+    for t in times:
+        if start <= t < end:
+            counts[int((t - start) / bin_width)] += 1.0
+    return Series(start=start, bin_width=bin_width, values=tuple(counts), label=label)
 
 
 def sample_step_function(

@@ -73,7 +73,6 @@ from repro.metrics.collector import (
 )
 from repro.proxy.cache import ObjectCache
 from repro.proxy.proxy import ProxyCache
-from repro.proxy.ttl_registry import TTLClassRegistry
 from repro.topology.levels import TopologyError, TreeLevel, warm_up_bound
 from repro.topology.tree import TopologyNode, TopologyTree
 from repro.traces.model import UpdateTrace
@@ -265,16 +264,19 @@ def _with_ttl_classes(
     TTL) run ``static_ttl`` with that TTL; everything else keeps the
     simulation's main policy.  An object absent from
     ``cache.object_classes`` is its own class, so TTL tables can key
-    directly by object.
+    directly by object.  The lookup never raises: an undeclared class
+    answers with ``cache.default_ttl_s`` (the table discipline of ops
+    TTL caches); :class:`CacheConfig` has already validated both.
     """
     if not cache.has_ttl_classes:
         return factory
-    registry = TTLClassRegistry(cache.ttl_classes, cache.default_ttl_s)
     from repro.consistency.ttl import static_ttl_policy_factory
 
     def build(object_id: ObjectId) -> RefreshPolicy:
         key = str(object_id)
-        ttl = registry.get_ttl(cache.object_classes.get(key, key))
+        ttl = cache.ttl_classes.get(
+            cache.object_classes.get(key, key), cache.default_ttl_s
+        )
         if ttl is None:
             return factory(object_id)
         return static_ttl_policy_factory(ttl)(object_id)

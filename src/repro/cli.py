@@ -37,16 +37,6 @@ from typing import Callable, Dict, Optional, Sequence, Tuple
 from repro.experiments import figure4, figure6, figure8, report
 from repro.experiments.workloads import DEFAULT_SEED
 
-_ABLATIONS = (
-    "ablation_history",
-    "ablation_heuristic_threshold",
-    "ablation_partition",
-    "ablation_smoothing",
-    "ablation_limd_parameters",
-    "ablation_latency",
-    "ablation_trigger_semantics",
-)
-
 #: Command → (description, target, {CLI flag: what it sets}).  A tuple
 #: target names the scenarios the command prints, one table each, and
 #: the flags set scenario parameters: ``repro figure3 --trace T`` is
@@ -92,7 +82,11 @@ _COMMANDS: Dict[str, Tuple[str, object, Dict[str, str]]] = {
         ("hierarchy",),
         {"trace": "trace"},
     ),
-    "ablations": ("All ablation studies", _ABLATIONS, {}),
+    "ablations": (
+        "All ablation studies",
+        tuple(name for name, _title in report.ABLATIONS),
+        {},
+    ),
     "report": ("Full Markdown reproduction report", report, {}),
 }
 

@@ -16,8 +16,9 @@ from repro.experiments.workloads import DEFAULT_SEED
 from repro.scenarios.engine import render_scenario, run_scenario
 from repro.scenarios.registry import SCENARIOS, Claim
 
-#: (scenario, section heading) in report order.
-_ABLATIONS = (
+#: (scenario, section heading) of every ablation, in the order both
+#: ``repro report`` and ``repro ablations`` print them.
+ABLATIONS = (
     ("ablation_history", "Detection modes (§5.1 extension)"),
     ("ablation_heuristic_threshold", "Heuristic rate-ratio threshold"),
     ("ablation_partition", "Static vs dynamic δ split"),
@@ -92,7 +93,7 @@ def generate(seed: int = DEFAULT_SEED, *, workers: Optional[int] = None) -> str:
     series(figure8, "Figure 8 — f at proxy vs server (δ = $0.6)", workers=workers)
 
     out.write("# Ablations\n\n")
-    for name, title in _ABLATIONS:
+    for name, title in ABLATIONS:
         table(name, title)
 
     return out.getvalue()

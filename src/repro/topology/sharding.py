@@ -225,6 +225,15 @@ def run_sharded(
     from repro.api.runs import run_many
 
     plan = _plan_for(config)
+    if instrument is not None and config.cache.bounded and plan.boundary_level:
+        # A client miss fetches through the ancestor replicas, and on a
+        # bounded cache that fetch evicts: each replica's cache would
+        # then depend on every shard's client traffic.
+        raise SimulationConfigError(
+            "instrument hooks on a sharded tree need an unbounded cache "
+            "(cache.capacity is set): client misses fetch through the "
+            "ancestors shared between shards"
+        )
     tasks = [
         partial(_execute_shard, config, shard, instrument)
         for shard in range(1, plan.shards)

@@ -1,15 +1,13 @@
 """Trace characterisation — the columns of the paper's Tables 2 and 3.
 
 Given an :class:`UpdateTrace`, compute the summary statistics the paper
-reports for its workloads, plus a few extras (gap distribution, binned
-update frequency) used by the Figure 4/6 time-series experiments.
+reports for its workloads.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional
 
 from repro.core.types import HOUR, Seconds
 from repro.traces.model import UpdateTrace
@@ -78,28 +76,3 @@ def summarize_value(trace: UpdateTrace) -> ValueTraceSummary:
         min_value=min(values),
         max_value=max(values),
     )
-
-
-def updates_per_bin(
-    trace: UpdateTrace, bin_width: Seconds, *, end: Optional[Seconds] = None
-) -> List[int]:
-    """Count updates in consecutive bins of ``bin_width`` seconds.
-
-    This is the series behind Figure 4(a) ("number of updates per
-    2 hours").  The last partial bin is included.
-    """
-    if bin_width <= 0:
-        raise ValueError(f"bin_width must be positive, got {bin_width}")
-    horizon = end if end is not None else trace.end_time
-    span = horizon - trace.start_time
-    if span <= 0:
-        return []
-    bin_count = int(math.ceil(span / bin_width))
-    counts = [0] * bin_count
-    for record in trace.records:
-        if record.time >= horizon:
-            break
-        index = int((record.time - trace.start_time) / bin_width)
-        if 0 <= index < bin_count:
-            counts[index] += 1
-    return counts

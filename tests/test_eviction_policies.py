@@ -17,10 +17,10 @@ unserved for longer than Δ.  Random put/get/get_or_create/remove
 programs pin the per-object window index against the flat
 ``eviction_windows`` view, the collector is compared field-for-field
 with the flat-scan implementation it replaced (kept here as the
-oracle), and a structural pin keeps row scoring off the flat view.  The
-TTL-class registry's ops-table lookup
-contract (declared TTL for known classes, default for unknown/empty,
-never a KeyError) is pinned the same way.
+oracle), and a structural pin keeps row scoring off the flat view.  TTL
+classes are checked black-box through ``run_simulation``: a declared
+class polls on its TTL, an undeclared one on the default, and with no
+default the main policy stays (the ops-table ``get_ttl`` contract).
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ from repro.proxy.cache import ObjectCache
 from repro.proxy.entry import CacheEntry
 from repro.proxy.eviction import EVICTION_POLICIES, build_eviction_policy
 from repro.proxy.proxy import ProxyCache
-from repro.proxy.ttl_registry import TTLClassRegistry
 from repro.server.origin import OriginServer
 from repro.server.updates import feed_traces
 from repro.sim.kernel import Kernel
@@ -580,44 +579,49 @@ class TestScoringNeverScansTheFlatView:
         assert total("staleness_violations") > 0
 
 
-_labels = st.text(
-    alphabet=st.characters(min_codepoint=97, max_codepoint=122),
-    min_size=1,
-    max_size=12,
-)
-_ttls = st.floats(min_value=1e-3, max_value=1e6)
+class TestTTLClasses:
+    """Black-box: per-class TTLs read off the poll counts of the rows.
 
+    Main policy ``static_ttl`` at 900 s; object ``a`` is in the declared
+    class ``fast`` (60 s), ``b`` in the undeclared class ``slow``, and
+    ``c`` has no class (it is its own, undeclared, class).  Every object
+    is fetched at t = 0 and then polled once per TTL up to the horizon.
+    """
 
-class TestTTLClassRegistryProperties:
-    """Hypothesis: the ops-table ``get_ttl`` lookup contract."""
+    HORIZON = 3590.0
 
-    @given(
-        classes=st.dictionaries(_labels, _ttls, max_size=8),
-        default=st.one_of(st.none(), _ttls),
-    )
-    @settings(max_examples=80, deadline=None)
-    def test_known_classes_return_declared_ttl(self, classes, default):
-        registry = TTLClassRegistry(classes, default_ttl=default)
-        for label, ttl in classes.items():
-            assert registry.get_ttl(label) == pytest.approx(float(ttl))
-            assert label in registry
-        assert len(registry) == len(classes)
+    def _polls(self, **cache):
+        from repro.api.builder import SimulationBuilder
 
-    @given(
-        classes=st.dictionaries(_labels, _ttls, max_size=8),
-        default=st.one_of(st.none(), _ttls),
-        unknown=_labels,
-    )
-    @settings(max_examples=80, deadline=None)
-    def test_unknown_and_empty_classes_fall_back_to_default(
-        self, classes, default, unknown
-    ):
-        registry = TTLClassRegistry(classes, default_ttl=default)
-        expected = None if default is None else pytest.approx(float(default))
-        if unknown not in classes:
-            assert registry.get_ttl(unknown) == expected
-        assert registry.get_ttl("") == expected
-        assert registry.get_ttl(None) == expected
+        outcome = (
+            SimulationBuilder()
+            .workload("poisson", "a", "b", "c", rate_per_hour=2.0, hours=1.0)
+            .policy("static_ttl", ttl=900.0)
+            .cache(
+                ttl_classes={"fast": 60.0},
+                object_classes={"a": "fast", "b": "slow"},
+                **cache,
+            )
+            .seed(5)
+            .horizon(self.HORIZON)
+            .run()
+        )
+        return {row["object"]: row["polls"] for row in outcome.results}
+
+    def _expected(self, ttl):
+        return 1 + int(self.HORIZON // ttl)
+
+    def test_declared_class_polls_on_its_ttl(self):
+        for default in ({}, {"default_ttl_s": 300.0}):
+            assert self._polls(**default)["a"] == self._expected(60.0)
+
+    def test_undeclared_class_polls_on_default(self):
+        polls = self._polls(default_ttl_s=300.0)
+        assert polls["b"] == polls["c"] == self._expected(300.0)
+
+    def test_no_default_keeps_main_policy(self):
+        polls = self._polls()
+        assert polls["b"] == polls["c"] == self._expected(900.0)
 
 
 class TestSerialVsWorkersByteIdentical:

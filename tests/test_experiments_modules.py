@@ -147,6 +147,17 @@ class TestReport:
         assert default_report.rstrip("\n") == first
         assert generate(workers=2).rstrip("\n") == first
 
+    def test_ablations_command_prints_the_report_order(self, default_report, capsys):
+        from repro.cli import main
+
+        def order(text):
+            return [line for line in text.splitlines() if line.startswith("Ablation: ")]
+
+        assert main(["ablations"]) == 0
+        printed = order(capsys.readouterr().out)
+        assert len(printed) == 7
+        assert printed == order(default_report)
+
     def test_verdicts_follow_the_numbers(self, default_report):
         """The same sentence, two seeds, two verdicts — none hard-coded."""
 

@@ -1,31 +1,25 @@
 """Property tests for the hot-path rewrites (PR 2).
 
-The tuple-keyed kernel heap, the alias popularity sampler, and the
-streaming bin counter are all drop-in replacements for simpler
-reference implementations.  These tests pin the equivalences:
+The tuple-keyed kernel heap and the O(1) bin counter are drop-in
+replacements for simpler reference implementations.  These tests pin
+the equivalences:
 
 * kernel dispatch order equals the reference ``(time, insertion-order)``
   stable sort — the old rich-comparison kernel's contract — including
   under lazy cancellation and mid-run scheduling;
-* alias-method draws follow the exact weight distribution (chi-squared
-  tolerance under a fixed seed) and are seed-deterministic;
-* streaming bin counts equal the list-based aggregate they replaced,
-  on random series.
+* :func:`~repro.analysis.timeseries.bin_count` equals the list-based
+  aggregate it replaced, on random series.
 """
 
 from __future__ import annotations
 
 import math
-import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.timeseries import bin_count
-from repro.core.types import ObjectId
-from repro.metrics.streaming import StreamingBinCounter
 from repro.sim.kernel import Kernel
-from repro.workload.popularity import AliasSampler, ZipfPopularity
 
 # ---------------------------------------------------------------------------
 # Kernel heap ordering / FIFO tie-break
@@ -114,69 +108,6 @@ class TestKernelOrdering:
 
 
 # ---------------------------------------------------------------------------
-# Alias sampler distribution
-# ---------------------------------------------------------------------------
-
-weight_lists = st.lists(
-    st.floats(min_value=0.01, max_value=50.0, allow_nan=False),
-    min_size=1,
-    max_size=12,
-)
-
-
-class TestAliasSampler:
-    @given(weights=weight_lists)
-    @settings(max_examples=25, deadline=None, derandomize=True)
-    def test_draws_match_exact_distribution(self, weights):
-        """Empirical frequencies track weights within a χ² tolerance."""
-        draws = 4000
-        sampler = AliasSampler(weights, random.Random(1234))
-        counts = [0] * len(weights)
-        for _ in range(draws):
-            counts[sampler.draw_index()] += 1
-        total = sum(weights)
-        chi2 = 0.0
-        for observed, weight in zip(counts, weights):
-            expected = draws * weight / total
-            chi2 += (observed - expected) ** 2 / expected
-        # 99.99th percentile of χ² with up to 11 dof is ~39; random
-        # example search kept finding tail weight-lists near 40, so the
-        # bound carries a real margin and the search is derandomized —
-        # the draw seed is fixed, this only pins *which* examples run.
-        assert chi2 < 55.0
-
-    def test_draws_are_seed_deterministic(self):
-        weights = [5.0, 3.0, 1.0, 1.0]
-        first = AliasSampler(weights, random.Random(7))
-        second = AliasSampler(weights, random.Random(7))
-        assert [first.draw_index() for _ in range(200)] == [
-            second.draw_index() for _ in range(200)
-        ]
-
-    def test_degenerate_single_weight(self):
-        sampler = AliasSampler([3.5], random.Random(0))
-        assert all(sampler.draw_index() == 0 for _ in range(50))
-
-    def test_zero_weight_entries_never_drawn(self):
-        sampler = AliasSampler([0.0, 1.0, 0.0], random.Random(3))
-        assert all(sampler.draw_index() == 1 for _ in range(200))
-
-    def test_zipf_matches_probability_of(self):
-        objects = [ObjectId(f"o{i}") for i in range(20)]
-        model = ZipfPopularity(objects, exponent=1.0, rng=random.Random(99))
-        draws = 30000
-        counts = {obj: 0 for obj in objects}
-        for _ in range(draws):
-            counts[model.choose()] += 1
-        harmonic = sum(1.0 / rank for rank in range(1, len(objects) + 1))
-        # The head carries enough mass to test: Zipf(1) gives rank i
-        # probability 1 / (i * H_n).
-        for rank, obj in enumerate(objects[:5], start=1):
-            expected = 1.0 / (rank * harmonic)
-            assert abs(counts[obj] / draws - expected) < 0.02
-
-
-# ---------------------------------------------------------------------------
 # Streaming accumulators vs list-based aggregates
 # ---------------------------------------------------------------------------
 
@@ -190,15 +121,12 @@ class TestStreamingEquivalence:
     @settings(max_examples=80)
     def test_bin_counter_equals_reference_binning(self, times):
         start, end, width = 0.0, 100.0, 7.0
-        counter = StreamingBinCounter(start=start, end=end, bin_width=width)
-        counter.add_many(times)
         # The list-based loop bin_count() used before the rewrite.
         n = int(math.ceil((end - start) / width))
         reference = [0.0] * n
         for t in times:
             if start <= t < end:
                 reference[int((t - start) / width)] += 1.0
-        assert counter.counts == reference
-        assert counter.dropped == sum(1 for t in times if not start <= t < end)
-        series = bin_count(times, start=start, end=end, bin_width=width)
-        assert list(series.values) == reference
+        streamed = bin_count(iter(times), start=start, end=end, bin_width=width)
+        assert list(streamed.values) == reference
+        assert (streamed.start, streamed.bin_width) == (start, width)

@@ -5,15 +5,10 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.core.types import ObjectId
-from repro.httpsim import headers as h
 from repro.httpsim.messages import (
-    Headers,
     Method,
-    Request,
     Response,
     Status,
     conditional_get,
@@ -26,42 +21,6 @@ from repro.httpsim.semantics import (
 from repro.sim.kernel import Kernel
 
 
-class TestHeaders:
-    def test_case_insensitive_get(self):
-        headers = Headers()
-        headers.set("Last-Modified", "5.0")
-        assert headers.get("last-modified") == "5.0"
-        assert "LAST-MODIFIED" in headers
-
-    def test_set_overwrites(self):
-        headers = Headers({"a": "1"})
-        headers.set("A", "2")
-        assert headers.get("a") == "2"
-        assert len(headers) == 1
-
-    def test_empty_name_rejected(self):
-        with pytest.raises(ValueError):
-            Headers().set("", "x")
-
-    def test_copy_is_independent(self):
-        original = Headers({"a": "1"})
-        copy = original.copy()
-        copy.set("a", "2")
-        assert original.get("a") == "1"
-
-    def test_equality(self):
-        assert Headers({"a": "1"}) == Headers({"A": "1"})
-        assert Headers({"a": "1"}) != Headers({"a": "2"})
-
-    def test_history_format_round_trip(self):
-        times = [1.5, 2.25, 3.125]
-        assert h.parse_history(h.format_history(times)) == times
-
-    def test_empty_history(self):
-        assert h.parse_history("") == []
-        assert h.format_history([]) == ""
-
-
 class TestConditionalGetBuilder:
     def test_carries_ims_and_history_flag(self):
         request = conditional_get(
@@ -71,102 +30,26 @@ class TestConditionalGetBuilder:
         assert request.wants_history
         assert request.method is Method.GET
 
-    def test_tolerances_encoded(self):
-        request = conditional_get(
-            ObjectId("x"), consistency_delta=5.0, mutual_consistency_delta=2.0
-        )
-        assert request.consistency_delta == 5.0
-        assert request.mutual_consistency_delta == 2.0
-
     def test_omitted_fields_absent(self):
         request = conditional_get(ObjectId("x"))
         assert request.if_modified_since is None
         assert not request.wants_history
-        assert request.consistency_delta is None
 
 
-_times = st.floats(min_value=0.0, max_value=1e9, allow_nan=False, width=64)
-_tolerances = st.floats(min_value=0.0, max_value=1e6, allow_nan=False, width=64)
-_values = st.floats(allow_nan=False, allow_infinity=False, width=64)
+class TestMessageFields:
+    """A message is its typed fields: equality and ``repr`` read them."""
 
-
-def _parsed(headers, name, parse):
-    raw = headers.get(name)
-    return parse(raw) if raw is not None else None
-
-
-class TestRenderedHeaders:
-    """``headers`` is a faithful, re-parseable view of the typed fields."""
-
-    @settings(max_examples=150, deadline=None)
-    @given(
-        ims=st.none() | _times,
-        wants_history=st.booleans(),
-        delta=st.none() | _tolerances,
-        mutual_delta=st.none() | _tolerances,
-        issued_at=_times,
-    )
-    def test_request_round_trip(
-        self, ims, wants_history, delta, mutual_delta, issued_at
-    ):
-        request = Request(
-            Method.GET,
-            ObjectId("x"),
-            if_modified_since=ims,
-            wants_history=wants_history,
-            consistency_delta=delta,
-            mutual_consistency_delta=mutual_delta,
-            issued_at=issued_at,
+    def test_repr_prints_the_typed_fields(self):
+        request = conditional_get(ObjectId("x"), if_modified_since=1.5)
+        assert repr(request) == (
+            "Request(method=<Method.GET: 'GET'>, object_id='x', "
+            "if_modified_since=1.5, wants_history=False, issued_at=0.0)"
         )
-        headers = request.headers
-        assert _parsed(headers, h.IF_MODIFIED_SINCE, h.parse_time) == ims
-        assert headers.get(h.WANT_HISTORY) == ("1" if wants_history else None)
-        assert _parsed(headers, h.CONSISTENCY_DELTA, float) == delta
-        assert _parsed(headers, h.MUTUAL_CONSISTENCY_DELTA, float) == mutual_delta
-        absent = [ims, delta, mutual_delta].count(None) + (not wants_history)
-        assert len(headers) == 4 - absent
-
-    @settings(max_examples=150, deadline=None)
-    @given(
-        status=st.sampled_from(Status),
-        last_modified=st.none() | _times,
-        version=st.none() | st.integers(min_value=0, max_value=2**40),
-        value=st.none() | _values,
-        history=st.none() | st.lists(_times, max_size=8),
-        served_at=_times,
-    )
-    def test_response_round_trip(
-        self, status, last_modified, version, value, history, served_at
-    ):
         response = Response(
-            status,
-            ObjectId("x"),
-            last_modified=last_modified,
-            version=version,
-            value=value,
-            modification_history=history,
-            served_at=served_at,
+            Status.OK, ObjectId("x"), version=7, modification_history=[1.0]
         )
-        headers = response.headers
-        assert _parsed(headers, h.DATE, h.parse_time) == served_at
-        assert _parsed(headers, h.LAST_MODIFIED, h.parse_time) == last_modified
-        assert _parsed(headers, h.VERSION, int) == version
-        assert _parsed(headers, h.VALUE, float) == value
-        assert _parsed(headers, h.MODIFICATION_HISTORY, h.parse_history) == history
-        order = (h.DATE, h.LAST_MODIFIED, h.VERSION, h.VALUE, h.MODIFICATION_HISTORY)
-        names = [name for name, _ in headers]
-        assert names == [name for name in order if name in headers]
-        absent = [last_modified, version, value, history].count(None)
-        assert len(headers) == len(order) - absent
-
-    def test_headers_are_a_view_not_state(self):
-        response = Response(Status.OK, ObjectId("x"), version=1, served_at=2.0)
-        response.headers.set(h.VERSION, "99")
-        assert response.version == 1
-        assert response.headers.get(h.VERSION) == "1"
-        response.version = 7
-        assert response.headers.get(h.VERSION) == "7"
-        assert "'x-version': '7'" in repr(response)
+        assert "version=7" in repr(response)
+        assert "modification_history=[1.0]" in repr(response)
 
     def test_equality_follows_the_typed_fields(self):
         first = conditional_get(ObjectId("x"), if_modified_since=1.0)
@@ -255,7 +138,6 @@ class TestConditionalGetSemantics:
         modified = self._evaluate(ims=10.0, history=None, want_history=True)
         assert modified.status is Status.OK
         assert modified.modification_history is None
-        assert h.MODIFICATION_HISTORY not in modified.headers
         unchanged = self._evaluate(ims=50.0, history=None, want_history=True)
         assert unchanged.status is Status.NOT_MODIFIED
         assert unchanged.modification_history is None

@@ -17,7 +17,6 @@ from repro.core.events import PollReason
 from repro.core.types import ObjectId, ObjectSnapshot, PollOutcome
 from repro.httpsim.network import LatencyModel, Network
 from repro.proxy.cache import ObjectCache
-from repro.proxy.client import Client
 from repro.proxy.entry import CacheEntry
 from repro.proxy.proxy import ProxyCache
 from repro.proxy.refresher import Refresher
@@ -423,29 +422,30 @@ class TestClientPath:
         kernel, server, proxy = build_stack()
         server.create_object(ObjectId("x"), created_at=0.0)
         proxy.register_object(ObjectId("x"), server, FixedTTRPolicy(ttr=10.0))
-        client = Client(kernel, proxy)
-        snapshot = client.request(ObjectId("x"))
+        polls = proxy.counters.get("polls")
+        snapshot = proxy.handle_client_request(ObjectId("x"))
         assert snapshot.version == 0
-        assert client.counters.get("hits") == 1
-        assert client.hit_ratio == 1.0
+        assert proxy.counters.get("client_hits") == 1
+        assert proxy.counters.get("client_misses") == 0
+        assert proxy.counters.get("polls") == polls
 
     def test_miss_fetches_and_populates(self):
         kernel, server, proxy = build_stack()
         server.create_object(ObjectId("x"), created_at=0.0)
         proxy.bind_server(ObjectId("x"), server)
-        client = Client(kernel, proxy)
-        snapshot = client.request(ObjectId("x"))
+        snapshot = proxy.handle_client_request(ObjectId("x"))
         assert snapshot.version == 0
-        assert client.counters.get("misses") == 1
+        assert proxy.counters.get("client_misses") == 1
+        assert server.counters.get("requests") == 1
         # Second request hits.
-        client.request(ObjectId("x"))
-        assert client.counters.get("hits") == 1
+        assert proxy.handle_client_request(ObjectId("x")) is snapshot
+        assert proxy.counters.get("client_hits") == 1
+        assert server.counters.get("requests") == 1
 
     def test_request_for_unbound_object_rejected(self):
         kernel, server, proxy = build_stack()
-        client = Client(kernel, proxy)
         with pytest.raises(UnknownObjectError):
-            client.request(ObjectId("nope"))
+            proxy.handle_client_request(ObjectId("nope"))
 
     def test_versions_served_monotonic(self):
         """Section 2: versions served to clients never go backwards."""
@@ -455,12 +455,18 @@ class TestClientPath:
         )
         UpdateFeeder(kernel, server, trace)
         proxy.register_object(ObjectId("x"), server, FixedTTRPolicy(ttr=10.0))
-        client = Client(kernel, proxy)
+        versions = []
         for t in range(0, 60, 3):
-            kernel.schedule_at(float(t), lambda k: client.request(ObjectId("x")))
+            kernel.schedule_at(
+                float(t),
+                lambda k: versions.append(
+                    proxy.handle_client_request(ObjectId("x")).version
+                ),
+            )
         kernel.run(until=100.0)
-        versions = client.versions_served(ObjectId("x"))
+        assert len(versions) == 20
         assert versions == sorted(versions)
+        assert versions[-1] == 3
 
 
 class TestLatencyIntegration:

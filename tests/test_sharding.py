@@ -9,11 +9,14 @@ selection, range balancing, and ownership bookkeeping.
 
 from __future__ import annotations
 
+from functools import partial
+
 import pytest
 
 from repro.api.builder import SimulationBuilder, run_simulation
 from repro.api.config import LevelConfig, SimulationConfigError
 from repro.topology.sharding import plan_shards
+from repro.workload.clients import attach_client_pumps
 
 
 class TestPlanShards:
@@ -116,6 +119,20 @@ class TestMergeDeterminism:
         )
         assert outcome.results.to_csv() == reference_csv
 
+    def test_client_pumps_cross_the_process_boundary(self):
+        """Three shards start a pool (two never do: shard 0 runs here and
+        a one-task batch runs in-process), so the pickled instrument
+        runs in a worker."""
+        pumps = partial(attach_client_pumps, clients=3000, horizon=3600.0, seed=23)
+        serial = run_simulation(_config(), instrument=pumps)
+        served = sum(
+            proxy.counters.get("client_hits") + proxy.counters.get("client_misses")
+            for proxy in serial.edges
+        )
+        assert 2700 < served < 3300
+        sharded = run_simulation(_config(shards=3), workers=2, instrument=pumps)
+        assert sharded.results.to_csv() == serial.results.to_csv()
+
     def test_outcome_exposes_live_shard0_tree(self):
         outcome = run_simulation(_config(shards=2))
         assert outcome.tree is not None
@@ -143,6 +160,17 @@ class TestValidation:
         )
         with pytest.raises(SimulationConfigError):
             run_simulation(config, instrument=lambda tree: None)
+
+    def test_instrument_on_a_bounded_sharded_tree_rejected(self):
+        """Client misses would fetch through the shared ancestors' bounded
+        caches, so shards could no longer reproduce the serial rows."""
+        bounded = SimulationBuilder(_config(shards=3)).cache(2).build()
+        pumps = partial(attach_client_pumps, clients=300, horizon=3600.0, seed=23)
+        with pytest.raises(SimulationConfigError, match="unbounded cache"):
+            run_simulation(bounded, instrument=pumps)
+        # Without an instrument, or unsharded, the bounded tree runs.
+        run_simulation(bounded)
+        run_simulation(SimulationBuilder(bounded).shards(1).build(), instrument=pumps)
 
     def test_more_shards_than_tree_width_rejected(self):
         with pytest.raises(SimulationConfigError):

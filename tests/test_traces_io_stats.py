@@ -1,7 +1,9 @@
 """Unit tests for trace characterisation (:mod:`repro.traces.stats`).
 
 The file keeps its historical name so the ids of the tests in it do not
-move; the CSV/JSON serialisation it once also covered is gone.
+move; the CSV/JSON serialisation it once also covered is gone, and the
+updates-per-bin series is counted by
+:func:`repro.analysis.timeseries.bin_count`.
 """
 
 from __future__ import annotations
@@ -10,13 +12,19 @@ import math
 
 import pytest
 
+from repro.analysis.timeseries import bin_count
 from repro.core.types import ObjectId
 from repro.traces.model import trace_from_ticks
-from repro.traces.stats import (
-    summarize_temporal,
-    summarize_value,
-    updates_per_bin,
-)
+from repro.traces.stats import summarize_temporal, summarize_value
+
+
+def updates_per_bin(trace, bin_width, *, end=None):
+    """Figure 4(a)'s series ("number of updates per 2 hours"), counted
+    by the one bin counter over the trace's update instants."""
+    times = (record.time for record in trace.records)
+    end = trace.end_time if end is None else end
+    series = bin_count(times, start=trace.start_time, end=end, bin_width=bin_width)
+    return list(series.values)
 
 
 class TestStats:
