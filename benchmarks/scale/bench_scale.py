@@ -17,7 +17,7 @@ The scale driver wires the three million-client mechanisms together:
   event heap O(edges) no matter how many client arrivals the run
   drives (a pre-scheduled million-event heap would dominate memory).
 
-Topology: a ``cdn_tree`` of levels (1, 8, 16) — one shield proxy, 8
+Topology: a CDN-style tree of levels (1, 8, 16) — one shield proxy, 8
 regional proxies, 128 edges — serving 8 Poisson-updated objects under
 a static 600 s TTL over a one-hour horizon.  Clients arrive at each
 edge as a Poisson process and request objects Zipf-style through the
@@ -48,7 +48,7 @@ MILLION = 1_000_000
 #: acceptance floor so the Poisson total clears it with ~50σ to spare.
 BENCH_CLIENTS = 1_050_000
 
-#: cdn_tree: shield -> 8 regions -> 128 edges (137 nodes).
+#: CDN-style tree: shield -> 8 regions -> 128 edges (137 nodes).
 FAN_OUTS = (1, 8, 16)
 OBJECTS = tuple(f"obj{i}" for i in range(8))
 TTL_S = 600.0
@@ -84,7 +84,7 @@ def run_scale(
     shards: int = 1,
     workers: Optional[int] = None,
 ) -> SimulationOutcome:
-    """Drive ``clients`` expected arrivals through the cdn_tree."""
+    """Drive ``clients`` expected arrivals through the CDN-style tree."""
     instrument = partial(
         attach_client_pumps,
         clients=clients,

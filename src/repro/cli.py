@@ -22,9 +22,9 @@ The declarative scenario engine has its own command group::
 
     python -m repro scenarios list            # every registered scenario
     python -m repro scenarios describe figure3
-    python -m repro scenarios run flash_crowd --workers 4
+    python -m repro scenarios run correlated_storm --workers 4
     python -m repro scenarios run figure3 --params trace=guardian
-    python -m repro scenarios run diurnal --values 0.0 0.5 1.0 --json
+    python -m repro scenarios run failure_churn --values 60 480 --json
 """
 
 from __future__ import annotations

@@ -15,9 +15,13 @@ from __future__ import annotations
 
 from typing import Dict, Mapping, Sequence
 
+from repro.api.runs import run_individual
+from repro.consistency.base import fixed_policy_factory
+from repro.consistency.limd import limd_policy_factory
 from repro.core.types import MINUTE
-from repro.experiments.paper import evaluate_delta
+from repro.experiments.paper import PAPER_LIMD_PARAMETERS, TTR_MAX
 from repro.experiments.workloads import news_trace
+from repro.metrics.collector import collect_temporal
 from repro.scenarios.engine import ScenarioResult
 from repro.scenarios.registry import Claim, Verdict, scenario
 from repro.traces.model import UpdateTrace
@@ -113,8 +117,26 @@ def _point(
     delta_min: float, *, trace: UpdateTrace, trace_key: str, detection_mode: str
 ) -> Dict[str, object]:
     """One sweep point: LIMD and the baseline at one Δ."""
-    row: Dict[str, object] = {"trace": trace_key}
-    row.update(
-        evaluate_delta(trace, delta_min * MINUTE, detection_mode=detection_mode)
+    delta = delta_min * MINUTE
+    limd_run = run_individual(
+        [trace],
+        limd_policy_factory(
+            delta,
+            ttr_max=TTR_MAX,
+            parameters=PAPER_LIMD_PARAMETERS,
+            detection_mode=detection_mode,
+        ),
     )
-    return row
+    limd = collect_temporal(limd_run.proxy, trace, delta).report
+    baseline_run = run_individual([trace], fixed_policy_factory(delta))
+    baseline = collect_temporal(baseline_run.proxy, trace, delta).report
+    return {
+        "trace": trace_key,
+        "limd_polls": limd.polls,
+        "baseline_polls": baseline.polls,
+        "limd_fidelity_violations": limd.fidelity_by_violations,
+        "limd_fidelity_time": limd.fidelity_by_time,
+        "baseline_fidelity_violations": baseline.fidelity_by_violations,
+        "baseline_fidelity_time": baseline.fidelity_by_time,
+        "poll_ratio": baseline.polls / limd.polls if limd.polls else float("inf"),
+    }

@@ -130,21 +130,18 @@ def mean_snapshot_fidelity(
     proxies: Iterable[ProxyCache],
     traces: Sequence[UpdateTrace],
     delta: Seconds,
-) -> Optional[float]:
+) -> float:
     """Mean snapshot-scored time-fidelity over (proxy, object) pairs.
 
-    The edge-level summary of the tree scenarios, proxy by proxy and
-    object by object within each.  A bounded cache may have evicted an
-    object without refetching it by the end of the run; such pairs have
-    no snapshots to score and are skipped (``None`` when none is left).
+    The edge-level summary of an unbounded proxy tree, proxy by proxy
+    and object by object within each.
     """
     scores = [
         collect_snapshot_fidelity(proxy, trace, delta).report.fidelity_by_time
         for proxy in proxies
         for trace in traces
-        if proxy.entry_or_none(trace.object_id) is not None
     ]
-    return sum(scores) / len(scores) if scores else None
+    return sum(scores) / len(scores)
 
 
 def collect_value(

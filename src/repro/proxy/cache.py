@@ -4,12 +4,13 @@ The paper's experiments "assume that the proxy employs an infinitely
 large cache" (Section 6.1.1); :class:`ObjectCache` defaults to that.
 Bounded caches delegate victim selection to a named policy from
 :mod:`repro.proxy.eviction` (``"lru"``, ``"lfu"``, ``"tinylfu"``,
-``"clockpro"``) and keep the bookkeeping the eviction × consistency
-scenarios need: every eviction opens an :class:`EvictionWindow` that
-closes when the object is refetched, because between those two instants
-the object has *no* cached copy and no poll history — the consistency
-policy's staleness bound Δ is void for that span, which is exactly what
-the ``capacity_edge`` scenarios measure.
+``"clockpro"``) and keep the bookkeeping eviction scoring needs: every
+eviction opens an :class:`EvictionWindow` that closes when the object
+is refetched, because between those two instants the object has *no*
+cached copy and no poll history — the consistency policy's staleness
+bound Δ is void for that span, which is what the ``evictions``,
+``refetch_after_evict`` and ``staleness_violations`` result columns
+measure.
 """
 
 from __future__ import annotations

@@ -9,8 +9,8 @@ extension, or new workload family — into data plus a point function:
   name-based lookup;
 * :mod:`repro.scenarios.engine` — :func:`run_scenario`, the generic
   driver over the parallel sweep executors;
-* :mod:`repro.scenarios.families`, :mod:`~repro.scenarios.capacity`,
-  :mod:`~repro.scenarios.replay` — workload families beyond the paper.
+* :mod:`repro.scenarios.families` — workload families beyond the
+  paper, each with the claim it shows.
 
 The paper's tables, figures and ablations register themselves from
 their own modules under :mod:`repro.experiments`.

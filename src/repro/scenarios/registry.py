@@ -14,23 +14,25 @@ callables:
 Registration is declarative::
 
     @scenario(
-        name="diurnal",
-        description="LIMD under diurnally modulated load",
-        axis="amplitude",
-        values=(0.0, 0.5, 1.0),
-        params={"base_rate_per_hour": 12.0, "days": 2.0},
-        prepare=_prepare_diurnal,
+        name="failure_churn",
+        description="LIMD under proxy crash/recovery churn",
+        axis="mean_uptime_min",
+        values=(60.0, 480.0),
+        params={"trace": "cnn_fn", "delta_min": 10.0},
+        prepare=_prepare_failure_churn,
+        claims=(Claim("failure_churn.…", "…", _check),),
     )
-    def _diurnal_point(amplitude, *, trace, delta):
+    def _failure_churn_point(mean_uptime_min, *, trace, delta):
         ...
 
 Point functions must be module-level (pickling requirement of
 :class:`repro.api.executors.ParallelExecutor`).
 
-A scenario that reproduces something the paper asserts also carries the
-assertion: ``claims=(Claim(...), ...)`` beside the point function whose
-rows it judges.  The report prints each claim's verdict and
-``tests/test_paper_claims.py`` pins it per seed; nothing else states it.
+Every scenario states what it shows: ``claims=(Claim(...), ...)``
+beside the point function whose rows it judges.  The report prints the
+verdicts of the paper artefacts and ablations, and
+``tests/test_paper_claims.py`` pins every claim per seed; nothing else
+states it.
 
 Lookup goes through :data:`SCENARIOS`, a
 :class:`repro.core.registry.Registry` shared with the consistency and
@@ -139,8 +141,6 @@ def _load_builtins() -> None:
     import repro.experiments.table2  # noqa: F401
     import repro.experiments.table3  # noqa: F401
     import repro.scenarios.families  # noqa: F401
-    import repro.scenarios.capacity  # noqa: F401
-    import repro.scenarios.replay  # noqa: F401
 
 
 #: The scenario registry: ``SCENARIOS.get(name)`` resolves one entry,

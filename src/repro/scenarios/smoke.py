@@ -56,42 +56,11 @@ TINY_CONFIGS: Dict[str, TinyConfig] = {
     "ablation_trigger_semantics": TinyConfig(),
     "ablation_limd_parameters": TinyConfig(values=("paper", "optimistic")),
     "ablation_latency": TinyConfig(values=(0.0, 300.0)),
-    "flash_crowd": TinyConfig(
-        values=(1.0, 25.0),
-        params={"total_updates": 200, "hours": 12.0, "surge_start_hour": 6.0},
-    ),
-    "diurnal": TinyConfig(values=(0.0, 1.0), params={"days": 1.0}),
     "failure_churn": TinyConfig(values=(60.0, 480.0)),
-    "hetero_mix": TinyConfig(values=(2.0, 30.0), params={"hours": 12.0}),
-    "cdn_tree": TinyConfig(
-        values=(2, 4),
-        params={
-            "depth": 2,
-            "total_updates": 150,
-            "hours": 6.0,
-            "surge_start_hour": 3.0,
-        },
-    ),
-    "hybrid_push_pull": TinyConfig(values=(1.0, 30.0), params={"edge_count": 2}),
-    "capacity_edge": TinyConfig(
-        values=(2, 8),
-        params={
-            "objects": 4,
-            "fan_out": 2,
-            "total_updates": 120,
-            "hours": 6.0,
-            "surge_start_hour": 3.0,
-        },
-    ),
-    "ttl_class_mix": TinyConfig(values=(2.0, 30.0)),
-    "trace_replay": TinyConfig(
-        values=(0.5, 1.0), params={"duration_hours": 1.0}
-    ),
     "correlated_storm": TinyConfig(
         values=(10, 25),
         params={"objects": 12, "hours": 2.0, "storms_per_hour": 8.0},
     ),
-    "group_churn": TinyConfig(values=(30.0, 60.0), params={"objects": 6, "hours": 3.0}),
 }
 
 

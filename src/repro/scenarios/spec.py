@@ -193,7 +193,7 @@ def parse_param_overrides(pairs: Sequence[str]) -> Dict[str, object]:
 
     Values are parsed as JSON when possible (numbers, booleans, lists,
     quoted strings) and fall back to the raw string otherwise, so
-    ``--params delta_min=2.5 trace=guardian surges='[[3600,600,20]]'``
+    ``--params delta_min=2.5 trace=guardian pair='["guardian","cnn_fn"]'``
     all work without shell gymnastics.
     """
     overrides: Dict[str, object] = {}

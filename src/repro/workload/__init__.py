@@ -1,4 +1,3 @@
 """Workload generation: the client load generator (Poisson arrivals,
 Zipf object choice, one self-rescheduling pump per edge proxy) and the
-scenario workload families (surges, diurnal modulation, failure
-schedules)."""
+proxy failure/recovery schedules of the ``failure_churn`` family."""

@@ -131,14 +131,9 @@ class FailureInjector:
         self, kernel: Kernel, proxy: ProxyCache, schedule: FailureSchedule
     ) -> None:
         self._proxy = proxy
-        self._schedule = schedule
         self.recoveries = 0
         for interval in schedule.intervals:
             kernel.schedule_at(interval.end, self._recover)
-
-    @property
-    def schedule(self) -> FailureSchedule:
-        return self._schedule
 
     def _recover(self, kernel: Kernel) -> None:
         del kernel

@@ -27,10 +27,10 @@ class TestList:
 
 class TestDescribe:
     def test_describe_shows_axis_and_params(self, capsys):
-        assert main(["scenarios", "describe", "flash_crowd"]) == 0
+        assert main(["scenarios", "describe", "failure_churn"]) == 0
         out = capsys.readouterr().out
-        assert "surge_intensity" in out
-        assert "total_updates" in out
+        assert "mean_uptime_min" in out
+        assert "mean_downtime_min" in out
 
     def test_unknown_name_exits_2(self, capsys):
         assert main(["scenarios", "describe", "nope"]) == 2
@@ -149,60 +149,6 @@ class TestRun:
     def test_nonpositive_workers_rejected(self):
         with pytest.raises(SystemExit):
             main(["scenarios", "run", "table2", "--workers", "0"])
-
-
-class TestRunCapacityFamilies:
-    """The finite-capacity families run end-to-end through the CLI."""
-
-    _TINY_EDGE = [
-        "--values",
-        "2",
-        "--params",
-        "objects=4",
-        "fan_out=2",
-        "total_updates=120",
-        "hours=6.0",
-        "surge_start_hour=3.0",
-    ]
-
-    def test_capacity_edge_prints_eviction_columns(self, capsys):
-        assert (
-            main(["scenarios", "run", "capacity_edge"] + self._TINY_EDGE)
-            == 0
-        )
-        out = capsys.readouterr().out
-        assert "evictions" in out
-        assert "staleness_violations" in out
-
-    def test_capacity_edge_eviction_param_overridable(self, capsys):
-        args = ["scenarios", "run", "capacity_edge", "--json"]
-        args += self._TINY_EDGE + ["eviction=lru"]
-        assert main(args) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["spec"]["params"]["eviction"] == "lru"
-        assert payload["rows"][0]["evictions"] > 0
-
-    def test_ttl_class_mix_json_rows(self, capsys):
-        assert (
-            main(
-                ["scenarios", "run", "ttl_class_mix", "--json", "--values", "2.0"]
-            )
-            == 0
-        )
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["spec"]["name"] == "ttl_class_mix"
-        row = payload["rows"][0]
-        assert row["ttl_min"] == 2.0
-        assert row["evictions"] > 0
-        assert row["refetch_after_evict"] <= row["evictions"]
-
-    def test_ttl_class_mix_workers_matches_serial(self, capsys):
-        assert main(["scenarios", "run", "ttl_class_mix"]) == 0
-        serial = capsys.readouterr().out
-        assert (
-            main(["scenarios", "run", "ttl_class_mix", "--workers", "2"]) == 0
-        )
-        assert capsys.readouterr().out == serial
 
 
 class TestClassicCommandsAreScenarioRuns:

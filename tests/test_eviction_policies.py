@@ -25,13 +25,28 @@ default the main policy stays (the ops-table ``get_ttl`` contract).
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
 from typing import List, Optional, Tuple
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
+from repro.api.builder import run_simulation
+from repro.api.config import (
+    CacheConfig,
+    LevelConfig,
+    PolicyConfig,
+    SimulationConfig,
+    TopologyConfig,
+    WorkloadConfig,
+)
 from repro.core.errors import CacheConfigurationError
 from repro.core.events import PollReason
 from repro.core.types import ObjectId, ObjectSnapshot, Seconds
@@ -625,9 +640,45 @@ class TestTTLClasses:
 
 
 class TestSerialVsWorkersByteIdentical:
-    def test_capacity_edge_tiny_rows_match_across_workers(self):
-        from repro.scenarios.smoke import canonical_rows, run_tiny
+    """A bounded TinyLFU tree end to end, on a worker pool, under two
+    ``PYTHONHASHSEED`` values.
 
-        serial = run_tiny("capacity_edge")
-        parallel = run_tiny("capacity_edge", workers=2)
-        assert canonical_rows(serial.rows) == canonical_rows(parallel.rows)
+    TinyLFU salts its count-min sketch with CRC32 rather than ``hash()``,
+    so which objects its edges admit must not move with the hash seed;
+    sharded across a pool, the rows must also equal the serial run's.
+    """
+
+    CONFIG = SimulationConfig(
+        workload=WorkloadConfig(
+            objects=("cnn_fn", "nyt_ap", "nyt_reuters", "guardian")
+        ),
+        policy=PolicyConfig("limd", {"delta": 600.0, "ttr_max": 3600.0}),
+        topology=TopologyConfig(
+            kind="tree", levels=(LevelConfig(), LevelConfig(fan_out=3))
+        ),
+        cache=CacheConfig(capacity=2, eviction="tinylfu"),
+        fidelity_delta_s=600.0,
+    )
+
+    def test_tinylfu_tree_csv_is_identical(self, tmp_path):
+        serial = run_simulation(self.CONFIG).results
+        assert sum(serial.column("evictions")) > 0
+        path = tmp_path / "tinylfu_tree.json"
+        # Three shards: shard 0 runs in-process, 1 and 2 on the pool.
+        path.write_text(replace(self.CONFIG, shards=3).to_json())
+        source_root = str(Path(repro.__file__).resolve().parent.parent)
+        for hash_seed in ("1", "4242"):
+            sharded = subprocess.run(
+                [sys.executable, "-m", "repro", "run", "--config", str(path),
+                 "--csv", "--workers", "2"],
+                env={
+                    **os.environ,
+                    "PYTHONHASHSEED": hash_seed,
+                    "PYTHONPATH": source_root,
+                },
+                capture_output=True,
+                text=True,
+                timeout=300,
+            )
+            assert sharded.returncode == 0, sharded.stderr
+            assert sharded.stdout == serial.to_csv(), hash_seed

@@ -10,29 +10,15 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments import figure4, figure6, figure8, table2
+from repro.experiments import figure4, figure6, figure8
 from repro.experiments.report import generate
 from repro.scenarios.engine import render_scenario, run_scenario
 
 
 class TestTables:
-    def test_table2_rows_match_paper_counts(self):
-        rows = run_scenario("table2").rows
-        counts = {row["key"]: row["num_updates"] for row in rows}
-        assert counts == {
-            key: spec["num_updates"]
-            for key, spec in table2.PAPER_TABLE2.items()
-        }
-
     def test_table2_render_contains_all_traces(self):
         out = render_scenario(run_scenario("table2"))
         assert "CNN" in out and "Guardian" in out
-
-    def test_table3_rows_match_paper_ranges(self):
-        rows = run_scenario("table3").rows
-        by_key = {row["key"]: row for row in rows}
-        assert by_key["att"]["min_value"] == pytest.approx(35.8)
-        assert by_key["yahoo"]["max_value"] == pytest.approx(171.2)
 
     def test_table3_render(self):
         out = render_scenario(run_scenario("table3"))

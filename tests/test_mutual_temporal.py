@@ -124,6 +124,26 @@ class TestTriggeredMode:
         # a polls: 0, 10, 20 — no extra triggered poll of a at 20.
         assert a_polls.count(20.0) == 1
 
+    def test_group_removed_mid_run_stops_triggering(self):
+        """a's update detected at 20 triggers b; the group is removed at
+        30, so the one detected at 60 leaves b on its own schedule."""
+        kernel = Kernel()
+        server = OriginServer()
+        proxy = ProxyCache(kernel, Network(kernel))
+        UpdateFeeder(
+            kernel, server, trace_from_times(A, [15.0, 55.0], end_time=200.0)
+        )
+        server.create_object(B, created_at=0.0)
+        groups = GroupRegistry()
+        pair = groups.create_group("pair", (A, B), 5.0)
+        coordinator = MutualTemporalCoordinator(proxy, groups)
+        proxy.register_object(A, server, FixedTTRPolicy(ttr=10.0))
+        proxy.register_object(B, server, FixedTTRPolicy(ttr=100.0))
+        kernel.schedule_at(30.0, lambda _kernel: groups.remove_group(pair.group_id))
+        kernel.run(until=90.0)
+        assert [r.time for r in proxy.entry_for(B).fetch_log] == [0.0, 20.0]
+        assert coordinator.extra_polls == 1
+
 
 class TestNoneMode:
     def test_never_triggers(self):

@@ -1,10 +1,12 @@
 """Every paper claim, run full-size and pinned per seed.
 
 A claim is stated once, as a :class:`~repro.scenarios.registry.Claim`
-beside the artefact it judges; ``repro report`` prints its verdict and
-this module pins it: figures 3-8 at five seeds, everything else at the
-default seed, Figure 3 also on each Table 2 trace (the technical
-report's sweep) and Figure 5 also on the most rate-disparate pair.
+beside the scenario it judges; ``repro report`` prints the paper
+artefacts' verdicts and this module pins every one: figures 3-8 and the
+workload families at five seeds, everything else at the default seed,
+Figure 3 also on each Table 2 trace (the technical report's sweep) and
+Figure 5 also on the most rate-disparate pair.  Every registered
+scenario states at least one claim.
 
 :data:`DOES_NOT_HOLD` is the whole ledger of known divergences, strict
 in both directions: a claim that fails on a run not listed fails the
@@ -49,23 +51,22 @@ DOES_NOT_HOLD = {
 }
 
 
-CLAIMED = [
-    name
-    for name in SCENARIOS.names()
-    if {"paper", "ablation", "extension"} & set(SCENARIOS.get(name).spec.tags)
-]
-
-
 def _claims_of(name):
     module = SERIES_FIGURES.get(name)
     return module.CLAIMS if module else SCENARIOS.get(name).claims
 
 
+def _seeds_of(name):
+    if name.startswith("figure") or "family" in SCENARIOS.get(name).spec.tags:
+        return SEEDS
+    return SEEDS[:1]
+
+
 #: (scenario, run key, seed, params) for every pinned run.
 RUNS = [
     (name, seed, seed, None)
-    for name in CLAIMED
-    for seed in (SEEDS if name.startswith("figure") else SEEDS[:1])
+    for name in SCENARIOS.names()
+    for seed in _seeds_of(name)
 ]
 RUNS += [("figure3", key, DEFAULT_SEED, {"trace": key}) for key in TABLE2_TRACES[1:]]
 RUNS += [("figure5", "guardian+cnn_fn", DEFAULT_SEED, {"pair": DISPARATE_PAIR})]
@@ -90,11 +91,12 @@ def test_claims_hold_except_where_listed(name, key, seed, params):
 
 
 class TestLedger:
-    claims = {claim.id: claim for name in CLAIMED for claim in _claims_of(name)}
+    claims = {
+        claim.id: claim for name in SCENARIOS.names() for claim in _claims_of(name)
+    }
 
-    def test_every_paper_artefact_states_a_claim(self):
-        assert len(CLAIMED) == 17
-        for name in CLAIMED:
+    def test_every_scenario_states_a_claim(self):
+        for name in SCENARIOS.names():
             assert _claims_of(name), name
             for claim in _claims_of(name):
                 assert claim.id.startswith(name + "."), claim.id
@@ -102,7 +104,9 @@ class TestLedger:
             assert not SCENARIOS.get(name).claims  # one home per claim
 
     def test_claim_ids_are_unique(self):
-        assert len(self.claims) == sum(len(_claims_of(name)) for name in CLAIMED)
+        assert len(self.claims) == sum(
+            len(_claims_of(name)) for name in SCENARIOS.names()
+        )
 
     def test_listed_divergences_are_real_claims_on_real_runs(self):
         for claim_id, keys in DOES_NOT_HOLD.items():

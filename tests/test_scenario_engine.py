@@ -52,41 +52,6 @@ def _labelled_point(value, *, offset, seed):
 
 
 class TestRegistry:
-    def test_builtin_and_family_scenarios_registered(self):
-        names = SCENARIOS.names()
-        for expected in (
-            "table2",
-            "table3",
-            "figure3",
-            "figure4",
-            "figure5",
-            "figure6",
-            "figure7",
-            "figure8",
-            "group_mt",
-            "hierarchy",
-            "ablation_history",
-            "ablation_heuristic_threshold",
-            "ablation_partition",
-            "ablation_smoothing",
-            "ablation_trigger_semantics",
-            "ablation_limd_parameters",
-            "ablation_latency",
-            "flash_crowd",
-            "diurnal",
-            "failure_churn",
-            "hetero_mix",
-        ):
-            assert expected in names
-
-    def test_at_least_four_new_families(self):
-        family_tagged = [
-            entry
-            for entry in SCENARIOS.values()
-            if "family" in entry.spec.tags
-        ]
-        assert len(family_tagged) >= 4
-
     def test_unknown_name_raises(self):
         with pytest.raises(UnknownScenarioError, match="unknown scenario"):
             SCENARIOS.get("no_such_scenario")

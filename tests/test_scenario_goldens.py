@@ -10,7 +10,8 @@ After an intentional behaviour change, refresh with::
 
     PYTHONPATH=src python tools/update_goldens.py
 
-and review the row diffs like any other code change.
+and review the row diffs like any other code change.  The same command
+deletes the golden of a scenario that is no longer registered.
 """
 
 from __future__ import annotations
@@ -47,8 +48,13 @@ class TestCoverage:
         assert sorted(TINY_CONFIGS) == SCENARIOS.names()
 
     def test_every_scenario_has_a_committed_golden(self):
+        """Exactly one golden per scenario: none missing, no orphans."""
         committed = {path.stem for path in GOLDENS_DIR.glob("*.json")}
-        assert committed == set(SCENARIOS.names()), REFRESH_HINT
+        registered = set(SCENARIOS.names())
+        assert committed == registered, (
+            f"missing: {sorted(registered - committed)}, "
+            f"orphans: {sorted(committed - registered)}; {REFRESH_HINT}"
+        )
 
     def test_no_orphan_goldens(self):
         committed = {path.stem for path in GOLDENS_DIR.glob("*.json")}

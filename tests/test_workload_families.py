@@ -1,13 +1,8 @@
-"""Property-based tests for the new scenario workload generators.
+"""Property-based tests for the failure/recovery schedule generator.
 
-The invariants the scenario families lean on:
-
-* flash-crowd redistribution conserves total arrival mass — the surge
-  moves updates in time but never changes how many there are;
-* diurnal modulation is non-negative for every time and amplitude, and
-  exactly periodic;
-* generated failure/recovery schedules never overlap their down
-  intervals and stay inside the horizon.
+The invariant the ``failure_churn`` family leans on: generated
+failure/recovery schedules never overlap their down intervals and stay
+inside the horizon.
 """
 
 from __future__ import annotations
@@ -24,158 +19,8 @@ from repro.workload.failures import (
     FailureSchedule,
     generate_failure_schedule,
 )
-from repro.workload.modulation import (
-    DiurnalModulation,
-    diurnal_trace,
-    modulated_times,
-)
-from repro.workload.surges import (
-    SurgeWindow,
-    flash_crowd_times,
-    flash_crowd_trace,
-)
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
-
-surge_windows = st.builds(
-    SurgeWindow,
-    at=st.floats(min_value=0.0, max_value=80000.0),
-    duration=st.floats(min_value=1.0, max_value=20000.0),
-    intensity=st.floats(min_value=1.0, max_value=200.0),
-)
-
-
-class TestFlashCrowdProperties:
-    @given(
-        seeds,
-        st.integers(min_value=0, max_value=500),
-        st.lists(surge_windows, max_size=4),
-    )
-    @settings(max_examples=80, deadline=None)
-    def test_total_arrival_mass_is_conserved(self, seed, total, surges):
-        """The defining property: surges redistribute, never add/drop."""
-        times = flash_crowd_times(
-            random.Random(seed), total=total, end=86400.0, surges=surges
-        )
-        assert len(times) == total
-
-    @given(seeds, st.lists(surge_windows, max_size=4))
-    @settings(max_examples=60, deadline=None)
-    def test_times_strictly_increasing_inside_window(self, seed, surges):
-        times = flash_crowd_times(
-            random.Random(seed), total=200, end=86400.0, surges=surges
-        )
-        assert all(0.0 < t < 86400.0 for t in times)
-        assert all(b > a for a, b in zip(times, times[1:]))
-
-    def test_surge_attracts_mass(self):
-        """A strong surge holds far more than its uniform share."""
-        surge = SurgeWindow(at=40000.0, duration=3600.0, intensity=50.0)
-        times = flash_crowd_times(
-            random.Random(7), total=2000, end=86400.0, surges=(surge,)
-        )
-        in_surge = sum(1 for t in times if surge.at <= t < surge.end)
-        uniform_share = 2000 * surge.duration / 86400.0
-        assert in_surge > 5 * uniform_share
-
-    def test_intensity_one_is_uniform_baseline(self):
-        rng_a, rng_b = random.Random(3), random.Random(3)
-        flat = flash_crowd_times(rng_a, total=100, end=1000.0)
-        degenerate = flash_crowd_times(
-            rng_b,
-            total=100,
-            end=1000.0,
-            surges=(SurgeWindow(at=200.0, duration=100.0, intensity=1.0),),
-        )
-        assert flat == degenerate
-
-    def test_trace_wrapper_builds_valid_trace(self):
-        trace = flash_crowd_trace(
-            "fc",
-            random.Random(1),
-            total=50,
-            end=3600.0,
-            surges=(SurgeWindow(at=1000.0, duration=60.0, intensity=10.0),),
-        )
-        assert trace.update_count == 50
-        assert trace.metadata.source == "synthetic:flash_crowd"
-
-    def test_invalid_inputs_rejected(self):
-        rng = random.Random(0)
-        with pytest.raises(ValueError):
-            flash_crowd_times(rng, total=-1, end=10.0)
-        with pytest.raises(ValueError):
-            flash_crowd_times(rng, total=1, end=0.0)
-        with pytest.raises(ValueError):
-            SurgeWindow(at=0.0, duration=0.0, intensity=2.0)
-        with pytest.raises(ValueError):
-            SurgeWindow(at=0.0, duration=1.0, intensity=0.5)
-
-
-modulations = st.builds(
-    DiurnalModulation,
-    base_rate=st.floats(min_value=1e-6, max_value=10.0),
-    amplitude=st.floats(min_value=0.0, max_value=1.0),
-    period=st.floats(min_value=60.0, max_value=2 * 86400.0),
-    peak_at=st.floats(min_value=-86400.0, max_value=86400.0),
-)
-
-
-class TestDiurnalModulationProperties:
-    @given(modulations, st.floats(min_value=-1e6, max_value=1e6))
-    @settings(max_examples=100, deadline=None)
-    def test_rate_never_negative(self, modulation, t):
-        assert modulation.rate(t) >= 0.0
-
-    @given(
-        modulations,
-        st.floats(min_value=0.0, max_value=1e5),
-        st.integers(min_value=1, max_value=5),
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_rate_is_periodic(self, modulation, t, cycles):
-        shifted = modulation.rate(t + cycles * modulation.period)
-        assert shifted == pytest.approx(
-            modulation.rate(t), abs=1e-9 * modulation.peak_rate + 1e-12
-        )
-
-    @given(modulations)
-    @settings(max_examples=50, deadline=None)
-    def test_peak_and_trough_bracket_base_rate(self, modulation):
-        assert modulation.trough_rate <= modulation.base_rate
-        assert modulation.base_rate <= modulation.peak_rate
-
-    def test_amplitude_out_of_range_rejected(self):
-        for amplitude in (-0.1, 1.1):
-            with pytest.raises(ValueError, match="amplitude"):
-                DiurnalModulation(base_rate=1.0, amplitude=amplitude)
-
-    @given(seeds)
-    @settings(max_examples=30, deadline=None)
-    def test_modulated_times_inside_window_and_increasing(self, seed):
-        modulation = DiurnalModulation(base_rate=0.01, amplitude=0.8)
-        times = modulated_times(
-            random.Random(seed), modulation, start=100.0, end=20000.0
-        )
-        assert all(100.0 < t < 20000.0 for t in times)
-        assert all(b > a for a, b in zip(times, times[1:]))
-
-    def test_zero_amplitude_matches_plain_poisson_envelope(self):
-        """amplitude=0 thinning accepts every candidate."""
-        modulation = DiurnalModulation(base_rate=0.02, amplitude=0.0)
-        times = modulated_times(
-            random.Random(11), modulation, end=50000.0
-        )
-        # Expected ~1000 events; a flat profile should land close.
-        assert 800 < len(times) < 1200
-
-    def test_trace_wrapper_builds_valid_trace(self):
-        modulation = DiurnalModulation(base_rate=0.01, amplitude=1.0)
-        trace = diurnal_trace(
-            "d", random.Random(2), modulation, end=86400.0
-        )
-        assert trace.metadata.source == "synthetic:diurnal"
-        assert trace.end_time == 86400.0
 
 
 class TestFailureScheduleProperties:
@@ -253,31 +98,3 @@ class TestFailureScheduleProperties:
         kernel.run(until=1000.0)
         assert injector.recoveries == 2
         assert proxy.counters.get("recoveries") == 2
-
-
-class TestFamilyScenarios:
-    """The four new families run end to end via the engine."""
-
-    @pytest.mark.parametrize(
-        "name", ["flash_crowd", "diurnal", "failure_churn", "hetero_mix"]
-    )
-    def test_family_runs_and_reports_metrics(self, name):
-        from repro.scenarios.smoke import run_tiny
-
-        result = run_tiny(name)
-        assert len(result.rows) == len(result.spec.values)
-        for row in result.rows:
-            assert any("fidelity" in column for column in row)
-
-    def test_flash_crowd_rows_conserve_updates(self):
-        from repro.scenarios.engine import run_scenario
-
-        result = run_scenario(
-            "flash_crowd",
-            values=(1.0, 50.0),
-            params={"total_updates": 150, "hours": 6.0, "surge_start_hour": 3.0},
-        )
-        # Same total mass at every surge intensity: baseline polls are
-        # the fixed-TTR schedule, and the trace always has 150 updates.
-        in_surge = [row["updates_in_surge"] for row in result.rows]
-        assert in_surge[1] > in_surge[0]

@@ -18,6 +18,9 @@ code change.
 ``--check`` recomputes every requested golden and exits non-zero on
 drift without touching the files (used to validate this script stays
 in sync with the test suite's expectations).
+
+A golden whose scenario is no longer registered is an orphan: a
+refresh deletes it, and ``--check`` reports it stale.
 """
 
 from __future__ import annotations
@@ -62,9 +65,19 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    names = args.scenarios or all_tiny_scenarios()
+    registered = all_tiny_scenarios()
+    names = args.scenarios or registered
     GOLDENS_DIR.mkdir(parents=True, exist_ok=True)
     stale = []
+    for path in sorted(GOLDENS_DIR.glob("*.json")):
+        if path.stem in registered:
+            continue
+        if args.check:
+            stale.append(path.stem)
+            print(f"stale: {path.relative_to(REPO_ROOT)} (no such scenario)")
+        else:
+            path.unlink()
+            print(f"deleted {path.relative_to(REPO_ROOT)}")
     for name in names:
         content = render_golden(name)
         path = golden_path(name)
