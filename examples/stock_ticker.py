@@ -17,7 +17,7 @@ Run:
 
 from __future__ import annotations
 
-from repro.consistency.mutual_value import difference, paired_f_history
+from repro.consistency.mutual_value import difference, group_f_history
 from repro.core.types import TTRBounds
 from repro.api.runs import (
     run_mutual_value_adaptive,
@@ -58,7 +58,7 @@ def main() -> None:
     rows.append(("adaptive-f", adaptive, adaptive_report))
 
     partitioned = run_mutual_value_partitioned(
-        att, yahoo, MUTUAL_DELTA, bounds=BOUNDS
+        (att, yahoo), MUTUAL_DELTA, bounds=BOUNDS
     )
     partitioned_report = collect_mutual_value(
         partitioned.proxy, att, yahoo, MUTUAL_DELTA, f=difference
@@ -76,8 +76,10 @@ def main() -> None:
 
     # How tightly did each approach track the true difference?
     for name, run_result, _pair in rows:
-        knots = paired_f_history(
-            run_result.proxy, att.object_id, yahoo.object_id, difference
+        knots = group_f_history(
+            run_result.proxy,
+            (att.object_id, yahoo.object_id),
+            lambda values: difference(*values),
         )
         errors = []
         for time, proxy_f in knots:
@@ -92,7 +94,7 @@ def main() -> None:
                 f"(max ${max(errors):.4f} over {len(errors)} refreshes)"
             )
 
-    delta_a, delta_b = partitioned.coordinator.current_split
+    delta_a, delta_b = partitioned.coordinator.current_tolerances().values()
     print(
         f"\nFinal partitioned split: AT&T gets δa = ${delta_a:.3f}, "
         f"Yahoo gets δb = ${delta_b:.3f} "

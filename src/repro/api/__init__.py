@@ -61,7 +61,6 @@ from repro.api.runs import (
     run_many,
     run_mutual_temporal,
     run_mutual_value_adaptive,
-    run_mutual_value_group,
     run_mutual_value_partitioned,
 )
 from repro.api.workloads import (
@@ -98,7 +97,6 @@ __all__ = [
     "run_many",
     "run_mutual_temporal",
     "run_mutual_value_adaptive",
-    "run_mutual_value_group",
     "run_mutual_value_partitioned",
     "run_simulation",
     "workload_source_names",

@@ -74,7 +74,7 @@ from repro.metrics.collector import (
 from repro.proxy.cache import ObjectCache
 from repro.proxy.proxy import ProxyCache
 from repro.topology.levels import TopologyError, TreeLevel, warm_up_bound
-from repro.topology.tree import TopologyNode, TopologyTree
+from repro.topology.tree import TopologyTree
 from repro.traces.model import UpdateTrace
 
 #: The declared schema every simulation outcome reports, per (node,
@@ -109,8 +109,8 @@ class SimulationOutcome:
     Attributes:
         config: The exact configuration that ran.
         run: Live simulation objects for deep inspection (the primary
-            proxy: the single proxy, the hierarchy parent, or the
-            tree's first level-0 node).
+            proxy: the single proxy or the tree's first level-0
+            node).
         results: Per-(node, object) metric rows under the declared
             :data:`RESULT_COLUMNS` schema.
         edges: Edge proxies (empty for the ``single`` topology and for
@@ -385,7 +385,6 @@ def _keyed_tree_rows(
     delta: Optional[float],
     horizon: float,
     owns: Optional["frozenset[Tuple[int, int]]"],
-    label: Callable[[TopologyNode], str],
 ) -> KeyedRows:
     """Result-row batches per tree node, keyed by ``(level, index)``.
 
@@ -407,7 +406,7 @@ def _keyed_tree_rows(
         # stale) state and are scored from the snapshots actually held.
         append_object_rows(
             batch.row_writer(OBJECT_ROW_COLUMNS),
-            label(node),
+            node.name,
             node.proxy,
             traces,
             delta,
@@ -416,14 +415,6 @@ def _keyed_tree_rows(
         )
         keyed.append((key, batch))
     return keyed
-
-
-def _historical_node_name(level: int, index: int) -> str:
-    return "proxy" if level == 0 else f"edge-{index}"
-
-
-def _historical_link_label(level: int, index: int) -> str:
-    return "network" if level == 0 else f"network.edge-{index}"
 
 
 def _run_tree(
@@ -447,25 +438,13 @@ def _run_tree(
     level_configs: Sequence[LevelConfig] = config.topology.levels
     naming: Dict[str, Callable[[int, int], str]] = {}
     if kind != "tree":
-        # single and hierarchy are the two historical degenerate trees:
-        # one node, or one parent fanning out to edge_count edges, under
-        # their historical node names and RNG link labels.
-        level_configs = (LevelConfig(),) + (
-            (LevelConfig(fan_out=config.topology.edge_count),)
-            if kind == "hierarchy"
-            else ()
-        )
+        # single is the one-node tree, under its historical node name
+        # and RNG link label.
+        level_configs = (LevelConfig(),)
         naming = {
-            "node_namer": _historical_node_name,
-            "link_labeler": _historical_link_label,
+            "node_namer": lambda _level, _index: "proxy",
+            "link_labeler": lambda _level, _index: "network",
         }
-
-    def label(node: TopologyNode) -> str:
-        # The hierarchy's root is *named* "proxy" (error messages, RNG
-        # labels) but has always *reported* as "parent".
-        if kind == "hierarchy" and node.level == 0:
-            return "parent"
-        return node.name
 
     levels = tuple(
         TreeLevel(
@@ -527,7 +506,7 @@ def _run_tree(
 
     owns = selection.owns if selection is not None else None
     keyed = _keyed_tree_rows(
-        tree, traces, config.fidelity_delta_s, horizon, owns, label
+        tree, traces, config.fidelity_delta_s, horizon, owns
     )
     assembly = ColumnarBuilder(RESULT_COLUMNS)
     for _key, batch in keyed:
@@ -538,7 +517,7 @@ def _run_tree(
         for node in tree.nodes:
             append_group_rows(
                 write_group,
-                label(node),
+                node.name,
                 node.proxy,
                 group_registry,
                 traces_by_id,
@@ -690,33 +669,25 @@ class SimulationBuilder:
         self,
         kind: Union[str, TopologyConfig],
         *,
-        edge_count: Optional[int] = None,
         levels: Optional[Sequence[LevelConfig]] = None,
     ) -> "SimulationBuilder":
-        """Select the proxy topology (``single``, ``hierarchy``, ``tree``).
+        """Select the proxy topology (``single`` or ``tree``).
 
         ``tree`` takes ``levels`` (a sequence of :class:`LevelConfig`
-        or equivalent mappings), root level first.  An omitted keyword
-        carries over from the builder's current topology only into a
-        kind that reads it: ``levels`` while the kind stays ``tree``,
-        ``edge_count`` everywhere else.
+        or equivalent mappings), root level first.  Omitted ``levels``
+        carry over from the builder's current topology while the kind
+        stays ``tree``.
         """
         if isinstance(kind, TopologyConfig):
-            if edge_count is not None or levels is not None:
+            if levels is not None:
                 raise TypeError(
-                    "pass either a TopologyConfig or kind/edge_count/"
-                    "levels, not both"
+                    "pass either a TopologyConfig or kind/levels, not both"
                 )
             topology = kind
         else:
-            current = self._config.topology
             if levels is None and kind == "tree":
-                levels = current.levels
-            if edge_count is None and kind != "tree":
-                edge_count = current.edge_count
-            topology = TopologyConfig(
-                kind=kind, **_passed(edge_count=edge_count, levels=levels)
-            )
+                levels = self._config.topology.levels
+            topology = TopologyConfig(kind=kind, **_passed(levels=levels))
         self._config = replace(self._config, topology=topology)
         return self
 

@@ -39,10 +39,7 @@ from repro.topology.levels import LEVEL_MODES as LEVEL_MODES
 C = TypeVar("C", bound="_ConfigBase")
 
 #: Topology kinds the assembly layer understands.
-TOPOLOGY_KINDS = ("single", "hierarchy", "tree")
-#: ``TopologyConfig.edge_count`` when unset — the one value a ``tree``
-#: config may carry there, since trees take their shape from ``levels``.
-DEFAULT_EDGE_COUNT = 4
+TOPOLOGY_KINDS = ("single", "tree")
 
 #: Execution fidelities: ``exact`` dispatches every timer event;
 #: ``fastforward`` keeps poll timers on the analytic engine's private
@@ -272,15 +269,14 @@ class TopologyConfig(_ConfigBase):
     """How proxies sit between clients and the origin.
 
     ``single`` is one proxy polling the origin (the paper's setting);
-    ``hierarchy`` is ``edge_count`` edge proxies polling one shared
-    parent that alone polls the origin (the topology extension);
     ``tree`` is an arbitrary proxy tree described level by level
-    (:class:`LevelConfig`), including hybrid trees that run push at one
-    level and pull at another — see :mod:`repro.topology`.
+    (:class:`LevelConfig`) — edge proxies behind one shared parent are
+    ``levels=[LevelConfig(), LevelConfig(fan_out=N)]`` — including
+    hybrid trees that run push at one level and pull at another; see
+    :mod:`repro.topology`.
     """
 
     kind: str = "single"
-    edge_count: int = DEFAULT_EDGE_COUNT
     levels: Tuple[LevelConfig, ...] = ()
 
     def __post_init__(self) -> None:
@@ -289,11 +285,6 @@ class TopologyConfig(_ConfigBase):
             raise SimulationConfigError(
                 f"topology.kind must be one of {TOPOLOGY_KINDS}, "
                 f"got {self.kind!r}"
-            )
-        _require_int("topology", "edge_count", self.edge_count)
-        if self.edge_count < 1:
-            raise SimulationConfigError(
-                f"topology.edge_count must be >= 1, got {self.edge_count}"
             )
         if isinstance(self.levels, (str, bytes, Mapping)) or not isinstance(
             self.levels, Sequence
@@ -323,21 +314,10 @@ class TopologyConfig(_ConfigBase):
                 f"topology.levels only applies to kind 'tree', "
                 f"got kind {self.kind!r}"
             )
-        if self.kind == "tree" and self.edge_count != DEFAULT_EDGE_COUNT:
-            # Anything but the field default was set on purpose and
-            # would be silently ignored by the tree execution path.
-            raise SimulationConfigError(
-                "topology.edge_count only applies to kind 'hierarchy'; "
-                "a tree's shape comes from topology.levels"
-            )
 
     def to_dict(self) -> Dict[str, object]:
-        data: Dict[str, object] = {
-            "kind": self.kind,
-            "edge_count": self.edge_count,
-        }
-        # Serialized single/hierarchy configs keep their historical
-        # two-field shape; only trees carry levels.
+        data: Dict[str, object] = {"kind": self.kind}
+        # Only trees carry levels.
         if self.kind == "tree":
             data["levels"] = [level.to_dict() for level in self.levels]
         return data
@@ -826,7 +806,7 @@ class SimulationConfig(_ConfigBase):
         }
         # Pre-groups serialized configs keep their historical shape:
         # only a non-default groups section is carried (mirroring how
-        # single/hierarchy topologies omit ``levels``).
+        # single topologies omit ``levels``).
         if self.groups != GroupsConfig():
             data["groups"] = self.groups.to_dict()
         return data

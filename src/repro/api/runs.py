@@ -42,7 +42,6 @@ from repro.consistency.mutual_value import (
     AdaptiveFCoordinator,
     AdaptiveFParameters,
     GroupBudget,
-    PartitionedGroupMvCoordinator,
     PartitionedMvCoordinator,
     PartitionParameters,
 )
@@ -112,9 +111,9 @@ def build_core(
 ) -> Tuple[Kernel, OriginServer]:
     """Assemble the topology-independent substrate: kernel + fed origin.
 
-    Every topology — the single proxy, the one-parent hierarchy, an
-    arbitrary :class:`~repro.topology.tree.TopologyTree` — grows out of
-    this same core.
+    Every topology — the single proxy or an arbitrary
+    :class:`~repro.topology.tree.TopologyTree` — grows out of this same
+    core.
     """
     kernel = Kernel()
     server = OriginServer(supports_history=supports_history)
@@ -269,29 +268,6 @@ def run_mutual_value_adaptive(
 
 
 def run_mutual_value_partitioned(
-    trace_a: UpdateTrace,
-    trace_b: UpdateTrace,
-    mutual_delta: float,
-    *,
-    bounds: TTRBounds,
-    parameters: PartitionParameters = PartitionParameters(),
-    horizon: Optional[Seconds] = None,
-) -> RunResult[PartitionedMvCoordinator]:
-    """Run a valued pair under the partitioned-δ approach."""
-    traces = (trace_a, trace_b)
-    kernel, server, proxy = build_stack(traces)
-    coordinator = PartitionedMvCoordinator(
-        proxy,
-        (trace_a.object_id, trace_b.object_id),
-        mutual_delta,
-        bounds=bounds,
-        parameters=parameters,
-    )
-    coordinator.setup(server, server)
-    return _finish_run(kernel, server, proxy, traces, horizon, coordinator)
-
-
-def run_mutual_value_group(
     traces: Sequence[UpdateTrace],
     mutual_delta: float,
     *,
@@ -299,18 +275,18 @@ def run_mutual_value_group(
     parameters: PartitionParameters = PartitionParameters(),
     budget: GroupBudget = GroupBudget.PAIRWISE,
     horizon: Optional[Seconds] = None,
-) -> RunResult[PartitionedGroupMvCoordinator]:
-    """Run an n-object valued group under partitioned-δ apportioning.
+) -> RunResult[PartitionedMvCoordinator]:
+    """Run one valued group under the partitioned-δ approach.
 
-    Generalises :func:`run_mutual_value_partitioned` beyond pairs using
-    :class:`PartitionedGroupMvCoordinator`; ``budget`` picks the
-    pairwise or sum δ constraint (see :class:`GroupBudget`).
+    The traces' objects form a single group (the paper's pair is a
+    sequence of two); ``budget`` picks the pairwise or sum δ constraint
+    (see :class:`~repro.consistency.mutual_value.GroupBudget`).
     """
     if len(traces) < 2:
         raise ValueError("a group run needs at least two traces")
     kernel, server, proxy = build_stack(traces)
     members = tuple(trace.object_id for trace in traces)
-    coordinator = PartitionedGroupMvCoordinator(
+    coordinator = PartitionedMvCoordinator(
         proxy,
         members,
         mutual_delta,

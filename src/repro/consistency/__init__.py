@@ -13,5 +13,7 @@ Mutual consistency:
       — triggered polls and the rate heuristic (Section 3.2).
     * :class:`~repro.consistency.mutual_value.AdaptiveFCoordinator` and
       :class:`~repro.consistency.mutual_value.PartitionedMvCoordinator`
-      — the two Section 4.2 approaches.
+      — the two Section 4.2 approaches.  The partitioned coordinator
+      takes a group of n ≥ 2 members (the paper's pair is a group of
+      two) and a :class:`~repro.consistency.mutual_value.GroupBudget`.
 """

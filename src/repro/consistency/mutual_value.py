@@ -13,14 +13,16 @@ Two approaches for keeping ``|f(Sa, Sb) − f(Pa, Pb)| < δ``:
   δ into δa + δb and enforcing Δv-consistency per object with the
   adaptive-TTR policy implies the mutual bound.  The split is
   re-apportioned periodically: the faster-changing object gets the
-  *smaller* tolerance (δa = δ·rb/(ra+rb)).
+  *smaller* tolerance (δa = δ·rb/(ra+rb)).  The paper's pair is a group
+  of two; the same coordinator splits δ over n members under a
+  :class:`GroupBudget`.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.analysis.rates import ValueRateEstimator
 from repro.consistency.adaptive_value import (
@@ -233,11 +235,13 @@ class PartitionParameters:
     """Tunables of the partitioned-δ approach.
 
     Attributes:
-        reapportion_interval: How often to recompute the δa/δb split
-            from observed rates, or ``None`` for a static 50/50 split
-            (the ablation baseline).
-        min_fraction: Floor on either side's share of δ, keeping both
-            tolerances strictly positive.
+        reapportion_interval: How often to recompute the tolerances
+            from observed rates, or ``None`` to keep the initial equal
+            split (for a pair, the ablation's static 50/50 baseline).
+        min_fraction: Floor on each member's share of δ, keeping every
+            tolerance strictly positive: ``min_fraction·δ`` under the
+            ``PAIRWISE`` budget (for a pair, the paper's clamp of
+            δa/δ to [f, 1−f]) and ``min_fraction·δ/n`` under ``SUM``.
         value_parameters: Parameters for the per-object adaptive value
             policies.
     """
@@ -258,129 +262,8 @@ class PartitionParameters:
             )
 
 
-class PartitionedMvCoordinator:
-    """Partitioned-δ mutual value consistency for a pair of objects.
-
-    Only valid when f is the difference function — the triangle-
-    inequality argument in Section 4.2 (footnote 3) does not hold for
-    arbitrary f.
-
-    Call :meth:`setup` once to register both members with their own
-    adaptive value policies (δ/2 each initially) and start the periodic
-    re-apportioning.
-    """
-
-    name = "partitioned"
-
-    def __init__(
-        self,
-        proxy: ProxyCache,
-        pair: Tuple[ObjectId, ObjectId],
-        delta: float,
-        *,
-        bounds: TTRBounds,
-        parameters: PartitionParameters = PartitionParameters(),
-    ) -> None:
-        a, b = pair
-        if a == b:
-            raise PolicyConfigurationError("pair members must be distinct")
-        self._proxy = proxy
-        self._pair = pair
-        self._delta = require_positive("delta", delta)
-        self._bounds = bounds
-        self._parameters = parameters
-        self._policies: Dict[ObjectId, AdaptiveValueTTRPolicy] = {}
-        self._estimators: Dict[ObjectId, ValueRateEstimator] = {
-            a: ValueRateEstimator(smoothing=0.3),
-            b: ValueRateEstimator(smoothing=0.3),
-        }
-        self._timer = RestartableTimer(
-            proxy.kernel, self._on_reapportion_timer, label=f"partition.{a}+{b}"
-        )
-        self._splits: List[Tuple[Seconds, float, float]] = []
-        self.counters = Counter()
-
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
-    def setup(self, server_a: OriginServer, server_b: OriginServer) -> None:
-        """Register both members and start re-apportioning."""
-        a, b = self._pair
-        half = self._delta / 2.0
-        for object_id, server in ((a, server_a), (b, server_b)):
-            policy = AdaptiveValueTTRPolicy(
-                half,
-                bounds=self._bounds,
-                parameters=self._parameters.value_parameters,
-            )
-            self._policies[object_id] = policy
-            self._proxy.register_object(object_id, server, policy)
-        self._splits.append((self._proxy.kernel.now(), half, half))
-        self._proxy.add_observer(self)
-        if self._parameters.reapportion_interval is not None:
-            self._timer.arm_after(self._parameters.reapportion_interval)
-
-    def stop(self) -> None:
-        self._timer.disarm()
-        self._proxy.remove_observer(self)
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-    @property
-    def current_split(self) -> Tuple[float, float]:
-        """The current (δa, δb)."""
-        a, b = self._pair
-        return self._policies[a].delta, self._policies[b].delta
-
-    @property
-    def split_history(self) -> List[Tuple[Seconds, float, float]]:
-        return list(self._splits)
-
-    def policy_for(self, object_id: ObjectId) -> AdaptiveValueTTRPolicy:
-        return self._policies[object_id]
-
-    # ------------------------------------------------------------------
-    # PollObserver interface (feeds rate estimators)
-    # ------------------------------------------------------------------
-    def on_poll_complete(self, object_id: ObjectId, outcome: PollOutcome) -> None:
-        estimator = self._estimators.get(object_id)
-        if estimator is None:
-            return
-        value = outcome.snapshot.value
-        if value is not None:
-            estimator.observe(outcome.poll_time, value)
-
-    # ------------------------------------------------------------------
-    # Re-apportioning
-    # ------------------------------------------------------------------
-    def _on_reapportion_timer(self, now: Seconds) -> None:
-        self.reapportion(now)
-        interval = self._parameters.reapportion_interval
-        if interval is not None:
-            self._timer.arm_after(interval)
-
-    def reapportion(self, now: Seconds) -> Tuple[float, float]:
-        """Recompute (δa, δb) = δ·(rb, ra)/(ra+rb) from observed rates."""
-        a, b = self._pair
-        rate_a = self._estimators[a].rate
-        rate_b = self._estimators[b].rate
-        if not rate_a or not rate_b or rate_a + rate_b <= 0:
-            return self.current_split
-        fraction_a = rate_b / (rate_a + rate_b)
-        floor = self._parameters.min_fraction
-        fraction_a = min(1.0 - floor, max(floor, fraction_a))
-        delta_a = self._delta * fraction_a
-        delta_b = self._delta - delta_a
-        self._policies[a].retarget_delta(delta_a)
-        self._policies[b].retarget_delta(delta_b)
-        self._splits.append((now, delta_a, delta_b))
-        self.counters.increment("reapportionments")
-        return delta_a, delta_b
-
-
 class GroupBudget(enum.Enum):
-    """How an n-object group's tolerance δ constrains the per-object δᵢ.
+    """How a group's tolerance δ constrains the per-object δᵢ.
 
     The right budget depends on the shape of the mutual function f being
     guaranteed (paper Eq. 5):
@@ -388,7 +271,8 @@ class GroupBudget(enum.Enum):
     * ``PAIRWISE`` — f compares *pairs* of members (the paper's
       difference function applied pairwise): by the triangle inequality
       it suffices that ``δ_i + δ_j ≤ δ`` for every pair, i.e. the two
-      largest tolerances sum to at most δ.
+      largest tolerances sum to at most δ.  For a pair this is the
+      paper's δa + δb = δ.
     * ``SUM`` — f aggregates *all* members (e.g. a team total versus the
       sum of player scores): ``|f(S) − f(P)| ≤ Σ_i |S_i − P_i|`` for any
       f that is 1-Lipschitz in each argument, so the full sum of
@@ -400,22 +284,23 @@ class GroupBudget(enum.Enum):
     SUM = "sum"
 
 
-class PartitionedGroupMvCoordinator:
-    """Partitioned-δ mutual value consistency for an n-object group.
+class PartitionedMvCoordinator:
+    """Partitioned-δ mutual value consistency for a group of n ≥ 2 objects.
 
-    Generalises :class:`PartitionedMvCoordinator` beyond pairs ("all our
-    definitions can be generalized to n objects", paper Section 2).  The
-    guarantee maintained depends on ``budget`` (:class:`GroupBudget`):
-    pairwise (``δ_i + δ_j ≤ δ`` for all pairs, for pairwise-difference
-    f) or sum (``Σ δ_i ≤ δ``, for aggregate f such as a total).
+    The paper defines the approach for a pair (Section 4.2) and notes
+    that "all our definitions can be generalized to n objects"
+    (Section 2): a pair is a group of two.  Only valid when f is
+    difference-shaped — the triangle-inequality argument (footnote 3)
+    does not hold for arbitrary f.  The guarantee maintained depends on
+    ``budget`` (:class:`GroupBudget`): pairwise (``δ_i + δ_j ≤ δ`` for
+    all pairs) or sum (``Σ δ_i ≤ δ``, for aggregate f such as a total).
 
-    Apportioning uses inverse-rate weights, which reduce *exactly* to
-    the paper's pair formula (δa = δ·r_b/(r_a+r_b) is δ weighted by
-    1/r_a over 1/r_a + 1/r_b): slower objects get larger tolerances.
-    The weights are then scaled to the chosen budget.
+    Call :meth:`setup` once to register every member with its own
+    adaptive value policy (an equal initial split) and start the
+    periodic re-apportioning.
     """
 
-    name = "partitioned_group"
+    name = "partitioned"
 
     def __init__(
         self,
@@ -444,14 +329,14 @@ class PartitionedGroupMvCoordinator:
         self._timer = RestartableTimer(
             proxy.kernel,
             self._on_reapportion_timer,
-            label=f"partition-group.{len(members)}",
+            label="partition." + "+".join(self._members),
         )
         self.counters = Counter()
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-    def setup(self, servers: Dict[ObjectId, OriginServer]) -> None:
+    def setup(self, servers: Mapping[ObjectId, OriginServer]) -> None:
         """Register every member with an equal initial split."""
         if self._budget is GroupBudget.PAIRWISE:
             initial = self._delta / 2.0  # any pair sums to exactly δ
@@ -481,6 +366,7 @@ class PartitionedGroupMvCoordinator:
         return self._members
 
     def current_tolerances(self) -> Dict[ObjectId, float]:
+        """The current δᵢ of every member, in member order."""
         return {m: self._policies[m].delta for m in self._members}
 
     def policy_for(self, object_id: ObjectId) -> AdaptiveValueTTRPolicy:
@@ -513,35 +399,17 @@ class PartitionedGroupMvCoordinator:
     def reapportion(self) -> Dict[ObjectId, float]:
         """Recompute tolerances from observed rates.
 
-        Inverse-rate weights scaled to the budget — so the two largest
-        tolerances (pairwise) or all tolerances (sum) total δ; every
-        tolerance is floored at ``min_fraction · δ / n`` so no object is
-        starved, and a floored member's floor comes out of the budget
-        the others share, so the total never exceeds δ.
+        Slower members get larger tolerances (inverse-rate weights).
+        Nothing changes until every member has a positive rate.
         """
-        rates = {m: self._estimators[m].rate for m in self._members}
-        if any(not r or r <= 0 for r in rates.values()):
+        rates = [self._estimators[m].rate or 0.0 for m in self._members]
+        if min(rates) <= 0:
             return self.current_tolerances()
-        weights = {m: 1.0 / rates[m] for m in self._members}
-        floor = self._parameters.min_fraction * self._delta / len(self._members)
-        # The members whose tolerances the budget sums.
-        counted = list(self._members)
         if self._budget is GroupBudget.PAIRWISE:
-            counted = sorted(counted, key=weights.__getitem__, reverse=True)[:2]
-        # Floor first, then scale the rest into what is left.  Each pass
-        # pins at least one member and lowers the scale, so pinned
-        # members stay pinned; the largest weight always stays free
-        # because n · floor ≤ δ/2 (min_fraction ≤ 0.5).
-        free = counted
-        while True:
-            left = self._delta - (len(counted) - len(free)) * floor
-            scale = left / sum(weights[m] for m in free)
-            kept = [m for m in free if weights[m] * scale >= floor]
-            if len(kept) == len(free):
-                break
-            free = kept
-        for member in self._members:
-            tolerance = max(floor, weights[member] * scale)
+            tolerances = self._pairwise_tolerances(rates)
+        else:
+            tolerances = self._sum_tolerances(rates)
+        for member, tolerance in zip(self._members, tolerances):
             self._policies[member].retarget_delta(tolerance)
         self.counters.increment("reapportionments")
         return self.current_tolerances()
@@ -554,6 +422,49 @@ class PartitionedGroupMvCoordinator:
     def tolerance_sum(self) -> float:
         """Σ δ_i over all members (the SUM budget)."""
         return sum(self.current_tolerances().values())
+
+    def _pairwise_tolerances(self, rates: List[float]) -> List[float]:
+        """The two slowest members split δ as the paper's pair does.
+
+        With ``(ra, rb)`` their rates in member order and ``f`` the
+        floor fraction: ``δa = δ·min(1−f, max(f, rb/(ra+rb)))`` and
+        ``δb = δ − δa``.  Every faster member gets its inverse-rate
+        share on the same scale, ``δ·ra·rb/((ra+rb)·r)``, floored at
+        ``f·δ`` — never more than the smaller of the two, so the two
+        largest tolerances still sum to δ.
+        """
+        delta, floor = self._delta, self._parameters.min_fraction
+        i, j = sorted(sorted(range(len(rates)), key=rates.__getitem__)[:2])
+        ra, rb = rates[i], rates[j]
+        tolerances = [
+            max(floor * delta, delta * ra * rb / ((ra + rb) * r)) for r in rates
+        ]
+        tolerances[i] = delta * min(1.0 - floor, max(floor, rb / (ra + rb)))
+        tolerances[j] = delta - tolerances[i]
+        return tolerances
+
+    def _sum_tolerances(self, rates: List[float]) -> List[float]:
+        """Inverse-rate weights scaled so the tolerances total δ.
+
+        Every tolerance is floored at ``min_fraction · δ / n`` so no
+        object is starved, and a floored member's floor comes out of the
+        budget the others share, so the total never exceeds δ.
+        """
+        weights = [1.0 / r for r in rates]
+        floor = self._parameters.min_fraction * self._delta / len(weights)
+        # Floor first, then scale the rest into what is left.  Each pass
+        # pins at least one member and lowers the scale, so pinned
+        # members stay pinned; the largest weight always stays free
+        # because n · floor ≤ δ/2 (min_fraction ≤ 0.5).
+        free = weights
+        while True:
+            left = self._delta - (len(weights) - len(free)) * floor
+            scale = left / sum(free)
+            kept = [w for w in free if w * scale >= floor]
+            if len(kept) == len(free):
+                break
+            free = kept
+        return [max(floor, w * scale) for w in weights]
 
 
 #: A combining function over an ordered tuple of n object values
@@ -600,13 +511,3 @@ def group_f_history(
         if not knots or knots[-1][1] != combined or knots[-1][0] != time:
             knots.append((time, combined))
     return knots
-
-
-def paired_f_history(
-    proxy: ProxyCache,
-    a: ObjectId,
-    b: ObjectId,
-    f: PairFunction,
-) -> List[Tuple[Seconds, float]]:
-    """Reconstruct the step function f(Pa, Pb): a group of two."""
-    return group_f_history(proxy, (a, b), lambda values: f(*values))

@@ -369,8 +369,7 @@ def _partition_point(
     """Static 50/50 δ split vs dynamic rate-based re-apportioning."""
     interval = None if split == "static" else reapportion_interval_s
     result = run_mutual_value_partitioned(
-        trace_a,
-        trace_b,
+        (trace_a, trace_b),
         mutual_delta,
         bounds=bounds,
         parameters=PartitionParameters(reapportion_interval=interval),
@@ -378,7 +377,7 @@ def _partition_point(
     pair_report = collect_mutual_value(
         result.proxy, trace_a, trace_b, mutual_delta
     )
-    delta_a, delta_b = result.coordinator.current_split
+    delta_a, delta_b = result.coordinator.current_tolerances().values()
     return {
         "split": split,
         "polls": pair_report.total_polls,
@@ -428,8 +427,7 @@ def _smoothing_point(
 ) -> Dict[str, object]:
     """Sweep Eq. 10's α on the partitioned Mv approach."""
     result = run_mutual_value_partitioned(
-        trace_a,
-        trace_b,
+        (trace_a, trace_b),
         mutual_delta,
         bounds=bounds,
         parameters=PartitionParameters(

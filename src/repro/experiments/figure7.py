@@ -54,7 +54,7 @@ def evaluate_mutual_delta(
     row["adaptive_fidelity_time"] = adaptive_pair.report.fidelity_by_time
 
     partitioned = run_mutual_value_partitioned(
-        trace_a, trace_b, mutual_delta, bounds=bounds
+        (trace_a, trace_b), mutual_delta, bounds=bounds
     )
     partitioned_pair = collect_mutual_value(
         partitioned.proxy, trace_a, trace_b, mutual_delta, f=difference

@@ -19,7 +19,7 @@ from repro.api.runs import (
     run_mutual_value_adaptive,
     run_mutual_value_partitioned,
 )
-from repro.consistency.mutual_value import difference, paired_f_history
+from repro.consistency.mutual_value import difference, group_f_history
 from repro.core.types import Seconds, TTRBounds
 from repro.experiments.figure7 import VALUE_BOUNDS
 from repro.api.render import render_series_block
@@ -75,16 +75,20 @@ def _run_approach(
     Module-level and returning only the series, so it is a picklable
     run-spec for :func:`~repro.api.runs.run_many`.
     """
-    runner = (
-        run_mutual_value_adaptive
-        if which == "adaptive"
-        else run_mutual_value_partitioned
-    )
-    result = runner(trace_a, trace_b, mutual_delta, bounds=bounds)
+    if which == "adaptive":
+        result = run_mutual_value_adaptive(
+            trace_a, trace_b, mutual_delta, bounds=bounds
+        )
+    else:
+        result = run_mutual_value_partitioned(
+            (trace_a, trace_b), mutual_delta, bounds=bounds
+        )
     start, end = window
     return f_value_series(
-        paired_f_history(
-            result.proxy, trace_a.object_id, trace_b.object_id, _f_reversed
+        group_f_history(
+            result.proxy,
+            (trace_a.object_id, trace_b.object_id),
+            lambda values: _f_reversed(*values),
         ),
         start=start, end=end, bin_width=BIN, label=f"{which} proxy",
     )

@@ -23,7 +23,7 @@ a first-class, declarative object:
 
 The layers above construct through this package:
 :func:`repro.api.runs.build_stack` builds its single proxy as a
-one-node tree, :func:`repro.api.builder.run_simulation` maps every
-``TopologyConfig`` kind (``single`` / ``hierarchy`` / ``tree``) onto a
+one-node tree, :func:`repro.api.builder.run_simulation` maps both
+``TopologyConfig`` kinds (``single`` / ``tree``) onto a
 :class:`TopologyTree`.
 """

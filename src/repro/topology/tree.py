@@ -4,7 +4,7 @@ A :class:`TopologyTree` is built from a sequence of
 :class:`~repro.topology.levels.TreeLevel` specs against one origin:
 level 0 holds ``fan_out₀`` nodes attached to the origin, and every node
 at level i has ``fan_outᵢ₊₁`` children at level i+1 — so a chain is
-``fan_out=1`` everywhere, the old one-parent/N-edge hierarchy is
+``fan_out=1`` everywhere, one parent with N edge proxies is
 ``(1, N)``, and a CDN-style edge tree is ``(1, k, k)``.
 
 Each node is a full :class:`~repro.proxy.proxy.ProxyCache` with its own

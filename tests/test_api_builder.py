@@ -46,7 +46,7 @@ class TestBuilder:
             SimulationBuilder()
             .workload("news", "cnn_fn", "nyt_ap")
             .policy("limd", delta=600.0, ttr_max=3600.0)
-            .topology("hierarchy", edge_count=3)
+            .topology("tree", levels=[LevelConfig(), LevelConfig(fan_out=3)])
             .network(5.0, jitter_s=1.0)
             .seed(42)
             .horizon(7200.0)
@@ -56,7 +56,7 @@ class TestBuilder:
         )
         assert config.workload.objects == ("cnn_fn", "nyt_ap")
         assert config.policy.params["ttr_max"] == 3600.0
-        assert config.topology.edge_count == 3
+        assert config.topology.levels[1].fan_out == 3
         assert config.network.one_way_latency_s == 5.0
         assert config.seed == 42
         assert config.horizon_s == 7200.0
@@ -80,7 +80,6 @@ class TestBuilder:
             runs.run_mutual_temporal,
             runs.run_mutual_value_adaptive,
             runs.run_mutual_value_partitioned,
-            runs.run_mutual_value_group,
         ]
         for entry_point in entry_points:
             parameters = inspect.signature(entry_point).parameters
@@ -154,7 +153,7 @@ class TestBuilder:
         assert SimulationConfig.from_json(config.to_json()) == config
 
     def test_topology_levels_inherited_while_kind_stays_tree(self):
-        # Omitted keywords inherit, exactly as edge_count does.
+        # Omitted levels inherit while the kind stays tree.
         levels = [LevelConfig(fan_out=1), LevelConfig(fan_out=2)]
         builder = _tiny_builder().topology("tree", levels=levels)
         config = builder.topology("tree").build()
@@ -176,11 +175,11 @@ class TestBuilder:
             builder.run()
 
     def test_hierarchy_horizon_shorter_than_warm_up_rejected(self):
-        # The single/hierarchy path shares the tree's deferred
-        # registration, so it shares the guard too.
+        # A parent with edges behind a slow link: the edges' deferred
+        # registration outlasts the horizon.
         builder = (
             _tiny_builder()
-            .topology("hierarchy", edge_count=2)
+            .topology("tree", levels=[LevelConfig(), LevelConfig(fan_out=2)])
             .network(60.0)
             .horizon(100.0)
         )
@@ -216,10 +215,14 @@ class TestRunSimulation:
         assert other != first
 
     def test_hierarchy_reports_parent_and_edges(self):
-        config = _tiny_builder().topology("hierarchy", edge_count=2).build()
+        config = (
+            _tiny_builder()
+            .topology("tree", levels=[LevelConfig(), LevelConfig(fan_out=2)])
+            .build()
+        )
         outcome = run_simulation(config)
         nodes = outcome.results.column("node")
-        assert nodes == ["parent", "edge-0", "edge-1"]
+        assert nodes == ["L0.N0", "L1.N0", "L1.N1"]
         assert len(outcome.edges) == 2
 
     def test_fidelity_skipped_without_delta(self):

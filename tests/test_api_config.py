@@ -76,15 +76,10 @@ _push_levels = st.builds(
     network=st.one_of(st.none(), _networks),
 )
 _topologies = st.one_of(
-    st.builds(
-        TopologyConfig,
-        kind=st.sampled_from(("single", "hierarchy")),
-        edge_count=st.integers(min_value=1, max_value=64),
-    ),
+    st.just(TopologyConfig()),
     st.builds(
         TopologyConfig,
         kind=st.just("tree"),
-        # edge_count stays at its default: trees reject overrides.
         levels=st.lists(
             st.one_of(_pull_levels, _push_levels), min_size=1, max_size=3
         ).map(tuple),
@@ -208,9 +203,11 @@ class TestRejection:
         with pytest.raises(SimulationConfigError, match="kind"):
             TopologyConfig(kind="ring")
 
-    def test_nonpositive_edge_count(self):
-        with pytest.raises(SimulationConfigError, match="edge_count"):
-            TopologyConfig(kind="hierarchy", edge_count=0)
+    def test_hierarchy_kind_rejected(self):
+        # "hierarchy" was a kind until it was folded into two-level
+        # trees: a saved config naming it fails the kind check.
+        with pytest.raises(SimulationConfigError, match="kind"):
+            TopologyConfig.from_dict({"kind": "hierarchy"})
 
     def test_tree_requires_levels(self):
         with pytest.raises(SimulationConfigError, match="levels"):
@@ -221,12 +218,14 @@ class TestRejection:
             TopologyConfig(kind="single", levels=(LevelConfig(),))
 
     def test_edge_count_rejected_on_tree(self):
-        # A tree's shape comes from levels; a customised edge_count
-        # would be silently ignored, so it is rejected instead.
-        with pytest.raises(SimulationConfigError, match="edge_count"):
-            TopologyConfig(
-                kind="tree", edge_count=8, levels=(LevelConfig(),)
-            )
+        # A tree's shape comes from levels; edge_count was a field of
+        # the deleted hierarchy kind and is now an unknown field.
+        for data in (
+            {"kind": "tree", "edge_count": 8, "levels": [{}]},
+            {"kind": "single", "edge_count": 4},
+        ):
+            with pytest.raises(SimulationConfigError, match="edge_count"):
+                TopologyConfig.from_dict(data)
 
     def test_levels_must_be_a_sequence(self):
         with pytest.raises(SimulationConfigError, match="levels"):
@@ -266,8 +265,8 @@ class TestRejection:
                 levels=({"fan_out": 2, "surprise": 1},),  # type: ignore[arg-type]
             )
 
-    def test_non_tree_serialization_keeps_two_field_shape(self):
-        assert TopologyConfig().to_dict() == {"kind": "single", "edge_count": 4}
+    def test_non_tree_serialization_carries_only_the_kind(self):
+        assert TopologyConfig().to_dict() == {"kind": "single"}
 
     def test_negative_latency(self):
         with pytest.raises(SimulationConfigError, match="one_way_latency_s"):

@@ -4,6 +4,13 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import (
+    PolicyConfig,
+    SimulationConfig,
+    TopologyConfig,
+    WorkloadConfig,
+    run_simulation,
+)
 from repro.consistency.ttl import (
     AlexParameters,
     AlexTTLPolicy,
@@ -26,6 +33,24 @@ def outcome(poll_time, last_modified, *, modified=True):
 
 
 class TestStaticTTL:
+    @pytest.mark.parametrize("horizon, requests", [(59.0, 1), (61.0, 2), (121.0, 3)])
+    def test_copy_expires_after_its_ttl(self, horizon, requests):
+        # Black-box: only the origin's request count is read.  The
+        # initial fetch at t = 0 serves until the 60 s TTL runs out,
+        # then every expiry costs one more origin request.
+        config = SimulationConfig(
+            workload=WorkloadConfig(
+                source="poisson",
+                objects=("obj",),
+                params={"rate_per_hour": 30.0, "hours": 1.0},
+            ),
+            policy=PolicyConfig(name="static_ttl", params={"ttl": 60.0}),
+            topology=TopologyConfig(kind="single"),
+            horizon_s=horizon,
+        )
+        outcome = run_simulation(config)
+        assert outcome.run.server.counters.get("requests") == requests
+
     def test_constant_ttr(self):
         policy = StaticTTLPolicy(30.0)
         assert policy.first_ttr() == 30.0

@@ -149,7 +149,7 @@ class TestMutualValueEndToEnd:
         delta = 1.0
         adaptive = run_mutual_value_adaptive(att, yahoo, delta, bounds=self.BOUNDS)
         partitioned = run_mutual_value_partitioned(
-            att, yahoo, delta, bounds=self.BOUNDS
+            (att, yahoo), delta, bounds=self.BOUNDS
         )
         adaptive_f = collect_mutual_value(
             adaptive.proxy, att, yahoo, delta

@@ -140,7 +140,7 @@ class TestGroupTemporalFidelity:
 class TestPartitionedGroupCoordinator:
     def test_three_member_group_maintains_pairwise_budget(self):
         from repro.consistency.mutual_value import (
-            PartitionedGroupMvCoordinator,
+            PartitionedMvCoordinator,
             PartitionParameters,
         )
         from repro.core.types import TTRBounds
@@ -165,7 +165,7 @@ class TestPartitionedGroupCoordinator:
                 trace_from_ticks(oid, ticks, end_time=300.0),
             )
         delta = 3.0
-        coordinator = PartitionedGroupMvCoordinator(
+        coordinator = PartitionedMvCoordinator(
             proxy, members, delta,
             bounds=TTRBounds(ttr_min=1.0, ttr_max=50.0),
             parameters=PartitionParameters(reapportion_interval=30.0),
@@ -182,7 +182,7 @@ class TestPartitionedGroupCoordinator:
         assert coordinator.max_pair_tolerance_sum() <= delta * 1.05
 
     def test_duplicate_members_rejected(self):
-        from repro.consistency.mutual_value import PartitionedGroupMvCoordinator
+        from repro.consistency.mutual_value import PartitionedMvCoordinator
         from repro.core.errors import PolicyConfigurationError
         from repro.core.types import TTRBounds
         from repro.httpsim.network import Network
@@ -192,6 +192,6 @@ class TestPartitionedGroupCoordinator:
         kernel = Kernel()
         proxy = ProxyCache(kernel, Network(kernel))
         with pytest.raises(PolicyConfigurationError):
-            PartitionedGroupMvCoordinator(
+            PartitionedMvCoordinator(
                 proxy, (A, A), 1.0, bounds=TTRBounds(ttr_min=1.0, ttr_max=10.0)
             )

@@ -10,7 +10,7 @@ from repro.consistency.mutual_value import (
     PartitionParameters,
     PartitionedMvCoordinator,
     difference,
-    paired_f_history,
+    group_f_history,
 )
 from repro.core.errors import PolicyConfigurationError
 from repro.core.types import ObjectId, TTRBounds
@@ -157,8 +157,8 @@ class TestPartitioned:
             proxy, (A, B), delta=2.0, bounds=BOUNDS,
             parameters=PartitionParameters(reapportion_interval=None),
         )
-        coordinator.setup(server, server)
-        assert coordinator.current_split == (1.0, 1.0)
+        coordinator.setup({A: server, B: server})
+        assert coordinator.current_tolerances() == {A: 1.0, B: 1.0}
         kernel.run(until=100.0)
         assert proxy.entry_for(A).poll_count > 1
         assert proxy.entry_for(B).poll_count > 1
@@ -172,9 +172,9 @@ class TestPartitioned:
             proxy, (A, B), delta=2.0, bounds=BOUNDS,
             parameters=PartitionParameters(reapportion_interval=20.0),
         )
-        coordinator.setup(server, server)
+        coordinator.setup({A: server, B: server})
         kernel.run(until=250.0)
-        delta_a, delta_b = coordinator.current_split
+        delta_a, delta_b = coordinator.current_tolerances().values()
         assert delta_a < delta_b
         assert delta_a + delta_b == pytest.approx(2.0)
         assert coordinator.counters.get("reapportionments") > 0
@@ -187,10 +187,10 @@ class TestPartitioned:
             proxy, (A, B), delta=2.0, bounds=BOUNDS,
             parameters=PartitionParameters(reapportion_interval=None),
         )
-        coordinator.setup(server, server)
+        coordinator.setup({A: server, B: server})
         kernel.run(until=250.0)
         assert coordinator.counters.get("reapportionments") == 0
-        assert coordinator.current_split == (1.0, 1.0)
+        assert coordinator.current_tolerances() == {A: 1.0, B: 1.0}
 
     def test_min_fraction_floor_respected(self):
         kernel, server, proxy = build_value_pair(
@@ -202,27 +202,11 @@ class TestPartitioned:
         coordinator = PartitionedMvCoordinator(
             proxy, (A, B), delta=2.0, bounds=BOUNDS, parameters=params
         )
-        coordinator.setup(server, server)
+        coordinator.setup({A: server, B: server})
         kernel.run(until=250.0)
-        delta_a, delta_b = coordinator.current_split
+        delta_a, delta_b = coordinator.current_tolerances().values()
         assert delta_a >= 0.2 - 1e-9  # 0.1 * 2.0
         assert delta_b >= 0.2 - 1e-9
-
-    def test_split_history_recorded(self):
-        kernel, server, proxy = build_value_pair(
-            ramp(0.0, 5.0, 25), ramp(0.0, 1.0, 25)
-        )
-        coordinator = PartitionedMvCoordinator(
-            proxy, (A, B), delta=2.0, bounds=BOUNDS,
-            parameters=PartitionParameters(reapportion_interval=50.0),
-        )
-        coordinator.setup(server, server)
-        kernel.run(until=250.0)
-        history = coordinator.split_history
-        assert history[0][1:] == (1.0, 1.0)
-        assert len(history) > 1
-        for _, da, db in history:
-            assert da + db == pytest.approx(2.0)
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(PolicyConfigurationError):
@@ -241,9 +225,9 @@ class TestPairedFHistory:
         coordinator = PartitionedMvCoordinator(
             proxy, (A, B), delta=1.0, bounds=BOUNDS
         )
-        coordinator.setup(server, server)
+        coordinator.setup({A: server, B: server})
         kernel.run(until=150.0)
-        knots = paired_f_history(proxy, A, B, difference)
+        knots = group_f_history(proxy, (A, B), lambda v: difference(*v))
         assert knots, "expected at least one knot"
         times = [t for t, _ in knots]
         assert times == sorted(times)

@@ -11,13 +11,13 @@ from hypothesis import strategies as st
 from repro.consistency.base import FixedTTRPolicy
 from repro.consistency.mutual_value import (
     GroupBudget,
-    PartitionedGroupMvCoordinator,
+    PartitionedMvCoordinator,
     PartitionParameters,
     group_f_history,
     total_minus_parts,
 )
 from repro.core.types import ObjectId, ObjectSnapshot, PollOutcome, TTRBounds
-from repro.api.runs import run_individual, run_mutual_value_group
+from repro.api.runs import run_individual, run_mutual_value_partitioned
 from repro.httpsim.network import Network
 from repro.proxy.proxy import ProxyCache
 from repro.server.origin import OriginServer
@@ -40,7 +40,7 @@ def _linear_traces(rates, *, end=300.0, step=10.0):
 def _run_group(budget, *, delta=3.0, rates=None):
     rates = rates or {A: 0.5, B: 2.0, C: 8.0}
     traces = _linear_traces(rates)
-    return run_mutual_value_group(
+    return run_mutual_value_partitioned(
         traces,
         delta,
         bounds=TTRBounds(ttr_min=1.0, ttr_max=50.0),
@@ -82,7 +82,7 @@ class TestGroupBudgets:
         for trace in _linear_traces({A: 1.0, B: 1.0, C: 1.0}):
             UpdateFeeder(kernel, server, trace)
         proxy = ProxyCache(kernel, Network(kernel))
-        coordinator = PartitionedGroupMvCoordinator(
+        coordinator = PartitionedMvCoordinator(
             proxy,
             (A, B, C),
             3.0,
@@ -105,7 +105,7 @@ class TestGroupBudgets:
     def test_group_run_requires_two_traces(self):
         traces = _linear_traces({A: 1.0})
         with pytest.raises(ValueError):
-            run_mutual_value_group(
+            run_mutual_value_partitioned(
                 traces, 1.0, bounds=TTRBounds(ttr_min=1.0, ttr_max=50.0)
             )
 
@@ -133,7 +133,7 @@ class TestReapportionKeepsTheBudget:
         server = OriginServer()
         for member in members:
             server.create_object(member, created_at=0.0, initial_value=0.0)
-        coordinator = PartitionedGroupMvCoordinator(
+        coordinator = PartitionedMvCoordinator(
             ProxyCache(kernel, Network(kernel)),
             members,
             delta,
@@ -200,17 +200,6 @@ class TestGroupFHistory:
         times = [t for t, _f in knots]
         assert times == sorted(times)
 
-    def test_matches_pairwise_reconstruction_for_pairs(self):
-        from repro.consistency.mutual_value import difference, paired_f_history
-
-        traces = _linear_traces({A: 1.0, B: 2.0})
-        proxy = run_individual(
-            traces, lambda _oid: FixedTTRPolicy(ttr=20.0), horizon=300.0
-        ).proxy
-        paired = paired_f_history(proxy, A, B, difference)
-        grouped = group_f_history(proxy, (A, B), lambda v: v[0] - v[1])
-        assert paired == grouped
-
     def test_missing_member_yields_no_knots(self):
         traces = _linear_traces({A: 1.0, B: 2.0})
         proxy = run_individual(
@@ -230,7 +219,7 @@ class TestSportsScoreboardIntegration:
         match = generate_match(spec, random.Random(9))
         traces = [match.players[m] for m in match.players] + [match.total]
         members = tuple(t.object_id for t in traces)
-        result = run_mutual_value_group(
+        result = run_mutual_value_partitioned(
             traces,
             6.0,
             bounds=TTRBounds(ttr_min=5.0, ttr_max=60.0),
@@ -251,7 +240,7 @@ class TestSportsScoreboardIntegration:
         spec = SportsMatchSpec(scoring_events=120, duration=3600.0)
         match = generate_match(spec, random.Random(9))
         traces = [match.players[m] for m in match.players] + [match.total]
-        result = run_mutual_value_group(
+        result = run_mutual_value_partitioned(
             traces,
             6.0,
             bounds=TTRBounds(ttr_min=5.0, ttr_max=60.0),

@@ -8,14 +8,12 @@ algebraic lemma the partitioned approach rests on.
 
 from __future__ import annotations
 
-import pytest
-from hypothesis import assume, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.consistency.adaptive_value import AdaptiveValueTTRPolicy
 from repro.consistency.mutual_value import (
     GroupBudget,
-    PartitionedGroupMvCoordinator,
     PartitionedMvCoordinator,
     PartitionParameters,
     total_minus_parts,
@@ -95,7 +93,7 @@ class TestAdaptiveValuePolicyProperties:
         raise AssertionError(f"retarget_delta accepted {bad}")
 
 
-def _pair_coordinator(delta):
+def _pair_coordinator(delta, min_fraction):
     kernel = Kernel()
     server = OriginServer()
     for oid in (A, B):
@@ -106,9 +104,11 @@ def _pair_coordinator(delta):
         (A, B),
         delta,
         bounds=TTRBounds(ttr_min=1.0, ttr_max=100.0),
-        parameters=PartitionParameters(reapportion_interval=None),
+        parameters=PartitionParameters(
+            reapportion_interval=None, min_fraction=min_fraction
+        ),
     )
-    coordinator.setup(server, server)
+    coordinator.setup({A: server, B: server})
     return coordinator
 
 
@@ -121,29 +121,30 @@ def _feed_rate(coordinator, object_id, rate):
 
 
 class TestPartitionedPairInvariants:
-    @given(rate_a=rates_strategy, rate_b=rates_strategy)
-    @settings(max_examples=60, deadline=None)
-    def test_split_always_sums_to_delta(self, rate_a, rate_b):
-        delta = 5.0
-        coordinator = _pair_coordinator(delta)
+    @given(
+        rate_a=rates_strategy,
+        rate_b=rates_strategy,
+        min_fraction=st.floats(min_value=0.01, max_value=0.5),
+    )
+    # A fast and a slow member at the default floor: the clamp binds,
+    # so the split is 0.95 / 0.05 (a floor of f·δ/n would give 0.975).
+    @example(rate_a=0.001, rate_b=1.0, min_fraction=0.05)
+    # Inverse-rate weights rescaled to δ round one bit away from
+    # δ·rb/(ra+rb) here.
+    @example(rate_a=2.0, rate_b=3.0, min_fraction=0.05)
+    @settings(max_examples=100, deadline=None)
+    def test_two_member_split_is_the_paper_pair_formula(
+        self, rate_a, rate_b, min_fraction
+    ):
+        # Section 4.2: δa = δ·rb/(ra+rb), clamped to [f·δ, (1−f)·δ],
+        # and δb = δ − δa — bit for bit.
+        delta = 1.0
+        coordinator = _pair_coordinator(delta, min_fraction)
         _feed_rate(coordinator, A, rate_a)
         _feed_rate(coordinator, B, rate_b)
-        delta_a, delta_b = coordinator.reapportion(now=200.0)
-        assert delta_a + delta_b == pytest.approx(delta)
-        assert delta_a > 0 and delta_b > 0
-
-    @given(rate_a=rates_strategy, rate_b=rates_strategy)
-    @settings(max_examples=60, deadline=None)
-    def test_faster_object_gets_smaller_tolerance(self, rate_a, rate_b):
-        assume(abs(rate_a - rate_b) / max(rate_a, rate_b) > 0.05)
-        coordinator = _pair_coordinator(5.0)
-        _feed_rate(coordinator, A, rate_a)
-        _feed_rate(coordinator, B, rate_b)
-        delta_a, delta_b = coordinator.reapportion(now=200.0)
-        if rate_a > rate_b:
-            assert delta_a <= delta_b
-        else:
-            assert delta_b <= delta_a
+        share = min(1.0 - min_fraction, max(min_fraction, rate_b / (rate_a + rate_b)))
+        delta_a = delta * share
+        assert coordinator.reapportion() == {A: delta_a, B: delta - delta_a}
 
 
 def _group_coordinator(delta, budget):
@@ -152,7 +153,7 @@ def _group_coordinator(delta, budget):
     for oid in (A, B, C):
         server.create_object(oid, created_at=0.0, initial_value=10.0)
     proxy = ProxyCache(kernel, Network(kernel))
-    coordinator = PartitionedGroupMvCoordinator(
+    coordinator = PartitionedMvCoordinator(
         proxy,
         (A, B, C),
         delta,
