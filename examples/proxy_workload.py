@@ -43,7 +43,7 @@ def main() -> None:
         )
         .policy("limd", delta=DELTA, ttr_max=60 * MINUTE)
         .topology("tree", levels=[LevelConfig(fan_out=1)])
-        .cache(CACHE_CAPACITY, eviction="lru")
+        .cache(CACHE_CAPACITY)
         .seed(SEED)
         .horizon(HORIZON)
         .fidelity_delta(DELTA)

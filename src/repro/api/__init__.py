@@ -10,8 +10,8 @@ engine, the sweep executor, and external callers:
 * :mod:`repro.api.results` — :class:`ResultSet` / :class:`ResultRow`
   with a declared column schema and JSON/CSV/records exporters;
 * :mod:`repro.core.registry` — the generic :class:`Registry` the
-  consistency-policy, scenario, workload-source, and eviction-policy
-  lookups share (re-exported here for compatibility);
+  consistency-policy, scenario, and workload-source lookups share
+  (re-exported here for compatibility);
 * :mod:`repro.api.runs` — the live-object layer under the config
   path: ``build_stack`` and the run functions the paper's artefacts
   call (``run_individual``, the mutual-consistency runs, ``run_many``);

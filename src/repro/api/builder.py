@@ -61,7 +61,6 @@ from repro.api.results import ColumnarBuilder, ResultSet
 from repro.api.runs import RunResult, build_core
 from repro.api.workloads import resolve_workload
 from repro.consistency.base import PolicyFactory, RefreshPolicy
-from repro.core.errors import CacheConfigurationError
 from repro.core.rng import derive_seed
 from repro.core.types import ObjectId
 from repro.httpsim.network import LatencyModel
@@ -234,23 +233,13 @@ def _latency_of(network: NetworkConfig) -> LatencyModel:
 def _cache_factory(
     cache: CacheConfig,
 ) -> Optional[Callable[[int, int], Optional[ObjectCache]]]:
-    """Per-node cache builder for bounded configs (None when unbounded).
-
-    Resolving the eviction name eagerly — one throwaway build — turns a
-    typo'd ``cache.eviction`` into a config error before any simulation
-    state exists, matching how policy names fail.
-    """
-    if not cache.bounded:
-        return None
+    """Per-node LRU cache builder for bounded configs (None when unbounded)."""
     capacity = cache.capacity
-    assert capacity is not None
-    try:
-        ObjectCache(capacity=capacity, eviction=cache.eviction)
-    except CacheConfigurationError as exc:
-        raise SimulationConfigError(str(exc)) from None
+    if capacity is None:
+        return None
 
     def build(_level: int, _index: int) -> ObjectCache:
-        return ObjectCache(capacity=capacity, eviction=cache.eviction)
+        return ObjectCache(capacity=capacity)
 
     return build
 
@@ -312,6 +301,42 @@ def _resolve_horizon(
     return horizon
 
 
+def _latent(network: NetworkConfig) -> bool:
+    return network.one_way_latency_s != 0 or network.jitter_s != 0
+
+
+def _check_bounded_links(
+    config: SimulationConfig, instrument: Optional[TreeInstrument]
+) -> None:
+    """Reject a bounded cache behind a latent link up front.
+
+    A bounded cache answers a miss by fetching through its own upstream
+    link within the same call: a parent serving a child's poll, or an
+    edge serving an instrument's client request.  Over a latent link
+    that answer arrives later, and the run would die mid-way with a 404
+    or an unknown object.  So every level above the edge level, and the
+    edge level too when an ``instrument`` is given, needs a synchronous
+    link.
+    """
+    if config.cache.capacity is None or config.topology.kind != "tree":
+        return
+    levels = config.topology.levels
+    answering = levels if instrument is not None else levels[:-1]
+    for index, level in enumerate(answering):
+        network = level.network if level.network is not None else config.network
+        if _latent(network):
+            served = (
+                f"level {index + 1}'s polls"
+                if index + 1 < len(levels)
+                else "client requests"
+            )
+            raise SimulationConfigError(
+                f"cache.capacity needs a synchronous link at level {index}: "
+                f"its bounded caches must answer {served} within one call, "
+                "so the level's one_way_latency_s and jitter_s must be 0"
+            )
+
+
 def _check_fastforward(config: SimulationConfig) -> None:
     """Reject fast-forward configs with latent links up front.
 
@@ -322,13 +347,9 @@ def _check_fastforward(config: SimulationConfig) -> None:
     """
     if config.fidelity != "fastforward":
         return
-
-    def latent(network: NetworkConfig) -> bool:
-        return network.one_way_latency_s != 0 or network.jitter_s != 0
-
     if config.topology.kind == "tree":
         bad = any(
-            latent(
+            _latent(
                 level.network
                 if level.network is not None
                 else config.network
@@ -336,7 +357,7 @@ def _check_fastforward(config: SimulationConfig) -> None:
             for level in config.topology.levels
         )
     else:
-        bad = latent(config.network)
+        bad = _latent(config.network)
     if bad:
         raise SimulationConfigError(
             'fidelity="fastforward" requires synchronous links: every '
@@ -594,6 +615,7 @@ def run_simulation(
             "instrument hooks require the 'tree' topology, "
             f"got {config.topology.kind!r}"
         )
+    _check_bounded_links(config, instrument)
     if config.shards > 1:
         from repro.topology.sharding import run_sharded
 
@@ -721,20 +743,23 @@ class SimulationBuilder:
         """Bound each node's cache and/or declare TTL classes.
 
         ``capacity=None`` keeps the paper's unbounded cache (TTL
-        classes still apply); a :class:`CacheConfig` replaces the whole
-        section.  Example::
+        classes still apply); a bounded cache evicts its least recently
+        used entry.  A :class:`CacheConfig` replaces the whole section.
+        ``eviction`` accepts only ``"lru"``, the one policy.  Example::
 
-            builder.cache(64, eviction="tinylfu",
-                          ttl_classes={"news": 300.0},
+            builder.cache(64, ttl_classes={"news": 300.0},
                           object_classes={"cnn_fn": "news"})
         """
+        if eviction not in (None, "lru"):
+            raise SimulationConfigError(
+                f"unknown eviction policy {eviction!r}; available: ['lru']"
+            )
         if isinstance(capacity, CacheConfig):
             cache = capacity
         else:
             cache = CacheConfig(
                 **_passed(
                     capacity=capacity,
-                    eviction=eviction,
                     ttl_classes=ttl_classes,
                     default_ttl_s=default_ttl_s,
                     object_classes=object_classes,

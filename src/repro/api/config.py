@@ -366,11 +366,8 @@ class CacheConfig(_ConfigBase):
 
     Attributes:
         capacity: Maximum entries per proxy cache; ``None`` (default)
-            is unbounded.
-        eviction: Eviction-policy registry name for bounded caches
-            (``"lru"``, ``"lfu"``, ``"tinylfu"``, ``"clockpro"``; see
-            :data:`repro.proxy.eviction.EVICTION_POLICIES`).  Resolved
-            at build time, like policy names.
+            is unbounded.  A full cache evicts its least recently used
+            entry (see :class:`repro.proxy.cache.ObjectCache`).
         ttl_classes: Declared TTL (seconds) per object class; objects
             resolving to a class listed here run a ``static_ttl``
             policy with that TTL instead of the simulation's main
@@ -385,7 +382,6 @@ class CacheConfig(_ConfigBase):
     """
 
     capacity: Optional[int] = None
-    eviction: str = "lru"
     ttl_classes: Mapping[str, float] = field(default_factory=dict)
     default_ttl_s: Optional[float] = None
     object_classes: Mapping[str, str] = field(default_factory=dict)
@@ -398,9 +394,6 @@ class CacheConfig(_ConfigBase):
                     f"cache.capacity must be positive or null, "
                     f"got {self.capacity}"
                 )
-        _require_str("cache", "eviction", self.eviction)
-        if not self.eviction:
-            raise SimulationConfigError("cache.eviction must be non-empty")
         if not isinstance(self.ttl_classes, Mapping):
             raise SimulationConfigError(
                 "cache.ttl_classes must be a mapping, got "
@@ -459,7 +452,6 @@ class CacheConfig(_ConfigBase):
     def to_dict(self) -> Dict[str, object]:
         return {
             "capacity": self.capacity,
-            "eviction": self.eviction,
             "ttl_classes": dict(self.ttl_classes),
             "default_ttl_s": self.default_ttl_s,
             "object_classes": dict(self.object_classes),
@@ -671,8 +663,11 @@ class SimulationConfig(_ConfigBase):
         policy: Per-object consistency policy (registry name + params).
         topology: Proxy arrangement between clients and origin.
         network: Link latency model.
-        cache: Per-node cache bounds (capacity + eviction policy) and
-            TTL classes; the default is the paper's unbounded cache.
+        cache: Per-node cache bound (an LRU capacity) and TTL
+            classes; the default is the paper's unbounded cache.  A
+            bounded cache needs a synchronous link at every level that
+            must answer a miss within one call (see
+            :func:`repro.api.builder.run_simulation`).
         groups: Mutual-consistency groups (explicit member lists and/or
             dependency-edge components); a non-empty section attaches a
             group registry and mutual-temporal coordinators per node

@@ -2,29 +2,24 @@
 
 The paper's experiments "assume that the proxy employs an infinitely
 large cache" (Section 6.1.1); :class:`ObjectCache` defaults to that.
-Bounded caches delegate victim selection to a named policy from
-:mod:`repro.proxy.eviction` (``"lru"``, ``"lfu"``, ``"tinylfu"``,
-``"clockpro"``) and keep the bookkeeping eviction scoring needs: every
-eviction opens an :class:`EvictionWindow` that closes when the object
-is refetched, because between those two instants the object has *no*
-cached copy and no poll history — the consistency policy's staleness
-bound Δ is void for that span, which is what the ``evictions``,
+A bounded cache evicts the least recently used entry, and keeps the
+bookkeeping eviction scoring needs: every eviction opens an
+:class:`EvictionWindow` that closes when the object is refetched,
+because between those two instants the object has *no* cached copy and
+no poll history — the consistency policy's staleness bound Δ is void
+for that span, which is what the ``evictions``,
 ``refetch_after_evict`` and ``staleness_violations`` result columns
 measure.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import OrderedDict, defaultdict
 from typing import Callable, DefaultDict, Dict, Iterator, List, Optional, Tuple
 
 from repro.core.errors import CacheConfigurationError
 from repro.core.types import ObjectId, Seconds
 from repro.proxy.entry import CacheEntry
-from repro.proxy.eviction import EvictionPolicy, build_eviction_policy
-
-#: Default eviction policy for bounded caches.
-DEFAULT_EVICTION = "lru"
 
 
 def _zero_clock() -> Seconds:
@@ -64,19 +59,20 @@ class EvictionWindow:
 
 
 class ObjectCache:
-    """A mapping of object id → :class:`CacheEntry` with eviction.
+    """A mapping of object id → :class:`CacheEntry` with LRU eviction.
 
     Args:
         capacity: Maximum number of entries, or ``None`` for unbounded
-            (the paper's configuration).
-        eviction: Name of the victim-selection policy for bounded
-            caches (see :data:`repro.proxy.eviction.EVICTION_POLICIES`).
+            (the paper's configuration).  A full cache evicts the entry
+            untouched for the longest time; the just-inserted entry is
+            never the victim.
+        eviction: Must be ``"lru"``, the only policy; any other name
+            raises :class:`~repro.core.errors.CacheConfigurationError`.
     """
 
     __slots__ = (
         "_capacity",
-        "_policy",
-        "_eviction_name",
+        "_recency",
         "_entries",
         "_evictions",
         "_refetches_after_evict",
@@ -88,19 +84,22 @@ class ObjectCache:
     def __init__(
         self,
         capacity: Optional[int] = None,
-        eviction: str = DEFAULT_EVICTION,
+        eviction: str = "lru",
     ) -> None:
         if capacity is not None and capacity <= 0:
             raise CacheConfigurationError(
                 f"capacity must be positive or None, got {capacity}"
             )
+        if eviction != "lru":
+            raise CacheConfigurationError(
+                f"unknown eviction policy {eviction!r}; available: ['lru']"
+            )
         self._capacity = capacity
-        self._policy: Optional[EvictionPolicy] = (
-            build_eviction_policy(eviction, capacity)
-            if capacity is not None
-            else None
+        #: Bounded caches only: every cached id, least recently used
+        #: first.  Unbounded caches (the per-poll hot path) skip it.
+        self._recency: Optional["OrderedDict[ObjectId, None]"] = (
+            OrderedDict() if capacity is not None else None
         )
-        self._eviction_name = eviction
         self._entries: Dict[ObjectId, CacheEntry] = {}
         self._evictions = 0
         self._refetches_after_evict = 0
@@ -158,43 +157,45 @@ class ObjectCache:
         return iter(self._entries)
 
     def get(self, object_id: ObjectId, *, touch: bool = True) -> Optional[CacheEntry]:
-        """Look up an entry; ``touch`` marks it recently/frequently used.
+        """Look up an entry; ``touch`` marks it most recently used.
 
-        Recency/frequency bookkeeping only matters when eviction can
-        happen, so unbounded caches (the paper's configuration, and the
-        per-poll hot path) skip it entirely.
+        Recency bookkeeping only matters when eviction can happen, so
+        unbounded caches (the paper's configuration, and the per-poll
+        hot path) skip it entirely.
         """
         entries = self._entries
         if object_id not in entries:
             return None
-        if touch and self._policy is not None:
-            self._policy.record_access(object_id)
+        if touch and self._recency is not None:
+            self._recency.move_to_end(object_id)
         return entries[object_id]
 
     def put(self, entry: CacheEntry) -> Optional[CacheEntry]:
-        """Insert an entry, evicting if over capacity.
+        """Insert an entry, evicting the least recently used if over capacity.
 
         Returns:
             The evicted entry, if any.
         """
         object_id = entry.object_id
-        policy = self._policy
+        recency = self._recency
         if object_id in self._entries:
             self._entries[object_id] = entry
-            if policy is not None:
-                policy.record_access(object_id)
+            if recency is not None:
+                recency.move_to_end(object_id)
             return None
         self._entries[object_id] = entry
         windows = self._windows_by_object.get(object_id)
         if windows is not None and windows[-1].refetched_at is None:
             windows[-1].refetched_at = self._clock()
             self._refetches_after_evict += 1
-        if policy is None:
+        if recency is None:
             return None
-        policy.record_insert(object_id)
+        # The new id joins at the recency tail, so with capacity >= 1 an
+        # overfull cache always has an older id at the head to evict.
+        recency[object_id] = None
         if len(self._entries) <= (self._capacity or 0):
             return None
-        victim_id = policy.evict()
+        victim_id, _ = recency.popitem(last=False)
         victim = self._entries.pop(victim_id)
         window = EvictionWindow(victim_id, self._clock())
         self._windows.append(window)
@@ -210,20 +211,20 @@ class ObjectCache:
             entry = CacheEntry(object_id)
             self.put(entry)
             return entry
-        if self._policy is not None:
-            self._policy.record_access(object_id)
+        if self._recency is not None:
+            self._recency.move_to_end(object_id)
         return entry
 
     def remove(self, object_id: ObjectId) -> Optional[CacheEntry]:
         """Remove and return an entry (None if absent)."""
         entry = self._entries.pop(object_id, None)
-        if entry is not None and self._policy is not None:
-            self._policy.record_remove(object_id)
+        if entry is not None and self._recency is not None:
+            self._recency.pop(object_id, None)
         return entry
 
     def __repr__(self) -> str:
         cap = "inf" if self._capacity is None else str(self._capacity)
         return (
             f"ObjectCache(size={len(self._entries)}, capacity={cap}, "
-            f"eviction={self._eviction_name!r}, evictions={self._evictions})"
+            f"evictions={self._evictions})"
         )

@@ -134,7 +134,7 @@ class TestBuilder:
         moved = (
             SimulationBuilder()
             .network(2.0, jitter_s=1.0)
-            .cache(3, eviction="lfu", default_ttl_s=9.0)
+            .cache(3, default_ttl_s=9.0)
             .groups(edges=[("a", "b")], mode="heuristic", component_delta=1.0)
         )
         bare = moved.network().cache().groups().build()

@@ -92,7 +92,6 @@ _optional_durations = st.one_of(st.none(), _positive_durations)
 _caches = st.builds(
     CacheConfig,
     capacity=st.one_of(st.none(), st.integers(min_value=1, max_value=10**6)),
-    eviction=_names,
     ttl_classes=st.dictionaries(_names, _positive_durations, max_size=3),
     default_ttl_s=_optional_durations,
     object_classes=st.dictionaries(_names, _names, max_size=3),
@@ -208,6 +207,12 @@ class TestRejection:
         # trees: a saved config naming it fails the kind check.
         with pytest.raises(SimulationConfigError, match="kind"):
             TopologyConfig.from_dict({"kind": "hierarchy"})
+
+    def test_cache_eviction_rejected(self):
+        # Bounded caches are LRU; "eviction" named one of four policies
+        # until the other three were deleted, and is now an unknown field.
+        with pytest.raises(SimulationConfigError, match="eviction"):
+            SimulationConfig.from_dict({"cache": {"eviction": "lru"}})
 
     def test_tree_requires_levels(self):
         with pytest.raises(SimulationConfigError, match="levels"):

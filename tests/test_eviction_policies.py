@@ -1,13 +1,10 @@
-"""Cross-policy eviction battery plus eviction × consistency properties.
+"""Bounded (LRU) cache battery plus eviction × consistency properties.
 
-Modeled on the theine/caffeine style of cache testing: one parametrized
-battery drives every registered eviction policy (``lru``, ``lfu``,
-``tinylfu``, ``clockpro``) through the same bounded-Zipf workload and
-asserts the invariants the proxy depends on — the capacity bound, the
-bookkeeping identities, the never-evict-the-just-inserted-key rule, and
-bit-for-bit determinism.  Policy-specific sections pin the LFU
-insertion-order tie-break (regression for the old accidental recency
-tie-break) and TinyLFU's admission advantage on skewed workloads.
+Modeled on the theine/caffeine style of cache testing: one battery
+drives a bounded cache through a bounded-Zipf workload and asserts the
+invariants the proxy depends on — the capacity bound, the bookkeeping
+identities, the never-evict-the-just-inserted-key rule, and bit-for-bit
+determinism.
 
 Hypothesis sections cover the eviction × consistency bridge: an
 evict→refetch cycle must reset the poll history (the refetched entry
@@ -47,7 +44,6 @@ from repro.api.config import (
     TopologyConfig,
     WorkloadConfig,
 )
-from repro.core.errors import CacheConfigurationError
 from repro.core.events import PollReason
 from repro.core.types import ObjectId, ObjectSnapshot, Seconds
 from repro.httpsim.network import Network
@@ -59,15 +55,11 @@ from repro.metrics.collector import (
 )
 from repro.proxy.cache import ObjectCache
 from repro.proxy.entry import CacheEntry
-from repro.proxy.eviction import EVICTION_POLICIES, build_eviction_policy
 from repro.proxy.proxy import ProxyCache
 from repro.server.origin import OriginServer
 from repro.server.updates import feed_traces
 from repro.sim.kernel import Kernel
 from repro.traces.model import UpdateTrace, trace_from_times
-
-POLICIES = ("lru", "lfu", "tinylfu", "clockpro")
-
 
 def zipf_stream(
     *, keys: int, ops: int, exponent: float, seed: int
@@ -99,37 +91,23 @@ def drive(
     return hits, victims
 
 
-class TestRegistry:
-    def test_all_four_policies_registered(self):
-        for name in POLICIES:
-            assert name in EVICTION_POLICIES
-
-    def test_build_rejects_nonpositive_capacity(self):
-        with pytest.raises(CacheConfigurationError):
-            build_eviction_policy("lru", 0)
-
-    def test_build_rejects_unknown_name(self):
-        with pytest.raises(CacheConfigurationError):
-            build_eviction_policy("fifo", 4)
-
-
-@pytest.mark.parametrize("policy", POLICIES)
-class TestCrossPolicyBattery:
-    """Every policy, same bounded-Zipf workload, same invariants."""
+class TestLRUBattery:
+    """A bounded-Zipf workload against a bounded cache: the invariants
+    the proxy depends on."""
 
     CAPACITY = 8
     STREAM = dict(keys=64, ops=2000, exponent=1.1, seed=99)
 
-    def test_capacity_never_exceeded(self, policy):
-        cache = ObjectCache(capacity=self.CAPACITY, eviction=policy)
+    def test_capacity_never_exceeded(self):
+        cache = ObjectCache(capacity=self.CAPACITY)
         for key in zipf_stream(**self.STREAM):
             object_id = ObjectId(key)
             if cache.get(object_id) is None:
                 cache.put(CacheEntry(object_id))
             assert len(cache) <= self.CAPACITY
 
-    def test_eviction_bookkeeping_identities(self, policy):
-        cache = ObjectCache(capacity=self.CAPACITY, eviction=policy)
+    def test_eviction_bookkeeping_identities(self):
+        cache = ObjectCache(capacity=self.CAPACITY)
         _, victims = drive(cache, zipf_stream(**self.STREAM))
         evictions = [v for v in victims if v is not None]
         inserts = len(victims)
@@ -143,8 +121,8 @@ class TestCrossPolicyBattery:
         for victim in evictions:
             assert cache.was_evicted(victim)
 
-    def test_just_inserted_key_is_never_the_victim(self, policy):
-        cache = ObjectCache(capacity=self.CAPACITY, eviction=policy)
+    def test_just_inserted_key_is_never_the_victim(self):
+        cache = ObjectCache(capacity=self.CAPACITY)
         for key in zipf_stream(**self.STREAM):
             object_id = ObjectId(key)
             if cache.get(object_id) is not None:
@@ -154,25 +132,25 @@ class TestCrossPolicyBattery:
                 assert evicted.object_id != object_id
             assert object_id in cache
 
-    def test_victim_sequence_deterministic_under_fixed_seed(self, policy):
+    def test_victim_sequence_deterministic_under_fixed_seed(self):
         stream = zipf_stream(**self.STREAM)
         runs = []
         for _ in range(2):
-            cache = ObjectCache(capacity=self.CAPACITY, eviction=policy)
+            cache = ObjectCache(capacity=self.CAPACITY)
             hits, victims = drive(cache, stream)
             runs.append((hits, victims))
         assert runs[0] == runs[1]
 
-    def test_capacity_one_single_resident(self, policy):
-        cache = ObjectCache(capacity=1, eviction=policy)
+    def test_capacity_one_single_resident(self):
+        cache = ObjectCache(capacity=1)
         a, b = ObjectId("a"), ObjectId("b")
         assert cache.put(CacheEntry(a)) is None
         evicted = cache.put(CacheEntry(b))
         assert evicted is not None and evicted.object_id == a
         assert list(cache) == [b]
 
-    def test_remove_untracks_key(self, policy):
-        cache = ObjectCache(capacity=2, eviction=policy)
+    def test_remove_untracks_key(self):
+        cache = ObjectCache(capacity=2)
         a, b, c = ObjectId("a"), ObjectId("b"), ObjectId("c")
         cache.put(CacheEntry(a))
         cache.put(CacheEntry(b))
@@ -183,76 +161,6 @@ class TestCrossPolicyBattery:
         assert cache.put(CacheEntry(c)) is None
         assert cache.eviction_count == 0
         assert not cache.was_evicted(a)
-
-
-class TestTinyLFUAdmission:
-    def test_tinylfu_beats_lru_hit_rate_on_skewed_zipf(self):
-        stream = zipf_stream(keys=200, ops=8000, exponent=1.2, seed=7)
-        rates = {}
-        for policy in ("lru", "tinylfu"):
-            cache = ObjectCache(capacity=10, eviction=policy)
-            hits, _ = drive(cache, stream)
-            rates[policy] = hits / len(stream)
-        assert rates["tinylfu"] >= rates["lru"]
-
-    def test_one_hit_wonders_do_not_displace_the_hot_set(self):
-        """A scan of cold keys must not flush still-active residents.
-
-        Hot traffic continues during the scan (pure abandonment would
-        legitimately decay the hot set out via sketch aging); each cold
-        key is seen exactly once, so admission should reject it in the
-        contest against any still-popular main resident.
-        """
-        cache = ObjectCache(capacity=10, eviction="tinylfu")
-        hot = [ObjectId(f"hot{i}") for i in range(8)]
-        for object_id in hot:
-            cache.put(CacheEntry(object_id))
-        for _ in range(50):
-            for object_id in hot:
-                assert cache.get(object_id) is not None
-        for i in range(500):
-            assert cache.get(hot[i % len(hot)]) is not None
-            scan_id = ObjectId(f"scan{i}")
-            if cache.get(scan_id) is None:
-                cache.put(CacheEntry(scan_id))
-        surviving = sum(
-            1 for object_id in hot if cache.get(object_id, touch=False)
-        )
-        assert surviving == len(hot)
-
-
-class TestLFUTieBreak:
-    """Regression: equal counts break by insertion order, nothing else."""
-
-    def test_equal_counts_evict_oldest_insertion(self):
-        cache = ObjectCache(capacity=3, eviction="lfu")
-        a, b, c, d = (ObjectId(k) for k in "abcd")
-        for object_id in (a, b, c):
-            cache.put(CacheEntry(object_id))
-        evicted = cache.put(CacheEntry(d))
-        assert evicted is not None and evicted.object_id == a
-
-    def test_access_breaks_out_of_the_tie(self):
-        cache = ObjectCache(capacity=3, eviction="lfu")
-        a, b, c, d, e = (ObjectId(k) for k in "abcde")
-        for object_id in (a, b, c):
-            cache.put(CacheEntry(object_id))
-        cache.put(CacheEntry(d))  # evicts a (oldest of the count ties)
-        cache.get(b)  # b now outranks the remaining count-0 keys
-        evicted = cache.put(CacheEntry(e))
-        assert evicted is not None and evicted.object_id == c
-
-    def test_reinsertion_gets_a_fresh_sequence_number(self):
-        cache = ObjectCache(capacity=3, eviction="lfu")
-        a, b, c, d = (ObjectId(k) for k in "abcd")
-        for object_id in (a, b, c):
-            cache.put(CacheEntry(object_id))
-        cache.put(CacheEntry(d))  # evicts a
-        cache.get(b)
-        cache.get(c)
-        evicted = cache.put(CacheEntry(a))  # a returns, newest again
-        # d (count 0) loses; the returning a is exempt as just-inserted.
-        assert evicted is not None and evicted.object_id == d
 
 
 class _ManualClock:
@@ -289,7 +197,7 @@ class TestEvictRefetchProperties:
     @settings(max_examples=60, deadline=None)
     def test_refetch_resets_poll_history(self, polls_before, evicted_at, gap):
         """The refetched entry starts with an empty fetch log."""
-        cache = ObjectCache(capacity=1, eviction="lru")
+        cache = ObjectCache(capacity=1)
         clock = _ManualClock()
         cache.bind_clock(clock)
         a, b = ObjectId("a"), ObjectId("b")
@@ -339,7 +247,7 @@ class TestEvictRefetchProperties:
         with a refetch ``gap`` seconds after eviction.  The bound is
         violated iff the refetch came more than Δ after the update.
         """
-        cache = ObjectCache(capacity=1, eviction="lru")
+        cache = ObjectCache(capacity=1)
         clock = _ManualClock()
         cache.bind_clock(clock)
         a, b = ObjectId("a"), ObjectId("b")
@@ -373,7 +281,7 @@ class TestEvictRefetchProperties:
         self, evicted_at, horizon_gap, delta
     ):
         """Never-refetched objects clip their absence at the horizon."""
-        cache = ObjectCache(capacity=1, eviction="lru")
+        cache = ObjectCache(capacity=1)
         clock = _ManualClock()
         cache.bind_clock(clock)
         a, b = ObjectId("a"), ObjectId("b")
@@ -408,8 +316,8 @@ _programs = st.lists(
 )
 
 
-def _run_program(policy: str, capacity: int, program) -> ObjectCache:
-    cache = ObjectCache(capacity=capacity, eviction=policy)
+def _run_program(capacity: int, program) -> ObjectCache:
+    cache = ObjectCache(capacity=capacity)
     clock = _ManualClock()
     cache.bind_clock(clock)
     for operation, index, advance in program:
@@ -468,13 +376,12 @@ class TestWindowIndexProperties:
     """Hypothesis: the per-object window index vs the flat view."""
 
     @given(
-        policy=st.sampled_from(POLICIES),
         capacity=st.integers(min_value=1, max_value=4),
         program=_programs,
     )
     @settings(max_examples=200, deadline=None)
-    def test_index_agrees_with_flat_view(self, policy, capacity, program):
-        cache = _run_program(policy, capacity, program)
+    def test_index_agrees_with_flat_view(self, capacity, program):
+        cache = _run_program(capacity, program)
         flat = cache.eviction_windows
         indexed = 0
         for key in _KEYS:
@@ -492,7 +399,6 @@ class TestWindowIndexProperties:
         assert cache.refetch_after_evict_count == closed
 
     @given(
-        policy=st.sampled_from(POLICIES),
         capacity=st.integers(min_value=1, max_value=4),
         program=_programs,
         delta=st.sampled_from((None, 0.0, 0.25, 5.0, 1e6)),
@@ -501,7 +407,7 @@ class TestWindowIndexProperties:
     )
     @settings(max_examples=200, deadline=None)
     def test_collector_equals_flat_scan_oracle(
-        self, policy, capacity, program, delta, horizon, data
+        self, capacity, program, delta, horizon, data
     ):
         """Field-for-field, ``absent_time`` bit-for-bit (same sum order).
 
@@ -510,7 +416,7 @@ class TestWindowIndexProperties:
         exactly Δ" occur; the horizon may fall before an open window's
         eviction (the clipped span is then zero).
         """
-        cache = _run_program(policy, capacity, program)
+        cache = _run_program(capacity, program)
         holder = _CacheHolder(cache)
         for key in _KEYS:
             candidates = sorted(
@@ -552,7 +458,7 @@ class TestScoringNeverScansTheFlatView:
         ]
         feed_traces(kernel, origin, traces)
         proxy = ProxyCache(
-            kernel, Network(kernel), cache=ObjectCache(capacity=4, eviction="lru")
+            kernel, Network(kernel), cache=ObjectCache(capacity=4)
         )
         rng = random.Random(3)
         for object_id in objects:
@@ -640,11 +546,10 @@ class TestTTLClasses:
 
 
 class TestSerialVsWorkersByteIdentical:
-    """A bounded TinyLFU tree end to end, on a worker pool, under two
+    """A bounded LRU tree end to end, on a worker pool, under two
     ``PYTHONHASHSEED`` values.
 
-    TinyLFU salts its count-min sketch with CRC32 rather than ``hash()``,
-    so which objects its edges admit must not move with the hash seed;
+    Which objects its caches evict must not move with the hash seed;
     sharded across a pool, the rows must also equal the serial run's.
     """
 
@@ -656,14 +561,14 @@ class TestSerialVsWorkersByteIdentical:
         topology=TopologyConfig(
             kind="tree", levels=(LevelConfig(), LevelConfig(fan_out=3))
         ),
-        cache=CacheConfig(capacity=2, eviction="tinylfu"),
+        cache=CacheConfig(capacity=2),
         fidelity_delta_s=600.0,
     )
 
-    def test_tinylfu_tree_csv_is_identical(self, tmp_path):
+    def test_bounded_tree_csv_is_identical(self, tmp_path):
         serial = run_simulation(self.CONFIG).results
         assert sum(serial.column("evictions")) > 0
-        path = tmp_path / "tinylfu_tree.json"
+        path = tmp_path / "bounded_tree.json"
         # Three shards: shard 0 runs in-process, 1 and 2 on the pool.
         path.write_text(replace(self.CONFIG, shards=3).to_json())
         source_root = str(Path(repro.__file__).resolve().parent.parent)

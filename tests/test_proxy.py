@@ -6,7 +6,10 @@ import sys
 
 import pytest
 
+from repro.api.builder import SimulationBuilder
+from repro.api.config import SimulationConfigError
 from repro.consistency.base import FixedTTRPolicy, PassivePolicy, RefreshPolicy
+from repro.consistency.ttl import StaticTTLPolicy
 from repro.core.errors import (
     CacheConfigurationError,
     ProtocolError,
@@ -21,7 +24,7 @@ from repro.proxy.entry import CacheEntry
 from repro.proxy.proxy import ProxyCache
 from repro.proxy.refresher import Refresher
 from repro.server.origin import OriginServer
-from repro.server.updates import UpdateFeeder
+from repro.server.updates import UpdateFeeder, feed_traces
 from repro.sim.fastforward import FastForwardEngine
 from repro.sim.kernel import Kernel
 from repro.traces.model import trace_from_times
@@ -81,7 +84,7 @@ class TestObjectCache:
         assert cache.eviction_count == 0
 
     def test_lru_evicts_least_recently_used(self):
-        cache = ObjectCache(capacity=2, eviction="lru")
+        cache = ObjectCache(capacity=2)
         cache.put(CacheEntry(ObjectId("a")))
         cache.put(CacheEntry(ObjectId("b")))
         cache.get(ObjectId("a"))  # touch a → b is LRU
@@ -89,15 +92,13 @@ class TestObjectCache:
         assert evicted is not None and evicted.object_id == ObjectId("b")
         assert ObjectId("a") in cache and ObjectId("c") in cache
 
-    def test_lfu_evicts_least_frequently_used(self):
-        cache = ObjectCache(capacity=2, eviction="lfu")
-        cache.put(CacheEntry(ObjectId("a")))
-        cache.put(CacheEntry(ObjectId("b")))
-        for _ in range(3):
-            cache.get(ObjectId("a"))
-        cache.get(ObjectId("b"))
-        evicted = cache.put(CacheEntry(ObjectId("c")))
-        assert evicted is not None and evicted.object_id == ObjectId("b")
+    def test_eviction_other_than_lru_rejected(self):
+        assert ObjectCache(capacity=2, eviction="lru").capacity == 2
+        for name in ("lfu", "fifo"):
+            with pytest.raises(CacheConfigurationError, match=name):
+                ObjectCache(capacity=2, eviction=name)
+            with pytest.raises(SimulationConfigError, match=name):
+                SimulationBuilder().cache(2, eviction=name)
 
     def test_get_or_create(self):
         cache = ObjectCache()
@@ -120,6 +121,47 @@ class TestObjectCache:
     def test_invalid_capacity_rejected(self):
         with pytest.raises(CacheConfigurationError):
             ObjectCache(capacity=0)
+
+
+class TestClientMissEvictedByNestedPoll:
+    """A client miss whose entry a same-instant nested poll evicts.
+
+    Capacity 1: the miss on ``a`` evicts ``b``; when ``a``'s poll
+    completes an observer polls ``b`` at once, which evicts ``a`` before
+    the client call returns.  The client still gets the snapshot its
+    miss fetched, and the cache records both evictions.
+    """
+
+    def test_client_gets_the_fetched_snapshot(self):
+        kernel = Kernel()
+        origin = OriginServer()
+        a, b = ObjectId("a"), ObjectId("b")
+        feed_traces(
+            kernel,
+            origin,
+            [
+                trace_from_times(a, [3.0], end_time=10.0),
+                trace_from_times(b, [], end_time=10.0),
+            ],
+        )
+        cache = ObjectCache(capacity=1)
+        proxy = ProxyCache(kernel, Network(kernel), cache=cache)
+        proxy.register_object(b, origin, StaticTTLPolicy(600.0))
+        proxy.bind_server(a, origin)
+
+        class PollPartnerOnA:
+            def on_poll_complete(self, object_id, outcome):
+                if object_id == a:
+                    proxy.trigger_poll(b, reason=PollReason.MUTUAL_TRIGGER)
+
+        proxy.add_observer(PollPartnerOnA())
+        kernel.run(until=5.0)
+        snapshot = proxy.handle_client_request(a)
+        assert snapshot == ObjectSnapshot(a, version=1, last_modified=3.0)
+        assert proxy.counters.get("client_misses") == 1
+        assert a not in cache and b in cache
+        assert cache.was_evicted(a)
+        assert cache.eviction_count == 2
 
 
 class TestProxyPolling:

@@ -3,10 +3,25 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
+from functools import partial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.api import LevelConfig, SimulationBuilder, run_simulation
+from repro.api import (
+    CacheConfig,
+    LevelConfig,
+    NetworkConfig,
+    PolicyConfig,
+    SimulationBuilder,
+    SimulationConfig,
+    SimulationConfigError,
+    TopologyConfig,
+    WorkloadConfig,
+    run_simulation,
+)
 from repro.consistency.base import FixedTTRPolicy, PassivePolicy
 from repro.core.types import ObjectId
 from repro.httpsim.network import LatencyModel
@@ -26,6 +41,7 @@ from repro.topology.push import PushFanout
 from repro.topology.tree import TopologyTree
 from repro.traces.model import trace_from_times
 from repro.server.updates import feed_traces
+from repro.workload.clients import attach_client_pumps
 
 X = ObjectId("x")
 
@@ -248,6 +264,20 @@ class TestPullTrees:
         assert fetch_log() == fetch_log()
 
 
+def _poisson_tree(objects, levels, **fields) -> SimulationConfig:
+    """A one-hour run of a tree over ``objects``, each updated 6 times/h."""
+    return SimulationConfig(
+        workload=WorkloadConfig(
+            source="poisson",
+            objects=objects,
+            params={"rate_per_hour": 6.0, "hours": 1.0},
+        ),
+        topology=TopologyConfig(kind="tree", levels=tuple(levels)),
+        horizon_s=3600.0,
+        **fields,
+    )
+
+
 class TestBoundedTrees:
     def test_parent_eviction_is_fetched_through_not_404(self):
         # Regression: a parent that had evicted an object answered its
@@ -261,7 +291,7 @@ class TestBoundedTrees:
             .workload("poisson", *objects, rate_per_hour=4.0, hours=1.0)
             .policy("static_ttl", ttl=600.0)
             .topology("tree", levels=[LevelConfig(fan_out=2), LevelConfig(fan_out=4)])
-            .cache(8, eviction="lru")
+            .cache(8)
             .seed(0)
             .horizon(horizon)
             .build()
@@ -285,6 +315,102 @@ class TestBoundedTrees:
         assert sum(p.cache.eviction_count for p in parents) > 0
         assert sum(p.counters.get("polls_cache_miss") for p in parents) > 0
         assert sum(p.counters.get("downstream_404") for p in parents) == 0
+
+    @pytest.mark.parametrize(
+        "latent, clients, rejected_level",
+        [
+            ((True, False), False, 0),
+            ((True, True), False, 0),
+            ((True,), True, 0),
+            ((False, True), True, 1),
+            ((True, True), True, 0),
+            ((False, True), False, None),
+            ((True,), False, None),
+        ],
+        ids=[
+            "parent-latent",
+            "both-latent",
+            "clients-one-level-latent",
+            "clients-edge-latent",
+            "clients-both-latent",
+            "edge-latent-runs",
+            "one-level-latent-runs",
+        ],
+    )
+    def test_bounded_cache_behind_latent_link(
+        self, latent, clients, rejected_level
+    ):
+        """A bounded cache that must answer a miss within one call needs
+        a synchronous link; anything else is rejected before the run.
+
+        ``latent`` says, per level, whether its upstream link has 0.5 s
+        latency.  Levels above the edge answer their children's polls,
+        and the edge answers client requests when an instrument sends
+        them.
+        """
+        config = _poisson_tree(
+            ("a", "b", "c", "d"),
+            [
+                LevelConfig(
+                    fan_out=2,
+                    network=NetworkConfig(one_way_latency_s=0.5)
+                    if is_latent
+                    else None,
+                )
+                for is_latent in latent
+            ],
+            policy=PolicyConfig("static_ttl", {"ttl": 60.0}),
+            cache=CacheConfig(capacity=2),
+        )
+        instrument = (
+            partial(attach_client_pumps, clients=200, horizon=3600.0, seed=1)
+            if clients
+            else None
+        )
+        if rejected_level is None:
+            outcome = run_simulation(config, instrument=instrument)
+            assert sum(outcome.results.column("evictions")) > 0
+            return
+        with pytest.raises(
+            SimulationConfigError,
+            match=rf"cache\.capacity .* level {rejected_level}:"
+            r".*one_way_latency_s and jitter_s",
+        ):
+            run_simulation(config, instrument=instrument)
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**31),
+        fan_outs=st.sampled_from([(1,), (1, 3), (2, 2, 2)]),
+        policy=st.sampled_from(
+            [
+                PolicyConfig("static_ttl", {"ttl": 60.0}),
+                PolicyConfig("limd", {"delta": 300.0}),
+            ]
+        ),
+    )
+    @settings(max_examples=12, deadline=None)
+    def test_unbounded_equals_a_bounded_cache_that_never_fills(
+        self, seed, fan_outs, policy
+    ):
+        objects = ("a", "b", "c", "d", "e")
+        config = _poisson_tree(
+            objects,
+            [LevelConfig(fan_out=n) for n in fan_outs],
+            policy=policy,
+            seed=seed,
+            fidelity_delta_s=300.0,
+        )
+        instrument = partial(
+            attach_client_pumps, clients=300, horizon=3600.0, seed=seed
+        )
+
+        def results(capacity):
+            bounded = replace(config, cache=CacheConfig(capacity=capacity))
+            return run_simulation(bounded, instrument=instrument).results
+
+        assert results(len(objects)).to_csv() == results(None).to_csv()
+        # The control: one slot fewer than the population must evict.
+        assert sum(results(len(objects) - 1).column("evictions")) > 0
 
 
 class TestPushTrees:
