@@ -57,6 +57,10 @@ class _Message:
 class Request(_Message):
     """A simulated HTTP request from proxy (or client) to a server.
 
+    The constructor's parameters are the slots, in slot order, so the
+    per-poll call sites pass them positionally: on CPython a class called
+    with keywords builds a kwargs dict per call.
+
     Attributes:
         if_modified_since: The ``If-Modified-Since`` timestamp, if any.
         wants_history: Whether the request asks for the Section 5.1
@@ -76,7 +80,6 @@ class Request(_Message):
         self,
         method: Method,
         object_id: ObjectId,
-        *,
         if_modified_since: Optional[Seconds] = None,
         wants_history: bool = False,
         issued_at: Seconds = 0.0,
@@ -90,6 +93,8 @@ class Request(_Message):
 
 class Response(_Message):
     """A simulated HTTP response.
+
+    Parameters follow slot order, as for :class:`Request`.
 
     Attributes:
         last_modified: The object's latest modification time
@@ -117,7 +122,6 @@ class Response(_Message):
         self,
         status: Status,
         object_id: ObjectId,
-        *,
         last_modified: Optional[Seconds] = None,
         version: Optional[int] = None,
         value: Optional[float] = None,
@@ -141,10 +145,4 @@ def conditional_get(
     issued_at: Seconds = 0.0,
 ) -> Request:
     """Build an ``If-Modified-Since`` GET as a proxy poll would issue."""
-    return Request(
-        Method.GET,
-        object_id,
-        if_modified_since=if_modified_since,
-        wants_history=want_history,
-        issued_at=issued_at,
-    )
+    return Request(Method.GET, object_id, if_modified_since, want_history, issued_at)

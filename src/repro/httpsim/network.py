@@ -4,8 +4,8 @@ The paper's simulation "assumes ... that the network latency in polling
 and fetching objects from the server is fixed" (Section 6.1.1), because
 the study targets consistency mechanisms, not network dynamics.  We
 model exactly that: a fixed one-way latency per link, applied
-symmetrically, with an optional synchronous (zero-latency) fast path
-that the experiment harness uses by default.
+symmetrically.  The experiment harness uses a synchronous (zero-latency)
+link by default, which the proxy answers inline without this module.
 
 A small jitter hook exists for robustness experiments but defaults off.
 """
@@ -64,10 +64,10 @@ class LatencyModel:
 class Network:
     """Delivers requests to a server handler and responses back.
 
-    With a synchronous latency model, :meth:`exchange` runs the whole
-    round trip inline and invokes the callback before returning — the
-    mode all paper experiments use.  With nonzero latency, delivery is
-    scheduled on the kernel.
+    :meth:`exchange` schedules a request's delivery and its response's
+    return on the kernel.  A synchronous link — the mode all paper
+    experiments use — has no round trip to model: its proxy answers the
+    poll inline instead (``ProxyCache._issue_poll``).
 
     Attributes:
         synchronous: Cached latency-model check, so per-poll callers can
@@ -100,12 +100,13 @@ class Network:
         callback: ResponseCallback,
     ) -> None:
         """Send ``request`` to ``handler``; deliver the response to
-        ``callback`` after the modelled round trip."""
-        self.requests_sent += 1
-        if self.synchronous:
-            callback(handler(request, self._kernel.now()))
-            return
+        ``callback`` after the modelled round trip.
 
+        Delivery is always by kernel events, zero-delay ones on a
+        zero-latency link: a proxy polling a synchronous link asks its
+        upstream directly and never calls this.
+        """
+        self.requests_sent += 1
         forward = self._latency.sample_one_way(self._rng)
 
         def deliver_request(kernel: Kernel) -> None:

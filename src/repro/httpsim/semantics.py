@@ -40,10 +40,14 @@ class Upstream(Protocol):
 #: realistic poll interval.
 MAX_HISTORY_LENGTH = 64
 
+# Bound once: a member read through its enum class is slow on CPython
+# 3.11 (see ``repro.proxy.proxy``), and a server answers every poll.
+_OK = Status.OK
+_NOT_MODIFIED = Status.NOT_MODIFIED
+
 
 def evaluate_conditional_get(
     request: Request,
-    *,
     now: Seconds,
     last_modified: Optional[Seconds],
     version: Optional[int],
@@ -51,6 +55,9 @@ def evaluate_conditional_get(
     history_times: Optional[Sequence[Seconds]],
 ) -> Response:
     """Answer a conditional GET given the object's server-side state.
+
+    Every :class:`Response` here is built positionally (see
+    :class:`Request`): a server answers once per poll.
 
     Args:
         request: The incoming request.
@@ -69,7 +76,9 @@ def evaluate_conditional_get(
         A 404, 304, or 200 response per HTTP/1.1 semantics.
     """
     if last_modified is None or version is None:
-        return Response(Status.NOT_FOUND, request.object_id, served_at=now)
+        return Response(
+            Status.NOT_FOUND, request.object_id, None, None, None, None, now
+        )
 
     ims = request.if_modified_since
     history = history_times if request.wants_history else None
@@ -80,24 +89,23 @@ def evaluate_conditional_get(
         # permitted and useful; we include it plus the version so the
         # proxy can re-validate bookkeeping.
         return Response(
-            Status.NOT_MODIFIED,
+            _NOT_MODIFIED,
             request.object_id,
-            last_modified=last_modified,
-            version=version,
-            modification_history=[] if history is not None else None,
-            served_at=now,
+            last_modified,
+            version,
+            None,
+            [] if history is not None else None,
+            now,
         )
 
     return Response(
-        Status.OK,
+        _OK,
         request.object_id,
-        last_modified=last_modified,
-        version=version,
-        value=value,
-        modification_history=(
-            _history_since(history, ims) if history is not None else None
-        ),
-        served_at=now,
+        last_modified,
+        version,
+        value,
+        _history_since(history, ims) if history is not None else None,
+        now,
     )
 
 

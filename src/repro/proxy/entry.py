@@ -69,8 +69,10 @@ class CacheEntry:
         snapshot: The cached object state (None before the first fetch).
         modification_times: Distinct, ascending server modification
             times observed so far — the live list a parent proxy reads
-            per request to serve the Section 5.1 history header.  Only
-            :meth:`record_fetch` writes either attribute.
+            per request to serve the Section 5.1 history header.
+
+    ``ProxyCache._complete_poll`` is the one writer of both attributes
+    and of the fetch log, inline on the poll path.
     """
 
     __slots__ = ("_object_id", "snapshot", "_fetch_log", "_hits", "modification_times")
@@ -108,29 +110,6 @@ class CacheEntry:
         if not self._fetch_log:
             return None
         return self._fetch_log[-1].time
-
-    def record_fetch(
-        self,
-        time: Seconds,
-        snapshot: ObjectSnapshot,
-        modified: bool,
-        reason: PollReason,
-    ) -> FetchRecord:
-        """Record a completed poll and update the cached snapshot."""
-        log = self._fetch_log
-        if log and time < log[-1].time:
-            raise ValueError(
-                f"fetch at t={time} precedes previous fetch at "
-                f"t={log[-1].time} for {self._object_id!r}"
-            )
-        record = FetchRecord(time, snapshot, modified, reason)
-        log.append(record)
-        self.snapshot = snapshot
-        seen = self.modification_times
-        when = snapshot.last_modified
-        if not seen or when > seen[-1]:
-            seen.append(when)
-        return record
 
     def record_hit(self) -> None:
         self._hits += 1

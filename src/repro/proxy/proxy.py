@@ -24,10 +24,19 @@ from repro.httpsim.messages import Method, Request, Response, Status
 from repro.httpsim.network import Network
 from repro.httpsim.semantics import Upstream, evaluate_conditional_get
 from repro.proxy.cache import ObjectCache
-from repro.proxy.entry import CacheEntry
+from repro.proxy.entry import CacheEntry, FetchRecord
 from repro.proxy.refresher import Refresher
 from repro.sim.kernel import Kernel
 from repro.sim.stats import Counter
+
+# Enum members the per-poll and per-request paths read, bound once: on
+# CPython 3.11 a member read through its class (``Status.OK``) runs the
+# metaclass's ``__getattr__`` hook, about 4x a plain class attribute.
+_GET = Method.GET
+_OK = Status.OK
+_NOT_MODIFIED = Status.NOT_MODIFIED
+_CACHE_MISS = PollReason.CACHE_MISS
+_MUTUAL_TRIGGER = PollReason.MUTUAL_TRIGGER
 
 
 class ProxyCache:
@@ -202,7 +211,7 @@ class ProxyCache:
         server = self._servers.get(object_id)
         if server is None:
             raise UnknownObjectError(str(object_id), where="proxy server bindings")
-        entry = self._issue_poll(object_id, PollReason.CACHE_MISS)
+        entry = self._issue_poll(object_id, _CACHE_MISS)
         if entry.snapshot is None:
             raise UnknownObjectError(str(object_id), where=server.name)
         return entry.snapshot
@@ -244,7 +253,7 @@ class ProxyCache:
             # fetch through, as a client miss would.  Over a latent link
             # the answer cannot arrive within this call, so the 404
             # below stands.
-            self._issue_poll(object_id, PollReason.CACHE_MISS)
+            self._issue_poll(object_id, _CACHE_MISS)
             entry = self._cache.get(object_id, touch=False)
             snapshot = entry.snapshot if entry is not None else None
         if entry is None or snapshot is None:
@@ -300,7 +309,7 @@ class ProxyCache:
         """
         reschedule = (
             self.triggered_polls_reschedule
-            if reason is PollReason.MUTUAL_TRIGGER
+            if reason is _MUTUAL_TRIGGER
             else True
         )
         self.refresher_for(object_id).poll_now(reason, reschedule=reschedule)
@@ -316,12 +325,13 @@ class ProxyCache:
         entry = self._cache.get_or_create(object_id)
         now = self._kernel.now()
         cached = entry.snapshot
+        # Positional, like every message on the poll path (see Request).
         request = Request(
-            Method.GET,
+            _GET,
             object_id,
-            if_modified_since=cached.last_modified if cached is not None else None,
-            wants_history=self._want_history,
-            issued_at=now,
+            cached.last_modified if cached is not None else None,
+            self._want_history,
+            now,
         )
         counts = self.counters.counts
         counts["polls"] += 1
@@ -353,7 +363,7 @@ class ProxyCache:
     ) -> None:
         status = response.status
         cached = entry.snapshot
-        modified = status is Status.OK
+        modified = status is _OK
         if modified:
             version, last_modified = response.version, response.last_modified
             assert version is not None and last_modified is not None
@@ -373,7 +383,7 @@ class ProxyCache:
                 snapshot = ObjectSnapshot(
                     object_id, version, last_modified, response.value
                 )
-        elif status is not Status.NOT_MODIFIED:
+        elif status is not _NOT_MODIFIED:
             raise ProtocolError(
                 f"poll of {object_id!r} returned unexpected status {int(status)}"
             )
@@ -392,11 +402,24 @@ class ProxyCache:
             if history:
                 first_unseen = history[0]
 
-        entry.record_fetch(now, snapshot, modified, reason)
+        # The entry's one writer, inline (a method would be a frame per
+        # poll): fetch log, snapshot and deduped modification times.
+        log = entry._fetch_log
+        if log and now < log[-1].time:
+            raise ValueError(
+                f"fetch at t={now} precedes previous fetch at "
+                f"t={log[-1].time} for {object_id!r}"
+            )
+        log.append(FetchRecord(now, snapshot, modified, reason))
+        entry.snapshot = snapshot
+        seen = entry.modification_times
+        when = snapshot.last_modified
+        if not seen or when > seen[-1]:
+            seen.append(when)
         refresher = self._refreshers.get(object_id)
         outcome = PollOutcome(now, modified, snapshot, first_unseen, updates_since)
         additional = (
-            reason is PollReason.MUTUAL_TRIGGER
+            reason is _MUTUAL_TRIGGER
             and not self.triggered_polls_reschedule
         )
         if refresher is not None:

@@ -35,6 +35,10 @@ from repro.sim.timers import OneShotTimer
 #: internal poll path; the refresher ignores what it returns.
 PollIssuer = Callable[[ObjectId, PollReason], object]
 
+#: The reason every timer-driven poll carries, bound once (a member read
+#: through its enum class is slow on CPython 3.11).
+_TTR_EXPIRED = PollReason.TTR_EXPIRED
+
 #: Fast-forward hook: called with (refresher, next poll time) whenever a
 #: detached refresher re-arms — or with ``None`` when it disarms — so
 #: the engine can queue the new instant or cancel the queued one.
@@ -191,7 +195,7 @@ class Refresher(OneShotTimer):
         if self._stopped:
             return
         self._ff_next_poll = None
-        self._issue_poll(self._object_id, PollReason.TTR_EXPIRED)
+        self._issue_poll(self._object_id, _TTR_EXPIRED)
 
     # ------------------------------------------------------------------
     # Coordinator-facing state
@@ -269,13 +273,24 @@ class Refresher(OneShotTimer):
             if self._detached:
                 self._ff_arm(now + ttr)
             else:
-                self.arm_at(now + ttr)
+                # OneShotTimer.arm_at's body, for the same reason.
+                event = self._event
+                if (
+                    event is not None
+                    and event.generation == self._generation
+                    and not event.fired
+                    and not event.cancelled
+                ):
+                    event.cancelled = True
+                event = self._kernel.schedule_raw(now + ttr, self._fire, self._label)
+                self._event = event
+                self._generation = event.generation
         elif ttr != inf:
             raise self._bad_ttr(ttr)
 
     def _fire(self, kernel: Kernel) -> None:
         if not self._stopped:
-            self._issue_poll(self._object_id, PollReason.TTR_EXPIRED)
+            self._issue_poll(self._object_id, _TTR_EXPIRED)
 
     def __repr__(self) -> str:
         return (

@@ -7,8 +7,8 @@ identities, the never-evict-the-just-inserted-key rule, and bit-for-bit
 determinism.
 
 Hypothesis sections cover the eviction × consistency bridge: an
-evict→refetch cycle must reset the poll history (the refetched entry
-starts with an empty fetch log) and :func:`collect_eviction_impact`
+evict→refetch cycle must reset the poll history (the refetched entry's
+fetch log starts at the refetch) and :func:`collect_eviction_impact`
 must flag exactly the absence windows whose origin updates went
 unserved for longer than Δ.  Random put/get/get_or_create/remove
 programs pin the per-object window index against the flat
@@ -44,8 +44,9 @@ from repro.api.config import (
     TopologyConfig,
     WorkloadConfig,
 )
+from repro.consistency.base import PassivePolicy
 from repro.core.events import PollReason
-from repro.core.types import ObjectId, ObjectSnapshot, Seconds
+from repro.core.types import ObjectId, Seconds
 from repro.httpsim.network import Network
 from repro.metrics.collector import (
     OBJECT_ROW_COLUMNS,
@@ -180,12 +181,6 @@ class _CacheHolder:
         self.cache = cache
 
 
-def _snapshot(object_id: ObjectId, time: Seconds) -> ObjectSnapshot:
-    return ObjectSnapshot(
-        object_id=object_id, version=1, last_modified=time
-    )
-
-
 class TestEvictRefetchProperties:
     """Hypothesis: the evict→refetch cycle vs the staleness bound."""
 
@@ -196,30 +191,27 @@ class TestEvictRefetchProperties:
     )
     @settings(max_examples=60, deadline=None)
     def test_refetch_resets_poll_history(self, polls_before, evicted_at, gap):
-        """The refetched entry starts with an empty fetch log."""
-        cache = ObjectCache(capacity=1)
-        clock = _ManualClock()
-        cache.bind_clock(clock)
+        """The refetched entry's fetch log starts at the refetch."""
+        kernel = Kernel()
+        server = OriginServer()
         a, b = ObjectId("a"), ObjectId("b")
-        entry = CacheEntry(a)
-        for i in range(polls_before):
-            entry.record_fetch(
-                float(i),
-                _snapshot(a, float(i)),
-                modified=True,
-                reason=PollReason.TTR_EXPIRED,
-            )
-        cache.put(entry)
+        server.create_object(a)
+        cache = ObjectCache(capacity=1)
+        proxy = ProxyCache(kernel, Network(kernel), cache=cache)
+        proxy.register_object(a, server, PassivePolicy())  # polls at t=0
+        for i in range(1, polls_before):
+            kernel.run(until=float(i))
+            proxy.trigger_poll(a, reason=PollReason.TTR_EXPIRED)
         assert cache.get(a).poll_count == polls_before
-        clock.now = evicted_at
+        kernel.run(until=evicted_at)
         evicted = cache.put(CacheEntry(b))  # displaces a
         assert evicted is not None and evicted.object_id == a
         assert evicted.poll_count == polls_before  # history left with it
-        clock.now = evicted_at + gap
-        cache.put(CacheEntry(a))  # the refetch
+        kernel.run(until=evicted_at + gap)
+        proxy.handle_client_request(a)  # the refetch, a miss
         refetched = cache.get(a, touch=False)
         assert refetched is not None
-        assert refetched.poll_count == 0
+        assert [r.time for r in refetched.fetch_log] == [evicted_at + gap]
         # Re-putting a into the full cache displaced b, opening b's own
         # (still-open) window; a's is the first.
         window = cache.eviction_windows[0]

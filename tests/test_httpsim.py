@@ -9,6 +9,7 @@ import pytest
 from repro.core.types import ObjectId
 from repro.httpsim.messages import (
     Method,
+    Request,
     Response,
     Status,
     conditional_get,
@@ -60,6 +61,56 @@ class TestMessageFields:
         assert ok == Response(Status.OK, ObjectId("x"), version=1)
         assert ok != Response(Status.OK, ObjectId("x"), version=2)
         assert ok != Response(Status.OK, ObjectId("x"), version=1, served_at=1.0)
+
+
+#: One distinct value per slot, so a swapped parameter shows.
+_FIELDS = {
+    Request: (Method.HEAD, ObjectId("x"), 1.5, True, 2.5),
+    Response: (Status.NOT_MODIFIED, ObjectId("x"), 1.5, 7, 4.5, [1.0], 2.5),
+}
+
+
+class TestPositionalConstruction:
+    """The poll path builds messages positionally, so parameter order
+    is API: it must be slot order."""
+
+    @pytest.mark.parametrize("cls", list(_FIELDS), ids=lambda cls: cls.__name__)
+    def test_positional_equals_keyword_slot_by_slot(self, cls):
+        values = _FIELDS[cls]
+        assert len(values) == len(cls.__slots__)
+        positional = cls(*values)
+        keyword = cls(**dict(zip(cls.__slots__, values)))
+        for name, value in zip(cls.__slots__, values):
+            assert getattr(positional, name) == value, name
+            assert getattr(keyword, name) == value, name
+
+    def test_evaluate_conditional_get_builds_the_keyword_equivalent(self):
+        request = Request(Method.GET, ObjectId("x"), 10.0, True, 3.0)
+        answers = {
+            (None, None): Response(Status.NOT_FOUND, ObjectId("x"), served_at=9.0),
+            (10.0, 1): Response(
+                Status.NOT_MODIFIED,
+                ObjectId("x"),
+                last_modified=10.0,
+                version=1,
+                modification_history=[],
+                served_at=9.0,
+            ),
+            (12.0, 2): Response(
+                Status.OK,
+                ObjectId("x"),
+                last_modified=12.0,
+                version=2,
+                value=0.5,
+                modification_history=[12.0],
+                served_at=9.0,
+            ),
+        }
+        for (last_modified, version), expected in answers.items():
+            got = evaluate_conditional_get(
+                request, 9.0, last_modified, version, 0.5, (5.0, 10.0, 12.0)
+            )
+            assert got == expected
 
 
 class TestConditionalGetSemantics:
@@ -174,14 +225,19 @@ class TestNetwork:
             status=Status.OK, object_id=request.object_id, served_at=now
         )
 
-    def test_synchronous_exchange_completes_inline(self, kernel):
+    def test_zero_latency_exchange_delivers_through_events(self, kernel):
+        # A synchronous link's proxy never calls exchange(); given one,
+        # exchange() still delivers by (zero-delay) kernel events.
         network = Network(kernel)
         responses = []
         network.exchange(
             conditional_get(ObjectId("x")), self._handler, responses.append
         )
+        assert responses == []
+        assert kernel.run() == 2
         assert len(responses) == 1
         assert responses[0].served_at == 0.0
+        assert kernel.now() == 0.0
 
     def test_latency_delays_delivery(self):
         kernel = Kernel()
@@ -198,9 +254,12 @@ class TestNetwork:
         assert kernel.now() == 4.0
 
     def test_request_counter(self, kernel):
-        network = Network(kernel)
+        network = Network(kernel, LatencyModel(one_way=1.0))
+        responses = []
         for _ in range(3):
             network.exchange(
-                conditional_get(ObjectId("x")), self._handler, lambda r: None
+                conditional_get(ObjectId("x")), self._handler, responses.append
             )
-        assert network.requests_sent == 3
+        assert network.requests_sent == 3  # counted when sent
+        kernel.run()
+        assert len(responses) == 3

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import os
 import sys
+from collections import Counter
 
 import pytest
 
+import repro
 from repro.api.builder import SimulationBuilder
 from repro.api.config import SimulationConfigError
 from repro.consistency.base import FixedTTRPolicy, PassivePolicy, RefreshPolicy
@@ -42,33 +45,65 @@ def build_stack(*, want_history=True, triggered_reschedule=False):
     return kernel, server, proxy
 
 
+class _SteppingBackKernel(Kernel):
+    """A fake clock: ``now()`` reads whatever the test last set."""
+
+    __slots__ = ("clock",)
+
+    def now(self):
+        return self.clock
+
+
 class TestCacheEntry:
-    def test_record_fetch_updates_snapshot(self):
-        entry = CacheEntry(ObjectId("x"))
-        assert not entry.populated
-        snap = ObjectSnapshot(ObjectId("x"), version=1, last_modified=5.0)
-        entry.record_fetch(10.0, snap, modified=True, reason=PollReason.INITIAL_FETCH)
+    """A poll's bookkeeping, written by ``ProxyCache._complete_poll``."""
+
+    def _poll_every_ten_seconds(self):
+        kernel, server, proxy = build_stack()
+        server.create_object(ObjectId("x"), created_at=5.0)
+        proxy.register_object(ObjectId("x"), server, FixedTTRPolicy(ttr=10.0))
+        return kernel, server, proxy
+
+    def test_polls_update_snapshot(self):
+        kernel, server, proxy = self._poll_every_ten_seconds()
+        entry = proxy.entry_for(ObjectId("x"))
         assert entry.populated
-        assert entry.snapshot is snap
+        assert entry.snapshot == ObjectSnapshot(ObjectId("x"), 0, 5.0)
         assert entry.poll_count == 1
-        assert entry.last_poll_time == 10.0
+        assert entry.last_poll_time == 0.0
+        kernel.schedule_at(12.0, lambda k: server.apply_update(ObjectId("x"), 12.0))
+        kernel.run(until=20.0)
+        assert entry.snapshot == ObjectSnapshot(ObjectId("x"), 1, 12.0)
+        assert entry.poll_count == 3
+        assert entry.last_poll_time == 20.0
+        assert [(r.time, r.modified, r.reason) for r in entry.fetch_log] == [
+            (0.0, True, PollReason.INITIAL_FETCH),
+            (10.0, False, PollReason.TTR_EXPIRED),
+            (20.0, True, PollReason.TTR_EXPIRED),
+        ]
 
     def test_fetches_must_be_time_ordered(self):
-        entry = CacheEntry(ObjectId("x"))
-        snap = ObjectSnapshot(ObjectId("x"), version=1, last_modified=5.0)
-        entry.record_fetch(10.0, snap, modified=True, reason=PollReason.INITIAL_FETCH)
-        with pytest.raises(ValueError):
-            entry.record_fetch(9.0, snap, modified=False, reason=PollReason.TTR_EXPIRED)
+        kernel = _SteppingBackKernel()
+        kernel.clock = 10.0
+        server = OriginServer()
+        server.create_object(ObjectId("x"))
+        proxy = ProxyCache(kernel, Network(kernel))
+        proxy.register_object(ObjectId("x"), server, PassivePolicy())
+        kernel.clock = 9.0
+        with pytest.raises(ValueError, match="precedes previous fetch"):
+            proxy.trigger_poll(ObjectId("x"), reason=PollReason.TTR_EXPIRED)
+        assert proxy.entry_for(ObjectId("x")).poll_count == 1
 
     def test_known_modification_times_dedupes_304_revalidations(self):
-        entry = CacheEntry(ObjectId("x"))
-        v1 = ObjectSnapshot(ObjectId("x"), version=1, last_modified=5.0)
-        v2 = ObjectSnapshot(ObjectId("x"), version=2, last_modified=30.0)
-        entry.record_fetch(10.0, v1, modified=True, reason=PollReason.INITIAL_FETCH)
-        # A 304 revalidation re-records the same snapshot.
-        entry.record_fetch(20.0, v1, modified=False, reason=PollReason.TTR_EXPIRED)
-        entry.record_fetch(40.0, v2, modified=True, reason=PollReason.TTR_EXPIRED)
-        assert entry.modification_times == [5.0, 30.0]
+        kernel, server, proxy = self._poll_every_ten_seconds()
+        kernel.schedule_at(25.0, lambda k: server.apply_update(ObjectId("x"), 25.0))
+        # The 304s at t=10 and t=20 re-validate the t=5 snapshot, and the
+        # one at t=40 the t=25 one.
+        kernel.run(until=40.0)
+        entry = proxy.entry_for(ObjectId("x"))
+        assert [r.modified for r in entry.fetch_log] == [
+            True, False, False, True, False,
+        ]
+        assert entry.modification_times == [5.0, 25.0]
 
     def test_known_modification_times_empty_before_fetches(self):
         entry = CacheEntry(ObjectId("x"))
@@ -375,7 +410,7 @@ class TestInvalidTTR:
 
 class TestRefresherIsItsOwnTimer:
     """One frame per layer: kernel -> Refresher -> issuer on expiry, and
-    on_poll_complete -> arm_at -> schedule_raw on the re-arm."""
+    on_poll_complete -> schedule_raw on the re-arm."""
 
     def test_expiry_and_rearm_frame_chains(self):
         chains = []
@@ -407,9 +442,69 @@ class TestRefresherIsItsOwnTimer:
         assert chains == [
             ("arm", ["arm_at", "start"]),
             (PollReason.TTR_EXPIRED, ["_fire", "_drain"]),
-            ("arm", ["arm_at", "on_poll_complete"]),
+            ("arm", ["on_poll_complete", "test_expiry_and_rearm_frame_chains"]),
         ]
         assert refresher.next_poll_time == 20.0
+
+
+class TestPollFrames:
+    """The Python frames one TTR poll enters, pinned by qualified name.
+
+    A child polls its parent proxy over a synchronous link under
+    ``static_ttl``; the parent's own TTL outlasts the run, so every
+    frame counted belongs to a child poll (each a 304).  Counted with
+    ``sys.setprofile``, as ``tests/test_sim_kernel.py::TestDispatchFrames``
+    counts dispatch; ``run`` and ``_drain`` are entered once per run.
+    Only frames whose code lives in the ``repro`` package count, so a
+    garbage-collector callback another library installed (Hypothesis
+    times its collections) cannot add a frame.
+    """
+
+    POLLS = 100
+    FRAMES = {
+        "Refresher._fire",
+        "ProxyCache._issue_poll",
+        "ObjectCache.get_or_create",
+        "Kernel.now",
+        "Request.__init__",
+        "ProxyCache.handle_request",
+        "ObjectCache.get",
+        "evaluate_conditional_get",
+        "Response.__init__",
+        "ProxyCache._complete_poll",
+        "FetchRecord.__init__",
+        "PollOutcome.__init__",
+        "Refresher.on_poll_complete",
+        "StaticTTLPolicy.next_ttr",
+        "Kernel.schedule_raw",
+    }
+
+    def test_a_child_poll_enters_fifteen_frames(self):
+        kernel = Kernel()
+        origin = OriginServer()
+        origin.create_object(ObjectId("x"))
+        parent = ProxyCache(kernel, Network(kernel), name="parent")
+        parent.register_object(ObjectId("x"), origin, StaticTTLPolicy(ttl=1e6))
+        child = ProxyCache(kernel, Network(kernel), name="child")
+        child.register_object(ObjectId("x"), parent, StaticTTLPolicy(ttl=10.0))
+        frames = Counter()
+        package = os.path.dirname(repro.__file__) + os.sep
+
+        def profiler(frame, event, arg):
+            if event == "call" and frame.f_code.co_filename.startswith(package):
+                frames[frame.f_code.co_qualname] += 1
+
+        sys.setprofile(profiler)
+        try:
+            kernel.run(until=10.0 * self.POLLS)
+        finally:
+            sys.setprofile(None)
+        assert child.counters.get("polls") == 1 + self.POLLS
+        assert frames.pop("Kernel.run") + frames.pop("Kernel._drain") == 2
+        assert "CacheEntry.record_fetch" not in frames
+        assert "OneShotTimer.arm_at" not in frames
+        assert set(frames) == self.FRAMES
+        assert sum(frames.values()) <= 15 * self.POLLS
 
 
 class TestTriggeredPolls:

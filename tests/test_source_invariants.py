@@ -19,6 +19,8 @@ that would make it vary between processes or slow the per-event path:
 * every class defined in ``repro.sim`` / ``repro.proxy`` carries
   ``__slots__`` (enums, exceptions and protocols aside), checked on the
   imported classes.
+* the poll path's ``Request(...)`` / ``Response(...)`` calls carry no
+  keyword argument.
 * set iteration order leaking into rows is not approximated statically:
   the goldens are recomputed under two different ``PYTHONHASHSEED``
   values, which sees every package and every container.
@@ -252,6 +254,31 @@ class TestHotPathClassesAreSlotted:
         assert unslotted == ["Unslotted", "UnslottedRecord"]
         clean = runpy.run_path(str(FIXTURES / "slots" / "clean.py"))
         assert _unslotted(clean, clean["__name__"]) == []
+
+
+#: The modules that build a message per poll.
+POLL_PATH = ("proxy/proxy.py", "httpsim/semantics.py", "server/origin.py")
+
+
+def test_poll_path_builds_messages_positionally():
+    """On CPython a class called with keywords builds a kwargs dict per
+    call (``slot_tp_init``); the poll path's ``Request(...)`` and
+    ``Response(...)`` calls pass every field positionally."""
+    calls = [
+        (relative, node)
+        for relative in POLL_PATH
+        for node in ast.walk(ast.parse((SOURCE_ROOT / relative).read_text()))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id in ("Request", "Response")
+    ]
+    assert len(calls) >= 4, "poll-path message construction not found"
+    keyworded = [
+        f"{relative}:{node.lineno}: {node.func.id}(...)"
+        for relative, node in calls
+        if node.keywords
+    ]
+    assert keyworded == []
 
 
 @pytest.mark.parametrize("hash_seed", ["1", "4242"])
