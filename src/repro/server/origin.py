@@ -95,9 +95,24 @@ class OriginServer:
     def apply_update(
         self, object_id: ObjectId, time: Seconds, value: Optional[float] = None
     ) -> None:
-        """Apply one update to an object (called by the update feeder)."""
-        obj = self.get_object(object_id)
-        obj.apply_update(time, value)
+        """Apply one update to an object (called by the update feeder).
+
+        The one writer of a :class:`ServerObject`'s two lists: the new
+        version is one append to each, in place, so an update builds no
+        record.  Updates must be strictly after the previous
+        modification.
+        """
+        obj = self._objects.get(object_id)
+        if obj is None:
+            raise UnknownObjectError(str(object_id), where=self.name)
+        times = obj.times
+        if not time > times[-1]:
+            raise ValueError(
+                f"update at t={time} must be after last modification "
+                f"at t={times[-1]} for {object_id!r}"
+            )
+        times.append(time)
+        obj.values.append(value)
         self.counters.counts["updates_applied"] += 1
         if self._update_listeners:
             for listener in tuple(self._update_listeners):
@@ -121,15 +136,16 @@ class OriginServer:
                 value=None,
                 history_times=(),
             )
+        # The object's lists, read in place: no property frame per poll.
+        # The history is the live list; a 200 carries a fresh slice of it.
+        times = obj.times
         response = evaluate_conditional_get(
             request,
             now=now,
-            last_modified=obj.last_modified,
-            version=obj.current_version,
-            value=obj.current_value,
-            history_times=(
-                obj.modification_times_view() if self.supports_history else None
-            ),
+            last_modified=times[-1],
+            version=len(times) - 1,
+            value=obj.values[-1],
+            history_times=times if self.supports_history else None,
         )
         counts[_RESPONSE_COUNTER_NAMES[response.status]] += 1
         return response

@@ -35,14 +35,11 @@ class UpdateFeeder:
         kernel: Kernel,
         server: OriginServer,
         trace: UpdateTrace,
-        *,
-        create_object: bool = True,
     ) -> None:
-        self._trace = trace
         self._object_id = trace.object_id
         self._sink = server.apply_update
         self._applied = 0
-        if create_object and not server.has_object(trace.object_id):
+        if not server.has_object(trace.object_id):
             server.create_object(
                 trace.object_id,
                 created_at=trace.start_time,
@@ -57,10 +54,6 @@ class UpdateFeeder:
         kernel.schedule_series(
             self._times, self._apply_next, label=f"update.{trace.object_id}"
         )
-
-    @property
-    def trace(self) -> UpdateTrace:
-        return self._trace
 
     @property
     def scheduled_count(self) -> int:

@@ -2,11 +2,20 @@
 
 from __future__ import annotations
 
-import pytest
+import math
+import os
+import sys
+from collections import Counter
+from itertools import accumulate
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import repro
 from repro.consistency.base import FixedTTRPolicy
 from repro.core.errors import SchedulingInPastError, UnknownObjectError
-from repro.core.types import ObjectId
+from repro.core.types import ObjectId, ObjectSnapshot
 from repro.httpsim.messages import Status, conditional_get
 from repro.httpsim.network import Network
 from repro.proxy.proxy import ProxyCache
@@ -17,64 +26,78 @@ from repro.sim.kernel import Kernel
 from repro.traces.model import trace_from_ticks, trace_from_times
 
 
+X = ObjectId("x")
+
+
+def _origin(*, created_at=0.0, initial_value=None):
+    """An origin holding one object ``x``; updates go through the server,
+    the object's one writer."""
+    server = OriginServer()
+    obj = server.create_object(X, created_at=created_at, initial_value=initial_value)
+    return server, obj
+
+
 class TestServerObject:
     def test_creation_is_version_zero(self):
-        obj = ServerObject(ObjectId("x"), created_at=5.0)
+        obj = ServerObject(X, created_at=5.0)
         assert obj.current_version == 0
         assert obj.last_modified == 5.0
-        assert obj.update_count == 0
+        assert (obj.times, obj.values) == ([5.0], [None])
 
     def test_updates_increment_version(self):
-        obj = ServerObject(ObjectId("x"))
-        obj.apply_update(1.0)
-        obj.apply_update(2.0)
+        server, obj = _origin()
+        server.apply_update(X, 1.0)
+        server.apply_update(X, 2.0)
         assert obj.current_version == 2
         assert obj.last_modified == 2.0
 
     def test_update_not_after_last_rejected(self):
-        obj = ServerObject(ObjectId("x"), created_at=5.0)
-        with pytest.raises(ValueError):
-            obj.apply_update(5.0)
-        with pytest.raises(ValueError):
-            obj.apply_update(4.0)
+        server, obj = _origin(created_at=5.0)
+        for time in (5.0, 4.0, math.nan):
+            with pytest.raises(ValueError):
+                server.apply_update(X, time)
+        assert (obj.times, obj.values) == ([5.0], [None])
+        assert server.counters.get("updates_applied") == 0
 
     def test_value_updates(self):
-        obj = ServerObject(ObjectId("x"), initial_value=10.0)
-        obj.apply_update(1.0, value=11.0)
+        server, obj = _origin(initial_value=10.0)
+        server.apply_update(X, 1.0, value=11.0)
         assert obj.current_value == 11.0
-        assert obj.value_at(0.5) == 10.0
+        assert obj.state_at(0.5).value == 10.0
 
     def test_snapshot_reflects_current_state(self):
-        obj = ServerObject(ObjectId("x"))
-        obj.apply_update(3.0, value=7.0)
-        snap = obj.snapshot(now=4.0)
-        assert snap.version == 1
-        assert snap.last_modified == 3.0
-        assert snap.value == 7.0
+        server, obj = _origin()
+        server.apply_update(X, 3.0, value=7.0)
+        assert obj.state_at(4.0) == ObjectSnapshot(X, 1, 3.0, 7.0)
 
-    def test_snapshot_before_last_modification_rejected(self):
-        obj = ServerObject(ObjectId("x"))
-        obj.apply_update(3.0)
-        with pytest.raises(ValueError):
-            obj.snapshot(now=2.0)
+    def test_version_is_the_index_into_times_and_values(self):
+        server, obj = _origin(initial_value=1.0)
+        for time, value in ((2.0, 2.0), (4.0, 3.0), (8.0, 4.0)):
+            server.apply_update(X, time, value)
+        assert obj.times == [0.0, 2.0, 4.0, 8.0]
+        assert obj.values == [1.0, 2.0, 3.0, 4.0]
+        for version, time in enumerate(obj.times):
+            assert obj.state_at(time) == ObjectSnapshot(
+                X, version, time, obj.values[version]
+            )
 
     def test_state_at_historical_instants(self):
-        obj = ServerObject(ObjectId("x"), created_at=0.0)
-        obj.apply_update(10.0)
-        obj.apply_update(20.0)
+        server, obj = _origin()
+        server.apply_update(X, 10.0)
+        server.apply_update(X, 20.0)
         assert obj.state_at(5.0).version == 0
         assert obj.state_at(10.0).version == 1
         assert obj.state_at(15.0).version == 1
         assert obj.state_at(25.0).version == 2
 
     def test_state_at_before_creation_is_none(self):
-        obj = ServerObject(ObjectId("x"), created_at=5.0)
+        obj = ServerObject(X, created_at=5.0)
         assert obj.state_at(4.0) is None
 
     def test_modification_times_includes_creation(self):
-        obj = ServerObject(ObjectId("x"), created_at=1.0)
-        obj.apply_update(2.0)
-        assert obj.modification_times() == (1.0, 2.0)
+        server, obj = _origin(created_at=1.0)
+        server.apply_update(X, 2.0)
+        assert obj.times == [1.0, 2.0]
 
 
 class TestOriginServer:
@@ -294,3 +317,81 @@ class TestUpdateFeederContract:
         with pytest.raises(SchedulingInPastError):
             UpdateFeeder(kernel, OriginServer(), trace)
         assert kernel.pending_count == 0
+
+
+class TestUpdateFrames:
+    """The Python frames one trace update enters, pinned by qualified name.
+
+    Counted with ``sys.setprofile``, as
+    ``tests/test_proxy.py::TestPollFrames`` counts a poll; ``run`` and
+    ``_drain`` are entered once per run.  Only frames whose code lives in
+    the ``repro`` package count.  Applying an update appends to the
+    origin object's two lists inside ``OriginServer.apply_update``: no
+    lookup method, no object method, no record constructor.
+    """
+
+    UPDATES = 200
+    FRAMES = {"_Series.fire", "UpdateFeeder._apply_next", "OriginServer.apply_update"}
+
+    def test_an_update_enters_three_frames(self):
+        kernel = Kernel()
+        server = OriginServer()
+        times = [float(t) for t in range(1, self.UPDATES + 1)]
+        UpdateFeeder(kernel, server, trace_from_times(X, times))
+        frames = Counter()
+        package = os.path.dirname(repro.__file__) + os.sep
+
+        def profiler(frame, event, arg):
+            if event == "call" and frame.f_code.co_filename.startswith(package):
+                frames[frame.f_code.co_qualname] += 1
+
+        sys.setprofile(profiler)
+        try:
+            kernel.run()
+        finally:
+            sys.setprofile(None)
+        assert server.get_object(X).current_version == self.UPDATES
+        assert frames.pop("Kernel.run") + frames.pop("Kernel._drain") == 2
+        assert set(frames) == self.FRAMES
+        assert sum(frames.values()) == 3 * self.UPDATES
+
+
+class TestOriginFollowsItsTrace:
+    """Black-box, through ``handle_request``: at any instant a fed origin
+    answers its trace's latest record, whose index (plus the creation)
+    is the version, and serves the trace's prefix as its history."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        gaps=st.lists(st.floats(min_value=0.25, max_value=100.0), max_size=40),
+        probes=st.lists(st.floats(min_value=0.0, max_value=5000.0), max_size=8),
+        valued=st.booleans(),
+    )
+    def test_a_poll_at_any_instant_sees_the_latest_record(self, gaps, probes, valued):
+        times = list(accumulate(gaps))
+        if valued:
+            trace = trace_from_ticks(X, [(t, 10.0 + i) for i, t in enumerate(times)])
+        else:
+            trace = trace_from_times(X, times)
+        initial_value = trace[0].value if times else None
+        kernel = Kernel()
+        server = OriginServer()
+        UpdateFeeder(kernel, server, trace)
+        for probe in sorted(probes):
+            kernel.run(until=probe)
+            response = server.handle_request(
+                conditional_get(X, want_history=True), probe
+            )
+            latest = trace.latest_at(probe)
+            version = 0 if latest is None else latest.version + 1
+            assert response.status is Status.OK
+            assert response.version == version
+            assert server.counters.get("updates_applied") == version
+            if latest is None:
+                assert (response.last_modified, response.value) == (0.0, initial_value)
+            else:
+                assert (response.last_modified, response.value) == (
+                    latest.time,
+                    latest.value,
+                )
+            assert response.modification_history == [0.0, *times[:version]]
