@@ -13,8 +13,8 @@ Two effects are on display:
   matter how many edges exist;
 * **staleness composition** — each level adds up to its own Δ of
   staleness, so an edge honours roughly 2Δ against the origin.  The
-  snapshot-based fidelity metric (which evaluates the versions the edge
-  *actually held*, not just when it polled) quantifies this.
+  fidelity metric scores the versions the edge *actually held* (each
+  response's Last-Modified), not just when it polled, so it shows this.
 
 Run:
     python examples/cdn_hierarchy.py
@@ -26,7 +26,7 @@ from repro.consistency.limd import LimdPolicy
 from repro.core.types import MINUTE, TTRBounds
 from repro.experiments.workloads import news_trace
 from repro.httpsim.network import Network
-from repro.metrics.fidelity import temporal_fidelity_from_snapshots
+from repro.metrics.collector import collect_temporal
 from repro.proxy.proxy import ProxyCache
 from repro.server.origin import OriginServer
 from repro.server.updates import feed_traces
@@ -40,13 +40,6 @@ def limd_policy() -> LimdPolicy:
     return LimdPolicy(
         DELTA, bounds=TTRBounds(ttr_min=DELTA, ttr_max=60 * MINUTE)
     )
-
-
-def edge_fidelity(trace, proxy, delta) -> float:
-    fetch_log = proxy.entry_for(trace.object_id).fetch_log
-    return temporal_fidelity_from_snapshots(
-        trace, fetch_log, delta
-    ).fidelity_by_time
 
 
 def main() -> None:
@@ -77,13 +70,11 @@ def main() -> None:
 
     print(f"{'proxy':<9} {'polls':>6} {'fidelity @ Δ':>13} "
           f"{'fidelity @ 2Δ':>14}")
-    print(f"{'parent':<9} {parent.counters.get('polls'):>6} "
-          f"{edge_fidelity(trace, parent, DELTA):>13.3f} "
-          f"{edge_fidelity(trace, parent, 2 * DELTA):>14.3f}")
-    for edge in edges:
-        print(f"{edge.name:<9} {edge.counters.get('polls'):>6} "
-              f"{edge_fidelity(trace, edge, DELTA):>13.3f} "
-              f"{edge_fidelity(trace, edge, 2 * DELTA):>14.3f}")
+    for proxy in [parent, *edges]:
+        at_delta = collect_temporal(proxy, trace, DELTA).fidelity_by_time
+        at_2delta = collect_temporal(proxy, trace, 2 * DELTA).fidelity_by_time
+        print(f"{proxy.name:<9} {proxy.counters.get('polls'):>6} "
+              f"{at_delta:>13.3f} {at_2delta:>14.3f}")
 
     print(
         "\nThe parent honours Δ against the origin; each edge honours Δ"

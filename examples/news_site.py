@@ -133,7 +133,7 @@ def main() -> None:
         proxy, coordinator, traces = run_once(mode)
         total_polls = proxy.counters.get("polls")
         page_trace = traces[0]
-        individual = collect_temporal(proxy, page_trace, DELTA).report
+        individual = collect_temporal(proxy, page_trace, DELTA)
         # Mutual fidelity of the page against each media object.
         mutual_fidelities = []
         for media_trace in traces[1:]:

@@ -36,11 +36,11 @@ def main() -> None:
 
     # --- LIMD: the paper's adaptive algorithm --------------------------
     limd_run = run_individual([trace], limd_policy_factory(delta))
-    limd = collect_temporal(limd_run.proxy, trace, delta).report
+    limd = collect_temporal(limd_run.proxy, trace, delta)
 
     # --- Baseline: poll the server every Δ ------------------------------
     base_run = run_individual([trace], fixed_policy_factory(delta))
-    base = collect_temporal(base_run.proxy, trace, delta).report
+    base = collect_temporal(base_run.proxy, trace, delta)
 
     print(f"{'approach':<10} {'polls':>6} {'fidelity (Eq.13)':>17} "
           f"{'fidelity (Eq.14)':>17}")

@@ -26,6 +26,6 @@ Quickstart::
     trace = news_trace("cnn_fn")
     delta = 10 * MINUTE
     result = run_individual([trace], limd_policy_factory(delta))
-    report = collect_temporal(result.proxy, trace, delta).report
+    report = collect_temporal(result.proxy, trace, delta)
     print(report.polls, report.fidelity_by_violations)
 """

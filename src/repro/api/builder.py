@@ -422,9 +422,6 @@ def _keyed_tree_rows(
         if owns is not None and key not in owns:
             continue
         batch = ColumnarBuilder(OBJECT_ROW_COLUMNS)
-        # Level-0 nodes track the origin itself and score at poll
-        # times; deeper nodes refresh to parent-current (possibly
-        # stale) state and are scored from the snapshots actually held.
         append_object_rows(
             batch.row_writer(OBJECT_ROW_COLUMNS),
             node.name,
@@ -432,7 +429,6 @@ def _keyed_tree_rows(
             traces,
             delta,
             horizon=horizon,
-            snapshots=node.level > 0,
         )
         keyed.append((key, batch))
     return keyed

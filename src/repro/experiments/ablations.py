@@ -179,7 +179,7 @@ def _history_point(
         supports_history=(mode == "history"),
         want_history=(mode == "history"),
     )
-    report = collect_temporal(result.proxy, trace, delta).report
+    report = collect_temporal(result.proxy, trace, delta)
     return {
         "detection": mode,
         "polls": report.polls,
@@ -496,7 +496,7 @@ def _limd_parameters_point(
         [trace],
         limd_policy_factory(delta, ttr_max=TTR_MAX, parameters=parameters),
     )
-    report = collect_temporal(result.proxy, trace, delta).report
+    report = collect_temporal(result.proxy, trace, delta)
     m = parameters.multiplicative_decrease
     return {
         "tuning": tuning,
@@ -553,7 +553,10 @@ def _latency_point(
     ablation quantifies what that assumption hides.  A poll's response
     arrives one round trip after it was issued, so the effective poll
     period stretches by 2·latency and the copy's staleness floor rises —
-    fidelity degrades as the one-way latency approaches Δ.
+    fidelity degrades as the one-way latency approaches Δ.  The copy is
+    scored from the version each response carried, so the return leg's
+    staleness (the origin state is one latency old on arrival) is
+    charged too.
     """
     result = run_individual(
         [trace],
@@ -562,7 +565,7 @@ def _latency_point(
         ),
         latency=LatencyModel(one_way=latency),
     )
-    report = collect_temporal(result.proxy, trace, delta).report
+    report = collect_temporal(result.proxy, trace, delta)
     return {
         "one_way_latency_s": latency,
         "latency_over_delta": latency / delta,

@@ -127,9 +127,9 @@ def _point(
             detection_mode=detection_mode,
         ),
     )
-    limd = collect_temporal(limd_run.proxy, trace, delta).report
+    limd = collect_temporal(limd_run.proxy, trace, delta)
     baseline_run = run_individual([trace], fixed_policy_factory(delta))
-    baseline = collect_temporal(baseline_run.proxy, trace, delta).report
+    baseline = collect_temporal(baseline_run.proxy, trace, delta)
     return {
         "trace": trace_key,
         "limd_polls": limd.polls,

@@ -17,7 +17,7 @@ from repro.api.runs import build_core
 from repro.consistency.limd import LimdPolicy
 from repro.core.types import MINUTE, ObjectId, Seconds, TTRBounds
 from repro.experiments.workloads import news_trace
-from repro.metrics.collector import mean_snapshot_fidelity
+from repro.metrics.collector import collect_temporal
 from repro.scenarios.engine import ScenarioResult
 from repro.scenarios.registry import Claim, Verdict, scenario
 from repro.topology.levels import TreeLevel
@@ -98,14 +98,18 @@ def _topology_row(
     flat = topology == "flat"
     tree = _run_tree(trace, (edge_count,) if flat else (1, edge_count))
     edges = [node.proxy for node in tree.edge_nodes]
-    return {
+    row: Dict[str, object] = {
         "topology": topology,
         "edges": edge_count,
         "origin_requests": tree.origin_request_count(),
         "parent_polls": None if flat else tree.polls_per_level()[0],
-        # Scored from the snapshots the edges held: an edge poll
-        # refreshes to *parent*-current state, which can itself be
-        # stale, so poll-time fidelity would overestimate freshness.
-        "edge_fidelity_1x": mean_snapshot_fidelity(edges, [trace], DELTA),
-        "edge_fidelity_2x": mean_snapshot_fidelity(edges, [trace], 2 * DELTA),
     }
+    # Mean over edges, each scored from the versions it held: an edge
+    # poll refreshes to *parent*-current state, which can itself be stale.
+    for factor in (1, 2):
+        scores = [
+            collect_temporal(edge, trace, factor * DELTA).fidelity_by_time
+            for edge in edges
+        ]
+        row[f"edge_fidelity_{factor}x"] = sum(scores) / len(scores)
+    return row

@@ -2,7 +2,7 @@
 
 After a run, an experiment holds a :class:`~repro.proxy.proxy.ProxyCache`
 (with per-entry fetch logs) and the ground-truth traces.  The collector
-extracts poll schedules from the fetch logs and invokes the metric
+extracts fetch schedules from the fetch logs and invokes the metric
 functions, producing the rows the paper's figures plot.
 
 Result-row production for the config execution path lives here too:
@@ -21,7 +21,6 @@ from typing import (
     TYPE_CHECKING,
     Callable,
     Dict,
-    Iterable,
     List,
     Optional,
     Sequence,
@@ -34,8 +33,8 @@ if TYPE_CHECKING:  # pragma: no cover - types only, avoids import cycle
 from repro.core.types import ObjectId, Seconds
 from repro.metrics.fidelity import (
     FidelityReport,
+    TemporalFetch,
     temporal_fidelity,
-    temporal_fidelity_from_snapshots,
     value_fidelity,
 )
 from repro.metrics.group import group_temporal_fidelity
@@ -47,15 +46,9 @@ from repro.proxy.proxy import ProxyCache
 from repro.traces.model import UpdateTrace
 
 
-def poll_times_of(proxy: ProxyCache, object_id: ObjectId) -> List[Seconds]:
-    """The times of all completed polls of an object."""
-    entry = proxy.entry_for(object_id)
-    return [record.time for record in entry.fetch_log]
-
-
 def temporal_fetches_of(
     proxy: ProxyCache, object_id: ObjectId
-) -> List[Tuple[Seconds, Seconds]]:
+) -> List[TemporalFetch]:
     """(poll time, obtained Last-Modified) pairs for an object."""
     entry = proxy.entry_for(object_id)
     return [
@@ -84,18 +77,6 @@ def value_fetches_of(
     return fetches
 
 
-@dataclass(frozen=True)
-class ObjectReport:
-    """Per-object evaluation: poll count plus a fidelity report."""
-
-    object_id: ObjectId
-    report: FidelityReport
-
-    @property
-    def polls(self) -> int:
-        return self.report.polls
-
-
 def collect_temporal(
     proxy: ProxyCache,
     trace: UpdateTrace,
@@ -103,45 +84,10 @@ def collect_temporal(
     *,
     start: Optional[Seconds] = None,
     end: Optional[Seconds] = None,
-) -> ObjectReport:
+) -> FidelityReport:
     """Δt-consistency report for one object after a run."""
-    polls = poll_times_of(proxy, trace.object_id)
-    report = temporal_fidelity(trace, polls, delta, start=start, end=end)
-    return ObjectReport(object_id=trace.object_id, report=report)
-
-
-def collect_snapshot_fidelity(
-    proxy: ProxyCache, trace: UpdateTrace, delta: Seconds
-) -> ObjectReport:
-    """Δt-consistency report scored from the snapshots actually held.
-
-    Essential for nodes below another cache (hierarchy edges, deep
-    topology-tree levels): their polls refresh to *upstream*-current
-    state, which can itself be stale, so poll-time scoring
-    (:func:`collect_temporal`) would overestimate freshness.
-    """
-    report = temporal_fidelity_from_snapshots(
-        trace, proxy.entry_for(trace.object_id).fetch_log, delta
-    )
-    return ObjectReport(object_id=trace.object_id, report=report)
-
-
-def mean_snapshot_fidelity(
-    proxies: Iterable[ProxyCache],
-    traces: Sequence[UpdateTrace],
-    delta: Seconds,
-) -> float:
-    """Mean snapshot-scored time-fidelity over (proxy, object) pairs.
-
-    The edge-level summary of an unbounded proxy tree, proxy by proxy
-    and object by object within each.
-    """
-    scores = [
-        collect_snapshot_fidelity(proxy, trace, delta).report.fidelity_by_time
-        for proxy in proxies
-        for trace in traces
-    ]
-    return sum(scores) / len(scores)
+    fetches = temporal_fetches_of(proxy, trace.object_id)
+    return temporal_fidelity(trace, fetches, delta, start=start, end=end)
 
 
 def collect_value(
@@ -151,11 +97,10 @@ def collect_value(
     *,
     start: Optional[Seconds] = None,
     end: Optional[Seconds] = None,
-) -> ObjectReport:
+) -> FidelityReport:
     """Δv-consistency report for one valued object after a run."""
     fetches = value_fetches_of(proxy, trace.object_id)
-    report = value_fidelity(trace, fetches, delta, start=start, end=end)
-    return ObjectReport(object_id=trace.object_id, report=report)
+    return value_fidelity(trace, fetches, delta, start=start, end=end)
 
 
 @dataclass(frozen=True)
@@ -357,14 +302,11 @@ def append_object_rows(
     delta: Optional[Seconds],
     *,
     horizon: Optional[Seconds] = None,
-    snapshots: bool = False,
 ) -> None:
     """Emit one :data:`OBJECT_ROW_COLUMNS` row per trace on one node.
 
-    ``snapshots`` selects snapshot-based fidelity scoring
-    (:func:`collect_snapshot_fidelity`) for nodes below another cache;
-    poll-time scoring (:func:`collect_temporal`) is the default.  With
-    ``delta=None`` the fidelity cells are ``None``.
+    Fidelity is scored by :func:`collect_temporal`; with ``delta=None``
+    the fidelity cells are ``None``.
     """
     for trace in traces:
         # A bounded cache may have evicted the object without a later
@@ -376,10 +318,7 @@ def append_object_rows(
         polls = 0
         if entry is not None:
             if delta is not None:
-                collect = (
-                    collect_snapshot_fidelity if snapshots else collect_temporal
-                )
-                report = collect(proxy, trace, delta).report
+                report = collect_temporal(proxy, trace, delta)
                 violations = report.fidelity_by_violations
                 by_time = report.fidelity_by_time
             polls = entry.poll_count

@@ -10,11 +10,13 @@ These computations are **omniscient**: they use the full update trace
 (ground truth), not what the proxy managed to observe — a mechanism must
 not get credit for violations it failed to detect.
 
-Temporal-domain semantics (Eq. 2, Figure 1): after a poll at ``p`` the
-proxy's copy equals the server state at ``p``; the copy stays
-Δt-consistent until Δ after the *first* subsequent server update.  A
-poll at ``q`` therefore reveals a violation iff the first update in
-``(p, q]`` is more than Δ old at ``q``.
+Temporal-domain semantics (Eq. 2, Figure 1): a poll at ``p`` leaves the
+proxy holding the version its response's ``last_modified`` names — the
+origin's state when the response left it, which behind a latent link or
+a stale parent cache is older than ``p``.  The copy stays Δt-consistent
+until Δ after the *first* origin update newer than that version.  The
+next poll at ``q`` therefore reveals a violation iff that update is more
+than Δ old at ``q``.
 
 Value-domain semantics (Eq. 3): the copy is consistent at time t iff
 ``|S(t) − cached value| < Δ``.
@@ -27,6 +29,10 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.core.types import Seconds
 from repro.traces.model import UpdateTrace
+
+#: (poll_time, last_modified of the version obtained) — the per-poll
+#: record Δt and Mt evaluation need.
+TemporalFetch = Tuple[Seconds, Seconds]
 
 
 @dataclass(frozen=True)
@@ -58,140 +64,60 @@ class FidelityReport:
 # ----------------------------------------------------------------------
 def temporal_fidelity(
     trace: UpdateTrace,
-    poll_times: Sequence[Seconds],
+    fetches: Sequence[TemporalFetch],
     delta: Seconds,
     *,
     start: Optional[Seconds] = None,
     end: Optional[Seconds] = None,
 ) -> FidelityReport:
-    """Evaluate Δt-consistency of a polling schedule against ground truth.
+    """Evaluate Δt-consistency of a fetch schedule against ground truth.
 
     Args:
-        trace: The object's true update history.
-        poll_times: When the proxy refreshed the object (ascending).
-            The first entry is normally the initial fetch.
+        trace: The object's true (origin) update history.
+        fetches: (poll time, obtained Last-Modified) pairs, ascending in
+            time.  The first entry is normally the initial fetch.
         delta: The Δ bound, in seconds.
         start, end: Evaluation window (defaults to the trace window).
+
+    Between fetches the copy holds the version its Last-Modified names;
+    it is out of sync from Δ after the first origin update newer than
+    that version.  A poll counts as a violation (Eq. 13) when it closes
+    a segment that went out of sync; the final open segment adds
+    out-of-sync time (Eq. 14) but no violation.  Before the first fetch
+    nothing is charged; a never-fetched object is out of sync from Δ
+    after the first update in the window.
     """
     if delta <= 0:
         raise ValueError(f"delta must be positive, got {delta}")
     window_start = start if start is not None else trace.start_time
     window_end = end if end is not None else trace.end_time
-    polls = sorted(poll_times)
-    _require_ascending(polls)
+    _require_ascending([t for t, _ in fetches])
 
     violations = 0
-    for prev, curr in zip(polls, polls[1:]):
-        first = trace.next_after(prev)
-        if first is not None and first.time <= curr:
-            if curr - first.time > delta:
-                violations += 1
-
-    out_sync = _temporal_out_sync_time(
-        trace, polls, delta, window_start, window_end
-    )
+    out_sync = 0.0
+    if not fetches:
+        first = trace.next_after(window_start)
+        if first is not None:
+            out_sync = max(0.0, window_end - (first.time + delta))
+    for index, (poll_time, last_modified) in enumerate(fetches):
+        closed = index + 1 < len(fetches)
+        segment_end = fetches[index + 1][0] if closed else window_end
+        unseen = trace.next_after(last_modified)
+        if unseen is None:
+            continue
+        stale_from = max(poll_time, unseen.time + delta)
+        if closed and stale_from < segment_end:
+            violations += 1
+        lo = max(stale_from, window_start)
+        hi = min(segment_end, window_end)
+        if hi > lo:
+            out_sync += hi - lo
     return FidelityReport(
-        polls=len(polls),
+        polls=len(fetches),
         violations=violations,
         out_sync_time=out_sync,
         duration=window_end - window_start,
     )
-
-
-def temporal_fidelity_from_snapshots(
-    trace: UpdateTrace,
-    fetch_log: Sequence,
-    delta: Seconds,
-    *,
-    start: Optional[Seconds] = None,
-    end: Optional[Seconds] = None,
-) -> FidelityReport:
-    """Evaluate Δt-consistency from the snapshots a cache actually held.
-
-    :func:`temporal_fidelity` assumes every poll refreshes the copy to
-    the origin-current version — true for a proxy polling the origin,
-    but *not* for an edge proxy polling a parent cache, whose responses
-    can themselves be stale.  This variant instead walks the cache's
-    fetch log: between fetches the copy corresponds to the server state
-    of its ``last_modified`` instant, and the Δ bound is violated from
-    ``delta`` after the first origin update newer than that instant.
-
-    Args:
-        trace: The object's true (origin) update history.
-        fetch_log: :class:`~repro.proxy.entry.FetchRecord` sequence from
-            the cache entry under evaluation.
-        delta: The Δ bound, in seconds.
-        start, end: Evaluation window (defaults to the trace window).
-
-    Returns:
-        A report whose ``violations`` counts stale *segments* (fetch
-        intervals that spent time out of sync) rather than Eq. 13 poll
-        violations; the time-based fidelity (Eq. 14) is the headline
-        measure for hierarchical setups.
-    """
-    if delta <= 0:
-        raise ValueError(f"delta must be positive, got {delta}")
-    window_start = start if start is not None else trace.start_time
-    window_end = end if end is not None else trace.end_time
-    records = list(fetch_log)
-    out_sync = 0.0
-    stale_segments = 0
-    for index, record in enumerate(records):
-        segment_start = max(record.time, window_start)
-        segment_end = (
-            records[index + 1].time if index + 1 < len(records) else window_end
-        )
-        segment_end = min(segment_end, window_end)
-        if segment_end <= segment_start:
-            continue
-        unseen = trace.next_after(record.snapshot.last_modified)
-        if unseen is None:
-            continue
-        stale_from = max(segment_start, unseen.time + delta)
-        if stale_from < segment_end:
-            out_sync += segment_end - stale_from
-            stale_segments += 1
-    return FidelityReport(
-        polls=len(records),
-        violations=stale_segments,
-        out_sync_time=out_sync,
-        duration=window_end - window_start,
-    )
-
-
-def _temporal_out_sync_time(
-    trace: UpdateTrace,
-    polls: List[Seconds],
-    delta: Seconds,
-    window_start: Seconds,
-    window_end: Seconds,
-) -> Seconds:
-    """Integrate the time during which the Δt bound does not hold."""
-    if not polls:
-        # Never fetched: out of sync from Δ after the first update.
-        first = trace.next_after(window_start)
-        if first is None:
-            return 0.0
-        return max(0.0, window_end - (first.time + delta))
-
-    out_sync = 0.0
-    # Before the first poll the proxy holds nothing; the paper's runs
-    # start with an initial fetch, so we charge nothing before polls[0].
-    boundaries = list(polls) + [window_end]
-    for index in range(len(polls)):
-        segment_start = boundaries[index]
-        segment_end = boundaries[index + 1]
-        if segment_end <= segment_start:
-            continue
-        first = trace.next_after(segment_start)
-        if first is None:
-            continue
-        stale_from = first.time + delta
-        lo = max(segment_start, stale_from, window_start)
-        hi = min(segment_end, window_end)
-        if hi > lo:
-            out_sync += hi - lo
-    return out_sync
 
 
 # ----------------------------------------------------------------------

@@ -19,8 +19,8 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.types import ObjectId, Seconds
-from repro.metrics.fidelity import FidelityReport
-from repro.metrics.mutual import TemporalFetch, validity_interval
+from repro.metrics.fidelity import FidelityReport, TemporalFetch
+from repro.metrics.mutual import validity_interval
 from repro.traces.model import UpdateTrace
 
 

@@ -29,9 +29,6 @@ from repro.core.types import Seconds
 from repro.metrics.fidelity import FidelityReport
 from repro.traces.model import UpdateTrace
 
-#: (poll_time, last_modified of the version obtained) — the minimal
-#: per-poll record mutual-temporal evaluation needs.
-TemporalFetch = Tuple[Seconds, Seconds]
 #: (poll_time, value obtained).
 ValueFetch = Tuple[Seconds, float]
 

@@ -125,7 +125,7 @@ def _failure_churn_point(
     proxy.register_object(trace.object_id, server, factory(trace.object_id))
     injector = FailureInjector(kernel, proxy, schedule)
     kernel.run(until=trace.end_time)
-    report = collect_temporal(proxy, trace, delta).report
+    report = collect_temporal(proxy, trace, delta)
     return {
         "failures": schedule.failure_count,
         "downtime_fraction": schedule.downtime_fraction(trace.duration),

@@ -148,8 +148,8 @@ class TestAlexVsLimdEndToEnd:
             [trace],
             alex_policy_factory(ttr_min=delta, ttr_max=60 * MINUTE),
         )
-        limd = collect_temporal(limd_run.proxy, trace, delta).report
-        alex = collect_temporal(alex_run.proxy, trace, delta).report
+        limd = collect_temporal(limd_run.proxy, trace, delta)
+        alex = collect_temporal(alex_run.proxy, trace, delta)
         limd_efficiency = limd.fidelity_by_time / max(limd.polls, 1)
         alex_efficiency = alex.fidelity_by_time / max(alex.polls, 1)
         assert limd_efficiency >= alex_efficiency * 0.9

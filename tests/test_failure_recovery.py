@@ -129,7 +129,7 @@ class TestProxyRecovery:
         crash_at = trace.duration / 2
         kernel.schedule_at(crash_at, lambda k: proxy.recover_from_failure())
         kernel.run(until=trace.end_time)
-        report = collect_temporal(proxy, trace, delta).report
+        report = collect_temporal(proxy, trace, delta)
         assert report.fidelity_by_time >= 0.85
 
     def test_recovery_with_passive_policies_is_safe(self):

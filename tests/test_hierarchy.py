@@ -14,7 +14,7 @@ from repro.consistency.limd import LimdPolicy
 from repro.core.types import ObjectId, TTRBounds
 from repro.httpsim.messages import Status, conditional_get
 from repro.httpsim.network import Network
-from repro.metrics.fidelity import temporal_fidelity
+from repro.metrics.collector import collect_temporal
 from repro.proxy.proxy import ProxyCache
 from repro.server.origin import OriginServer
 from repro.server.updates import UpdateFeeder, feed_traces
@@ -214,11 +214,7 @@ class TestHierarchyFidelity:
             ),
         )
         kernel.run(until=trace.end_time)
-        poll_times = [
-            record.time
-            for record in tree.edge_nodes[0].proxy.entry_for(X).fetch_log
-        ]
-        report = temporal_fidelity(trace, poll_times, 2 * delta)
+        report = collect_temporal(tree.edge_nodes[0].proxy, trace, 2 * delta)
         # The composed bound is approximate (LIMD itself is best-effort)
         # but the edge must track the origin with high time-fidelity.
         assert report.fidelity_by_time > 0.8

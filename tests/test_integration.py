@@ -34,7 +34,7 @@ class TestIndividualTemporalEndToEnd:
         trace = news_trace("nyt_ap")
         delta = 10 * MINUTE
         result = run_individual([trace], fixed_policy_factory(delta))
-        report = collect_temporal(result.proxy, trace, delta).report
+        report = collect_temporal(result.proxy, trace, delta)
         assert report.violations == 0
         assert report.fidelity_by_violations == 1.0
         assert report.fidelity_by_time == 1.0
@@ -51,7 +51,7 @@ class TestIndividualTemporalEndToEnd:
         base_polls = base.polls_of(trace.object_id)
         assert limd_polls < base_polls
         # And retains reasonable fidelity.
-        report = collect_temporal(limd.proxy, trace, delta).report
+        report = collect_temporal(limd.proxy, trace, delta)
         assert report.fidelity_by_violations >= 0.7
 
     def test_limd_converges_to_baseline_for_loose_delta(self):

@@ -4,16 +4,16 @@ from __future__ import annotations
 
 import pytest
 
-from repro.consistency.base import FixedTTRPolicy
+from repro.api.runs import run_individual
+from repro.consistency.base import FixedTTRPolicy, fixed_policy_factory
 from repro.core.types import ObjectId
-from repro.httpsim.network import Network
+from repro.httpsim.network import LatencyModel, Network
 from repro.metrics.collector import (
     collect_mutual_synchrony,
     collect_mutual_temporal,
     collect_mutual_value,
     collect_temporal,
     collect_value,
-    poll_times_of,
     synchrony_fetches_of,
     temporal_fetches_of,
     value_fetches_of,
@@ -65,9 +65,9 @@ def finished_run():
 
 
 class TestCollectors:
-    def test_poll_times_of(self, finished_run):
-        proxy, trace_x, _, _ = finished_run
-        polls = poll_times_of(proxy, X)
+    def test_fetch_times_start_at_initial_fetch(self, finished_run):
+        proxy, _, _, _ = finished_run
+        polls = [time for time, _ in temporal_fetches_of(proxy, X)]
         assert polls[0] == 0.0
         assert polls == sorted(polls)
         assert len(polls) == 11
@@ -94,15 +94,13 @@ class TestCollectors:
     def test_collect_temporal_report(self, finished_run):
         proxy, trace_x, _, _ = finished_run
         report = collect_temporal(proxy, trace_x, delta=10.0)
-        assert report.object_id == X
         assert report.polls == 11
-        assert report.report.violations == 0
+        assert report.violations == 0
 
     def test_collect_value_report(self, finished_run):
         proxy, _, trace_y, _ = finished_run
         report = collect_value(proxy, trace_y, delta=1.5)
-        assert report.object_id == Y
-        assert 0.0 <= report.report.fidelity_by_violations <= 1.0
+        assert 0.0 <= report.fidelity_by_violations <= 1.0
 
     def test_collect_mutual_temporal_report(self, finished_run):
         proxy, trace_x, trace_y, _ = finished_run
@@ -125,6 +123,24 @@ class TestCollectors:
         assert pair.report.violations == 0
 
 
+class TestLatentLinkScoring:
+    def test_return_leg_staleness_is_charged(self):
+        """A response carries the origin state from one latency before
+        its completion; the copy is scored from that version."""
+        trace = trace_from_times(X, [200.0], start_time=0.0, end_time=400.0)
+        result = run_individual(
+            [trace], fixed_policy_factory(100.0), latency=LatencyModel(30.0)
+        )
+        assert temporal_fetches_of(result.proxy, X) == [
+            (60.0, 0.0), (220.0, 0.0), (380.0, 200.0)
+        ]
+        report = collect_temporal(result.proxy, trace, delta=10.0)
+        # The poll completing at 220 read the origin at 190: stale from
+        # 210 until the poll at 380 (170 s), a violation at 220 and 380.
+        assert report.out_sync_time == pytest.approx(170.0)
+        assert report.violations == 2
+
+
 class TestSeries:
     def test_update_frequency_series(self, finished_run):
         _, trace_x, _, _ = finished_run
@@ -135,7 +151,9 @@ class TestSeries:
         proxy, _, _, ttr_knots = finished_run
         knots = [(time, ttr) for oid, time, ttr in ttr_knots if oid == X]
         # One knot per completed poll, initial fetch included.
-        assert [time for time, _ in knots] == poll_times_of(proxy, X)
+        assert [time for time, _ in knots] == [
+            time for time, _ in temporal_fetches_of(proxy, X)
+        ]
         assert all(ttr == 10.0 for _, ttr in knots)
         series = ttr_series(knots, start=0.0, end=100.0, bin_width=50.0)
         assert series.values == (10.0, 10.0)

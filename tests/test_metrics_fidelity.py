@@ -13,6 +13,12 @@ def temporal_trace(times, end=1000.0):
     return trace_from_times(ObjectId("x"), times, start_time=0.0, end_time=end)
 
 
+def origin_fetches(trace, polls):
+    """What zero-latency polls of the origin obtain: (p, latest update ≤ p)."""
+    held = (trace.latest_at(poll) for poll in polls)
+    return [(p, r.time if r else trace.start_time) for p, r in zip(polls, held)]
+
+
 class TestFidelityReport:
     def test_fidelity_formulas(self):
         report = FidelityReport(
@@ -33,36 +39,42 @@ class TestFidelityReport:
 class TestTemporalViolations:
     def test_no_updates_no_violations(self):
         trace = temporal_trace([])
-        report = temporal_fidelity(trace, [0.0, 100.0, 200.0], delta=10.0)
+        fetches = origin_fetches(trace, [0.0, 100.0, 200.0])
+        report = temporal_fidelity(trace, fetches, delta=10.0)
         assert report.violations == 0
         assert report.out_sync_time == 0.0
         assert report.fidelity_by_violations == 1.0
 
     def test_update_caught_within_delta_is_clean(self):
         trace = temporal_trace([95.0])
-        report = temporal_fidelity(trace, [0.0, 100.0], delta=10.0)
+        fetches = origin_fetches(trace, [0.0, 100.0])
+        report = temporal_fidelity(trace, fetches, delta=10.0)
         assert report.violations == 0
 
     def test_figure_1a_pattern_counts_one_violation(self):
         # Update at 50, next poll at 100: 50 s stale > delta 10.
         trace = temporal_trace([50.0])
-        report = temporal_fidelity(trace, [0.0, 100.0], delta=10.0)
+        fetches = origin_fetches(trace, [0.0, 100.0])
+        report = temporal_fidelity(trace, fetches, delta=10.0)
         assert report.violations == 1
 
     def test_figure_1b_pattern_counts_violation(self):
         # First unseen update at 50 even though the latest (95) is fresh.
         trace = temporal_trace([50.0, 95.0])
-        report = temporal_fidelity(trace, [0.0, 100.0], delta=10.0)
+        fetches = origin_fetches(trace, [0.0, 100.0])
+        report = temporal_fidelity(trace, fetches, delta=10.0)
         assert report.violations == 1
 
     def test_boundary_exactly_delta_is_clean(self):
         trace = temporal_trace([90.0])
-        report = temporal_fidelity(trace, [0.0, 100.0], delta=10.0)
+        fetches = origin_fetches(trace, [0.0, 100.0])
+        report = temporal_fidelity(trace, fetches, delta=10.0)
         assert report.violations == 0
 
     def test_each_bad_interval_counts_once(self):
         trace = temporal_trace([50.0, 150.0, 250.0])
-        report = temporal_fidelity(trace, [0.0, 100.0, 200.0, 300.0], delta=10.0)
+        fetches = origin_fetches(trace, [0.0, 100.0, 200.0, 300.0])
+        report = temporal_fidelity(trace, fetches, delta=10.0)
         assert report.violations == 3
         assert report.polls == 4
 
@@ -72,55 +84,59 @@ class TestTemporalViolations:
         trace = temporal_trace([33.0, 71.0, 155.0, 290.0, 555.0], end=1000.0)
         delta = 25.0
         polls = [float(t) for t in range(0, 1001, 25)]
-        report = temporal_fidelity(trace, polls, delta=delta)
+        report = temporal_fidelity(trace, origin_fetches(trace, polls), delta=delta)
         assert report.violations == 0
         assert report.out_sync_time == 0.0
 
-    def test_unsorted_polls_are_sorted(self):
+    def test_descending_fetches_rejected(self):
         trace = temporal_trace([50.0])
-        report = temporal_fidelity(trace, [100.0, 0.0], delta=10.0)
-        assert report.violations == 1
+        with pytest.raises(ValueError):
+            temporal_fidelity(trace, [(100.0, 50.0), (0.0, 0.0)], delta=10.0)
 
     def test_invalid_delta_rejected(self):
         trace = temporal_trace([50.0])
         with pytest.raises(ValueError):
-            temporal_fidelity(trace, [0.0], delta=0.0)
+            temporal_fidelity(trace, origin_fetches(trace, [0.0]), delta=0.0)
 
 
 class TestTemporalOutSyncTime:
     def test_out_sync_interval_measured(self):
         # Update at 50; poll at 100.  Stale from 60 (=50+delta) to 100.
         trace = temporal_trace([50.0], end=100.0)
-        report = temporal_fidelity(trace, [0.0, 100.0], delta=10.0)
+        fetches = origin_fetches(trace, [0.0, 100.0])
+        report = temporal_fidelity(trace, fetches, delta=10.0)
         assert report.out_sync_time == pytest.approx(40.0)
         assert report.fidelity_by_time == pytest.approx(1 - 40.0 / 100.0)
 
     def test_staleness_after_last_poll_counts(self):
         trace = temporal_trace([50.0], end=200.0)
-        report = temporal_fidelity(trace, [0.0], delta=10.0)
+        report = temporal_fidelity(trace, origin_fetches(trace, [0.0]), delta=10.0)
         # Stale from 60 to 200.
         assert report.out_sync_time == pytest.approx(140.0)
 
     def test_no_staleness_when_refreshed_promptly(self):
         trace = temporal_trace([50.0], end=100.0)
-        report = temporal_fidelity(trace, [0.0, 55.0], delta=10.0)
+        fetches = origin_fetches(trace, [0.0, 55.0])
+        report = temporal_fidelity(trace, fetches, delta=10.0)
         assert report.out_sync_time == 0.0
 
     def test_multiple_stale_windows_accumulate(self):
         trace = temporal_trace([10.0, 110.0], end=200.0)
-        report = temporal_fidelity(trace, [0.0, 100.0, 200.0], delta=10.0)
+        fetches = origin_fetches(trace, [0.0, 100.0, 200.0])
+        report = temporal_fidelity(trace, fetches, delta=10.0)
         # Window 1: stale 20→100 = 80.  Window 2: stale 120→200 = 80.
         assert report.out_sync_time == pytest.approx(160.0)
 
     def test_never_polled_counts_from_first_update(self):
         trace = temporal_trace([100.0], end=300.0)
-        report = temporal_fidelity(trace, [], delta=50.0)
+        report = temporal_fidelity(trace, origin_fetches(trace, []), delta=50.0)
         assert report.out_sync_time == pytest.approx(150.0)
 
     def test_window_clipping(self):
         trace = temporal_trace([50.0], end=1000.0)
+        fetches = origin_fetches(trace, [0.0])
         report = temporal_fidelity(
-            trace, [0.0], delta=10.0, start=0.0, end=100.0
+            trace, fetches, delta=10.0, start=0.0, end=100.0
         )
         assert report.out_sync_time == pytest.approx(40.0)
         assert report.duration == 100.0
@@ -186,86 +202,50 @@ class TestValueFidelity:
 
 
 class TestTemporalFidelityFromSnapshots:
-    """The snapshot-based Δt metric used for hierarchical caches."""
-
-    def _record(self, time, last_modified, version=0):
-        from repro.core.events import PollReason
-        from repro.core.types import ObjectSnapshot
-        from repro.proxy.entry import FetchRecord
-
-        return FetchRecord(
-            time=time,
-            snapshot=ObjectSnapshot(
-                object_id=ObjectId("x"),
-                version=version,
-                last_modified=last_modified,
-            ),
-            modified=True,
-            reason=PollReason.TTR_EXPIRED,
-        )
+    """Scoring from the version each fetch obtained, not its poll time."""
 
     def test_fresh_snapshots_have_no_out_sync(self):
-        from repro.metrics.fidelity import temporal_fidelity_from_snapshots
-
         trace = temporal_trace([100.0], end=200.0)
         # Fetch at 150 already carries the version modified at 100.
-        log = [self._record(0.0, 0.0), self._record(150.0, 100.0, 1)]
-        report = temporal_fidelity_from_snapshots(trace, log, 60.0)
+        report = temporal_fidelity(trace, [(0.0, 0.0), (150.0, 100.0)], 60.0)
         # Segment [0, 150) holds the t=0 version; update at 100 makes it
         # stale from 160 — but the segment ends at 150: no out-sync.
         assert report.out_sync_time == pytest.approx(0.0)
         assert report.fidelity_by_time == 1.0
 
     def test_stale_snapshot_accrues_out_sync(self):
-        from repro.metrics.fidelity import temporal_fidelity_from_snapshots
-
         trace = temporal_trace([100.0], end=400.0)
         # One fetch at t=0; the copy stays version 0 forever.
-        log = [self._record(0.0, 0.0)]
-        report = temporal_fidelity_from_snapshots(trace, log, 60.0)
+        report = temporal_fidelity(trace, [(0.0, 0.0)], 60.0)
         # Out of sync from 100+60=160 to 400.
+        assert report.out_sync_time == pytest.approx(240.0)
+        # No later poll closes the stale segment (Eq. 13).
+        assert report.violations == 0
+
+    def test_stale_parent_response_counted(self):
+        trace = temporal_trace([100.0], end=400.0)
+        # A poll at t=200 that returned a STALE copy (last_modified=0,
+        # as a behind parent cache would serve): out of sync to the end.
+        report = temporal_fidelity(trace, [(0.0, 0.0), (200.0, 0.0)], 60.0)
         assert report.out_sync_time == pytest.approx(240.0)
         assert report.violations == 1
 
-    def test_stale_parent_response_counted_unlike_poll_metric(self):
-        from repro.metrics.fidelity import (
-            temporal_fidelity,
-            temporal_fidelity_from_snapshots,
-        )
-
-        trace = temporal_trace([100.0], end=400.0)
-        # A poll at t=200 that returned a STALE copy (last_modified=0,
-        # as a behind parent cache would serve).
-        log = [self._record(0.0, 0.0), self._record(200.0, 0.0)]
-        snapshot_report = temporal_fidelity_from_snapshots(trace, log, 60.0)
-        poll_report = temporal_fidelity(trace, [0.0, 200.0], 60.0)
-        # The poll-time metric believes the t=200 poll refreshed the
-        # copy; the snapshot metric sees it stayed stale to the end.
-        assert snapshot_report.out_sync_time == pytest.approx(240.0)
-        assert poll_report.out_sync_time < snapshot_report.out_sync_time
-
     def test_window_clipping(self):
-        from repro.metrics.fidelity import temporal_fidelity_from_snapshots
-
         trace = temporal_trace([100.0], end=1000.0)
-        log = [self._record(0.0, 0.0)]
-        report = temporal_fidelity_from_snapshots(
-            trace, log, 60.0, start=0.0, end=300.0
+        report = temporal_fidelity(
+            trace, [(0.0, 0.0)], 60.0, start=0.0, end=300.0
         )
         assert report.out_sync_time == pytest.approx(140.0)
         assert report.duration == pytest.approx(300.0)
 
     def test_empty_log_reports_no_polls(self):
-        from repro.metrics.fidelity import temporal_fidelity_from_snapshots
-
         trace = temporal_trace([100.0], end=400.0)
-        report = temporal_fidelity_from_snapshots(trace, [], 60.0)
+        report = temporal_fidelity(trace, [], 60.0)
         assert report.polls == 0
-        assert report.out_sync_time == 0.0
+        # Charged from the first update + Δ, as for a never-polled object.
+        assert report.out_sync_time == pytest.approx(240.0)
 
     def test_rejects_nonpositive_delta(self):
-        from repro.metrics.fidelity import temporal_fidelity_from_snapshots
-
         trace = temporal_trace([], end=10.0)
         with pytest.raises(ValueError):
-            temporal_fidelity_from_snapshots(trace, [], 0.0)
+            temporal_fidelity(trace, [], 0.0)

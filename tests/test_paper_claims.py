@@ -139,7 +139,7 @@ def test_extension_push_vs_poll():
     tree.register_object(trace.object_id)
     kernel.run(until=trace.end_time)
     push_proxy = tree.root.proxy
-    push = collect_temporal(push_proxy, trace, delta=1.0).report
+    push = collect_temporal(push_proxy, trace, delta=1.0)
     push_messages = tree.total_polls() + tree.push_notifications()
 
     limd = {}
@@ -148,7 +148,7 @@ def test_extension_push_vs_poll():
         result = run_individual(
             [trace], limd_policy_factory(delta, ttr_max=60 * MINUTE)
         )
-        limd[delta_min] = collect_temporal(result.proxy, trace, delta).report
+        limd[delta_min] = collect_temporal(result.proxy, trace, delta)
 
     # (1) Push is strongly consistent: zero out-of-sync time even at a
     # 1-second evaluation bound.
@@ -179,7 +179,7 @@ def test_extension_prior_policies():
     report = {
         name: collect_temporal(
             run_individual([trace], factory).proxy, trace, delta
-        ).report
+        )
         for name, factory in factories.items()
     }
     efficiency = {

@@ -19,6 +19,15 @@ from repro.metrics.group import group_interval_spread
 from repro.sim.kernel import Kernel
 from repro.traces.model import trace_from_ticks, trace_from_times
 
+def lagged_fetches(trace, polls, lag):
+    """Ascending fetches, each obtaining the version current ``lag`` earlier."""
+    fetches = []
+    for poll in sorted(polls):
+        held = trace.latest_at(poll - lag)
+        fetches.append((poll, trace.start_time if held is None else held.time))
+    return fetches
+
+
 # ----------------------------------------------------------------------
 # Strategies
 # ----------------------------------------------------------------------
@@ -170,13 +179,14 @@ class TestLimdProperties:
 
 class TestFidelityProperties:
     @given(times_strategy, poll_times_strategy,
-           st.floats(min_value=0.1, max_value=1e4))
+           st.floats(min_value=0.1, max_value=1e4),
+           st.floats(min_value=0.0, max_value=1e3))
     @settings(max_examples=100)
-    def test_temporal_fidelity_in_unit_range(self, times, polls, delta):
+    def test_temporal_fidelity_in_unit_range(self, times, polls, delta, lag):
         trace = trace_from_times(
             ObjectId("x"), times, end_time=1.2e5
         )
-        report = temporal_fidelity(trace, polls, delta)
+        report = temporal_fidelity(trace, lagged_fetches(trace, polls, lag), delta)
         assert 0.0 <= report.fidelity_by_violations <= 1.0
         assert 0.0 <= report.fidelity_by_time <= 1.0
         assert report.violations <= report.polls
@@ -184,12 +194,16 @@ class TestFidelityProperties:
 
     @given(times_strategy, poll_times_strategy,
            st.floats(min_value=0.1, max_value=1e4),
-           st.floats(min_value=1.0, max_value=10.0))
+           st.floats(min_value=1.0, max_value=10.0),
+           st.floats(min_value=0.0, max_value=1e3))
     @settings(max_examples=50)
-    def test_larger_delta_never_more_violations(self, times, polls, delta, factor):
+    def test_larger_delta_never_more_violations(
+        self, times, polls, delta, factor, lag
+    ):
         trace = trace_from_times(ObjectId("x"), times, end_time=1.2e5)
-        tight = temporal_fidelity(trace, polls, delta)
-        loose = temporal_fidelity(trace, polls, delta * factor)
+        fetches = lagged_fetches(trace, polls, lag)
+        tight = temporal_fidelity(trace, fetches, delta)
+        loose = temporal_fidelity(trace, fetches, delta * factor)
         assert loose.violations <= tight.violations
         assert loose.out_sync_time <= tight.out_sync_time + 1e-9
 

@@ -426,7 +426,7 @@ class TestPushTrees:
         proxy = tree.root.proxy
         # Zero latency: every update reaches the cache at its commit
         # instant — zero out-of-sync time at any evaluation delta.
-        report = collect_temporal(proxy, trace, delta=0.001).report
+        report = collect_temporal(proxy, trace, delta=0.001)
         assert report.out_sync_time == 0.0
         # One fetch per update plus the initial fetch.
         assert proxy.entry_for(X).poll_count == 4
