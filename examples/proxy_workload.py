@@ -85,7 +85,7 @@ def main() -> None:
         entry = proxy.entry_or_none(object_id)
         if entry is None:
             continue  # evicted, not refetched since
-        versions = [record.snapshot.version for record in entry.fetch_log]
+        versions = [snapshot.version for snapshot in entry.fetch_snapshots]
         assert versions == sorted(versions), "monotonicity violated!"
     print("\nMonotonicity check passed: no fetch ever returned a version "
           "older than one previously cached.")

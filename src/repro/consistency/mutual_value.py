@@ -497,9 +497,10 @@ def group_f_history(
     """
     events: List[Tuple[Seconds, ObjectId, float]] = []
     for member in members:
-        for record in proxy.entry_for(member).fetch_log:
-            if record.snapshot.value is not None:
-                events.append((record.time, member, record.snapshot.value))
+        entry = proxy.entry_for(member)
+        for time, snapshot in zip(entry.fetch_times, entry.fetch_snapshots):
+            if snapshot.value is not None:
+                events.append((time, member, snapshot.value))
     events.sort(key=lambda e: e[0])
     current: Dict[ObjectId, float] = {}
     knots: List[Tuple[Seconds, float]] = []

@@ -1,6 +1,7 @@
 """Why a poll happened.
 
-Every :class:`~repro.proxy.entry.FetchRecord` in an object's fetch log
+Every row of an object's fetch log (the
+:class:`~repro.proxy.entry.CacheEntry` ``fetch_reasons`` column)
 carries a :class:`PollReason`, and the proxy tallies polls per reason,
 so a finished run can say *why* each poll was issued.
 """

@@ -52,8 +52,8 @@ def temporal_fetches_of(
     """(poll time, obtained Last-Modified) pairs for an object."""
     entry = proxy.entry_for(object_id)
     return [
-        (record.time, record.snapshot.last_modified)
-        for record in entry.fetch_log
+        (time, snapshot.last_modified)
+        for time, snapshot in zip(entry.fetch_times, entry.fetch_snapshots)
     ]
 
 
@@ -62,7 +62,7 @@ def synchrony_fetches_of(
 ) -> List[Tuple[Seconds, bool]]:
     """(poll time, modified?) pairs for poll-synchrony evaluation."""
     entry = proxy.entry_for(object_id)
-    return [(record.time, record.modified) for record in entry.fetch_log]
+    return list(zip(entry.fetch_times, entry.fetch_modified))
 
 
 def value_fetches_of(
@@ -71,9 +71,9 @@ def value_fetches_of(
     """(poll time, obtained value) pairs for a valued object."""
     entry = proxy.entry_for(object_id)
     fetches: List[Tuple[Seconds, float]] = []
-    for record in entry.fetch_log:
-        if record.snapshot.value is not None:
-            fetches.append((record.time, record.snapshot.value))
+    for time, snapshot in zip(entry.fetch_times, entry.fetch_snapshots):
+        if snapshot.value is not None:
+            fetches.append((time, snapshot.value))
     return fetches
 
 
@@ -108,12 +108,12 @@ class EvictionImpact:
     """How a bounded cache's evictions interacted with consistency.
 
     Each eviction of an object opens an absence window (see
-    :class:`~repro.proxy.cache.EvictionWindow`): until the refetch the
-    proxy holds neither a copy nor poll history, so the consistency
-    policy's Δ bound cannot hold by construction.  A window counts as an
-    *effective staleness violation* when an origin update actually fell
-    inside it and was still unserved more than Δ later — eviction did
-    not merely suspend the bound, it voided it.
+    :meth:`~repro.proxy.cache.ObjectCache.absences_of`): until the
+    refetch the proxy holds neither a copy nor poll history, so the
+    consistency policy's Δ bound cannot hold by construction.  A window
+    counts as an *effective staleness violation* when an origin update
+    actually fell inside it and was still unserved more than Δ later —
+    eviction did not merely suspend the bound, it voided it.
 
     Attributes:
         object_id: The object evaluated.
@@ -152,14 +152,16 @@ def collect_eviction_impact(
     violations = 0
     absent = 0.0
     object_id = trace.object_id
-    for window in proxy.cache.windows_of(object_id):
+    spans = proxy.cache.absences_of(object_id)
+    for i in range(0, len(spans), 2):
+        evicted = spans[i]
         evictions += 1
-        close = window.refetched_at
-        if close is None:
-            close = end
-        else:
+        if i + 1 < len(spans):
+            close = spans[i + 1]
             refetches += 1
-        absent += max(0.0, close - window.evicted_at)
+        else:
+            close = end
+        absent += max(0.0, close - evicted)
         if delta is None:
             continue
         # The bound is voided iff some update inside the window was
@@ -167,7 +169,7 @@ def collect_eviction_impact(
         # chance to serve it is the refetch (or never, for open
         # windows — scored at the horizon).  Updates are time-ordered,
         # so the earliest one in the window waited longest and decides.
-        first = trace.next_after(window.evicted_at)
+        first = trace.next_after(evicted)
         if first is not None and first.time <= close and close - first.time > delta:
             violations += 1
     return EvictionImpact(

@@ -3,19 +3,18 @@
 The paper's experiments "assume that the proxy employs an infinitely
 large cache" (Section 6.1.1); :class:`ObjectCache` defaults to that.
 A bounded cache evicts the least recently used entry, and keeps the
-bookkeeping eviction scoring needs: every eviction opens an
-:class:`EvictionWindow` that closes when the object is refetched,
-because between those two instants the object has *no* cached copy and
-no poll history — the consistency policy's staleness bound Δ is void
-for that span, which is what the ``evictions``,
-``refetch_after_evict`` and ``staleness_violations`` result columns
-measure.
+bookkeeping eviction scoring needs: every eviction opens an absence
+span that closes when the object is refetched, because between those
+two instants the object has *no* cached copy and no poll history — the
+consistency policy's staleness bound Δ is void for that span, which is
+what the ``evictions``, ``refetch_after_evict`` and
+``staleness_violations`` result columns measure.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict, defaultdict
-from typing import Callable, DefaultDict, Dict, Iterator, List, Optional, Tuple
+from collections import OrderedDict
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.core.errors import CacheConfigurationError
 from repro.core.types import ObjectId, Seconds
@@ -24,38 +23,6 @@ from repro.proxy.entry import CacheEntry
 
 def _zero_clock() -> Seconds:
     return 0.0
-
-
-class EvictionWindow:
-    """One cache-absence span for an object: eviction until refetch.
-
-    ``refetched_at`` is ``None`` while the window is open (the object
-    never re-entered the cache); consumers treat an open window as
-    extending to the end of the observation period.
-    """
-
-    __slots__ = ("object_id", "evicted_at", "refetched_at")
-
-    def __init__(self, object_id: ObjectId, evicted_at: Seconds) -> None:
-        self.object_id = object_id
-        self.evicted_at = evicted_at
-        self.refetched_at: Optional[Seconds] = None
-
-    @property
-    def closed(self) -> bool:
-        return self.refetched_at is not None
-
-    def duration(self, horizon: Seconds) -> Seconds:
-        """Length of the absence span, open windows clipped at ``horizon``."""
-        end = self.refetched_at if self.refetched_at is not None else horizon
-        return max(0.0, end - self.evicted_at)
-
-    def __repr__(self) -> str:
-        end = "open" if self.refetched_at is None else f"{self.refetched_at:g}"
-        return (
-            f"EvictionWindow({self.object_id!r}, "
-            f"{self.evicted_at:g} -> {end})"
-        )
 
 
 class ObjectCache:
@@ -76,8 +43,7 @@ class ObjectCache:
         "_entries",
         "_evictions",
         "_refetches_after_evict",
-        "_windows",
-        "_windows_by_object",
+        "_absences",
         "_clock",
     )
 
@@ -103,18 +69,15 @@ class ObjectCache:
         self._entries: Dict[ObjectId, CacheEntry] = {}
         self._evictions = 0
         self._refetches_after_evict = 0
-        #: All eviction windows ever opened, in eviction order.
-        self._windows: List[EvictionWindow] = []
-        #: The same windows per object, each list in eviction order; an
-        #: object's open window, if any, is the last of its list.  Only
-        #: ``put`` indexes it (readers use ``get``/``in``), so a key is
-        #: present iff the object was evicted and no list is empty.
-        self._windows_by_object: DefaultDict[ObjectId, List[EvictionWindow]] = (
-            defaultdict(list)
-        )
-        #: Simulation clock; bound by the owning proxy so windows carry
+        #: Per evicted object, its eviction and refetch times
+        #: alternating, ascending: ``[evicted, refetched, evicted, ...]``.
+        #: An odd length means the last span is still open.  Only
+        #: ``put`` writes it, so a key is present iff the object was
+        #: evicted, and no list is empty.
+        self._absences: Dict[ObjectId, List[Seconds]] = {}
+        #: Simulation clock; bound by the owning proxy so spans carry
         #: simulation timestamps (defaults to a constant 0.0 clock for
-        #: standalone use, where windows only convey ordering).
+        #: standalone use, where spans only convey ordering).
         self._clock: Callable[[], Seconds] = _zero_clock
 
     @property
@@ -130,22 +93,22 @@ class ObjectCache:
         """How many evicted objects later re-entered the cache."""
         return self._refetches_after_evict
 
-    @property
-    def eviction_windows(self) -> Tuple[EvictionWindow, ...]:
-        """Every absence span opened so far, in eviction order."""
-        return tuple(self._windows)
-
     def bind_clock(self, clock: Callable[[], Seconds]) -> None:
-        """Timestamp eviction windows with ``clock()`` (the kernel's now)."""
+        """Timestamp absence spans with ``clock()`` (the kernel's now)."""
         self._clock = clock
 
     def was_evicted(self, object_id: ObjectId) -> bool:
         """Whether the object was ever evicted from this cache."""
-        return object_id in self._windows_by_object
+        return object_id in self._absences
 
-    def windows_of(self, object_id: ObjectId) -> Tuple[EvictionWindow, ...]:
-        """One object's absence spans, in eviction order."""
-        return tuple(self._windows_by_object.get(object_id, ()))
+    def absences_of(self, object_id: ObjectId) -> Tuple[Seconds, ...]:
+        """One object's absence spans as alternating evicted/refetched times.
+
+        Pairs ``(t[0], t[1]), (t[2], t[3]), ...`` are closed spans; an odd
+        length means the object was evicted at ``t[-1]`` and has not
+        re-entered the cache since.  Empty if it was never evicted.
+        """
+        return tuple(self._absences.get(object_id, ()))
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -184,9 +147,9 @@ class ObjectCache:
                 recency.move_to_end(object_id)
             return None
         self._entries[object_id] = entry
-        windows = self._windows_by_object.get(object_id)
-        if windows is not None and windows[-1].refetched_at is None:
-            windows[-1].refetched_at = self._clock()
+        absences = self._absences.get(object_id)
+        if absences is not None and len(absences) & 1:
+            absences.append(self._clock())
             self._refetches_after_evict += 1
         if recency is None:
             return None
@@ -197,9 +160,11 @@ class ObjectCache:
             return None
         victim_id, _ = recency.popitem(last=False)
         victim = self._entries.pop(victim_id)
-        window = EvictionWindow(victim_id, self._clock())
-        self._windows.append(window)
-        self._windows_by_object[victim_id].append(window)
+        absences = self._absences.get(victim_id)
+        if absences is None:
+            self._absences[victim_id] = [self._clock()]
+        else:
+            absences.append(self._clock())
         self._evictions += 1
         return victim
 

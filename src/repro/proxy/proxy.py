@@ -24,7 +24,7 @@ from repro.httpsim.messages import Method, Request, Response, Status
 from repro.httpsim.network import Network
 from repro.httpsim.semantics import Upstream, evaluate_conditional_get
 from repro.proxy.cache import ObjectCache
-from repro.proxy.entry import CacheEntry, FetchRecord
+from repro.proxy.entry import CacheEntry
 from repro.proxy.refresher import Refresher
 from repro.sim.kernel import Kernel
 from repro.sim.stats import Counter
@@ -80,7 +80,7 @@ class ProxyCache:
         self._kernel = kernel
         self._network = network
         self._cache = cache if cache is not None else ObjectCache()
-        # Eviction windows carry simulation timestamps.
+        # Absence spans carry simulation timestamps.
         self._cache.bind_clock(kernel.now)
         self._want_history = want_history
         #: Whether a MUTUAL_TRIGGER poll replaces the object's next
@@ -403,14 +403,18 @@ class ProxyCache:
                 first_unseen = history[0]
 
         # The entry's one writer, inline (a method would be a frame per
-        # poll): fetch log, snapshot and deduped modification times.
-        log = entry._fetch_log
-        if log and now < log[-1].time:
+        # poll): fetch-log columns, snapshot and deduped modification
+        # times.
+        times = entry.fetch_times
+        if times and now < times[-1]:
             raise ValueError(
                 f"fetch at t={now} precedes previous fetch at "
-                f"t={log[-1].time} for {object_id!r}"
+                f"t={times[-1]} for {object_id!r}"
             )
-        log.append(FetchRecord(now, snapshot, modified, reason))
+        times.append(now)
+        entry.fetch_snapshots.append(snapshot)
+        entry.fetch_modified.append(modified)
+        entry.fetch_reasons.append(reason)
         entry.snapshot = snapshot
         seen = entry.modification_times
         when = snapshot.last_modified

@@ -11,10 +11,10 @@ evict→refetch cycle must reset the poll history (the refetched entry's
 fetch log starts at the refetch) and :func:`collect_eviction_impact`
 must flag exactly the absence windows whose origin updates went
 unserved for longer than Δ.  Random put/get/get_or_create/remove
-programs pin the per-object window index against the flat
-``eviction_windows`` view, the collector is compared field-for-field
-with the flat-scan implementation it replaced (kept here as the
-oracle), and a structural pin keeps row scoring off the flat view.  TTL
+programs pin each object's absence spans against a flat eviction-order
+record the test keeps from the cache's observable membership, and the
+collector is compared field-for-field with the flat-scan
+implementation it replaced (kept here as the oracle).  TTL
 classes are checked black-box through ``run_simulation``: a declared
 class polls on its TTL, an undeclared one on the default, and with no
 default the main policy stays (the ops-table ``get_ttl`` contract).
@@ -48,17 +48,11 @@ from repro.consistency.base import PassivePolicy
 from repro.core.events import PollReason
 from repro.core.types import ObjectId, Seconds
 from repro.httpsim.network import Network
-from repro.metrics.collector import (
-    OBJECT_ROW_COLUMNS,
-    EvictionImpact,
-    append_object_rows,
-    collect_eviction_impact,
-)
+from repro.metrics.collector import EvictionImpact, collect_eviction_impact
 from repro.proxy.cache import ObjectCache
 from repro.proxy.entry import CacheEntry
 from repro.proxy.proxy import ProxyCache
 from repro.server.origin import OriginServer
-from repro.server.updates import feed_traces
 from repro.sim.kernel import Kernel
 from repro.traces.model import UpdateTrace, trace_from_times
 
@@ -112,12 +106,16 @@ class TestLRUBattery:
         _, victims = drive(cache, zipf_stream(**self.STREAM))
         evictions = [v for v in victims if v is not None]
         inserts = len(victims)
+        spans = [
+            cache.absences_of(ObjectId(f"k{i}"))
+            for i in range(self.STREAM["keys"])
+        ]
         assert cache.eviction_count == len(evictions)
-        assert len(cache.eviction_windows) == len(evictions)
+        assert sum((len(times) + 1) // 2 for times in spans) == len(evictions)
         assert len(cache) == inserts - len(evictions)
-        # Windows and refetch counter agree: a window is closed iff the
+        # Spans and refetch counter agree: a span is closed iff the
         # object re-entered the cache afterwards.
-        closed = sum(1 for w in cache.eviction_windows if w.closed)
+        closed = sum(len(times) // 2 for times in spans)
         assert cache.refetch_after_evict_count == closed
         for victim in evictions:
             assert cache.was_evicted(victim)
@@ -165,7 +163,7 @@ class TestLRUBattery:
 
 
 class _ManualClock:
-    """A settable clock for driving EvictionWindow timestamps."""
+    """A settable clock for driving absence-span timestamps."""
 
     def __init__(self) -> None:
         self.now: Seconds = 0.0
@@ -211,13 +209,14 @@ class TestEvictRefetchProperties:
         proxy.handle_client_request(a)  # the refetch, a miss
         refetched = cache.get(a, touch=False)
         assert refetched is not None
-        assert [r.time for r in refetched.fetch_log] == [evicted_at + gap]
+        assert list(refetched.fetch_times) == [evicted_at + gap]
         # Re-putting a into the full cache displaced b, opening b's own
-        # (still-open) window; a's is the first.
-        window = cache.eviction_windows[0]
-        assert window.object_id == a
-        assert window.closed
-        assert window.refetched_at == pytest.approx(evicted_at + gap)
+        # (still-open) span; a's is closed by the refetch.
+        assert cache.absences_of(a) == (
+            pytest.approx(evicted_at),
+            pytest.approx(evicted_at + gap),
+        )
+        assert len(cache.absences_of(b)) == 1
         assert cache.refetch_after_evict_count == 1
 
     @given(
@@ -297,61 +296,83 @@ _KEYS = [ObjectId(f"k{i}") for i in range(6)]
 
 #: A cache program: (operation, key index, clock advance) steps.  Zero
 #: advances are common on purpose — same-instant evictions are where a
-#: per-object order could silently diverge from eviction order.
+#: per-object order could silently diverge from eviction order.  At
+#: least 20 steps, so evict → refetch → remove → reinsert of one key
+#: (a closed span that must stay closed) is common too.
 _programs = st.lists(
     st.tuples(
         st.sampled_from(("put", "get", "get_or_create", "remove")),
         st.integers(min_value=0, max_value=len(_KEYS) - 1),
         st.sampled_from((0.0, 0.0, 0.25, 1.0, 7.5)),
     ),
+    min_size=20,
     max_size=120,
 )
 
 
-def _run_program(capacity: int, program) -> ObjectCache:
+def _run_program(capacity: int, program) -> Tuple[ObjectCache, List[list]]:
+    """Replay a program; also record every absence window, flat.
+
+    Each window is ``[object_id, evicted_at, refetched_at or None]``, in
+    eviction order.  The flat record is kept from what the cache shows from outside
+    (which ids it holds before and after each step), not from its
+    per-object spans, so it is an independent model of them.
+    """
     cache = ObjectCache(capacity=capacity)
     clock = _ManualClock()
     cache.bind_clock(clock)
+    windows: List[list] = []
     for operation, index, advance in program:
         clock.now += advance
         key = _KEYS[index]
+        before = set(cache)
+        if operation == "get":
+            cache.get(key)
+            continue
+        if operation == "remove":
+            cache.remove(key)
+            continue
         if operation == "put":
             cache.put(CacheEntry(key))
-        elif operation == "get":
-            cache.get(key)
-        elif operation == "get_or_create":
-            cache.get_or_create(key)
         else:
-            cache.remove(key)
-    return cache
+            cache.get_or_create(key)
+        if key not in before:
+            for window in reversed(windows):
+                if window[0] == key:
+                    if window[2] is None:
+                        window[2] = clock.now
+                    break
+        for victim in before - set(cache):
+            windows.append([victim, clock.now, None])
+    return cache, windows
 
 
 def _flat_scan_impact(
-    cache: ObjectCache,
+    windows: List[list],
     trace: UpdateTrace,
     delta: Optional[Seconds],
     horizon: Optional[Seconds],
 ) -> EvictionImpact:
     """The collector as it was before the per-object index: the oracle.
 
-    Filters the flat eviction-order view per object and decides a
+    Filters the flat eviction-order record per object and decides a
     violation by looping over ``updates_in`` — quadratic over a run,
     which is why it lives only here.
     """
     end = horizon if horizon is not None else trace.end_time
     evictions = refetches = violations = 0
     absent = 0.0
-    for window in cache.eviction_windows:
-        if window.object_id != trace.object_id:
+    for object_id, evicted_at, refetched_at in windows:
+        if object_id != trace.object_id:
             continue
         evictions += 1
-        if window.closed:
+        if refetched_at is not None:
             refetches += 1
-        close = window.refetched_at if window.refetched_at is not None else end
-        absent += window.duration(end)
+        close = refetched_at if refetched_at is not None else end
+        absent += max(0.0, close - evicted_at)
         if delta is None:
             continue
-        for update in trace.updates_in(window.evicted_at, close):
+        for update in trace.updates_in(evicted_at, close):
             if close - update.time > delta:
                 violations += 1
                 break
@@ -365,7 +386,7 @@ def _flat_scan_impact(
 
 
 class TestWindowIndexProperties:
-    """Hypothesis: the per-object window index vs the flat view."""
+    """Hypothesis: per-object absence spans vs the flat window record."""
 
     @given(
         capacity=st.integers(min_value=1, max_value=4),
@@ -373,22 +394,27 @@ class TestWindowIndexProperties:
     )
     @settings(max_examples=200, deadline=None)
     def test_index_agrees_with_flat_view(self, capacity, program):
-        cache = _run_program(capacity, program)
-        flat = cache.eviction_windows
-        indexed = 0
+        cache, windows = _run_program(capacity, program)
+        opened = closed = 0
         for key in _KEYS:
-            windows = cache.windows_of(key)
-            assert windows == tuple(w for w in flat if w.object_id == key)
-            assert cache.was_evicted(key) == bool(windows)
-            # At most one open window, and only ever the newest: an
+            spans = cache.absences_of(key)
+            flat = [
+                time
+                for object_id, evicted_at, refetched_at in windows
+                if object_id == key
+                for time in (evicted_at, refetched_at)
+                if time is not None
+            ]
+            assert list(spans) == flat
+            assert cache.was_evicted(key) == bool(spans)
+            # At most one open span, and only ever the newest: an
             # object must re-enter the cache before it can leave again.
-            assert all(window.closed for window in windows[:-1])
-            if windows and not windows[-1].closed:
+            if len(spans) % 2:
                 assert key not in cache
-            indexed += len(windows)
-        assert indexed == cache.eviction_count == len(flat)
-        closed = sum(1 for window in flat if window.closed)
-        assert cache.refetch_after_evict_count == closed
+            opened += (len(spans) + 1) // 2
+            closed += len(spans) // 2
+        assert opened == cache.eviction_count == len(windows)
+        assert closed == cache.refetch_after_evict_count
 
     @given(
         capacity=st.integers(min_value=1, max_value=4),
@@ -403,20 +429,18 @@ class TestWindowIndexProperties:
     ):
         """Field-for-field, ``absent_time`` bit-for-bit (same sum order).
 
-        Updates are drawn from instants at and around the window edges,
+        Updates are drawn from instants at and around the span edges,
         so both ends of ``(evicted, refetched]`` and "unserved for
-        exactly Δ" occur; the horizon may fall before an open window's
+        exactly Δ" occur; the horizon may fall before an open span's
         eviction (the clipped span is then zero).
         """
-        cache = _run_program(capacity, program)
+        cache, windows = _run_program(capacity, program)
         holder = _CacheHolder(cache)
         for key in _KEYS:
             candidates = sorted(
                 {
                     max(0.0, edge + offset)
-                    for window in cache.windows_of(key)
-                    for edge in (window.evicted_at, window.refetched_at)
-                    if edge is not None
+                    for edge in cache.absences_of(key)
                     for offset in (-5.0, -0.25, 0.0, 0.25)
                 }
                 | {0.0, 100.0}
@@ -428,68 +452,7 @@ class TestWindowIndexProperties:
             impact = collect_eviction_impact(
                 holder, trace, delta, horizon=horizon  # type: ignore[arg-type]
             )
-            assert impact == _flat_scan_impact(cache, trace, delta, horizon)
-
-
-class TestScoringNeverScansTheFlatView:
-    """Structural pin: row scoring reads windows per object only."""
-
-    def test_append_object_rows_does_not_touch_eviction_windows(
-        self, monkeypatch
-    ):
-        kernel = Kernel()
-        origin = OriginServer()
-        objects = [ObjectId(f"obj{i}") for i in range(16)]
-        traces = [
-            trace_from_times(
-                object_id,
-                [10.0 * step + index for step in range(1, 40)],
-                end_time=500.0,
-            )
-            for index, object_id in enumerate(objects)
-        ]
-        feed_traces(kernel, origin, traces)
-        proxy = ProxyCache(
-            kernel, Network(kernel), cache=ObjectCache(capacity=4)
-        )
-        rng = random.Random(3)
-        for object_id in objects:
-            proxy.bind_server(object_id, origin)
-        for step in range(600):
-            # Round-robin first so every object is fetched at least once.
-            object_id = objects[step] if step < 16 else rng.choice(objects)
-            kernel.schedule_at(
-                0.5 + 0.75 * step,
-                lambda _k, object_id=object_id: proxy.handle_client_request(
-                    object_id
-                ),
-            )
-        kernel.run(until=500.0)
-        assert proxy.cache.eviction_count > 300
-
-        def scan_forbidden(_self):
-            raise AssertionError("scoring scanned the flat eviction_windows view")
-
-        monkeypatch.setattr(
-            ObjectCache, "eviction_windows", property(scan_forbidden)
-        )
-        rows: List[dict] = []
-        append_object_rows(
-            lambda *cells: rows.append(dict(zip(OBJECT_ROW_COLUMNS, cells))),
-            "edge",
-            proxy,
-            traces,
-            30.0,
-            horizon=500.0,
-        )
-        assert len(rows) == len(traces)
-
-        def total(column: str) -> int:
-            return sum(row[column] for row in rows)
-
-        assert total("evictions") == proxy.cache.eviction_count
-        assert total("refetch_after_evict") == proxy.cache.refetch_after_evict_count
-        assert total("staleness_violations") > 0
+            assert impact == _flat_scan_impact(windows, trace, delta, horizon)
 
 
 class TestTTLClasses:

@@ -233,8 +233,8 @@ class TestHierarchyFidelity:
         kernel.run(until=3600.0)
         for node in tree.nodes:
             versions = [
-                record.snapshot.version
-                for record in node.proxy.entry_for(X).fetch_log
+                snapshot.version
+                for snapshot in node.proxy.entry_for(X).fetch_snapshots
             ]
             assert versions == sorted(versions)
 

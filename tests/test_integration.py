@@ -185,9 +185,9 @@ class TestSmallPredictableScenario:
         )
         result = run_individual([trace], fixed_policy_factory(10.0))
         entry = result.proxy.entry_for(ObjectId("obj"))
-        times = [r.time for r in entry.fetch_log]
+        times = list(entry.fetch_times)
         assert times == [0.0, 10.0, 20.0, 30.0, 40.0, 50.0, 60.0]
-        modified = [r.time for r in entry.fetch_log if r.modified]
+        modified = [t for t, m in zip(times, entry.fetch_modified) if m]
         # Initial fetch (t=0) is a 200; updates detected at 20 and 50.
         assert modified == [0.0, 20.0, 50.0]
         # The final cached version is 2 with Last-Modified 45.

@@ -64,7 +64,7 @@ class TestTriggeredMode:
             updates_a=(15.0,), ttr_a=10.0, ttr_b=100.0
         )
         kernel.run(until=30.0)
-        b_polls = [r.time for r in proxy.entry_for(B).fetch_log]
+        b_polls = list(proxy.entry_for(B).fetch_times)
         assert 20.0 in b_polls  # triggered at a's detection instant
         assert coordinator.extra_polls == 1
 
@@ -101,7 +101,7 @@ class TestTriggeredMode:
             updates_a=(15.0,), ttr_a=10.0, ttr_b=100.0
         )
         kernel.run(until=110.0)
-        b_polls = [r.time for r in proxy.entry_for(B).fetch_log]
+        b_polls = list(proxy.entry_for(B).fetch_times)
         # Initial at 0, trigger at 20, scheduled at 100 — untouched.
         assert b_polls == [0.0, 20.0, 100.0]
 
@@ -110,7 +110,7 @@ class TestTriggeredMode:
             updates_a=(15.0,), ttr_a=10.0, ttr_b=100.0
         )
         kernel.run(until=30.0)
-        reasons = [r.reason for r in proxy.entry_for(B).fetch_log]
+        reasons = proxy.entry_for(B).fetch_reasons
         assert PollReason.MUTUAL_TRIGGER in reasons
 
     def test_no_trigger_cascade(self):
@@ -120,7 +120,7 @@ class TestTriggeredMode:
             updates_a=(15.0,), updates_b=(16.0,), ttr_a=10.0, ttr_b=100.0
         )
         kernel.run(until=30.0)
-        a_polls = [r.time for r in proxy.entry_for(A).fetch_log]
+        a_polls = list(proxy.entry_for(A).fetch_times)
         # a polls: 0, 10, 20 — no extra triggered poll of a at 20.
         assert a_polls.count(20.0) == 1
 
@@ -141,7 +141,7 @@ class TestTriggeredMode:
         proxy.register_object(B, server, FixedTTRPolicy(ttr=100.0))
         kernel.schedule_at(30.0, lambda _kernel: groups.remove_group(pair.group_id))
         kernel.run(until=90.0)
-        assert [r.time for r in proxy.entry_for(B).fetch_log] == [0.0, 20.0]
+        assert list(proxy.entry_for(B).fetch_times) == [0.0, 20.0]
         assert coordinator.extra_polls == 1
 
 

@@ -279,8 +279,10 @@ class TestUpdateFeederContract:
         proxy = ProxyCache(kernel, Network(kernel))
         proxy.register_object(x, server, FixedTTRPolicy(ttr=10.0))
         kernel.run(until=20.0)
+        entry = proxy.entry_for(x)
         assert [
-            (r.time, r.snapshot.version) for r in proxy.entry_for(x).fetch_log
+            (t, snapshot.version)
+            for t, snapshot in zip(entry.fetch_times, entry.fetch_snapshots)
         ] == [
             (0.0, 0),
             (10.0, 1),

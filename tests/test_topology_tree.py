@@ -255,10 +255,11 @@ class TestPullTrees:
                     when, lambda k, w=when: origin.apply_update(X, w)
                 )
             kernel.run(until=150.0)
+            entries = [(node.name, node.proxy.entry_for(X)) for node in tree.nodes]
             return [
-                (node.name, record.time, record.snapshot.version)
-                for node in tree.nodes
-                for record in node.proxy.entry_for(X).fetch_log
+                (name, time, snapshot.version)
+                for name, entry in entries
+                for time, snapshot in zip(entry.fetch_times, entry.fetch_snapshots)
             ]
 
         assert fetch_log() == fetch_log()
@@ -500,10 +501,13 @@ class TestPushTrees:
             )
         kernel.run(until=200.0)
         for node in tree.edge_nodes:
+            entry = node.proxy.entry_for(X)
             versions = [
-                record.snapshot.version
-                for record in node.proxy.entry_for(X).fetch_log
-                if record.modified
+                snapshot.version
+                for snapshot, modified in zip(
+                    entry.fetch_snapshots, entry.fetch_modified
+                )
+                if modified
             ]
             # Version 1 (t=10) was overwritten before the parent's t=50
             # poll: after the initial fetch (version 0) the edges are
