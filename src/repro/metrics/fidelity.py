@@ -25,7 +25,7 @@ Value-domain semantics (Eq. 3): the copy is consistent at time t iff
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from repro.core.types import Seconds
 from repro.traces.model import UpdateTrace
@@ -145,72 +145,65 @@ def value_fidelity(
     """
     if delta <= 0:
         raise ValueError(f"delta must be positive, got {delta}")
-    if not trace.has_values:
-        raise ValueError("value_fidelity requires a value-domain trace")
+    require_values("value_fidelity", trace)
     window_start = start if start is not None else trace.start_time
     window_end = end if end is not None else trace.end_time
-    times = [t for t, _ in fetches]
-    _require_ascending(times)
+    _require_ascending([t for t, _ in fetches])
 
+    times, values, count = trace.times, trace.values, len(trace.times)
+    following = 0  # first update after the current knot
+    polls = len(fetches)
     violations = 0
     out_sync = 0.0
     for index, (poll_time, cached_value) in enumerate(fetches):
-        segment_end = (
-            fetches[index + 1][0] if index + 1 < len(fetches) else window_end
-        )
+        closed = index + 1 < polls
+        segment_end = fetches[index + 1][0] if closed else window_end
         if segment_end <= poll_time:
             continue
-        violated, stale = _value_segment_stats(
-            trace, poll_time, segment_end, cached_value, delta,
-            window_start, window_end,
-        )
+        while following < count and times[following] <= poll_time:
+            following += 1
+        # Knots: the poll, then every update in (poll_time, segment_end].
+        # An update exactly at segment_end spans no time but still
+        # breaks the bound if its value is Δ away.
+        violated = False
+        stale = 0.0
+        knot = poll_time
+        while True:
+            last = following == count or times[following] > segment_end
+            if following and abs(values[following - 1] - cached_value) >= delta:
+                violated = True
+                knot_end = segment_end if last else times[following]
+                lo = knot if knot > window_start else window_start
+                hi = knot_end if knot_end < window_end else window_end
+                if hi > lo:
+                    stale += hi - lo
+            if last:
+                break
+            knot = times[following]
+            following += 1
         # Attribute the violation to the poll that *ended* the segment,
         # mirroring Eq. 13's "violations per poll" accounting.  The
         # final open segment has no closing poll; its staleness still
         # counts toward out-of-sync time.
-        if violated and index + 1 < len(fetches):
+        if violated and closed:
             violations += 1
         out_sync += stale
     return FidelityReport(
-        polls=len(fetches),
+        polls=polls,
         violations=violations,
         out_sync_time=out_sync,
         duration=window_end - window_start,
     )
 
 
-def _value_segment_stats(
-    trace: UpdateTrace,
-    segment_start: Seconds,
-    segment_end: Seconds,
-    cached_value: float,
-    delta: float,
-    window_start: Seconds,
-    window_end: Seconds,
-) -> Tuple[bool, Seconds]:
-    """(was the bound broken, stale seconds) for one inter-poll segment."""
-    violated = False
-    stale = 0.0
-    current = trace.latest_at(segment_start)
-    current_value = current.value if current is not None else None
-    t = segment_start
-    updates = trace.updates_in(segment_start, segment_end)
-    knots: List[Tuple[Seconds, Optional[float]]] = [
-        (t, current_value)
-    ] + [(u.time, u.value) for u in updates]
-    knots.append((segment_end, None))  # terminator; value unused
-    for (knot_time, knot_value), (next_time, _next_value) in zip(
-        knots, knots[1:]
-    ):
-        if knot_value is not None:
-            gap = abs(knot_value - cached_value)
-            if gap >= delta:
-                violated = True
-                lo = max(knot_time, window_start)
-                hi = min(next_time, window_end)
-                if hi > lo:
-                    stale += hi - lo
-    return violated, stale
+def require_values(scorer: str, *traces: UpdateTrace) -> None:
+    """Raise ``ValueError`` naming the first trace that carries no values."""
+    for trace in traces:
+        if not trace.has_values:
+            raise ValueError(
+                f"{scorer} requires value-domain traces; "
+                f"{trace.object_id!r} has no values"
+            )
 
 
 def _require_ascending(times: Sequence[Seconds]) -> None:

@@ -16,7 +16,7 @@ pair metric is this one called with two members.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Collection, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.types import ObjectId, Seconds
 from repro.metrics.fidelity import FidelityReport, TemporalFetch
@@ -25,7 +25,7 @@ from repro.traces.model import UpdateTrace
 
 
 def group_interval_spread(
-    intervals: Sequence[Tuple[Seconds, Seconds]],
+    intervals: Collection[Tuple[Seconds, Seconds]],
 ) -> Seconds:
     """The group generalisation of the pairwise interval gap.
 
@@ -38,20 +38,6 @@ def group_interval_spread(
     latest_start = max(start for start, _ in intervals)
     earliest_end = min(end for _, end in intervals)
     return max(0.0, latest_start - earliest_end)
-
-
-def group_mutually_consistent_at(
-    traces: Dict[ObjectId, UpdateTrace],
-    origins: Dict[ObjectId, Seconds],
-    delta: Seconds,
-) -> bool:
-    """Eq. 4 generalised: do the cached versions' validity intervals fit
-    within a window of width δ?"""
-    intervals = [
-        validity_interval(traces[object_id], origin)
-        for object_id, origin in origins.items()
-    ]
-    return group_interval_spread(intervals) <= delta
 
 
 def group_temporal_fidelity(
@@ -106,7 +92,10 @@ def group_temporal_fidelity(
     polls = len(events)
     violations = 0
     out_sync = 0.0
+    # Each member's cached version and its validity interval, which is
+    # recomputed only when a poll brings a different version.
     origins: Dict[ObjectId, Seconds] = {}
+    intervals: Dict[ObjectId, Tuple[Seconds, Seconds]] = {}
 
     index = 0
     total = len(events)
@@ -115,15 +104,18 @@ def group_temporal_fidelity(
         group_end = index
         while group_end < total and events[group_end][0] == time:
             _, object_id, last_modified = events[group_end]
-            origins[object_id] = last_modified
+            if origins.get(object_id) != last_modified:
+                origins[object_id] = last_modified
+                intervals[object_id] = validity_interval(
+                    traces[object_id], last_modified
+                )
             group_end += 1
         group_size = group_end - index
         segment_end = events[group_end][0] if group_end < total else window_end
         index = group_end
-        if len(origins) < len(traces):
+        if len(intervals) < len(traces):
             continue  # some member never fetched yet
-        consistent = group_mutually_consistent_at(traces, origins, delta)
-        if not consistent:
+        if group_interval_spread(intervals.values()) > delta:
             violations += group_size
             # Within (time, segment_end) the cached versions are fixed,
             # and validity intervals depend only on the traces, so

@@ -12,8 +12,8 @@ check and its fidelity are scored by :mod:`repro.metrics.group`.
 
 Value (Eq. 5): ``|f(S_a(t), S_b(t)) − f(P_a(t), P_b(t))| < δ`` at every
 instant.  Both sides are step functions (the server side steps at
-updates, the proxy side at polls), so the condition is evaluated
-segment-by-segment over the merged event timeline.
+updates, the proxy side at polls), so the condition is evaluated in
+one forward sweep over the merged polls, each trace walked by a cursor.
 
 Violation counting (Eq. 13 analogue): the condition is checked just
 after every completed poll of either member; fidelity is
@@ -22,11 +22,13 @@ after every completed poll of either member; fidelity is
 
 from __future__ import annotations
 
+import bisect
 import math
+from operator import itemgetter
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.core.types import Seconds
-from repro.metrics.fidelity import FidelityReport
+from repro.metrics.fidelity import FidelityReport, require_values
 from repro.traces.model import UpdateTrace
 
 #: (poll_time, value obtained).
@@ -49,9 +51,9 @@ def validity_interval(
         ``(start, end)`` with ``end = +inf`` when the version is still
         current at the end of the trace.
     """
-    nxt = trace.next_after(version_origin)
-    end = nxt.time if nxt is not None else math.inf
-    return (version_origin, end)
+    times = trace.times
+    index = bisect.bisect_right(times, version_origin)
+    return (version_origin, times[index] if index < len(times) else math.inf)
 
 
 # ----------------------------------------------------------------------
@@ -104,8 +106,6 @@ def _synchrony_violations(
     partner_times: Sequence[Seconds],
     delta: Seconds,
 ) -> int:
-    import bisect
-
     count = 0
     for time, modified in detections:
         if not modified:
@@ -136,10 +136,18 @@ def mutual_value_fidelity(
 
     Polls are the union of both objects' fetches; a poll is a violation
     if the bound ``|f(S) − f(P)| < δ`` fails at any instant between it
-    and the next poll (with the post-poll cached values).
+    and the next poll (with the post-poll cached values), the poll's
+    own instant included.  One forward sweep over the merged polls
+    walks each trace's ``times`` with a cursor; the knots of a segment
+    are its poll and the updates of either object up to its end.
+
+    Raises:
+        ValueError: ``delta`` is not positive, or a trace carries no
+            values.
     """
     if delta <= 0:
         raise ValueError(f"delta must be positive, got {delta}")
+    require_values("mutual_value_fidelity", trace_a, trace_b)
     window_start = (
         start if start is not None else min(trace_a.start_time, trace_b.start_time)
     )
@@ -147,31 +155,58 @@ def mutual_value_fidelity(
         end if end is not None else max(trace_a.end_time, trace_b.end_time)
     )
 
-    # Proxy-side step events.
-    events: List[Tuple[Seconds, str, float]] = []
-    events.extend((t, "a", v) for t, v in fetches_a)
-    events.extend((t, "b", v) for t, v in fetches_b)
-    events.sort(key=lambda e: e[0])
+    # Proxy-side step events (a stable sort keeps a's before b's).
+    events: List[Tuple[Seconds, bool, float]] = [(t, True, v) for t, v in fetches_a]
+    events += [(t, False, v) for t, v in fetches_b]
+    events.sort(key=itemgetter(0))
 
+    times_a, values_a, count_a = trace_a.times, trace_a.values, len(trace_a.times)
+    times_b, values_b, count_b = trace_b.times, trace_b.values, len(trace_b.times)
+    next_a = next_b = 0  # first update after the current knot
     polls = len(events)
     violations = 0
     out_sync = 0.0
     cached_a: Optional[float] = None
     cached_b: Optional[float] = None
 
-    for index, (time, side, value) in enumerate(events):
-        if side == "a":
+    for index, (time, is_a, value) in enumerate(events):
+        if is_a:
             cached_a = value
         else:
             cached_b = value
-        segment_end = events[index + 1][0] if index + 1 < len(events) else window_end
-        if cached_a is None or cached_b is None:
+        segment_end = events[index + 1][0] if index + 1 < polls else window_end
+        if cached_a is None or cached_b is None or segment_end <= time:
             continue
         f_proxy = f(cached_a, cached_b)
-        violated, stale = _mv_segment_stats(
-            trace_a, trace_b, time, segment_end, f_proxy, delta, f,
-            window_start, window_end,
-        )
+        while next_a < count_a and times_a[next_a] <= time:
+            next_a += 1
+        while next_b < count_b and times_b[next_b] <= time:
+            next_b += 1
+        # Knots: the poll, then every update of either object in
+        # (time, segment_end]; an update exactly at segment_end is
+        # repaired by the poll at that instant and never observable.
+        violated = False
+        stale = 0.0
+        knot = time
+        while knot < segment_end:
+            update_a = times_a[next_a] if next_a < count_a else math.inf
+            update_b = times_b[next_b] if next_b < count_b else math.inf
+            following = update_a if update_a < update_b else update_b
+            if following > segment_end:
+                following = segment_end
+            if next_a and next_b and abs(
+                f(values_a[next_a - 1], values_b[next_b - 1]) - f_proxy
+            ) >= delta:
+                violated = True
+                lo = knot if knot > window_start else window_start
+                hi = following if following < window_end else window_end
+                if hi > lo:
+                    stale += hi - lo
+            if update_a == following:
+                next_a += 1
+            if update_b == following:
+                next_b += 1
+            knot = following
         if violated:
             violations += 1
         out_sync += stale
@@ -182,54 +217,3 @@ def mutual_value_fidelity(
         out_sync_time=out_sync,
         duration=window_end - window_start,
     )
-
-
-def _mv_segment_stats(
-    trace_a: UpdateTrace,
-    trace_b: UpdateTrace,
-    segment_start: Seconds,
-    segment_end: Seconds,
-    f_proxy: float,
-    delta: float,
-    f: Callable[[float, float], float],
-    window_start: Seconds,
-    window_end: Seconds,
-) -> Tuple[bool, Seconds]:
-    """(bound broken?, stale seconds) over one inter-poll segment.
-
-    The check at ``segment_start`` itself is included — a poll that
-    lands while the server-side f is already δ away counts immediately.
-    """
-    # Server-side step knots within the segment.
-    server_events: List[Seconds] = [segment_start]
-    server_events.extend(
-        u.time for u in trace_a.updates_in(segment_start, segment_end)
-    )
-    server_events.extend(
-        u.time for u in trace_b.updates_in(segment_start, segment_end)
-    )
-    server_events = sorted(set(server_events))
-    server_events.append(segment_end)
-
-    violated = False
-    stale = 0.0
-    for knot, nxt in zip(server_events, server_events[1:]):
-        if nxt <= knot:
-            # Zero-length sub-interval: an update landing exactly at the
-            # segment boundary is repaired by the poll at that same
-            # instant and never observable.
-            continue
-        state_a = trace_a.latest_at(knot)
-        state_b = trace_b.latest_at(knot)
-        if state_a is None or state_b is None:
-            continue
-        if state_a.value is None or state_b.value is None:
-            continue
-        f_server = f(state_a.value, state_b.value)
-        if abs(f_server - f_proxy) >= delta:
-            violated = True
-            lo = max(knot, window_start)
-            hi = min(nxt, window_end)
-            if hi > lo:
-                stale += hi - lo
-    return violated, stale

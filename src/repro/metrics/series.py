@@ -12,6 +12,7 @@
 
 from __future__ import annotations
 
+import math
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.analysis.timeseries import (
@@ -22,6 +23,7 @@ from repro.analysis.timeseries import (
 )
 from repro.consistency.mutual_temporal import TriggerDecision
 from repro.core.types import Seconds
+from repro.metrics.fidelity import require_values
 from repro.traces.model import UpdateTrace
 
 
@@ -110,18 +112,30 @@ def server_f_knots(
     trace_b: UpdateTrace,
     f: Callable[[float, float], float],
 ) -> List[Tuple[Seconds, float]]:
-    """(time, f at server) step knots — Figure 8's server series."""
-    events: List[Seconds] = [r.time for r in trace_a]
-    events.extend(r.time for r in trace_b)
+    """(time, f at server) step knots — Figure 8's server series.
+
+    The two traces' time columns are merged in one pass; a knot is kept
+    where f changes, from the first instant both objects exist.
+
+    Raises:
+        ValueError: A trace carries no values.
+    """
+    require_values("server_f_knots", trace_a, trace_b)
+    times_a, values_a, count_a = trace_a.times, trace_a.values, len(trace_a.times)
+    times_b, values_b, count_b = trace_b.times, trace_b.values, len(trace_b.times)
+    next_a = next_b = 0
     knots: List[Tuple[Seconds, float]] = []
-    for time in sorted(set(events)):
-        state_a = trace_a.latest_at(time)
-        state_b = trace_b.latest_at(time)
-        if state_a is None or state_b is None:
+    while next_a < count_a or next_b < count_b:
+        update_a = times_a[next_a] if next_a < count_a else math.inf
+        update_b = times_b[next_b] if next_b < count_b else math.inf
+        time = update_a if update_a < update_b else update_b
+        if update_a == time:
+            next_a += 1
+        if update_b == time:
+            next_b += 1
+        if not (next_a and next_b):
             continue
-        if state_a.value is None or state_b.value is None:
-            continue
-        value = f(state_a.value, state_b.value)
+        value = f(values_a[next_a - 1], values_b[next_b - 1])
         if not knots or knots[-1][1] != value:
             knots.append((time, value))
     return knots

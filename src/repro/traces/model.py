@@ -37,6 +37,14 @@ class UpdateTrace:
     Records must be strictly increasing in time (two updates cannot share
     an instant for a single object) and version numbers must increase by
     exactly one per record, starting from the first record's version.
+
+    Attributes:
+        times: Every record's time, ascending — the column scorers walk
+            with a cursor.  Read-only by contract.
+        values: Every record's value (``None`` for a temporal record),
+            index-aligned with ``times``.  Read-only by contract.
+        has_values: True if every record carries a value (a
+            value-domain trace).
     """
 
     def __init__(
@@ -64,7 +72,9 @@ class UpdateTrace:
             raise TraceFormatError(
                 f"end_time {self._end_time} precedes last update at {last}"
             )
-        self._times = [r.time for r in self._records]
+        self.times: List[Seconds] = [r.time for r in self._records]
+        self.values: List[Optional[float]] = [r.value for r in self._records]
+        self.has_values: bool = bool(self.values) and None not in self.values
 
     def _validate(self) -> None:
         prev_time: Optional[Seconds] = None
@@ -113,11 +123,6 @@ class UpdateTrace:
     def update_count(self) -> int:
         return len(self._records)
 
-    @property
-    def has_values(self) -> bool:
-        """True if every record carries a value (a value-domain trace)."""
-        return bool(self._records) and all(r.value is not None for r in self._records)
-
     def __len__(self) -> int:
         return len(self._records)
 
@@ -130,26 +135,16 @@ class UpdateTrace:
     # ------------------------------------------------------------------
     # Queries used by the simulator and metrics
     # ------------------------------------------------------------------
-    def updates_in(self, start: Seconds, end: Seconds) -> List[UpdateRecord]:
-        """Return updates with start < time <= end (poll-interval query).
-
-        This matches the question a poll answers: "what changed since the
-        previous poll (exclusive) up to now (inclusive)?"
-        """
-        lo = bisect.bisect_right(self._times, start)
-        hi = bisect.bisect_right(self._times, end)
-        return self._records[lo:hi]
-
     def latest_at(self, t: Seconds) -> Optional[UpdateRecord]:
         """Return the most recent update at or before time ``t``."""
-        index = bisect.bisect_right(self._times, t)
+        index = bisect.bisect_right(self.times, t)
         if index == 0:
             return None
         return self._records[index - 1]
 
     def next_after(self, t: Seconds) -> Optional[UpdateRecord]:
         """Return the first update strictly after time ``t``."""
-        index = bisect.bisect_right(self._times, t)
+        index = bisect.bisect_right(self.times, t)
         if index >= len(self._records):
             return None
         return self._records[index]

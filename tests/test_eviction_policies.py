@@ -222,9 +222,9 @@ class TestEvictRefetchProperties:
     @given(
         evicted_at=st.floats(min_value=100.0, max_value=1e4),
         gap=st.floats(min_value=1.0, max_value=1e4),
-        # Strictly inside the window: updates_in() is (start, end], so an
-        # update at the eviction instant itself belongs to the previous
-        # poll interval, not the absence window.
+        # Strictly inside the window: it is (start, end], so an update
+        # at the eviction instant itself belongs to the previous poll
+        # interval, not the absence window.
         update_frac=st.floats(min_value=0.25, max_value=1.0),
         delta=st.floats(min_value=0.5, max_value=1e4),
     )
@@ -356,7 +356,7 @@ def _flat_scan_impact(
     """The collector as it was before the per-object index: the oracle.
 
     Filters the flat eviction-order record per object and decides a
-    violation by looping over ``updates_in`` — quadratic over a run,
+    violation by scanning the whole trace — quadratic over a run,
     which is why it lives only here.
     """
     end = horizon if horizon is not None else trace.end_time
@@ -372,8 +372,8 @@ def _flat_scan_impact(
         absent += max(0.0, close - evicted_at)
         if delta is None:
             continue
-        for update in trace.updates_in(evicted_at, close):
-            if close - update.time > delta:
+        for update in trace:
+            if evicted_at < update.time <= close and close - update.time > delta:
                 violations += 1
                 break
     return EvictionImpact(

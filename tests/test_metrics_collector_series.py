@@ -170,6 +170,19 @@ class TestSeries:
         # y against itself: f constantly 0 → single knot.
         assert [v for _, v in knots] == [0.0]
 
+    def test_server_f_knots_of_a_temporal_trace_is_rejected(self, finished_run):
+        _, trace_x, trace_y, _ = finished_run
+        with pytest.raises(ValueError, match="'x' has no values"):
+            server_f_knots(trace_y, trace_x, lambda a, b: a - b)
+
+    def test_server_f_knots_merge_both_time_columns(self):
+        trace_a = trace_from_ticks(X, [(1.0, 5.0), (3.0, 7.0), (4.0, 9.0)])
+        trace_b = trace_from_ticks(Y, [(2.0, 5.0), (3.0, 5.0), (5.0, 9.0)])
+        knots = server_f_knots(trace_a, trace_b, lambda a, b: a - b)
+        # a is alone until t=2; at t=3 both step (7-5), at t=5 f returns
+        # to 0 after 9-5 at t=4.
+        assert knots == [(2.0, 0.0), (3.0, 2.0), (4.0, 4.0), (5.0, 0.0)]
+
     def test_f_value_series_sampling(self):
         knots = [(0.0, 1.0), (50.0, 2.0)]
         series = f_value_series(

@@ -7,11 +7,8 @@ import math
 import pytest
 
 from repro.core.types import ObjectId
-from repro.metrics.group import (
-    group_interval_spread,
-    group_mutually_consistent_at,
-    group_temporal_fidelity,
-)
+from repro.metrics.group import group_interval_spread, group_temporal_fidelity
+from repro.metrics.mutual import validity_interval
 from repro.traces.model import trace_from_times
 
 A, B, C = ObjectId("a"), ObjectId("b"), ObjectId("c")
@@ -19,6 +16,17 @@ A, B, C = ObjectId("a"), ObjectId("b"), ObjectId("c")
 
 def t_trace(oid, times, end=1000.0):
     return trace_from_times(oid, times, start_time=0.0, end_time=end)
+
+
+# Eq. 4 generalised, at an instant: the cached versions' validity
+# intervals fit within a window of width δ — the check
+# group_temporal_fidelity makes after every poll.
+def group_mutually_consistent_at(traces, origins, delta):
+    intervals = [
+        validity_interval(traces[object_id], origin)
+        for object_id, origin in origins.items()
+    ]
+    return group_interval_spread(intervals) <= delta
 
 
 class TestGroupIntervalSpread:

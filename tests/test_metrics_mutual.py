@@ -4,15 +4,16 @@ operational poll-synchrony measure)."""
 from __future__ import annotations
 
 import math
+import os
+import sys
+from collections import Counter
 
 import pytest
 
+import repro
+
 from repro.core.types import ObjectId
-from repro.metrics.group import (
-    group_interval_spread,
-    group_mutually_consistent_at,
-    group_temporal_fidelity,
-)
+from repro.metrics.group import group_interval_spread, group_temporal_fidelity
 from repro.metrics.mutual import (
     mutual_poll_synchrony_fidelity,
     mutual_value_fidelity,
@@ -33,10 +34,15 @@ def interval_gap(a, b):
     return group_interval_spread([a, b])
 
 
+# Eq. 4 at an instant: the cached versions' validity intervals fit
+# within a window of width δ — the check group_temporal_fidelity makes
+# after every poll.
 def mutually_consistent_at(trace_a, trace_b, origin_a, origin_b, delta):
-    return group_mutually_consistent_at(
-        {A: trace_a, B: trace_b}, {A: origin_a, B: origin_b}, delta
-    )
+    intervals = [
+        validity_interval(trace_a, origin_a),
+        validity_interval(trace_b, origin_b),
+    ]
+    return group_interval_spread(intervals) <= delta
 
 
 def mutual_temporal_fidelity(trace_a, trace_b, fetches_a, fetches_b, delta):
@@ -250,3 +256,64 @@ class TestMutualValueFidelity:
         trace_a, trace_b = self._traces()
         with pytest.raises(ValueError):
             mutual_value_fidelity(trace_a, trace_b, [], [], delta=0.0)
+
+    def test_temporal_trace_rejected(self):
+        """A valueless trace cannot be scored for Mv, not even as 1.0."""
+        trace_a, _ = self._traces()
+        trace_b = t_trace("b", [10.0, 40.0], end=100.0)
+        with pytest.raises(ValueError, match="'b' has no values"):
+            mutual_value_fidelity(
+                trace_a, trace_b, [(10.0, 0.0)], [(10.0, 0.0)], delta=1.0
+            )
+
+
+class TestMvScoringFrames:
+    """The Python frames one Mv scoring enters, counted by ``sys.setprofile``.
+
+    The scorer walks each trace's columns with a cursor, so with P polls
+    per member and U ticks per trace it enters no ``UpdateTrace`` method
+    and, beyond ``f`` itself, a constant number of frames: the scorer
+    and the report it returns.  The window is given, since the default
+    one reads each trace's window properties once.  Only frames whose
+    code lives in the
+    ``repro`` package or is ``f`` count, as in
+    ``tests/test_proxy.py::TestPollFrames``.
+    """
+
+    POLLS = 200
+    TICKS = 300
+
+    def test_frames_are_f_calls_plus_a_constant(self):
+        ticks_a = [(1.0 + 2.0 * i, float(i % 7)) for i in range(self.TICKS)]
+        ticks_b = [(2.0 + 2.0 * i, float(i % 5)) for i in range(self.TICKS)]
+        trace_a = trace_from_ticks(A, ticks_a, start_time=0.0, end_time=700.0)
+        trace_b = trace_from_ticks(B, ticks_b, start_time=0.0, end_time=700.0)
+        fetches_a = [(3.0 * i, 0.0) for i in range(self.POLLS)]
+        fetches_b = [(3.0 * i + 1.0, 0.0) for i in range(self.POLLS)]
+
+        def f(x, y):
+            return x - y
+
+        frames = Counter()
+        package = os.path.dirname(repro.__file__) + os.sep
+
+        def profiler(frame, event, arg):
+            if event == "call" and (
+                frame.f_code.co_filename.startswith(package)
+                or frame.f_code is f.__code__
+            ):
+                frames[frame.f_code.co_qualname] += 1
+
+        sys.setprofile(profiler)
+        try:
+            report = mutual_value_fidelity(
+                trace_a, trace_b, fetches_a, fetches_b, delta=2.0, f=f,
+                start=0.0, end=700.0,
+            )
+        finally:
+            sys.setprofile(None)
+        assert report.polls == 2 * self.POLLS
+        assert not [name for name in frames if name.startswith("UpdateTrace.")]
+        f_calls = frames.pop(f.__qualname__)
+        assert f_calls >= 2 * self.POLLS
+        assert sum(frames.values()) <= 4, frames

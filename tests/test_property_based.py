@@ -105,19 +105,6 @@ class TestTraceProperties:
         if latest is not None and nxt is not None:
             assert latest.version + 1 == nxt.version
 
-    @given(
-        times_strategy,
-        st.floats(min_value=0.0, max_value=6e4),
-        st.floats(min_value=0.1, max_value=6e4),
-    )
-    @settings(max_examples=100)
-    def test_updates_in_matches_bruteforce(self, times, start, width):
-        trace = trace_from_times(ObjectId("x"), times)
-        end = start + width
-        got = [u.time for u in trace.updates_in(start, end)]
-        expected = sorted(t for t in times if start < t <= end)
-        assert got == expected
-
 
 class TestLimdProperties:
     @given(

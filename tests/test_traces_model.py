@@ -67,12 +67,10 @@ class TestConstruction:
 
 
 class TestQueries:
-    def test_updates_in_is_left_open_right_closed(self, simple_trace):
-        updates = simple_trace.updates_in(100.0, 300.0)
-        assert [u.time for u in updates] == [200.0, 300.0]
-
-    def test_updates_in_empty_interval(self, simple_trace):
-        assert simple_trace.updates_in(150.0, 160.0) == []
+    def test_columns_align_with_records(self, simple_trace, valued_trace):
+        for trace in (simple_trace, valued_trace):
+            assert trace.times == [r.time for r in trace.records]
+            assert trace.values == [r.value for r in trace.records]
 
     def test_latest_at_exact_time(self, simple_trace):
         record = simple_trace.latest_at(200.0)
