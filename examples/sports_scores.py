@@ -103,7 +103,7 @@ def main() -> None:
     for object_id, score in match.final_scores().items():
         print(f"  {object_id}: {score} points")
     print(f"  {match.total.object_id}: "
-          f"{match.total.records[-1].value:.0f} points (= sum, by construction)")
+          f"{match.total.values[-1]:.0f} points (= sum, by construction)")
     print(f"\nIndividual guarantee: every copy at most {DELTA_T:.0f} s stale "
           f"(LIMD)\nMutual guarantee sought: copies originate within "
           f"{MUTUAL_DELTA:.0f} s (Eq. 4, n objects)\n")

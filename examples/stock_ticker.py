@@ -31,7 +31,7 @@ BOUNDS = TTRBounds(ttr_min=1.0, ttr_max=60.0)
 
 
 def describe(trace) -> str:
-    values = [r.value for r in trace.records]
+    values = trace.values
     return (
         f"{trace.metadata.name}: {trace.update_count} ticks over "
         f"{trace.duration / 3600:.0f} h, "
@@ -83,10 +83,10 @@ def main() -> None:
         )
         errors = []
         for time, proxy_f in knots:
-            sa = att.latest_at(time)
-            sb = yahoo.latest_at(time)
-            if sa and sb and sa.value is not None and sb.value is not None:
-                errors.append(abs(difference(sa.value, sb.value) - proxy_f))
+            sa = att.value_at(time)
+            sb = yahoo.value_at(time)
+            if sa is not None and sb is not None:
+                errors.append(abs(difference(sa, sb) - proxy_f))
         if errors:
             print(
                 f"\n{name}: mean tracking error at refresh instants "

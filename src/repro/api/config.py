@@ -23,6 +23,7 @@ running anything.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import MISSING as _MISSING
 from dataclasses import dataclass, field, fields, replace
 from typing import Any, Dict, Mapping, Optional, Sequence, Tuple, Type, TypeVar
@@ -77,9 +78,14 @@ def _require_int(owner: str, name: str, value: object) -> int:
 
 
 def _require_float(owner: str, name: str, value: object) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    # NaN and ±inf pass every range check below and hang or skew a run.
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or not math.isfinite(value)
+    ):
         raise SimulationConfigError(
-            f"{owner}.{name} must be a number, got {value!r}"
+            f"{owner}.{name} must be a finite number, got {value!r}"
         )
     return float(value)
 

@@ -23,6 +23,7 @@ usable from any JSON ``SimulationConfig`` immediately.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, List, Mapping, Sequence
 
 from repro.api.config import SimulationConfigError, WorkloadConfig
@@ -107,11 +108,11 @@ def _poisson_source(
         )
     rate_per_hour = float(params.get("rate_per_hour", 12.0))  # type: ignore[arg-type]
     hours = float(params.get("hours", 24.0))  # type: ignore[arg-type]
-    if rate_per_hour <= 0 or hours <= 0:
-        raise SimulationConfigError(
-            "poisson rate_per_hour and hours must be > 0, got "
-            f"{rate_per_hour} and {hours}"
-        )
+    for name, value in (("rate_per_hour", rate_per_hour), ("hours", hours)):
+        if not 0 < value < math.inf:
+            raise SimulationConfigError(
+                f"poisson {name} must be finite and > 0, got {value}"
+            )
     rngs = RngRegistry(derive_seed(seed, "workload.poisson"))
     return [
         poisson_trace(

@@ -51,16 +51,16 @@ class UnknownGroupError(ReproError, KeyError):
 
 
 class TraceFormatError(ReproError):
-    """A trace file or record was malformed."""
+    """A trace file or trace was malformed."""
 
 
 class TraceOrderingError(TraceFormatError):
-    """Trace records were not in non-decreasing time order."""
+    """Trace update times were not strictly increasing."""
 
     def __init__(self, index: int, prev_time: float, time: float) -> None:
         super().__init__(
-            f"trace record {index} at t={time} precedes previous "
-            f"record at t={prev_time}"
+            f"trace update {index} at t={time} does not follow the previous "
+            f"update at t={prev_time}"
         )
         self.index = index
         self.prev_time = prev_time

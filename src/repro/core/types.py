@@ -35,30 +35,6 @@ HOUR: Seconds = 3600.0
 DAY: Seconds = 86400.0
 
 
-@dataclass(frozen=True, order=True)
-class UpdateRecord:
-    """A single server-side update to an object.
-
-    Attributes:
-        time: The instant at which the update was applied at the server.
-        version: The version number the object holds *after* the update.
-        value: The new object value, or ``None`` for objects that have no
-            numeric value (temporal-domain objects such as news pages).
-    """
-
-    time: Seconds
-    version: Version
-    value: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        if self.time < 0:
-            raise ValueError(f"update time must be >= 0, got {self.time}")
-        if self.version < 0:
-            raise ValueError(f"version must be >= 0, got {self.version}")
-        if self.value is not None and not math.isfinite(self.value):
-            raise ValueError(f"value must be finite, got {self.value}")
-
-
 class ObjectSnapshot:
     """The state of an object as observed at a specific instant.
 

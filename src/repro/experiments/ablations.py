@@ -48,7 +48,7 @@ from repro.consistency.mutual_value import PartitionParameters
 from repro.core.types import MINUTE, Seconds, TTRBounds
 from repro.experiments.figure7 import VALUE_BOUNDS
 from repro.experiments.paper import PAPER_LIMD_PARAMETERS, TTR_MAX
-from repro.experiments.workloads import news_trace, stock_trace
+from repro.experiments.workloads import news_trace
 from repro.groups.registry import GroupRegistry
 from repro.httpsim.network import LatencyModel
 from repro.metrics.collector import (
@@ -59,6 +59,8 @@ from repro.metrics.collector import (
 from repro.scenarios.engine import ScenarioResult
 from repro.scenarios.registry import Claim, Verdict, scenario
 from repro.traces.model import UpdateTrace
+from repro.traces.news import table2_traces
+from repro.traces.stocks import table3_traces
 
 DETECTION_MODES = ("history", "last_modified_only", "inferred")
 
@@ -85,9 +87,10 @@ def _prepare_news_trace(params: Mapping[str, object], seed: int) -> Dict[str, ob
 
 def _prepare_news_pair(params: Mapping[str, object], seed: int) -> Dict[str, object]:
     key_a, key_b = params["pair"]  # type: ignore[misc]
+    trace_a, trace_b = table2_traces((str(key_a), str(key_b)), seed)
     return {
-        "trace_a": news_trace(str(key_a), seed),
-        "trace_b": news_trace(str(key_b), seed),
+        "trace_a": trace_a,
+        "trace_b": trace_b,
         "delta": float(params["delta_s"]),  # type: ignore[arg-type]
         "mutual_delta": float(params["mutual_delta_s"]),  # type: ignore[arg-type]
     }
@@ -95,9 +98,10 @@ def _prepare_news_pair(params: Mapping[str, object], seed: int) -> Dict[str, obj
 
 def _prepare_stock_pair(params: Mapping[str, object], seed: int) -> Dict[str, object]:
     key_a, key_b = params["pair"]  # type: ignore[misc]
+    trace_a, trace_b = table3_traces((str(key_a), str(key_b)), seed)
     context: Dict[str, object] = {
-        "trace_a": stock_trace(str(key_a), seed),
-        "trace_b": stock_trace(str(key_b), seed),
+        "trace_a": trace_a,
+        "trace_b": trace_b,
         "mutual_delta": float(params["mutual_delta"]),  # type: ignore[arg-type]
         "bounds": TTRBounds(
             ttr_min=float(params["ttr_min"]),  # type: ignore[arg-type]

@@ -19,7 +19,6 @@ from repro.consistency.limd import limd_policy_factory
 from repro.consistency.mutual_temporal import MutualTemporalMode
 from repro.core.types import MINUTE, Seconds
 from repro.experiments.paper import PAPER_LIMD_PARAMETERS, TTR_MAX
-from repro.experiments.workloads import news_trace
 from repro.metrics.collector import (
     collect_mutual_synchrony,
     collect_mutual_temporal,
@@ -27,6 +26,7 @@ from repro.metrics.collector import (
 from repro.scenarios.engine import ScenarioResult
 from repro.scenarios.registry import Claim, Verdict, scenario
 from repro.traces.model import UpdateTrace
+from repro.traces.news import table2_traces
 
 #: δ values (minutes) swept by the paper's Figure 5.
 DEFAULT_MUTUAL_DELTAS_MIN: Sequence[float] = (1, 2, 5, 10, 15, 20, 25, 30)
@@ -86,9 +86,10 @@ def evaluate_mutual_delta(
 
 def _prepare(params: Mapping[str, object], seed: int) -> Dict[str, object]:
     key_a, key_b = params["pair"]  # type: ignore[misc]
+    trace_a, trace_b = table2_traces((str(key_a), str(key_b)), seed)
     return {
-        "trace_a": news_trace(str(key_a), seed),
-        "trace_b": news_trace(str(key_b), seed),
+        "trace_a": trace_a,
+        "trace_b": trace_b,
         "pair_label": f"{key_a}+{key_b}",
         "delta": float(params["delta_s"]),  # type: ignore[arg-type]
         "rate_ratio_threshold": float(params["rate_ratio_threshold"]),  # type: ignore[arg-type]

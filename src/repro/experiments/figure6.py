@@ -25,9 +25,10 @@ from repro.consistency.mutual_temporal import (
 from repro.core.types import HOUR, MINUTE, Seconds
 from repro.experiments.paper import PAPER_LIMD_PARAMETERS, TTR_MAX
 from repro.api.render import render_series_block
-from repro.experiments.workloads import DEFAULT_SEED, news_trace
+from repro.experiments.workloads import DEFAULT_SEED
 from repro.metrics.series import extra_polls_series, update_ratio_series
 from repro.scenarios.registry import Claim, Verdict, prepare_params_seed, scenario
+from repro.traces.news import table2_traces
 
 DELTA: Seconds = 10 * MINUTE
 MUTUAL_DELTA: Seconds = 5 * MINUTE
@@ -62,9 +63,7 @@ def run(
     rate_ratio_threshold: float = 0.8,
 ) -> Figure6Result:
     """Run the heuristic on the pair and extract both series."""
-    key_a, key_b = pair
-    trace_a = news_trace(key_a, seed)
-    trace_b = news_trace(key_b, seed)
+    trace_a, trace_b = table2_traces(pair, seed)
     factory = limd_policy_factory(
         delta, ttr_max=TTR_MAX, parameters=PAPER_LIMD_PARAMETERS
     )

@@ -19,11 +19,11 @@ from repro.api.runs import (
 )
 from repro.consistency.mutual_value import difference
 from repro.core.types import TTRBounds
-from repro.experiments.workloads import stock_trace
 from repro.metrics.collector import collect_mutual_value
 from repro.scenarios.engine import ScenarioResult
 from repro.scenarios.registry import Claim, Verdict, scenario
 from repro.traces.model import UpdateTrace
+from repro.traces.stocks import table3_traces
 
 #: δ values (dollars) swept by the paper's Figure 7.
 DEFAULT_MUTUAL_DELTAS: Sequence[float] = (0.25, 0.5, 0.6, 1.0, 1.5, 2.0, 3.0, 4.0, 5.0)
@@ -67,9 +67,10 @@ def evaluate_mutual_delta(
 
 def _prepare(params: Mapping[str, object], seed: int) -> Dict[str, object]:
     key_a, key_b = params["pair"]  # type: ignore[misc]
+    trace_a, trace_b = table3_traces((str(key_a), str(key_b)), seed)
     return {
-        "trace_a": stock_trace(str(key_a), seed),
-        "trace_b": stock_trace(str(key_b), seed),
+        "trace_a": trace_a,
+        "trace_b": trace_b,
         "pair_label": f"{key_a}+{key_b}",
         "bounds": TTRBounds(
             ttr_min=float(params["ttr_min"]),  # type: ignore[arg-type]

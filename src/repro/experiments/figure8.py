@@ -23,10 +23,11 @@ from repro.consistency.mutual_value import difference, group_f_history
 from repro.core.types import Seconds, TTRBounds
 from repro.experiments.figure7 import VALUE_BOUNDS
 from repro.api.render import render_series_block
-from repro.experiments.workloads import DEFAULT_SEED, stock_trace
+from repro.experiments.workloads import DEFAULT_SEED
 from repro.metrics.series import f_value_series, server_f_knots
 from repro.scenarios.registry import Claim, Verdict, prepare_params_seed, scenario
 from repro.traces.model import UpdateTrace
+from repro.traces.stocks import table3_traces
 
 MUTUAL_DELTA = 0.6
 WINDOW: Tuple[Seconds, Seconds] = (2500.0, 5000.0)
@@ -108,9 +109,7 @@ def run(
     ``workers`` > 1 runs the two approaches in parallel worker
     processes.
     """
-    key_a, key_b = pair
-    trace_a = stock_trace(key_a, seed)
-    trace_b = stock_trace(key_b, seed)
+    trace_a, trace_b = table3_traces(pair, seed)
     start, end = window
 
     server_series = f_value_series(

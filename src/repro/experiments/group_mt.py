@@ -20,12 +20,12 @@ from repro.consistency.limd import limd_policy_factory
 from repro.consistency.mutual_temporal import MutualTemporalMode
 from repro.core.types import MINUTE, Seconds
 from repro.experiments.paper import PAPER_LIMD_PARAMETERS, TTR_MAX
-from repro.experiments.workloads import news_trace
 from repro.metrics.collector import temporal_fetches_of
 from repro.metrics.group import group_temporal_fidelity
 from repro.scenarios.engine import ScenarioResult
 from repro.scenarios.registry import Claim, Verdict, scenario
 from repro.traces.model import UpdateTrace
+from repro.traces.news import table2_traces
 
 DEFAULT_TRIO = ("cnn_fn", "nyt_ap", "nyt_reuters")
 DEFAULT_DELTA: Seconds = 10 * MINUTE
@@ -34,7 +34,7 @@ DEFAULT_MUTUAL_DELTAS = (1.0, 5.0, 10.0, 20.0, 30.0)  # minutes
 
 def _prepare(params: Mapping[str, object], seed: int) -> Dict[str, object]:
     trio = [str(key) for key in params["trio"]]  # type: ignore[union-attr]
-    return {"traces": [news_trace(key, seed) for key in trio]}
+    return {"traces": table2_traces(trio, seed)}
 
 
 def _pair_claims_survive_n_objects(result: ScenarioResult) -> Verdict:

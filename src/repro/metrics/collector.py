@@ -170,7 +170,7 @@ def collect_eviction_impact(
         # windows — scored at the horizon).  Updates are time-ordered,
         # so the earliest one in the window waited longest and decides.
         first = trace.next_after(evicted)
-        if first is not None and first.time <= close and close - first.time > delta:
+        if first is not None and first <= close and close - first > delta:
             violations += 1
     return EvictionImpact(
         object_id=object_id,

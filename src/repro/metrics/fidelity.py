@@ -98,14 +98,14 @@ def temporal_fidelity(
     if not fetches:
         first = trace.next_after(window_start)
         if first is not None:
-            out_sync = max(0.0, window_end - (first.time + delta))
+            out_sync = max(0.0, window_end - (first + delta))
     for index, (poll_time, last_modified) in enumerate(fetches):
         closed = index + 1 < len(fetches)
         segment_end = fetches[index + 1][0] if closed else window_end
         unseen = trace.next_after(last_modified)
         if unseen is None:
             continue
-        stale_from = max(poll_time, unseen.time + delta)
+        stale_from = max(poll_time, unseen + delta)
         if closed and stale_from < segment_end:
             violations += 1
         lo = max(stale_from, window_start)
@@ -134,7 +134,7 @@ def value_fidelity(
     """Evaluate Δv-consistency of a fetch schedule against ground truth.
 
     Args:
-        trace: The object's true tick history (valued records).
+        trace: The object's true tick history (a value-domain trace).
         fetches: (poll_time, value obtained) pairs, ascending in time.
         delta: The Δ value bound.
         start, end: Evaluation window (defaults to the trace window).

@@ -35,7 +35,7 @@ def update_frequency_series(
 ) -> Series:
     """Updates per bin over the trace window (Figure 4(a))."""
     return bin_count(
-        (r.time for r in trace),
+        trace.times,
         start=trace.start_time,
         end=trace.end_time,
         bin_width=bin_width,
@@ -82,11 +82,11 @@ def update_ratio_series(
     start = min(trace_a.start_time, trace_b.start_time)
     end = max(trace_a.end_time, trace_b.end_time)
     series_a = bin_count(
-        (r.time for r in trace_a),
+        trace_a.times,
         start=start, end=end, bin_width=bin_width, label="a",
     )
     series_b = bin_count(
-        (r.time for r in trace_b),
+        trace_b.times,
         start=start, end=end, bin_width=bin_width, label="b",
     )
     return ratio_series(series_a, series_b, label=label)

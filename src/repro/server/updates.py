@@ -1,7 +1,7 @@
 """Feeding trace updates into an origin server.
 
 An :class:`UpdateFeeder` turns a static :class:`UpdateTrace` into a
-live, time-driven object at the origin: every trace record is one
+live, time-driven object at the origin: every trace update is one
 kernel event that applies it at the right instant, streamed through
 :meth:`~repro.sim.kernel.Kernel.schedule_series` so only the next
 update of each trace is ever pending.
@@ -9,6 +9,7 @@ update of each trace is ever pending.
 
 from __future__ import annotations
 
+import bisect
 from typing import Dict, Iterable
 
 from repro.core.types import ObjectId
@@ -22,10 +23,10 @@ class UpdateFeeder:
 
     The server object is created (version 0) at the trace's start time
     minus nothing — i.e. at ``trace.start_time`` — so the first trace
-    record becomes version 1, matching the paper's "version ... set to
+    update becomes version 1, matching the paper's "version ... set to
     zero when the object is created ... incremented on each update".
 
-    For valued traces, the object's initial value is the first record's
+    For valued traces, the object's initial value is the first update's
     value (the proxy's first fetch then observes a sensible price rather
     than ``None``).
     """
@@ -38,36 +39,37 @@ class UpdateFeeder:
     ) -> None:
         self._object_id = trace.object_id
         self._sink = server.apply_update
-        self._applied = 0
+        self._times = trace.times
+        self._values = trace.values
         if not server.has_object(trace.object_id):
             server.create_object(
                 trace.object_id,
                 created_at=trace.start_time,
-                initial_value=trace[0].value if len(trace) > 0 else None,
+                initial_value=trace.values[0] if trace.values else None,
             )
-        # The creation record coincides with the window start; feed only
-        # what is strictly in the future of creation.
-        start_time = trace.start_time
-        future = [record for record in trace if record.time > start_time]
-        self._times = [record.time for record in future]
-        self._values = [record.value for record in future]
+        # The creation coincides with the window start; feed only what
+        # is strictly in the future of creation.
+        self._first = bisect.bisect_right(trace.times, trace.start_time)
+        self._next = self._first
         kernel.schedule_series(
-            self._times, self._apply_next, label=f"update.{trace.object_id}"
+            trace.times[self._first :],
+            self._apply_next,
+            label=f"update.{trace.object_id}",
         )
 
     @property
     def scheduled_count(self) -> int:
-        return len(self._times)
+        return len(self._times) - self._first
 
     @property
     def applied_count(self) -> int:
-        return self._applied
+        return self._next - self._first
 
     def _apply_next(self, _kernel: Kernel) -> None:
         # Advance the cursor before delivering, so a raising sink cannot
-        # make the next instant re-deliver this record.
-        index = self._applied
-        self._applied = index + 1
+        # make the next instant re-deliver this update.
+        index = self._next
+        self._next = index + 1
         self._sink(self._object_id, self._times[index], self._values[index])
 
 

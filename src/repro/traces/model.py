@@ -3,18 +3,20 @@
 The paper's evaluation is trace-driven: each object is driven by a
 sequence of timestamped updates.  Temporal-domain traces carry only
 update instants (news pages); value-domain traces carry an instant and
-a new value (stock ticks).  Both are represented by ``UpdateTrace``,
-whose records optionally carry values.
+a new value (stock ticks).  Both are represented by ``UpdateTrace``:
+a column of update times and a column of values (``None`` for a
+temporal trace), indexed by version.
 """
 
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Mapping, Optional, Sequence
+from typing import Iterable, List, Mapping, Optional, Sequence
 
 from repro.core.errors import TraceFormatError, TraceOrderingError
-from repro.core.types import ObjectId, Seconds, UpdateRecord
+from repro.core.types import ObjectId, Seconds
 
 
 @dataclass(frozen=True)
@@ -32,63 +34,72 @@ class TraceMetadata:
 
 
 class UpdateTrace:
-    """An immutable, time-ordered sequence of updates to one object.
+    """An immutable, time-ordered update history of one object.
 
-    Records must be strictly increasing in time (two updates cannot share
-    an instant for a single object) and version numbers must increase by
-    exactly one per record, starting from the first record's version.
+    Stored as two index-aligned columns, as on the origin: update *i*
+    happened at ``times[i]``, set ``values[i]`` and created version *i*.
+    Every time is finite, >= 0 and strictly greater than the one before
+    it (two updates cannot share an instant for a single object); every
+    value is finite.
 
     Attributes:
-        times: Every record's time, ascending — the column scorers walk
+        times: Every update's time, ascending — the column scorers walk
             with a cursor.  Read-only by contract.
-        values: Every record's value (``None`` for a temporal record),
+        values: Every update's value (all ``None`` for a temporal trace),
             index-aligned with ``times``.  Read-only by contract.
-        has_values: True if every record carries a value (a
-            value-domain trace).
+        has_values: True for a non-empty value-domain trace.
     """
 
     def __init__(
         self,
         object_id: ObjectId,
-        records: Iterable[UpdateRecord],
+        times: Iterable[Seconds],
+        values: Optional[Iterable[float]] = None,
         *,
         start_time: Seconds = 0.0,
         end_time: Optional[Seconds] = None,
         metadata: Optional[TraceMetadata] = None,
     ) -> None:
         self._object_id = object_id
-        self._records: List[UpdateRecord] = list(records)
         self._metadata = metadata or TraceMetadata(name=str(object_id))
-        self._validate()
-        self._start_time = start_time
-        if self._records and start_time > self._records[0].time:
+        self.times: List[Seconds] = list(times)
+        prev = 0.0
+        for index, t in enumerate(self.times):
+            if not 0.0 <= t < math.inf:
+                raise TraceFormatError(
+                    f"update {index}: time must be finite and >= 0, got {t}"
+                )
+            if index and not t > prev:
+                raise TraceOrderingError(index, prev, t)
+            prev = t
+        self.values: List[Optional[float]]
+        if values is None:
+            self.values = [None] * len(self.times)
+        else:
+            self.values = list(values)
+            if len(self.values) != len(self.times):
+                raise TraceFormatError(
+                    f"{len(self.values)} values for {len(self.times)} times"
+                )
+            for index, value in enumerate(self.values):
+                if value is None or not math.isfinite(value):
+                    raise TraceFormatError(
+                        f"update {index}: value must be finite, got {value}"
+                    )
+        self.has_values: bool = values is not None and bool(self.times)
+        if self.times and start_time > self.times[0]:
             raise TraceFormatError(
-                f"start_time {start_time} exceeds first update at "
-                f"{self._records[0].time}"
+                f"start_time {start_time} exceeds first update at {self.times[0]}"
             )
-        last = self._records[-1].time if self._records else start_time
+        self._start_time = start_time
+        last = self.times[-1] if self.times else start_time
         self._end_time = end_time if end_time is not None else last
+        if not math.isfinite(self._end_time):
+            raise TraceFormatError(f"end_time must be finite, got {self._end_time}")
         if self._end_time < last:
             raise TraceFormatError(
                 f"end_time {self._end_time} precedes last update at {last}"
             )
-        self.times: List[Seconds] = [r.time for r in self._records]
-        self.values: List[Optional[float]] = [r.value for r in self._records]
-        self.has_values: bool = bool(self.values) and None not in self.values
-
-    def _validate(self) -> None:
-        prev_time: Optional[Seconds] = None
-        prev_version: Optional[int] = None
-        for index, record in enumerate(self._records):
-            if prev_time is not None and record.time <= prev_time:
-                raise TraceOrderingError(index, prev_time, record.time)
-            if prev_version is not None and record.version != prev_version + 1:
-                raise TraceFormatError(
-                    f"record {index}: version {record.version} does not follow "
-                    f"{prev_version} (versions must increment by one)"
-                )
-            prev_time = record.time
-            prev_version = record.version
 
     # ------------------------------------------------------------------
     # Basic accessors
@@ -100,10 +111,6 @@ class UpdateTrace:
     @property
     def metadata(self) -> TraceMetadata:
         return self._metadata
-
-    @property
-    def records(self) -> Sequence[UpdateRecord]:
-        return tuple(self._records)
 
     @property
     def start_time(self) -> Seconds:
@@ -121,85 +128,27 @@ class UpdateTrace:
 
     @property
     def update_count(self) -> int:
-        return len(self._records)
+        return len(self.times)
 
     def __len__(self) -> int:
-        return len(self._records)
-
-    def __iter__(self) -> Iterator[UpdateRecord]:
-        return iter(self._records)
-
-    def __getitem__(self, index: int) -> UpdateRecord:
-        return self._records[index]
+        return len(self.times)
 
     # ------------------------------------------------------------------
     # Queries used by the simulator and metrics
     # ------------------------------------------------------------------
-    def latest_at(self, t: Seconds) -> Optional[UpdateRecord]:
-        """Return the most recent update at or before time ``t``."""
+    def next_after(self, t: Seconds) -> Optional[Seconds]:
+        """Return the time of the first update strictly after ``t``."""
         index = bisect.bisect_right(self.times, t)
-        if index == 0:
-            return None
-        return self._records[index - 1]
-
-    def next_after(self, t: Seconds) -> Optional[UpdateRecord]:
-        """Return the first update strictly after time ``t``."""
-        index = bisect.bisect_right(self.times, t)
-        if index >= len(self._records):
-            return None
-        return self._records[index]
+        return self.times[index] if index < len(self.times) else None
 
     def value_at(self, t: Seconds, *, default: Optional[float] = None) -> Optional[float]:
         """Return the object's value at time ``t`` (last tick at or before)."""
-        record = self.latest_at(t)
-        if record is None:
-            return default
-        return record.value
-
-    def version_at(self, t: Seconds) -> Optional[int]:
-        """Return the object's version at time ``t``, or None if unborn."""
-        record = self.latest_at(t)
-        return record.version if record is not None else None
-
-    # ------------------------------------------------------------------
-    # Derived traces
-    # ------------------------------------------------------------------
-    def shifted(self, offset: Seconds) -> "UpdateTrace":
-        """Return a copy with all times shifted by ``offset`` (>= 0 result)."""
-        if self._start_time + offset < 0:
-            raise ValueError(
-                f"shift by {offset} would move start before t=0"
-            )
-        return UpdateTrace(
-            self._object_id,
-            [
-                UpdateRecord(r.time + offset, r.version, r.value)
-                for r in self._records
-            ],
-            start_time=self._start_time + offset,
-            end_time=self._end_time + offset,
-            metadata=self._metadata,
-        )
-
-    def clipped(self, start: Seconds, end: Seconds) -> "UpdateTrace":
-        """Return the sub-trace covering [start, end]; versions renumbered."""
-        if end <= start:
-            raise ValueError(f"end ({end}) must exceed start ({start})")
-        selected = [r for r in self._records if start <= r.time <= end]
-        renumbered = [
-            UpdateRecord(r.time, i, r.value) for i, r in enumerate(selected)
-        ]
-        return UpdateTrace(
-            self._object_id,
-            renumbered,
-            start_time=start,
-            end_time=end,
-            metadata=self._metadata,
-        )
+        index = bisect.bisect_right(self.times, t)
+        return self.values[index - 1] if index else default
 
     def __repr__(self) -> str:
         return (
-            f"UpdateTrace({self._object_id!r}, updates={len(self._records)}, "
+            f"UpdateTrace({self._object_id!r}, updates={len(self.times)}, "
             f"window=[{self._start_time}, {self._end_time}])"
         )
 
@@ -213,10 +162,9 @@ def trace_from_times(
     metadata: Optional[TraceMetadata] = None,
 ) -> UpdateTrace:
     """Build a temporal-domain trace from bare update instants."""
-    records = [UpdateRecord(t, i) for i, t in enumerate(sorted(times))]
     return UpdateTrace(
         object_id,
-        records,
+        sorted(times),
         start_time=start_time,
         end_time=end_time,
         metadata=metadata,
@@ -233,10 +181,10 @@ def trace_from_ticks(
 ) -> UpdateTrace:
     """Build a value-domain trace from (time, value) pairs."""
     ordered = sorted(ticks, key=lambda tv: tv[0])
-    records = [UpdateRecord(t, i, v) for i, (t, v) in enumerate(ordered)]
     return UpdateTrace(
         object_id,
-        records,
+        [t for t, _ in ordered],
+        [v for _, v in ordered],
         start_time=start_time,
         end_time=end_time,
         metadata=metadata,

@@ -148,8 +148,7 @@ class MatchTraces:
         """Final cumulative score per player (from the traces)."""
         finals: Dict[ObjectId, int] = {}
         for object_id, trace in self.players.items():
-            records = trace.records
-            finals[object_id] = int(records[-1].value) if records else 0
+            finals[object_id] = int(trace.values[-1]) if trace.values else 0
         return finals
 
 

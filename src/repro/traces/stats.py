@@ -68,11 +68,10 @@ def summarize_value(trace: UpdateTrace) -> ValueTraceSummary:
             f"trace {trace.object_id!r} has no values; "
             "value summaries need a value-domain trace"
         )
-    values = [r.value for r in trace.records if r.value is not None]
     return ValueTraceSummary(
         name=trace.metadata.name,
         duration=trace.duration,
         update_count=trace.update_count,
-        min_value=min(values),
-        max_value=max(values),
+        min_value=min(trace.values),  # type: ignore[type-var]
+        max_value=max(trace.values),  # type: ignore[type-var]
     )

@@ -20,7 +20,7 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
-from repro.core.types import ObjectId, Seconds, require_positive
+from repro.core.types import ObjectId, Seconds, require_finite, require_positive
 from repro.traces.model import TraceMetadata, UpdateTrace, trace_from_ticks, trace_from_times
 
 
@@ -33,6 +33,8 @@ def poisson_update_times(
 ) -> List[Seconds]:
     """Update instants of a homogeneous Poisson process on (start, end)."""
     require_positive("rate", rate)
+    require_finite("start", start)
+    require_finite("end", end)
     if end <= start:
         raise ValueError(f"end ({end}) must exceed start ({start})")
     times: List[Seconds] = []

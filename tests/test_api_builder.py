@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import inspect
 import json
+import math
 import os
 import subprocess
 import sys
@@ -288,6 +289,17 @@ class TestRunSimulation:
             .build()
         )
         with pytest.raises(SimulationConfigError, match="poisson"):
+            run_simulation(config)
+
+    @pytest.mark.parametrize("hours", [math.nan, math.inf])
+    def test_non_finite_poisson_hours_are_a_config_error(self, hours):
+        # Both once made the Poisson generator loop forever.
+        config = (
+            _tiny_builder()
+            .workload("poisson", "obj", rate_per_hour=1.0, hours=hours)
+            .build()
+        )
+        with pytest.raises(SimulationConfigError, match="hours"):
             run_simulation(config)
 
     def test_network_jitter_perturbs_results_deterministically(self):

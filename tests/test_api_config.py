@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -159,6 +160,24 @@ class TestRoundTrip:
 # ----------------------------------------------------------------------
 
 
+#: Every float field of a config, as (path in the JSON, name in errors).
+_FLOAT_FIELDS = [
+    (("network", "one_way_latency_s"), "network.one_way_latency_s"),
+    (("network", "jitter_s"), "network.jitter_s"),
+    (
+        ("topology", "levels", 0, "network", "one_way_latency_s"),
+        "network.one_way_latency_s",
+    ),
+    (("cache", "ttl_classes", "hot"), "cache.ttl_classes['hot']"),
+    (("cache", "default_ttl_s"), "cache.default_ttl_s"),
+    (("groups", "groups", 0, "mutual_delta"), "group.mutual_delta"),
+    (("groups", "component_delta"), "groups.component_delta"),
+    (("groups", "rate_ratio_threshold"), "groups.rate_ratio_threshold"),
+    (("horizon_s",), "simulation.horizon_s"),
+    (("fidelity_delta_s",), "simulation.fidelity_delta_s"),
+]
+
+
 class TestRejection:
     def test_unknown_top_level_field(self):
         # "log_events" was a field until the event log was deleted: a
@@ -288,6 +307,37 @@ class TestRejection:
     def test_bad_history_flag(self):
         with pytest.raises(SimulationConfigError, match="want_history"):
             SimulationConfig(want_history=1)  # type: ignore[arg-type]
+
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize(
+        "path, name",
+        _FLOAT_FIELDS,
+        ids=[".".join(map(str, path)) for path, _ in _FLOAT_FIELDS],
+    )
+    def test_non_finite_float_field_rejected(self, path, name, bad):
+        # NaN passes every range check, and a NaN or infinite horizon
+        # or latency would hang the run: each float field refuses them.
+        data = SimulationConfig().to_dict()
+        data["workload"]["objects"] = ["a", "b"]
+        data["topology"] = {
+            "kind": "tree",
+            "levels": [{"fan_out": 1, "network": {"one_way_latency_s": 1.0}}],
+        }
+        data["cache"].update(ttl_classes={"hot": 1.0}, default_ttl_s=1.0)
+        data["groups"] = {
+            "groups": [{"group_id": "g", "members": ["a", "b"], "mutual_delta": 1.0}],
+            "component_delta": 1.0,
+            "rate_ratio_threshold": 0.8,
+        }
+        data.update(horizon_s=1.0, fidelity_delta_s=1.0)
+        SimulationConfig.from_json(json.dumps(data))  # finite: accepted
+        holder = data
+        for key in path[:-1]:
+            holder = holder[key]
+        holder[path[-1]] = "@"
+        text = json.dumps(data).replace('"@"', bad)
+        with pytest.raises(SimulationConfigError, match=re.escape(name)):
+            SimulationConfig.from_json(text)
 
     def test_invalid_json_text(self):
         with pytest.raises(SimulationConfigError, match="invalid config JSON"):

@@ -11,44 +11,10 @@ from repro.core.types import (
     GroupSpec,
     ObjectId,
     TTRBounds,
-    UpdateRecord,
     require_finite,
     require_fraction,
     require_positive,
 )
-
-
-class TestUpdateRecord:
-    def test_basic_construction(self):
-        record = UpdateRecord(time=5.0, version=3, value=1.25)
-        assert record.time == 5.0
-        assert record.version == 3
-        assert record.value == 1.25
-
-    def test_value_defaults_to_none(self):
-        assert UpdateRecord(time=1.0, version=0).value is None
-
-    def test_negative_time_rejected(self):
-        with pytest.raises(ValueError, match="time"):
-            UpdateRecord(time=-1.0, version=0)
-
-    def test_negative_version_rejected(self):
-        with pytest.raises(ValueError, match="version"):
-            UpdateRecord(time=1.0, version=-1)
-
-    def test_non_finite_value_rejected(self):
-        with pytest.raises(ValueError, match="finite"):
-            UpdateRecord(time=1.0, version=0, value=math.inf)
-
-    def test_ordering_is_by_time(self):
-        early = UpdateRecord(time=1.0, version=5)
-        late = UpdateRecord(time=2.0, version=1)
-        assert early < late
-
-    def test_frozen(self):
-        record = UpdateRecord(time=1.0, version=0)
-        with pytest.raises(AttributeError):
-            record.time = 2.0  # type: ignore[misc]
 
 
 class TestTTRBounds:

@@ -372,8 +372,8 @@ def _flat_scan_impact(
         absent += max(0.0, close - evicted_at)
         if delta is None:
             continue
-        for update in trace:
-            if evicted_at < update.time <= close and close - update.time > delta:
+        for update in trace.times:
+            if evicted_at < update <= close and close - update > delta:
                 violations += 1
                 break
     return EvictionImpact(

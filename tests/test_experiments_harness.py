@@ -122,12 +122,12 @@ class TestWorkloads:
     def test_news_traces_deterministic(self):
         t1 = news_traces(123)["cnn_fn"]
         t2 = news_traces(123)["cnn_fn"]
-        assert [r.time for r in t1.records] == [r.time for r in t2.records]
+        assert t1.times == t2.times
 
     def test_different_seeds_differ(self):
         t1 = news_trace("cnn_fn", 1)
         t2 = news_trace("cnn_fn", 2)
-        assert [r.time for r in t1.records] != [r.time for r in t2.records]
+        assert t1.times != t2.times
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(KeyError):

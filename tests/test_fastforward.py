@@ -25,7 +25,7 @@ from repro.httpsim.network import LatencyModel
 from repro.sim.fastforward import FastForwardEngine
 from repro.topology.levels import TreeLevel
 from repro.topology.tree import TopologyTree
-from repro.traces.model import UpdateRecord, UpdateTrace
+from repro.traces.model import UpdateTrace
 
 
 def _fetch_columns(entry):
@@ -139,11 +139,12 @@ class TestEngineDirect:
 
     @staticmethod
     def _stack(updates=()):
-        records = [
-            UpdateRecord(time, version + 1, float(version))
-            for version, time in enumerate(updates)
-        ]
-        trace = UpdateTrace(ObjectId("obj"), records, end_time=7200.0)
+        trace = UpdateTrace(
+            ObjectId("obj"),
+            updates,
+            [float(version) for version in range(len(updates))],
+            end_time=7200.0,
+        )
         kernel, server, proxy = build_stack([trace])
         proxy.register_object(
             trace.object_id, server, StaticTTLPolicy(250.0)
@@ -204,8 +205,7 @@ class TestEngineDirect:
         assert _fetch_columns(entry_a) == _fetch_columns(entry_b)
 
     def test_latent_link_is_rejected(self):
-        records = []
-        trace = UpdateTrace(ObjectId("obj"), records, end_time=1000.0)
+        trace = UpdateTrace(ObjectId("obj"), [], end_time=1000.0)
         kernel, server, proxy = build_stack(
             [trace], latency=LatencyModel(one_way=0.5)
         )

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import bisect
+
 import pytest
 
 from repro.core.types import ObjectId
@@ -15,8 +17,11 @@ def temporal_trace(times, end=1000.0):
 
 def origin_fetches(trace, polls):
     """What zero-latency polls of the origin obtain: (p, latest update ≤ p)."""
-    held = (trace.latest_at(poll) for poll in polls)
-    return [(p, r.time if r else trace.start_time) for p, r in zip(polls, held)]
+    held = (bisect.bisect_right(trace.times, poll) for poll in polls)
+    return [
+        (p, trace.times[i - 1] if i else trace.start_time)
+        for p, i in zip(polls, held)
+    ]
 
 
 class TestFidelityReport:

@@ -5,8 +5,10 @@
 The versions below re-derived every segment from bisects — two
 ``updates_in`` slices and a ``latest_at`` per knot for Mv, and every
 member's validity interval on every event group for Mt.  They are kept
-here verbatim as the oracle only; ``UpdateTrace.updates_in`` went with
-them, so its one line lives on as :func:`updates_in`.  The properties
+here verbatim as the oracle only.  The trace queries they used are gone
+from ``UpdateTrace``, so :func:`updates_in`, :func:`latest_at` and
+:func:`next_after` re-derive them here, each by its own bisect over the
+trace's ``times`` / ``values`` columns.  The properties
 demand ``==`` on the whole report, not approximate equality: both sides
 must add the same floats in the same order.
 """
@@ -20,7 +22,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core.types import ObjectId, Seconds, UpdateRecord
+from repro.core.types import ObjectId, Seconds
 from repro.metrics.fidelity import FidelityReport, TemporalFetch, value_fidelity
 from repro.metrics.group import group_interval_spread, group_temporal_fidelity
 from repro.metrics.mutual import ValueFetch, mutual_value_fidelity
@@ -29,11 +31,26 @@ from repro.traces.model import UpdateTrace, trace_from_ticks, trace_from_times
 A, B, C = ObjectId("a"), ObjectId("b"), ObjectId("c")
 
 
-def updates_in(trace: UpdateTrace, start: Seconds, end: Seconds) -> List[UpdateRecord]:
-    """Updates with start < time <= end (the deleted trace query)."""
+Update = Tuple[Seconds, Optional[float]]
+
+
+def updates_in(trace: UpdateTrace, start: Seconds, end: Seconds) -> List[Update]:
+    """(time, value) of the updates with start < time <= end."""
     lo = bisect.bisect_right(trace.times, start)
     hi = bisect.bisect_right(trace.times, end)
-    return list(trace.records[lo:hi])
+    return list(zip(trace.times[lo:hi], trace.values[lo:hi]))
+
+
+def latest_at(trace: UpdateTrace, t: Seconds) -> Optional[Update]:
+    """(time, value) of the last update at or before ``t``, if any."""
+    index = bisect.bisect_right(trace.times, t)
+    return (trace.times[index - 1], trace.values[index - 1]) if index else None
+
+
+def next_after(trace: UpdateTrace, t: Seconds) -> Optional[Seconds]:
+    """Time of the first update strictly after ``t``, if any."""
+    index = bisect.bisect_right(trace.times, t)
+    return trace.times[index] if index < len(trace.times) else None
 
 
 # ----------------------------------------------------------------------
@@ -110,10 +127,10 @@ def _mv_segment_stats(
     # Server-side step knots within the segment.
     server_events: List[Seconds] = [segment_start]
     server_events.extend(
-        u.time for u in updates_in(trace_a, segment_start, segment_end)
+        u for u, _ in updates_in(trace_a, segment_start, segment_end)
     )
     server_events.extend(
-        u.time for u in updates_in(trace_b, segment_start, segment_end)
+        u for u, _ in updates_in(trace_b, segment_start, segment_end)
     )
     server_events = sorted(set(server_events))
     server_events.append(segment_end)
@@ -126,13 +143,13 @@ def _mv_segment_stats(
             # segment boundary is repaired by the poll at that same
             # instant and never observable.
             continue
-        state_a = trace_a.latest_at(knot)
-        state_b = trace_b.latest_at(knot)
+        state_a = latest_at(trace_a, knot)
+        state_b = latest_at(trace_b, knot)
         if state_a is None or state_b is None:
             continue
-        if state_a.value is None or state_b.value is None:
+        if state_a[1] is None or state_b[1] is None:
             continue
-        f_server = f(state_a.value, state_b.value)
+        f_server = f(state_a[1], state_b[1])
         if abs(f_server - f_proxy) >= delta:
             violated = True
             lo = max(knot, window_start)
@@ -194,13 +211,11 @@ def _value_segment_stats(
 ) -> Tuple[bool, Seconds]:
     violated = False
     stale = 0.0
-    current = trace.latest_at(segment_start)
-    current_value = current.value if current is not None else None
+    current = latest_at(trace, segment_start)
+    current_value = current[1] if current is not None else None
     t = segment_start
     updates = updates_in(trace, segment_start, segment_end)
-    knots: List[Tuple[Seconds, Optional[float]]] = [
-        (t, current_value)
-    ] + [(u.time, u.value) for u in updates]
+    knots: List[Tuple[Seconds, Optional[float]]] = [(t, current_value)] + updates
     knots.append((segment_end, None))  # terminator; value unused
     for (knot_time, knot_value), (next_time, _next_value) in zip(
         knots, knots[1:]
@@ -222,8 +237,8 @@ def _value_segment_stats(
 def oracle_validity_interval(
     trace: UpdateTrace, version_origin: Seconds
 ) -> Tuple[Seconds, Seconds]:
-    nxt = trace.next_after(version_origin)
-    end = nxt.time if nxt is not None else math.inf
+    nxt = next_after(trace, version_origin)
+    end = nxt if nxt is not None else math.inf
     return (version_origin, end)
 
 

@@ -8,6 +8,8 @@ arithmetic behind mutual-consistency evaluation.
 
 from __future__ import annotations
 
+import bisect
+
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -23,8 +25,8 @@ def lagged_fetches(trace, polls, lag):
     """Ascending fetches, each obtaining the version current ``lag`` earlier."""
     fetches = []
     for poll in sorted(polls):
-        held = trace.latest_at(poll - lag)
-        fetches.append((poll, trace.start_time if held is None else held.time))
+        held = bisect.bisect_right(trace.times, poll - lag)
+        fetches.append((poll, trace.times[held - 1] if held else trace.start_time))
     return fetches
 
 
@@ -88,22 +90,25 @@ class TestTraceProperties:
     @settings(max_examples=100)
     def test_versions_sequential_and_times_sorted(self, times):
         trace = trace_from_times(ObjectId("x"), times)
-        recorded = [r.time for r in trace.records]
-        assert recorded == sorted(recorded)
-        assert [r.version for r in trace.records] == list(range(len(times)))
+        # Version i is index i: one column entry per update, in order.
+        assert trace.times == sorted(times)
+        assert len(trace.values) == len(times)
 
     @given(times_strategy, st.floats(min_value=0.0, max_value=1.2e5))
     @settings(max_examples=100)
     def test_latest_at_and_next_after_partition_the_timeline(self, times, t):
         trace = trace_from_times(ObjectId("x"), times)
-        latest = trace.latest_at(t)
+        # The latest update at t is index (version) held - 1, found by a
+        # bisect of our own; next_after(t) must be the one right after it.
+        held = bisect.bisect_right(trace.times, t)
         nxt = trace.next_after(t)
-        if latest is not None:
-            assert latest.time <= t
-        if nxt is not None:
-            assert nxt.time > t
-        if latest is not None and nxt is not None:
-            assert latest.version + 1 == nxt.version
+        if held:
+            assert trace.times[held - 1] <= t
+        if nxt is None:
+            assert held == len(times)
+        else:
+            assert nxt > t
+            assert nxt == trace.times[held]
 
 
 class TestLimdProperties:

@@ -52,7 +52,7 @@ class TestNewsGeneratorProperties:
     def test_exact_count_spacing_window(self, spec, seed):
         trace = NewsTraceGenerator(random.Random(seed)).generate(spec)
         assert trace.update_count == spec.update_count
-        times = [r.time for r in trace.records]
+        times = trace.times
         assert all(0.0 <= t < spec.duration for t in times)
         for a, b in zip(times, times[1:]):
             assert b - a >= MIN_UPDATE_SPACING - 1e-9
@@ -62,7 +62,7 @@ class TestNewsGeneratorProperties:
     def test_same_seed_same_trace(self, spec, seed):
         t1 = NewsTraceGenerator(random.Random(seed)).generate(spec)
         t2 = NewsTraceGenerator(random.Random(seed)).generate(spec)
-        assert [r.time for r in t1.records] == [r.time for r in t2.records]
+        assert t1.times == t2.times
 
 
 class TestStockGeneratorProperties:
@@ -71,10 +71,10 @@ class TestStockGeneratorProperties:
     def test_exact_count_range_window(self, spec, seed):
         trace = StockTraceGenerator(random.Random(seed)).generate(spec)
         assert trace.update_count == spec.tick_count
-        values = [r.value for r in trace.records]
+        values = trace.values
         assert min(values) == pytest_approx(spec.min_value)
         assert max(values) == pytest_approx(spec.max_value)
-        times = [r.time for r in trace.records]
+        times = trace.times
         assert all(0.0 <= t < spec.duration for t in times)
         for a, b in zip(times, times[1:]):
             assert b - a >= MIN_TICK_SPACING - 1e-9

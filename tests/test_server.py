@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import bisect
 import math
 import os
 import sys
@@ -360,7 +361,7 @@ class TestUpdateFrames:
 
 class TestOriginFollowsItsTrace:
     """Black-box, through ``handle_request``: at any instant a fed origin
-    answers its trace's latest record, whose index (plus the creation)
+    answers its trace's latest update, whose index (plus the creation)
     is the version, and serves the trace's prefix as its history."""
 
     @settings(max_examples=60, deadline=None)
@@ -375,7 +376,7 @@ class TestOriginFollowsItsTrace:
             trace = trace_from_ticks(X, [(t, 10.0 + i) for i, t in enumerate(times)])
         else:
             trace = trace_from_times(X, times)
-        initial_value = trace[0].value if times else None
+        initial_value = trace.values[0] if times else None
         kernel = Kernel()
         server = OriginServer()
         UpdateFeeder(kernel, server, trace)
@@ -384,16 +385,15 @@ class TestOriginFollowsItsTrace:
             response = server.handle_request(
                 conditional_get(X, want_history=True), probe
             )
-            latest = trace.latest_at(probe)
-            version = 0 if latest is None else latest.version + 1
+            version = bisect.bisect_right(times, probe)
             assert response.status is Status.OK
             assert response.version == version
             assert server.counters.get("updates_applied") == version
-            if latest is None:
+            if version == 0:
                 assert (response.last_modified, response.value) == (0.0, initial_value)
             else:
                 assert (response.last_modified, response.value) == (
-                    latest.time,
-                    latest.value,
+                    times[version - 1],
+                    trace.values[version - 1],
                 )
             assert response.modification_history == [0.0, *times[:version]]

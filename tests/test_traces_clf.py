@@ -223,8 +223,8 @@ class TestLogToTraces:
         trace_a, trace_b = log_to_traces(records, ["/a", "/b"])
         assert trace_a.start_time == trace_b.start_time == 0.0
         assert trace_a.end_time == trace_b.end_time == 60.0
-        assert [r.time for r in trace_a.records] == [0.0]
-        assert [r.time for r in trace_b.records] == [60.0]
+        assert trace_a.times == [0.0]
+        assert trace_b.times == [60.0]
 
     def test_time_scale_compresses_replay(self):
         records = [
@@ -233,7 +233,7 @@ class TestLogToTraces:
         ]
         (trace,) = log_to_traces(records, ["/a"], time_scale=0.5)
         assert trace.end_time == 50.0
-        assert [r.time for r in trace.records] == [0.0, 50.0]
+        assert trace.times == [0.0, 50.0]
 
     def test_url_map_names_objects(self):
         records = [LogRecord(0.0, "h", "GET", "/deep/path", 200, 1)]

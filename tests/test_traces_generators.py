@@ -66,23 +66,23 @@ class TestNewsGenerator:
 
     def test_updates_strictly_increasing_with_min_spacing(self, rng):
         trace = NewsTraceGenerator(rng).generate(GUARDIAN)
-        times = [r.time for r in trace.records]
+        times = trace.times
         for a, b in zip(times, times[1:]):
             assert b - a >= MIN_UPDATE_SPACING - 1e-9
 
     def test_updates_inside_window(self, rng):
         trace = NewsTraceGenerator(rng).generate(CNN_FN)
-        assert all(0.0 <= r.time < CNN_FN.duration for r in trace.records)
+        assert all(0.0 <= t < CNN_FN.duration for t in trace.times)
 
     def test_deterministic_for_same_seed(self):
         t1 = NewsTraceGenerator(random.Random(7)).generate(NYT_AP)
         t2 = NewsTraceGenerator(random.Random(7)).generate(NYT_AP)
-        assert [r.time for r in t1.records] == [r.time for r in t2.records]
+        assert t1.times == t2.times
 
     def test_different_seeds_differ(self):
         t1 = NewsTraceGenerator(random.Random(1)).generate(NYT_AP)
         t2 = NewsTraceGenerator(random.Random(2)).generate(NYT_AP)
-        assert [r.time for r in t1.records] != [r.time for r in t2.records]
+        assert t1.times != t2.times
 
     def test_quiet_hours_receive_no_mass(self, rng):
         """Hours with zero diurnal weight must contain (almost) no updates.
@@ -96,8 +96,8 @@ class TestNewsGenerator:
         )
         trace = NewsTraceGenerator(rng).generate(spec)
         quiet = 0
-        for record in trace.records:
-            hour = int((record.time % 86400.0) // HOUR)
+        for t in trace.times:
+            hour = int((t % 86400.0) // HOUR)
             if spec.profile.weights[hour] == 0.0:
                 quiet += 1
         assert quiet <= 2
@@ -144,26 +144,24 @@ class TestStockGenerator:
     @pytest.mark.parametrize("spec", TABLE3_SPECS, ids=lambda s: s.name)
     def test_value_range_matches_exactly(self, spec, rng):
         trace = StockTraceGenerator(rng).generate(spec)
-        values = [r.value for r in trace.records]
+        values = trace.values
         assert min(values) == pytest.approx(spec.min_value)
         assert max(values) == pytest.approx(spec.max_value)
 
     def test_tick_spacing_enforced(self, rng):
         trace = StockTraceGenerator(rng).generate(YAHOO)
-        times = [r.time for r in trace.records]
+        times = trace.times
         for a, b in zip(times, times[1:]):
             assert b - a >= MIN_TICK_SPACING - 1e-9
 
     def test_ticks_inside_window(self, rng):
         trace = StockTraceGenerator(rng).generate(ATT)
-        assert all(0.0 <= r.time < ATT.duration for r in trace.records)
+        assert all(0.0 <= t < ATT.duration for t in trace.times)
 
     def test_deterministic_for_same_seed(self):
         t1 = StockTraceGenerator(random.Random(3)).generate(ATT)
         t2 = StockTraceGenerator(random.Random(3)).generate(ATT)
-        assert [(r.time, r.value) for r in t1.records] == [
-            (r.time, r.value) for r in t2.records
-        ]
+        assert (t1.times, t1.values) == (t2.times, t2.values)
 
     def test_all_records_have_values(self, rng):
         trace = StockTraceGenerator(rng).generate(YAHOO)
@@ -174,9 +172,9 @@ class TestStockGenerator:
         traces = generate_table3_traces(rngs)
         def mean_rate(trace):
             total = 0.0
-            recs = trace.records
-            for p, q in zip(recs, recs[1:]):
-                total += abs(q.value - p.value)
+            values = trace.values
+            for p, q in zip(values, values[1:]):
+                total += abs(q - p)
             return total / trace.duration
         assert mean_rate(traces["yahoo"]) > 5 * mean_rate(traces["att"])
 

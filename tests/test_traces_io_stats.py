@@ -21,9 +21,8 @@ from repro.traces.stats import summarize_temporal, summarize_value
 def updates_per_bin(trace, bin_width, *, end=None):
     """Figure 4(a)'s series ("number of updates per 2 hours"), counted
     by the one bin counter over the trace's update instants."""
-    times = (record.time for record in trace.records)
     end = trace.end_time if end is None else end
-    series = bin_count(times, start=trace.start_time, end=end, bin_width=bin_width)
+    series = bin_count(trace.times, start=trace.start_time, end=end, bin_width=bin_width)
     return list(series.values)
 
 

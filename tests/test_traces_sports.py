@@ -78,11 +78,11 @@ class TestGeneration:
 
     def test_total_is_sum_of_finals(self, match):
         finals = match.final_scores()
-        assert match.total.records[-1].value == sum(finals.values())
+        assert match.total.values[-1] == sum(finals.values())
 
     def test_scores_are_monotone(self, match):
         for trace in list(match.players.values()) + [match.total]:
-            values = [r.value for r in trace.records]
+            values = trace.values
             assert values == sorted(values)
 
     def test_event_times_strictly_increasing(self, match):

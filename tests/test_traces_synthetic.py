@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -29,6 +30,11 @@ class TestPoisson:
     def test_invalid_window_rejected(self, rng):
         with pytest.raises(ValueError):
             poisson_update_times(rng, rate=1.0, start=10.0, end=10.0)
+
+    @pytest.mark.parametrize("end", [math.nan, math.inf])
+    def test_non_finite_end_rejected(self, rng, end):
+        with pytest.raises(ValueError, match="end"):
+            poisson_update_times(rng, rate=1.0, end=end)
 
     def test_invalid_rate_rejected(self, rng):
         with pytest.raises(ValueError):
@@ -76,9 +82,9 @@ class TestCorrelatedGroup:
 
     def test_follower_updates_lag_bursts(self, rng):
         traces = self._build(rng, join=1.0, max_lag=30.0)
-        page_times = [r.time for r in traces[ObjectId("page")].records]
-        for record in traces[ObjectId("img")].records:
-            nearest = min(abs(record.time - t) for t in page_times)
+        page_times = traces[ObjectId("page")].times
+        for img_time in traces[ObjectId("img")].times:
+            nearest = min(abs(img_time - t) for t in page_times)
             assert nearest <= 30.0 + 1e-9
 
     def test_zero_lag_is_simultaneous(self, rng):
@@ -86,8 +92,8 @@ class TestCorrelatedGroup:
         traces = correlated_group_traces(
             "page", followers, rng, burst_rate=1 / 100.0, end=10000.0
         )
-        page_times = {r.time for r in traces[ObjectId("page")].records}
-        img_times = {r.time for r in traces[ObjectId("img")].records}
+        page_times = set(traces[ObjectId("page")].times)
+        img_times = set(traces[ObjectId("img")].times)
         assert img_times <= page_times
 
     def test_invalid_follower_spec_rejected(self):
@@ -102,13 +108,13 @@ class TestRandomWalk:
         trace = random_walk_trace(
             "w", rng, tick_interval=5.0, end=100.0
         )
-        times = [r.time for r in trace.records]
+        times = trace.times
         assert times == [5.0 * i for i in range(1, len(times) + 1)]
 
     def test_values_present_and_finite(self, rng):
         trace = random_walk_trace("w", rng, tick_interval=1.0, end=500.0)
         assert trace.has_values
-        assert all(abs(r.value) < 1e6 for r in trace.records)
+        assert all(abs(v) < 1e6 for v in trace.values)
 
     def test_mean_reversion_bounds_excursions(self):
         wild = random_walk_trace(
@@ -120,7 +126,7 @@ class TestRandomWalk:
             step_sigma=1.0, mean_reversion=0.1,
         )
         def spread(trace):
-            values = [r.value for r in trace.records]
+            values = trace.values
             return max(values) - min(values)
         assert spread(tame) < spread(wild)
 
