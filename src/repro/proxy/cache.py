@@ -13,8 +13,9 @@ what the ``evictions``, ``refetch_after_evict`` and
 
 from __future__ import annotations
 
+from array import array
 from collections import OrderedDict
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, Optional, Tuple
 
 from repro.core.errors import CacheConfigurationError
 from repro.core.types import ObjectId, Seconds
@@ -39,8 +40,9 @@ class ObjectCache:
 
     __slots__ = (
         "_capacity",
+        "bounded",
         "_recency",
-        "_entries",
+        "entries",
         "_evictions",
         "_refetches_after_evict",
         "_absences",
@@ -61,20 +63,26 @@ class ObjectCache:
                 f"unknown eviction policy {eviction!r}; available: ['lru']"
             )
         self._capacity = capacity
+        #: Whether a capacity is set: lookups of a bounded cache must go
+        #: through :meth:`get` or :meth:`get_or_create` to mark recency.
+        self.bounded = capacity is not None
         #: Bounded caches only: every cached id, least recently used
         #: first.  Unbounded caches (the per-poll hot path) skip it.
         self._recency: Optional["OrderedDict[ObjectId, None]"] = (
             OrderedDict() if capacity is not None else None
         )
-        self._entries: Dict[ObjectId, CacheEntry] = {}
+        #: Object id → entry.  Read-only outside this class: a proxy's
+        #: per-poll paths look an entry up here directly (a method is a
+        #: frame per poll); only :meth:`put` and :meth:`remove` write it.
+        self.entries: Dict[ObjectId, CacheEntry] = {}
         self._evictions = 0
         self._refetches_after_evict = 0
         #: Per evicted object, its eviction and refetch times
-        #: alternating, ascending: ``[evicted, refetched, evicted, ...]``.
-        #: An odd length means the last span is still open.  Only
-        #: ``put`` writes it, so a key is present iff the object was
-        #: evicted, and no list is empty.
-        self._absences: Dict[ObjectId, List[Seconds]] = {}
+        #: alternating, ascending: ``[evicted, refetched, evicted, ...]``,
+        #: unboxed in one ``array('d')``.  An odd length means the last
+        #: span is still open.  Only ``put`` writes it, so a key is
+        #: present iff the object was evicted, and no array is empty.
+        self._absences: Dict[ObjectId, "array[float]"] = {}
         #: Simulation clock; bound by the owning proxy so spans carry
         #: simulation timestamps (defaults to a constant 0.0 clock for
         #: standalone use, where spans only convey ordering).
@@ -111,13 +119,13 @@ class ObjectCache:
         return tuple(self._absences.get(object_id, ()))
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self.entries)
 
     def __contains__(self, object_id: ObjectId) -> bool:
-        return object_id in self._entries
+        return object_id in self.entries
 
     def __iter__(self) -> Iterator[ObjectId]:
-        return iter(self._entries)
+        return iter(self.entries)
 
     def get(self, object_id: ObjectId, *, touch: bool = True) -> Optional[CacheEntry]:
         """Look up an entry; ``touch`` marks it most recently used.
@@ -126,7 +134,7 @@ class ObjectCache:
         unbounded caches (the paper's configuration, and the per-poll
         hot path) skip it entirely.
         """
-        entries = self._entries
+        entries = self.entries
         if object_id not in entries:
             return None
         if touch and self._recency is not None:
@@ -141,12 +149,12 @@ class ObjectCache:
         """
         object_id = entry.object_id
         recency = self._recency
-        if object_id in self._entries:
-            self._entries[object_id] = entry
+        if object_id in self.entries:
+            self.entries[object_id] = entry
             if recency is not None:
                 recency.move_to_end(object_id)
             return None
-        self._entries[object_id] = entry
+        self.entries[object_id] = entry
         absences = self._absences.get(object_id)
         if absences is not None and len(absences) & 1:
             absences.append(self._clock())
@@ -156,13 +164,13 @@ class ObjectCache:
         # The new id joins at the recency tail, so with capacity >= 1 an
         # overfull cache always has an older id at the head to evict.
         recency[object_id] = None
-        if len(self._entries) <= (self._capacity or 0):
+        if len(self.entries) <= (self._capacity or 0):
             return None
         victim_id, _ = recency.popitem(last=False)
-        victim = self._entries.pop(victim_id)
+        victim = self.entries.pop(victim_id)
         absences = self._absences.get(victim_id)
         if absences is None:
-            self._absences[victim_id] = [self._clock()]
+            self._absences[victim_id] = array("d", (self._clock(),))
         else:
             absences.append(self._clock())
         self._evictions += 1
@@ -170,19 +178,17 @@ class ObjectCache:
 
     def get_or_create(self, object_id: ObjectId) -> CacheEntry:
         """Return the entry for ``object_id``, creating it if absent."""
-        try:
-            entry = self._entries[object_id]
-        except KeyError:
+        entry = self.entries.get(object_id)
+        if entry is None:
             entry = CacheEntry(object_id)
             self.put(entry)
-            return entry
-        if self._recency is not None:
+        elif self._recency is not None:
             self._recency.move_to_end(object_id)
         return entry
 
     def remove(self, object_id: ObjectId) -> Optional[CacheEntry]:
         """Remove and return an entry (None if absent)."""
-        entry = self._entries.pop(object_id, None)
+        entry = self.entries.pop(object_id, None)
         if entry is not None and self._recency is not None:
             self._recency.pop(object_id, None)
         return entry
@@ -190,6 +196,6 @@ class ObjectCache:
     def __repr__(self) -> str:
         cap = "inf" if self._capacity is None else str(self._capacity)
         return (
-            f"ObjectCache(size={len(self._entries)}, capacity={cap}, "
+            f"ObjectCache(size={len(self.entries)}, capacity={cap}, "
             f"evictions={self._evictions})"
         )

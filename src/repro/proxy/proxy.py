@@ -22,7 +22,12 @@ from repro.core.events import PollReason
 from repro.core.types import ObjectId, ObjectSnapshot, PollOutcome, Seconds
 from repro.httpsim.messages import Method, Request, Response, Status
 from repro.httpsim.network import Network
-from repro.httpsim.semantics import Upstream, evaluate_conditional_get
+from repro.httpsim.semantics import (
+    Answer,
+    Upstream,
+    answer_conditional_get,
+    response_to,
+)
 from repro.proxy.cache import ObjectCache
 from repro.proxy.entry import CacheEntry
 from repro.proxy.refresher import Refresher
@@ -208,12 +213,12 @@ class ProxyCache:
                 self.counters.counts["client_hits"] += 1
                 return snapshot
         self.counters.counts["client_misses"] += 1
-        server = self._servers.get(object_id)
-        if server is None:
-            raise UnknownObjectError(str(object_id), where="proxy server bindings")
+        # _issue_poll resolves the server binding (and raises without one).
         entry = self._issue_poll(object_id, _CACHE_MISS)
         if entry.snapshot is None:
-            raise UnknownObjectError(str(object_id), where=server.name)
+            raise UnknownObjectError(
+                str(object_id), where=self._servers[object_id].name
+            )
         return entry.snapshot
 
     def bind_server(self, object_id: ObjectId, server: Upstream) -> None:
@@ -226,7 +231,13 @@ class ProxyCache:
     # ------------------------------------------------------------------
     # Upstream-facing request path (hierarchical caching)
     # ------------------------------------------------------------------
-    def handle_request(self, request: Request, now: Seconds) -> Response:
+    def respond(
+        self,
+        object_id: ObjectId,
+        if_modified_since: Optional[Seconds],
+        wants_history: bool,
+        now: Seconds,
+    ) -> Answer:
         """Answer a conditional GET from this proxy's cache.
 
         Makes the proxy usable as the upstream of another proxy (it
@@ -241,8 +252,10 @@ class ProxyCache:
         invisible downstream (the fidelity a real hierarchy provides).
         """
         self.counters.counts["downstream_requests"] += 1
-        object_id = request.object_id
-        entry = self._cache.get(object_id, touch=False)
+        # The entry dict, read directly: a lookup that marks no recency
+        # and costs no method frame per child poll.
+        entries = self._cache.entries
+        entry = entries.get(object_id)
         snapshot = entry.snapshot if entry is not None else None
         if (
             snapshot is None
@@ -254,27 +267,30 @@ class ProxyCache:
             # the answer cannot arrive within this call, so the 404
             # below stands.
             self._issue_poll(object_id, _CACHE_MISS)
-            entry = self._cache.get(object_id, touch=False)
+            entry = entries.get(object_id)
             snapshot = entry.snapshot if entry is not None else None
         if entry is None or snapshot is None:
             self.counters.increment("downstream_404")
-            return evaluate_conditional_get(
-                request,
-                now=now,
-                last_modified=None,
-                version=None,
-                value=None,
-                history_times=(),
+            return answer_conditional_get(
+                if_modified_since, wants_history, None, None, None, ()
             )
-        return evaluate_conditional_get(
-            request,
-            now=now,
-            last_modified=snapshot.last_modified,
-            version=snapshot.version,
-            value=snapshot.value,
+        return answer_conditional_get(
+            if_modified_since,
+            wants_history,
+            snapshot.last_modified,
+            snapshot.version,
+            snapshot.value,
             # Read, never kept: a 200's history is a fresh slice of it.
-            history_times=entry.modification_times,
+            entry.modification_times,
         )
+
+    def handle_request(self, request: Request, now: Seconds) -> Response:
+        """:meth:`respond` to ``request``, as the message a latent link
+        delivers."""
+        answer = self.respond(
+            request.object_id, request.if_modified_since, request.wants_history, now
+        )
+        return response_to(request, answer, now)
 
     # ------------------------------------------------------------------
     # Failure injection
@@ -322,17 +338,14 @@ class ProxyCache:
         server = self._servers.get(object_id)
         if server is None:
             raise UnknownObjectError(str(object_id), where="proxy server bindings")
-        entry = self._cache.get_or_create(object_id)
+        cache = self._cache
+        entry = cache.entries.get(object_id)
+        if entry is None or cache.bounded:
+            # Create the entry, or mark it recently used.
+            entry = cache.get_or_create(object_id)
         now = self._kernel.now()
         cached = entry.snapshot
-        # Positional, like every message on the poll path (see Request).
-        request = Request(
-            _GET,
-            object_id,
-            cached.last_modified if cached is not None else None,
-            self._want_history,
-            now,
-        )
+        if_modified_since = cached.last_modified if cached is not None else None
         counts = self.counters.counts
         counts["polls"] += 1
         counts[reason.counter_name] += 1
@@ -340,16 +353,29 @@ class ProxyCache:
         network = self._network
         if network.synchronous:
             # No round trip to model (Section 6.1.1): ask the upstream
-            # directly; the answer is consumed at the same instant.
+            # directly; the answer is consumed at the same instant, so
+            # no message is built.
             network.requests_sent += 1
+            status, last_modified, version, value, history = server.respond(
+                object_id, if_modified_since, self._want_history, now
+            )
             self._complete_poll(
-                object_id, entry, reason, server.handle_request(request, now), now
+                object_id, entry, reason, now,
+                status, last_modified, version, value, history,
             )
             return entry
 
         def on_response(response: Response) -> None:
-            self._complete_poll(object_id, entry, reason, response, self._kernel.now())
+            self._complete_poll(
+                object_id, entry, reason, self._kernel.now(),
+                response.status, response.last_modified, response.version,
+                response.value, response.modification_history,
+            )
 
+        # Positional, like every message on the poll path (see Request).
+        request = Request(
+            _GET, object_id, if_modified_since, self._want_history, now
+        )
         network.exchange(request, server.handle_request, on_response)
         return entry
 
@@ -358,14 +384,16 @@ class ProxyCache:
         object_id: ObjectId,
         entry: CacheEntry,
         reason: PollReason,
-        response: Response,
         now: Seconds,
+        status: Status,
+        last_modified: Optional[Seconds],
+        version: Optional[int],
+        value: Optional[float],
+        history: Optional[List[Seconds]],
     ) -> None:
-        status = response.status
         cached = entry.snapshot
         modified = status is _OK
         if modified:
-            version, last_modified = response.version, response.last_modified
             assert version is not None and last_modified is not None
             if cached is not None and version < cached.version:
                 # With jittered latency, two in-flight polls can complete
@@ -380,9 +408,7 @@ class ProxyCache:
                 modified = False
                 snapshot = cached
             else:
-                snapshot = ObjectSnapshot(
-                    object_id, version, last_modified, response.value
-                )
+                snapshot = ObjectSnapshot(object_id, version, last_modified, value)
         elif status is not _NOT_MODIFIED:
             raise ProtocolError(
                 f"poll of {object_id!r} returned unexpected status {int(status)}"
@@ -394,7 +420,6 @@ class ProxyCache:
         else:
             snapshot = cached
 
-        history = response.modification_history
         first_unseen: Optional[Seconds] = None
         updates_since: Optional[int] = None
         if modified and history is not None:

@@ -12,7 +12,7 @@ from typing import Callable, Dict, Iterator, List, Optional
 from repro.core.errors import UnknownObjectError
 from repro.core.types import ObjectId, Seconds
 from repro.httpsim.messages import Request, Response, Status
-from repro.httpsim.semantics import evaluate_conditional_get
+from repro.httpsim.semantics import Answer, answer_conditional_get, response_to
 from repro.server.objects import ServerObject
 from repro.sim.stats import Counter
 
@@ -121,34 +121,43 @@ class OriginServer:
     # ------------------------------------------------------------------
     # HTTP handling
     # ------------------------------------------------------------------
-    def handle_request(self, request: Request, now: Seconds) -> Response:
-        """Answer a simulated HTTP request at server time ``now``."""
+    def respond(
+        self,
+        object_id: ObjectId,
+        if_modified_since: Optional[Seconds],
+        wants_history: bool,
+        now: Seconds,
+    ) -> Answer:
+        """Answer a conditional GET at server time ``now`` (an
+        :class:`~repro.httpsim.semantics.Upstream`)."""
         counts = self.counters.counts
         counts["requests"] += 1
-        obj = self._objects.get(request.object_id)
+        obj = self._objects.get(object_id)
         if obj is None:
-            self.counters.increment("responses_404")
-            return evaluate_conditional_get(
-                request,
-                now=now,
-                last_modified=None,
-                version=None,
-                value=None,
-                history_times=(),
+            counts["responses_404"] += 1
+            return answer_conditional_get(
+                if_modified_since, wants_history, None, None, None, ()
             )
         # The object's lists, read in place: no property frame per poll.
         # The history is the live list; a 200 carries a fresh slice of it.
         times = obj.times
-        response = evaluate_conditional_get(
-            request,
-            now=now,
-            last_modified=times[-1],
-            version=len(times) - 1,
-            value=obj.values[-1],
-            history_times=times if self.supports_history else None,
+        answer = answer_conditional_get(
+            if_modified_since,
+            wants_history,
+            times[-1],
+            len(times) - 1,
+            obj.values[-1],
+            times if self.supports_history else None,
         )
-        counts[_RESPONSE_COUNTER_NAMES[response.status]] += 1
-        return response
+        counts[_RESPONSE_COUNTER_NAMES[answer[0]]] += 1
+        return answer
+
+    def handle_request(self, request: Request, now: Seconds) -> Response:
+        """Answer a simulated HTTP request at server time ``now``."""
+        answer = self.respond(
+            request.object_id, request.if_modified_since, request.wants_history, now
+        )
+        return response_to(request, answer, now)
 
     def __repr__(self) -> str:
         return (

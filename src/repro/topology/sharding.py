@@ -2,10 +2,10 @@
 
 A :class:`~repro.topology.tree.TopologyTree` run decomposes cleanly at
 a subtree boundary: child polls never mutate their parent's cache
-(:meth:`~repro.proxy.proxy.ProxyCache.handle_request` reads with
-``touch=False``), so a subtree's observable history depends only on the
-origin's update schedule and the subtree's own ancestors — never on a
-sibling subtree.  Each shard therefore simulates its slice of some
+(:meth:`~repro.proxy.proxy.ProxyCache.respond` reads the cache's
+entries without marking recency), so a subtree's observable history
+depends only on the origin's update schedule and the subtree's own
+ancestors — never on a sibling subtree.  Each shard therefore simulates its slice of some
 *boundary level* plus everything below it, with private replicas of the
 ancestor levels above; replicas poll identically in every shard (same
 seeds, same origin), so each ancestor node is *scored* by exactly one

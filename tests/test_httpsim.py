@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.consistency.ttl import StaticTTLPolicy
+from repro.core.events import PollReason
 from repro.core.types import ObjectId
 from repro.httpsim.messages import (
     Method,
@@ -17,8 +22,11 @@ from repro.httpsim.messages import (
 from repro.httpsim.network import LatencyModel, Network
 from repro.httpsim.semantics import (
     MAX_HISTORY_LENGTH,
-    evaluate_conditional_get,
+    answer_conditional_get,
+    response_to,
 )
+from repro.proxy.proxy import ProxyCache
+from repro.server.origin import OriginServer
 from repro.sim.kernel import Kernel
 
 
@@ -84,7 +92,7 @@ class TestPositionalConstruction:
             assert getattr(positional, name) == value, name
             assert getattr(keyword, name) == value, name
 
-    def test_evaluate_conditional_get_builds_the_keyword_equivalent(self):
+    def test_response_to_builds_the_keyword_equivalent(self):
         request = Request(Method.GET, ObjectId("x"), 10.0, True, 3.0)
         answers = {
             (None, None): Response(Status.NOT_FOUND, ObjectId("x"), served_at=9.0),
@@ -107,92 +115,152 @@ class TestPositionalConstruction:
             ),
         }
         for (last_modified, version), expected in answers.items():
-            got = evaluate_conditional_get(
-                request, 9.0, last_modified, version, 0.5, (5.0, 10.0, 12.0)
+            answer = answer_conditional_get(
+                10.0, True, last_modified, version, 0.5, (5.0, 10.0, 12.0)
             )
-            assert got == expected
+            assert response_to(request, answer, 9.0) == expected
 
 
 class TestConditionalGetSemantics:
+    """``answer_conditional_get``'s ``(status, last_modified, version,
+    value, history)`` answers."""
+
     def _evaluate(self, *, ims=None, last_modified=50.0, version=3,
-                  value=None, history=(10.0, 30.0, 50.0), want_history=False,
-                  now=100.0):
-        request = conditional_get(
-            ObjectId("x"), if_modified_since=ims, want_history=want_history
-        )
-        return evaluate_conditional_get(
-            request,
-            now=now,
-            last_modified=last_modified,
-            version=version,
-            value=value,
-            history_times=history,
+                  value=None, history=(10.0, 30.0, 50.0), want_history=False):
+        return answer_conditional_get(
+            ims, want_history, last_modified, version, value, history
         )
 
     def test_unknown_object_is_404(self):
-        response = self._evaluate(last_modified=None, version=None)
-        assert response.status is Status.NOT_FOUND
+        answer = self._evaluate(last_modified=None, version=None)
+        assert answer == (Status.NOT_FOUND, None, None, None, None)
 
     def test_no_ims_returns_200(self):
-        response = self._evaluate(ims=None)
-        assert response.status is Status.OK
-        assert response.last_modified == 50.0
-        assert response.version == 3
+        status, last_modified, version, _value, _history = self._evaluate(ims=None)
+        assert status is Status.OK
+        assert last_modified == 50.0
+        assert version == 3
 
     def test_unchanged_returns_304(self):
-        response = self._evaluate(ims=50.0)
-        assert response.status is Status.NOT_MODIFIED
-        assert response.last_modified == 50.0
+        status, last_modified, _version, _value, _history = self._evaluate(
+            ims=50.0
+        )
+        assert status is Status.NOT_MODIFIED
+        assert last_modified == 50.0
 
     def test_changed_returns_200(self):
-        response = self._evaluate(ims=49.0)
-        assert response.status is Status.OK
+        assert self._evaluate(ims=49.0)[0] is Status.OK
 
     def test_ims_after_last_modified_returns_304(self):
-        response = self._evaluate(ims=60.0)
-        assert response.status is Status.NOT_MODIFIED
+        assert self._evaluate(ims=60.0)[0] is Status.NOT_MODIFIED
 
     def test_value_header_on_200(self):
-        response = self._evaluate(ims=None, value=42.5)
-        assert response.value == 42.5
+        assert self._evaluate(ims=None, value=42.5)[3] == 42.5
 
     def test_history_contains_only_unseen_updates(self):
-        response = self._evaluate(ims=10.0, want_history=True)
-        assert response.modification_history == [30.0, 50.0]
+        answer = self._evaluate(ims=10.0, want_history=True)
+        assert answer[4] == [30.0, 50.0]
 
     def test_history_without_ims_is_full(self):
-        response = self._evaluate(ims=None, want_history=True)
-        assert response.modification_history == [10.0, 30.0, 50.0]
+        answer = self._evaluate(ims=None, want_history=True)
+        assert answer[4] == [10.0, 30.0, 50.0]
 
     def test_history_absent_when_not_requested(self):
-        response = self._evaluate(ims=10.0, want_history=False)
-        assert response.modification_history is None
+        assert self._evaluate(ims=10.0, want_history=False)[4] is None
 
     def test_history_truncated_to_cap(self):
         history = tuple(float(i) for i in range(1, 200))
-        response = self._evaluate(
-            ims=0.5, last_modified=199.0, history=history,
-            want_history=True, now=300.0,
-        )
-        got = response.modification_history
+        got = self._evaluate(
+            ims=0.5, last_modified=199.0, history=history, want_history=True,
+        )[4]
         assert got is not None
         assert len(got) == MAX_HISTORY_LENGTH
         assert got[-1] == 199.0  # most recent entries kept
 
     def test_empty_history_on_304(self):
-        response = self._evaluate(ims=50.0, want_history=True)
-        assert response.status is Status.NOT_MODIFIED
-        assert response.modification_history == []
+        status, _lm, _version, _value, history = self._evaluate(
+            ims=50.0, want_history=True
+        )
+        assert status is Status.NOT_MODIFIED
+        assert history == []
 
     def test_server_without_the_extension_omits_history(self):
         # history_times=None: a plain HTTP/1.1 server ignores the ask.
         modified = self._evaluate(ims=10.0, history=None, want_history=True)
-        assert modified.status is Status.OK
-        assert modified.modification_history is None
+        assert modified[0] is Status.OK
+        assert modified[4] is None
         unchanged = self._evaluate(ims=50.0, history=None, want_history=True)
-        assert unchanged.status is Status.NOT_MODIFIED
-        assert unchanged.modification_history is None
-        assert unchanged.last_modified == 50.0
+        assert unchanged == (Status.NOT_MODIFIED, 50.0, 3, None, None)
+
+
+def _upstream(kind, gaps, supports_history):
+    """An origin, or a proxy polling one after each update, holding ``x``
+    created at 0 and updated after each of ``gaps`` (``None``: absent),
+    and ``x``'s last modification time."""
+    kernel = Kernel()
+    origin = OriginServer(supports_history=supports_history)
+    if gaps is None:
+        upstream = origin if kind == "origin" else ProxyCache(kernel, Network(kernel))
+        return upstream, 0.0
+    x = ObjectId("x")
+    origin.create_object(x)
+    times = [0.0, *itertools.accumulate(gaps)]
+    if kind == "origin":
+        for when in times[1:]:
+            origin.apply_update(x, when)
+        return origin, times[-1]
+    proxy = ProxyCache(kernel, Network(kernel))
+    proxy.register_object(x, origin, StaticTTLPolicy(ttl=1e9))
+    for when in times[1:]:
+        kernel.run(until=when)
+        origin.apply_update(x, when)
+        proxy.trigger_poll(x, reason=PollReason.INITIAL_FETCH)
+    return proxy, times[-1]
+
+
+class TestRespondMatchesHandleRequest:
+    """``handle_request`` — the message form latent links and the
+    benchmark drivers use — is ``respond``'s answer field for field."""
+
+    @given(
+        kind=st.sampled_from(["origin", "proxy"]),
+        gaps=st.none()
+        | st.lists(st.floats(0.25, 10.0, allow_nan=False), max_size=80),
+        supports_history=st.booleans(),
+        ims=st.sampled_from([None, "before", "equal", "after"]),
+        offset=st.floats(0.0, 5.0, exclude_min=True, allow_nan=False),
+        wants_history=st.booleans(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_handle_request_is_respond(
+        self, kind, gaps, supports_history, ims, offset, wants_history
+    ):
+        upstream, last_modified = _upstream(kind, gaps, supports_history)
+        if_modified_since = {
+            None: None,
+            "before": last_modified - offset,
+            "equal": last_modified,
+            "after": last_modified + offset,
+        }[ims]
+        x, now = ObjectId("x"), last_modified + 1.0
+        answer = upstream.respond(x, if_modified_since, wants_history, now)
+        response = upstream.handle_request(
+            Request(Method.GET, x, if_modified_since, wants_history, now), now
+        )
+        status, got_last_modified, version, value, history = answer
+        assert response.status is status
+        assert response.object_id == x
+        assert response.last_modified == got_last_modified
+        assert response.version == version
+        assert response.value == value
+        assert response.modification_history == history
+        assert response.served_at == now
+        if gaps is None:
+            assert status is Status.NOT_FOUND
+        else:
+            assert got_last_modified == last_modified
+            if history:
+                assert len(history) <= MAX_HISTORY_LENGTH
 
 
 class TestLatencyModel:

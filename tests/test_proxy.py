@@ -468,13 +468,9 @@ class TestPollFrames:
     FRAMES = {
         "Refresher._fire",
         "ProxyCache._issue_poll",
-        "ObjectCache.get_or_create",
         "Kernel.now",
-        "Request.__init__",
-        "ProxyCache.handle_request",
-        "ObjectCache.get",
-        "evaluate_conditional_get",
-        "Response.__init__",
+        "ProxyCache.respond",
+        "answer_conditional_get",
         "ProxyCache._complete_poll",
         "PollOutcome.__init__",
         "Refresher.on_poll_complete",
@@ -482,7 +478,7 @@ class TestPollFrames:
         "Kernel.schedule_raw",
     }
 
-    def test_a_child_poll_enters_fourteen_frames(self):
+    def test_a_child_poll_enters_ten_frames(self):
         kernel = Kernel()
         origin = OriginServer()
         origin.create_object(ObjectId("x"))
@@ -508,7 +504,7 @@ class TestPollFrames:
         assert "OneShotTimer.arm_at" not in frames
         assert "FetchRecord.__init__" not in frames
         assert set(frames) == self.FRAMES
-        assert sum(frames.values()) <= 14 * self.POLLS
+        assert sum(frames.values()) <= 10 * self.POLLS
 
 
 class TestRetention:

@@ -256,26 +256,34 @@ class TestHotPathClassesAreSlotted:
         assert _unslotted(clean, clean["__name__"]) == []
 
 
-#: The modules that build a message per poll.
+#: The modules on the poll path.  A synchronous poll builds no message;
+#: the message form is built only for a latent link's request and by the
+#: ``handle_request`` wrappers, through ``response_to``.
 POLL_PATH = ("proxy/proxy.py", "httpsim/semantics.py", "server/origin.py")
 
 
 def test_poll_path_builds_messages_positionally():
     """On CPython a class called with keywords builds a kwargs dict per
-    call (``slot_tp_init``); the poll path's ``Request(...)`` and
-    ``Response(...)`` calls pass every field positionally."""
+    call (``slot_tp_init``); the latent link's ``Request(...)`` and the
+    ``handle_request`` wrappers' ``Response(...)`` pass every field
+    positionally, and no other poll-path function builds a message."""
     calls = [
-        (relative, node)
+        (relative, function.name, node)
         for relative in POLL_PATH
-        for node in ast.walk(ast.parse((SOURCE_ROOT / relative).read_text()))
+        for function in ast.walk(ast.parse((SOURCE_ROOT / relative).read_text()))
+        if isinstance(function, ast.FunctionDef)
+        for node in ast.walk(function)
         if isinstance(node, ast.Call)
         and isinstance(node.func, ast.Name)
         and node.func.id in ("Request", "Response")
     ]
-    assert len(calls) >= 4, "poll-path message construction not found"
+    assert {(relative, name, node.func.id) for relative, name, node in calls} == {
+        ("proxy/proxy.py", "_issue_poll", "Request"),
+        ("httpsim/semantics.py", "response_to", "Response"),
+    }
     keyworded = [
         f"{relative}:{node.lineno}: {node.func.id}(...)"
-        for relative, node in calls
+        for relative, _name, node in calls
         if node.keywords
     ]
     assert keyworded == []
