@@ -61,6 +61,7 @@ from repro.api.results import ColumnarBuilder, ResultSet
 from repro.api.runs import RunResult, build_core
 from repro.api.workloads import resolve_workload
 from repro.consistency.base import PolicyFactory, RefreshPolicy
+from repro.core.errors import PolicyConfigurationError
 from repro.core.rng import derive_seed
 from repro.core.types import ObjectId
 from repro.httpsim.network import LatencyModel
@@ -131,18 +132,22 @@ def _policy_factory(policy: PolicyConfig) -> PolicyFactory:
     from repro.consistency.registry import build_policy_factory
 
     try:
-        return build_policy_factory(
+        factory = build_policy_factory(
             policy.name,
             **{key: thaw(value) for key, value in policy.params.items()},
         )
-    except TypeError as exc:
-        # JSON-legal but wrong-shaped params (missing/unknown keyword,
-        # bad value type) surface as the config error they are, not a
-        # raw TypeError traceback.
+        # Some params are only checked when a policy is built; build
+        # one now so those fail here too, naming the policy.
+        factory(ObjectId(policy.name))
+    except (TypeError, ValueError, PolicyConfigurationError) as exc:
+        # Unknown names and JSON-legal but wrong-shaped or out-of-range
+        # params surface as the config error they are, not a raw
+        # traceback.
         raise SimulationConfigError(
             f"invalid params for policy {policy.name!r} "
             f"({dict(policy.params)}): {exc}"
         ) from None
+    return factory
 
 
 def _resolve_groups(

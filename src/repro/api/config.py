@@ -163,12 +163,18 @@ class WorkloadConfig(_ConfigBase):
         items = tuple(self.objects)
         if not items:
             raise SimulationConfigError("workload.objects must be non-empty")
+        seen: set[str] = set()
         for item in items:
             if not isinstance(item, str) or not item:
                 raise SimulationConfigError(
                     f"workload.objects entries must be non-empty strings, "
                     f"got {item!r}"
                 )
+            if item in seen:
+                raise SimulationConfigError(
+                    f"workload.objects names {item!r} more than once"
+                )
+            seen.add(item)
         object.__setattr__(self, "objects", items)
         object.__setattr__(self, "params", _require_params("workload", self.params))
 

@@ -10,12 +10,6 @@ instances:
 * ``stocks`` — the two Table 3 value traces (att / yahoo);
 * ``poisson`` — synthetic temporal traces with Poisson update instants
   (params: ``rate_per_hour``, ``hours``); object keys are free-form.
-* ``trace_replay`` — replay a proxy access log (Common Log Format or
-  squid native) as update traces via a configurable update-inference
-  rule; see :mod:`repro.traces.clf`.  Params: ``path`` *or* ``lines``
-  (the log itself), ``format`` (``clf``/``squid``), ``rule``
-  (``size_change``/``every_request``), ``time_scale``, ``url_map``
-  (object key → URL; keys name URLs directly when omitted).
 
 New sources plug in with :func:`register_workload_source` and become
 usable from any JSON ``SimulationConfig`` immediately.
@@ -125,93 +119,6 @@ def _poisson_source(
     ]
 
 
-def _trace_replay_source(
-    objects: Sequence[str], seed: int, params: Mapping[str, object]
-) -> List[UpdateTrace]:
-    del seed  # replay is data-driven; nothing here is random
-    from repro.core.errors import TraceFormatError
-    from repro.traces.clf import log_to_traces, parse_log, read_log
-
-    known = {"path", "lines", "format", "rule", "time_scale", "url_map"}
-    unknown = sorted(set(params) - known)
-    if unknown:
-        raise SimulationConfigError(
-            f"unknown trace_replay param(s) {unknown}; known: {sorted(known)}"
-        )
-    path = params.get("path")
-    lines = params.get("lines")
-    if (path is None) == (lines is None):
-        raise SimulationConfigError(
-            "trace_replay needs exactly one of 'path' (a log file) or "
-            "'lines' (inline log lines)"
-        )
-    log_format = params.get("format", "clf")
-    if not isinstance(log_format, str):
-        raise SimulationConfigError(
-            f"trace_replay format must be a string, got {log_format!r}"
-        )
-    rule = params.get("rule", "size_change")
-    if not isinstance(rule, str):
-        raise SimulationConfigError(
-            f"trace_replay rule must be a string, got {rule!r}"
-        )
-    time_scale = params.get("time_scale", 1.0)
-    if isinstance(time_scale, bool) or not isinstance(time_scale, (int, float)):
-        raise SimulationConfigError(
-            f"trace_replay time_scale must be a number, got {time_scale!r}"
-        )
-    url_map_raw = params.get("url_map", {})
-    if not isinstance(url_map_raw, Mapping):
-        raise SimulationConfigError(
-            "trace_replay url_map must be a mapping of object key to URL, "
-            f"got {type(url_map_raw).__name__}"
-        )
-    url_map = {}
-    for key, url in url_map_raw.items():
-        if not isinstance(key, str) or not isinstance(url, str):
-            raise SimulationConfigError(
-                f"trace_replay url_map entries must map strings to "
-                f"strings, got {key!r}: {url!r}"
-            )
-        url_map[key] = url
-    try:
-        if path is not None:
-            if not isinstance(path, str):
-                raise SimulationConfigError(
-                    f"trace_replay path must be a string, got {path!r}"
-                )
-            records = read_log(path, format=log_format)
-        else:
-            if isinstance(lines, (str, bytes)) or not isinstance(
-                lines, Sequence
-            ):
-                raise SimulationConfigError(
-                    "trace_replay lines must be a sequence of log lines, "
-                    f"got {type(lines).__name__}"
-                )
-            for line in lines:
-                if not isinstance(line, str):
-                    raise SimulationConfigError(
-                        f"trace_replay lines entries must be strings, "
-                        f"got {line!r}"
-                    )
-            records = parse_log(list(lines), format=log_format)
-        return log_to_traces(
-            records,
-            objects,
-            rule=rule,
-            time_scale=float(time_scale),
-            url_map=url_map,
-        )
-    except OSError as exc:
-        raise SimulationConfigError(
-            f"trace_replay cannot read log {path!r}: {exc}"
-        ) from None
-    except TraceFormatError as exc:
-        raise SimulationConfigError(f"trace_replay: {exc}") from None
-
-
 register_workload_source("news", _catalogue_source("news", table2_traces))
 register_workload_source("stocks", _catalogue_source("stocks", table3_traces))
 register_workload_source("poisson", _poisson_source)
-register_workload_source("trace_replay", _trace_replay_source)

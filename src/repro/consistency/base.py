@@ -110,7 +110,7 @@ class FixedTTRPolicy(RefreshPolicy):
     name: str = "fixed"
 
     def __post_init__(self) -> None:
-        if self.ttr <= 0:
+        if not self.ttr > 0:  # a NaN TTR fails too
             raise ValueError(f"ttr must be positive, got {self.ttr}")
 
     def first_ttr(self) -> Seconds:

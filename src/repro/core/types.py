@@ -172,9 +172,9 @@ class TTRBounds:
     ttr_max: Seconds
 
     def __post_init__(self) -> None:
-        if self.ttr_min <= 0:
+        if not self.ttr_min > 0:  # a NaN bound fails too
             raise ValueError(f"ttr_min must be positive, got {self.ttr_min}")
-        if self.ttr_max < self.ttr_min:
+        if not self.ttr_max >= self.ttr_min:
             raise ValueError(
                 f"ttr_max ({self.ttr_max}) must be >= ttr_min ({self.ttr_min})"
             )

@@ -11,7 +11,7 @@ records the mutual-consistency coordinators consume.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Set, Tuple
+from typing import Dict, FrozenSet, List, Set
 
 from repro.core.types import ObjectId
 
@@ -28,9 +28,6 @@ class DependencyGraph:
     def __init__(self) -> None:
         self._adjacency: Dict[ObjectId, Set[ObjectId]] = {}
 
-    # ------------------------------------------------------------------
-    # Construction
-    # ------------------------------------------------------------------
     def add_object(self, object_id: ObjectId) -> None:
         """Ensure a node exists (isolated objects form no group)."""
         self._adjacency.setdefault(object_id, set())
@@ -41,53 +38,6 @@ class DependencyGraph:
             raise ValueError(f"cannot relate object {a!r} to itself")
         self._adjacency.setdefault(a, set()).add(b)
         self._adjacency.setdefault(b, set()).add(a)
-
-    def relate_all(self, objects: Iterable[ObjectId]) -> None:
-        """Pairwise-relate every object in ``objects`` (a clique)."""
-        items = list(objects)
-        for i, a in enumerate(items):
-            for b in items[i + 1 :]:
-                self.relate(a, b)
-
-    def unrelate(self, a: ObjectId, b: ObjectId) -> None:
-        """Remove the relation between a and b (if present)."""
-        self._adjacency.get(a, set()).discard(b)
-        self._adjacency.get(b, set()).discard(a)
-
-    def remove_object(self, object_id: ObjectId) -> None:
-        """Remove a node and all its relations."""
-        neighbours = self._adjacency.pop(object_id, set())
-        for other in neighbours:
-            self._adjacency[other].discard(object_id)
-
-    # ------------------------------------------------------------------
-    # Queries
-    # ------------------------------------------------------------------
-    def __contains__(self, object_id: ObjectId) -> bool:
-        return object_id in self._adjacency
-
-    def __iter__(self) -> Iterator[ObjectId]:
-        return iter(self._adjacency)
-
-    def __len__(self) -> int:
-        return len(self._adjacency)
-
-    def neighbours(self, object_id: ObjectId) -> FrozenSet[ObjectId]:
-        """Objects directly related to ``object_id``."""
-        return frozenset(self._adjacency.get(object_id, set()))
-
-    def edges(self) -> List[Tuple[ObjectId, ObjectId]]:
-        """All relations, each reported once with endpoints sorted."""
-        seen: Set[Tuple[ObjectId, ObjectId]] = set()
-        for a, neighbours in self._adjacency.items():
-            for b in neighbours:
-                edge = (a, b) if str(a) <= str(b) else (b, a)
-                seen.add(edge)
-        return sorted(seen)
-
-    def are_related(self, a: ObjectId, b: ObjectId) -> bool:
-        """Direct relation check."""
-        return b in self._adjacency.get(a, set())
 
     def connected_components(self) -> List[FrozenSet[ObjectId]]:
         """Connected components, each a frozenset, deterministic order."""
@@ -107,23 +57,3 @@ class DependencyGraph:
             visited |= component
             components.append(frozenset(component))
         return components
-
-    def component_of(self, object_id: ObjectId) -> FrozenSet[ObjectId]:
-        """The connected component containing ``object_id``."""
-        if object_id not in self._adjacency:
-            raise KeyError(f"unknown object {object_id!r}")
-        component: Set[ObjectId] = set()
-        stack = [object_id]
-        while stack:
-            node = stack.pop()
-            if node in component:
-                continue
-            component.add(node)
-            stack.extend(self._adjacency[node] - component)
-        return frozenset(component)
-
-    def __repr__(self) -> str:
-        return (
-            f"DependencyGraph(objects={len(self._adjacency)}, "
-            f"edges={len(self.edges())})"
-        )

@@ -35,7 +35,6 @@ from repro.metrics.fidelity import (
     FidelityReport,
     TemporalFetch,
     temporal_fidelity,
-    value_fidelity,
 )
 from repro.metrics.group import group_temporal_fidelity
 from repro.metrics.mutual import (
@@ -88,19 +87,6 @@ def collect_temporal(
     """Δt-consistency report for one object after a run."""
     fetches = temporal_fetches_of(proxy, trace.object_id)
     return temporal_fidelity(trace, fetches, delta, start=start, end=end)
-
-
-def collect_value(
-    proxy: ProxyCache,
-    trace: UpdateTrace,
-    delta: float,
-    *,
-    start: Optional[Seconds] = None,
-    end: Optional[Seconds] = None,
-) -> FidelityReport:
-    """Δv-consistency report for one valued object after a run."""
-    fetches = value_fetches_of(proxy, trace.object_id)
-    return value_fidelity(trace, fetches, delta, start=start, end=end)
 
 
 @dataclass(frozen=True)

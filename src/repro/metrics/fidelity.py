@@ -18,8 +18,9 @@ until Δ after the *first* origin update newer than that version.  The
 next poll at ``q`` therefore reveals a violation iff that update is more
 than Δ old at ``q``.
 
-Value-domain semantics (Eq. 3): the copy is consistent at time t iff
-``|S(t) − cached value| < Δ``.
+The paper's evaluation scores the value domain only mutually (Mv,
+:func:`repro.metrics.mutual.mutual_value_fidelity`);
+:func:`require_values` here is the guard the value-domain scorers share.
 """
 
 from __future__ import annotations
@@ -114,82 +115,6 @@ def temporal_fidelity(
             out_sync += hi - lo
     return FidelityReport(
         polls=len(fetches),
-        violations=violations,
-        out_sync_time=out_sync,
-        duration=window_end - window_start,
-    )
-
-
-# ----------------------------------------------------------------------
-# Value domain
-# ----------------------------------------------------------------------
-def value_fidelity(
-    trace: UpdateTrace,
-    fetches: Sequence[Tuple[Seconds, float]],
-    delta: float,
-    *,
-    start: Optional[Seconds] = None,
-    end: Optional[Seconds] = None,
-) -> FidelityReport:
-    """Evaluate Δv-consistency of a fetch schedule against ground truth.
-
-    Args:
-        trace: The object's true tick history (a value-domain trace).
-        fetches: (poll_time, value obtained) pairs, ascending in time.
-        delta: The Δ value bound.
-        start, end: Evaluation window (defaults to the trace window).
-
-    A poll counts as a violation (Eq. 13) if the bound was broken at any
-    instant since the previous poll.  Out-of-sync time (Eq. 14)
-    integrates the periods with ``|S(t) − cached| ≥ Δ``.
-    """
-    if delta <= 0:
-        raise ValueError(f"delta must be positive, got {delta}")
-    require_values("value_fidelity", trace)
-    window_start = start if start is not None else trace.start_time
-    window_end = end if end is not None else trace.end_time
-    _require_ascending([t for t, _ in fetches])
-
-    times, values, count = trace.times, trace.values, len(trace.times)
-    following = 0  # first update after the current knot
-    polls = len(fetches)
-    violations = 0
-    out_sync = 0.0
-    for index, (poll_time, cached_value) in enumerate(fetches):
-        closed = index + 1 < polls
-        segment_end = fetches[index + 1][0] if closed else window_end
-        if segment_end <= poll_time:
-            continue
-        while following < count and times[following] <= poll_time:
-            following += 1
-        # Knots: the poll, then every update in (poll_time, segment_end].
-        # An update exactly at segment_end spans no time but still
-        # breaks the bound if its value is Δ away.
-        violated = False
-        stale = 0.0
-        knot = poll_time
-        while True:
-            last = following == count or times[following] > segment_end
-            if following and abs(values[following - 1] - cached_value) >= delta:
-                violated = True
-                knot_end = segment_end if last else times[following]
-                lo = knot if knot > window_start else window_start
-                hi = knot_end if knot_end < window_end else window_end
-                if hi > lo:
-                    stale += hi - lo
-            if last:
-                break
-            knot = times[following]
-            following += 1
-        # Attribute the violation to the poll that *ended* the segment,
-        # mirroring Eq. 13's "violations per poll" accounting.  The
-        # final open segment has no closing poll; its staleness still
-        # counts toward out-of-sync time.
-        if violated and closed:
-            violations += 1
-        out_sync += stale
-    return FidelityReport(
-        polls=polls,
         violations=violations,
         out_sync_time=out_sync,
         duration=window_end - window_start,

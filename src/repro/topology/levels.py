@@ -70,22 +70,6 @@ class TreeLevel:
             )
 
 
-def uniform_levels(
-    depth: int,
-    *,
-    fan_out: int = 1,
-    mode: str = PULL,
-    latency: LatencyModel = LatencyModel(),
-) -> Tuple[TreeLevel, ...]:
-    """``depth`` identical levels — chains (fan_out=1) and regular trees."""
-    if depth < 1:
-        raise TopologyError(f"depth must be >= 1, got {depth}")
-    return tuple(
-        TreeLevel(fan_out=fan_out, mode=mode, latency=latency)
-        for _ in range(depth)
-    )
-
-
 def warm_up_bound(levels: Sequence[TreeLevel]) -> Seconds:
     """Worst-case time until the deepest level's registration lands.
 

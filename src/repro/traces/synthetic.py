@@ -9,9 +9,7 @@ building blocks downstream users need for their own studies:
 * :func:`correlated_group_traces` — a group of objects updated in
   correlated bursts (the breaking-news pattern motivating mutual
   consistency): every burst hits a *leader* object and each follower
-  joins with its own probability and a bounded lag;
-* :func:`random_walk_trace` — a valued trace driven by a Gaussian
-  random walk (optionally mean-reverting).
+  joins with its own probability and a bounded lag.
 """
 
 from __future__ import annotations
@@ -21,7 +19,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
 from repro.core.types import ObjectId, Seconds, require_finite, require_positive
-from repro.traces.model import TraceMetadata, UpdateTrace, trace_from_ticks, trace_from_times
+from repro.traces.model import TraceMetadata, UpdateTrace, trace_from_times
 
 
 def poisson_update_times(
@@ -138,50 +136,3 @@ def correlated_group_traces(
         )
     return traces
 
-
-def random_walk_trace(
-    object_id: str,
-    rng: random.Random,
-    *,
-    tick_interval: Seconds,
-    end: Seconds,
-    start: Seconds = 0.0,
-    initial_value: float = 100.0,
-    step_sigma: float = 0.1,
-    mean_reversion: float = 0.0,
-) -> UpdateTrace:
-    """A valued trace driven by a (optionally mean-reverting) walk.
-
-    Ticks arrive every ``tick_interval`` seconds exactly; each tick
-    moves the value by a Gaussian step, pulled back toward the initial
-    value by ``mean_reversion`` (0 = pure random walk).
-    """
-    require_positive("tick_interval", tick_interval)
-    require_positive("step_sigma", step_sigma)
-    if not 0.0 <= mean_reversion < 1.0:
-        raise ValueError(
-            f"mean_reversion must be in [0, 1), got {mean_reversion}"
-        )
-    ticks = []
-    value = initial_value
-    t = start + tick_interval
-    while t < end:
-        drift = mean_reversion * (initial_value - value)
-        value = value + drift + rng.gauss(0.0, step_sigma)
-        ticks.append((t, value))
-        t += tick_interval
-    return trace_from_ticks(
-        ObjectId(object_id),
-        ticks,
-        start_time=start,
-        end_time=end,
-        metadata=TraceMetadata(
-            name=object_id,
-            description=(
-                f"random walk: sigma={step_sigma}, "
-                f"reversion={mean_reversion}"
-            ),
-            source="synthetic:walk",
-            value_unit="unit",
-        ),
-    )

@@ -25,10 +25,16 @@ from repro.api import (
     run_individual,
     run_simulation,
 )
-from repro.api.workloads import resolve_workload, workload_source_names
+from repro.api.workloads import (
+    WORKLOAD_SOURCES,
+    register_workload_source,
+    resolve_workload,
+    workload_source_names,
+)
 from repro.cli import main
 from repro.consistency.base import fixed_policy_factory
-from repro.core.errors import PolicyConfigurationError
+from repro.core.types import ObjectId
+from repro.traces.model import UpdateTrace
 
 
 def _tiny_builder() -> SimulationBuilder:
@@ -235,7 +241,7 @@ class TestRunSimulation:
 
     def test_unknown_policy_rejected(self):
         config = _tiny_builder().policy("teleport").build()
-        with pytest.raises(PolicyConfigurationError, match="teleport"):
+        with pytest.raises(SimulationConfigError, match="teleport"):
             run_simulation(config)
 
     def test_unknown_source_rejected(self):
@@ -249,7 +255,37 @@ class TestRunSimulation:
             run_simulation(config)
 
     def test_builtin_sources_registered(self):
-        assert {"news", "stocks", "poisson"} <= set(workload_source_names())
+        assert set(workload_source_names()) == {"news", "poisson", "stocks"}
+
+    def test_own_trace_runs_as_a_registered_source(self, monkeypatch):
+        # A user's own trace (say, reduced from an access log) is two
+        # columns per object; a registered source hands them over.
+        monkeypatch.setattr(WORKLOAD_SOURCES, "_items", dict(WORKLOAD_SOURCES._items))
+        columns = {
+            "page": ([100.0, 1000.0, 2000.0], None),
+            "quote": ([50.0, 700.0], [10.0, 12.5]),
+        }
+
+        def from_columns(objects, seed, params):
+            return [
+                UpdateTrace(ObjectId(key), *columns[key], end_time=3600.0)
+                for key in objects
+            ]
+
+        register_workload_source("test-own-columns", from_columns)
+        outcome = (
+            SimulationBuilder()
+            .workload("test-own-columns", "page", "quote")
+            .policy("baseline", delta=600.0)
+            .fidelity_delta(600.0)
+            .run()
+        )
+        rows = {row["object"]: row for row in outcome.results.to_records()}
+        assert {key: rows[key]["updates"] for key in columns} == {
+            "page": 3,
+            "quote": 2,
+        }
+        assert all(row["fidelity_by_violations"] == 1.0 for row in rows.values())
 
     def test_default_config_is_runnable(self):
         outcome = run_simulation(SimulationConfig())
@@ -270,6 +306,31 @@ class TestRunSimulation:
             )
             with pytest.raises(SimulationConfigError, match="policy 'limd'"):
                 run_simulation(config)
+        # Out-of-range values and unknown names, at the top and per level.
+        base = _tiny_builder().build().to_dict()
+        for name, params in (
+            ("limd", {"delta": math.nan}),
+            ("limd", {"delta": -1.0}),
+            ("limd", {"delta": 600.0, "ttr_max": 60.0}),
+            ("alex", {"ttr_min": 60.0, "ttr_max": 600.0, "update_threshold": 2}),
+            ("no_such_policy", {}),
+            ("limd", {"delta": 600.0, "ttr_max": math.nan}),
+            ("baseline", {"delta": math.nan}),
+        ):
+            policy = {"name": name, "params": params}
+            for config in (
+                SimulationConfig.from_dict({**base, "policy": policy}),
+                SimulationConfig.from_dict(
+                    {
+                        **base,
+                        "topology": {"kind": "tree", "levels": [{"policy": policy}]},
+                    }
+                ),
+            ):
+                with pytest.raises(
+                    SimulationConfigError, match=f"policy {name!r}"
+                ):
+                    run_simulation(config)
 
     def test_policy_parameters_may_be_a_json_mapping(self):
         # A config file can only spell LimdParameters as a mapping.

@@ -47,7 +47,7 @@ _params = st.dictionaries(_names, _json_values, max_size=4)
 _workloads = st.builds(
     WorkloadConfig,
     source=_names,
-    objects=st.lists(_names, min_size=1, max_size=4).map(tuple),
+    objects=st.lists(_names, min_size=1, max_size=4, unique=True).map(tuple),
     params=_params,
 )
 _policies = st.builds(PolicyConfig, name=_names, params=_params)
@@ -212,6 +212,14 @@ class TestRejection:
     def test_empty_objects_rejected(self):
         with pytest.raises(SimulationConfigError, match="non-empty"):
             WorkloadConfig(objects=())
+
+    def test_duplicate_objects_rejected(self):
+        with pytest.raises(
+            SimulationConfigError, match="workload.objects names 'cnn_fn'"
+        ):
+            SimulationConfig.from_dict(
+                {"workload": {"objects": ["cnn_fn", "nyt_ap", "cnn_fn"]}}
+            )
 
     def test_non_jsonable_param_rejected(self):
         with pytest.raises(SimulationConfigError, match="non-JSON"):

@@ -15,9 +15,6 @@ from repro.api import (
     SimulationConfigError,
     run_simulation,
 )
-from repro.api.workloads import resolve_workload
-from repro.api.config import WorkloadConfig
-from repro.traces.clf import generate_synthetic_log, serialize_log
 
 _DELTA = 120.0
 
@@ -183,79 +180,3 @@ class TestGroupsExecution:
         with pytest.raises(SimulationConfigError, match="ghost"):
             run_simulation(config)
 
-
-class TestTraceReplaySource:
-    def _lines(self) -> list:
-        return serialize_log(
-            generate_synthetic_log(5, duration_s=1800.0)
-        ).splitlines()
-
-    def test_resolves_traces_in_object_order(self):
-        config = WorkloadConfig(
-            source="trace_replay",
-            objects=("/news/front", "/index.html"),
-            params={"lines": tuple(self._lines())},
-        )
-        traces = resolve_workload(config, seed=1)
-        assert [str(t.object_id) for t in traces] == [
-            "/news/front",
-            "/index.html",
-        ]
-        assert all(t.start_time == 0.0 for t in traces)
-
-    def test_needs_exactly_one_input(self):
-        for params in ({}, {"path": "x.log", "lines": ()}):
-            config = WorkloadConfig(
-                source="trace_replay", objects=("/a",), params=params
-            )
-            with pytest.raises(SimulationConfigError, match="exactly one"):
-                resolve_workload(config, seed=1)
-
-    def test_unknown_param_rejected(self):
-        config = WorkloadConfig(
-            source="trace_replay",
-            objects=("/a",),
-            params={"lines": (), "speed": 2},
-        )
-        with pytest.raises(SimulationConfigError, match="speed"):
-            resolve_workload(config, seed=1)
-
-    def test_malformed_line_reported_with_line_number(self):
-        config = WorkloadConfig(
-            source="trace_replay",
-            objects=("/a",),
-            params={"lines": ("not a log line",)},
-        )
-        with pytest.raises(SimulationConfigError, match="line 1"):
-            resolve_workload(config, seed=1)
-
-    def test_missing_file_is_a_config_error(self):
-        config = WorkloadConfig(
-            source="trace_replay",
-            objects=("/a",),
-            params={"path": "/nonexistent/access.log"},
-        )
-        with pytest.raises(SimulationConfigError, match="cannot read"):
-            resolve_workload(config, seed=1)
-
-    def test_url_map_and_time_scale(self):
-        config = WorkloadConfig(
-            source="trace_replay",
-            objects=("front",),
-            params={
-                "lines": tuple(self._lines()),
-                "url_map": {"front": "/news/front"},
-                "time_scale": 0.5,
-            },
-        )
-        (trace,) = resolve_workload(config, seed=1)
-        assert str(trace.object_id) == "front"
-        full = resolve_workload(
-            WorkloadConfig(
-                source="trace_replay",
-                objects=("/news/front",),
-                params={"lines": tuple(self._lines())},
-            ),
-            seed=1,
-        )[0]
-        assert trace.end_time == pytest.approx(full.end_time * 0.5)

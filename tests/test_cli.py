@@ -198,6 +198,15 @@ class TestAbPairsVerdict:
         verdict = self.judge([p * 0.8 for p in self.PARENT])
         assert verdict.regression and verdict.word == "REGRESSION"
 
+    def test_per_pair_ratios_are_summarised(self):
+        factors = [1.10, 0.90, 1.05, 1.20, 1.00, 0.95, 1.15, 1.30, 0.85, 1.25]
+        verdict = self.judge([p * f for p, f in zip(self.PARENT, factors)])
+        assert verdict.pair_ratio_median == pytest.approx(1.075)
+        low, high = verdict.pair_ratio_quartiles
+        assert (low, high) == (pytest.approx(0.9375), pytest.approx(1.2125))
+        assert (verdict.wins, verdict.losses) == (6, 3)
+        assert not verdict.gain and not verdict.regression
+
     def test_unpaired_samples_are_rejected(self):
         with pytest.raises(ValueError):
             self.judge(self.PARENT[:-1])
@@ -243,6 +252,7 @@ class TestAbPairsWorkloads:
             "# a: 2 alternating pairs, seed default",
             "# b: 2 alternating pairs, seed default",
         ]
+        assert out.count(", per pair x") == 2
         assert out.count("failed: parent 0, change 0") == 1
         assert "failed: parent 0, change 2" in out
         assert code == 1

@@ -7,13 +7,14 @@ import pytest
 from repro.consistency.base import FixedTTRPolicy, PassivePolicy, RefreshPolicy
 from repro.consistency.limd import LimdPolicy
 from repro.consistency.adaptive_value import AdaptiveValueTTRPolicy
+from repro.consistency.ttl import AlexTTLPolicy, StaticTTLPolicy
 from repro.consistency.registry import (
     available_policies,
     build_policy_factory,
     register_policy,
 )
 from repro.core.errors import PolicyConfigurationError
-from repro.core.types import ObjectId
+from repro.core.types import ObjectId, TTRBounds
 
 
 class TestRegistry:
@@ -51,6 +52,20 @@ class TestRegistry:
     def test_build_passive(self):
         factory = build_policy_factory("passive")
         assert isinstance(factory(ObjectId("x")), PassivePolicy)
+
+    def test_build_static_ttl(self):
+        policy = build_policy_factory("static_ttl", ttl=30.0)(ObjectId("x"))
+        assert isinstance(policy, StaticTTLPolicy)
+        assert policy.ttl == 30.0
+
+    def test_build_alex(self):
+        factory = build_policy_factory(
+            "alex", ttr_min=10.0, ttr_max=600.0, update_threshold=0.5
+        )
+        policy = factory(ObjectId("x"))
+        assert isinstance(policy, AlexTTLPolicy)
+        assert policy.bounds == TTRBounds(ttr_min=10.0, ttr_max=600.0)
+        assert policy.parameters.update_threshold == 0.5
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(PolicyConfigurationError, match="unknown"):

@@ -36,12 +36,14 @@ class TestTTRBounds:
         assert bounds.clamp(15.0) == 10.0
 
     def test_inverted_bounds_rejected(self):
-        with pytest.raises(ValueError):
-            TTRBounds(ttr_min=10.0, ttr_max=9.0)
+        for ttr_max in (9.0, math.nan):
+            with pytest.raises(ValueError):
+                TTRBounds(ttr_min=10.0, ttr_max=ttr_max)
 
     def test_non_positive_min_rejected(self):
-        with pytest.raises(ValueError):
-            TTRBounds(ttr_min=0.0, ttr_max=10.0)
+        for ttr_min in (0.0, math.nan):
+            with pytest.raises(ValueError):
+                TTRBounds(ttr_min=ttr_min, ttr_max=10.0)
 
 
 class TestGroupSpec:

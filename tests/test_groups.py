@@ -15,38 +15,15 @@ A, B, C, D = (ObjectId(x) for x in "abcd")
 
 class TestDependencyGraph:
     def test_relate_creates_undirected_edge(self):
-        graph = DependencyGraph()
-        graph.relate(A, B)
-        assert graph.are_related(A, B)
-        assert graph.are_related(B, A)
-        assert graph.neighbours(A) == {B}
+        for a, b in ((A, B), (B, A)):
+            graph = DependencyGraph()
+            graph.relate(a, b)
+            assert graph.connected_components() == [frozenset({A, B})]
 
     def test_self_relation_rejected(self):
         graph = DependencyGraph()
         with pytest.raises(ValueError):
             graph.relate(A, A)
-
-    def test_relate_all_builds_clique(self):
-        graph = DependencyGraph()
-        graph.relate_all([A, B, C])
-        assert graph.are_related(A, C)
-        assert len(graph.edges()) == 3
-
-    def test_unrelate(self):
-        graph = DependencyGraph()
-        graph.relate(A, B)
-        graph.unrelate(A, B)
-        assert not graph.are_related(A, B)
-        assert A in graph and B in graph
-
-    def test_remove_object_drops_edges(self):
-        graph = DependencyGraph()
-        graph.relate(A, B)
-        graph.relate(B, C)
-        graph.remove_object(B)
-        assert B not in graph
-        assert graph.neighbours(A) == frozenset()
-        assert graph.neighbours(C) == frozenset()
 
     def test_connected_components(self):
         graph = DependencyGraph()
@@ -58,21 +35,11 @@ class TestDependencyGraph:
         assert frozenset({C, D}) in components
         assert frozenset({ObjectId("isolated")}) in components
 
-    def test_component_of_transitive(self):
+    def test_components_are_transitive(self):
         graph = DependencyGraph()
         graph.relate(A, B)
         graph.relate(B, C)
-        assert graph.component_of(A) == {A, B, C}
-
-    def test_component_of_unknown_rejected(self):
-        with pytest.raises(KeyError):
-            DependencyGraph().component_of(A)
-
-    def test_edges_deduplicated_and_sorted(self):
-        graph = DependencyGraph()
-        graph.relate(B, A)
-        graph.relate(A, C)
-        assert graph.edges() == [(A, B), (A, C)]
+        assert graph.connected_components() == [frozenset({A, B, C})]
 
 
 class TestHtmlExtraction:
@@ -143,12 +110,12 @@ class TestHtmlExtraction:
         embedded = relate_document(graph, self.BASE, html)
         assert len(embedded) == 2
         doc = ObjectId(self.BASE)
-        assert graph.neighbours(doc) == set(embedded)
+        assert graph.connected_components() == [frozenset({doc, *embedded})]
 
     def test_relate_document_with_no_embeds_adds_node(self):
         graph = DependencyGraph()
         relate_document(graph, self.BASE, "<p>hello</p>")
-        assert ObjectId(self.BASE) in graph
+        assert graph.connected_components() == [frozenset({ObjectId(self.BASE)})]
 
 
 class TestGroupRegistry:

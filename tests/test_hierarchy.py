@@ -19,7 +19,7 @@ from repro.proxy.proxy import ProxyCache
 from repro.server.origin import OriginServer
 from repro.server.updates import UpdateFeeder, feed_traces
 from repro.sim.kernel import Kernel
-from repro.topology.levels import uniform_levels
+from repro.topology.levels import TreeLevel
 from repro.topology.tree import TopologyTree
 from repro.traces.model import trace_from_times
 from repro.traces.synthetic import poisson_trace
@@ -114,7 +114,7 @@ def _chain(depth, ttl_by_level=None):
     kernel = Kernel()
     origin = OriginServer()
     origin.create_object(X, created_at=0.0)
-    tree = TopologyTree(kernel, origin, uniform_levels(depth))
+    tree = TopologyTree(kernel, origin, (TreeLevel(),) * depth)
     ttl_by_level = ttl_by_level or {}
     tree.register_object(
         X,
@@ -206,7 +206,7 @@ class TestHierarchyFidelity:
         origin = OriginServer()
         feed_traces(kernel, origin, [trace])
         delta = 120.0
-        tree = TopologyTree(kernel, origin, uniform_levels(2))
+        tree = TopologyTree(kernel, origin, (TreeLevel(),) * 2)
         tree.register_object(
             X,
             lambda level, _oid: LimdPolicy(
@@ -226,7 +226,7 @@ class TestHierarchyFidelity:
         kernel = Kernel()
         origin = OriginServer()
         UpdateFeeder(kernel, origin, trace)
-        tree = TopologyTree(kernel, origin, uniform_levels(4))
+        tree = TopologyTree(kernel, origin, (TreeLevel(),) * 4)
         tree.register_object(
             X, lambda level, _oid: FixedTTRPolicy(ttr=30.0 + 10.0 * level)
         )

@@ -13,7 +13,6 @@ from repro.metrics.collector import (
     collect_mutual_temporal,
     collect_mutual_value,
     collect_temporal,
-    collect_value,
     synchrony_fetches_of,
     temporal_fetches_of,
     value_fetches_of,
@@ -96,11 +95,6 @@ class TestCollectors:
         report = collect_temporal(proxy, trace_x, delta=10.0)
         assert report.polls == 11
         assert report.violations == 0
-
-    def test_collect_value_report(self, finished_run):
-        proxy, _, trace_y, _ = finished_run
-        report = collect_value(proxy, trace_y, delta=1.5)
-        assert 0.0 <= report.fidelity_by_violations <= 1.0
 
     def test_collect_mutual_temporal_report(self, finished_run):
         proxy, trace_x, trace_y, _ = finished_run

@@ -7,8 +7,8 @@ import bisect
 import pytest
 
 from repro.core.types import ObjectId
-from repro.metrics.fidelity import FidelityReport, temporal_fidelity, value_fidelity
-from repro.traces.model import trace_from_ticks, trace_from_times
+from repro.metrics.fidelity import FidelityReport, temporal_fidelity
+from repro.traces.model import trace_from_times
 
 
 def temporal_trace(times, end=1000.0):
@@ -145,65 +145,6 @@ class TestTemporalOutSyncTime:
         )
         assert report.out_sync_time == pytest.approx(40.0)
         assert report.duration == 100.0
-
-
-class TestValueFidelity:
-    def _trace(self):
-        # Value steps by 1.0 every 10 s: 1,2,3,... at t=10,20,30,...
-        return trace_from_ticks(
-            ObjectId("s"),
-            [(10.0 * (i + 1), float(i + 1)) for i in range(20)],
-            start_time=0.0,
-            end_time=210.0,
-        )
-
-    def test_frequent_refresh_is_clean(self):
-        trace = self._trace()
-        fetches = [(10.0 * i, float(i)) for i in range(1, 21)]
-        report = value_fidelity(trace, fetches, delta=1.5)
-        assert report.violations == 0
-        assert report.out_sync_time == 0.0
-
-    def test_slow_refresh_violates(self):
-        trace = self._trace()
-        # Fetch at 10 (value 1) and 100 (value 10): drift up to 9 >= 2.
-        report = value_fidelity(trace, [(10.0, 1.0), (100.0, 10.0)], delta=2.0)
-        assert report.violations == 1
-
-    def test_out_sync_time_integrates_drift(self):
-        trace = self._trace()
-        # Cached value 1 from t=10.  |S-P| >= 2 once value hits 3 at t=30,
-        # until the next fetch at t=100 → 70 s.
-        report = value_fidelity(trace, [(10.0, 1.0), (100.0, 10.0)], delta=2.0)
-        # Second window: cached 10, drift >= 2 once value hits 12 at
-        # t=120, until the window end at 210 → 90 s.
-        assert report.out_sync_time == pytest.approx(70.0 + 90.0)
-
-    def test_final_open_segment_not_counted_as_violation(self):
-        trace = self._trace()
-        report = value_fidelity(trace, [(10.0, 1.0)], delta=2.0)
-        # Staleness accrues but no closing poll exists to charge.
-        assert report.violations == 0
-        assert report.out_sync_time > 0
-
-    def test_exact_delta_drift_is_violation(self):
-        """Eq. 3 requires |S-P| < delta strictly."""
-        trace = trace_from_ticks(
-            ObjectId("s"), [(10.0, 0.0), (20.0, 2.0)], end_time=100.0
-        )
-        report = value_fidelity(
-            trace, [(15.0, 0.0), (50.0, 2.0)], delta=2.0
-        )
-        assert report.violations == 1
-
-    def test_requires_valued_trace(self, simple_trace):
-        with pytest.raises(ValueError):
-            value_fidelity(simple_trace, [(0.0, 1.0)], delta=1.0)
-
-    def test_invalid_delta_rejected(self):
-        trace = self._trace()
-        with pytest.raises(ValueError):
-            value_fidelity(trace, [], delta=-1.0)
 
 
 class TestTemporalFidelityFromSnapshots:

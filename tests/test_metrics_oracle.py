@@ -1,16 +1,16 @@
 """The one-pass scorers against the per-segment bisect versions they replaced.
 
-``mutual_value_fidelity``, ``value_fidelity`` and
-``group_temporal_fidelity`` walk each trace forward once with a cursor.
-The versions below re-derived every segment from bisects — two
-``updates_in`` slices and a ``latest_at`` per knot for Mv, and every
-member's validity interval on every event group for Mt.  They are kept
-here verbatim as the oracle only.  The trace queries they used are gone
-from ``UpdateTrace``, so :func:`updates_in`, :func:`latest_at` and
-:func:`next_after` re-derive them here, each by its own bisect over the
-trace's ``times`` / ``values`` columns.  The properties
-demand ``==`` on the whole report, not approximate equality: both sides
-must add the same floats in the same order.
+``mutual_value_fidelity`` and ``group_temporal_fidelity`` walk each
+trace forward once with a cursor.  The versions below re-derived every
+segment from bisects — two ``updates_in`` slices and a ``latest_at``
+per knot for Mv, and every member's validity interval on every event
+group for Mt.  They are kept here verbatim as the oracle only.  The
+trace queries they used are gone from ``UpdateTrace``, so
+:func:`updates_in`, :func:`latest_at` and :func:`next_after` re-derive
+them here, each by its own bisect over the trace's ``times`` /
+``values`` columns.  The properties demand ``==`` on the whole report,
+not approximate equality: both sides must add the same floats in the
+same order.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.types import ObjectId, Seconds
-from repro.metrics.fidelity import FidelityReport, TemporalFetch, value_fidelity
+from repro.metrics.fidelity import FidelityReport, TemporalFetch
 from repro.metrics.group import group_interval_spread, group_temporal_fidelity
 from repro.metrics.mutual import ValueFetch, mutual_value_fidelity
 from repro.traces.model import UpdateTrace, trace_from_ticks, trace_from_times
@@ -156,78 +156,6 @@ def _mv_segment_stats(
             hi = min(nxt, window_end)
             if hi > lo:
                 stale += hi - lo
-    return violated, stale
-
-
-# ----------------------------------------------------------------------
-# Oracle: Δv (metrics/fidelity.py before the sweep)
-# ----------------------------------------------------------------------
-def oracle_value_fidelity(
-    trace: UpdateTrace,
-    fetches: Sequence[Tuple[Seconds, float]],
-    delta: float,
-    *,
-    start: Optional[Seconds] = None,
-    end: Optional[Seconds] = None,
-) -> FidelityReport:
-    if delta <= 0:
-        raise ValueError(f"delta must be positive, got {delta}")
-    if not trace.has_values:
-        raise ValueError("value_fidelity requires a value-domain trace")
-    window_start = start if start is not None else trace.start_time
-    window_end = end if end is not None else trace.end_time
-
-    violations = 0
-    out_sync = 0.0
-    for index, (poll_time, cached_value) in enumerate(fetches):
-        segment_end = (
-            fetches[index + 1][0] if index + 1 < len(fetches) else window_end
-        )
-        if segment_end <= poll_time:
-            continue
-        violated, stale = _value_segment_stats(
-            trace, poll_time, segment_end, cached_value, delta,
-            window_start, window_end,
-        )
-        if violated and index + 1 < len(fetches):
-            violations += 1
-        out_sync += stale
-    return FidelityReport(
-        polls=len(fetches),
-        violations=violations,
-        out_sync_time=out_sync,
-        duration=window_end - window_start,
-    )
-
-
-def _value_segment_stats(
-    trace: UpdateTrace,
-    segment_start: Seconds,
-    segment_end: Seconds,
-    cached_value: float,
-    delta: float,
-    window_start: Seconds,
-    window_end: Seconds,
-) -> Tuple[bool, Seconds]:
-    violated = False
-    stale = 0.0
-    current = latest_at(trace, segment_start)
-    current_value = current[1] if current is not None else None
-    t = segment_start
-    updates = updates_in(trace, segment_start, segment_end)
-    knots: List[Tuple[Seconds, Optional[float]]] = [(t, current_value)] + updates
-    knots.append((segment_end, None))  # terminator; value unused
-    for (knot_time, knot_value), (next_time, _next_value) in zip(
-        knots, knots[1:]
-    ):
-        if knot_value is not None:
-            gap = abs(knot_value - cached_value)
-            if gap >= delta:
-                violated = True
-                lo = max(knot_time, window_start)
-                hi = min(next_time, window_end)
-                if hi > lo:
-                    stale += hi - lo
     return violated, stale
 
 
@@ -372,13 +300,6 @@ def poll_instants(ticks_of):
 
 
 @st.composite
-def value_case(draw):
-    """One valued trace and its fetches."""
-    ticks_a = draw(ticks)
-    return ticks_a, fetched(draw, ticks_a, draw(poll_instants(ticks_a)))
-
-
-@st.composite
 def mutual_value_case(draw):
     """Two valued traces; b polls some of a's instants again."""
     ticks_a, ticks_b = draw(ticks), draw(ticks)
@@ -441,25 +362,6 @@ class TestSweepEqualsOracle:
                 trace_a, trace_b, fetches_a, fetches_b, delta,
                 f=f, start=start, end=end,
             )
-
-    @given(value_case(), deltas, windows())
-    @example(  # ticks at polls, polls before the first tick and past the end
-        ([(2.0, 4.0), (5.0, 0.0)],
-         [(0.5, 0.0), (2.0, 4.0), (5.0, 0.0), (9.0, 0.0), (27.0, 0.0)]),
-        1.0, (None, None),
-    )
-    @example(  # first fetch at an update instant
-        ([(2.0, 4.0), (5.0, 0.0)], [(5.0, 0.0), (9.0, 0.0)]),
-        1.0, (None, None),
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_value_fidelity(self, case, delta, window):
-        ticks_a, fetches = case
-        trace = valued_trace(A, ticks_a)
-        start, end = window
-        assert value_fidelity(
-            trace, fetches, delta, start=start, end=end
-        ) == oracle_value_fidelity(trace, fetches, delta, start=start, end=end)
 
     @given(temporal_group(), st.sampled_from([0.0, 0.5, 2.0, 5.0]), windows())
     @settings(max_examples=100, deadline=None)

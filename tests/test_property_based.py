@@ -16,10 +16,10 @@ from hypothesis import strategies as st
 from repro.consistency.detection import make_detector
 from repro.consistency.limd import LimdParameters, LimdPolicy
 from repro.core.types import ObjectId, ObjectSnapshot, PollOutcome, TTRBounds
-from repro.metrics.fidelity import temporal_fidelity, value_fidelity
+from repro.metrics.fidelity import temporal_fidelity
 from repro.metrics.group import group_interval_spread
 from repro.sim.kernel import Kernel
-from repro.traces.model import trace_from_ticks, trace_from_times
+from repro.traces.model import trace_from_times
 
 def lagged_fetches(trace, polls, lag):
     """Ascending fetches, each obtaining the version current ``lag`` earlier."""
@@ -198,26 +198,6 @@ class TestFidelityProperties:
         loose = temporal_fidelity(trace, fetches, delta * factor)
         assert loose.violations <= tight.violations
         assert loose.out_sync_time <= tight.out_sync_time + 1e-9
-
-    @given(
-        st.lists(
-            st.tuples(
-                st.floats(min_value=0.1, max_value=1e4, allow_nan=False),
-                st.floats(min_value=-100.0, max_value=100.0, allow_nan=False),
-            ),
-            min_size=1,
-            max_size=30,
-            unique_by=lambda tv: tv[0],
-        ),
-        st.floats(min_value=0.1, max_value=50.0),
-    )
-    @settings(max_examples=100)
-    def test_value_fidelity_in_unit_range(self, ticks, delta):
-        trace = trace_from_ticks(ObjectId("s"), ticks, end_time=1.1e4)
-        fetches = [(t, v) for t, v in sorted(ticks)][:5]
-        report = value_fidelity(trace, fetches, delta)
-        assert 0.0 <= report.fidelity_by_violations <= 1.0
-        assert 0.0 <= report.fidelity_by_time <= 1.0
 
 
 def interval_gap(a, b):

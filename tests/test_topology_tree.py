@@ -34,7 +34,6 @@ from repro.topology.levels import (
     TopologyError,
     TreeLevel,
     additive_staleness_bound,
-    uniform_levels,
 )
 from repro.topology.protocols import PushSource
 from repro.topology.push import PushFanout
@@ -65,16 +64,6 @@ class TestTreeLevel:
     def test_mode_validated(self):
         with pytest.raises(TopologyError, match="mode"):
             TreeLevel(mode="gossip")
-
-    def test_uniform_levels(self):
-        levels = uniform_levels(3, fan_out=2, mode="push")
-        assert len(levels) == 3
-        assert all(level.fan_out == 2 for level in levels)
-        assert all(level.mode == "push" for level in levels)
-
-    def test_uniform_levels_depth_validated(self):
-        with pytest.raises(TopologyError, match="depth"):
-            uniform_levels(0)
 
     def test_staleness_bound_is_sum(self):
         assert additive_staleness_bound([600.0, 600.0, 30.0]) == 1230.0
@@ -143,14 +132,14 @@ class TestConstruction:
 
     def test_nodes_at_bounds_checked(self):
         kernel, origin = _stack()
-        tree = TopologyTree(kernel, origin, uniform_levels(2))
+        tree = TopologyTree(kernel, origin, (TreeLevel(),) * 2)
         with pytest.raises(TopologyError, match="level"):
             tree.nodes_at(2)
 
     def test_protocol_conformance(self):
         kernel, origin = _stack()
         proxy = tree_proxy = TopologyTree(
-            kernel, origin, uniform_levels(1)
+            kernel, origin, (TreeLevel(),)
         ).root.proxy
         assert isinstance(origin, Upstream)
         assert isinstance(tree_proxy, Upstream)
@@ -161,7 +150,7 @@ class TestConstruction:
 class TestPullTrees:
     def test_registration_requires_policy_factory_for_pull(self):
         kernel, origin = _stack()
-        tree = TopologyTree(kernel, origin, uniform_levels(2))
+        tree = TopologyTree(kernel, origin, (TreeLevel(),) * 2)
         with pytest.raises(TopologyError, match="policy_factory"):
             tree.register_object(X)
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import random
 
 import pytest
 
@@ -13,7 +12,6 @@ from repro.traces.synthetic import (
     correlated_group_traces,
     poisson_trace,
     poisson_update_times,
-    random_walk_trace,
 )
 
 
@@ -102,38 +100,3 @@ class TestCorrelatedGroup:
         with pytest.raises(ValueError):
             FollowerSpec("x", join_probability=0.5, max_lag=-1.0)
 
-
-class TestRandomWalk:
-    def test_regular_tick_spacing(self, rng):
-        trace = random_walk_trace(
-            "w", rng, tick_interval=5.0, end=100.0
-        )
-        times = trace.times
-        assert times == [5.0 * i for i in range(1, len(times) + 1)]
-
-    def test_values_present_and_finite(self, rng):
-        trace = random_walk_trace("w", rng, tick_interval=1.0, end=500.0)
-        assert trace.has_values
-        assert all(abs(v) < 1e6 for v in trace.values)
-
-    def test_mean_reversion_bounds_excursions(self):
-        wild = random_walk_trace(
-            "a", random.Random(5), tick_interval=1.0, end=20000.0,
-            step_sigma=1.0, mean_reversion=0.0,
-        )
-        tame = random_walk_trace(
-            "b", random.Random(5), tick_interval=1.0, end=20000.0,
-            step_sigma=1.0, mean_reversion=0.1,
-        )
-        def spread(trace):
-            values = trace.values
-            return max(values) - min(values)
-        assert spread(tame) < spread(wild)
-
-    def test_invalid_parameters_rejected(self, rng):
-        with pytest.raises(ValueError):
-            random_walk_trace("w", rng, tick_interval=0.0, end=10.0)
-        with pytest.raises(ValueError):
-            random_walk_trace(
-                "w", rng, tick_interval=1.0, end=10.0, mean_reversion=1.0
-            )

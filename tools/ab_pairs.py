@@ -15,8 +15,9 @@ change's ``BENCHMARK.json`` declares) on one side, then on the other,
 flipping which side goes first every pair so a slow phase of the machine
 lands on both.  Progress goes to stderr; at the end it prints, per
 workload, the per-pair table, then for every end-to-end metric in the change's
-``BENCHMARK.json`` each side's median and quartiles, the pairs the
-change won, and the verdict by the rule every performance claim in this
+``BENCHMARK.json`` each side's median and quartiles, the median and
+quartiles of the per-pair change/parent ratios, the pairs the change
+won, and the verdict by the rule every performance claim in this
 repo is held to (ROADMAP "rules of the road", choosing-metrics §8): a
 *gain* needs the change to win at least nine tenths of the pairs (ties
 count for neither side) and the medians to differ by more than the
@@ -54,6 +55,9 @@ class Verdict(NamedTuple):
     losses: int
     #: Change median over parent median.
     ratio: float
+    #: Median and quartiles of the per-pair ratios ``change[i] / parent[i]``.
+    pair_ratio_median: float
+    pair_ratio_quartiles: Tuple[float, float]
     gain: bool
     regression: bool
 
@@ -89,6 +93,7 @@ def judge(
     parent_median = statistics.median(parent)
     change_median = statistics.median(change)
     quartiles = _quartiles(parent)
+    pair_ratios = [c / p if p else float("nan") for p, c in zip(parent, change)]
     improvement = sign * (change_median - parent_median)
     return Verdict(
         parent_median=parent_median,
@@ -98,6 +103,8 @@ def judge(
         wins=wins,
         losses=losses,
         ratio=change_median / parent_median if parent_median else float("nan"),
+        pair_ratio_median=statistics.median(pair_ratios),
+        pair_ratio_quartiles=_quartiles(pair_ratios),
         gain=wins >= 0.9 * len(parent)
         and improvement > quartiles[1] - quartiles[0],
         regression=-improvement > bound * abs(parent_median),
@@ -174,7 +181,10 @@ def report(
             f"({verdict.parent_quartiles[0]:.6g} .. {verdict.parent_quartiles[1]:.6g})"
             f" -> change {verdict.change_median:.6g} "
             f"({verdict.change_quartiles[0]:.6g} .. {verdict.change_quartiles[1]:.6g})"
-            f" x{verdict.ratio:.3f}, change better in {verdict.wins}/{pairs}"
+            f" x{verdict.ratio:.3f}, per pair x{verdict.pair_ratio_median:.3f}"
+            f" (x{verdict.pair_ratio_quartiles[0]:.3f} .. "
+            f"x{verdict.pair_ratio_quartiles[1]:.3f}),"
+            f" change better in {verdict.wins}/{pairs}"
             f" (worse in {verdict.losses}): {verdict.word}"
         )
     for what in ("digest", "events"):
