@@ -471,7 +471,6 @@ def _run_tree(
     levels = tuple(
         TreeLevel(
             fan_out=level.fan_out,
-            mode=level.mode,
             latency=(
                 _latency_of(level.network)
                 if level.network is not None

@@ -32,11 +32,6 @@ from repro.api.jsonable import check_jsonable, freeze, thaw
 from repro.core.errors import ReproError
 from repro.core.rng import DEFAULT_SEED
 
-# The canonical mode tuple lives with the topology layer; configs
-# validate against it so a transport added there is immediately legal
-# here (re-exported for config-level callers).
-from repro.topology.levels import LEVEL_MODES as LEVEL_MODES
-
 C = TypeVar("C", bound="_ConfigBase")
 
 #: Topology kinds the assembly layer understands.
@@ -220,18 +215,13 @@ class LevelConfig(_ConfigBase):
     Attributes:
         fan_out: Children per node of the level above (per origin for
             level 0).
-        mode: ``pull`` (nodes poll their upstream on the level policy's
-            TTR schedule) or ``push`` (the upstream pushes update
-            notifications; nodes fetch on each one and run no policy).
         policy: Per-level policy override; ``None`` inherits the
-            simulation's top-level policy.  Must be ``None`` for push
-            levels.
+            simulation's top-level policy.
         network: Per-link latency override for this level; ``None``
             inherits the simulation's top-level network.
     """
 
     fan_out: int = 1
-    mode: str = "pull"
     policy: Optional[PolicyConfig] = None
     network: Optional[NetworkConfig] = None
 
@@ -240,11 +230,6 @@ class LevelConfig(_ConfigBase):
         if self.fan_out < 1:
             raise SimulationConfigError(
                 f"level.fan_out must be >= 1, got {self.fan_out}"
-            )
-        _require_str("level", "mode", self.mode)
-        if self.mode not in LEVEL_MODES:
-            raise SimulationConfigError(
-                f"level.mode must be one of {LEVEL_MODES}, got {self.mode!r}"
             )
         for name, sub_type in (
             ("policy", PolicyConfig),
@@ -261,16 +246,10 @@ class LevelConfig(_ConfigBase):
                     f"level.{name} must be a {sub_type.__name__} (or "
                     f"mapping or null), got {type(value).__name__}"
                 )
-        if self.mode == "push" and self.policy is not None:
-            raise SimulationConfigError(
-                "level.policy must be null for push levels (push nodes "
-                "fetch on notification, they run no refresh policy)"
-            )
 
     def to_dict(self) -> Dict[str, object]:
         return {
             "fan_out": self.fan_out,
-            "mode": self.mode,
             "policy": self.policy.to_dict() if self.policy else None,
             "network": self.network.to_dict() if self.network else None,
         }
@@ -283,8 +262,7 @@ class TopologyConfig(_ConfigBase):
     ``single`` is one proxy polling the origin (the paper's setting);
     ``tree`` is an arbitrary proxy tree described level by level
     (:class:`LevelConfig`) — edge proxies behind one shared parent are
-    ``levels=[LevelConfig(), LevelConfig(fan_out=N)]`` — including
-    hybrid trees that run push at one level and pull at another; see
+    ``levels=[LevelConfig(), LevelConfig(fan_out=N)]``; see
     :mod:`repro.topology`.
     """
 

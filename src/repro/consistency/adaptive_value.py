@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.analysis.rates import ValueRateEstimator
-from repro.consistency.base import RefreshPolicy, ViolationJudgement
+from repro.consistency.base import RefreshPolicy
 from repro.core.errors import PolicyConfigurationError
 from repro.core.types import (
     ObjectId,
@@ -66,12 +66,7 @@ class AdaptiveValueParameters:
 
 
 class AdaptiveValueTTRPolicy(RefreshPolicy):
-    """Per-object adaptive TTR for Δv-consistency.
-
-    A violation (for the policy's own feedback and bookkeeping) is a
-    poll revealing the value drifted by at least Δ since the previous
-    poll — the refresh came too late.
-    """
+    """Per-object adaptive TTR for Δv-consistency (Eqs. 9–10)."""
 
     name = "adaptive_value"
 
@@ -94,7 +89,6 @@ class AdaptiveValueTTRPolicy(RefreshPolicy):
         self._ttr = bounds.clamp(self._ttr)
         self._smoothed_ttr: Optional[Seconds] = None
         self._observed_min_ttr: Optional[Seconds] = None
-        self._last_cached_value: Optional[float] = None
 
     # ------------------------------------------------------------------
     # RefreshPolicy interface
@@ -118,20 +112,6 @@ class AdaptiveValueTTRPolicy(RefreshPolicy):
     def observed_min_ttr(self) -> Optional[Seconds]:
         return self._observed_min_ttr
 
-    def judge_violation(self, outcome: PollOutcome) -> ViolationJudgement:
-        """Did the value drift ≥ Δ between the last two polls?"""
-        value = outcome.snapshot.value
-        if value is None or self._last_cached_value is None:
-            return ViolationJudgement(violated=False, basis="value:no-baseline")
-        drift = abs(value - self._last_cached_value)
-        if drift >= self._delta:
-            return ViolationJudgement(
-                violated=True,
-                observed_out_sync=None,
-                basis=f"value:drift={drift:.4g}",
-            )
-        return ViolationJudgement(violated=False, basis="value:in-bound")
-
     def reset(self) -> None:
         """Proxy-failure recovery: drop the learned rate/TTR history."""
         self._estimator = ValueRateEstimator()
@@ -142,7 +122,6 @@ class AdaptiveValueTTRPolicy(RefreshPolicy):
         )
         self._smoothed_ttr = None
         self._observed_min_ttr = None
-        self._last_cached_value = None
 
     def retarget_delta(self, new_delta: float) -> None:
         """Change the Δ bound in flight (partitioned-δ re-apportioning).
@@ -161,7 +140,6 @@ class AdaptiveValueTTRPolicy(RefreshPolicy):
                 f"object {outcome.snapshot.object_id!r} has no value; "
                 "AdaptiveValueTTRPolicy requires valued objects"
             )
-        self._last_cached_value = value
         rate = self._estimator.observe(outcome.poll_time, value)
         if rate is None:
             # First observation: no rate exists yet.  Keep the current

@@ -61,15 +61,6 @@ class RefreshPolicy(abc.ABC):
     def current_ttr(self) -> Seconds:
         """The most recently computed TTR."""
 
-    def judge_violation(self, outcome: PollOutcome) -> ViolationJudgement:
-        """The policy's own (possibly imperfect) violation assessment.
-
-        Default: no violation ever detected.  Policies override this;
-        the *ground-truth* violation accounting lives in
-        :mod:`repro.metrics` and never depends on this method.
-        """
-        return ViolationJudgement(violated=False, basis="none")
-
     def reset(self) -> None:
         """Discard adaptive state after a proxy failure.
 

@@ -160,11 +160,6 @@ class LimdPolicy(RefreshPolicy):
     def detector(self) -> ViolationDetector:
         return self._detector
 
-    def judge_violation(self, outcome: PollOutcome) -> ViolationJudgement:
-        # Note: next_ttr() performs its own judging inline; this method
-        # exists for callers that want the assessment without adapting.
-        return self._detector.judge(outcome)
-
     def next_ttr(self, outcome: PollOutcome) -> Seconds:
         """Apply Cases 1–4 to a poll outcome and return the new TTR."""
         self._poll_count += 1

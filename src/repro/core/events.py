@@ -22,9 +22,6 @@ class PollReason(enum.Enum):
     MUTUAL_TRIGGER = "mutual_trigger"
     #: First fetch when the object was registered with the proxy.
     INITIAL_FETCH = "initial_fetch"
-    #: A push notification from the level above announced an update
-    #: (the footnote-1 server-based extension; see repro.topology.push).
-    PUSH = "push"
 
     def __init__(self, value: str) -> None:
         #: The proxy counter that tallies polls issued for this reason; a

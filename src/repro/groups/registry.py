@@ -105,10 +105,6 @@ class GroupRegistry:
             partners.update(spec.partners_of(object_id))
         return partners
 
-    def all_members(self) -> Set[ObjectId]:
-        """Every object that belongs to at least one group."""
-        return set(self._by_member)
-
     def __repr__(self) -> str:
         return f"GroupRegistry(groups={len(self._groups)})"
 

@@ -157,14 +157,6 @@ class ProxyCache:
         refresher.start()
         return refresher
 
-    def deregister_object(self, object_id: ObjectId) -> None:
-        """Stop refreshing an object and drop its server binding."""
-        refresher = self._refreshers.pop(object_id, None)
-        if refresher is None:
-            raise UnknownObjectError(str(object_id), where="proxy refreshers")
-        refresher.stop()
-        self._servers.pop(object_id, None)
-
     def refresher_for(self, object_id: ObjectId) -> Refresher:
         try:
             return self._refreshers[object_id]

@@ -53,7 +53,6 @@ class Refresher(OneShotTimer):
         "_policy",
         "_issue_poll",
         "_last_poll_time",
-        "_stopped",
         "_detached",
         "_ff_next_poll",
         "_ff_hook",
@@ -71,7 +70,6 @@ class Refresher(OneShotTimer):
         self._policy = policy
         self._issue_poll = issue_poll
         self._last_poll_time: Optional[Seconds] = None
-        self._stopped = False
         self._detached = False
         self._ff_next_poll: Optional[Seconds] = None
         self._ff_hook: Optional[RescheduleHook] = None
@@ -120,11 +118,6 @@ class Refresher(OneShotTimer):
         elif ttr != inf:
             raise self._bad_ttr(ttr)
 
-    def stop(self) -> None:
-        """Permanently stop refreshing this object."""
-        self._stopped = True
-        self.disarm()
-
     def recover(self) -> None:
         """Proxy-failure recovery: reset the policy and restart polling.
 
@@ -132,15 +125,9 @@ class Refresher(OneShotTimer):
         adaptive state is dropped (TTR back to TTR_min for LIMD) and the
         next poll is scheduled at the policy's fresh first TTR.
         """
-        if self._stopped:
-            return
         self._policy.reset()
         self.disarm()
         self.start()
-
-    @property
-    def stopped(self) -> bool:
-        return self._stopped
 
     # ------------------------------------------------------------------
     # Fast-forward mode (see repro.sim.fastforward)
@@ -177,7 +164,7 @@ class Refresher(OneShotTimer):
         self._detached = False
         self._ff_hook = None
         self._ff_next_poll = None
-        if when is not None and not self._stopped:
+        if when is not None:
             self.arm_at(when)
 
     def fire_expired(self) -> None:
@@ -192,8 +179,6 @@ class Refresher(OneShotTimer):
             raise SimulationError(
                 f"fire_expired on attached refresher for {self._object_id!r}"
             )
-        if self._stopped:
-            return
         self._ff_next_poll = None
         self._issue_poll(self._object_id, _TTR_EXPIRED)
 
@@ -245,8 +230,6 @@ class Refresher(OneShotTimer):
         (the paper's Section 3.2 triggered polls are extra polls on top
         of the LIMD schedule).
         """
-        if self._stopped:
-            return
         if reschedule:
             self.disarm()
         self._issue_poll(self._object_id, reason)
@@ -267,8 +250,6 @@ class Refresher(OneShotTimer):
         self._last_poll_time = now
         ttr = self._policy.next_ttr(outcome)
         if 0.0 < ttr < inf:
-            if self._stopped:
-                return
             # As in start(), inline: a shared helper is a frame per poll.
             if self._detached:
                 self._ff_arm(now + ttr)
@@ -289,8 +270,7 @@ class Refresher(OneShotTimer):
             raise self._bad_ttr(ttr)
 
     def _fire(self, kernel: Kernel) -> None:
-        if not self._stopped:
-            self._issue_poll(self._object_id, _TTR_EXPIRED)
+        self._issue_poll(self._object_id, _TTR_EXPIRED)
 
     def __repr__(self) -> str:
         return (

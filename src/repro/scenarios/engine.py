@@ -49,16 +49,6 @@ class ScenarioResult:
                 f"available: {sorted(self.rows[0]) if self.rows else []}"
             ) from None
 
-    def row_for(self, value: float, *, tolerance: float = 1e-9) -> Dict[str, Any]:
-        """The row whose (numeric) axis value matches ``value``."""
-        axis = self.spec.axis
-        for row in self.rows:
-            if abs(float(row[axis]) - value) <= tolerance:
-                return row
-        raise ExperimentError(
-            f"no row with {axis} == {value} in scenario {self.spec.name!r}"
-        )
-
     @property
     def result_set(self) -> ResultSet:
         """The rows as a :class:`~repro.api.results.ResultSet`.

@@ -7,7 +7,7 @@ Section 5.1 modification-history extension.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Optional
+from typing import Dict, Iterator, Optional
 
 from repro.core.errors import UnknownObjectError
 from repro.core.types import ObjectId, Seconds
@@ -19,10 +19,6 @@ from repro.sim.stats import Counter
 #: Per-status response counter names, precomputed so the per-request
 #: hot path does no f-string formatting.
 _RESPONSE_COUNTER_NAMES = {status: f"responses_{int(status)}" for status in Status}
-
-#: Called after an update is applied: ``(object_id, update_time)``.
-UpdateListener = Callable[[ObjectId, Seconds], None]
-
 
 class OriginServer:
     """A simulated origin server.
@@ -44,11 +40,6 @@ class OriginServer:
         self.name = name
         self.supports_history = supports_history
         self._objects: Dict[ObjectId, ServerObject] = {}
-        # Update listeners back push-based consistency (an attached
-        # push source fans each applied update out to its subscribers);
-        # the common pull-only stack leaves the list empty, keeping the
-        # per-update hot path to one truthiness check.
-        self._update_listeners: List[UpdateListener] = []
         self.counters = Counter()
 
     # ------------------------------------------------------------------
@@ -83,15 +74,6 @@ class OriginServer:
     def object_ids(self) -> Iterator[ObjectId]:
         return iter(self._objects)
 
-    def add_update_listener(self, listener: UpdateListener) -> None:
-        """Observe every applied update (push-consistency sources)."""
-        self._update_listeners.append(listener)
-
-    def remove_update_listener(self, listener: UpdateListener) -> None:
-        """Detach a listener (no error if absent)."""
-        if listener in self._update_listeners:
-            self._update_listeners.remove(listener)
-
     def apply_update(
         self, object_id: ObjectId, time: Seconds, value: Optional[float] = None
     ) -> None:
@@ -114,9 +96,6 @@ class OriginServer:
         times.append(time)
         obj.values.append(value)
         self.counters.counts["updates_applied"] += 1
-        if self._update_listeners:
-            for listener in tuple(self._update_listeners):
-                listener(object_id, time)
 
     # ------------------------------------------------------------------
     # HTTP handling

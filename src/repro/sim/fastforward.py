@@ -1,10 +1,10 @@
 """Analytic fast-forward through event-free intervals.
 
 Between externally scheduled events (trace updates, client arrivals,
-push notifications, failure injections) the only thing a simulation
-does is fire poll timers — and a poll timer's schedule is closed-form:
-the refresher's next instant is known exactly, so there is nothing to
-*discover* by dispatching kernel events one at a time.  The
+failure injections) the only thing a simulation does is fire poll
+timers — and a poll timer's schedule is closed-form: the refresher's
+next instant is known exactly, so there is nothing to *discover* by
+dispatching kernel events one at a time.  The
 :class:`FastForwardEngine` exploits that:
 
 * Every registered object's :class:`~repro.proxy.refresher.Refresher`

@@ -1,4 +1,4 @@
-"""First-class cache topology: arbitrary proxy trees, pull or push per level.
+"""First-class cache topology: arbitrary proxy trees of polling proxies.
 
 The paper evaluates one proxy polling one origin; its related work
 (Yin et al. [10], Yu et al. [11]) poses the open question of consistency
@@ -7,16 +7,10 @@ origin load concentrates at the root.  This package makes that topology
 a first-class, declarative object:
 
 * :mod:`repro.topology.protocols` — the :class:`Upstream` protocol every
-  node above another node satisfies (origin servers, proxies), plus the
-  :class:`PushSource` protocol for nodes that push update notifications
-  downstream;
+  node above another node satisfies (origin servers, proxies);
 * :mod:`repro.topology.levels` — :class:`TreeLevel`, the per-level
-  structural spec (fan-out, pull/push mode, link latency) and the
-  Σ Δᵢ staleness-bound helper;
-* :mod:`repro.topology.push` — :class:`PushFanout`, the subscription
-  registry with simulated delivery delay, and its two bindings:
-  :class:`OriginPushSource` (origin pushes every applied update) and
-  :class:`ProxyPushSource` (a proxy pushes every *observed* update);
+  structural spec (fan-out, link latency) and the Σ Δᵢ staleness-bound
+  helper;
 * :mod:`repro.topology.tree` — :class:`TopologyTree`, the assembled
   tree of :class:`TopologyNode` proxies, built from a level spec and
   registered object by object, root-first.

@@ -1,11 +1,9 @@
 """Per-level structural specification of a proxy tree.
 
 A tree is described level by level: each :class:`TreeLevel` gives the
-fan-out (children per node of the level above), the consistency
-*transport* for the link to the level above (``pull`` — the node polls
-on its refresh policy's TTR schedule — or ``push`` — the upstream
-pushes update notifications and the node fetches on each one), and the
-per-link latency model.
+fan-out (children per node of the level above) and the latency model
+of the link to the level above.  Every node polls its upstream on its
+refresh policy's TTR schedule.
 
 Refresh policies are deliberately *not* part of the level spec: the
 structure of a tree and the policies run over it vary independently
@@ -14,14 +12,13 @@ registration time via a :data:`LevelPolicyFactory`.
 
 **Staleness composes additively.**  If level i guarantees its copy is
 at most Δᵢ behind its upstream, the edge copy is at most ``Σ Δᵢ``
-behind the origin (:func:`additive_staleness_bound`); push levels
-contribute only their one-way delivery latency.
+behind the origin (:func:`additive_staleness_bound`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence, Tuple
+from typing import Callable, Sequence
 
 from repro.consistency.base import RefreshPolicy
 from repro.core.errors import ReproError
@@ -32,13 +29,6 @@ from repro.httpsim.network import LatencyModel
 #: the level closest to the origin; higher levels poll the level above.
 LevelPolicyFactory = Callable[[int, ObjectId], RefreshPolicy]
 
-#: A level whose nodes poll their upstream on a TTR schedule.
-PULL = "pull"
-#: A level whose upstream pushes update notifications at its nodes.
-PUSH = "push"
-#: The consistency transports a level can run against its upstream.
-LEVEL_MODES: Tuple[str, ...] = (PULL, PUSH)
-
 
 class TopologyError(ReproError):
     """A topology specification was malformed or inconsistent."""
@@ -46,27 +36,21 @@ class TopologyError(ReproError):
 
 @dataclass(frozen=True)
 class TreeLevel:
-    """Structure of one tree level: fan-out, link mode, link latency.
+    """Structure of one tree level: fan-out and link latency.
 
     Attributes:
         fan_out: Children per node of the level above (per origin for
             level 0); must be >= 1.
-        mode: :data:`PULL` or :data:`PUSH`.
         latency: Latency model of every link into this level.
     """
 
     fan_out: int = 1
-    mode: str = PULL
     latency: LatencyModel = field(default_factory=LatencyModel)
 
     def __post_init__(self) -> None:
         if self.fan_out < 1:
             raise TopologyError(
                 f"level fan_out must be >= 1, got {self.fan_out}"
-            )
-        if self.mode not in LEVEL_MODES:
-            raise TopologyError(
-                f"level mode must be one of {LEVEL_MODES}, got {self.mode!r}"
             )
 
 
@@ -89,9 +73,8 @@ def warm_up_bound(levels: Sequence[TreeLevel]) -> Seconds:
 def additive_staleness_bound(per_level_bounds: Sequence[Seconds]) -> Seconds:
     """The edge's worst-case staleness behind the origin: ``Σ Δᵢ``.
 
-    Each entry is the staleness bound one level guarantees against its
-    own upstream — a pull level's Δ, a push level's one-way delivery
-    latency.
+    Each entry is the staleness bound Δᵢ one level guarantees against
+    its own upstream.
     """
     if not per_level_bounds:
         raise TopologyError("need at least one per-level staleness bound")

@@ -10,11 +10,8 @@ at level i has ``fan_outᵢ₊₁`` children at level i+1 — so a chain is
 Each node is a full :class:`~repro.proxy.proxy.ProxyCache` with its own
 per-link :class:`~repro.httpsim.network.Network`; because proxies
 satisfy the :class:`~repro.topology.protocols.Upstream` protocol, every
-link is served by ordinary conditional GETs.  A *push* level instead
-subscribes its nodes to the upstream's push source
-(:mod:`repro.topology.push`) and fetches on each notification — hybrid
-trees (push at the root, TTR polling at the edges) need no special
-cases.
+node polls its upstream with ordinary conditional GETs on its refresh
+policy's TTR schedule.
 
 Objects register root-first, level by level, so every initial fetch
 finds its upstream already populated (with the synchronous zero-latency
@@ -24,36 +21,18 @@ network the fetch completes inline).
 from __future__ import annotations
 
 import random
-from typing import (
-    TYPE_CHECKING,
-    Callable,
-    Dict,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-    cast,
-)
+from functools import partial
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, cast
 
-from repro.consistency.base import PassivePolicy, RefreshPolicy
+from repro.consistency.base import RefreshPolicy
 from repro.core.errors import UnknownObjectError
-from repro.core.events import PollReason
-from repro.core.types import ObjectId, PollOutcome, Seconds
+from repro.core.types import ObjectId, PollOutcome
 from repro.httpsim.network import Network
 from repro.proxy.cache import ObjectCache
 from repro.proxy.proxy import ProxyCache
 from repro.sim.kernel import Kernel
-
-if TYPE_CHECKING:  # pragma: no cover - types only, avoids import cycle
-    from repro.server.origin import OriginServer
-from repro.topology.levels import (
-    PUSH,
-    LevelPolicyFactory,
-    TopologyError,
-    TreeLevel,
-)
+from repro.topology.levels import LevelPolicyFactory, TopologyError, TreeLevel
 from repro.topology.protocols import Upstream
-from repro.topology.push import OriginPushSource, ProxyPushSource, PushFanout
 
 #: Names a node from its (level, index-within-level) position.
 NodeNamer = Callable[[int, int], str]
@@ -151,14 +130,11 @@ class TopologyNode:
 
 
 class TopologyTree:
-    """An arbitrary proxy tree with unified pull/push consistency per level.
+    """An arbitrary proxy tree in which every node polls its upstream.
 
     Args:
         kernel: Shared simulation kernel.
-        origin: The origin server every level-0 node attaches to.  A
-            push-mode level 0 additionally requires the origin to expose
-            update listeners
-            (:meth:`repro.server.origin.OriginServer.add_update_listener`).
+        origin: The origin server every level-0 node attaches to.
         levels: Per-level structure, level 0 first.
         want_history: Whether node polls request the Section 5.1
             modification-history extension.
@@ -213,9 +189,6 @@ class TopologyTree:
         self._origin = origin
         self._levels: Tuple[TreeLevel, ...] = tuple(levels)
         self._by_level: List[List[TopologyNode]] = []
-        #: Push source per upstream: the origin's shared source under
-        #: ``None``, one per parent node otherwise.
-        self._push_sources: Dict[Optional[TopologyNode], PushFanout] = {}
 
         parents: List[Optional[TopologyNode]] = [None]
         for level_number, level in enumerate(self._levels):
@@ -224,8 +197,6 @@ class TopologyTree:
                 upstream: Upstream = (
                     origin if parent is None else parent.proxy
                 )
-                if level.mode == PUSH:
-                    self._push_source_for(parent, level)
                 for _ in range(level.fan_out):
                     index = len(row)
                     network = Network(
@@ -265,32 +236,6 @@ class TopologyTree:
             raise TopologyError(
                 f"node_namer produced duplicate node names: {duplicates}"
             )
-
-    def _push_source_for(
-        self, parent: Optional[TopologyNode], level: TreeLevel
-    ) -> PushFanout:
-        """The push source of one upstream, created on first use."""
-        source = self._push_sources.get(parent)
-        if source is not None:
-            return source
-        notify_latency = level.latency.one_way
-        if parent is None:
-            if not hasattr(self._origin, "add_update_listener"):
-                raise TopologyError(
-                    f"push mode at level 0 requires an origin with update "
-                    f"listeners, got {type(self._origin).__name__}"
-                )
-            source = OriginPushSource(
-                self._kernel,
-                cast("OriginServer", self._origin),
-                notify_latency=notify_latency,
-            )
-        else:
-            source = ProxyPushSource(
-                self._kernel, parent.proxy, notify_latency=notify_latency
-            )
-        self._push_sources[parent] = source
-        return source
 
     # ------------------------------------------------------------------
     # Topology
@@ -348,7 +293,7 @@ class TopologyTree:
     def register_object(
         self,
         object_id: ObjectId,
-        policy_factory: Optional[LevelPolicyFactory] = None,
+        policy_factory: LevelPolicyFactory,
         *,
         node_filter: Optional[Callable[[int, int], bool]] = None,
     ) -> Dict[str, RefreshPolicy]:
@@ -362,10 +307,7 @@ class TopologyTree:
         be registered, or its initial fetch 404s against an empty
         parent cache.  Filtered-out nodes stay constructed but idle.
 
-        Pull nodes get ``policy_factory(level, object_id)`` (required if
-        any level pulls); push nodes get a
-        :class:`~repro.consistency.base.PassivePolicy` and subscribe to
-        their upstream's push source instead.
+        Every node gets its own ``policy_factory(level, object_id)``.
 
         On a zero-latency link registration (and its initial fetch)
         completes inline, parent before child.  Below a *latent* link
@@ -381,44 +323,25 @@ class TopologyTree:
         Returns:
             The policy instance installed at each node, by node name.
         """
-        if policy_factory is None and any(
-            level.mode != PUSH for level in self._levels
-        ):
-            raise TopologyError(
-                "policy_factory is required when any level is pull-mode"
-            )
         policies: Dict[str, RefreshPolicy] = {}
         for level_number, row in enumerate(self._by_level):
-            level = self._levels[level_number]
             for node in row:
                 if node_filter is not None and not node_filter(
                     level_number, node.index
                 ):
                     continue
-                policy: RefreshPolicy
-                if level.mode == PUSH:
-                    policy = PassivePolicy()
-                else:
-                    assert policy_factory is not None
-                    policy = policy_factory(level_number, object_id)
-                self._register_node(node, object_id, policy, level.mode == PUSH)
+                policy = policy_factory(level_number, object_id)
+                self._register_node(node, object_id, policy)
                 policies[node.name] = policy
         return policies
 
     def _register_node(
-        self,
-        node: TopologyNode,
-        object_id: ObjectId,
-        policy: RefreshPolicy,
-        push: bool,
+        self, node: TopologyNode, object_id: ObjectId, policy: RefreshPolicy
     ) -> None:
         """Install one node's policy now, or once its upstream is warm."""
-
-        def install() -> None:
-            node.proxy.register_object(object_id, node.upstream, policy)
-            if push:
-                self._subscribe_node(node, object_id)
-
+        install = partial(
+            node.proxy.register_object, object_id, node.upstream, policy
+        )
         parent = node.parent
         if parent is None or _holds_object(parent.proxy, object_id):
             # Zero-latency links land here: the parent's initial fetch
@@ -426,15 +349,6 @@ class TopologyTree:
             install()
         else:
             _InstallOnFirstPoll(parent.proxy, object_id, install)
-
-    def _subscribe_node(self, node: TopologyNode, object_id: ObjectId) -> None:
-        source = self._push_sources[node.parent]
-        proxy = node.proxy
-
-        def on_push(oid: ObjectId, _update_time: Seconds) -> None:
-            proxy.trigger_poll(oid, reason=PollReason.PUSH)
-
-        source.subscribe(object_id, on_push)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -458,13 +372,6 @@ class TopologyTree:
     def total_polls(self) -> int:
         """Polls issued by every node in the tree."""
         return sum(self.polls_per_level())
-
-    def push_notifications(self) -> int:
-        """Push notification messages delivered across every push link."""
-        return sum(
-            source.counters.get("notifications")
-            for source in self._push_sources.values()
-        )
 
     def origin_request_count(self) -> int:
         """Requests the origin actually received (level-0 traffic)."""

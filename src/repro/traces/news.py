@@ -59,11 +59,6 @@ class DiurnalProfile:
         if not any(w > 0 for w in self.weights):
             raise ValueError("at least one hourly weight must be positive")
 
-    def weight_at(self, time_of_day: Seconds) -> float:
-        """Relative intensity at a given time of day (seconds into the day)."""
-        hour = int(time_of_day % DAY) // int(HOUR)
-        return self.weights[hour]
-
 
 #: A newsroom-like profile: quiet 1am–6am, busiest mid-morning through
 #: evening.  Matches the Figure 4(a) shape (update rate falls to ~zero

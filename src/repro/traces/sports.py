@@ -139,11 +139,6 @@ class MatchTraces:
     total: UpdateTrace
     events: Tuple[ScoringEvent, ...] = field(repr=False)
 
-    @property
-    def member_ids(self) -> Tuple[ObjectId, ...]:
-        """All object ids: players first, total last."""
-        return tuple(self.players) + (self.total.object_id,)
-
     def final_scores(self) -> Dict[ObjectId, int]:
         """Final cumulative score per player (from the traces)."""
         finals: Dict[ObjectId, int] = {}
@@ -240,19 +235,6 @@ def generate_match(spec: SportsMatchSpec, rng: random.Random) -> MatchTraces:
         total=total_trace,
         events=tuple(events),
     )
-
-
-def server_sum_error_at(match: MatchTraces, time: Seconds) -> float:
-    """|total − Σ players| at the server at ``time`` (always 0.0).
-
-    Provided for symmetry with the proxy-side measurement in analyses:
-    the server applies both sides of each event atomically, so the
-    server-side f is identically zero.  Exposed (and tested) to document
-    the invariant rather than assume it.
-    """
-    total = match.total.value_at(time)
-    players = sum(trace.value_at(time) or 0.0 for trace in match.players.values())
-    return abs((total or 0.0) - players)
 
 
 def _strictly_increasing_times(

@@ -41,13 +41,6 @@ class ValueTraceSummary:
     def value_range(self) -> float:
         return self.max_value - self.min_value
 
-    @property
-    def mean_tick_interval(self) -> Seconds:
-        # n ticks span n-1 gaps; a single tick has no interval at all.
-        if self.update_count <= 1:
-            return math.inf
-        return self.duration / (self.update_count - 1)
-
 
 def summarize_temporal(trace: UpdateTrace) -> TemporalTraceSummary:
     """Compute the Table 2 columns for a trace."""

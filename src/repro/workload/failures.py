@@ -74,12 +74,6 @@ class FailureSchedule:
     def total_downtime(self) -> Seconds:
         return sum(interval.duration for interval in self.intervals)
 
-    def is_down(self, t: Seconds) -> bool:
-        """Whether the proxy is down at time ``t``."""
-        return any(
-            interval.start <= t < interval.end for interval in self.intervals
-        )
-
     def downtime_fraction(self, horizon: Seconds) -> float:
         """Share of [0, horizon] spent down."""
         require_positive("horizon", horizon)

@@ -70,8 +70,8 @@ class TestBuilder:
         assert not config.want_history
 
     def test_no_entry_point_takes_an_event_log(self):
-        # One record of a run (the fetch log) and two seams to watch one
-        # (poll observers, update listeners): nothing takes a log to fill.
+        # One record of a run (the fetch log) and one seam to watch one
+        # (poll observers): nothing takes a log to fill.
         from repro.api import runs
         from repro.proxy.proxy import ProxyCache
         from repro.server.origin import OriginServer
@@ -403,24 +403,6 @@ class TestRunSimulationTree:
         assert len(outcome.edges) == 4
         assert outcome.run.proxy is outcome.tree.root.proxy
 
-    def test_hybrid_push_root_runs_passively(self):
-        config = (
-            _tiny_builder()
-            .topology(
-                "tree",
-                levels=[{"fan_out": 1, "mode": "push"}, {"fan_out": 2}],
-            )
-            .build()
-        )
-        outcome = run_simulation(config)
-        rows = outcome.results.to_records()
-        root_row = rows[0]
-        # The push root fetches once per update plus the initial fetch.
-        assert root_row["polls"] == root_row["updates"] + 1
-        assert root_row["fidelity_by_time"] == 1.0
-        assert outcome.tree is not None
-        assert outcome.tree.push_notifications() == root_row["updates"]
-
     def test_per_level_policy_override(self):
         config = (
             _tiny_builder()
@@ -454,19 +436,6 @@ class TestRunSimulationTree:
         first = run_simulation(config).results.to_json()
         assert run_simulation(config).results.to_json() == first
         assert run_simulation(config.with_seed(9)).results.to_json() != first
-
-    def test_push_level_with_policy_rejected_at_config_time(self):
-        with pytest.raises(SimulationConfigError, match="push"):
-            _tiny_builder().topology(
-                "tree",
-                levels=[
-                    {
-                        "fan_out": 1,
-                        "mode": "push",
-                        "policy": {"name": "baseline", "params": {}},
-                    }
-                ],
-            )
 
 
 class TestRunCli:

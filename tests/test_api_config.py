@@ -62,18 +62,10 @@ _networks = st.floats(
         ),
     )
 )
-_pull_levels = st.builds(
+_levels = st.builds(
     LevelConfig,
     fan_out=st.integers(min_value=1, max_value=8),
-    mode=st.just("pull"),
     policy=st.one_of(st.none(), _policies),
-    network=st.one_of(st.none(), _networks),
-)
-_push_levels = st.builds(
-    LevelConfig,
-    fan_out=st.integers(min_value=1, max_value=8),
-    mode=st.just("push"),
-    policy=st.none(),
     network=st.one_of(st.none(), _networks),
 )
 _topologies = st.one_of(
@@ -81,9 +73,7 @@ _topologies = st.one_of(
     st.builds(
         TopologyConfig,
         kind=st.just("tree"),
-        levels=st.lists(
-            st.one_of(_pull_levels, _push_levels), min_size=1, max_size=3
-        ).map(tuple),
+        levels=st.lists(_levels, min_size=1, max_size=3).map(tuple),
     ),
 )
 _positive_durations = st.floats(
@@ -267,19 +257,11 @@ class TestRejection:
         with pytest.raises(SimulationConfigError, match="fan_out"):
             LevelConfig(fan_out=0)
 
-    def test_level_mode_validated(self):
-        with pytest.raises(SimulationConfigError, match="mode"):
-            LevelConfig(mode="gossip")
-
-    def test_push_level_rejects_policy(self):
-        with pytest.raises(SimulationConfigError, match="push"):
-            LevelConfig(mode="push", policy=PolicyConfig(name="limd"))
-
     def test_level_accepts_nested_mappings(self):
         topology = TopologyConfig(
             kind="tree",
             levels=(
-                {"fan_out": 1, "mode": "push"},  # type: ignore[arg-type]
+                {"fan_out": 1},  # type: ignore[arg-type]
                 {
                     "fan_out": 4,
                     "policy": {"name": "baseline", "params": {"delta": 60.0}},
@@ -295,6 +277,20 @@ class TestRejection:
             TopologyConfig(
                 kind="tree",
                 levels=({"fan_out": 2, "surprise": 1},),  # type: ignore[arg-type]
+            )
+
+    def test_saved_level_mode_is_an_unknown_field(self):
+        # Every level polls its upstream; a config saved while levels
+        # carried a pull/push ``mode`` is rejected, not reinterpreted.
+        with pytest.raises(
+            SimulationConfigError,
+            match=re.escape(
+                "unknown LevelConfig field(s): ['mode']; "
+                "known: ['fan_out', 'network', 'policy']"
+            ),
+        ):
+            TopologyConfig.from_dict(
+                {"kind": "tree", "levels": [{"fan_out": 1, "mode": "pull"}]}
             )
 
     def test_non_tree_serialization_carries_only_the_kind(self):

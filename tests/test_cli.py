@@ -212,6 +212,23 @@ class TestAbPairsVerdict:
             self.judge(self.PARENT[:-1])
 
 
+class TestAbPairsCore:
+    """tools/ab_pairs.py: both sides run on one fixed core."""
+
+    def test_the_highest_allowed_core_is_chosen(self, monkeypatch):
+        module = _load_tool("ab_pairs")
+        monkeypatch.setattr(module.os, "sched_setaffinity", print, raising=False)
+        monkeypatch.setattr(
+            module.os, "sched_getaffinity", lambda _pid: {5, 0, 2}, raising=False
+        )
+        assert module.pinned_core() == 5
+
+    def test_no_pinning_where_affinity_is_unsupported(self, monkeypatch):
+        module = _load_tool("ab_pairs")
+        monkeypatch.delattr(module.os, "sched_setaffinity", raising=False)
+        assert module.pinned_core() is None
+
+
 class TestAbPairsWorkloads:
     """tools/ab_pairs.py: one run covers every workload of the benchmark."""
 

@@ -116,25 +116,6 @@ class TestSmoothingAndEquation10:
         assert slow == 50.0
 
 
-class TestViolationJudgement:
-    def test_drift_at_least_delta_is_violation(self):
-        policy = make_policy()
-        policy.next_ttr(outcome(0.0, 10.0))
-        judgement = policy.judge_violation(outcome(10.0, 11.5))
-        assert judgement.violated
-
-    def test_drift_below_delta_is_clean(self):
-        policy = make_policy()
-        policy.next_ttr(outcome(0.0, 10.0))
-        judgement = policy.judge_violation(outcome(10.0, 10.5))
-        assert not judgement.violated
-
-    def test_no_baseline_is_clean(self):
-        policy = make_policy()
-        judgement = policy.judge_violation(outcome(0.0, 10.0))
-        assert not judgement.violated
-
-
 class TestRetargetDelta:
     def test_retarget_changes_future_ttr(self):
         policy = make_policy()

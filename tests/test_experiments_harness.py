@@ -47,12 +47,6 @@ class TestSweep:
         with pytest.raises(ExperimentError, match="missing"):
             result.column("z")
 
-    def test_row_for_matches_value(self):
-        result = _result([{"x": 1.0, "y": 1.0}, {"x": 2.0, "y": 2.0}])
-        assert result.row_for(2.0)["y"] == 2.0
-        with pytest.raises(ExperimentError):
-            result.row_for(3.0)
-
 
 class TestRender:
     def test_format_cell_variants(self):

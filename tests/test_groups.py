@@ -161,12 +161,6 @@ class TestGroupRegistry:
         with pytest.raises(UnknownGroupError):
             GroupRegistry().get(GroupId("nope"))
 
-    def test_all_members(self):
-        registry = GroupRegistry()
-        registry.create_group("g1", (A, B), 5.0)
-        registry.create_group("g2", (C, D), 5.0)
-        assert registry.all_members() == {A, B, C, D}
-
     def test_create_group_rejects_single_member(self):
         with pytest.raises(ValueError, match=">= 2 members"):
             GroupRegistry().create_group("g", (A,), 5.0)

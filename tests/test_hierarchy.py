@@ -1,7 +1,7 @@
 """Tests for hierarchical caching (ProxyCache as an upstream) on chains.
 
 Chains are fan-out-1 :class:`~repro.topology.tree.TopologyTree` shapes.
-Wider trees, push levels, and hybrids are covered by
+Wider trees and latent links are covered by
 ``tests/test_topology_tree.py``.
 """
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.api.runs import build_core, run_individual
+from repro.api.runs import run_individual
 from repro.consistency.base import fixed_policy_factory
 from repro.consistency.limd import limd_policy_factory
 from repro.consistency.ttl import alex_policy_factory, static_ttl_policy_factory
@@ -29,8 +29,6 @@ from repro.experiments.workloads import news_trace
 from repro.metrics.collector import collect_temporal
 from repro.scenarios.engine import run_scenario
 from repro.scenarios.registry import SCENARIOS
-from repro.topology.levels import TreeLevel
-from repro.topology.tree import TopologyTree
 
 SEEDS = (DEFAULT_SEED, 1, 3, 5, 1077)
 TABLE2_TRACES = ("cnn_fn", "nyt_ap", "nyt_reuters", "guardian")
@@ -127,42 +125,6 @@ def test_tr_faster_traces_leave_limd_less_to_skip():
         ratio[trace] = sweep.rows[0]["poll_ratio"]
     assert all(value > 2.0 for value in ratio.values()), ratio
     assert ratio["guardian"] <= ratio["cnn_fn"]
-
-
-def test_extension_push_vs_poll():
-    """Footnote 1: server push against LIMD polling on CNN/FN (a
-    comparison that exists only here: no scenario, no golden)."""
-    trace = news_trace("cnn_fn")
-
-    kernel, server = build_core([trace])
-    tree = TopologyTree(kernel, server, [TreeLevel(mode="push")])
-    tree.register_object(trace.object_id)
-    kernel.run(until=trace.end_time)
-    push_proxy = tree.root.proxy
-    push = collect_temporal(push_proxy, trace, delta=1.0)
-    push_messages = tree.total_polls() + tree.push_notifications()
-
-    limd = {}
-    for delta_min in (1, 10, 30):
-        delta = delta_min * MINUTE
-        result = run_individual(
-            [trace], limd_policy_factory(delta, ttr_max=60 * MINUTE)
-        )
-        limd[delta_min] = collect_temporal(result.proxy, trace, delta)
-
-    # (1) Push is strongly consistent: zero out-of-sync time even at a
-    # 1-second evaluation bound.
-    assert push.out_sync_time == 0.0
-    assert push.fidelity_by_time == 1.0
-    # (2) Push fetches exactly once per update (plus the initial fetch).
-    assert push_proxy.entry_for(trace.object_id).poll_count == 113 + 1
-    # (3) Tight polling costs more messages than push; loose polling
-    # can undercut it (at a staleness cost).
-    assert limd[1].polls > push_messages
-    assert limd[30].polls < limd[1].polls
-    # (4) Polling never beats push on fidelity.
-    for report in limd.values():
-        assert report.fidelity_by_time <= 1.0
 
 
 def test_extension_prior_policies():

@@ -272,23 +272,10 @@ class TestProxyPolling:
         with pytest.raises(CacheConfigurationError):
             proxy.register_object(ObjectId("x"), server, FixedTTRPolicy(ttr=10.0))
 
-    def test_deregister_stops_polling(self):
-        kernel, server, proxy = build_stack()
-        server.create_object(ObjectId("x"))
-        proxy.register_object(ObjectId("x"), server, FixedTTRPolicy(ttr=10.0))
-        proxy.deregister_object(ObjectId("x"))
-        kernel.run(until=100.0)
-        assert proxy.entry_for(ObjectId("x")).poll_count == 1  # initial only
-
     def test_poll_answered_404_is_a_protocol_error(self):
         kernel, server, proxy = build_stack()
         with pytest.raises(ProtocolError, match="unexpected status 404"):
             proxy.register_object(ObjectId("x"), server, FixedTTRPolicy(ttr=10.0))
-
-    def test_deregister_unknown_rejected(self):
-        kernel, server, proxy = build_stack()
-        with pytest.raises(UnknownObjectError):
-            proxy.deregister_object(ObjectId("nope"))
 
     def test_passive_policy_never_schedules(self):
         kernel, server, proxy = build_stack()

@@ -294,10 +294,15 @@ class TestUpdateFeederContract:
         """Feed order decides a tie, not which trace's entry was queued
         first (the second trace's t=3 entry is queued at t=1, the
         first's at t=2)."""
-        kernel = Kernel()
-        server = OriginServer()
         order = []
-        server.add_update_listener(lambda oid, t: order.append((t, str(oid))))
+
+        class RecordingOrigin(OriginServer):
+            def apply_update(self, object_id, time, value=None):
+                order.append((time, str(object_id)))
+                super().apply_update(object_id, time, value)
+
+        kernel = Kernel()
+        server = RecordingOrigin()
         feed_traces(
             kernel,
             server,

@@ -22,7 +22,7 @@ from repro.api import (
     WorkloadConfig,
     run_simulation,
 )
-from repro.consistency.base import FixedTTRPolicy, PassivePolicy
+from repro.consistency.base import FixedTTRPolicy
 from repro.core.types import ObjectId
 from repro.httpsim.network import LatencyModel
 from repro.httpsim.semantics import Upstream
@@ -35,11 +35,9 @@ from repro.topology.levels import (
     TreeLevel,
     additive_staleness_bound,
 )
-from repro.topology.protocols import PushSource
-from repro.topology.push import PushFanout
 from repro.topology.tree import TopologyTree
-from repro.traces.model import trace_from_times
 from repro.server.updates import feed_traces
+from repro.traces.synthetic import poisson_trace
 from repro.workload.clients import attach_client_pumps
 
 X = ObjectId("x")
@@ -61,10 +59,6 @@ class TestTreeLevel:
         with pytest.raises(TopologyError, match="fan_out"):
             TreeLevel(fan_out=0)
 
-    def test_mode_validated(self):
-        with pytest.raises(TopologyError, match="mode"):
-            TreeLevel(mode="gossip")
-
     def test_staleness_bound_is_sum(self):
         assert additive_staleness_bound([600.0, 600.0, 30.0]) == 1230.0
 
@@ -73,6 +67,31 @@ class TestTreeLevel:
             additive_staleness_bound([])
         with pytest.raises(TopologyError):
             additive_staleness_bound([60.0, -1.0])
+
+    # Scored against the origin's own trace, a level-i copy is never
+    # more than Δ₀ + … + Δᵢ stale, while max(Δ) alone is exceeded.  The
+    # levels poll out of phase: equal TTRs poll in lockstep and never
+    # lag more than max(Δ), so they could not show the sum is needed.
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("deltas", [(60.0, 300.0), (30.0, 120.0, 600.0)])
+    def test_no_node_exceeds_the_additive_bound(self, deltas, seed):
+        kernel = Kernel()
+        origin = OriginServer()
+        trace = poisson_trace("x", random.Random(seed), 1 / 120, end=6 * 3600.0)
+        feed_traces(kernel, origin, [trace])
+        tree = TopologyTree(kernel, origin, [TreeLevel(fan_out=2)] * len(deltas))
+        tree.register_object(
+            trace.object_id,
+            lambda level, _oid: FixedTTRPolicy(ttr=deltas[level]),
+        )
+        kernel.run(until=trace.end_time)
+        for node in tree.nodes:
+            bound = additive_staleness_bound(deltas[: node.level + 1])
+            report = collect_temporal(node.proxy, trace, bound)
+            assert report.violations == 0, node.name
+        for node in tree.edge_nodes:
+            report = collect_temporal(node.proxy, trace, max(deltas))
+            assert report.violations > 0, node.name
 
 
 class TestConstruction:
@@ -143,7 +162,6 @@ class TestConstruction:
         ).root.proxy
         assert isinstance(origin, Upstream)
         assert isinstance(tree_proxy, Upstream)
-        assert isinstance(PushFanout(kernel), PushSource)
         assert isinstance(proxy, ProxyCache)
 
 
@@ -151,7 +169,7 @@ class TestPullTrees:
     def test_registration_requires_policy_factory_for_pull(self):
         kernel, origin = _stack()
         tree = TopologyTree(kernel, origin, (TreeLevel(),) * 2)
-        with pytest.raises(TopologyError, match="policy_factory"):
+        with pytest.raises(TypeError, match="policy_factory"):
             tree.register_object(X)
 
     def test_policies_installed_per_node(self):
@@ -401,191 +419,6 @@ class TestBoundedTrees:
         assert results(len(objects)).to_csv() == results(None).to_csv()
         # The control: one slot fewer than the population must evict.
         assert sum(results(len(objects) - 1).column("evictions")) > 0
-
-
-class TestPushTrees:
-    def test_push_root_is_strongly_consistent(self):
-        kernel = Kernel()
-        origin = OriginServer()
-        trace = trace_from_times(X, [10.0, 30.0, 50.0], end_time=100.0)
-        feed_traces(kernel, origin, [trace])
-        tree = TopologyTree(kernel, origin, [TreeLevel(fan_out=1, mode="push")])
-        policies = tree.register_object(X)
-        assert isinstance(policies["L0.N0"], PassivePolicy)
-        kernel.run(until=100.0)
-        proxy = tree.root.proxy
-        # Zero latency: every update reaches the cache at its commit
-        # instant — zero out-of-sync time at any evaluation delta.
-        report = collect_temporal(proxy, trace, delta=0.001)
-        assert report.out_sync_time == 0.0
-        # One fetch per update plus the initial fetch.
-        assert proxy.entry_for(X).poll_count == 4
-        assert tree.push_notifications() == 3
-
-    def test_push_cost_scales_with_updates_not_horizon(self):
-        kernel = Kernel()
-        origin = OriginServer()
-        trace = trace_from_times(X, [10.0], end_time=100000.0)
-        feed_traces(kernel, origin, [trace])
-        tree = TopologyTree(kernel, origin, [TreeLevel(fan_out=1, mode="push")])
-        tree.register_object(X)
-        kernel.run(until=100000.0)
-        assert tree.root.proxy.entry_for(X).poll_count == 2
-
-    def test_push_level0_requires_listener_capable_origin(self):
-        class BareUpstream:
-            name = "bare"
-
-            def handle_request(self, request, now):  # pragma: no cover
-                raise AssertionError("never polled")
-
-        kernel = Kernel()
-        with pytest.raises(TopologyError, match="update listeners"):
-            TopologyTree(
-                kernel, BareUpstream(), [TreeLevel(fan_out=1, mode="push")]
-            )
-
-    def test_push_delivery_latency_delays_edge_copies(self):
-        kernel, origin = _stack()
-        tree = TopologyTree(
-            kernel,
-            origin,
-            [
-                TreeLevel(
-                    fan_out=1,
-                    mode="push",
-                    latency=LatencyModel(one_way=2.0),
-                )
-            ],
-        )
-        tree.register_object(X)
-        seen = []
-        kernel.schedule_at(5.0, lambda k: origin.apply_update(X, 5.0))
-
-        def probe(kernel_):
-            snapshot = tree.root.proxy.entry_for(X).snapshot
-            if snapshot and snapshot.version == 1 and not seen:
-                seen.append(kernel_.now())
-
-        for t in range(1, 40):
-            kernel.schedule_at(t / 2.0, probe)
-        kernel.run(until=20.0)
-        # Notification after one-way latency, then the fetch's own
-        # round trip (2 s each way): version 1 lands at t = 5 + 2 + 4.
-        assert seen and seen[0] >= 5.0 + 2.0
-
-    def test_interior_push_relays_only_observed_updates(self):
-        # Parent polls every 50 s; intermediate origin versions the
-        # parent never saw must stay invisible to the push edge.
-        kernel, origin = _stack()
-        tree = TopologyTree(
-            kernel,
-            origin,
-            [TreeLevel(fan_out=1, mode="pull"), TreeLevel(fan_out=2, mode="push")],
-        )
-        tree.register_object(X, _fixed(ttr=50.0))
-        for when in (10.0, 45.0, 80.0):
-            kernel.schedule_at(
-                when, lambda k, w=when: origin.apply_update(X, w)
-            )
-        kernel.run(until=200.0)
-        for node in tree.edge_nodes:
-            entry = node.proxy.entry_for(X)
-            versions = [
-                snapshot.version
-                for snapshot, modified in zip(
-                    entry.fetch_snapshots, entry.fetch_modified
-                )
-                if modified
-            ]
-            # Version 1 (t=10) was overwritten before the parent's t=50
-            # poll: after the initial fetch (version 0) the edges are
-            # pushed versions 2 and 3 only.
-            assert versions == [0, 2, 3]
-            assert 1 not in versions
-        # Two observed updates relayed to two subscribers each.
-        assert tree.push_notifications() == 4
-
-    def test_hybrid_push_root_pull_edges(self):
-        kernel, origin = _stack()
-        tree = TopologyTree(
-            kernel,
-            origin,
-            [TreeLevel(fan_out=1, mode="push"), TreeLevel(fan_out=3, mode="pull")],
-        )
-        tree.register_object(X, _fixed(ttr=25.0))
-        kernel.schedule_at(40.0, lambda k: origin.apply_update(X, 40.0))
-        kernel.run(until=200.0)
-        # The root tracked the origin exactly (1 notification), while
-        # the edges polled on their own TTR schedule.
-        assert tree.push_notifications() == 1
-        per_level = tree.polls_per_level()
-        assert per_level[0] == 2  # initial fetch + one pushed fetch
-        assert per_level[1] > 3 * 3
-        for node in tree.edge_nodes:
-            assert node.proxy.entry_for(X).snapshot.version == 1
-
-
-class TestPushFanout:
-    def test_subscribe_notify_unsubscribe(self):
-        kernel = Kernel()
-        fanout = PushFanout(kernel)
-        seen = []
-        callback = lambda oid, t: seen.append((oid, t))  # noqa: E731
-        fanout.subscribe(X, callback)
-        assert fanout.subscriber_count(X) == 1
-        fanout.notify(X, 5.0)
-        assert seen == [(X, 5.0)]
-        assert fanout.counters.get("notifications") == 1
-        fanout.unsubscribe(X, callback)
-        fanout.notify(X, 6.0)
-        assert seen == [(X, 5.0)]
-
-    def test_negative_latency_rejected(self):
-        with pytest.raises(ValueError, match="notify_latency"):
-            PushFanout(Kernel(), notify_latency=-1.0)
-
-    def test_delayed_delivery_uses_kernel(self):
-        kernel = Kernel()
-        fanout = PushFanout(kernel, notify_latency=2.5)
-        seen = []
-        fanout.subscribe(X, lambda oid, t: seen.append(kernel.now()))
-        kernel.schedule_at(5.0, lambda k: fanout.notify(X, 5.0))
-        kernel.run()
-        assert seen == [7.5]
-
-    def test_delayed_delivery_reaches_every_subscriber(self):
-        # Regression: the deferred-delivery lambda must bind the
-        # subscriber callback by value, not capture the loop variable —
-        # late binding delivered every notification to the last one.
-        kernel = Kernel()
-        fanout = PushFanout(kernel, notify_latency=1.0)
-        delivered = []
-        fanout.subscribe(X, lambda oid, t: delivered.append("A"))
-        fanout.subscribe(X, lambda oid, t: delivered.append("B"))
-        kernel.schedule_at(0.0, lambda k: fanout.notify(X, 0.0))
-        kernel.run()
-        assert sorted(delivered) == ["A", "B"]
-
-
-class TestOriginUpdateListeners:
-    def test_listener_sees_every_applied_update(self):
-        kernel, origin = _stack()
-        seen = []
-        origin.add_update_listener(lambda oid, t: seen.append((oid, t)))
-        origin.apply_update(X, 3.0)
-        origin.apply_update(X, 9.0)
-        assert seen == [(X, 3.0), (X, 9.0)]
-
-    def test_remove_listener(self):
-        kernel, origin = _stack()
-        seen = []
-        listener = lambda oid, t: seen.append(t)  # noqa: E731
-        origin.add_update_listener(listener)
-        origin.remove_update_listener(listener)
-        origin.remove_update_listener(listener)  # idempotent
-        origin.apply_update(X, 3.0)
-        assert seen == []
 
 
 class TestPollCounts:

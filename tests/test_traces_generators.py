@@ -44,13 +44,6 @@ class TestDiurnalProfile:
         with pytest.raises(ValueError):
             DiurnalProfile(weights=(0.0,) * 24)
 
-    def test_weight_at_selects_hour(self):
-        weights = [0.0] * 24
-        weights[13] = 2.5
-        profile = DiurnalProfile(weights=tuple(weights))
-        assert profile.weight_at(13 * HOUR + 10) == 2.5
-        assert profile.weight_at(14 * HOUR) == 0.0
-
 
 class TestNewsGenerator:
     @pytest.mark.parametrize("spec", TABLE2_SPECS, ids=lambda s: s.name)

@@ -14,7 +14,6 @@ import pytest
 
 from repro.analysis.timeseries import bin_count
 from repro.core.types import ObjectId
-from repro.traces.model import trace_from_ticks
 from repro.traces.stats import summarize_temporal, summarize_value
 
 
@@ -48,19 +47,6 @@ class TestStats:
     def test_summarize_value_rejects_temporal_trace(self, simple_trace):
         with pytest.raises(ValueError, match="value"):
             summarize_value(simple_trace)
-
-    def test_mean_tick_interval_divides_by_gap_count(self):
-        # Regression: n ticks span n-1 gaps, not n.  Three ticks over
-        # [0, 20] are 10 s apart, not 20/3.
-        trace = trace_from_ticks(
-            ObjectId("v"), [(0.0, 1.0), (10.0, 2.0), (20.0, 3.0)]
-        )
-        summary = summarize_value(trace)
-        assert summary.mean_tick_interval == pytest.approx(10.0)
-
-    def test_mean_tick_interval_single_tick_is_infinite(self):
-        trace = trace_from_ticks(ObjectId("v"), [(5.0, 1.0)])
-        assert math.isinf(summarize_value(trace).mean_tick_interval)
 
     def test_updates_per_bin(self, simple_trace):
         counts = updates_per_bin(simple_trace, 500.0)

@@ -13,8 +13,11 @@ Each pair runs both checkouts' *own* ``benchmarks/e2e/run.py --workload W
 (``--workload`` is repeatable; the default is every workload the
 change's ``BENCHMARK.json`` declares) on one side, then on the other,
 flipping which side goes first every pair so a slow phase of the machine
-lands on both.  Progress goes to stderr; at the end it prints, per
-workload, the per-pair table, then for every end-to-end metric in the change's
+lands on both.  Every sample runs pinned to one core, the same for both
+sides (the highest core this process may use; unpinned where the
+platform has no ``sched_setaffinity``).  Progress goes to stderr; at the
+end it prints the pinned core, then per workload the per-pair table,
+then for every end-to-end metric in the change's
 ``BENCHMARK.json`` each side's median and quartiles, the median and
 quartiles of the per-pair change/parent ratios, the pairs the change
 won, and the verdict by the rule every performance claim in this
@@ -39,6 +42,7 @@ import statistics
 import subprocess
 import sys
 import tempfile
+from functools import partial
 from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 SIDES = ("parent", "change")
@@ -111,10 +115,22 @@ def judge(
     )
 
 
+def pinned_core() -> Optional[int]:
+    """The core every sample runs on: the highest this process may use.
+
+    ``None`` where the platform cannot pin a process to a core.
+    """
+    if not hasattr(os, "sched_setaffinity"):
+        return None
+    return max(os.sched_getaffinity(0))
+
+
 def run_once(
     checkout: str, workload: str, seed: Optional[int]
 ) -> Dict[str, Any]:
     """One ``--rounds 1`` run of ``checkout``'s own benchmark; its one sample."""
+    core = pinned_core()
+    pin = None if core is None else partial(os.sched_setaffinity, 0, {core})
     with tempfile.TemporaryDirectory() as scratch:
         out = os.path.join(scratch, "samples.json")
         command = [
@@ -124,7 +140,12 @@ def run_once(
         if seed is not None:
             command += ["--seed", str(seed)]
         done = subprocess.run(
-            command, cwd=checkout, capture_output=True, text=True, check=False
+            command,
+            cwd=checkout,
+            capture_output=True,
+            text=True,
+            check=False,
+            preexec_fn=pin,
         )
         lines = done.stdout.strip().splitlines()
         if not lines or not os.path.exists(out):
@@ -235,6 +256,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                 )
         print(f"pair {pair + 1}/{args.pairs} done", file=sys.stderr, flush=True)
 
+    core = pinned_core()
+    print("core: unpinned" if core is None else f"core: both sides pinned to {core}")
+    print()
     any_failed = False
     for index, workload in enumerate(workloads):
         if index:
