@@ -1,9 +1,9 @@
 """Why a poll happened.
 
-Every row of an object's fetch log (the
-:class:`~repro.proxy.entry.CacheEntry` ``fetch_reasons`` column)
-carries a :class:`PollReason`, and the proxy tallies polls per reason,
-so a finished run can say *why* each poll was issued.
+Every poll is issued for a :class:`PollReason`, and the proxy tallies
+polls per reason in its ``polls_<reason>`` counters (the member's
+``counter_name``), so a finished run can say *why* its polls were
+issued.  The fetch log itself stores no reason per row.
 """
 
 from __future__ import annotations

@@ -10,14 +10,13 @@ from __future__ import annotations
 from array import array
 from typing import List, Optional
 
-from repro.core.events import PollReason
 from repro.core.types import ObjectId, ObjectSnapshot, Seconds
 
 
 class CacheEntry:
     """The proxy's cached state for one object.
 
-    The fetch log is four parallel columns, one row per completed poll:
+    The fetch log is two parallel columns, one row per completed poll:
     no per-poll record object outlives the poll.
 
     Attributes:
@@ -27,12 +26,12 @@ class CacheEntry:
             per request to serve the Section 5.1 history header.
         fetch_times: When each response was processed, ascending.
         fetch_snapshots: The object state held in cache after each fetch.
-        fetch_modified: Whether each fetch returned a new version (200)
-            rather than a 304.
-        fetch_reasons: Why each poll was issued.
 
     ``ProxyCache._complete_poll`` is the one writer of all of them,
-    inline on the poll path.
+    inline on the poll path.  It builds a snapshot only for a new
+    version (a 200); a 304 or an overtaken 200 re-appends the cached
+    one, so identity gives :attr:`fetch_modified` exactly.  Why a poll
+    was issued is counted (the proxy's ``polls_<reason>``), not logged.
     """
 
     __slots__ = (
@@ -40,8 +39,6 @@ class CacheEntry:
         "snapshot",
         "fetch_times",
         "fetch_snapshots",
-        "fetch_modified",
-        "fetch_reasons",
         "_hits",
         "modification_times",
     )
@@ -51,8 +48,6 @@ class CacheEntry:
         self.snapshot: Optional[ObjectSnapshot] = None
         self.fetch_times: "array[float]" = array("d")
         self.fetch_snapshots: List[ObjectSnapshot] = []
-        self.fetch_modified: List[bool] = []
-        self.fetch_reasons: List[PollReason] = []
         self._hits = 0
         self.modification_times: List[Seconds] = []
 
@@ -68,6 +63,13 @@ class CacheEntry:
     def poll_count(self) -> int:
         """Total polls recorded for this entry."""
         return len(self.fetch_times)
+
+    @property
+    def fetch_modified(self) -> List[bool]:
+        """Whether each fetch returned a new version (200), not a 304: a
+        row whose snapshot is not the previous row's (row 0 always is)."""
+        snapshots = self.fetch_snapshots
+        return [s is not p for p, s in zip([None, *snapshots], snapshots)]
 
     @property
     def hits(self) -> int:

@@ -430,8 +430,6 @@ class ProxyCache:
             )
         times.append(now)
         entry.fetch_snapshots.append(snapshot)
-        entry.fetch_modified.append(modified)
-        entry.fetch_reasons.append(reason)
         entry.snapshot = snapshot
         seen = entry.modification_times
         when = snapshot.last_modified

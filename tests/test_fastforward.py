@@ -34,7 +34,6 @@ def _fetch_columns(entry):
         list(entry.fetch_times),
         entry.fetch_snapshots,
         entry.fetch_modified,
-        entry.fetch_reasons,
     )
 
 

@@ -4,15 +4,27 @@ from __future__ import annotations
 
 import gc
 import os
+import random
 import sys
+import tracemalloc
 from collections import Counter
 from itertools import count
 
 import pytest
 
 import repro
-from repro.api.builder import SimulationBuilder
-from repro.api.config import SimulationConfigError
+from repro.api.builder import SimulationBuilder, run_simulation
+from repro.api.config import (
+    GroupConfig,
+    GroupsConfig,
+    LevelConfig,
+    NetworkConfig,
+    PolicyConfig,
+    SimulationConfig,
+    SimulationConfigError,
+    TopologyConfig,
+    WorkloadConfig,
+)
 from repro.consistency.base import FixedTTRPolicy, PassivePolicy, RefreshPolicy
 from repro.consistency.ttl import StaticTTLPolicy
 from repro.core.errors import (
@@ -77,13 +89,13 @@ class TestCacheEntry:
         assert entry.snapshot == ObjectSnapshot(ObjectId("x"), 1, 12.0)
         assert entry.poll_count == 3
         assert entry.last_poll_time == 20.0
-        assert list(
-            zip(entry.fetch_times, entry.fetch_modified, entry.fetch_reasons)
-        ) == [
-            (0.0, True, PollReason.INITIAL_FETCH),
-            (10.0, False, PollReason.TTR_EXPIRED),
-            (20.0, True, PollReason.TTR_EXPIRED),
+        assert list(zip(entry.fetch_times, entry.fetch_modified)) == [
+            (0.0, True),
+            (10.0, False),
+            (20.0, True),
         ]
+        assert proxy.counters.get("polls_initial_fetch") == 1
+        assert proxy.counters.get("polls_ttr_expired") == 2
 
     def test_fetches_must_be_time_ordered(self):
         kernel = _SteppingBackKernel()
@@ -301,13 +313,13 @@ class TestProxyPolling:
         proxy.register_object(ObjectId("x"), server, policy)
         kernel.run(until=25.0)
         entry = proxy.entry_for(ObjectId("x"))
-        assert list(
-            zip(entry.fetch_times, entry.fetch_reasons, entry.fetch_modified)
-        ) == [
-            (0.0, PollReason.INITIAL_FETCH, True),
-            (10.0, PollReason.TTR_EXPIRED, False),
-            (20.0, PollReason.TTR_EXPIRED, False),
+        assert list(zip(entry.fetch_times, entry.fetch_modified)) == [
+            (0.0, True),
+            (10.0, False),
+            (20.0, False),
         ]
+        assert proxy.counters.get("polls_initial_fetch") == 1
+        assert proxy.counters.get("polls_ttr_expired") == 2
         assert watched == [
             (ObjectId("x"), 0.0, 10.0),
             (ObjectId("x"), 10.0, 10.0),
@@ -551,6 +563,91 @@ class TestRetention:
         after = self._tracked_after(kernel, 5_100.5)
         assert cache.eviction_count - evictions >= 4000
         assert after - before <= self.SLACK
+
+    def test_a_revalidation_retains_one_float_and_one_pointer(self):
+        # A 304 appends the poll time and the cached snapshot and
+        # nothing else: ~17 B a poll with list/array over-allocation.
+        kernel = Kernel()
+        origin = OriginServer()
+        origin.create_object(ObjectId("x"))
+        proxy = ProxyCache(kernel, Network(kernel))
+        proxy.register_object(ObjectId("x"), origin, StaticTTLPolicy(ttl=1.0))
+        kernel.run(until=10.5)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            polls = proxy.counters.get("polls")
+            kernel.run(until=10_010.5)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert proxy.counters.get("polls") - polls == 10_000
+        assert proxy.counters.get("polls_modified") == 1
+        assert retained <= 24 * 10_000
+
+
+class TestDerivedModifiedColumn:
+    """``fetch_modified`` is read off the snapshot column by identity;
+    on generated latent, jittered trees it must agree with the
+    ``polls_modified`` counter the poll path bumps, overtaken 200s
+    included."""
+
+    @staticmethod
+    def _config(seed):
+        rng = random.Random(seed)
+        objects = tuple(f"o{i}" for i in range(rng.randint(2, 4)))
+
+        def network():
+            one_way = rng.uniform(5.0, 60.0)
+            jitter = rng.uniform(0.5, 1.0) * one_way
+            return NetworkConfig(one_way_latency_s=one_way, jitter_s=jitter)
+
+        policy = rng.choice(
+            [
+                PolicyConfig("static_ttl", {"ttl": rng.uniform(30.0, 300.0)}),
+                PolicyConfig("limd", {"delta": rng.uniform(60.0, 600.0)}),
+            ]
+        )
+        # Triggered partner polls overlap scheduled ones, so responses
+        # can arrive out of order.
+        groups = GroupsConfig(groups=(GroupConfig("g", objects[:2], 30.0),))
+        return SimulationConfig(
+            workload=WorkloadConfig(
+                source="poisson",
+                objects=objects,
+                params={"rate_per_hour": rng.uniform(30.0, 120.0), "hours": 2.0},
+            ),
+            topology=TopologyConfig(
+                kind="tree",
+                levels=(
+                    LevelConfig(fan_out=1, network=network()),
+                    LevelConfig(fan_out=rng.randint(1, 3), network=network()),
+                ),
+            ),
+            policy=policy,
+            groups=groups,
+            seed=seed,
+        )
+
+    def test_modified_rows_equal_the_modified_poll_count(self):
+        stale = 0
+        for seed in range(12):
+            outcome = run_simulation(self._config(seed))
+            assert outcome.tree is not None
+            for node in outcome.tree.nodes:
+                proxy = node.proxy
+                modified = sum(
+                    sum(proxy.entry_for(object_id).fetch_modified)
+                    for object_id in proxy.registered_objects()
+                )
+                assert modified == proxy.counters.get("polls_modified"), (
+                    seed,
+                    node.name,
+                )
+                stale += proxy.counters.get("stale_responses")
+        assert stale > 0
 
 
 class TestTriggeredPolls:
