@@ -27,7 +27,7 @@ from repro.consistency.base import RefreshPolicy
 from repro.core.errors import PolicyConfigurationError
 from repro.core.types import (
     ObjectId,
-    PollOutcome,
+    ObjectSnapshot,
     Seconds,
     TTRBounds,
     require_fraction,
@@ -132,15 +132,18 @@ class AdaptiveValueTTRPolicy(RefreshPolicy):
         """
         self._delta = require_positive("new_delta", new_delta)
 
-    def next_ttr(self, outcome: PollOutcome) -> Seconds:
+    def next_ttr(
+        self, now: Seconds, modified: bool, snapshot: ObjectSnapshot,
+        first_unseen: Optional[Seconds], updates_since: Optional[int],
+    ) -> Seconds:
         """Consume a poll and compute the next TTR per Eqs. 9–10."""
-        value = outcome.snapshot.value
+        value = snapshot.value
         if value is None:
             raise PolicyConfigurationError(
-                f"object {outcome.snapshot.object_id!r} has no value; "
+                f"object {snapshot.object_id!r} has no value; "
                 "AdaptiveValueTTRPolicy requires valued objects"
             )
-        rate = self._estimator.observe(outcome.poll_time, value)
+        rate = self._estimator.observe(now, value)
         if rate is None:
             # First observation: no rate exists yet.  Keep the current
             # TTR and leave the smoothing state untouched — feeding a

@@ -20,7 +20,7 @@ import abc
 from dataclasses import dataclass
 from typing import Callable, Optional, Protocol
 
-from repro.core.types import ObjectId, PollOutcome, Seconds
+from repro.core.types import ObjectId, ObjectSnapshot, Seconds
 
 
 @dataclass(frozen=True)
@@ -53,8 +53,20 @@ class RefreshPolicy(abc.ABC):
         """TTR to use after the initial fetch."""
 
     @abc.abstractmethod
-    def next_ttr(self, outcome: PollOutcome) -> Seconds:
-        """Consume a poll outcome and return the TTR until the next poll."""
+    def next_ttr(
+        self, now: Seconds, modified: bool, snapshot: ObjectSnapshot,
+        first_unseen: Optional[Seconds], updates_since: Optional[int],
+    ) -> Seconds:
+        """Consume a poll and return the TTR until the next poll.
+
+        The poll's fields arrive positionally, as they do at a detector's
+        ``judge`` and an observer: when it was issued; whether it got a
+        new version (a 200, not a 304); the snapshot now cached; the time
+        of the first update since the previous poll and how many there
+        were (both ``None`` without the §5.1 history extension or on a
+        304).  ``inf`` leaves the object unarmed; a TTR that is not a
+        number > 0 raises a ``SimulationError`` naming the policy.
+        """
 
     @property
     @abc.abstractmethod
@@ -84,7 +96,12 @@ class PollObserver(Protocol):
     triggers polls for all other related objects").
     """
 
-    def on_poll_complete(self, object_id: ObjectId, outcome: PollOutcome) -> None:
+    def on_poll_complete(
+        self, object_id: ObjectId, now: Seconds, modified: bool,
+        snapshot: ObjectSnapshot, first_unseen: Optional[Seconds],
+        updates_since: Optional[int],
+    ) -> None:
+        """The object's id, then the poll's fields as ``next_ttr`` gets them."""
         ...  # pragma: no cover - protocol definition
 
 
@@ -107,7 +124,10 @@ class FixedTTRPolicy(RefreshPolicy):
     def first_ttr(self) -> Seconds:
         return self.ttr
 
-    def next_ttr(self, outcome: PollOutcome) -> Seconds:
+    def next_ttr(
+        self, now: Seconds, modified: bool, snapshot: ObjectSnapshot,
+        first_unseen: Optional[Seconds], updates_since: Optional[int],
+    ) -> Seconds:
         return self.ttr
 
     @property
@@ -138,7 +158,10 @@ class PassivePolicy(RefreshPolicy):
     def first_ttr(self) -> Seconds:
         return float("inf")
 
-    def next_ttr(self, outcome: PollOutcome) -> Seconds:
+    def next_ttr(
+        self, now: Seconds, modified: bool, snapshot: ObjectSnapshot,
+        first_unseen: Optional[Seconds], updates_since: Optional[int],
+    ) -> Seconds:
         return float("inf")
 
     @property

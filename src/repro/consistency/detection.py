@@ -27,11 +27,13 @@ from typing import Optional
 
 from repro.analysis.rates import UpdateRateEstimator
 from repro.consistency.base import ViolationJudgement
-from repro.core.types import PollOutcome, Seconds, require_fraction, require_positive
+from repro.core.types import ObjectSnapshot, Seconds, require_fraction, require_positive
 
 
 class ViolationDetector(abc.ABC):
-    """Decides, from a poll outcome, whether the Δ bound was violated."""
+    """Decides from a poll's fields whether the Δ bound was violated.
+
+    :meth:`judge` takes them positionally, as ``next_ttr`` does."""
 
     #: Machine-readable mode name.
     mode: str = "abstract"
@@ -44,14 +46,20 @@ class ViolationDetector(abc.ABC):
     def delta(self) -> Seconds:
         return self._delta
 
-    def judge(self, outcome: PollOutcome) -> ViolationJudgement:
+    def judge(
+        self, now: Seconds, modified: bool, snapshot: ObjectSnapshot,
+        first_unseen: Optional[Seconds], updates_since: Optional[int],
+    ) -> ViolationJudgement:
         """Assess a poll outcome, then remember the poll time."""
-        judgement = self._judge(outcome)
-        self._previous_poll_time = outcome.poll_time
+        judgement = self._judge(now, modified, snapshot, first_unseen, updates_since)
+        self._previous_poll_time = now
         return judgement
 
     @abc.abstractmethod
-    def _judge(self, outcome: PollOutcome) -> ViolationJudgement:
+    def _judge(
+        self, now: Seconds, modified: bool, snapshot: ObjectSnapshot,
+        first_unseen: Optional[Seconds], updates_since: Optional[int],
+    ) -> ViolationJudgement:
         ...
 
     @property
@@ -64,15 +72,17 @@ class HistoryViolationDetector(ViolationDetector):
 
     mode = "history"
 
-    def _judge(self, outcome: PollOutcome) -> ViolationJudgement:
-        if not outcome.modified:
+    def _judge(
+        self, now: Seconds, modified: bool, snapshot: ObjectSnapshot,
+        first_unseen: Optional[Seconds], updates_since: Optional[int],
+    ) -> ViolationJudgement:
+        if not modified:
             return ViolationJudgement(violated=False, basis="not-modified")
-        first = outcome.first_unseen_update
-        if first is None:
+        if first_unseen is None:
             # The server did not supply history (extension unsupported);
             # degrade gracefully to last-modified-only detection.
-            return _judge_from_last_modified(outcome, self._delta)
-        out_sync = outcome.poll_time - first
+            return _judge_from_last_modified(now, snapshot, self._delta)
+        out_sync = now - first_unseen
         if out_sync > self._delta:
             return ViolationJudgement(
                 violated=True, observed_out_sync=out_sync, basis="history"
@@ -85,10 +95,13 @@ class LastModifiedViolationDetector(ViolationDetector):
 
     mode = "last_modified_only"
 
-    def _judge(self, outcome: PollOutcome) -> ViolationJudgement:
-        if not outcome.modified:
+    def _judge(
+        self, now: Seconds, modified: bool, snapshot: ObjectSnapshot,
+        first_unseen: Optional[Seconds], updates_since: Optional[int],
+    ) -> ViolationJudgement:
+        if not modified:
             return ViolationJudgement(violated=False, basis="not-modified")
-        return _judge_from_last_modified(outcome, self._delta)
+        return _judge_from_last_modified(now, snapshot, self._delta)
 
 
 class InferredViolationDetector(ViolationDetector):
@@ -126,27 +139,30 @@ class InferredViolationDetector(ViolationDetector):
     def estimator(self) -> UpdateRateEstimator:
         return self._estimator
 
-    def _judge(self, outcome: PollOutcome) -> ViolationJudgement:
-        if outcome.modified:
-            self._estimator.observe_modification(outcome.snapshot.last_modified)
-        if not outcome.modified:
+    def _judge(
+        self, now: Seconds, modified: bool, snapshot: ObjectSnapshot,
+        first_unseen: Optional[Seconds], updates_since: Optional[int],
+    ) -> ViolationJudgement:
+        if modified:
+            self._estimator.observe_modification(snapshot.last_modified)
+        if not modified:
             return ViolationJudgement(violated=False, basis="not-modified")
 
         # Certain violation: even the newest update is older than Δ.
-        certain = _judge_from_last_modified(outcome, self._delta)
+        certain = _judge_from_last_modified(now, snapshot, self._delta)
         if certain.violated:
             return certain
 
         prev = self.previous_poll_time
         if prev is None:
             return ViolationJudgement(violated=False, basis="inferred:first-poll")
-        interval = outcome.poll_time - prev
+        interval = now - prev
         if interval <= self._delta:
             # The whole interval fits inside Δ: no unseen update can be
             # older than Δ.
             return ViolationJudgement(violated=False, basis="inferred:short-interval")
 
-        rate = self._estimator.rate(outcome.poll_time)
+        rate = self._estimator.rate(now)
         if rate is None:
             return ViolationJudgement(violated=False, basis="inferred:no-rate")
         probability = _first_update_older_than_delta_probability(
@@ -156,7 +172,7 @@ class InferredViolationDetector(ViolationDetector):
             # Expected first-update instant, conditioned on the estimate:
             # ~one mean gap after the previous poll.
             expected_first = prev + min(1.0 / rate, interval)
-            out_sync = max(outcome.poll_time - expected_first, self._delta)
+            out_sync = max(now - expected_first, self._delta)
             return ViolationJudgement(
                 violated=True,
                 observed_out_sync=out_sync,
@@ -168,10 +184,10 @@ class InferredViolationDetector(ViolationDetector):
 
 
 def _judge_from_last_modified(
-    outcome: PollOutcome, delta: Seconds
+    now: Seconds, snapshot: ObjectSnapshot, delta: Seconds
 ) -> ViolationJudgement:
     """Figure 1(a) check: latest update already older than Δ."""
-    out_sync = outcome.poll_time - outcome.snapshot.last_modified
+    out_sync = now - snapshot.last_modified
     if out_sync > delta:
         return ViolationJudgement(
             violated=True, observed_out_sync=out_sync, basis="last-modified"

@@ -32,7 +32,7 @@ from repro.consistency.detection import ViolationDetector, make_detector
 from repro.core.errors import PolicyConfigurationError
 from repro.core.types import (
     ObjectId,
-    PollOutcome,
+    ObjectSnapshot,
     Seconds,
     TTRBounds,
     require_positive,
@@ -127,7 +127,6 @@ class LimdPolicy(RefreshPolicy):
         self._ttr: Seconds = self._bounds.ttr_min
         self._last_known_modification: Optional[Seconds] = None
         self._last_case: str = "init"
-        self._poll_count = 0
 
     # ------------------------------------------------------------------
     # RefreshPolicy interface
@@ -160,22 +159,26 @@ class LimdPolicy(RefreshPolicy):
     def detector(self) -> ViolationDetector:
         return self._detector
 
-    def next_ttr(self, outcome: PollOutcome) -> Seconds:
+    def next_ttr(
+        self, now: Seconds, modified: bool, snapshot: ObjectSnapshot,
+        first_unseen: Optional[Seconds], updates_since: Optional[int],
+    ) -> Seconds:
         """Apply Cases 1–4 to a poll outcome and return the new TTR."""
-        self._poll_count += 1
-        judgement = self._detector.judge(outcome)
+        judgement = self._detector.judge(
+            now, modified, snapshot, first_unseen, updates_since
+        )
         params = self._parameters
 
-        if not outcome.modified:
+        if not modified:
             # Case 1: quiet object — linear probe upward.
             self._ttr = self._bounds.clamp(self._ttr * (1.0 + params.linear_increase))
             self._last_case = "case1"
             return self._ttr
 
         previous_modification = self._last_known_modification
-        self._last_known_modification = outcome.snapshot.last_modified
+        self._last_known_modification = snapshot.last_modified
 
-        if self._is_cold_restart(outcome, previous_modification):
+        if self._is_cold_restart(snapshot.last_modified, previous_modification):
             # Case 4: update after a long silence — snap back to TTR_min.
             self._ttr = self._bounds.ttr_min
             self._last_case = "case4"
@@ -222,12 +225,12 @@ class LimdPolicy(RefreshPolicy):
         self._detector = make_detector(self._detector.mode, self._delta)
 
     def _is_cold_restart(
-        self, outcome: PollOutcome, previous_modification: Optional[Seconds]
+        self, last_modified: Seconds, previous_modification: Optional[Seconds]
     ) -> bool:
         threshold = self._parameters.cold_reset_after
         if threshold is None or previous_modification is None:
             return False
-        quiet = outcome.snapshot.last_modified - previous_modification
+        quiet = last_modified - previous_modification
         return quiet > threshold
 
     def __repr__(self) -> str:

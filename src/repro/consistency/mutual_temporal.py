@@ -26,7 +26,7 @@ from typing import Any, Dict, List, Optional
 
 from repro.analysis.rates import UpdateRateEstimator
 from repro.core.events import PollReason
-from repro.core.types import GroupSpec, ObjectId, PollOutcome, Seconds
+from repro.core.types import GroupSpec, ObjectId, ObjectSnapshot, Seconds
 from repro.groups.registry import GroupRegistry
 from repro.proxy.proxy import ProxyCache
 from repro.sim.stats import Counter
@@ -135,30 +135,32 @@ class MutualTemporalCoordinator:
     # ------------------------------------------------------------------
     # PollObserver interface
     # ------------------------------------------------------------------
-    def on_poll_complete(self, object_id: ObjectId, outcome: PollOutcome) -> None:
+    def on_poll_complete(
+        self, object_id: ObjectId, now: Seconds, modified: bool,
+        snapshot: ObjectSnapshot, first_unseen: Optional[Seconds],
+        updates_since: Optional[int],
+    ) -> None:
         estimator = self._estimators.setdefault(
             object_id, UpdateRateEstimator(smoothing=self._rate_smoothing)
         )
         if object_id not in self._last_rate_sample:
             # First poll establishes the sampling baseline.
-            self._last_rate_sample[object_id] = outcome.poll_time
-        elif outcome.modified:
-            count = outcome.updates_since_last_poll
-            baseline = self._last_rate_sample[object_id]
-            interval = outcome.poll_time - baseline
-            if count and interval > 0:
+            self._last_rate_sample[object_id] = now
+        elif modified:
+            interval = now - self._last_rate_sample[object_id]
+            if updates_since and interval > 0:
                 # History extension: the poll reveals the exact number of
                 # updates since the last sampled poll.  The interval spans
                 # back across intervening *unmodified* polls so that
                 # zero-update stretches are counted — sampling only on
                 # modified polls would bias the rate upward.
                 estimator.observe_update_count(
-                    count, interval, outcome.snapshot.last_modified
+                    updates_since, interval, snapshot.last_modified
                 )
             else:
-                estimator.observe_modification(outcome.snapshot.last_modified)
-            self._last_rate_sample[object_id] = outcome.poll_time
-        if not outcome.modified:
+                estimator.observe_modification(snapshot.last_modified)
+            self._last_rate_sample[object_id] = now
+        if not modified:
             return
         if self._mode is MutualTemporalMode.NONE:
             return
@@ -168,13 +170,12 @@ class MutualTemporalCoordinator:
             # it (the δ window rule would suppress it anyway, but this
             # guard keeps the cascade bounded and the logs clean).
             return
-        self._consider_partners(object_id, outcome)
+        self._consider_partners(object_id, now)
 
     # ------------------------------------------------------------------
     # Trigger logic
     # ------------------------------------------------------------------
-    def _consider_partners(self, source: ObjectId, outcome: PollOutcome) -> None:
-        now = outcome.poll_time
+    def _consider_partners(self, source: ObjectId, now: Seconds) -> None:
         for group in self._groups.groups_of(source):
             for target in group.partners_of(source):
                 decision = self._decide(now, source, target, group)

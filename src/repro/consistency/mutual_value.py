@@ -34,7 +34,7 @@ from repro.core.errors import PolicyConfigurationError
 from repro.core.events import PollReason
 from repro.core.types import (
     ObjectId,
-    PollOutcome,
+    ObjectSnapshot,
     Seconds,
     TTRBounds,
     require_fraction,
@@ -369,19 +369,20 @@ class PartitionedMvCoordinator:
         """The current δᵢ of every member, in member order."""
         return {m: self._policies[m].delta for m in self._members}
 
-    def policy_for(self, object_id: ObjectId) -> AdaptiveValueTTRPolicy:
-        return self._policies[object_id]
-
     # ------------------------------------------------------------------
     # PollObserver interface
     # ------------------------------------------------------------------
-    def on_poll_complete(self, object_id: ObjectId, outcome: PollOutcome) -> None:
+    def on_poll_complete(
+        self, object_id: ObjectId, now: Seconds, modified: bool,
+        snapshot: ObjectSnapshot, first_unseen: Optional[Seconds],
+        updates_since: Optional[int],
+    ) -> None:
         estimator = self._estimators.get(object_id)
         if estimator is None:
             return
-        value = outcome.snapshot.value
+        value = snapshot.value
         if value is not None:
-            estimator.observe(outcome.poll_time, value)
+            estimator.observe(now, value)
 
     # ------------------------------------------------------------------
     # Re-apportioning

@@ -20,13 +20,13 @@ coordinators — and compared head-to-head (see
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 from repro.consistency.base import RefreshPolicy
 from repro.core.errors import PolicyConfigurationError
 from repro.core.types import (
     ObjectId,
-    PollOutcome,
+    ObjectSnapshot,
     Seconds,
     TTRBounds,
     require_positive,
@@ -54,7 +54,10 @@ class StaticTTLPolicy(RefreshPolicy):
     def first_ttr(self) -> Seconds:
         return self._ttl
 
-    def next_ttr(self, outcome: PollOutcome) -> Seconds:
+    def next_ttr(
+        self, now: Seconds, modified: bool, snapshot: ObjectSnapshot,
+        first_unseen: Optional[Seconds], updates_since: Optional[int],
+    ) -> Seconds:
         return self._ttl
 
     @property
@@ -118,8 +121,11 @@ class AlexTTLPolicy(RefreshPolicy):
     def first_ttr(self) -> Seconds:
         return self._ttr
 
-    def next_ttr(self, outcome: PollOutcome) -> Seconds:
-        age = outcome.poll_time - outcome.snapshot.last_modified
+    def next_ttr(
+        self, now: Seconds, modified: bool, snapshot: ObjectSnapshot,
+        first_unseen: Optional[Seconds], updates_since: Optional[int],
+    ) -> Seconds:
+        age = now - snapshot.last_modified
         self._ttr = self._bounds.clamp(self._parameters.update_threshold * age)
         return self._ttr
 

@@ -82,83 +82,6 @@ class ObjectSnapshot:
         )
 
 
-class PollOutcome:
-    """The result of one proxy poll of the origin server.
-
-    The consistency policies (LIMD, adaptive TTR, ...) consume these
-    outcomes to adapt their refresh intervals.  A ``__slots__`` record
-    (one per simulated poll) rather than a dataclass, for the same
-    hot-path reasons as :class:`ObjectSnapshot`.
-
-    Attributes:
-        poll_time: When the poll was issued (proxy clock == server clock;
-            the simulation uses a single global clock).
-        modified: True if the server returned a new version (HTTP 200),
-            False if the object was unchanged (HTTP 304).
-        snapshot: The object state returned by the server.  Present on
-            both 200 and 304 responses (a 304 carries the proxy's own
-            cached state, re-validated).
-        first_unseen_update: Time of the *first* update that occurred
-            after the previous poll, if the server exposes modification
-            history (the Section 5.1 HTTP extension); ``None`` when only
-            ``Last-Modified`` is available.
-        updates_since_last_poll: Number of updates since the previous
-            poll, when history is available; ``None`` otherwise.
-    """
-
-    __slots__ = (
-        "poll_time",
-        "modified",
-        "snapshot",
-        "first_unseen_update",
-        "updates_since_last_poll",
-    )
-
-    def __init__(
-        self,
-        poll_time: Seconds,
-        modified: bool,
-        snapshot: ObjectSnapshot,
-        first_unseen_update: Optional[Seconds] = None,
-        updates_since_last_poll: Optional[int] = None,
-    ) -> None:
-        self.poll_time = poll_time
-        self.modified = modified
-        self.snapshot = snapshot
-        self.first_unseen_update = first_unseen_update
-        self.updates_since_last_poll = updates_since_last_poll
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PollOutcome):
-            return NotImplemented
-        return (
-            self.poll_time == other.poll_time
-            and self.modified == other.modified
-            and self.snapshot == other.snapshot
-            and self.first_unseen_update == other.first_unseen_update
-            and self.updates_since_last_poll == other.updates_since_last_poll
-        )
-
-    def __hash__(self) -> int:
-        return hash(
-            (
-                self.poll_time,
-                self.modified,
-                self.snapshot,
-                self.first_unseen_update,
-                self.updates_since_last_poll,
-            )
-        )
-
-    def __repr__(self) -> str:
-        return (
-            f"PollOutcome(poll_time={self.poll_time!r}, "
-            f"modified={self.modified!r}, snapshot={self.snapshot!r}, "
-            f"first_unseen_update={self.first_unseen_update!r}, "
-            f"updates_since_last_poll={self.updates_since_last_poll!r})"
-        )
-
-
 @dataclass
 class TTRBounds:
     """Lower and upper bounds on the time-to-refresh (paper Section 3.1).

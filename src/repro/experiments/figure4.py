@@ -9,13 +9,13 @@ What the paper says they show is :data:`CLAIMS`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.analysis.timeseries import Series
 from repro.api.runs import RunResult, build_stack
 from repro.consistency.base import RefreshPolicy
 from repro.consistency.limd import limd_policy_factory
-from repro.core.types import HOUR, MINUTE, ObjectId, PollOutcome, Seconds
+from repro.core.types import HOUR, MINUTE, ObjectId, ObjectSnapshot, Seconds
 from repro.experiments.paper import PAPER_LIMD_PARAMETERS, TTR_MAX
 from repro.api.render import render_series_block
 from repro.experiments.workloads import DEFAULT_SEED, news_trace
@@ -30,7 +30,7 @@ TTR_BIN: Seconds = 15 * MINUTE
 class _TTRKnots:
     """Poll observer: the (poll time, TTR the policy then chose) knots.
 
-    Observers run after the refresher has fed the outcome to the policy,
+    Observers run after the refresher has fed the poll to the policy,
     so ``current_ttr`` is already the TTR computed from this poll.
     """
 
@@ -38,8 +38,12 @@ class _TTRKnots:
         self._policy = policy
         self.knots: List[Tuple[Seconds, Seconds]] = []
 
-    def on_poll_complete(self, object_id: ObjectId, outcome: PollOutcome) -> None:
-        self.knots.append((outcome.poll_time, self._policy.current_ttr))
+    def on_poll_complete(
+        self, object_id: ObjectId, now: Seconds, modified: bool,
+        snapshot: ObjectSnapshot, first_unseen: Optional[Seconds],
+        updates_since: Optional[int],
+    ) -> None:
+        self.knots.append((now, self._policy.current_ttr))
 
 
 @dataclass

@@ -19,7 +19,7 @@ from typing import Dict, List, Optional
 from repro.consistency.base import PollObserver, RefreshPolicy
 from repro.core.errors import CacheConfigurationError, ProtocolError, UnknownObjectError
 from repro.core.events import PollReason
-from repro.core.types import ObjectId, ObjectSnapshot, PollOutcome, Seconds
+from repro.core.types import ObjectId, ObjectSnapshot, Seconds
 from repro.httpsim.messages import Method, Request, Response, Status
 from repro.httpsim.network import Network
 from repro.httpsim.semantics import (
@@ -325,8 +325,11 @@ class ProxyCache:
     # ------------------------------------------------------------------
     # Internal poll machinery
     # ------------------------------------------------------------------
-    def _issue_poll(self, object_id: ObjectId, reason: PollReason) -> CacheEntry:
-        """Poll the upstream; returns the entry the answer lands in."""
+    def _issue_poll(
+        self, object_id: ObjectId, reason: PollReason, kernel: Optional[Kernel] = None
+    ) -> CacheEntry:
+        """Poll the upstream; returns the entry the answer lands in.  The
+        kernel that dispatches a refresher's expiry here is ignored."""
         server = self._servers.get(object_id)
         if server is None:
             raise UnknownObjectError(str(object_id), where="proxy server bindings")
@@ -335,7 +338,7 @@ class ProxyCache:
         if entry is None or cache.bounded:
             # Create the entry, or mark it recently used.
             entry = cache.get_or_create(object_id)
-        now = self._kernel.now()
+        now = self._kernel.time
         cached = entry.snapshot
         if_modified_since = cached.last_modified if cached is not None else None
         counts = self.counters.counts
@@ -359,7 +362,7 @@ class ProxyCache:
 
         def on_response(response: Response) -> None:
             self._complete_poll(
-                object_id, entry, reason, self._kernel.now(),
+                object_id, entry, reason, self._kernel.time,
                 response.status, response.last_modified, response.version,
                 response.value, response.modification_history,
             )
@@ -436,21 +439,24 @@ class ProxyCache:
         if not seen or when > seen[-1]:
             seen.append(when)
         refresher = self._refreshers.get(object_id)
-        outcome = PollOutcome(now, modified, snapshot, first_unseen, updates_since)
         additional = (
             reason is _MUTUAL_TRIGGER
             and not self.triggered_polls_reschedule
         )
         if refresher is not None:
             if additional:
-                refresher.on_triggered_poll(outcome)
+                refresher.on_triggered_poll(now)
             else:
-                refresher.on_poll_complete(outcome)
+                refresher.on_poll_complete(
+                    now, modified, snapshot, first_unseen, updates_since
+                )
         if modified:
             self.counters.counts["polls_modified"] += 1
         if self._observers:
             for observer in tuple(self._observers):
-                observer.on_poll_complete(object_id, outcome)
+                observer.on_poll_complete(
+                    object_id, now, modified, snapshot, first_unseen, updates_since
+                )
 
     def __repr__(self) -> str:
         return (

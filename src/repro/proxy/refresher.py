@@ -1,8 +1,10 @@
 """The TTR-driven refresh scheduler.
 
 One :class:`Refresher` per registered object: it *is* the object's
-refresh timer (the kernel dispatches a TTR expiry straight to it), asks
-the policy for the next TTR after every poll, and exposes the
+refresh timer (the kernel dispatches a TTR expiry straight to the
+proxy's poll issuer, through a ``functools.partial`` bound once per
+refresher, so no refresher frame runs on expiry), asks the policy for
+the next TTR after every poll, and exposes the
 next/previous poll instants that the mutual-consistency coordinators
 consult (Section 3.2: "an additional poll is triggered for an object
 only if its next/previous poll instant is more than δ time units
@@ -20,20 +22,23 @@ next/previous instants) is identical in both modes.
 
 from __future__ import annotations
 
+from functools import partial
 from math import inf
 from typing import Callable, Optional
 
 from repro.consistency.base import RefreshPolicy
 from repro.core.errors import SimulationError
 from repro.core.events import PollReason
-from repro.core.types import ObjectId, PollOutcome, Seconds
+from repro.core.types import ObjectId, ObjectSnapshot, Seconds
 from repro.sim.kernel import Kernel
 from repro.sim.timers import OneShotTimer
 
-#: Issues a poll; invoked by the refresher when the TTR expires or a
-#: coordinator forces an early refresh.  The proxy wires this to its
-#: internal poll path; the refresher ignores what it returns.
-PollIssuer = Callable[[ObjectId, PollReason], object]
+#: Issues a poll; invoked when the TTR expires or a coordinator forces
+#: an early refresh.  The proxy wires this to its internal poll path;
+#: the refresher ignores what it returns.  The third argument is the
+#: dispatching kernel on a TTR expiry (the kernel calls the issuer
+#: directly) and ``None`` otherwise; the issuer ignores it.
+PollIssuer = Callable[[ObjectId, PollReason, Optional[Kernel]], object]
 
 #: The reason every timer-driven poll carries, bound once (a member read
 #: through its enum class is slow on CPython 3.11).
@@ -65,7 +70,9 @@ class Refresher(OneShotTimer):
         policy: RefreshPolicy,
         issue_poll: PollIssuer,
     ) -> None:
-        super().__init__(kernel, f"refresh.{object_id}")
+        # On expiry the kernel calls issue_poll(object_id, TTR_EXPIRED, kernel).
+        expire = partial(issue_poll, object_id, _TTR_EXPIRED)
+        super().__init__(kernel, f"refresh.{object_id}", expire)
         self._object_id = object_id
         self._policy = policy
         self._issue_poll = issue_poll
@@ -91,10 +98,10 @@ class Refresher(OneShotTimer):
         else:
             super().disarm()
 
-    def _bad_ttr(self, ttr: Seconds) -> SimulationError:
+    def _bad_ttr(self, ttr: object) -> SimulationError:
         return SimulationError(
             f"policy {self._policy.name!r} returned TTR {ttr!r} for "
-            f"{self._object_id!r}; a TTR must be > 0 (inf leaves it unarmed)"
+            f"{self._object_id!r}; a TTR must be a number > 0 (inf leaves it unarmed)"
         )
 
     # ------------------------------------------------------------------
@@ -106,11 +113,16 @@ class Refresher(OneShotTimer):
         A policy returning an infinite TTR (e.g. ``PassivePolicy``)
         leaves the timer unarmed — refreshes then only happen when a
         coordinator calls :meth:`poll_now`.  Any other TTR not > 0 (NaN
-        included) raises: it would stall this object's polling or the kernel.
+        and non-numbers included) raises: it would stall this object's
+        polling or the kernel.
         """
         ttr = self._policy.first_ttr()
-        if 0.0 < ttr < inf:
-            when = self._kernel.now() + ttr
+        try:
+            armed = 0.0 < ttr < inf
+        except TypeError:
+            raise self._bad_ttr(ttr) from None
+        if armed:
+            when = self._kernel.time + ttr
             if self._detached:
                 self._ff_arm(when)
             else:
@@ -180,7 +192,7 @@ class Refresher(OneShotTimer):
                 f"fire_expired on attached refresher for {self._object_id!r}"
             )
         self._ff_next_poll = None
-        self._issue_poll(self._object_id, _TTR_EXPIRED)
+        self._on_expiry(self._kernel)
 
     # ------------------------------------------------------------------
     # Coordinator-facing state
@@ -232,24 +244,32 @@ class Refresher(OneShotTimer):
         """
         if reschedule:
             self.disarm()
-        self._issue_poll(self._object_id, reason)
+        self._issue_poll(self._object_id, reason, None)
 
-    def on_triggered_poll(self, outcome: PollOutcome) -> None:
-        """Record an additional (non-rescheduling) poll.
+    def on_triggered_poll(self, now: Seconds) -> None:
+        """Record an additional (non-rescheduling) poll made at ``now``.
 
         Updates the last-poll bookkeeping (the δ suppression window in
         Section 3.2 counts any poll) without feeding the policy or
         touching the timer.
         """
-        self._last_poll_time = outcome.poll_time
-
-    def on_poll_complete(self, outcome: PollOutcome) -> None:
-        """Feed a poll outcome to the policy and re-arm ``next_ttr`` later
-        (a TTR that is not positive raises, as in :meth:`start`)."""
-        now = outcome.poll_time
         self._last_poll_time = now
-        ttr = self._policy.next_ttr(outcome)
-        if 0.0 < ttr < inf:
+
+    def on_poll_complete(
+        self, now: Seconds, modified: bool, snapshot: ObjectSnapshot,
+        first_unseen: Optional[Seconds], updates_since: Optional[int],
+    ) -> None:
+        """Feed a poll's fields to the policy's ``next_ttr`` and re-arm that
+        TTR later (one that is not a number > 0 raises, as in :meth:`start`)."""
+        self._last_poll_time = now
+        ttr = self._policy.next_ttr(
+            now, modified, snapshot, first_unseen, updates_since
+        )
+        try:
+            armed = 0.0 < ttr < inf
+        except TypeError:
+            raise self._bad_ttr(ttr) from None
+        if armed:
             # As in start(), inline: a shared helper is a frame per poll.
             if self._detached:
                 self._ff_arm(now + ttr)
@@ -263,14 +283,13 @@ class Refresher(OneShotTimer):
                     and not event.cancelled
                 ):
                     event.cancelled = True
-                event = self._kernel.schedule_raw(now + ttr, self._fire, self._label)
+                event = self._kernel.schedule_raw(
+                    now + ttr, self._on_expiry, self._label
+                )
                 self._event = event
                 self._generation = event.generation
         elif ttr != inf:
             raise self._bad_ttr(ttr)
-
-    def _fire(self, kernel: Kernel) -> None:
-        self._issue_poll(self._object_id, _TTR_EXPIRED)
 
     def __repr__(self) -> str:
         return (

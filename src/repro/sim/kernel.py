@@ -77,8 +77,9 @@ from repro.core.errors import SchedulingInPastError, SimulationError
 from repro.core.types import Seconds
 
 #: An event callback.  It receives the kernel so it can schedule
-#: follow-up events; the current time is ``kernel.now()``.
-EventCallback = Callable[["Kernel"], None]
+#: follow-up events; the current time is ``kernel.time``.  Whatever it
+#: returns is ignored, so a poll issuer can be dispatched directly.
+EventCallback = Callable[["Kernel"], object]
 
 
 class Cancellable(Protocol):
@@ -318,8 +319,8 @@ class _Series:
         index = self._next
         if index < self._count:
             when = self._times[index]
-            if when < kernel._now:
-                raise SchedulingInPastError(kernel._now, when)
+            if when < kernel.time:
+                raise SchedulingInPastError(kernel.time, when)
             self._next = index + 1
             # What Kernel.schedule_raw does, under the sequence number
             # reserved at registration.  _drain released the firing
@@ -351,6 +352,10 @@ class Kernel:
     cancellation (skip and recycle), the ``until`` horizon and the
     event pool — all in :meth:`_drain`.
 
+    ``time`` is the current simulation time: a plain attribute, so a
+    per-poll clock read costs no call.  Read it, never assign it;
+    :meth:`now` returns it as a callable clock.
+
     Example:
         >>> k = Kernel()
         >>> fired = []
@@ -361,7 +366,7 @@ class Kernel:
     """
 
     __slots__ = (
-        "_now",
+        "time",
         "_scheduler",
         "_scheduler_kind",
         "_push",
@@ -378,7 +383,7 @@ class Kernel:
     ) -> None:
         if start_time < 0:
             raise ValueError(f"start_time must be >= 0, got {start_time}")
-        self._now: Seconds = start_time
+        self.time: Seconds = start_time
         self._free: List[_Event] = []
         self._scheduler: Scheduler[_Event] = make_scheduler(scheduler)
         self._scheduler_kind = scheduler
@@ -395,8 +400,9 @@ class Kernel:
     # Clock protocol
     # ------------------------------------------------------------------
     def now(self) -> Seconds:
-        """Current simulation time (satisfies the ``Clock`` protocol)."""
-        return self._now
+        """Current simulation time, :attr:`time` as a callable clock
+        (what a cache's ``bind_clock`` takes)."""
+        return self.time
 
     @property
     def scheduler_kind(self) -> str:
@@ -421,8 +427,8 @@ class Kernel:
         Raises:
             SchedulingInPastError: if ``when`` precedes the current time.
         """
-        if when < self._now:
-            raise SchedulingInPastError(self._now, when)
+        if when < self.time:
+            raise SchedulingInPastError(self.time, when)
         free = self._free
         if free:
             event = free.pop()
@@ -450,8 +456,8 @@ class Kernel:
         # Mirrors schedule_raw rather than calling it: this is the
         # public per-event entry point, and the extra frame is
         # measurable under client-arrival workloads.
-        if when < self._now:
-            raise SchedulingInPastError(self._now, when)
+        if when < self.time:
+            raise SchedulingInPastError(self.time, when)
         free = self._free
         if free:
             event = free.pop()
@@ -474,7 +480,7 @@ class Kernel:
         """Schedule ``callback`` to run ``delay`` seconds from now."""
         if delay < 0:
             raise ValueError(f"delay must be >= 0, got {delay}")
-        return self.schedule_at(self._now + delay, callback, label=label)
+        return self.schedule_at(self.time + delay, callback, label=label)
 
     def schedule_series(
         self,
@@ -553,7 +559,7 @@ class Kernel:
                 if until is not None and entry[0] > until:
                     self._push(entry)
                     break
-                self._now = entry[0]
+                self.time = entry[0]
                 event.fired = True
                 callback = event.callback
                 free.append(event)
@@ -591,17 +597,17 @@ class Kernel:
             raise SimulationError("kernel is already running (re-entrant run())")
         if max_events is not None and max_events < 0:
             raise ValueError(f"max_events must be >= 0, got {max_events}")
-        if until is not None and until < self._now:
+        if until is not None and until < self.time:
             raise SimulationError(
-                f"cannot run until t={until}, already at t={self._now}"
+                f"cannot run until t={until}, already at t={self.time}"
             )
         self._running = True
         before = self._events_processed
         processed = 0
         try:
             processed = self._drain(until, max_events)
-            if until is not None and self._now < until and processed != max_events:
-                self._now = until
+            if until is not None and self.time < until and processed != max_events:
+                self.time = until
         finally:
             self._running = False
             global _TOTAL_EVENTS
@@ -635,9 +641,9 @@ class Kernel:
             )
         if max_events is not None and max_events < 0:
             raise ValueError(f"max_events must be >= 0, got {max_events}")
-        if until < self._now:
+        if until < self.time:
             raise SimulationError(
-                f"cannot run batch until t={until}, already at t={self._now}"
+                f"cannot run batch until t={until}, already at t={self.time}"
             )
         self._running = True
         before = self._events_processed
@@ -667,16 +673,16 @@ class Kernel:
         or to jump past a pending event (events exactly at ``to`` may
         stay pending — they are the next thing dispatched).
         """
-        if to < self._now:
+        if to < self.time:
             raise SimulationError(
-                f"cannot advance clock to t={to}, already at t={self._now}"
+                f"cannot advance clock to t={to}, already at t={self.time}"
             )
         pending = self.peek_next_time()
         if pending is not None and pending < to:
             raise SimulationError(
                 f"cannot advance clock to t={to}: event pending at t={pending}"
             )
-        self._now = to
+        self.time = to
         self._scheduler.advance(to)
 
     # ------------------------------------------------------------------
@@ -694,7 +700,7 @@ class Kernel:
 
     def __repr__(self) -> str:
         return (
-            f"Kernel(now={self._now}, pending={self.pending_count}, "
+            f"Kernel(now={self.time}, pending={self.pending_count}, "
             f"processed={self._events_processed})"
         )
 

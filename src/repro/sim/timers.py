@@ -21,7 +21,7 @@ from typing import Callable, Optional
 
 from repro.core.errors import SimulationError
 from repro.core.types import Seconds
-from repro.sim.kernel import Kernel, _Event
+from repro.sim.kernel import EventCallback, Kernel, _Event
 
 #: Callback invoked when a timer fires.  Receives the fire time.
 TimerCallback = Callable[[Seconds], None]
@@ -30,18 +30,20 @@ TimerCallback = Callable[[Seconds], None]
 class OneShotTimer:
     """The re-armable pending-event bookkeeping under every timer.
 
-    Holds at most one kernel event and arms, moves and cancels it.  A
-    subclass supplies :meth:`_fire`, which the kernel calls on expiry —
-    the proxy's ``Refresher`` polls from it, one frame below the kernel.
+    Holds at most one kernel event and arms, moves and cancels it.  On
+    expiry the kernel calls ``on_expiry``, which each subclass supplies:
+    its own ``_fire`` method, or — for the proxy's ``Refresher`` — the
+    proxy's poll issuer, so no timer frame runs between kernel and poll.
     """
 
-    __slots__ = ("_kernel", "_label", "_event", "_generation")
+    __slots__ = ("_kernel", "_label", "_event", "_generation", "_on_expiry")
 
-    def __init__(self, kernel: Kernel, label: str = "") -> None:
+    def __init__(self, kernel: Kernel, label: str, on_expiry: EventCallback) -> None:
         self._kernel = kernel
         self._label = label
         self._event: Optional[_Event] = None
         self._generation = 0
+        self._on_expiry = on_expiry
 
     @property
     def armed(self) -> bool:
@@ -71,7 +73,7 @@ class OneShotTimer:
             and not event.cancelled
         ):
             event.cancelled = True
-        event = self._kernel.schedule_raw(when, self._fire, self._label)
+        event = self._kernel.schedule_raw(when, self._on_expiry, self._label)
         self._event = event
         self._generation = event.generation
 
@@ -91,10 +93,6 @@ class OneShotTimer:
                 event.cancelled = True
             self._event = None
 
-    def _fire(self, kernel: Kernel) -> None:
-        """The expiry hook: what the kernel calls when the timer fires."""
-        raise NotImplementedError
-
     def __repr__(self) -> str:
         return (
             f"{type(self).__name__}(label={self._label!r}, "
@@ -112,7 +110,7 @@ class RestartableTimer(OneShotTimer):
     __slots__ = ("_callback",)
 
     def __init__(self, kernel: Kernel, callback: TimerCallback, *, label: str = "") -> None:
-        super().__init__(kernel, label)
+        super().__init__(kernel, label, self._fire)
         self._callback = callback
 
     def _fire(self, kernel: Kernel) -> None:
@@ -146,7 +144,7 @@ class PeriodicTimer(OneShotTimer):
             raise SimulationError(
                 f"stop_after={stop_after} precedes current time {kernel.now()}"
             )
-        super().__init__(kernel, label)
+        super().__init__(kernel, label, self._fire)
         self._period = period
         self._callback = callback
         self._stop_after = stop_after

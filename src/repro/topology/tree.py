@@ -26,7 +26,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, cast
 
 from repro.consistency.base import RefreshPolicy
 from repro.core.errors import UnknownObjectError
-from repro.core.types import ObjectId, PollOutcome
+from repro.core.types import ObjectId, ObjectSnapshot, Seconds
 from repro.httpsim.network import Network
 from repro.proxy.cache import ObjectCache
 from repro.proxy.proxy import ProxyCache
@@ -85,7 +85,9 @@ class _InstallOnFirstPoll:
         proxy.add_observer(self)
 
     def on_poll_complete(
-        self, object_id: ObjectId, outcome: PollOutcome
+        self, object_id: ObjectId, now: Seconds, modified: bool,
+        snapshot: ObjectSnapshot, first_unseen: Optional[Seconds],
+        updates_since: Optional[int],
     ) -> None:
         if object_id != self._object_id:
             return

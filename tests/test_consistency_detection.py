@@ -10,33 +10,33 @@ from repro.consistency.detection import (
     LastModifiedViolationDetector,
     make_detector,
 )
-from repro.core.types import ObjectId, ObjectSnapshot, PollOutcome
+from repro.core.types import ObjectId, ObjectSnapshot
 
 DELTA = 10.0
 
 
 def outcome(poll_time, *, modified, last_modified, first_unseen=None):
-    return PollOutcome(
-        poll_time=poll_time,
-        modified=modified,
-        snapshot=ObjectSnapshot(
-            ObjectId("x"), version=1, last_modified=last_modified
-        ),
-        first_unseen_update=first_unseen,
+    """A poll's fields, in ``judge``'s argument order."""
+    return (
+        poll_time,
+        modified,
+        ObjectSnapshot(ObjectId("x"), version=1, last_modified=last_modified),
+        first_unseen,
+        None,
     )
 
 
 class TestHistoryDetector:
     def test_unmodified_never_violates(self):
         detector = HistoryViolationDetector(DELTA)
-        judgement = detector.judge(outcome(100.0, modified=False, last_modified=0.0))
+        judgement = detector.judge(*outcome(100.0, modified=False, last_modified=0.0))
         assert not judgement.violated
 
     def test_figure_1a_violation(self):
         """Single update, older than delta at the poll."""
         detector = HistoryViolationDetector(DELTA)
         judgement = detector.judge(
-            outcome(100.0, modified=True, last_modified=80.0, first_unseen=80.0)
+            *outcome(100.0, modified=True, last_modified=80.0, first_unseen=80.0)
         )
         assert judgement.violated
         assert judgement.observed_out_sync == pytest.approx(20.0)
@@ -45,7 +45,7 @@ class TestHistoryDetector:
         """Latest update recent, but the FIRST unseen update is old."""
         detector = HistoryViolationDetector(DELTA)
         judgement = detector.judge(
-            outcome(100.0, modified=True, last_modified=95.0, first_unseen=50.0)
+            *outcome(100.0, modified=True, last_modified=95.0, first_unseen=50.0)
         )
         assert judgement.violated
         assert judgement.observed_out_sync == pytest.approx(50.0)
@@ -53,7 +53,7 @@ class TestHistoryDetector:
     def test_recent_first_update_is_clean(self):
         detector = HistoryViolationDetector(DELTA)
         judgement = detector.judge(
-            outcome(100.0, modified=True, last_modified=95.0, first_unseen=95.0)
+            *outcome(100.0, modified=True, last_modified=95.0, first_unseen=95.0)
         )
         assert not judgement.violated
 
@@ -61,14 +61,14 @@ class TestHistoryDetector:
         """The paper's condition is 'larger than delta' (strict)."""
         detector = HistoryViolationDetector(DELTA)
         judgement = detector.judge(
-            outcome(100.0, modified=True, last_modified=90.0, first_unseen=90.0)
+            *outcome(100.0, modified=True, last_modified=90.0, first_unseen=90.0)
         )
         assert not judgement.violated
 
     def test_degrades_to_last_modified_without_history(self):
         detector = HistoryViolationDetector(DELTA)
         judgement = detector.judge(
-            outcome(100.0, modified=True, last_modified=80.0, first_unseen=None)
+            *outcome(100.0, modified=True, last_modified=80.0, first_unseen=None)
         )
         assert judgement.violated
         assert judgement.basis == "last-modified"
@@ -77,7 +77,7 @@ class TestHistoryDetector:
 class TestLastModifiedDetector:
     def test_detects_stale_latest_update(self):
         detector = LastModifiedViolationDetector(DELTA)
-        judgement = detector.judge(outcome(100.0, modified=True, last_modified=85.0))
+        judgement = detector.judge(*outcome(100.0, modified=True, last_modified=85.0))
         assert judgement.violated
 
     def test_misses_figure_1b_case(self):
@@ -85,7 +85,7 @@ class TestLastModifiedDetector:
         the limitation the paper's Section 5.1 extension addresses."""
         detector = LastModifiedViolationDetector(DELTA)
         judgement = detector.judge(
-            outcome(100.0, modified=True, last_modified=95.0, first_unseen=50.0)
+            *outcome(100.0, modified=True, last_modified=95.0, first_unseen=50.0)
         )
         assert not judgement.violated
 
@@ -96,11 +96,11 @@ class TestInferredDetector:
         t = start
         for i in range(count):
             t += gap
-            detector.judge(outcome(t, modified=True, last_modified=t))
+            detector.judge(*outcome(t, modified=True, last_modified=t))
 
     def test_certain_violation_still_detected(self):
         detector = InferredViolationDetector(DELTA)
-        judgement = detector.judge(outcome(100.0, modified=True, last_modified=85.0))
+        judgement = detector.judge(*outcome(100.0, modified=True, last_modified=85.0))
         assert judgement.violated
 
     def test_fast_object_long_interval_inferred_violation(self):
@@ -111,7 +111,7 @@ class TestInferredDetector:
         self._train(detector, gap=5.0, count=20)
         t = detector.previous_poll_time
         judgement = detector.judge(
-            outcome(t + 100.0, modified=True, last_modified=t + 99.0)
+            *outcome(t + 100.0, modified=True, last_modified=t + 99.0)
         )
         assert judgement.violated
         assert judgement.basis.startswith("inferred")
@@ -121,7 +121,7 @@ class TestInferredDetector:
         self._train(detector, gap=5.0, count=5)
         t = detector.previous_poll_time
         judgement = detector.judge(
-            outcome(t + DELTA, modified=True, last_modified=t + DELTA - 1)
+            *outcome(t + DELTA, modified=True, last_modified=t + DELTA - 1)
         )
         assert not judgement.violated
 
@@ -132,13 +132,13 @@ class TestInferredDetector:
         self._train(detector, gap=500.0, count=5)
         t = detector.previous_poll_time
         judgement = detector.judge(
-            outcome(t + 30.0, modified=True, last_modified=t + 29.0)
+            *outcome(t + 30.0, modified=True, last_modified=t + 29.0)
         )
         assert not judgement.violated
 
     def test_first_poll_has_no_interval(self):
         detector = InferredViolationDetector(DELTA)
-        judgement = detector.judge(outcome(100.0, modified=True, last_modified=95.0))
+        judgement = detector.judge(*outcome(100.0, modified=True, last_modified=95.0))
         assert not judgement.violated
 
     def test_rate_estimator_fed_from_modifications(self):

@@ -7,7 +7,7 @@ import pytest
 from repro.consistency.detection import make_detector
 from repro.consistency.limd import LimdParameters, LimdPolicy, limd_policy_factory
 from repro.core.errors import PolicyConfigurationError
-from repro.core.types import ObjectId, ObjectSnapshot, PollOutcome, TTRBounds
+from repro.core.types import ObjectId, ObjectSnapshot, TTRBounds
 
 DELTA = 10.0
 
@@ -21,16 +21,14 @@ def outcome(
     first_unseen=None,
     updates=None,
 ):
-    """Build a PollOutcome for direct policy testing."""
+    """A poll's fields, in ``next_ttr``'s argument order."""
     last_modified = last_modified if last_modified is not None else poll_time
-    return PollOutcome(
-        poll_time=poll_time,
-        modified=modified,
-        snapshot=ObjectSnapshot(
-            ObjectId("x"), version=version, last_modified=last_modified
-        ),
-        first_unseen_update=first_unseen,
-        updates_since_last_poll=updates,
+    return (
+        poll_time,
+        modified,
+        ObjectSnapshot(ObjectId("x"), version=version, last_modified=last_modified),
+        first_unseen,
+        updates,
     )
 
 
@@ -92,7 +90,7 @@ class TestInitialisation:
 class TestCase1LinearIncrease:
     def test_unmodified_poll_grows_ttr_linearly(self):
         policy = make_policy(l=0.2)
-        ttr = policy.next_ttr(outcome(10.0, modified=False, last_modified=0.0))
+        ttr = policy.next_ttr(*outcome(10.0, modified=False, last_modified=0.0))
         assert ttr == pytest.approx(DELTA * 1.2)
         assert policy.last_case == "case1"
 
@@ -101,13 +99,13 @@ class TestCase1LinearIncrease:
         t = 0.0
         for _ in range(20):
             t += policy.current_ttr
-            policy.next_ttr(outcome(t, modified=False, last_modified=0.0))
+            policy.next_ttr(*outcome(t, modified=False, last_modified=0.0))
         assert policy.current_ttr == 100.0
 
     def test_growth_is_compound(self):
         policy = make_policy(l=0.2, ttr_max=1e9)
-        policy.next_ttr(outcome(10.0, modified=False, last_modified=0.0))
-        policy.next_ttr(outcome(22.0, modified=False, last_modified=0.0))
+        policy.next_ttr(*outcome(10.0, modified=False, last_modified=0.0))
+        policy.next_ttr(*outcome(22.0, modified=False, last_modified=0.0))
         assert policy.current_ttr == pytest.approx(DELTA * 1.2 * 1.2)
 
 
@@ -115,12 +113,12 @@ class TestCase2MultiplicativeDecrease:
     def test_violation_shrinks_ttr_with_fixed_m(self):
         policy = make_policy(m=0.5, ttr_max=1000.0)
         # Grow first so the decrease is visible above the clamp.
-        policy.next_ttr(outcome(100.0, modified=False, last_modified=0.0))
-        policy.next_ttr(outcome(300.0, modified=False, last_modified=0.0))
+        policy.next_ttr(*outcome(100.0, modified=False, last_modified=0.0))
+        policy.next_ttr(*outcome(300.0, modified=False, last_modified=0.0))
         grown = policy.current_ttr
         # Violation: first unseen update 50s before the poll (> delta).
         ttr = policy.next_ttr(
-            outcome(600.0, modified=True, last_modified=590.0, first_unseen=550.0)
+            *outcome(600.0, modified=True, last_modified=590.0, first_unseen=550.0)
         )
         assert ttr == pytest.approx(max(grown * 0.5, DELTA))
         assert policy.last_case == "case2"
@@ -128,33 +126,33 @@ class TestCase2MultiplicativeDecrease:
     def test_adaptive_m_uses_out_sync_ratio(self):
         policy = make_policy(m=None, ttr_max=10000.0)
         for t in (100.0, 300.0, 700.0, 1500.0):
-            policy.next_ttr(outcome(t, modified=False, last_modified=0.0))
+            policy.next_ttr(*outcome(t, modified=False, last_modified=0.0))
         grown = policy.current_ttr
         # Out-of-sync = poll - first_unseen = 40 → m = 10/40 = 0.25.
         ttr = policy.next_ttr(
-            outcome(2000.0, modified=True, last_modified=1990.0, first_unseen=1960.0)
+            *outcome(2000.0, modified=True, last_modified=1990.0, first_unseen=1960.0)
         )
         assert ttr == pytest.approx(max(grown * 0.25, DELTA))
 
     def test_adaptive_m_clamped_away_from_zero(self):
         policy = make_policy(m=None, ttr_max=1e6)
         for t in (100.0, 300.0, 700.0):
-            policy.next_ttr(outcome(t, modified=False, last_modified=0.0))
+            policy.next_ttr(*outcome(t, modified=False, last_modified=0.0))
         grown = policy.current_ttr
         # Absurd out-of-sync → raw m would be ~1e-5; clamp to 0.01.
         ttr = policy.next_ttr(
-            outcome(1e6, modified=True, last_modified=1e6 - 1,
+            *outcome(1e6, modified=True, last_modified=1e6 - 1,
                     first_unseen=2000.0)
         )
         assert ttr == pytest.approx(max(grown * 0.01, DELTA))
 
     def test_successive_violations_decrease_to_ttr_min(self):
         policy = make_policy(m=0.5, ttr_max=1000.0)
-        policy.next_ttr(outcome(100.0, modified=False, last_modified=0.0))
+        policy.next_ttr(*outcome(100.0, modified=False, last_modified=0.0))
         t = 200.0
         for _ in range(10):
             policy.next_ttr(
-                outcome(t, modified=True, last_modified=t - 1,
+                *outcome(t, modified=True, last_modified=t - 1,
                         first_unseen=t - 50.0)
             )
             t += 100.0
@@ -164,9 +162,9 @@ class TestCase2MultiplicativeDecrease:
         """Figure 1(a): even without history, an old Last-Modified is a
         detectable violation."""
         policy = make_policy(m=0.5, detection_mode="last_modified_only")
-        policy.next_ttr(outcome(100.0, modified=False, last_modified=0.0))
+        policy.next_ttr(*outcome(100.0, modified=False, last_modified=0.0))
         grown = policy.current_ttr
-        ttr = policy.next_ttr(outcome(200.0, modified=True, last_modified=150.0))
+        ttr = policy.next_ttr(*outcome(200.0, modified=True, last_modified=150.0))
         assert ttr == pytest.approx(max(grown * 0.5, DELTA))
         assert policy.last_case == "case2"
 
@@ -176,7 +174,7 @@ class TestCase3FineTuning:
         policy = make_policy(epsilon=0.02)
         # Update 5s before poll (within delta), first unseen equally recent.
         ttr = policy.next_ttr(
-            outcome(20.0, modified=True, last_modified=15.0, first_unseen=15.0)
+            *outcome(20.0, modified=True, last_modified=15.0, first_unseen=15.0)
         )
         assert ttr == pytest.approx(DELTA * 1.02)
         assert policy.last_case == "case3"
@@ -184,7 +182,7 @@ class TestCase3FineTuning:
     def test_zero_epsilon_keeps_ttr_unchanged(self):
         policy = make_policy(epsilon=0.0)
         ttr = policy.next_ttr(
-            outcome(20.0, modified=True, last_modified=15.0, first_unseen=15.0)
+            *outcome(20.0, modified=True, last_modified=15.0, first_unseen=15.0)
         )
         assert ttr == DELTA
 
@@ -194,17 +192,17 @@ class TestCase4ColdRestart:
         policy = make_policy(cold_reset_after=100.0, l=0.5, ttr_max=500.0)
         # First modified poll records the modification baseline.
         policy.next_ttr(
-            outcome(10.0, modified=True, last_modified=8.0, first_unseen=8.0)
+            *outcome(10.0, modified=True, last_modified=8.0, first_unseen=8.0)
         )
         # Grow the TTR during a quiet stretch.
         t = 10.0
         for _ in range(10):
             t += policy.current_ttr
-            policy.next_ttr(outcome(t, modified=False, last_modified=8.0))
+            policy.next_ttr(*outcome(t, modified=False, last_modified=8.0))
         assert policy.current_ttr > DELTA
         # An update lands after >100s of silence → Case 4.
         ttr = policy.next_ttr(
-            outcome(t + 50.0, modified=True, last_modified=t + 40.0,
+            *outcome(t + 50.0, modified=True, last_modified=t + 40.0,
                     first_unseen=t + 40.0)
         )
         assert ttr == DELTA
@@ -213,14 +211,14 @@ class TestCase4ColdRestart:
     def test_disabled_by_default(self):
         policy = make_policy(l=0.5, ttr_max=500.0)
         policy.next_ttr(
-            outcome(10.0, modified=True, last_modified=8.0, first_unseen=8.0)
+            *outcome(10.0, modified=True, last_modified=8.0, first_unseen=8.0)
         )
         t = 10.0
         for _ in range(10):
             t += policy.current_ttr
-            policy.next_ttr(outcome(t, modified=False, last_modified=8.0))
+            policy.next_ttr(*outcome(t, modified=False, last_modified=8.0))
         policy.next_ttr(
-            outcome(t + 50.0, modified=True, last_modified=t + 45.0,
+            *outcome(t + 50.0, modified=True, last_modified=t + 45.0,
                     first_unseen=t + 45.0)
         )
         # Without cold_reset_after the poll is judged as Case 2 or 3,
@@ -230,10 +228,10 @@ class TestCase4ColdRestart:
     def test_short_silence_is_not_cold(self):
         policy = make_policy(cold_reset_after=1000.0)
         policy.next_ttr(
-            outcome(10.0, modified=True, last_modified=8.0, first_unseen=8.0)
+            *outcome(10.0, modified=True, last_modified=8.0, first_unseen=8.0)
         )
         policy.next_ttr(
-            outcome(30.0, modified=True, last_modified=25.0, first_unseen=25.0)
+            *outcome(30.0, modified=True, last_modified=25.0, first_unseen=25.0)
         )
         assert policy.last_case != "case4"
 
@@ -244,7 +242,7 @@ class TestClamping:
         t = 0.0
         for _ in range(30):
             t += 100.0
-            policy.next_ttr(outcome(t, modified=False, last_modified=0.0))
+            policy.next_ttr(*outcome(t, modified=False, last_modified=0.0))
             assert policy.current_ttr <= 50.0
 
     def test_ttr_never_drops_below_ttr_min(self):
@@ -253,7 +251,7 @@ class TestClamping:
         for _ in range(10):
             t += 100.0
             policy.next_ttr(
-                outcome(t, modified=True, last_modified=t - 1,
+                *outcome(t, modified=True, last_modified=t - 1,
                         first_unseen=t - 90.0)
             )
             assert policy.current_ttr >= DELTA
@@ -264,7 +262,7 @@ class TestFactory:
         factory = limd_policy_factory(DELTA)
         p1 = factory(ObjectId("a"))
         p2 = factory(ObjectId("b"))
-        p1.next_ttr(outcome(20.0, modified=False, last_modified=0.0))
+        p1.next_ttr(*outcome(20.0, modified=False, last_modified=0.0))
         assert p1.current_ttr != p2.current_ttr
 
     def test_factory_default_ttr_max_is_60_delta(self):

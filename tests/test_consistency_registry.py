@@ -78,7 +78,7 @@ class TestRegistry:
             def first_ttr(self):
                 return 1.0
 
-            def next_ttr(self, outcome):
+            def next_ttr(self, *outcome):
                 return 1.0
 
             @property

@@ -19,16 +19,17 @@ from repro.consistency.ttl import (
     static_ttl_policy_factory,
 )
 from repro.core.errors import PolicyConfigurationError
-from repro.core.types import ObjectId, ObjectSnapshot, PollOutcome, TTRBounds
+from repro.core.types import ObjectId, ObjectSnapshot, TTRBounds
 
 
 def outcome(poll_time, last_modified, *, modified=True):
-    return PollOutcome(
-        poll_time=poll_time,
-        modified=modified,
-        snapshot=ObjectSnapshot(
-            ObjectId("x"), version=1, last_modified=last_modified
-        ),
+    """A poll's fields, in ``next_ttr``'s argument order."""
+    return (
+        poll_time,
+        modified,
+        ObjectSnapshot(ObjectId("x"), version=1, last_modified=last_modified),
+        None,
+        None,
     )
 
 
@@ -54,7 +55,7 @@ class TestStaticTTL:
     def test_constant_ttr(self):
         policy = StaticTTLPolicy(30.0)
         assert policy.first_ttr() == 30.0
-        assert policy.next_ttr(outcome(100.0, 95.0)) == 30.0
+        assert policy.next_ttr(*outcome(100.0, 95.0)) == 30.0
         assert policy.current_ttr == 30.0
 
     def test_invalid_ttl_rejected(self):
@@ -77,28 +78,28 @@ class TestAlex:
     def test_ttr_is_fraction_of_age(self):
         policy = self._policy(mu=0.2)
         # Object last modified 100 s ago → TTL = 20 s.
-        assert policy.next_ttr(outcome(200.0, 100.0)) == pytest.approx(20.0)
+        assert policy.next_ttr(*outcome(200.0, 100.0)) == pytest.approx(20.0)
 
     def test_fresh_object_gets_min_ttr(self):
         policy = self._policy(mu=0.2)
         # Modified 1 s ago → raw 0.2 s, clamped to 5.
-        assert policy.next_ttr(outcome(100.0, 99.0)) == 5.0
+        assert policy.next_ttr(*outcome(100.0, 99.0)) == 5.0
 
     def test_ancient_object_gets_max_ttr(self):
         policy = self._policy(mu=0.2)
-        assert policy.next_ttr(outcome(1e6, 0.0)) == 500.0
+        assert policy.next_ttr(*outcome(1e6, 0.0)) == 500.0
 
     def test_age_grows_between_quiet_polls(self):
         policy = self._policy(mu=0.5)
-        first = policy.next_ttr(outcome(100.0, 60.0, modified=False))
-        second = policy.next_ttr(outcome(150.0, 60.0, modified=False))
+        first = policy.next_ttr(*outcome(100.0, 60.0, modified=False))
+        second = policy.next_ttr(*outcome(150.0, 60.0, modified=False))
         assert second > first  # same last_modified, more age
 
     def test_update_shrinks_ttr(self):
         policy = self._policy(mu=0.2)
-        policy.next_ttr(outcome(1000.0, 0.0, modified=False))
+        policy.next_ttr(*outcome(1000.0, 0.0, modified=False))
         long_ttr = policy.current_ttr
-        fresh = policy.next_ttr(outcome(1100.0, 1090.0))
+        fresh = policy.next_ttr(*outcome(1100.0, 1090.0))
         assert fresh < long_ttr
 
     def test_invalid_threshold_rejected(self):
@@ -111,7 +112,7 @@ class TestAlex:
         factory = alex_policy_factory(ttr_min=5.0, ttr_max=500.0)
         p1 = factory(ObjectId("a"))
         p2 = factory(ObjectId("b"))
-        p1.next_ttr(outcome(1000.0, 0.0))
+        p1.next_ttr(*outcome(1000.0, 0.0))
         assert p1.current_ttr != p2.current_ttr
 
 

@@ -37,7 +37,7 @@ class TestPolicyReset:
         t = 0.0
         for _ in range(8):
             t += policy.current_ttr
-            policy.next_ttr(outcome(t, modified=False, last_modified=0.0))
+            policy.next_ttr(*outcome(t, modified=False, last_modified=0.0))
         assert policy.current_ttr > 10.0
         policy.reset()
         assert policy.current_ttr == 10.0  # back to TTR_min
@@ -50,8 +50,8 @@ class TestPolicyReset:
         policy = AdaptiveValueTTRPolicy(
             1.0, bounds=bounds, parameters=AdaptiveValueParameters()
         )
-        policy.next_ttr(outcome(0.0, 0.0))
-        policy.next_ttr(outcome(10.0, 0.5))
+        policy.next_ttr(*outcome(0.0, 0.0))
+        policy.next_ttr(*outcome(10.0, 0.5))
         assert policy.observed_min_ttr is not None
         policy.reset()
         assert policy.observed_min_ttr is None

@@ -46,10 +46,8 @@ def finished_run():
     ttr_knots = []
 
     class KnotObserver:
-        def on_poll_complete(self, object_id, outcome):
-            ttr_knots.append(
-                (object_id, outcome.poll_time, policies[object_id].current_ttr)
-            )
+        def on_poll_complete(self, object_id, now, *outcome):
+            ttr_knots.append((object_id, now, policies[object_id].current_ttr))
 
     proxy.add_observer(KnotObserver())
     trace_x = trace_from_times(X, [15.0, 35.0], end_time=100.0)

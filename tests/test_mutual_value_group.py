@@ -16,7 +16,7 @@ from repro.consistency.mutual_value import (
     group_f_history,
     total_minus_parts,
 )
-from repro.core.types import ObjectId, ObjectSnapshot, PollOutcome, TTRBounds
+from repro.core.types import ObjectId, ObjectSnapshot, TTRBounds
 from repro.api.runs import run_individual, run_mutual_value_partitioned
 from repro.httpsim.network import Network
 from repro.proxy.proxy import ProxyCache
@@ -152,7 +152,7 @@ class TestReapportionKeepsTheBudget:
                     member, version=1, last_modified=time, value=value
                 )
                 coordinator.on_poll_complete(
-                    member, PollOutcome(time, True, snapshot, None, None)
+                    member, time, True, snapshot, None, None
                 )
         tolerances = coordinator.reapportion()
         assert coordinator.counters.get("reapportionments") == 1

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from repro.consistency.detection import make_detector
 from repro.consistency.limd import LimdParameters, LimdPolicy
-from repro.core.types import ObjectId, ObjectSnapshot, PollOutcome, TTRBounds
+from repro.core.types import ObjectId, ObjectSnapshot, TTRBounds
 from repro.metrics.fidelity import temporal_fidelity
 from repro.metrics.group import group_interval_spread
 from repro.sim.kernel import Kernel
@@ -141,15 +141,16 @@ class TestLimdProperties:
             if modified:
                 version += 1
                 last_modified = max(last_modified + 1e-6, t - gap / 2.0)
-            outcome = PollOutcome(
-                poll_time=t,
-                modified=modified,
-                snapshot=ObjectSnapshot(
+            outcome = (
+                t,
+                modified,
+                ObjectSnapshot(
                     ObjectId("x"), version=version, last_modified=last_modified
                 ),
-                first_unseen_update=last_modified if modified else None,
+                last_modified if modified else None,
+                None,
             )
-            ttr = policy.next_ttr(outcome)
+            ttr = policy.next_ttr(*outcome)
             assert bounds.ttr_min <= ttr <= bounds.ttr_max
 
     @given(st.floats(min_value=0.01, max_value=0.99))
@@ -160,12 +161,14 @@ class TestLimdProperties:
             delta,
             parameters=LimdParameters(linear_increase=l),
         )
-        outcome = PollOutcome(
-            poll_time=20.0,
-            modified=False,
-            snapshot=ObjectSnapshot(ObjectId("x"), version=0, last_modified=0.0),
+        outcome = (
+            20.0,
+            False,
+            ObjectSnapshot(ObjectId("x"), version=0, last_modified=0.0),
+            None,
+            None,
         )
-        ttr = policy.next_ttr(outcome)
+        ttr = policy.next_ttr(*outcome)
         assert ttr >= delta
 
 

@@ -18,7 +18,7 @@ from repro.consistency.mutual_value import (
     PartitionParameters,
     total_minus_parts,
 )
-from repro.core.types import ObjectId, ObjectSnapshot, PollOutcome, TTRBounds
+from repro.core.types import ObjectId, ObjectSnapshot, TTRBounds
 from repro.httpsim.network import Network
 from repro.proxy.proxy import ProxyCache
 from repro.server.origin import OriginServer
@@ -32,15 +32,18 @@ rates_strategy = st.floats(
 
 
 def _outcome(object_id, time, value, version=1):
-    return PollOutcome(
-        poll_time=time,
-        modified=True,
-        snapshot=ObjectSnapshot(
+    """A modified poll's fields, in ``next_ttr``'s argument order."""
+    return (
+        time,
+        True,
+        ObjectSnapshot(
             object_id=object_id,
             version=version,
             last_modified=time,
             value=value,
         ),
+        None,
+        None,
     )
 
 
@@ -64,7 +67,7 @@ class TestAdaptiveValuePolicyProperties:
         for version, (gap, step) in enumerate(ticks, start=1):
             time += gap
             value += step
-            ttr = policy.next_ttr(_outcome(A, time, value, version))
+            ttr = policy.next_ttr(*_outcome(A, time, value, version))
             assert bounds.ttr_min <= ttr <= bounds.ttr_max
 
     @given(
@@ -114,9 +117,9 @@ def _pair_coordinator(delta, min_fraction):
 
 def _feed_rate(coordinator, object_id, rate):
     """Drive an estimator to a known rate via the public observer hook."""
-    coordinator.on_poll_complete(object_id, _outcome(object_id, 100.0, 0.0))
+    coordinator.on_poll_complete(object_id, *_outcome(object_id, 100.0, 0.0))
     coordinator.on_poll_complete(
-        object_id, _outcome(object_id, 101.0, rate, version=2)
+        object_id, *_outcome(object_id, 101.0, rate, version=2)
     )
 
 

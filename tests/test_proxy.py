@@ -34,7 +34,7 @@ from repro.core.errors import (
     UnknownObjectError,
 )
 from repro.core.events import PollReason
-from repro.core.types import ObjectId, ObjectSnapshot, PollOutcome
+from repro.core.types import ObjectId, ObjectSnapshot
 from repro.httpsim.network import LatencyModel, Network
 from repro.proxy.cache import ObjectCache
 from repro.proxy.entry import CacheEntry
@@ -60,12 +60,17 @@ def build_stack(*, want_history=True, triggered_reschedule=False):
 
 
 class _SteppingBackKernel(Kernel):
-    """A fake clock: ``now()`` reads whatever the test last set."""
+    """A fake clock: ``time`` reads whatever the test last set."""
 
     __slots__ = ("clock",)
 
-    def now(self):
+    @property
+    def time(self):
         return self.clock
+
+    @time.setter
+    def time(self, value):
+        self.clock = value
 
 
 class TestCacheEntry:
@@ -199,7 +204,7 @@ class TestClientMissEvictedByNestedPoll:
         proxy.bind_server(a, origin)
 
         class PollPartnerOnA:
-            def on_poll_complete(self, object_id, outcome):
+            def on_poll_complete(self, object_id, *outcome):
                 if object_id == a:
                     proxy.trigger_poll(b, reason=PollReason.MUTUAL_TRIGGER)
 
@@ -250,16 +255,17 @@ class TestProxyPolling:
         seen = []
 
         class Observer:
-            def on_poll_complete(self, object_id, outcome):
+            def on_poll_complete(self, object_id, *outcome):
                 seen.append(outcome)
 
         proxy.add_observer(Observer())
         proxy.register_object(ObjectId("x"), server, FixedTTRPolicy(ttr=10.0))
         kernel.run(until=10.0)
-        modified = [o for o in seen if o.modified and o.poll_time == 10.0]
+        # Each poll: (now, modified, snapshot, first_unseen, updates_since).
+        modified = [o for o in seen if o[1] and o[0] == 10.0]
         assert len(modified) == 1
-        assert modified[0].first_unseen_update == 3.0
-        assert modified[0].updates_since_last_poll == 3
+        assert modified[0][3] == 3.0
+        assert modified[0][4] == 3
 
     def test_no_history_when_disabled(self):
         kernel, server, proxy = build_stack(want_history=False)
@@ -268,14 +274,14 @@ class TestProxyPolling:
         seen = []
 
         class Observer:
-            def on_poll_complete(self, object_id, outcome):
+            def on_poll_complete(self, object_id, *outcome):
                 seen.append(outcome)
 
         proxy.add_observer(Observer())
         proxy.register_object(ObjectId("x"), server, FixedTTRPolicy(ttr=10.0))
         kernel.run(until=10.0)
-        modified = [o for o in seen if o.modified and o.poll_time > 0]
-        assert modified and modified[0].first_unseen_update is None
+        modified = [o for o in seen if o[1] and o[0] > 0]
+        assert modified and modified[0][3] is None
 
     def test_duplicate_registration_rejected(self):
         kernel, server, proxy = build_stack()
@@ -305,8 +311,8 @@ class TestProxyPolling:
         watched = []
 
         class Watcher:
-            def on_poll_complete(self, object_id, outcome):
-                watched.append((object_id, outcome.poll_time, policy.current_ttr))
+            def on_poll_complete(self, object_id, now, *outcome):
+                watched.append((object_id, now, policy.current_ttr))
 
         proxy.add_observer(Watcher())
         server.create_object(ObjectId("x"))
@@ -341,7 +347,7 @@ class _ScriptedPolicy(RefreshPolicy):
     def first_ttr(self):
         return self.first
 
-    def next_ttr(self, outcome):
+    def next_ttr(self, *outcome):
         ttr, self._current = self._current, self._later
         return ttr
 
@@ -351,10 +357,12 @@ class _ScriptedPolicy(RefreshPolicy):
 
 
 class TestInvalidTTR:
-    """A TTR that is not > 0 fails fast instead of silently stopping the
-    object's polling (NaN) or livelocking the kernel at one instant (0)."""
+    """A TTR that is not a number > 0 fails fast, naming the object and
+    the policy, instead of silently stopping the object's polling (NaN),
+    livelocking the kernel at one instant (0) or surfacing as a bare
+    ``TypeError`` from the arming comparison (``None``, a string)."""
 
-    BAD = [float("nan"), 0.0, -5.0, float("-inf")]
+    BAD = [float("nan"), 0.0, -5.0, float("-inf"), None, "5"]
 
     @pytest.mark.parametrize("ttr", BAD)
     def test_bad_first_ttr_rejected_at_registration(self, ttr):
@@ -412,8 +420,9 @@ class TestInvalidTTR:
 
 
 class TestRefresherIsItsOwnTimer:
-    """One frame per layer: kernel -> Refresher -> issuer on expiry, and
-    on_poll_complete -> schedule_raw on the re-arm."""
+    """One frame per layer: kernel -> issuer on expiry, with no
+    Refresher frame between, and on_poll_complete -> schedule_raw on the
+    re-arm."""
 
     def test_expiry_and_rearm_frame_chains(self):
         chains = []
@@ -433,7 +442,7 @@ class TestRefresherIsItsOwnTimer:
                 chains.append(("arm", callers(2)))
                 return super().schedule_raw(when, callback, label)
 
-        def issue(object_id, reason):
+        def issue(object_id, reason, kernel=None):
             chains.append((reason, callers(2)))
 
         kernel = SpyKernel()
@@ -441,10 +450,10 @@ class TestRefresherIsItsOwnTimer:
         refresher.start()
         kernel.run(until=10.0)
         snapshot = ObjectSnapshot(ObjectId("x"), version=0, last_modified=0.0)
-        refresher.on_poll_complete(PollOutcome(10.0, False, snapshot))
+        refresher.on_poll_complete(10.0, False, snapshot, None, None)
         assert chains == [
             ("arm", ["arm_at", "start"]),
-            (PollReason.TTR_EXPIRED, ["_fire", "_drain"]),
+            (PollReason.TTR_EXPIRED, ["_drain", "run"]),
             ("arm", ["on_poll_complete", "test_expiry_and_rearm_frame_chains"]),
         ]
         assert refresher.next_poll_time == 20.0
@@ -465,19 +474,16 @@ class TestPollFrames:
 
     POLLS = 100
     FRAMES = {
-        "Refresher._fire",
         "ProxyCache._issue_poll",
-        "Kernel.now",
         "ProxyCache.respond",
         "answer_conditional_get",
         "ProxyCache._complete_poll",
-        "PollOutcome.__init__",
         "Refresher.on_poll_complete",
         "StaticTTLPolicy.next_ttr",
         "Kernel.schedule_raw",
     }
 
-    def test_a_child_poll_enters_ten_frames(self):
+    def test_a_child_poll_enters_seven_frames(self):
         kernel = Kernel()
         origin = OriginServer()
         origin.create_object(ObjectId("x"))
@@ -502,8 +508,12 @@ class TestPollFrames:
         assert "CacheEntry.record_fetch" not in frames
         assert "OneShotTimer.arm_at" not in frames
         assert "FetchRecord.__init__" not in frames
+        # No outcome record, no clock call, no refresher frame on expiry.
+        assert "PollOutcome.__init__" not in frames
+        assert "Kernel.now" not in frames
+        assert "Refresher._fire" not in frames
         assert set(frames) == self.FRAMES
-        assert sum(frames.values()) <= 10 * self.POLLS
+        assert sum(frames.values()) <= 7 * self.POLLS
 
 
 class TestRetention:
