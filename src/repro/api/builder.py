@@ -310,36 +310,48 @@ def _latent(network: NetworkConfig) -> bool:
     return network.one_way_latency_s != 0 or network.jitter_s != 0
 
 
-def _check_bounded_links(
+def _check_latent_links(
     config: SimulationConfig, instrument: Optional[TreeInstrument]
 ) -> None:
-    """Reject a bounded cache behind a latent link up front.
+    """Reject, up front, a node that must answer over a latent link
+    within one call.
 
-    A bounded cache answers a miss by fetching through its own upstream
-    link within the same call: a parent serving a child's poll, or an
-    edge serving an instrument's client request.  Over a latent link
-    that answer arrives later, and the run would die mid-way with a 404
-    or an unknown object.  So every level above the edge level, and the
-    edge level too when an ``instrument`` is given, needs a synchronous
-    link.
+    A miss is answered by fetching through the node's own upstream link
+    within the same call: an edge serving an instrument's client
+    request, or a bounded cache's parent serving a child's poll.  Over a
+    latent link that answer arrives later, and the run would die mid-way
+    on an empty entry.  So the edge level needs a synchronous link
+    whenever an ``instrument`` is given, whatever the cache size; and
+    with ``cache.capacity`` set, so does every level above the edge.
     """
-    if config.cache.capacity is None or config.topology.kind != "tree":
+    if config.topology.kind != "tree":
         return
     levels = config.topology.levels
-    answering = levels if instrument is not None else levels[:-1]
-    for index, level in enumerate(answering):
-        network = level.network if level.network is not None else config.network
-        if _latent(network):
-            served = (
-                f"level {index + 1}'s polls"
-                if index + 1 < len(levels)
-                else "client requests"
-            )
-            raise SimulationConfigError(
-                f"cache.capacity needs a synchronous link at level {index}: "
-                f"its bounded caches must answer {served} within one call, "
-                "so the level's one_way_latency_s and jitter_s must be 0"
-            )
+    latent = [
+        _latent(level.network if level.network is not None else config.network)
+        for level in levels
+    ]
+    if config.cache.capacity is not None:
+        answering = len(levels) if instrument is not None else len(levels) - 1
+        for index in range(answering):
+            if latent[index]:
+                served = (
+                    f"level {index + 1}'s polls"
+                    if index + 1 < len(levels)
+                    else "client requests"
+                )
+                raise SimulationConfigError(
+                    f"cache.capacity needs a synchronous link at level {index}: "
+                    f"its bounded caches must answer {served} within one call, "
+                    "so the level's one_way_latency_s and jitter_s must be 0"
+                )
+    if instrument is not None and latent[-1]:
+        raise SimulationConfigError(
+            "an instrument needs a synchronous link at the edge level "
+            f"{len(levels) - 1}: its client requests must be answered "
+            "within one call, so the level's one_way_latency_s and "
+            "jitter_s must be 0"
+        )
 
 
 def _check_fastforward(config: SimulationConfig) -> None:
@@ -604,8 +616,9 @@ def run_simulation(
     (``config.shards > 1``): the size of the process pool that runs
     shards 1..N-1 while shard 0 runs in this process.  ``None`` (the
     default) and ``1`` mean no pool — every shard runs here, one after
-    another, to the same rows.  ``instrument`` (tree
-    topologies only) runs on each live tree after registration —
+    another, to the same rows.  ``instrument`` (tree topologies with a
+    synchronous edge link only) runs on each live tree after
+    registration —
     under sharding it is pickled to worker processes, so it must be a
     module-level callable or a :class:`functools.partial` over one.
     """
@@ -615,7 +628,7 @@ def run_simulation(
             "instrument hooks require the 'tree' topology, "
             f"got {config.topology.kind!r}"
         )
-    _check_bounded_links(config, instrument)
+    _check_latent_links(config, instrument)
     if config.shards > 1:
         from repro.topology.sharding import run_sharded
 

@@ -14,7 +14,12 @@ delegated to a :class:`SweepExecutor`:
   independent simulations, so this scales figure reproduction across
   cores.  Results are collected **in submission order** regardless of
   completion order, so serial and parallel runs of the same sweep
-  produce row-for-row identical output.
+  produce row-for-row identical output.  The pool machinery
+  (``concurrent.futures``, ``multiprocessing`` and what they pull in)
+  is imported on the first batch that actually fans out, so a serial
+  run never loads it.  A worker that dies raises
+  :class:`~repro.core.errors.WorkerDiedError`, an
+  :class:`~repro.core.errors.ExperimentError`.
 
 For the parallel path every sweep point must be a *picklable run-spec*:
 the point function has to be a module-level function (or a
@@ -28,11 +33,12 @@ point function.
 from __future__ import annotations
 
 import os
-from concurrent.futures import Future, ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
-from typing import Callable, List, Optional, Sequence, TypeVar
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, TypeVar
 
 from repro.core.errors import WorkerDiedError
+
+if TYPE_CHECKING:
+    from concurrent.futures import Future
 
 #: Generic task/result types of the executor seam: ``map`` preserves the
 #: relationship between what goes in and what comes out, so callers
@@ -69,7 +75,8 @@ class ParallelExecutor(SweepExecutor):
     ``fn`` and every item must be picklable (see the module docstring
     for the run-spec discipline).  Futures are collected in submission
     order, so results are ordered even when later points finish first.
-    Falls back to in-process execution for batches of one.  A worker
+    Falls back to in-process execution, importing no pool machinery,
+    for batches of one and for ``workers=1``.  A worker
     that dies (killed, ``os._exit``, out of memory) takes every
     unfinished point with it; that surfaces as one
     :class:`~repro.core.errors.WorkerDiedError` naming the first of
@@ -85,6 +92,12 @@ class ParallelExecutor(SweepExecutor):
         items = list(items)
         if len(items) <= 1 or self.workers == 1:
             return [fn(item) for item in items]
+        # Imported here, not at module level: the pool machinery costs
+        # some thirty stdlib modules (multiprocessing, socket, subprocess,
+        # pickle, ...) that a serial run never calls.
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+
         futures: List[Future[R]] = []
         with ProcessPoolExecutor(
             max_workers=min(self.workers, len(items))

@@ -17,7 +17,12 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.consistency.base import PollObserver, RefreshPolicy
-from repro.core.errors import CacheConfigurationError, ProtocolError, UnknownObjectError
+from repro.core.errors import (
+    CacheConfigurationError,
+    ProtocolError,
+    SimulationError,
+    UnknownObjectError,
+)
 from repro.core.events import PollReason
 from repro.core.types import ObjectId, ObjectSnapshot, Seconds
 from repro.httpsim.messages import Method, Request, Response, Status
@@ -195,7 +200,9 @@ class ProxyCache:
         Cache hits return the cached snapshot without contacting the
         origin (the consistency policy is responsible for freshness);
         misses fetch from the origin synchronously and populate the
-        cache.
+        cache.  Over a latent upstream link a miss cannot be answered
+        within the call: it raises
+        :class:`~repro.core.errors.SimulationError`.
         """
         entry = self._cache.get(object_id)
         if entry is not None:
@@ -207,11 +214,20 @@ class ProxyCache:
         self.counters.counts["client_misses"] += 1
         # _issue_poll resolves the server binding (and raises without one).
         entry = self._issue_poll(object_id, _CACHE_MISS)
-        if entry.snapshot is None:
-            raise UnknownObjectError(
-                str(object_id), where=self._servers[object_id].name
+        snapshot = entry.snapshot
+        if snapshot is None:
+            # The fetch is in flight, not refused: only a latent link
+            # returns before its answer lands (a synchronous 404 already
+            # raised ProtocolError inside the poll).
+            latency = self._network.latency
+            raise SimulationError(
+                f"client request for {object_id!r} missed at {self.name}, "
+                f"whose upstream link is latent (one_way={latency.one_way} s, "
+                f"jitter={latency.jitter} s): the fetch cannot be answered "
+                "within the request, so serve clients from a proxy on a "
+                "synchronous link"
             )
-        return entry.snapshot
+        return snapshot
 
     def bind_server(self, object_id: ObjectId, server: Upstream) -> None:
         """Associate an object with an upstream without registering a policy.

@@ -496,6 +496,22 @@ class TestRunCli:
         assert "bogus" in err
 
 
+def _fresh_python(*args: str) -> subprocess.CompletedProcess[str]:
+    """Run a fresh interpreter on this checkout's ``repro`` package."""
+    source_root = str(Path(repro.__file__).resolve().parent.parent)
+    return subprocess.run(
+        [sys.executable, *args],
+        env={**os.environ, "PYTHONPATH": source_root},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+
+
+#: Module-name prefixes of the process-pool machinery.
+_POOL_MODULES = ("concurrent.futures", "multiprocessing")
+
+
 class TestLayering:
     def test_the_facade_imports_nothing_above_it(self):
         """``scenarios`` and ``experiments`` build on ``repro.api``, never
@@ -508,15 +524,47 @@ class TestLayering:
             "above = ('repro.experiments', 'repro.scenarios')\n"
             "print(sorted(name for name in sys.modules if name.startswith(above)))\n"
         )
-        source_root = str(Path(repro.__file__).resolve().parent.parent)
-        fresh = subprocess.run(
-            [sys.executable, "-c", code],
-            env={**os.environ, "PYTHONPATH": source_root},
-            capture_output=True,
-            text=True,
-            timeout=60,
-        )
+        fresh = _fresh_python("-c", code)
         assert (fresh.returncode, fresh.stdout.strip()) == (0, "[]"), fresh.stderr
+
+    def test_a_serial_run_loads_no_process_pool(self):
+        """The pool machinery is imported on the first batch that fans
+        out: importing the e2e/CLI roots and running serially loads none
+        of it, and a real fan-out still works afterwards."""
+        code = (
+            "import pkgutil, sys, repro.api\n"
+            "for info in pkgutil.iter_modules(repro.api.__path__, 'repro.api.'):\n"
+            "    __import__(info.name)\n"
+            "import repro.scenarios.registry\n"
+            "from repro.api import SimulationConfig, WorkloadConfig, run_simulation\n"
+            "from repro.api.executors import ParallelExecutor\n"
+            "from repro.scenarios.engine import run_scenario\n"
+            f"pool = {_POOL_MODULES!r}\n"
+            "def loaded():\n"
+            "    return sorted(name for name in sys.modules if name.startswith(pool))\n"
+            "run_simulation(SimulationConfig(workload=WorkloadConfig(\n"
+            "    source='poisson', objects=('a',),\n"
+            "    params={'rate_per_hour': 6.0, 'hours': 1.0}), horizon_s=3600.0))\n"
+            "assert len(run_scenario('figure3', values=(10.0,)).rows) == 1\n"
+            "assert ParallelExecutor(2).map(abs, [-5]) == [5]\n"
+            "print(loaded())\n"
+            "print(ParallelExecutor(2).map(abs, [-1, -2, -3]))\n"
+            "print('concurrent.futures.process' in loaded())\n"
+        )
+        fresh = _fresh_python("-c", code)
+        assert fresh.returncode == 0, fresh.stderr
+        assert fresh.stdout.split("\n")[:3] == ["[]", "[1, 2, 3]", "True"]
+
+    def test_the_cli_lists_scenarios_without_a_process_pool(self):
+        fresh = _fresh_python("-X", "importtime", "-m", "repro", "scenarios", "list")
+        assert fresh.returncode == 0, fresh.stderr
+        assert "figure3" in fresh.stdout
+        # -X importtime logs one "import time: ... | <name>" line per import.
+        imported = [
+            line.rsplit("|", 1)[-1].strip() for line in fresh.stderr.splitlines()
+        ]
+        assert "repro.scenarios.registry" in imported
+        assert [name for name in imported if name.startswith(_POOL_MODULES)] == []
 
 
 class TestRegistry:

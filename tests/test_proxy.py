@@ -773,6 +773,31 @@ class TestLatencyIntegration:
         # Fetch completed at t=2 (1s each way).
         assert proxy.entry_for(ObjectId("x")).last_poll_time == 2.0
 
+    def test_client_miss_over_a_latent_link_names_the_link(self):
+        """A miss over a latent link is a fetch in flight, not a 404: the
+        error names the object, the proxy and the link, and the answer
+        still lands a round trip later.  A synchronous upstream that
+        really answers 404 still fails inside the poll."""
+        kernel = Kernel()
+        server = OriginServer()
+        server.create_object(ObjectId("x"), created_at=0.0)
+        latent = ProxyCache(
+            kernel, Network(kernel, LatencyModel(one_way=1.0)), name="edge"
+        )
+        latent.bind_server(ObjectId("x"), server)
+        with pytest.raises(
+            SimulationError, match=r"'x' missed at edge.*latent \(one_way=1\.0 s"
+        ) as caught:
+            latent.handle_client_request(ObjectId("x"))
+        assert not isinstance(caught.value, UnknownObjectError)
+        kernel.run()
+        assert latent.entry_for(ObjectId("x")).snapshot.version == 0
+
+        synchronous = ProxyCache(kernel, Network(kernel))
+        synchronous.bind_server(ObjectId("absent"), server)
+        with pytest.raises(ProtocolError, match="'absent' returned .* 404"):
+            synchronous.handle_client_request(ObjectId("absent"))
+
 
 class TestOutOfOrderResponses:
     """Jittered latency can deliver poll responses out of order; the

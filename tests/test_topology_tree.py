@@ -386,6 +386,26 @@ class TestBoundedTrees:
         ):
             run_simulation(config, instrument=instrument)
 
+    def test_instrument_needs_a_synchronous_edge_link(self):
+        """An edge answers a client miss within the request, so an
+        instrument on a latent edge link is rejected before the run
+        whatever the cache size; the same tree runs without clients."""
+        config = _poisson_tree(
+            ("a", "b"),
+            [
+                LevelConfig(fan_out=1),
+                LevelConfig(fan_out=2, network=NetworkConfig(one_way_latency_s=1.0)),
+            ],
+            policy=PolicyConfig("static_ttl", {"ttl": 600.0}),
+        )
+        instrument = partial(attach_client_pumps, clients=2000, horizon=3600.0, seed=3)
+        with pytest.raises(
+            SimulationConfigError,
+            match=r"instrument .* edge level 1:.*one_way_latency_s and jitter_s",
+        ):
+            run_simulation(config, instrument=instrument)
+        assert len(run_simulation(config).results) == 6  # 3 nodes x 2 objects
+
     @given(
         seed=st.integers(min_value=0, max_value=2**31),
         fan_outs=st.sampled_from([(1,), (1, 3), (2, 2, 2)]),
