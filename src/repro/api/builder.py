@@ -323,6 +323,10 @@ def _check_latent_links(
     on an empty entry.  So the edge level needs a synchronous link
     whenever an ``instrument`` is given, whatever the cache size; and
     with ``cache.capacity`` set, so does every level above the edge.
+    An ``instrument`` needs every level above the edge synchronous too:
+    below a latent link a node registers its objects only after an
+    upstream round trip, so at instrument time the edges hold nothing
+    to serve and no client would ever reach them.
     """
     if config.topology.kind != "tree":
         return
@@ -345,13 +349,22 @@ def _check_latent_links(
                     f"its bounded caches must answer {served} within one call, "
                     "so the level's one_way_latency_s and jitter_s must be 0"
                 )
-    if instrument is not None and latent[-1]:
+    if instrument is None or not any(latent):
+        return
+    index = latent.index(True)
+    if index == len(levels) - 1:
         raise SimulationConfigError(
             "an instrument needs a synchronous link at the edge level "
-            f"{len(levels) - 1}: its client requests must be answered "
+            f"{index}: its client requests must be answered "
             "within one call, so the level's one_way_latency_s and "
             "jitter_s must be 0"
         )
+    raise SimulationConfigError(
+        "an instrument needs a synchronous link at every level, not only "
+        f"the edge: below level {index}'s latent link the edges register "
+        "their objects only after an upstream round trip and would serve "
+        "no client, so the level's one_way_latency_s and jitter_s must be 0"
+    )
 
 
 def _check_fastforward(config: SimulationConfig) -> None:
@@ -617,7 +630,7 @@ def run_simulation(
     shards 1..N-1 while shard 0 runs in this process.  ``None`` (the
     default) and ``1`` mean no pool — every shard runs here, one after
     another, to the same rows.  ``instrument`` (tree topologies with a
-    synchronous edge link only) runs on each live tree after
+    synchronous link at every level only) runs on each live tree after
     registration —
     under sharding it is pickled to worker processes, so it must be a
     module-level callable or a :class:`functools.partial` over one.

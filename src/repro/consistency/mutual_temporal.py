@@ -140,9 +140,10 @@ class MutualTemporalCoordinator:
         snapshot: ObjectSnapshot, first_unseen: Optional[Seconds],
         updates_since: Optional[int],
     ) -> None:
-        estimator = self._estimators.setdefault(
-            object_id, UpdateRateEstimator(smoothing=self._rate_smoothing)
-        )
+        estimator = self._estimators.get(object_id)
+        if estimator is None:
+            estimator = UpdateRateEstimator(smoothing=self._rate_smoothing)
+            self._estimators[object_id] = estimator
         if object_id not in self._last_rate_sample:
             # First poll establishes the sampling baseline.
             self._last_rate_sample[object_id] = now

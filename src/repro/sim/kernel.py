@@ -1,7 +1,8 @@
 """Discrete-event simulation kernel.
 
 A classic priority-queue DES: events are ``(time, sequence, record)``
-entries on a pluggable :class:`Scheduler`; the kernel pops the earliest
+entries on a pluggable :class:`Scheduler` (the record may be a batch of
+records due at one instant); the kernel pops the earliest
 event, advances the clock to its timestamp, and invokes the callback.
 Ties are broken by the sequence number, drawn in increasing order when
 an event is *registered* (FIFO among equal times), which makes runs
@@ -33,6 +34,19 @@ times):
   tuple themselves and :meth:`Kernel._drain` — one frame per run, not
   per event — skips and recycles cancelled entries and stops at the
   horizon.
+* Events scheduled consecutively for one instant share one entry:
+  the kernel remembers the instant of its last ordinary schedule, and
+  a schedule at exactly that instant appends its record to the
+  instant's open :class:`_Batch` instead of pushing.  A fixed-TTR
+  hierarchy re-arms every refresher for the same instant, so a heap of
+  a thousand tied entries becomes a handful — no per-event sift and
+  no three-way tuple compare.  Members hold consecutive sequence
+  numbers, so FIFO within a batch *is* ``(time, sequence)`` order; a
+  number drawn outside it (a schedule at another instant, a series
+  reservation) or a pop of the batch closes it.  The same drain loop
+  walks a popped batch, and introspection
+  (:meth:`Kernel.peek_next_time`, :attr:`Kernel.pending_count`) sees
+  its members one by one.
 * Instants known in advance (a trace's updates) go through
   :meth:`Kernel.schedule_series`: still one dispatched event each, in
   the slot the per-instant ``schedule_at`` loop would give it, but one
@@ -62,15 +76,19 @@ from __future__ import annotations
 
 import heapq
 from functools import partial
+from operator import length_hint
 from typing import (
     Callable,
     Generic,
+    Iterator,
     List,
     Optional,
     Protocol,
     Sequence,
+    Set,
     Tuple,
     TypeVar,
+    cast,
 )
 
 from repro.core.errors import SchedulingInPastError, SimulationError
@@ -210,6 +228,33 @@ class _Event:
         self.cancelled = False
         self.fired = False
         self.generation = 0
+
+
+class _Batch(list[_Event]):
+    """Records scheduled consecutively for one instant, queued as one entry.
+
+    Members hold consecutive sequence numbers at the same time, and the
+    entry carries the first one's, so FIFO order within the batch *is*
+    ``(time, sequence)`` order.  A batch rides in an entry's record
+    slot: the two attributes read there before a record and a batch are
+    told apart are class constants, ``cancelled`` (False: the scheduler
+    sees one never-cancelled item) and ``callback`` (None: what marks a
+    batch, so a record pays no type test).  The kernel owns the
+    members' flags, skips and recycles cancelled ones in
+    :meth:`Kernel._drain` and drops a batch with no live member from
+    :meth:`Kernel.peek_next_time`.  Hashed by identity, for the
+    kernel's set of queued batches.
+    """
+
+    __slots__ = ()
+    cancelled = False
+    callback = None
+    __hash__ = object.__hash__  # type: ignore[assignment]
+
+
+def _live(batch: List[_Event]) -> int:
+    """Number of a batch's members that are not cancelled."""
+    return sum(1 for event in batch if not event.cancelled)
 
 
 class EventHandle:
@@ -376,6 +421,12 @@ class Kernel:
         "_running",
         "_events_processed",
         "_free",
+        "_open_time",
+        "_open",
+        "_open_end",
+        "_batches",
+        "_rest",
+        "_walk",
     )
 
     def __init__(
@@ -395,6 +446,18 @@ class Kernel:
         self._sequence = 0
         self._running = False
         self._events_processed = 0
+        # The instant of the last ordinary schedule; the latest batch,
+        # and the sequence number that may still join it (-1 once the
+        # batch is popped).  Any other number drawn in between is a push
+        # or a series reservation, so contiguity is the whole open test.
+        self._open_time: Seconds = -1.0
+        self._open = _Batch()
+        self._open_end = -1
+        # Batches on the scheduler, and the unconsumed rest of the one
+        # being dispatched: the members introspection has to count.
+        self._batches: Set[_Batch] = set()
+        self._rest: Optional[_Batch] = None
+        self._walk: Iterator[_Event] = iter(())
 
     # ------------------------------------------------------------------
     # Clock protocol
@@ -442,7 +505,17 @@ class Kernel:
             event = _Event(when, callback, label)
         sequence = self._sequence
         self._sequence = sequence + 1
-        self._push((when, sequence, event))
+        if when == self._open_time:
+            if sequence == self._open_end:
+                self._open.append(event)
+            else:
+                batch = self._open = _Batch((event,))
+                self._batches.add(batch)
+                self._push((when, sequence, cast(_Event, batch)))
+            self._open_end = sequence + 1
+        else:
+            self._open_time = when
+            self._push((when, sequence, event))
         return event
 
     def schedule_at(
@@ -471,7 +544,17 @@ class Kernel:
             event = _Event(when, callback, label)
         sequence = self._sequence
         self._sequence = sequence + 1
-        self._push((when, sequence, event))
+        if when == self._open_time:
+            if sequence == self._open_end:
+                self._open.append(event)
+            else:
+                batch = self._open = _Batch((event,))
+                self._batches.add(batch)
+                self._push((when, sequence, cast(_Event, batch)))
+            self._open_end = sequence + 1
+        else:
+            self._open_time = when
+            self._push((when, sequence, event))
         return EventHandle(event)
 
     def schedule_after(
@@ -526,8 +609,18 @@ class Kernel:
 
         Returns:
             True if an event was processed, False if the queue is empty.
+
+        Raises:
+            SimulationError: if called from a callback while the kernel
+                is dispatching.
         """
-        return self._drain(None, 1) == 1
+        if self._running:
+            raise SimulationError("kernel is already running (re-entrant step())")
+        self._running = True
+        try:
+            return self._drain(None, 1) == 1
+        finally:
+            self._running = False
 
     def _drain(self, until: Optional[Seconds], max_events: Optional[int]) -> int:
         """Dispatch pending events in (time, sequence) order.
@@ -544,6 +637,13 @@ class Kernel:
         never caught: an ``IndexError`` here is a callback's own.
         Callers own the ``_running`` guard and the end-of-run clock
         policy.
+
+        A popped batch closes and is walked in place, first member
+        first, as :attr:`_rest` through the iterator :attr:`_walk`,
+        whose length hint is the number of members still to come;
+        cancelled members are skipped and recycled.  A stop inside it —
+        ``max_events``, or a callback that raises — pushes the
+        unconsumed rest back under the batch's own entry.
         """
         processed = 0
         pop = self._pop
@@ -559,12 +659,41 @@ class Kernel:
                 if until is not None and entry[0] > until:
                     self._push(entry)
                     break
-                self.time = entry[0]
-                event.fired = True
                 callback = event.callback
-                free.append(event)
-                callback(self)
-                processed += 1
+                if callback is not None:
+                    self.time = entry[0]
+                    event.fired = True
+                    free.append(event)
+                    callback(self)
+                    processed += 1
+                    continue
+                batch = cast(_Batch, event)
+                if batch is self._open:
+                    self._open_end = -1
+                self._batches.remove(batch)
+                time = entry[0]
+                self._rest = batch
+                walk = self._walk = iter(batch)
+                try:
+                    for member in walk:
+                        if member.cancelled:
+                            free.append(member)
+                            continue
+                        self.time = time
+                        member.fired = True
+                        callback = member.callback
+                        free.append(member)
+                        callback(self)
+                        processed += 1
+                        if processed == max_events:
+                            break
+                finally:
+                    self._rest = None
+                    left = length_hint(walk)
+                    if left:
+                        del batch[: len(batch) - left]
+                        self._batches.add(batch)
+                        self._push(entry)
         finally:
             # Folded in once per drain, not per event; the finally
             # keeps the count honest when a callback raises.
@@ -659,11 +788,30 @@ class Kernel:
     def peek_next_time(self) -> Optional[Seconds]:
         """Earliest pending event time, or ``None`` when the queue is empty.
 
-        Cancelled heads are dropped as a side effect, so the returned
-        time always belongs to an event that will actually fire.
+        Cancelled heads — events, and batches with no live member — are
+        dropped as a side effect, so the returned time always belongs to
+        an event that will actually fire.  From inside a batch's
+        dispatch, its live rest is the earliest.
         """
-        entry = self._scheduler.peek()
-        return entry[0] if entry is not None else None
+        if self._rest is not None and any(
+            not event.cancelled for event in self._unconsumed()
+        ):
+            return self.time
+        peek = self._scheduler.peek
+        while True:
+            entry = peek()
+            if entry is None:
+                return None
+            if entry[2].callback is not None:
+                return entry[0]
+            batch = cast(_Batch, entry[2])
+            if any(not event.cancelled for event in batch):
+                return entry[0]
+            self._pop()
+            if batch is self._open:
+                self._open_end = -1
+            self._batches.remove(batch)
+            self._free.extend(batch)
 
     def advance_clock(self, to: Seconds) -> None:
         """Move the clock forward through an event-free interval.
@@ -691,7 +839,18 @@ class Kernel:
     @property
     def pending_count(self) -> int:
         """Number of pending (non-cancelled) events."""
-        return self._scheduler.pending_count()
+        # The scheduler counts each queued batch as one entry.
+        count = self._scheduler.pending_count()
+        for batch in self._batches:
+            count += _live(batch) - 1
+        return count + _live(self._unconsumed())
+
+    def _unconsumed(self) -> List[_Event]:
+        """The members of the batch being dispatched still to come."""
+        batch = self._rest
+        if batch is None:
+            return []
+        return batch[len(batch) - length_hint(self._walk) :]
 
     @property
     def events_processed(self) -> int:

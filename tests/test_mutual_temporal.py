@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.consistency import mutual_temporal
 from repro.consistency.base import FixedTTRPolicy
 from repro.consistency.mutual_temporal import (
     MutualTemporalCoordinator,
@@ -213,6 +214,25 @@ class TestHeuristicMode:
         rate = coordinator.rate_of(A)
         assert rate is not None
         assert rate == pytest.approx(0.1, rel=0.5)
+
+    def test_one_rate_estimator_per_object(self, monkeypatch):
+        """An estimator is built on an object's first poll, not per poll."""
+        built = []
+
+        class Counting(mutual_temporal.UpdateRateEstimator):
+            def __init__(self, *args, **kwargs):
+                built.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(mutual_temporal, "UpdateRateEstimator", Counting)
+        kernel, proxy, coordinator = build_pair(
+            mode=MutualTemporalMode.HEURISTIC,
+            updates_a=tuple(float(t) for t in range(5, 200, 10)),
+        )
+        kernel.run(until=200.0)
+        assert proxy.counters.get("polls") > 20
+        assert len(built) == 2
+        assert coordinator.rate_of(A) is not None
 
 
 class TestConstruction:

@@ -323,3 +323,276 @@ class TestSeriesEquivalence:
         for scheduler in ("heap", "wheel"):
             assert _execute_series(scheduler, ops, expand=False) == reference
         assert _execute_series("wheel", ops, expand=True) == reference
+
+
+# ----------------------------------------------------------------------
+# Batches against an independent reference
+# ----------------------------------------------------------------------
+# Events scheduled consecutively for one instant share one scheduler
+# entry.  The property below drives the kernel, on both schedulers, and
+# a plain list of pending events sorted by (time, sequence) through one
+# script, and compares everything observable: dispatch order, and the
+# clock, next time and pending count read from inside every callback.
+
+
+class _Boom(Exception):
+    """Raised by a callback to stop a run mid-instant."""
+
+
+class _ListEvent:
+    __slots__ = ("time", "sequence", "callback", "series", "cancelled", "fired")
+
+    def __init__(self, time, sequence, callback, series):
+        self.time = time
+        self.sequence = sequence
+        self.callback = callback
+        self.series = series
+        self.cancelled = False
+        self.fired = False
+
+    @property
+    def pending(self) -> bool:
+        return not (self.cancelled or self.fired)
+
+    def cancel(self) -> None:
+        assert self.pending
+        self.cancelled = True
+
+
+class _ListKernel:
+    """The reference: every pending event in a list, the least
+    ``(time, sequence)`` dispatched next.  A series counts as one
+    pending event while any of its instants is left, as in the kernel."""
+
+    def __init__(self) -> None:
+        self.time = 0.0
+        self.events_processed = 0
+        self._pending: List[_ListEvent] = []
+        self._sequence = 0
+
+    def now(self) -> float:
+        return self.time
+
+    def schedule_at(self, when, callback, *, label=""):
+        event = _ListEvent(when, self._sequence, callback, None)
+        self._sequence += 1
+        self._pending.append(event)
+        return event
+
+    def schedule_series(self, times, callback, *, label=""):
+        series = object()
+        for index, when in enumerate(times):
+            self._pending.append(
+                _ListEvent(when, self._sequence + index, callback, series)
+            )
+        self._sequence += len(times)
+
+    def _live(self) -> List[_ListEvent]:
+        return sorted(
+            (event for event in self._pending if not event.cancelled),
+            key=lambda event: (event.time, event.sequence),
+        )
+
+    def _drain(self, until, max_events) -> int:
+        processed = 0
+        try:
+            while processed != max_events:
+                live = self._live()
+                if not live or (until is not None and live[0].time > until):
+                    break
+                head = live[0]
+                self._pending.remove(head)
+                self.time = head.time
+                head.fired = True
+                head.callback(self)
+                processed += 1
+        finally:
+            self.events_processed += processed
+        return processed
+
+    def run(self, *, until=None, max_events=None) -> int:
+        processed = self._drain(until, max_events)
+        if until is not None and self.time < until and processed != max_events:
+            self.time = until
+        return processed
+
+    def run_batch(self, until, *, max_events=None) -> int:
+        return self._drain(until, max_events)
+
+    def step(self) -> bool:
+        return self._drain(None, 1) == 1
+
+    def peek_next_time(self):
+        live = self._live()
+        return live[0].time if live else None
+
+    def advance_clock(self, to) -> None:
+        head = self.peek_next_time()
+        assert to >= self.time and (head is None or head >= to)
+        self.time = to
+
+    @property
+    def pending_count(self) -> int:
+        live = [event for event in self._pending if not event.cancelled]
+        return sum(1 for event in live if event.series is None) + len(
+            {id(event.series) for event in live if event.series is not None}
+        )
+
+
+_INSTANTS = st.sampled_from([0.0, 0.0, 0.5, 1.0, 1.0, 2.0])
+
+#: What a callback does after recording itself: nothing, schedule at
+#: the current instant, cancel an event (often a later member of its
+#: own batch), schedule later, or raise.
+_ACTIONS = st.one_of(
+    st.just(("record",)),
+    st.just(("same",)),
+    st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=999)),
+    st.tuples(st.just("later"), _INSTANTS),
+    st.just(("raise",)),
+)
+
+_STOPS = st.one_of(st.none(), st.integers(min_value=0, max_value=6))
+
+_BATCH_OPS = st.lists(
+    st.one_of(
+        # Many events at one instant, each with its own action.
+        st.tuples(
+            st.just("burst"), _INSTANTS, st.lists(_ACTIONS, min_size=1, max_size=12)
+        ),
+        st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=999)),
+        # The newest handles, so whole batches go dead.
+        st.tuples(st.just("cancel_last"), st.integers(min_value=1, max_value=12)),
+        st.tuples(st.just("series"), _INSTANTS, st.lists(_INSTANTS, max_size=5)),
+        st.tuples(st.just("run"), _INSTANTS, _STOPS),
+        st.tuples(st.just("run_batch"), _INSTANTS, _STOPS),
+        st.tuples(st.just("run_max"), st.integers(min_value=0, max_value=6)),
+        st.tuples(st.just("step")),
+        st.tuples(st.just("advance"), _INSTANTS),
+    ),
+    max_size=30,
+)
+
+
+def _play(kernel, ops: List[Tuple[object, ...]]) -> List[Tuple[object, ...]]:
+    """Run one script on ``kernel``; return what it could observe."""
+    seen: List[Tuple[object, ...]] = []
+    handles: list = []
+    labels = iter(range(10**6))
+
+    def observe(label: str) -> None:
+        seen.append(
+            (kernel.now(), label, kernel.peek_next_time(), kernel.pending_count)
+        )
+
+    def callback(label: str, action: Tuple[object, ...]):
+        def fire(k) -> None:
+            observe(label)
+            kind = action[0]
+            if kind == "same":
+                handles.append(
+                    k.schedule_at(k.now(), callback(f"{label}=", ("record",)))
+                )
+            elif kind == "later":
+                handles.append(
+                    k.schedule_at(
+                        k.now() + action[1], callback(f"{label}+", ("record",))
+                    )
+                )
+            elif kind == "cancel" and handles:
+                handle = handles[action[1] % len(handles)]
+                if handle.pending:
+                    handle.cancel()
+            elif kind == "raise":
+                raise _Boom(label)
+
+        return fire
+
+    def stopped(run: Callable[[], object]) -> None:
+        try:
+            run()
+        except _Boom as boom:
+            seen.append(("raised", str(boom)))
+
+    for op in ops:
+        kind = op[0]
+        now = kernel.now()
+        if kind == "burst":
+            for action in op[2]:
+                label = f"b{next(labels)}"
+                handles.append(
+                    kernel.schedule_at(now + op[1], callback(label, action))
+                )
+        elif kind == "cancel":
+            if handles:
+                handle = handles[op[1] % len(handles)]
+                if handle.pending:
+                    handle.cancel()
+        elif kind == "cancel_last":
+            for handle in [h for h in handles if h.pending][-op[1] :]:
+                handle.cancel()
+        elif kind == "series":
+            times = [now + op[1]]
+            for gap in op[2]:
+                times.append(times[-1] + gap)
+            kernel.schedule_series(times, callback(f"s{next(labels)}", ("record",)))
+        else:
+            if kind == "run":
+                stopped(lambda: kernel.run(until=now + op[1], max_events=op[2]))
+            elif kind == "run_batch":
+                stopped(lambda: kernel.run_batch(now + op[1], max_events=op[2]))
+            elif kind == "run_max":
+                stopped(lambda: kernel.run(max_events=op[1]))
+            elif kind == "step":
+                stopped(kernel.step)
+            else:
+                target = now + op[1]
+                head = kernel.peek_next_time()
+                kernel.advance_clock(target if head is None else min(head, target))
+            observe("#checkpoint")
+            seen.append(("#processed", kernel.events_processed))
+    while True:
+        try:
+            kernel.run()
+            break
+        except _Boom as boom:
+            seen.append(("raised", str(boom)))
+    observe("#end")
+    return seen
+
+
+class TestBatchesMatchAReference:
+    @given(_BATCH_OPS)
+    @settings(max_examples=300, deadline=None)
+    def test_dispatch_matches_a_sorted_list(self, ops):
+        reference = _play(_ListKernel(), ops)
+        for scheduler in ("heap", "wheel"):
+            assert _play(Kernel(scheduler=scheduler), ops) == reference
+
+    @pytest.mark.parametrize("scheduler", ["heap", "wheel"])
+    def test_an_instant_is_queued_as_two_entries(self, scheduler):
+        """A thousand events at one instant: the first, then one batch.
+        A stop inside the batch hands its rest back as one entry."""
+        kernel = Kernel(scheduler=scheduler)
+        fired = []
+        for index in range(1000):
+            kernel.schedule_at(1.0, lambda k, i=index: fired.append(i))
+        assert kernel._scheduler.size() == 2
+        assert kernel.run(max_events=400) == 400
+        assert kernel._scheduler.size() == 1
+        assert (kernel.pending_count, kernel.peek_next_time()) == (600, 1.0)
+        kernel.run()
+        assert fired == list(range(1000))
+
+    def test_an_instant_reopens_after_its_batch_fired(self):
+        """A batch off the scheduler takes no member: an event scheduled
+        for its instant after it fired is queued, and fires."""
+        kernel = Kernel()
+        fired = []
+        for index in range(3):
+            kernel.schedule_at(1.0, lambda k, i=index: fired.append(i))
+        kernel.run(until=1.0)
+        kernel.schedule_at(1.0, lambda k: fired.append("late"))
+        assert (kernel.pending_count, kernel.peek_next_time()) == (1, 1.0)
+        kernel.run()
+        assert fired == [0, 1, 2, "late"]

@@ -191,6 +191,22 @@ class TestRun:
         with pytest.raises(SimulationError):
             kernel.run()
 
+    def test_reentrant_step_rejected(self, kernel):
+        """A nested step would dispatch past the rest of the instant
+        being dispatched, so it is refused like a nested run."""
+        fired = []
+
+        def reenter(k):
+            fired.append("outer")
+            k.step()
+
+        kernel.schedule_at(1.0, reenter)
+        kernel.schedule_at(1.0, lambda k: fired.append("inner"))
+        with pytest.raises(SimulationError, match="re-entrant step"):
+            kernel.run()
+        assert kernel.step() is True
+        assert fired == ["outer", "inner"]
+
     def test_events_scheduled_during_run_are_processed(self, kernel):
         fired = []
 

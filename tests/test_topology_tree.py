@@ -406,6 +406,27 @@ class TestBoundedTrees:
             run_simulation(config, instrument=instrument)
         assert len(run_simulation(config).results) == 6  # 3 nodes x 2 objects
 
+    def test_instrument_needs_synchronous_links_above_the_edge(self):
+        """Below a latent upper link the edges register their objects
+        only after a round trip, so an instrument would start no pump:
+        rejected before the run, naming the first latent level."""
+        config = _poisson_tree(
+            ("a", "b"),
+            [
+                LevelConfig(fan_out=1, network=NetworkConfig(one_way_latency_s=1.0)),
+                LevelConfig(fan_out=2),
+            ],
+            policy=PolicyConfig("static_ttl", {"ttl": 600.0}),
+        )
+        instrument = partial(attach_client_pumps, clients=2000, horizon=3600.0, seed=3)
+        with pytest.raises(
+            SimulationConfigError,
+            match=r"instrument .* every level.* level 0's latent link"
+            r".*one_way_latency_s and jitter_s",
+        ):
+            run_simulation(config, instrument=instrument)
+        assert len(run_simulation(config).results) == 6  # 3 nodes x 2 objects
+
     @given(
         seed=st.integers(min_value=0, max_value=2**31),
         fan_outs=st.sampled_from([(1,), (1, 3), (2, 2, 2)]),
